@@ -1,35 +1,30 @@
-// Microbenchmark of the sharded TSDB: ingest and query-latency curves
+// Microbenchmark of the sharded TSDB: measured ingest and query wall time
 // across shard counts {1, 2, 4, 8} at >= 1M samples.
 //
-// The container running CI has a single CPU, so thread wall-clock cannot
-// show shard scaling. Like micro_scheduler's shared-state curve, this
-// bench uses the parallel-makespan model instead: every per-shard cost is
-// measured serially (ScanMode::kSerial + ExecStats), and the modeled
-// fan-out latency is
-//
-//   modeled_us = wall_us - sum(shard scan_us) + max(shard scan_us)
-//
-// i.e. the serial run with all but the slowest shard's scan removed —
-// exactly what an N-thread fan-out pays when each shard has its own lock
-// domain. Ingest is modeled the same way: the batch is partitioned by
-// shard routing and the makespan is the slowest shard's write time.
+// Every number is host wall clock of code that ran: ingest is one
+// write_many of the whole stream, and a query's latency is the median of
+// `query_runs` executions with the executor's default options (the path
+// the scheduler takes). Nothing is modeled.
 //
 // Three query shapes cover the planner paths: the paper's Listing-1
 // nested query over a 25 s window (raw, narrow), a 1 h MAX per node per
 // minute (served from the 60 s rollup level), and a 1 h P99 (quantile →
 // always raw, the worst case for wide windows).
 //
-// Writes BENCH_tsdb.json (or BENCH_tsdb_smoke.json with --smoke, which
-// also re-parses the file and fails if the 4-shard modeled query
-// throughput dropped below the 1-shard baseline).
+// Writes BENCH_tsdb.json (or BENCH_tsdb_smoke.json with --smoke). Each
+// query row carries a digest of its result set; the smoke run re-parses
+// the file and fails unless every query returned the identical result set
+// on 1 and 4 shards.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "tsdb/model.hpp"
@@ -70,28 +65,21 @@ double now_us() {
 struct IngestResult {
   std::size_t shards = 0;
   std::size_t samples = 0;
-  double serial_ms = 0.0;    // sum of per-shard write times
-  double makespan_ms = 0.0;  // slowest shard (modeled parallel ingest)
+  double wall_ms = 0.0;
 
   [[nodiscard]] double samples_per_sec() const {
-    return makespan_ms > 0.0
-               ? static_cast<double>(samples) / (makespan_ms / 1e3)
-               : 0.0;
+    return wall_ms > 0.0 ? static_cast<double>(samples) / (wall_ms / 1e3)
+                         : 0.0;
   }
 };
 
 struct QueryResult {
   std::string query;
   std::size_t shards = 0;
-  std::size_t samples = 0;
   int runs = 0;
-  double wall_us = 0.0;     // median serial wall time
-  double modeled_us = 0.0;  // median parallel-makespan latency
+  double wall_us = 0.0;  // median wall time per execute
   std::int64_t rollup_level_us = 0;
-
-  [[nodiscard]] double modeled_qps() const {
-    return modeled_us > 0.0 ? 1e6 / modeled_us : 0.0;
-  }
+  std::uint64_t digest = 0;  // of the result set, bit for bit
 };
 
 /// The identical sample stream every store ingests: integer values,
@@ -116,68 +104,56 @@ std::vector<Database::Sample> make_samples(const BenchConfig& config) {
   return samples;
 }
 
-/// Ingests the stream, timing each shard's partition separately: the
-/// modeled parallel ingest is the slowest shard's write time.
 IngestResult ingest(Database& db, const std::vector<Database::Sample>& all) {
   IngestResult r;
   r.shards = db.shard_count();
   r.samples = all.size();
-  std::vector<std::vector<Database::Sample>> by_shard(db.shard_count());
-  for (const Database::Sample& sample : all) {
-    by_shard[db.shard_of(sample.measurement, sample.tags)].push_back(sample);
+  const double start = now_us();
+  if (db.write_many(all) != all.size()) {
+    std::cerr << "warning: ingest dropped samples\n";
   }
-  double max_ms = 0.0;
-  double sum_ms = 0.0;
-  for (const auto& batch : by_shard) {
-    const double start = now_us();
-    const std::size_t accepted = db.write_many(batch);
-    const double ms = (now_us() - start) / 1e3;
-    if (accepted != batch.size()) {
-      std::cerr << "warning: ingest dropped samples\n";
-    }
-    sum_ms += ms;
-    max_ms = std::max(max_ms, ms);
-  }
-  r.serial_ms = sum_ms;
-  r.makespan_ms = max_ms;
+  r.wall_ms = (now_us() - start) / 1e3;
   return r;
 }
 
+/// FNV-1a over every row's tags, time and field bits.
+std::uint64_t digest(const tsdb::ql::ResultSet& result) {
+  std::string text;
+  for (const tsdb::ql::Row& row : result.rows) {
+    text += tsdb::tags_key(row.tags);
+    text += '@' + std::to_string(row.time.micros_since_epoch());
+    for (const auto& [name, value] : row.fields) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof bits);
+      text += ' ' + name + '=' + std::to_string(bits);
+    }
+    text += '\n';
+  }
+  return fnv1a(text);
+}
+
 QueryResult run_query(Database& db, const std::string& name,
-                      const std::string& text, TimePoint now, int runs,
-                      std::size_t samples) {
+                      const std::string& text, TimePoint now, int runs) {
   const tsdb::ql::PreparedQuery prepared =
       tsdb::ql::PreparedQuery::prepare(text);
   QueryResult r;
   r.query = name;
   r.shards = db.shard_count();
-  r.samples = samples;
   r.runs = runs;
   std::vector<double> wall;
-  std::vector<double> modeled;
   for (int i = 0; i < runs; ++i) {
     tsdb::ql::ExecStats stats;
     tsdb::ql::ExecOptions options;
-    options.mode = tsdb::ql::ScanMode::kSerial;
     options.stats = &stats;
     const double start = now_us();
     const tsdb::ql::ResultSet result = prepared.execute(db, now, {}, options);
-    const double wall_us = now_us() - start;
+    wall.push_back(now_us() - start);
     if (result.rows.empty()) std::cerr << "warning: empty result\n";
-    double sum_scan = 0.0;
-    double max_scan = 0.0;
-    for (const tsdb::ql::ShardScanStats& shard : stats.shards) {
-      sum_scan += shard.scan_us;
-      max_scan = std::max(max_scan, shard.scan_us);
-    }
-    wall.push_back(wall_us);
-    modeled.push_back(wall_us - sum_scan + max_scan);
     r.rollup_level_us = stats.rollup_level_us;
+    r.digest = digest(result);
   }
   std::sort(wall.begin(), wall.end());
-  std::sort(modeled.begin(), modeled.end());
   r.wall_us = wall[wall.size() / 2];
-  r.modeled_us = modeled[modeled.size() / 2];
   return r;
 }
 
@@ -186,14 +162,12 @@ void write_json(const std::string& path, const BenchConfig& config,
                 const std::vector<QueryResult>& queries) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"micro_tsdb\",\n"
-      << "  \"metric\": \"sharded ingest + query fan-out (parallel-makespan "
-         "model)\",\n"
+      << "  \"metric\": \"sharded ingest + query wall time (measured)\",\n"
       << "  \"samples\": " << config.samples() << ",\n  \"ingest\": [\n";
   for (std::size_t i = 0; i < ingests.size(); ++i) {
     const IngestResult& r = ingests[i];
     out << "    {\"shards\": " << r.shards << ", \"samples\": " << r.samples
-        << ", \"serial_ms\": " << r.serial_ms
-        << ", \"makespan_ms\": " << r.makespan_ms
+        << ", \"wall_ms\": " << r.wall_ms
         << ", \"samples_per_sec\": " << r.samples_per_sec() << "}"
         << (i + 1 < ingests.size() ? "," : "") << "\n";
   }
@@ -202,9 +176,8 @@ void write_json(const std::string& path, const BenchConfig& config,
     const QueryResult& r = queries[i];
     out << "    {\"query\": \"" << r.query << "\", \"shards\": " << r.shards
         << ", \"runs\": " << r.runs << ", \"wall_us\": " << r.wall_us
-        << ", \"modeled_us\": " << r.modeled_us
-        << ", \"modeled_qps\": " << r.modeled_qps()
-        << ", \"rollup_level_us\": " << r.rollup_level_us << "}"
+        << ", \"rollup_level_us\": " << r.rollup_level_us
+        << ", \"result_digest\": \"" << to_hex(r.digest) << "\"}"
         << (i + 1 < queries.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -212,22 +185,22 @@ void write_json(const std::string& path, const BenchConfig& config,
 
 /// Line-based re-parse of the emitted JSON (the regression guard must not
 /// trust the in-memory numbers it just computed — it checks the artifact).
-double qps_from_json(const std::string& path, const std::string& query,
-                     std::size_t shards) {
+std::string digest_from_json(const std::string& path, const std::string& query,
+                             std::size_t shards) {
   std::ifstream in(path);
   std::string line;
   const std::string query_needle = "\"query\": \"" + query + "\"";
   const std::string shard_needle =
       "\"shards\": " + std::to_string(shards) + ",";
+  const std::string key = "\"result_digest\": \"";
   while (std::getline(in, line)) {
     if (line.find(query_needle) == std::string::npos) continue;
     if (line.find(shard_needle) == std::string::npos) continue;
-    const std::string key = "\"modeled_qps\": ";
     const std::size_t pos = line.find(key);
     if (pos == std::string::npos) continue;
-    return std::stod(line.substr(pos + key.size()));
+    return line.substr(pos + key.size(), 16);
   }
-  return -1.0;
+  return "";
 }
 
 }  // namespace
@@ -271,6 +244,9 @@ int main(int argc, char** argv) {
                      "WHERE time >= now() - 300s GROUP BY nodename"
                    : "SELECT P99(value) AS tail FROM \"sgx/epc\" "
                      "WHERE time >= now() - 1h GROUP BY nodename";
+  const std::vector<std::pair<std::string, std::string>> shapes = {
+      {"listing1_25s", listing1}, {"rollup_wide", rollup},
+      {"p99_wide", quantile}};
 
   std::vector<IngestResult> ingests;
   std::vector<QueryResult> queries;
@@ -279,54 +255,31 @@ int main(int argc, char** argv) {
     db_config.shards = shards;
     Database db{db_config};
     ingests.push_back(ingest(db, samples));
-    queries.push_back(run_query(db, "listing1_25s", listing1, now,
-                                config.query_runs, samples.size()));
-    queries.push_back(run_query(db, "rollup_wide", rollup, now,
-                                config.query_runs, samples.size()));
-    queries.push_back(run_query(db, "p99_wide", quantile, now,
-                                config.query_runs, samples.size()));
+    for (const auto& [name, text] : shapes) {
+      queries.push_back(run_query(db, name, text, now, config.query_runs));
+    }
   }
 
-  Table ingest_table(
-      {"shards", "samples", "serial [ms]", "makespan [ms]", "samples/s"});
+  Table ingest_table({"shards", "samples", "wall [ms]", "samples/s"});
   for (const IngestResult& r : ingests) {
     ingest_table.add_row({std::to_string(r.shards), std::to_string(r.samples),
-                          fmt_double(r.serial_ms, 1),
-                          fmt_double(r.makespan_ms, 1),
+                          fmt_double(r.wall_ms, 1),
                           fmt_double(r.samples_per_sec(), 0)});
   }
   ingest_table.print(std::cout);
 
-  Table query_table({"query", "shards", "wall [us]", "modeled [us]",
-                     "modeled qps", "rollup level"});
+  Table query_table(
+      {"query", "shards", "wall [us]", "rollup level", "result digest"});
   for (const QueryResult& r : queries) {
     query_table.add_row(
         {r.query, std::to_string(r.shards), fmt_double(r.wall_us, 1),
-         fmt_double(r.modeled_us, 1), fmt_double(r.modeled_qps(), 1),
          r.rollup_level_us == 0
              ? std::string("raw")
-             : std::to_string(r.rollup_level_us / 1000000) + "s"});
+             : std::to_string(r.rollup_level_us / 1000000) + "s",
+         to_hex(r.digest)});
   }
   std::cout << "\n";
   query_table.print(std::cout);
-
-  // Headline speedups: modeled query latency, 4 shards vs 1.
-  for (const std::string& name : {std::string("listing1_25s"),
-                                  std::string("rollup_wide"),
-                                  std::string("p99_wide")}) {
-    double one = 0.0;
-    double four = 0.0;
-    for (const QueryResult& r : queries) {
-      if (r.query != name) continue;
-      if (r.shards == 1) one = r.modeled_us;
-      if (r.shards == 4) four = r.modeled_us;
-    }
-    if (one > 0.0 && four > 0.0) {
-      std::cout << "\n4-vs-1 shard modeled speedup (" << name
-                << "): " << fmt_double(one / four, 2) << "x";
-    }
-  }
-  std::cout << "\n";
 
   const std::string path =
       config.smoke ? "BENCH_tsdb_smoke.json" : "BENCH_tsdb.json";
@@ -334,21 +287,22 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << path << "\n";
 
   if (config.smoke) {
-    // Regression guard (ctest `bench` label): the artifact itself must
-    // show the 4-shard modeled throughput at or above the 1-shard
-    // baseline on the wide raw scan — the shape sharding exists for.
-    const double one = qps_from_json(path, "p99_wide", 1);
-    const double four = qps_from_json(path, "p99_wide", 4);
-    std::cout << "smoke guard: p99_wide modeled qps 1-shard=" << one
-              << " 4-shard=" << four << "\n";
-    if (one <= 0.0 || four <= 0.0) {
-      std::cerr << "smoke guard: missing datapoints in " << path << "\n";
-      return 1;
-    }
-    if (four < one) {
-      std::cerr << "smoke guard: 4-shard modeled throughput below the "
-                   "1-shard baseline\n";
-      return 1;
+    // Regression guard (ctest `bench` label): sharding is a data layout,
+    // so every query must return the same result set on 1 and 4 shards.
+    for (const auto& [name, text] : shapes) {
+      const std::string one = digest_from_json(path, name, 1);
+      const std::string four = digest_from_json(path, name, 4);
+      std::cout << "smoke guard: " << name << " result digest 1-shard=" << one
+                << " 4-shard=" << four << "\n";
+      if (one.empty() || four.empty()) {
+        std::cerr << "smoke guard: missing datapoints in " << path << "\n";
+        return 1;
+      }
+      if (one != four) {
+        std::cerr << "smoke guard: " << name
+                  << " differs between 1 and 4 shards\n";
+        return 1;
+      }
     }
   }
   return 0;

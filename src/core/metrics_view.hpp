@@ -66,8 +66,11 @@ class ClusterMetrics {
   [[nodiscard]] std::optional<Duration> staleness(TimePoint now) const;
 
   /// Telemetry of the most recent query this view executed: how many TSDB
-  /// shards and series the fan-out touched, how many points (or rollup
-  /// buckets) it folded, and which rollup level served it (0 = raw).
+  /// shards the fan-out touched, how many series it read, how many points
+  /// (or rollup buckets) it folded, and which rollup level served it
+  /// (0 = raw). `series_scanned` counts series read, not series visited:
+  /// a series whose newest sample predates the window is skipped unread
+  /// and not counted, so the count tracks the series live in the window.
   struct QueryDiagnostics {
     std::size_t shards_scanned = 0;
     std::size_t series_scanned = 0;

@@ -1,6 +1,7 @@
 #include "tsdb/model.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -101,9 +102,18 @@ void Series::update_rollups(const Point& p) {
   }
 }
 
+bool Series::empty() const {
+  return size_ == 0 &&
+         std::all_of(std::begin(rollups_), std::end(rollups_),
+                     [](const std::vector<RollupBucket>& level) {
+                       return level.empty();
+                     });
+}
+
 void Series::append(Point p) {
   const std::int64_t t = p.time.micros_since_epoch();
   ++size_;
+  newest_append_us_ = std::max(newest_append_us_, t);
   update_rollups(p);
 
   const auto insert_sorted = [&](Chunk& chunk) {
@@ -250,8 +260,11 @@ void Measurement::append(const Tags& tags, const std::string& key, Point p) {
 
 std::size_t Measurement::drop_before(TimePoint horizon) {
   std::size_t dropped = 0;
-  for (auto& [key, s] : series_) {
-    dropped += s.drop_before(horizon);
+  for (auto it = series_.begin(); it != series_.end();) {
+    dropped += it->second.drop_before(horizon);
+    // An emptied series can serve no query; keeping it would make every
+    // scan visit each tag set ever written.
+    it = it->second.empty() ? series_.erase(it) : std::next(it);
   }
   points_ -= dropped;
   return dropped;

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -99,6 +100,17 @@ class Series {
     return rollups_[level];
   }
 
+  /// Largest timestamp ever appended (INT64_MIN before the first append).
+  /// Retention never lowers it, so it bounds every raw point and every
+  /// rollup bucket the series holds: a scan whose window starts after it
+  /// can skip the series without looking inside.
+  [[nodiscard]] std::int64_t newest_append_us() const {
+    return newest_append_us_;
+  }
+
+  /// True once retention has removed every point and every rollup bucket.
+  [[nodiscard]] bool empty() const;
+
   /// Appends a point. Out-of-order writes are accepted (probes from
   /// different nodes are not synchronised) and kept sorted by time.
   void append(Point p);
@@ -145,6 +157,7 @@ class Series {
   std::vector<Chunk> chunks_;  // sorted by start_us, non-overlapping
   std::vector<RollupBucket> rollups_[kRollupLevelCount];  // sorted by start
   std::size_t size_ = 0;
+  std::int64_t newest_append_us_ = std::numeric_limits<std::int64_t>::min();
 
   void update_rollups(const Point& p);
 };
@@ -192,6 +205,9 @@ class Measurement {
     return series_.end();
   }
 
+  /// Drops points older than `horizon` from every series, then erases the
+  /// series left empty (Series::empty). A later write to an erased tag set
+  /// starts a fresh series. Returns how many points were dropped.
   std::size_t drop_before(TimePoint horizon);
   std::size_t compact(std::int64_t sealed_before_us);
 

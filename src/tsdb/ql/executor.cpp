@@ -439,6 +439,10 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
   db.for_each_series_in_shard(
       *spec.measurement, shard,
       [&](const std::string&, const Series& series) {
+        // The scan folds only points and bucket starts at or after lo, and
+        // none of this series' points or bucket starts is newer than its
+        // newest append: a cold series has nothing to give.
+        if (series.newest_append_us() < spec.lo) return;
         if (stats != nullptr) ++stats->series;
         // The group key is a pure function of the series tags — compute it
         // once per series instead of once per point.

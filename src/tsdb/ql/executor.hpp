@@ -58,7 +58,7 @@ using QueryParams = std::map<std::string, Duration>;
 
 /// Per-shard scan telemetry for one execute() call.
 struct ShardScanStats {
-  std::size_t series = 0;   // series visited on this shard
+  std::size_t series = 0;   // series read on this shard (cold ones skipped)
   std::size_t points = 0;   // raw points (or rollup buckets) folded
   double scan_us = 0.0;     // wall time of this shard's fold
   bool used_rollup = false;

@@ -125,5 +125,47 @@ TEST(ClusterMetrics, CustomWindowRespected) {
   EXPECT_TRUE(narrow.epc_per_node(at(60)).empty());
 }
 
+TEST(ClusterMetrics, QueryWorkTracksWindowNotPodsEverRun) {
+  // Pods churn for 30 simulated minutes: a new pod every 10 s, each living
+  // 60 s and sampled every 5 s, with Heapster's 15-minute retention run on
+  // every tick. The Listing-1 query must read only the series with a
+  // sample in its 25 s window, however many pods have come and gone.
+  tsdb::DatabaseConfig config;
+  config.shards = 4;
+  tsdb::Database db{config};
+  const ClusterMetrics metrics{db};
+  constexpr std::int64_t kLifetime = 60;
+  constexpr std::int64_t kStartEvery = 10;
+  constexpr std::int64_t kEnd = 30 * 60;
+  std::size_t most_scanned = 0;
+  for (std::int64_t now = 0; now <= kEnd; now += 5) {
+    std::size_t live_in_window = 0;
+    for (std::int64_t start = 0; start <= now; start += kStartEvery) {
+      const std::string pod = "p" + std::to_string(start);
+      const std::int64_t last = start + kLifetime;
+      if (now <= last) {
+        write_epc(db, pod, "sgx-" + std::to_string(start % 3), at(now),
+                  Bytes{1 + static_cast<std::uint64_t>(start)});
+      }
+      // Samples at start, start+5, ..., last: any of them in the window?
+      const std::int64_t newest = std::min(now, last);
+      if (newest >= now - metrics.window().micros_count() / 1'000'000) {
+        ++live_in_window;
+      }
+    }
+    db.maintain(at(now), Duration::minutes(15));
+    ASSERT_FALSE(metrics.epc_per_node(at(now)).empty()) << "t=" << now;
+    const std::size_t scanned = metrics.last_query_stats().series_scanned;
+    EXPECT_LE(scanned, live_in_window) << "t=" << now;
+    most_scanned = std::max(most_scanned, scanned);
+  }
+  // At most ceil((60 + 25) / 10) + 1 of the 181 pods share one window.
+  EXPECT_LE(most_scanned, 10u);
+  // Retention erased the series of every pod whose last sample and 60 s
+  // rollup bucket fell out of the 15-minute horizon.
+  EXPECT_LE(db.series_count(orch::SgxProbe::kEpcMeasurement),
+            static_cast<std::size_t>((15 * 60 + 2 * kLifetime) / kStartEvery));
+}
+
 }  // namespace
 }  // namespace sgxo::core
