@@ -1,22 +1,15 @@
-// Microbenchmark of scheduler decision latency: one full scheduling cycle
-// (view collection through the live metrics pipeline + FCFS placement over
-// the pending queue) for both placement policies, as the pending queue
-// grows into the thousands — plus the shared-state scaling curve: 1/2/4/8
-// always-active schedulers draining sharded pending queues of up to ~1M
-// pods over 100k nodes through try_bind_batch transactions, reporting
-// per-shard cycle latency, aggregate binds/sec (parallel-makespan model:
-// wall clock = the busiest scheduler's summed cycle time) and the
-// observed conflict rate.
+// Microbenchmark of scheduler decision latency: the measured wall time of
+// one full scheduling cycle (view collection through the live metrics
+// pipeline + FCFS placement over the pending queue) for both placement
+// policies, as the pending queue grows into the thousands.
 //
-// Besides the human-readable tables it writes BENCH_scheduler.json
-// (per-cycle latency vs pod count + the multi-scheduler curve) so the
-// perf trajectory of the hot path is tracked across PRs.
+// Besides the human-readable table it writes BENCH_scheduler.json
+// (per-cycle latency vs pod count) so the perf trajectory of the hot path
+// is tracked across changes.
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,201 +92,7 @@ Measurement run_cycle_bench(core::PlacementPolicy policy, int pods,
   return m;
 }
 
-// ---- shared-state scaling curve -------------------------------------------
-
-constexpr int kPodsPerNode = 10;
-constexpr sgxo::Pages kPodEpc{64};
-constexpr std::size_t kSharedBatch = 128;
-
-struct SharedMeasurement {
-  int schedulers = 0;
-  int pods = 0;
-  int nodes = 0;
-  std::vector<double> cycle_us;  // sorted after collection
-  double makespan_s = 0.0;
-  std::uint64_t bound = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t conflicts = 0;  // stale/not-pending + admission rejections
-
-  [[nodiscard]] double binds_per_sec() const {
-    return makespan_s > 0.0 ? static_cast<double>(bound) / makespan_s : 0.0;
-  }
-  [[nodiscard]] double conflict_rate() const {
-    return entries > 0
-               ? static_cast<double>(conflicts) / static_cast<double>(entries)
-               : 0.0;
-  }
-  [[nodiscard]] double mean_us() const {
-    double sum = 0.0;
-    for (const double v : cycle_us) sum += v;
-    return cycle_us.empty() ? 0.0 : sum / static_cast<double>(cycle_us.size());
-  }
-  [[nodiscard]] double median_us() const {
-    return cycle_us.empty() ? 0.0 : cycle_us[cycle_us.size() / 2];
-  }
-  [[nodiscard]] double max_us() const {
-    return cycle_us.empty() ? 0.0 : cycle_us.back();
-  }
-};
-
-/// One shared-state scheduler replica driven against the ApiServer surface
-/// the framework uses: shard-filtered limited pulls, planning against a
-/// periodically refreshed node snapshot, and batched bind transactions.
-/// The snapshot is deliberately allowed to go stale between refreshes —
-/// that is where real multi-scheduler conflicts come from.
-struct BenchReplica {
-  std::uint32_t shard = 0;
-  std::size_t cursor = 0;           // round-robin node pick, offset per shard
-  std::vector<std::int64_t> free_pages;  // snapshot of per-node free EPC
-  std::uint64_t cycles = 0;
-  bool force_refresh = true;
-  double busy_us = 0.0;
-};
-
-SharedMeasurement run_shared_bench(int schedulers, int pods) {
-  using sgxo::Pages;
-  namespace cluster = sgxo::cluster;
-  namespace orch = sgxo::orch;
-
-  SharedMeasurement m;
-  m.schedulers = schedulers;
-  m.pods = pods;
-  m.nodes = pods / kPodsPerNode;
-
-  sgxo::sim::Simulation sim;
-  orch::ApiServer api{sim};
-  api.set_event_retention(10000);  // a million binds must not hoard events
-  sgxo::sgx::PerfModel perf;
-  cluster::ImageRegistry registry;
-
-  std::vector<std::unique_ptr<cluster::Node>> nodes;
-  std::vector<std::unique_ptr<cluster::Kubelet>> kubelets;
-  std::vector<cluster::NodeName> node_names;
-  nodes.reserve(static_cast<std::size_t>(m.nodes));
-  kubelets.reserve(static_cast<std::size_t>(m.nodes));
-  node_names.reserve(static_cast<std::size_t>(m.nodes));
-  for (int i = 0; i < m.nodes; ++i) {
-    cluster::MachineSpec spec;
-    spec.name = "n-" + std::to_string(i);
-    spec.cpu_cores = 16;
-    spec.memory = 64_GiB;
-    spec.epc = sgxo::sgx::EpcConfig::with_usable(
-        Pages{kPodEpc.count() * kPodsPerNode}.as_bytes());
-    nodes.push_back(std::make_unique<cluster::Node>(spec));
-    kubelets.push_back(std::make_unique<cluster::Kubelet>(
-        sim, *nodes.back(), perf, registry, api));
-    api.register_node(*nodes.back(), *kubelets.back());
-    node_names.push_back(spec.name);
-  }
-
-  for (int i = 0; i < pods; ++i) {
-    cluster::PodBehavior behavior;
-    behavior.sgx = true;
-    behavior.actual_usage = kPodEpc.as_bytes();
-    behavior.duration = Duration::hours(24);
-    api.submit(cluster::make_stressor_pod("p-" + std::to_string(i),
-                                          {0_B, kPodEpc}, {0_B, kPodEpc},
-                                          behavior));
-  }
-
-  // Snapshots refresh every other cycle on small clusters; on very large
-  // ones the O(nodes) view collection is amortized over more batches,
-  // like a probe interval spanning several scheduling periods.
-  const std::uint64_t refresh_every = m.nodes > 20000 ? 8 : 2;
-
-  std::vector<BenchReplica> fleet(static_cast<std::size_t>(schedulers));
-  for (int s = 0; s < schedulers; ++s) {
-    fleet[static_cast<std::size_t>(s)].shard = static_cast<std::uint32_t>(s);
-    fleet[static_cast<std::size_t>(s)].cursor = static_cast<std::size_t>(
-        (static_cast<long long>(s) * m.nodes) / schedulers);
-    fleet[static_cast<std::size_t>(s)].free_pages.assign(
-        static_cast<std::size_t>(m.nodes), 0);
-  }
-
-  orch::PodFilter pull;
-  pull.phase = cluster::PodPhase::kPending;
-  pull.scheduler = api.default_scheduler();
-  pull.shard_count = static_cast<std::uint32_t>(schedulers);
-  pull.limit = kSharedBatch;
-
-  std::vector<orch::ApiServer::BindRequest> batch;
-  batch.reserve(kSharedBatch);
-  bool progress = true;
-  for (int round = 0; progress && round < 100000; ++round) {
-    progress = false;
-    for (BenchReplica& replica : fleet) {
-      pull.shard = replica.shard;
-      const auto start = std::chrono::steady_clock::now();
-
-      const auto pending = api.list_pods(pull);
-      if (pending.empty()) continue;  // shard drained — replica goes idle
-      progress = true;
-      ++replica.cycles;
-
-      if (replica.force_refresh || replica.cycles % refresh_every == 1) {
-        for (std::size_t n = 0; n < node_names.size(); ++n) {
-          replica.free_pages[n] = static_cast<std::int64_t>(
-              nodes[n]->device_allocator().available().count());
-        }
-        replica.force_refresh = false;
-      }
-
-      batch.clear();
-      for (const orch::PodRecord* record : pending) {
-        // Round-robin probe from the replica's cursor against its (stale)
-        // snapshot; a full lap without a fit leaves the pod pending.
-        bool placed = false;
-        for (std::size_t probes = 0;
-             probes < replica.free_pages.size() && !placed; ++probes) {
-          const std::size_t n = replica.cursor;
-          replica.cursor = (replica.cursor + 1) % replica.free_pages.size();
-          if (replica.free_pages[n] >= kPodEpc.count()) {
-            replica.free_pages[n] -= kPodEpc.count();
-            batch.push_back({record->spec.name, node_names[n],
-                             record->resource_version});
-            placed = true;
-          }
-        }
-        if (!placed) {
-          replica.force_refresh = true;
-          break;  // snapshot exhausted — refresh before planning more
-        }
-      }
-
-      if (!batch.empty()) {
-        const orch::ApiServer::BatchBindResult result =
-            api.try_bind_batch(batch);
-        m.bound += result.bound;
-        m.entries += result.entries.size();
-        m.conflicts += result.conflicts + result.admission_rejections;
-        if (result.conflicts + result.admission_rejections > 0) {
-          replica.force_refresh = true;
-        }
-      }
-
-      const auto stop = std::chrono::steady_clock::now();
-      const double us =
-          std::chrono::duration<double, std::micro>(stop - start).count();
-      replica.busy_us += us;
-      m.cycle_us.push_back(us);
-    }
-  }
-
-  if (m.bound != static_cast<std::uint64_t>(pods)) {
-    std::cerr << "warning: shared bench bound " << m.bound << " of " << pods
-              << " pods\n";
-  }
-  double makespan_us = 0.0;
-  for (const BenchReplica& replica : fleet) {
-    makespan_us = std::max(makespan_us, replica.busy_us);
-  }
-  m.makespan_s = makespan_us / 1e6;
-  std::sort(m.cycle_us.begin(), m.cycle_us.end());
-  return m;
-}
-
 void write_json(const std::vector<Measurement>& results,
-                const std::vector<SharedMeasurement>& shared,
                 const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"micro_scheduler\",\n"
@@ -307,20 +106,6 @@ void write_json(const std::vector<Measurement>& results,
         << ", \"mean_us\": " << m.mean() << ", \"median_us\": " << m.median()
         << ", \"min_us\": " << m.min() << ", \"max_us\": " << m.max() << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"shared_state\": [\n";
-  for (std::size_t i = 0; i < shared.size(); ++i) {
-    const SharedMeasurement& m = shared[i];
-    out << "    {\"schedulers\": " << m.schedulers << ", \"pods\": " << m.pods
-        << ", \"nodes\": " << m.nodes << ", \"cycles\": " << m.cycle_us.size()
-        << ", \"mean_cycle_us\": " << m.mean_us()
-        << ", \"median_cycle_us\": " << m.median_us()
-        << ", \"max_cycle_us\": " << m.max_us()
-        << ", \"makespan_s\": " << m.makespan_s
-        << ", \"binds_per_sec\": " << m.binds_per_sec()
-        << ", \"bound\": " << m.bound
-        << ", \"conflict_rate\": " << m.conflict_rate() << "}"
-        << (i + 1 < shared.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
@@ -349,45 +134,7 @@ int main() {
   }
   table.print(std::cout);
 
-  constexpr int kSharedPods[] = {100000, 1000000};
-  constexpr int kSharedSchedulers[] = {1, 2, 4, 8};
-  std::vector<SharedMeasurement> shared;
-  for (const int pods : kSharedPods) {
-    for (const int schedulers : kSharedSchedulers) {
-      shared.push_back(run_shared_bench(schedulers, pods));
-    }
-  }
-
-  Table shared_table({"schedulers", "pods", "nodes", "median cycle [us]",
-                      "makespan [s]", "binds/sec", "conflict rate"});
-  for (const SharedMeasurement& m : shared) {
-    shared_table.add_row(
-        {std::to_string(m.schedulers), std::to_string(m.pods),
-         std::to_string(m.nodes), fmt_double(m.median_us(), 1),
-         fmt_double(m.makespan_s, 3), fmt_double(m.binds_per_sec(), 0),
-         fmt_double(m.conflict_rate(), 4)});
-  }
-  std::cout << "\n";
-  shared_table.print(std::cout);
-
-  // The acceptance gate for the shared-state path: at the 100k-pod point
-  // four schedulers must deliver >= 2x the aggregate binds/sec of one.
-  double one = 0.0;
-  double four = 0.0;
-  for (const SharedMeasurement& m : shared) {
-    if (m.pods != kSharedPods[0]) continue;
-    if (m.schedulers == 1) one = m.binds_per_sec();
-    if (m.schedulers == 4) four = m.binds_per_sec();
-  }
-  if (one > 0.0) {
-    std::cout << "\n4-vs-1 scheduler speedup at " << kSharedPods[0]
-              << " pods: " << fmt_double(four / one, 2) << "x\n";
-    if (four < 2.0 * one) {
-      std::cerr << "warning: 4-scheduler aggregate below the 2x target\n";
-    }
-  }
-
-  write_json(results, shared, "BENCH_scheduler.json");
+  write_json(results, "BENCH_scheduler.json");
   std::cout << "\nwrote BENCH_scheduler.json\n";
   return 0;
 }

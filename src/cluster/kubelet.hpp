@@ -58,9 +58,10 @@ class Kubelet {
   /// Admission guard: would admit_pod succeed right now? Re-checks the
   /// pod's declared EPC request against the node's *live* device-plugin
   /// commitments (the ledger of every pod currently admitted here), so a
-  /// bind delivered by a scheduler with a stale node view — a second
-  /// leader during a split-brain window, a restarted scheduler trusting
-  /// cached state — is rejected before it can over-commit the EPC.
+  /// bind delivered by a scheduler with a stale node view — a sibling
+  /// shared-state replica that planned against the same pages, a
+  /// restarted scheduler trusting cached state — is rejected before it
+  /// can over-commit the EPC.
   /// Deliberately EPC-only: standard memory over-commit is tolerated at
   /// admission, exactly as in Kubernetes.
   ///
@@ -74,8 +75,8 @@ class Kubelet {
   // ---- attestation at bind delivery ----------------------------------------
   /// Node-local re-verification policy, mirroring the EPC admission guard:
   /// even if the control plane's cached verdict said yes, the kubelet
-  /// re-attests before containers start (defence against a stale or
-  /// split-brain control-plane cache).
+  /// re-attests before containers start (defence against a stale
+  /// control-plane cache).
   struct AttestationPolicy {
     /// A local verdict this fresh is trusted without a new round-trip, so
     /// only the first admission per TTL pays verification latency.

@@ -18,7 +18,9 @@
 // Non-preemptive; pods stay in the API server's FCFS pending queue until a
 // cycle finds room. Packaged to run as a pod itself, multiple instances
 // (binpack + spread + the default) can operate side by side, each pulling
-// only the pods that name it (§V-B).
+// only the pods that name it (§V-B). Each instance runs alone or as one
+// replica of a shared-state fleet (SgxSchedulerConfig::shared_state; see
+// orch/scheduler_framework.hpp).
 #pragma once
 
 #include <optional>
@@ -38,13 +40,12 @@ struct SgxSchedulerConfig {
   Duration metrics_window = Duration::seconds(25);
   /// Scheduler name pods select; empty derives "sgx-binpack"/"sgx-spread".
   std::string name;
-  /// Replica identity for leader election (HA deployments run N replicas
-  /// sharing a name). Empty = the name itself.
+  /// Replica identity (shared-state fleets run N replicas sharing a
+  /// name). Empty = the name itself.
   std::string identity;
   /// Shared-state mode (Omega-style): when set, this replica runs as one
-  /// always-active shard worker of a multi-scheduler fleet — no leader
-  /// lease; binds go out as batched transactions. Mutually exclusive with
-  /// enabling leader election on the instance.
+  /// always-active shard worker of a multi-scheduler fleet; binds go out
+  /// as batched transactions.
   std::optional<orch::SharedStateConfig> shared_state;
   /// Priority preemption under contention (extension; the paper's
   /// per-process EPC ioctl exists "to identify processes that should be

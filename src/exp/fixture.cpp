@@ -157,10 +157,9 @@ std::vector<core::SgxAwareScheduler*> SimulatedCluster::add_shared_state_fleet(
   return fleet;
 }
 
-orch::DefaultScheduler& SimulatedCluster::add_default_scheduler(
-    std::string identity) {
+orch::DefaultScheduler& SimulatedCluster::add_default_scheduler() {
   auto scheduler = std::make_unique<orch::DefaultScheduler>(
-      sim_, *api_, config_.scheduler_period, std::move(identity));
+      sim_, *api_, config_.scheduler_period);
   scheduler->start();
   orch::DefaultScheduler& ref = *scheduler;
   schedulers_.push_back(std::move(scheduler));
@@ -281,9 +280,9 @@ void SimulatedCluster::install_fault_handlers(sim::FaultInjector& injector,
                      [restarter](const FaultSpec&) { restarter->resync(); });
   }
 
-  // Control-plane faults. A crashed replica does NOT release its lease
-  // (crash-stop), so standbys wait out the TTL; on heal the process
-  // "restarts" and rejoins as a standby.
+  // Control-plane faults. A crashed replica stops (crash-stop) and its
+  // shared-state siblings steal its shard; on heal the process "restarts"
+  // with no cached state.
   injector.on_inject(FaultKind::kSchedulerCrash, [this](const FaultSpec& spec) {
     orch::Scheduler* scheduler = find_scheduler(spec.target);
     if (scheduler != nullptr && !scheduler->crashed()) scheduler->crash();
@@ -291,20 +290,6 @@ void SimulatedCluster::install_fault_handlers(sim::FaultInjector& injector,
   injector.on_heal(FaultKind::kSchedulerCrash, [this](const FaultSpec& spec) {
     orch::Scheduler* scheduler = find_scheduler(spec.target);
     if (scheduler != nullptr && scheduler->crashed()) scheduler->restart();
-  });
-
-  // Forced lease expiry is instantaneous — there is nothing to heal; the
-  // next acquisition (possibly by a different replica) re-creates it.
-  injector.on_inject(FaultKind::kLeaseExpiry, [this](const FaultSpec& spec) {
-    api_->leases().expire(spec.target);
-  });
-
-  // Split-brain window: the LeaseManager grants everyone until heal.
-  injector.on_inject(FaultKind::kSplitBrainWindow, [this](const FaultSpec&) {
-    api_->leases().set_split_brain(true);
-  });
-  injector.on_heal(FaultKind::kSplitBrainWindow, [this](const FaultSpec&) {
-    api_->leases().set_split_brain(false);
   });
 
   // Attestation faults (only meaningful with an attesting cluster; the
@@ -327,10 +312,10 @@ void SimulatedCluster::install_fault_handlers(sim::FaultInjector& injector,
                      [this](const FaultSpec&) {
                        verifier_->set_extra_latency(Duration{});
                      });
-    // A storm is instantaneous, like kLeaseExpiry: the mass expiry fires
-    // at activation and the renewal race plays out on its own — there is
-    // nothing to heal (the plan's heal event still balances the
-    // injected/healed counters without a handler).
+    // A storm is instantaneous: the mass expiry fires at activation and
+    // the renewal race plays out on its own — there is nothing to heal
+    // (the plan's heal event still balances the injected/healed counters
+    // without a handler).
     injector.on_inject(FaultKind::kReattestationStorm,
                        [this](const FaultSpec&) {
                          if (orch::AttestationGate* gate = api_->attestation();

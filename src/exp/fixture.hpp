@@ -89,8 +89,10 @@ class SimulatedCluster {
   /// Registers the standard effect handlers for every FaultKind on the
   /// injector: node crash/reboot through the API server, probe/Heapster
   /// dropouts and delays on the monitoring pipeline, TSDB write errors
-  /// and stale-read windows on the database, and — when a restarter is
-  /// given — watch-channel disconnect/re-sync on it.
+  /// and stale-read windows on the database, scheduler crash/restart of
+  /// the replica whose identity the fault targets, attestation-verifier
+  /// faults when attestation is on, and — when a restarter is given —
+  /// watch-channel disconnect/re-sync on it.
   void install_fault_handlers(sim::FaultInjector& injector,
                               orch::PodRestarter* restarter = nullptr);
 
@@ -100,9 +102,8 @@ class SimulatedCluster {
   /// Full-control variant: period and metrics window default from the
   /// cluster config when left at their zero values.
   core::SgxAwareScheduler& add_sgx_scheduler(core::SgxSchedulerConfig config);
-  /// Creates and starts the Kubernetes default scheduler baseline;
-  /// `identity` distinguishes HA replicas sharing the default name.
-  orch::DefaultScheduler& add_default_scheduler(std::string identity = {});
+  /// Creates and starts the Kubernetes default scheduler baseline.
+  orch::DefaultScheduler& add_default_scheduler();
 
   /// Creates and starts an Omega-style shared-state fleet: `replicas`
   /// always-active SGX-aware schedulers sharing one name, replica i

@@ -70,7 +70,7 @@ std::ostream& operator<<(std::ostream& os,
   return os << to_string(outcome.status) << "@v" << outcome.resource_version;
 }
 
-ApiServer::ApiServer(sim::Simulation& sim) : sim_(&sim), leases_(sim) {}
+ApiServer::ApiServer(sim::Simulation& sim) : sim_(&sim) {}
 
 void ApiServer::enable_attestation(sgx::QuoteTransport& transport,
                                    AttestationGate::QuoteSource quotes,
@@ -524,20 +524,6 @@ ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,
                                            std::uint64_t expected_version) {
   return try_bind_batch({BindRequest{pod, node, expected_version}})
       .entries.front();
-}
-
-void ApiServer::bind(const cluster::PodName& pod,
-                     const cluster::NodeName& node) {
-  const PodRecord& record = mutable_pod(pod);
-  SGXO_CHECK_MSG(record.phase == cluster::PodPhase::kPending,
-                 "binding a non-pending pod");
-  const NodeEntry* entry = find_node(node);
-  SGXO_CHECK_MSG(entry != nullptr, "binding to unknown node " + node);
-  SGXO_CHECK_MSG(entry->node->schedulable(), "binding to master node");
-  const BindOutcome outcome = try_bind(pod, node, record.resource_version);
-  SGXO_CHECK_MSG(outcome.bound(),
-                 "bind of " + pod + " to " + node +
-                     " rejected by the admission guard");
 }
 
 void ApiServer::evict(const cluster::PodName& pod,

@@ -36,7 +36,6 @@
 #include "cluster/pod.hpp"
 #include "common/time.hpp"
 #include "orch/attestation_gate.hpp"
-#include "orch/lease.hpp"
 #include "sim/simulation.hpp"
 
 namespace sgxo::orch {
@@ -202,7 +201,7 @@ class ApiServer final : public cluster::PodLifecycleListener {
     /// The node's kubelet admission guard rejected the delivery: the
     /// declared EPC no longer fits the node's live commitments (plus any
     /// pages staged by earlier entries of the same batch). The last line
-    /// of defence against split-brain over-commitment.
+    /// of defence against an over-commit planned on a stale node view.
     kAdmissionRejected,
     /// Attestation gate enabled and the target node has no fresh accepted
     /// verdict: a verification round-trip is in flight (or just
@@ -305,13 +304,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   BatchBindResult try_bind_batch(const std::vector<BindRequest>& batch,
                                  BatchMode mode = BatchMode::kPerEntry);
 
-  /// Strict bind: conditional bind against the pod's current version,
-  /// asserting success. Deprecated legacy shim — every real caller has
-  /// moved to try_bind/try_bind_batch, whose rejections are values, not
-  /// exceptions. Throws ContractViolation on any rejection.
-  [[deprecated("use try_bind/try_bind_batch; rejections are BindOutcomes")]]
-  void bind(const cluster::PodName& pod, const cluster::NodeName& node);
-
   /// try_bind rejections due to a stale version or a no-longer-pending
   /// pod (two schedulers racing for the same pod).
   [[nodiscard]] std::uint64_t bind_conflicts() const {
@@ -344,10 +336,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   [[nodiscard]] std::uint64_t attestation_rejections() const {
     return attestation_rejections_;
   }
-
-  // ---- leader-election leases ----------------------------------------------
-  [[nodiscard]] LeaseManager& leases() { return leases_; }
-  [[nodiscard]] const LeaseManager& leases() const { return leases_; }
 
   /// Live-migrates a *running* SGX pod to another schedulable SGX node
   /// (enclave checkpoint/restore, §VIII): extracts the bundle from the
@@ -451,7 +439,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
                       std::vector<const PodRecord*>& out) const;
 
   sim::Simulation* sim_;
-  LeaseManager leases_;
   std::unique_ptr<AttestationGate> attestation_;
   std::uint64_t bind_conflicts_ = 0;
   std::uint64_t guard_rejections_ = 0;

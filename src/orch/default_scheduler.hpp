@@ -13,7 +13,7 @@ class DefaultScheduler final : public Scheduler {
  public:
   static constexpr const char* kName = "default-scheduler";
 
-  /// `identity` distinguishes replicas under leader election (HA runs N
+  /// `identity` distinguishes the replicas of a shared-state fleet (N
   /// default schedulers sharing kName); empty keeps the name as identity.
   DefaultScheduler(sim::Simulation& sim, ApiServer& api,
                    Duration period = Duration::seconds(5),

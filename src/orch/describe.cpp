@@ -149,26 +149,6 @@ std::string describe_node(const ApiServer& api,
   return os.str();
 }
 
-Table get_leases(const ApiServer& api, TimePoint now) {
-  Table table({"LEASE", "HOLDER", "EXPIRES IN", "TRANSITIONS"});
-  const LeaseManager& leases = api.leases();
-  for (const std::string& name : leases.lease_names()) {
-    const std::optional<std::string> holder = leases.holder(name);
-    const std::optional<TimePoint> expiry = leases.expiry(name);
-    std::string expires_in = "-";
-    if (holder.has_value() && expiry.has_value() && *expiry > now) {
-      expires_in = to_string(*expiry - now);
-    }
-    table.add_row({
-        name,
-        holder.value_or("<expired>"),
-        expires_in,
-        std::to_string(leases.transition_count(name)),
-    });
-  }
-  return table;
-}
-
 std::string describe_control_plane(
     const ApiServer& api, const std::vector<const Scheduler*>& schedulers,
     TimePoint now) {
@@ -176,12 +156,6 @@ std::string describe_control_plane(
   os << "Control plane:\n"
      << "  Bind conflicts:   " << api.bind_conflicts() << '\n'
      << "  Guard rejections: " << api.guard_rejections() << '\n';
-  if (api.leases().split_brain()) {
-    os << "  SPLIT-BRAIN WINDOW ACTIVE\n";
-  }
-  if (api.leases().split_grants() > 0) {
-    os << "  Split-brain grants: " << api.leases().split_grants() << '\n';
-  }
 
   if (const AttestationGate* gate = api.attestation(); gate != nullptr) {
     const auto verdicts = gate->verdicts();
@@ -222,18 +196,6 @@ std::string describe_control_plane(
     }
   }
 
-  os << "Leases:\n";
-  if (api.leases().lease_names().empty()) {
-    os << "  (none)\n";
-  } else {
-    std::ostringstream lease_table;
-    get_leases(api, now).print(lease_table);
-    std::istringstream lines(lease_table.str());
-    for (std::string line; std::getline(lines, line);) {
-      os << "  " << line << '\n';
-    }
-  }
-
   os << "Schedulers:\n";
   for (const Scheduler* scheduler : schedulers) {
     if (scheduler == nullptr) continue;
@@ -243,16 +205,10 @@ std::string describe_control_plane(
       os << "CRASHED";
     } else if (health.shared_state) {
       os << "active shard=" << health.shard << "/" << health.shard_count;
-    } else if (!health.election_enabled) {
-      os << "active";
-    } else if (health.leading) {
-      os << "LEADER";
     } else {
-      os << "standby";
+      os << "active";
     }
-    os << ", cycles=" << health.cycles
-       << " standby_cycles=" << health.standby_cycles
-       << " elections=" << health.elections << " bound=" << health.bound
+    os << ", cycles=" << health.cycles << " bound=" << health.bound
        << " bind_conflicts=" << health.bind_conflicts
        << " guard_rejections=" << health.guard_rejections
        << " backoff_skips=" << health.backoff_skips

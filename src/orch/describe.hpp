@@ -34,19 +34,14 @@ namespace sgxo::orch {
 [[nodiscard]] std::string describe_node(const ApiServer& api,
                                         const cluster::NodeName& name);
 
-/// `kubectl get leases`: one row per lease the LeaseManager has seen.
-/// Columns: LEASE, HOLDER ("<expired>" when lapsed), EXPIRES IN,
-/// TRANSITIONS.
-[[nodiscard]] Table get_leases(const ApiServer& api, TimePoint now);
-
 /// Control-plane health report: ApiServer-wide conditional-bind conflict /
 /// admission-guard counters, the attestation verdict cache (entries,
 /// hit/miss/expired traffic, per-node verdict + age, and a storm banner
 /// when more than a quarter of the attested nodes are mid
-/// re-verification), the lease table with its transition history, and one
-/// line per scheduler replica (identity, leader/standby/crashed state,
-/// cycles, elections, binds, conflicts, backoff skips, degraded cycles,
-/// attestation waits).
+/// re-verification), and one line per scheduler replica (identity,
+/// active/crashed state and shard, cycles, binds, conflicts, backoff skips,
+/// degraded cycles, attestation waits, and the shared-state batch
+/// counters).
 [[nodiscard]] std::string describe_control_plane(
     const ApiServer& api, const std::vector<const Scheduler*>& schedulers,
     TimePoint now);

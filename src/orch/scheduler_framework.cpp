@@ -53,22 +53,7 @@ void Scheduler::stop() {
   }
 }
 
-void Scheduler::enable_leader_election(std::string lease, Duration ttl) {
-  SGXO_CHECK_MSG(!lease.empty(), "leader lease needs a name");
-  SGXO_CHECK_MSG(ttl > period_,
-                 "lease TTL must exceed the scheduling period, or the "
-                 "leader lapses between its own renewals");
-  SGXO_CHECK_MSG(!shared_state_enabled(),
-                 "shared-state replicas are all active; a leader lease "
-                 "would serialize them again");
-  lease_ = std::move(lease);
-  lease_ttl_ = ttl;
-}
-
 void Scheduler::enable_shared_state(SharedStateConfig config) {
-  SGXO_CHECK_MSG(!leader_election_enabled(),
-                 "shared state replaces the lease gate with optimistic "
-                 "concurrency; disable leader election first");
   SGXO_CHECK_MSG(config.shard_count >= 1, "shard_count must be >= 1");
   SGXO_CHECK_MSG(config.shard < config.shard_count,
                  "shard must be < shard_count");
@@ -80,7 +65,11 @@ void Scheduler::enable_shared_state(SharedStateConfig config) {
                  "controller thresholds must satisfy shrink_above > "
                  "grow_below, or a batch could shrink and grow at once");
   shared_ = config;
-  batch_size_ = config.initial_batch;
+  reset_conflict_controller();
+}
+
+void Scheduler::reset_conflict_controller() {
+  batch_size_ = shared_->initial_batch;
   conflict_streak_ = 0;
   steal_rotation_ = 0;
 }
@@ -88,9 +77,6 @@ void Scheduler::enable_shared_state(SharedStateConfig config) {
 void Scheduler::crash() {
   stop();
   crashed_ = true;
-  leading_ = false;
-  // The lease is NOT released: a crash-stop cannot run cleanup. Standbys
-  // take over once the TTL lapses.
 }
 
 void Scheduler::restart() {
@@ -98,30 +84,19 @@ void Scheduler::restart() {
   crashed_ = false;
   // A reborn replica trusts nothing it cached; the pending queue and node
   // commitments are re-read from the ApiServer every cycle anyway, and
-  // the backoff clocks of its previous life are meaningless now.
+  // the backoff clocks and batch size its previous life's controller
+  // chose are meaningless now.
   backoffs_.clear();
-  leading_ = false;
+  if (shared_state_enabled()) reset_conflict_controller();
   start();
-}
-
-void Scheduler::on_elected() {
-  // A new leader must not inherit backoff timers from its standby past
-  // (or a previous leadership stint): they were armed against another
-  // incarnation's bind failures. Rebuild from a clean slate — the pods
-  // themselves are durable in the ApiServer's pending queue.
-  backoffs_.clear();
 }
 
 Scheduler::Health Scheduler::health() const {
   Health health;
   health.name = name_;
   health.identity = identity();
-  health.election_enabled = leader_election_enabled();
-  health.leading = leading_;
   health.crashed = crashed_;
   health.cycles = cycles_;
-  health.standby_cycles = standby_cycles_;
-  health.elections = elections_;
   health.bound = bound_;
   health.bind_conflicts = bind_conflicts_;
   health.guard_rejections = guard_rejections_;
@@ -171,31 +146,77 @@ void Scheduler::prune_backoffs() {
   }
 }
 
-std::size_t Scheduler::run_once() {
-  if (crashed_) return 0;
+struct Scheduler::Cycle {
+  explicit Cycle(std::vector<NodeView> node_views)
+      : views(std::move(node_views)) {
+    feasible.reserve(views.size());
+  }
 
-  // Shared-state replicas are always active: no lease gates the cycle.
-  if (shared_state_enabled()) return run_shared_cycle();
+  /// Every schedulable node, charged with this cycle's reservations.
+  std::vector<NodeView> views;
+  /// plan_pod's feasible-node scratch, reused for every pod of the cycle.
+  std::vector<NodeView> feasible;
+  bool unschedulable_reported = false;
+  /// Strict FCFS: a pod that fit nowhere ends the cycle.
+  bool blocked = false;
+};
 
-  // Leader election: renew (or contest) the lease before doing any work.
-  // A standby's cycle costs one lease lookup and nothing else.
-  if (leader_election_enabled()) {
-    if (!api_->leases().try_acquire(lease_, identity(), lease_ttl_)) {
-      leading_ = false;
-      ++standby_cycles_;
-      return 0;
-    }
-    if (!leading_) {
-      leading_ = true;
-      ++elections_;
-      on_elected();
+namespace {
+
+/// Charges a placement to the cycle-local views, so later pods of the same
+/// cycle see the reservation (metrics only catch up at the next probe).
+void reserve(std::vector<NodeView>& views, const cluster::NodeName& node,
+             const cluster::PodSpec& spec) {
+  const auto view_it =
+      std::find_if(views.begin(), views.end(),
+                   [&](const NodeView& v) { return v.name == node; });
+  SGXO_CHECK(view_it != views.end());
+  const cluster::ResourceAmounts request = spec.total_requests();
+  view_it->memory_used += request.memory;
+  view_it->epc_used += request.epc_pages;
+  view_it->epc_requested += request.epc_pages;
+}
+
+}  // namespace
+
+std::optional<cluster::NodeName> Scheduler::plan_pod(
+    Cycle& cycle, const cluster::PodSpec& spec) {
+  if (bind_backoff_enabled()) {
+    const auto backoff_it = backoffs_.find(spec.name);
+    if (backoff_it != backoffs_.end() &&
+        sim_->now() < backoff_it->second.not_before) {
+      ++backoff_skips_;
+      return std::nullopt;  // still backing off — never blocks younger pods
     }
   }
 
+  cycle.feasible.clear();
+  std::copy_if(cycle.views.begin(), cycle.views.end(),
+               std::back_inserter(cycle.feasible),
+               [&](const NodeView& view) { return fits(spec, view); });
+  std::optional<cluster::NodeName> chosen;
+  if (cycle.feasible.empty()) {
+    if (!cycle.unschedulable_reported) {
+      cycle.unschedulable_reported = true;
+      on_unschedulable(spec, cycle.views);
+    }
+  } else {
+    chosen = select_node(spec, cycle.feasible, cycle.views);
+  }
+  if (!chosen.has_value()) {
+    note_bind_failure(spec.name);
+    cycle.blocked = strict_fcfs_;
+  }
+  return chosen;
+}
+
+std::size_t Scheduler::run_once() {
+  if (crashed_) return 0;
+  if (shared_state_enabled()) return run_shared_cycle();
+
   ++cycles_;
-  std::vector<NodeView> views = collect_views();
+  Cycle cycle{collect_views()};
   std::size_t bound_this_cycle = 0;
-  bool unschedulable_reported = false;
 
   // FCFS: older pods get first pick of this cycle's resources; pods that
   // fit nowhere right now stay pending without blocking younger ones
@@ -205,9 +226,9 @@ std::size_t Scheduler::run_once() {
   // The cycle works on a snapshot: record pointers plus the resource
   // version each pod had when the cycle started. Binds are conditional on
   // that version, so anything that mutates a pod mid-cycle — a watch
-  // callback fired by an earlier bind, another leader during a
-  // split-brain window — turns this scheduler's attempt into a clean
-  // conflict instead of a double placement.
+  // callback fired by an earlier bind, another scheduler binding the same
+  // pod — turns this scheduler's attempt into a clean conflict instead of
+  // a double placement.
   PodFilter filter;
   filter.phase = cluster::PodPhase::kPending;
   filter.scheduler = name_;
@@ -220,40 +241,11 @@ std::size_t Scheduler::run_once() {
     snapshot.push_back(PendingSnapshot{record, record->resource_version});
   }
   for (const PendingSnapshot& pending : snapshot) {
-    const PodRecord* record = pending.record;
-    const cluster::PodName& pod_name = record->spec.name;
-    const cluster::PodSpec& spec = record->spec;
-
-    if (bind_backoff_enabled()) {
-      const auto backoff_it = backoffs_.find(pod_name);
-      if (backoff_it != backoffs_.end() &&
-          sim_->now() < backoff_it->second.not_before) {
-        ++backoff_skips_;
-        continue;  // still backing off — never blocks younger pods
-      }
-    }
-
-    std::vector<NodeView> feasible;
-    feasible.reserve(views.size());
-    std::copy_if(views.begin(), views.end(), std::back_inserter(feasible),
-                 [&](const NodeView& view) { return fits(spec, view); });
-    if (feasible.empty()) {
-      if (!unschedulable_reported) {
-        unschedulable_reported = true;
-        on_unschedulable(spec, views);
-      }
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
-
-    const std::optional<cluster::NodeName> chosen =
-        select_node(spec, feasible, views);
-    if (!chosen.has_value()) {
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
+    const cluster::PodSpec& spec = pending.record->spec;
+    const cluster::PodName& pod_name = spec.name;
+    const std::optional<cluster::NodeName> chosen = plan_pod(cycle, spec);
+    if (cycle.blocked) break;
+    if (!chosen.has_value()) continue;
 
     const ApiServer::BindOutcome outcome =
         api_->try_bind(pod_name, *chosen, pending.version);
@@ -266,9 +258,9 @@ std::size_t Scheduler::run_once() {
       continue;
     }
     if (outcome == ApiServer::BindStatus::kAdmissionRejected) {
-      // The kubelet's live commitments disagree with this cycle's view —
-      // the split-brain safety net. Back the pod off like any other
-      // failed placement; the view is rebuilt next cycle.
+      // The kubelet's live commitments disagree with this cycle's view.
+      // Back the pod off like any other failed placement; the view is
+      // rebuilt next cycle.
       ++guard_rejections_;
       note_bind_failure(pod_name);
       if (strict_fcfs_) break;
@@ -292,19 +284,7 @@ std::size_t Scheduler::run_once() {
     }
     backoffs_.erase(pod_name);
     ++bound_this_cycle;
-
-    // Account this binding in the cycle-local view so later pods in the
-    // same cycle see the reservation (metrics will only catch up at the
-    // next probe interval).
-    const auto view_it =
-        std::find_if(views.begin(), views.end(), [&](const NodeView& v) {
-          return v.name == *chosen;
-        });
-    SGXO_CHECK(view_it != views.end());
-    const cluster::ResourceAmounts request = spec.total_requests();
-    view_it->memory_used += request.memory;
-    view_it->epc_used += request.epc_pages;
-    view_it->epc_requested += request.epc_pages;
+    reserve(cycle.views, *chosen, spec);
   }
 
   // Keep the backoff map bounded: entries of pods that left the pending
@@ -351,56 +331,17 @@ std::size_t Scheduler::run_shared_cycle() {
   // both claim the same node's last EPC pages from this replica's side.
   // (Cross-replica races are the ApiServer's job: version CAS + the
   // admission guard turn them into per-entry conflicts.)
-  std::vector<NodeView> views = collect_views();
+  Cycle cycle{collect_views()};
   std::vector<ApiServer::BindRequest> batch;
   batch.reserve(pulled.size());
-  bool unschedulable_reported = false;
   for (const PodRecord* record : pulled) {
-    const cluster::PodName& pod_name = record->spec.name;
     const cluster::PodSpec& spec = record->spec;
-
-    if (bind_backoff_enabled()) {
-      const auto backoff_it = backoffs_.find(pod_name);
-      if (backoff_it != backoffs_.end() &&
-          sim_->now() < backoff_it->second.not_before) {
-        ++backoff_skips_;
-        continue;
-      }
-    }
-
-    std::vector<NodeView> feasible;
-    feasible.reserve(views.size());
-    std::copy_if(views.begin(), views.end(), std::back_inserter(feasible),
-                 [&](const NodeView& view) { return fits(spec, view); });
-    if (feasible.empty()) {
-      if (!unschedulable_reported) {
-        unschedulable_reported = true;
-        on_unschedulable(spec, views);
-      }
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
-
-    const std::optional<cluster::NodeName> chosen =
-        select_node(spec, feasible, views);
-    if (!chosen.has_value()) {
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
-
-    batch.push_back(ApiServer::BindRequest{pod_name, *chosen,
+    const std::optional<cluster::NodeName> chosen = plan_pod(cycle, spec);
+    if (cycle.blocked) break;
+    if (!chosen.has_value()) continue;
+    batch.push_back(ApiServer::BindRequest{spec.name, *chosen,
                                            record->resource_version});
-    const auto view_it =
-        std::find_if(views.begin(), views.end(), [&](const NodeView& v) {
-          return v.name == *chosen;
-        });
-    SGXO_CHECK(view_it != views.end());
-    const cluster::ResourceAmounts request = spec.total_requests();
-    view_it->memory_used += request.memory;
-    view_it->epc_used += request.epc_pages;
-    view_it->epc_requested += request.epc_pages;
+    reserve(cycle.views, *chosen, spec);
   }
 
   std::size_t bound_this_cycle = 0;

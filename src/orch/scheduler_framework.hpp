@@ -7,30 +7,22 @@
 // let the concrete placement policy pick a node, and bind. Pods that fit
 // nowhere stay in the persistent pending queue for the next cycle.
 //
-// High availability: N replicas sharing one scheduler *name* (they drain
-// the same pending bucket) but carrying distinct *identities* can run
-// with lease-based leader election (enable_leader_election). Every cycle
-// first tries to acquire/renew the named leader lease on the ApiServer's
-// LeaseManager; non-holders are hot standbys whose cycles are no-ops. A
-// crashed leader simply stops renewing, so a standby takes over within
-// one lease TTL plus one period. Binds are conditional (resource-version
-// CAS + kubelet admission guard), so even two live leaders — a deliberate
-// split-brain window — cannot double-place a pod or over-commit the EPC.
-// On every election the new leader discards inherited in-memory state
-// (bind-backoff timers) and rebuilds its view from the ApiServer.
-//
-// Shared state (Omega-style): alternatively, every replica is *active*
-// (enable_shared_state) — no lease gates a cycle; the lease layer remains
-// available as optional coordination for other components, not as a
-// scheduling gate. The pending bucket is split into shards by stable pod
-// hash; each replica drains its own shard and steals from its neighbours
-// (deterministic rotation order) when its shard runs dry, so a crashed
-// replica's backlog is absorbed without any failover protocol. Each cycle
-// plans up to one batch of placements against its optimistic snapshot and
-// submits them as ONE ApiServer::try_bind_batch transaction; the batch's
-// conflict summary drives a congestion controller that halves the batch
-// under sustained contention (and rotates the steal origin — "re-shards")
-// and grows it again while batches come back clean.
+// A scheduler either runs alone or as one replica of an Omega-style
+// shared-state fleet (enable_shared_state). Replicas share a scheduler
+// *name* (they drain the same pending bucket) but carry distinct
+// *identities*, and every replica is always active. The pending bucket is
+// split into shards by stable pod hash; each replica drains its own shard
+// and steals from its neighbours (deterministic rotation order) when its
+// shard runs dry, so a crashed replica's backlog is absorbed without any
+// failover protocol. Each cycle plans up to one batch of placements
+// against its optimistic snapshot and submits them as ONE
+// ApiServer::try_bind_batch transaction; the batch's conflict summary
+// drives a congestion controller that halves the batch under sustained
+// contention (and rotates the steal origin — "re-shards") and grows it
+// again while batches come back clean. Binds are conditional
+// (resource-version CAS + kubelet admission guard), so two replicas racing
+// for the same pod or the same last EPC pages cannot double-place it or
+// over-commit the node: the loser gets a clean per-entry conflict.
 #pragma once
 
 #include <map>
@@ -122,8 +114,9 @@ class Scheduler {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Duration period() const { return period_; }
 
-  /// Replica identity for leader election; defaults to the scheduler
-  /// name. Replicas share a name but must carry distinct identities.
+  /// Replica identity; defaults to the scheduler name. Replicas of a
+  /// shared-state fleet share a name but must carry distinct identities
+  /// (fault plans and the control-plane report address replicas by it).
   void set_identity(std::string identity);
   [[nodiscard]] const std::string& identity() const {
     return identity_.empty() ? name_ : identity_;
@@ -133,31 +126,9 @@ class Scheduler {
   void start();
   void stop();
 
-  // ---- leader election ------------------------------------------------------
-  /// Runs this replica under the named leader lease: each cycle renews or
-  /// tries to acquire `lease` with `ttl`; while another identity holds it
-  /// the cycle is a standby no-op. `ttl` must exceed the period, or the
-  /// leader would lapse between its own renewals.
-  void enable_leader_election(std::string lease, Duration ttl);
-  [[nodiscard]] bool leader_election_enabled() const {
-    return !lease_.empty();
-  }
-  [[nodiscard]] const std::string& lease() const { return lease_; }
-  /// True while this replica believes it holds the lease (during a
-  /// split-brain window more than one replica may believe so).
-  [[nodiscard]] bool leading() const { return leading_; }
-  /// Standby → leader transitions of this replica.
-  [[nodiscard]] std::uint64_t elections() const { return elections_; }
-  /// Cycles skipped because another replica held the lease.
-  [[nodiscard]] std::uint64_t standby_cycles() const {
-    return standby_cycles_;
-  }
-
   // ---- shared-state mode ----------------------------------------------------
   /// Runs this replica as one active shard worker of an Omega-style
-  /// shared-state fleet. Mutually exclusive with leader election: shared
-  /// state replaces the lease gate with optimistic concurrency (the lease
-  /// layer stays available as coordination, but no cycle is gated on it).
+  /// shared-state fleet (see the header comment).
   void enable_shared_state(SharedStateConfig config);
   [[nodiscard]] bool shared_state_enabled() const {
     return shared_.has_value();
@@ -179,13 +150,16 @@ class Scheduler {
   }
 
   // ---- crash surface (fault injection) --------------------------------------
-  /// Crash-stop: the loop halts and the lease is deliberately NOT
-  /// released — standbys must wait out the TTL, as with a real process
-  /// kill. Scheduled work already bound stays bound.
+  /// Crash-stop: the loop halts, as with a real process kill. Work already
+  /// bound stays bound; in a shared-state fleet the siblings steal the
+  /// crashed replica's shard once their own run dry.
   void crash();
-  /// Restarts a crashed replica. It rejoins as a standby with no memory
-  /// of its previous life: backoff timers are dropped and the pending
-  /// view is rebuilt from the ApiServer on its next election.
+  /// Restarts a crashed replica with no memory of its previous life:
+  /// backoff timers are dropped and the congestion controller (batch
+  /// capacity, conflict streak, steal rotation) returns to its
+  /// enable_shared_state values. Cumulative counters (cycles, binds,
+  /// batches, reshards, steal cycles) survive. Pending pods and node views
+  /// are re-read from the ApiServer every cycle anyway.
   void restart();
   [[nodiscard]] bool crashed() const { return crashed_; }
 
@@ -208,8 +182,8 @@ class Scheduler {
   /// Placement attempts skipped because the pod was still backing off.
   [[nodiscard]] std::uint64_t backoff_skips() const { return backoff_skips_; }
 
-  /// One scheduling cycle; returns the number of pods bound. With leader
-  /// election enabled a non-leading replica's cycle is a standby no-op.
+  /// One scheduling cycle; returns the number of pods bound. A crashed
+  /// replica's cycle is a no-op.
   std::size_t run_once();
 
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
@@ -239,12 +213,8 @@ class Scheduler {
   struct Health {
     std::string name;
     std::string identity;
-    bool election_enabled = false;
-    bool leading = false;
     bool crashed = false;
     std::uint64_t cycles = 0;
-    std::uint64_t standby_cycles = 0;
-    std::uint64_t elections = 0;
     std::uint64_t bound = 0;
     std::uint64_t bind_conflicts = 0;
     std::uint64_t guard_rejections = 0;
@@ -283,12 +253,6 @@ class Scheduler {
     (void)all;
   }
 
-  /// Called when this replica transitions standby → leader. The base
-  /// clears every bind-backoff timer: a new leader must neither inherit
-  /// another incarnation's backoffs nor skip pods that were backing off
-  /// under the previous leader's clock. Overrides must call the base.
-  virtual void on_elected();
-
   [[nodiscard]] ApiServer& api() { return *api_; }
   [[nodiscard]] sim::Simulation& sim() { return *sim_; }
 
@@ -297,10 +261,23 @@ class Scheduler {
     Duration delay{};      // next wait after a failed attempt
     TimePoint not_before;  // next attempt no earlier than this
   };
+  /// Cycle-local planning state: this cycle's node views plus the scratch
+  /// plan_pod reuses for every pod (defined in the .cpp).
+  struct Cycle;
+
   /// Records a failed placement attempt: arms/doubles the pod's backoff.
   void note_bind_failure(const cluster::PodName& pod);
   /// Drops backoff entries of pods that are no longer pending.
   void prune_backoffs();
+  /// Puts the congestion controller back to its enable_shared_state values.
+  void reset_conflict_controller();
+  /// The per-pod planning steps both cycle kinds share: skip a pod still
+  /// backing off, filter the feasible nodes (reporting the cycle's first
+  /// pod that fits nowhere to on_unschedulable), and let the policy pick.
+  /// nullopt leaves the pod pending; a failed placement under strict FCFS
+  /// also sets cycle.blocked, which ends the cycle.
+  std::optional<cluster::NodeName> plan_pod(Cycle& cycle,
+                                            const cluster::PodSpec& spec);
   /// One shared-state cycle: pull a shard batch (stealing if dry), plan
   /// placements against the optimistic view, submit one bind transaction,
   /// and feed its conflict summary into the congestion controller.
@@ -319,13 +296,7 @@ class Scheduler {
   std::uint64_t backoff_skips_ = 0;
   std::uint64_t cycles_ = 0;
   std::uint64_t bound_ = 0;
-  // Leader election / crash state.
-  std::string lease_;  // empty = election disabled
-  Duration lease_ttl_{};
-  bool leading_ = false;
   bool crashed_ = false;
-  std::uint64_t elections_ = 0;
-  std::uint64_t standby_cycles_ = 0;
   std::uint64_t bind_conflicts_ = 0;
   std::uint64_t guard_rejections_ = 0;
   std::uint64_t attestation_waits_ = 0;

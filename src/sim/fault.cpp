@@ -24,10 +24,6 @@ const char* to_string(FaultKind kind) {
       return "watch-disconnect";
     case FaultKind::kSchedulerCrash:
       return "scheduler-crash";
-    case FaultKind::kLeaseExpiry:
-      return "lease-expiry";
-    case FaultKind::kSplitBrainWindow:
-      return "split-brain-window";
     case FaultKind::kTsdbShardWriteError:
       return "tsdb-shard-write-error";
     case FaultKind::kTsdbShardStaleReads:
@@ -85,10 +81,10 @@ FaultKind downgrade_for_config(FaultKind kind,
                                const RandomPlanConfig& config) {
   /// One row per kind with prerequisites: when `available` is false under
   /// the config, the draw falls back to `fallback` (which may itself have
-  /// a row — resolution chains, e.g. kLeaseExpiry → kSchedulerCrash →
-  /// kHeapsterDropout). Kinds without a row are always available. Keeping
-  /// this a single table means a new fault kind cannot silently skip its
-  /// downgrade: either it has a row here or it must work in every config.
+  /// a row — resolution chains until a kind is available). Kinds without a
+  /// row are always available. Keeping this a single table means a new
+  /// fault kind cannot silently skip its downgrade: either it has a row
+  /// here or it must work in every config.
   struct DowngradeRule {
     FaultKind kind;
     bool (*available)(const RandomPlanConfig&);
@@ -101,15 +97,6 @@ FaultKind downgrade_for_config(FaultKind kind,
       {FaultKind::kSchedulerCrash,
        [](const RandomPlanConfig& c) { return !c.scheduler_targets.empty(); },
        FaultKind::kHeapsterDropout},
-      // Shared-state fleets run without leases: lease faults are
-      // meaningless there, but scheduler crashes are the equivalent
-      // control-plane disruption.
-      {FaultKind::kLeaseExpiry,
-       [](const RandomPlanConfig& c) { return !c.lease_targets.empty(); },
-       FaultKind::kSchedulerCrash},
-      {FaultKind::kSplitBrainWindow,
-       [](const RandomPlanConfig& c) { return !c.lease_targets.empty(); },
-       FaultKind::kSchedulerCrash},
       // Without shard targets (a 1-shard database) the equivalent
       // disruption is the database-wide kind.
       {FaultKind::kTsdbShardWriteError,
@@ -191,16 +178,13 @@ FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config) {
       case FaultKind::kSchedulerCrash:
         fault.target = pick(rng, config.scheduler_targets);
         break;
-      case FaultKind::kLeaseExpiry:
-        fault.target = pick(rng, config.lease_targets);
-        break;
       case FaultKind::kTsdbShardWriteError:
       case FaultKind::kTsdbShardStaleReads:
         fault.target = pick(rng, config.tsdb_shard_targets);
         break;
       default:
-        // kSplitBrainWindow, the dropouts, database-wide TSDB kinds,
-        // watch disconnects, verifier outage and storms are untargeted.
+        // The dropouts, database-wide TSDB kinds, watch disconnects,
+        // verifier outage and storms are untargeted.
         break;
     }
     plan.faults.push_back(std::move(fault));

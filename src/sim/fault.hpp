@@ -2,7 +2,8 @@
 //
 // A FaultPlan is a declarative schedule of fault activations (node
 // crashes, metrics-pipeline dropouts and delays, TSDB write errors and
-// stale-read windows, watch-channel disconnects). The FaultInjector arms
+// stale-read windows, watch-channel disconnects, scheduler-replica
+// crashes, attestation-verifier failures). The FaultInjector arms
 // a plan on the simulation clock: every activation and every heal is an
 // ordinary simulation event, so a run with the same RNG seed and the same
 // plan is bit-for-bit reproducible — the foundation of the chaos property
@@ -45,17 +46,10 @@ enum class FaultKind {
   kTsdbStaleReads,
   /// An informer watch channel drops; the client re-lists on heal.
   kWatchDisconnect,
-  /// The scheduler replica with identity `target` crash-stops (its lease
-  /// is NOT released); it restarts as a standby when the fault heals.
+  /// The scheduler replica with identity `target` crash-stops; its
+  /// shared-state siblings steal its shard. When the fault heals it
+  /// restarts with no cached state.
   kSchedulerCrash,
-  /// The lease named `target` is forcibly expired at activation — an
-  /// instantaneous event (the duration only delays the plan horizon), a
-  /// stand-in for clock skew / an etcd leader hiccup dropping the lease.
-  kLeaseExpiry,
-  /// While active, the LeaseManager grants every acquisition — every
-  /// contending replica believes it leads. The window where conditional
-  /// binds and the kubelet admission guard are the only safety net.
-  kSplitBrainWindow,
   /// One TSDB shard (target = decimal shard index) drops every write
   /// routed to it; other shards keep ingesting.
   kTsdbShardWriteError,
@@ -71,13 +65,12 @@ enum class FaultKind {
   kAttestationSlowVerify,
   /// Re-attestation storm: every cached node verdict soft-expires at the
   /// activation instant, forcing cluster-wide re-verification at once (an
-  /// instantaneous event, like kLeaseExpiry — the duration only delays the
-  /// plan horizon).
+  /// instantaneous event — the duration only delays the plan horizon).
   kReattestationStorm,
 };
 
 /// Number of FaultKind values (random_plan draws uniformly over them).
-inline constexpr int kFaultKindCount = 15;
+inline constexpr int kFaultKindCount = 13;
 
 [[nodiscard]] const char* to_string(FaultKind kind);
 
@@ -120,11 +113,10 @@ struct RandomPlanConfig {
   /// dropouts only land on the SGX subset a harness passes here).
   std::vector<std::string> crash_targets;
   std::vector<std::string> probe_targets;
-  /// Scheduler replica identities eligible for kSchedulerCrash and lease
-  /// names eligible for kLeaseExpiry. Empty lists downgrade those draws
-  /// (like crash_targets) so non-HA harness configs keep their plans.
+  /// Scheduler replica identities eligible for kSchedulerCrash. Empty
+  /// downgrades those draws (like crash_targets) so single-scheduler
+  /// harness configs keep their plans.
   std::vector<std::string> scheduler_targets;
-  std::vector<std::string> lease_targets;
   /// TSDB shard indices (as decimal strings) eligible for the per-shard
   /// fault kinds. Empty downgrades those draws to the database-wide
   /// kTsdbWriteError / kTsdbStaleReads, so 1-shard harness configs keep

@@ -1,6 +1,7 @@
-// Shared chaos-scenario runner: one fully-assembled control plane (SGX
-// scheduler + monitoring + watch-driven restarter) replaying a Borg-trace
-// slice while a seeded random fault plan fires through the FaultInjector.
+// Shared chaos-scenario runner: one fully-assembled control plane (an SGX
+// scheduler or a shared-state fleet of them + monitoring + watch-driven
+// restarter) replaying a Borg-trace slice while a seeded random fault plan
+// fires through the FaultInjector.
 //
 // The runner never asserts; it returns the scenario's outcome with every
 // invariant violation as a string, so callers attach the seed and the
@@ -34,21 +35,11 @@ struct ScenarioConfig {
   std::size_t min_faults = 1;
   std::size_t max_faults = 6;
   Duration deadline = Duration::hours(24);
-  /// Scheduler replicas contending for the leader lease; 1 disables
-  /// leader election (the pre-HA control plane).
+  /// Scheduler replicas. 1 runs a single scheduler; more build a
+  /// shared-state fleet (SimulatedCluster::add_shared_state_fleet: every
+  /// replica active on its own pending-queue shard, batched binds, work
+  /// stealing) whose replicas are the plan's kSchedulerCrash targets.
   std::size_t scheduler_replicas = 1;
-  /// Adds the control-plane fault kinds (scheduler-crash, lease-expiry,
-  /// split-brain-window) to the random plan's draw targets. Only
-  /// meaningful with scheduler_replicas > 1.
-  bool ha_faults = false;
-  /// Leader-lease TTL; a dead leader is replaced within one TTL plus one
-  /// scheduling period.
-  Duration lease_ttl = Duration::seconds(15);
-  /// Shared-state mode: every replica is active over its own pending-queue
-  /// shard (Omega-style batched binds, work stealing) instead of standing
-  /// by behind a leader lease. With ha_faults, lease fault kinds downgrade
-  /// to scheduler crashes — there is no lease to expire.
-  bool shared_state = false;
   /// TSDB shard count for the cluster's metrics store.
   std::size_t tsdb_shards = 1;
   /// Adds the per-shard TSDB fault kinds (shard write-error, shard stale
@@ -75,14 +66,9 @@ struct ScenarioResult {
   std::uint64_t backoff_skips = 0;
   std::uint64_t disconnects = 0;
   std::uint64_t resyncs = 0;
-  // Control-plane HA counters (zero when scheduler_replicas == 1).
-  std::uint64_t elections = 0;
-  std::uint64_t standby_cycles = 0;
   std::uint64_t bind_conflicts = 0;    // ApiServer-wide CAS losses
   std::uint64_t guard_rejections = 0;  // kubelet admission-guard saves
-  std::uint64_t lease_transitions = 0;
-  std::uint64_t split_grants = 0;
-  // Shared-state counters (zero unless config.shared_state).
+  // Shared-state counters (zero unless scheduler_replicas > 1).
   std::uint64_t batches = 0;
   std::uint64_t steal_cycles = 0;
   std::uint64_t reshards = 0;
@@ -114,28 +100,15 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   cluster_config.tsdb_shards = config.tsdb_shards;
   cluster_config.attestation = config.attestation;
   SimulatedCluster cluster{cluster_config};
-  const std::size_t replica_count =
-      std::max<std::size_t>(1, config.scheduler_replicas);
-  std::vector<core::SgxAwareScheduler*> replicas;
-  for (std::size_t i = 0; i < replica_count; ++i) {
-    core::SgxSchedulerConfig sched_config;
-    sched_config.policy = core::PlacementPolicy::kBinpack;
-    if (replica_count > 1) {
-      sched_config.identity = "sgx-binpack-" + std::to_string(i);
-    }
-    if (config.shared_state) {
-      // Omega-style: every replica active on its own shard, no lease.
-      orch::SharedStateConfig shard;
-      shard.shard = static_cast<std::uint32_t>(i);
-      shard.shard_count = static_cast<std::uint32_t>(replica_count);
-      sched_config.shared_state = shard;
-    }
-    auto& replica = cluster.add_sgx_scheduler(std::move(sched_config));
-    replica.set_bind_backoff(Duration::seconds(5), Duration::minutes(2));
-    if (!config.shared_state && replica_count > 1) {
-      replica.enable_leader_election("scheduler-leader", config.lease_ttl);
-    }
-    replicas.push_back(&replica);
+  core::SgxSchedulerConfig sched_config;
+  sched_config.policy = core::PlacementPolicy::kBinpack;
+  const bool fleet = config.scheduler_replicas > 1;
+  std::vector<core::SgxAwareScheduler*> replicas =
+      fleet ? cluster.add_shared_state_fleet(config.scheduler_replicas,
+                                             sched_config)
+            : std::vector{&cluster.add_sgx_scheduler(sched_config)};
+  for (core::SgxAwareScheduler* replica : replicas) {
+    replica->set_bind_backoff(Duration::seconds(5), Duration::minutes(2));
   }
   auto& scheduler = *replicas.front();
   cluster.api().set_default_scheduler(scheduler.name());
@@ -173,15 +146,10 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   plan_config.max_faults = config.max_faults;
   plan_config.crash_targets = {"node-1", "node-2", "sgx-1", "sgx-2"};
   plan_config.probe_targets = {"sgx-1", "sgx-2"};
-  if (config.ha_faults && replica_count > 1) {
+  if (fleet) {
     for (core::SgxAwareScheduler* replica : replicas) {
       plan_config.scheduler_targets.push_back(replica->identity());
     }
-    if (!config.shared_state) {
-      plan_config.lease_targets = {"scheduler-leader"};
-    }
-    // Shared-state fleets leave lease_targets empty: random_plan downgrades
-    // the lease fault kinds to scheduler crashes against the fleet.
   }
   if (config.tsdb_shard_faults) {
     for (std::size_t s = 0; s < cluster.db().shard_count(); ++s) {
@@ -276,8 +244,6 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   for (core::SgxAwareScheduler* replica : replicas) {
     result.degraded_cycles += replica->degraded_cycles();
     result.backoff_skips += replica->backoff_skips();
-    result.elections += replica->elections();
-    result.standby_cycles += replica->standby_cycles();
     result.batches += replica->batches();
     result.steal_cycles += replica->steal_cycles();
     result.reshards += replica->reshards();
@@ -296,8 +262,6 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   }
   result.bind_conflicts = cluster.api().bind_conflicts();
   result.guard_rejections = cluster.api().guard_rejections();
-  result.lease_transitions = cluster.api().leases().transitions().size();
-  result.split_grants = cluster.api().leases().split_grants();
   result.disconnects = restarter.disconnects();
   result.resyncs = restarter.resyncs();
 

@@ -1,5 +1,5 @@
 // Conflict-race property test: four *active* shared-state scheduler
-// replicas (no leader, work stealing on) race over contended pods on a
+// replicas (work stealing on) race over contended pods on a
 // cluster whose single SGX worker has EPC for exactly one pod at a time.
 // Across 500 seeded scenarios with shuffled submission order and varied
 // durations/periods, every contended pod must be placed exactly once —
@@ -103,8 +103,6 @@ std::vector<std::string> run_race(std::uint64_t seed) {
   for (const auto& replica : fleet) {
     const Scheduler::Health health = replica->health();
     EXPECT_TRUE(health.shared_state) << "seed " << seed;
-    EXPECT_EQ(health.elections, 0u) << "seed " << seed;
-    EXPECT_EQ(health.standby_cycles, 0u) << "seed " << seed;
     fleet_bound += health.bound;
     fleet_batches += health.batches;
   }

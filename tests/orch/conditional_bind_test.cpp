@@ -1,11 +1,10 @@
 // Conditional (compare-and-swap) bind tests: resource versions, the four
-// rejection outcomes, and the HA race the CAS exists for — two scheduler
-// replicas acting on the same snapshot, racing for the last EPC pages of
-// a node. Exactly one wins; the loser's pod is neither lost nor
-// duplicated.
+// rejection outcomes, and the race the CAS exists for — two shared-state
+// scheduler replicas acting on the same snapshot, racing for the same pod
+// or the last EPC pages of a node. Exactly one wins; the loser's pod is
+// neither lost nor duplicated.
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "orch/api_server.hpp"
 
 namespace sgxo::orch {
@@ -134,10 +133,10 @@ TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
   // Replica A binds pod a — the CAS passes and the kubelet admits it.
   EXPECT_EQ(api_.try_bind("a", "sgx-1", va), ApiServer::BindStatus::kBound);
 
-  // Replica B, leading during a split-brain window and acting on a view
-  // that predates A's bind, tries to put pod b on the same node. The pod
-  // CAS passes (b itself is unchanged) — only the kubelet admission guard
-  // stands between the stale view and an EPC over-commit.
+  // Replica B, acting on a view that predates A's bind, tries to put pod
+  // b on the same node. The pod CAS passes (b itself is unchanged) — only
+  // the kubelet admission guard stands between the stale view and an EPC
+  // over-commit.
   EXPECT_EQ(api_.try_bind("b", "sgx-1", vb),
             ApiServer::BindStatus::kAdmissionRejected);
   EXPECT_EQ(api_.guard_rejections(), 1u);
@@ -163,22 +162,6 @@ TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
   EXPECT_EQ(api_.try_bind("b", "sgx-1", version("b")),
             ApiServer::BindStatus::kBound);
 }
-
-// The deprecated strict shim keeps its throwing contract for stragglers;
-// this is deliberately the only caller left in the tree.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(ConditionalBindFixture, DeprecatedStrictShimStillThrows) {
-  api_.submit(sgx_pod("p", Pages{100}));
-  EXPECT_THROW(api_.bind("p", "ghost"), ContractViolation);
-  EXPECT_THROW(api_.bind("p", "master"), ContractViolation);
-  api_.bind("p", "sgx-1");
-  EXPECT_THROW(api_.bind("p", "sgx-1"), ContractViolation);
-  // Guard rejection surfaces as a contract violation on the strict path.
-  api_.submit(sgx_pod("q", Pages{950}));
-  EXPECT_THROW(api_.bind("q", "sgx-1"), ContractViolation);
-}
-#pragma GCC diagnostic pop
 
 TEST_F(ConditionalBindFixture, OutcomeCarriesTheObservedVersion) {
   api_.submit(sgx_pod("p", Pages{100}));

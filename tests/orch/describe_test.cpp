@@ -113,31 +113,21 @@ TEST_F(DescribeFixture, DescribeNodeWithoutSgx) {
                ContractViolation);
 }
 
-TEST_F(DescribeFixture, GetLeasesAndControlPlaneReport) {
-  // The single scheduler runs without election: the lease table is empty
-  // and the replica reports as plain "active".
+TEST_F(DescribeFixture, ControlPlaneReport) {
+  // The single scheduler reports as plain "active"; a crashed one says so.
   std::string text = describe_control_plane(
       cluster_.api(), {scheduler_}, cluster_.sim().now());
   EXPECT_NE(text.find("Bind conflicts:   0"), std::string::npos);
   EXPECT_NE(text.find("Guard rejections: 0"), std::string::npos);
-  EXPECT_NE(text.find("(none)"), std::string::npos);
-  EXPECT_NE(text.find("sgx-binpack (sgx-binpack): active"),
+  EXPECT_NE(text.find("sgx-binpack (sgx-binpack): active, cycles="),
             std::string::npos);
   EXPECT_NE(text.find("degraded_cycles=0"), std::string::npos);
 
-  // With a held lease the table and the leader line appear.
-  ASSERT_TRUE(cluster_.api().leases().try_acquire(
-      "scheduler-leader", "sgx-binpack-0", Duration::seconds(15)));
-  const Table leases = get_leases(cluster_.api(), cluster_.sim().now());
-  ASSERT_EQ(leases.rows(), 1u);
-  EXPECT_EQ(leases.cell(0, 0), "scheduler-leader");
-  EXPECT_EQ(leases.cell(0, 1), "sgx-binpack-0");
-  EXPECT_EQ(leases.cell(0, 3), "1");
-
+  scheduler_->crash();
   text = describe_control_plane(cluster_.api(), {scheduler_},
                                 cluster_.sim().now());
-  EXPECT_NE(text.find("scheduler-leader"), std::string::npos);
-  EXPECT_NE(text.find("sgx-binpack-0"), std::string::npos);
+  EXPECT_NE(text.find("sgx-binpack (sgx-binpack): CRASHED"),
+            std::string::npos);
 }
 
 TEST_F(DescribeFixture, ControlPlaneOmitsAttestationWhenDisabled) {
