@@ -1,34 +1,42 @@
 # Smoke check of the end-to-end replay benchmark: one traced run of every
-# epc_contention seed-1 trace, whose run digest must equal the one pinned in
-# perfbench/digests.json (simulated behaviour unchanged).
+# seed-1 trace of two workloads, whose run digests must equal the ones
+# pinned in perfbench/digests.json (simulated behaviour unchanged).
+# epc_contention is one TSDB shard, five nodes and a deep queue; scaled_5x
+# adds four shards, 25 workers and the attestation gate.
 #
 #   cmake -DE2E_REPLAY=<e2e_replay> -DDIGESTS=<digests.json> \
 #         -DTRACE=<out.json> -P e2e_smoke.cmake
+#
+# Each workload writes its trace next to TRACE, as <out>.<workload>.json.
 foreach(var E2E_REPLAY DIGESTS TRACE)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "e2e_smoke.cmake needs -D${var}=...")
   endif()
 endforeach()
 
-execute_process(
-  COMMAND ${E2E_REPLAY} --workload epc_contention --seed 1 --reps 1
-          --trace ${TRACE}
-  OUTPUT_VARIABLE out
-  RESULT_VARIABLE status)
-if(NOT status EQUAL 0)
-  message(FATAL_ERROR "e2e_replay exited with status ${status}\n${out}")
-endif()
-
-if(NOT "\n${out}" MATCHES "\ndigest ([0-9a-f]+)")
-  message(FATAL_ERROR "e2e_replay printed no run digest\n${out}")
-endif()
-set(digest ${CMAKE_MATCH_1})
-
 file(READ ${DIGESTS} pinned_json)
-string(JSON pinned GET "${pinned_json}" epc_contention 1)
-if(NOT digest STREQUAL pinned)
-  message(FATAL_ERROR
-    "epc_contention seed 1 digest ${digest} differs from the pinned "
-    "${pinned}: simulated behaviour changed")
-endif()
-message(STATUS "epc_contention seed 1 digest ${digest} matches the pin")
+foreach(workload epc_contention scaled_5x)
+  string(REGEX REPLACE "\\.json$" ".${workload}.json" trace ${TRACE})
+  execute_process(
+    COMMAND ${E2E_REPLAY} --workload ${workload} --seed 1 --reps 1
+            --trace ${trace}
+    OUTPUT_VARIABLE out
+    RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR
+      "e2e_replay ${workload} exited with status ${status}\n${out}")
+  endif()
+
+  if(NOT "\n${out}" MATCHES "\ndigest ([0-9a-f]+)")
+    message(FATAL_ERROR "e2e_replay ${workload} printed no run digest\n${out}")
+  endif()
+  set(digest ${CMAKE_MATCH_1})
+
+  string(JSON pinned GET "${pinned_json}" ${workload} 1)
+  if(NOT digest STREQUAL pinned)
+    message(FATAL_ERROR
+      "${workload} seed 1 digest ${digest} differs from the pinned "
+      "${pinned}: simulated behaviour changed")
+  endif()
+  message(STATUS "${workload} seed 1 digest ${digest} matches the pin")
+endforeach()

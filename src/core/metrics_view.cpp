@@ -66,15 +66,16 @@ tsdb::ql::ResultSet ClusterMetrics::run(const tsdb::ql::PreparedQuery& query,
 
 std::vector<ClusterMetrics::PodUsage> ClusterMetrics::per_pod(
     const tsdb::ql::PreparedQuery& query, TimePoint now) const {
-  const tsdb::ql::ResultSet result = run(query, now);
+  tsdb::ql::ResultSet result = run(query, now);
   std::vector<PodUsage> usages;
   usages.reserve(result.rows.size());
-  for (const tsdb::ql::Row& row : result.rows) {
+  for (tsdb::ql::Row& row : result.rows) {
+    // The rows are this call's own: move the names out of them.
     PodUsage usage;
     const auto pod_it = row.tags.find("pod_name");
     const auto node_it = row.tags.find("nodename");
-    usage.pod = pod_it == row.tags.end() ? "" : pod_it->second;
-    usage.node = node_it == row.tags.end() ? "" : node_it->second;
+    if (pod_it != row.tags.end()) usage.pod = std::move(pod_it->second);
+    if (node_it != row.tags.end()) usage.node = std::move(node_it->second);
     usage.usage =
         Bytes{static_cast<std::uint64_t>(row.field("usage"))};
     usages.push_back(std::move(usage));

@@ -1,8 +1,8 @@
 #include "core/sgx_scheduler.hpp"
 
 #include <algorithm>
-#include <set>
 
+#include "common/error.hpp"
 #include "orch/default_scheduler.hpp"
 
 namespace sgxo::core {
@@ -33,6 +33,85 @@ SgxAwareScheduler::SgxAwareScheduler(sim::Simulation& sim,
   }
 }
 
+void fold_measured_usage(std::vector<orch::NodeView>& views,
+                         const std::vector<ClusterMetrics::PodUsage>& epc,
+                         const std::vector<ClusterMetrics::PodUsage>& memory,
+                         const orch::ApiServer& api) {
+  const auto by_name = [](const orch::NodeView& a, const orch::NodeView& b) {
+    return a.name < b.name;
+  };
+  SGXO_CHECK_MSG(std::is_sorted(views.begin(), views.end(), by_name),
+                 "node views must be sorted by name");
+  for (orch::NodeView& view : views) {
+    view.memory_used = Bytes{};
+    view.epc_used = Pages{};
+  }
+
+  // One pass over the rows: each adds its usage to the view of its node,
+  // found by binary search, and is remembered as (view, pod). Rows for a
+  // node without a view (the master, a failed or unknown node) count
+  // nowhere.
+  const auto view_of =
+      [&views](const cluster::NodeName& node) -> std::optional<std::size_t> {
+    const auto it = std::lower_bound(
+        views.begin(), views.end(), node,
+        [](const orch::NodeView& view, const cluster::NodeName& name) {
+          return view.name < name;
+        });
+    if (it == views.end() || it->name != node) return std::nullopt;
+    return static_cast<std::size_t>(it - views.begin());
+  };
+  struct Measured {
+    std::size_t view = 0;
+    const cluster::PodName* pod = nullptr;
+  };
+  std::vector<Measured> measured;
+  measured.reserve(epc.size() + memory.size());
+  for (const ClusterMetrics::PodUsage& usage : epc) {
+    const std::optional<std::size_t> v = view_of(usage.node);
+    if (!v.has_value()) continue;
+    views[*v].epc_used += Pages::ceil_from(usage.usage);
+    measured.push_back(Measured{*v, &usage.pod});
+  }
+  for (const ClusterMetrics::PodUsage& usage : memory) {
+    const std::optional<std::size_t> v = view_of(usage.node);
+    if (!v.has_value()) continue;
+    views[*v].memory_used += usage.usage;
+    measured.push_back(Measured{*v, &usage.pod});
+  }
+  std::sort(measured.begin(), measured.end(),
+            [](const Measured& a, const Measured& b) {
+              if (a.view != b.view) return a.view < b.view;
+              return *a.pod < *b.pod;
+            });
+
+  // Assigned pods not yet visible in the window contribute their declared
+  // requests — "combining the two kinds of data" (§IV). Each node's pods
+  // come from the pods-by-node index in name order, so one cursor over the
+  // sorted (view, pod) list tells which of them the window shows there.
+  auto cursor = measured.begin();
+  for (std::size_t v = 0; v < views.size(); ++v) {
+    orch::NodeView& view = views[v];
+    orch::PodFilter on_node;
+    on_node.node = view.name;
+    for (const orch::PodRecord* record : api.list_pods(on_node)) {
+      const cluster::PodName& name = record->spec.name;
+      while (cursor != measured.end() && cursor->view == v &&
+             *cursor->pod < name) {
+        ++cursor;
+      }
+      if (cursor != measured.end() && cursor->view == v &&
+          *cursor->pod == name) {
+        continue;
+      }
+      const cluster::ResourceAmounts request = record->spec.total_requests();
+      view.memory_used += request.memory;
+      view.epc_used += request.epc_pages;
+    }
+    while (cursor != measured.end() && cursor->view == v) ++cursor;
+  }
+}
+
 std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
   // Start from the request-based view: capacities plus the device-plugin
   // accounting column (epc_requested) and request-based usage.
@@ -53,49 +132,12 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
       return views;
     }
   }
+  // Replace the request-based estimate with measurement-informed usage;
+  // view.epc_requested stays request-based: it mirrors the device
+  // plugin's hard page accounting.
   const auto epc_measured = metrics_.epc_per_pod(now);
   const auto mem_measured = metrics_.memory_per_pod(now);
-
-  for (orch::NodeView& view : views) {
-    // Pods the control plane currently assigns to this node (straight from
-    // the pods-by-node index).
-    orch::PodFilter on_node;
-    on_node.node = view.name;
-    const std::vector<const orch::PodRecord*> assigned =
-        api().list_pods(on_node);
-
-    // Replace the request-based estimate with measurement-informed usage.
-    Bytes memory_used{};
-    Pages epc_used{};
-    std::set<cluster::PodName> measured_pods;
-
-    for (const ClusterMetrics::PodUsage& usage : epc_measured) {
-      if (usage.node != view.name) continue;
-      epc_used += Pages::ceil_from(usage.usage);
-      measured_pods.insert(usage.pod);
-    }
-    for (const ClusterMetrics::PodUsage& usage : mem_measured) {
-      if (usage.node != view.name) continue;
-      memory_used += usage.usage;
-      measured_pods.insert(usage.pod);
-    }
-
-    // Assigned pods not yet visible in the window contribute their
-    // declared requests — "combining the two kinds of data" (§IV).
-    for (const orch::PodRecord* record : assigned) {
-      if (measured_pods.find(record->spec.name) != measured_pods.end()) {
-        continue;
-      }
-      const cluster::ResourceAmounts request = record->spec.total_requests();
-      memory_used += request.memory;
-      epc_used += request.epc_pages;
-    }
-
-    view.memory_used = memory_used;
-    view.epc_used = epc_used;
-    // view.epc_requested stays request-based: it mirrors the device
-    // plugin's hard page accounting.
-  }
+  fold_measured_usage(views, epc_measured, mem_measured, api());
   return views;
 }
 
@@ -114,7 +156,6 @@ std::optional<cluster::NodeName> SgxAwareScheduler::select_node(
 void SgxAwareScheduler::on_unschedulable(
     const cluster::PodSpec& pod, const std::vector<orch::NodeView>& all) {
   if (!config_.enable_preemption || pod.priority <= 0) return;
-  const cluster::ResourceAmounts needed = pod.total_requests();
 
   // Per node, collect strictly-lower-priority victims (cheapest first:
   // lowest priority, then smallest footprint) and check whether evicting

@@ -25,6 +25,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/metrics_view.hpp"
 #include "core/policies.hpp"
@@ -61,6 +62,20 @@ struct SgxSchedulerConfig {
   /// Zero disables the fallback (always trust the window).
   Duration stale_metrics_threshold = Duration::seconds(60);
 };
+
+/// The measured half of the SGX-aware node views. Replaces each view's
+/// request-based memory_used / epc_used with the usage the window shows
+/// for pods on that node (EPC rounded up to pages per pod), plus the
+/// declared requests of the pods assigned there that the window does not
+/// show yet. epc_requested, the device plugin's accounting, is left as
+/// is. `views` must be sorted by name, as request_based_views returns
+/// them; rows naming a node without a view (the master, a failed or
+/// unknown node) count nowhere. One pass over the rows and one listing of
+/// each node's pods: O(nodes + rows · log rows + assigned pods).
+void fold_measured_usage(std::vector<orch::NodeView>& views,
+                         const std::vector<ClusterMetrics::PodUsage>& epc,
+                         const std::vector<ClusterMetrics::PodUsage>& memory,
+                         const orch::ApiServer& api);
 
 class SgxAwareScheduler final : public orch::Scheduler {
  public:

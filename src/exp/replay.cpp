@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
 
 #include "common/error.hpp"
@@ -165,37 +166,42 @@ ReplayResult run_replay(const ReplayOptions& options) {
       });
 
   // ---- run until every *trace* pod is terminal --------------------------------
-  const std::set<std::string> trace_pods = [&] {
-    std::set<std::string> names;
-    for (const trace::TraceJob& job : jobs) {
-      names.insert(workload::stressor_pod_name(job));
-    }
-    return names;
-  }();
-
-  const auto trace_done = [&] {
-    std::size_t terminal = 0;
-    for (const orch::PodRecord* record : cluster.api().all_pods()) {
-      if (trace_pods.find(record->spec.name) == trace_pods.end()) continue;
-      if (record->phase == cluster::PodPhase::kSucceeded ||
-          record->phase == cluster::PodPhase::kFailed) {
-        ++terminal;
-      }
-    }
-    return terminal == trace_pods.size();
-  };
+  // Trace pod name → whether it has reached a terminal phase, fed by a
+  // watch instead of a scan of every pod ever submitted. Counting the
+  // first terminal notification of each is exact: no pod leaves a
+  // terminal phase and the ApiServer never deletes one, so a repeated
+  // failure report counts nothing.
+  std::map<std::string, bool> trace_pods;
+  for (const trace::TraceJob& job : jobs) {
+    trace_pods.emplace(workload::stressor_pod_name(job), false);
+  }
+  std::size_t unfinished = trace_pods.size();
+  const orch::ApiServer::WatchId done_watch = cluster.api().watch_pods(
+      [&trace_pods, &unfinished](const orch::ApiServer::PodUpdate& update) {
+        if (update.phase != cluster::PodPhase::kSucceeded &&
+            update.phase != cluster::PodPhase::kFailed) {
+          return;
+        }
+        const auto it = trace_pods.find(update.pod);
+        if (it != trace_pods.end() && !it->second) {
+          it->second = true;
+          --unfinished;
+        }
+      });
 
   const TimePoint limit = cluster.sim().now() + options.deadline;
-  while (cluster.sim().now() < limit && !trace_done()) {
+  while (cluster.sim().now() < limit && unfinished > 0) {
     cluster.sim().run_until(
         std::min(limit, cluster.sim().now() + Duration::seconds(30)));
     if (cluster.sim().idle()) break;
   }
-  result.completed = trace_done();
+  result.completed = unfinished == 0;
+  cluster.api().unwatch(done_watch);
   if (migration.has_value()) migration->stop();
   cluster.stop_all();
 
   // ---- collect ----------------------------------------------------------------
+  // In submission order: consumers (and outcome digests) read jobs in it.
   TimePoint first_submission = TimePoint::from_micros(
       std::numeric_limits<std::int64_t>::max());
   TimePoint last_termination = TimePoint::epoch();

@@ -125,6 +125,13 @@ cluster::ResourceAmounts ApiServer::namespace_usage(
                                          : it->second;
 }
 
+cluster::ResourceAmounts ApiServer::node_requests(
+    const cluster::NodeName& node) const {
+  const auto it = pods_by_node_.find(node);
+  return it == pods_by_node_.end() ? cluster::ResourceAmounts{}
+                                   : it->second.requests;
+}
+
 // ---- index maintenance ------------------------------------------------------
 
 void ApiServer::pending_insert(const PodRecord& record) {
@@ -133,7 +140,11 @@ void ApiServer::pending_insert(const PodRecord& record) {
 }
 
 void ApiServer::node_insert(const PodRecord& record) {
-  pods_by_node_[record.node].insert(record.spec.name);
+  NodePods& node = pods_by_node_[record.node];
+  node.pods.emplace(record.spec.name, &record);
+  const cluster::ResourceAmounts request = record.spec.total_requests();
+  node.requests.memory += request.memory;
+  node.requests.epc_pages += request.epc_pages;
 }
 
 void ApiServer::unindex(const PodRecord& record) {
@@ -147,8 +158,15 @@ void ApiServer::unindex(const PodRecord& record) {
   if (assigned(record.phase)) {
     auto it = pods_by_node_.find(record.node);
     SGXO_CHECK(it != pods_by_node_.end());
-    it->second.erase(record.spec.name);
-    if (it->second.empty()) pods_by_node_.erase(it);
+    NodePods& node = it->second;
+    const cluster::ResourceAmounts request = record.spec.total_requests();
+    const std::size_t erased = node.pods.erase(record.spec.name);
+    SGXO_CHECK(erased == 1);
+    SGXO_CHECK(node.requests.memory >= request.memory &&
+               node.requests.epc_pages >= request.epc_pages);
+    node.requests.memory -= request.memory;
+    node.requests.epc_pages -= request.epc_pages;
+    if (node.pods.empty()) pods_by_node_.erase(it);
   }
   // Terminal pods are in no index.
 }
@@ -323,11 +341,10 @@ std::vector<const PodRecord*> ApiServer::list_pods(
   if (filter.node.has_value()) {
     const auto it = pods_by_node_.find(*filter.node);
     if (it == pods_by_node_.end()) return out;
-    out.reserve(it->second.size());
-    for (const cluster::PodName& name : it->second) {
+    out.reserve(it->second.pods.size());
+    for (const auto& [name, record] : it->second.pods) {
       if (filter.limit > 0 && out.size() == filter.limit) break;
-      const PodRecord& record = pods_.at(name);
-      if (matches(record)) out.push_back(&record);
+      if (matches(*record)) out.push_back(record);
     }
     return out;
   }

@@ -7,10 +7,11 @@
 // (waiting time = submission → running; turnaround = submission → finish).
 //
 // Read path: the store maintains secondary indexes — per-scheduler pending
-// queues in priority+FCFS order, a pods-by-node index, and per-namespace
-// usage accumulators — updated transactionally with every phase
-// transition. pending_pods / assigned_pods / quota admission are therefore
-// O(result), not O(pods): the scheduler hot loop never scans the store.
+// queues in priority+FCFS order, a pods-by-node index carrying each node's
+// request sum, and per-namespace usage accumulators — updated
+// transactionally with every phase transition. pending_pods /
+// assigned_pods / node_requests / quota admission are therefore O(result),
+// not O(pods): the scheduler hot loop never scans the store.
 //
 // Write path: conditional binds are the only scheduling writes. try_bind
 // CASes one pod; try_bind_batch validates a whole transaction of
@@ -149,6 +150,11 @@ class ApiServer final : public cluster::PodLifecycleListener {
   /// against its quota). O(1): served from the maintained accumulator.
   [[nodiscard]] cluster::ResourceAmounts namespace_usage(
       const std::string& namespace_name) const;
+  /// Requests of the pods assigned to (bound or running on) `node` — the
+  /// request-based usage of a node view. O(log nodes): served from the
+  /// node index, which keeps the sum with every bind, move and release.
+  [[nodiscard]] cluster::ResourceAmounts node_requests(
+      const cluster::NodeName& node) const;
 
   // ---- pod lifecycle -------------------------------------------------------
   /// Submits a pod; it enters the pending queue. Throws QuotaExceeded if
@@ -458,7 +464,13 @@ class ApiServer final : public cluster::PodLifecycleListener {
   // scheduler name ("" = whatever the cluster default resolves to at query
   // time, so changing the default never invalidates the index).
   std::map<std::string, std::map<QueueKey, const PodRecord*>> pending_queues_;
-  std::map<cluster::NodeName, std::set<cluster::PodName>> pods_by_node_;
+  /// The pods assigned to one node, by name, and the sum of their
+  /// requests (maintained like usage_by_namespace_).
+  struct NodePods {
+    std::map<cluster::PodName, const PodRecord*> pods;
+    cluster::ResourceAmounts requests;
+  };
+  std::map<cluster::NodeName, NodePods> pods_by_node_;
   std::map<std::string, cluster::ResourceAmounts> usage_by_namespace_;
 
   std::deque<Event> events_;

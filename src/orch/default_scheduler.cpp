@@ -12,14 +12,10 @@ std::vector<NodeView> request_based_views(ApiServer& api) {
     view.sgx_capable = entry.node->has_sgx();
     view.memory_capacity = entry.node->memory_capacity();
     view.epc_capacity = entry.node->epc_capacity();
-    PodFilter on_node;
-    on_node.node = view.name;
-    for (const PodRecord* record : api.list_pods(on_node)) {
-      const cluster::ResourceAmounts request = record->spec.total_requests();
-      view.memory_used += request.memory;
-      view.epc_used += request.epc_pages;
-      view.epc_requested += request.epc_pages;
-    }
+    const cluster::ResourceAmounts requested = api.node_requests(view.name);
+    view.memory_used = requested.memory;
+    view.epc_used = requested.epc_pages;
+    view.epc_requested = requested.epc_pages;
     views.push_back(view);
   }
   // Stable, deterministic node order.

@@ -31,7 +31,8 @@ class DefaultScheduler final : public Scheduler {
 };
 
 /// Builds request-based node views from the API server's state — shared
-/// with the SGX-aware scheduler's device-accounting column.
+/// with the SGX-aware scheduler's device-accounting column. Sorted by node
+/// name; O(nodes), since each node's request sum is kept by the ApiServer.
 [[nodiscard]] std::vector<NodeView> request_based_views(ApiServer& api);
 
 }  // namespace sgxo::orch

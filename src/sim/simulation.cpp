@@ -8,7 +8,8 @@ EventId Simulation::push(TimePoint at, Duration period, Callback cb) {
   SGXO_CHECK_MSG(at >= now_, "cannot schedule in the past");
   SGXO_CHECK_MSG(static_cast<bool>(cb), "null event callback");
   const EventId id{next_seq_};
-  queue_.push(Entry{at, next_seq_, period, std::move(cb)});
+  queue_.push_back(Entry{at, next_seq_, period, std::move(cb)});
+  std::push_heap(queue_.begin(), queue_.end(), EntryCompare{});
   ++next_seq_;
   return id;
 }
@@ -30,40 +31,32 @@ EventId Simulation::schedule_every(Duration initial_delay, Duration period,
 }
 
 bool Simulation::cancel(EventId id) {
-  if (!id.valid() || id.seq_ >= next_seq_) return false;
-  if (std::find(cancelled_.begin(), cancelled_.end(), id.seq_) !=
-      cancelled_.end()) {
-    return false;
-  }
-  cancelled_.push_back(id.seq_);
+  // A queued entry is a one-shot that has not fired or a repeating event
+  // that was not cancelled; anything else has nothing left to cancel.
+  const auto it =
+      std::find_if(queue_.begin(), queue_.end(),
+                   [&id](const Entry& entry) { return entry.seq == id.seq_; });
+  if (it == queue_.end()) return false;
+  queue_.erase(it);
+  std::make_heap(queue_.begin(), queue_.end(), EntryCompare{});
   return true;
 }
 
 bool Simulation::step() {
-  while (!queue_.empty()) {
-    // priority_queue::top is const; copy the small fields and move the
-    // callback out via const_cast-free re-push for repeating events.
-    Entry entry = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    const auto cancelled_it =
-        std::find(cancelled_.begin(), cancelled_.end(), entry.seq);
-    if (cancelled_it != cancelled_.end()) {
-      cancelled_.erase(cancelled_it);
-      continue;
-    }
-    now_ = entry.at;
-    ++fired_;
-    if (entry.period > Duration{}) {
-      // Re-arm before invoking so the callback can cancel its own timer.
-      queue_.push(Entry{entry.at + entry.period, entry.seq, entry.period,
-                        entry.cb});
-      entry.cb();
-    } else {
-      entry.cb();
-    }
-    return true;
+  if (queue_.empty()) return false;
+  std::pop_heap(queue_.begin(), queue_.end(), EntryCompare{});
+  Entry entry = std::move(queue_.back());
+  queue_.pop_back();
+  now_ = entry.at;
+  ++fired_;
+  if (entry.period > Duration{}) {
+    // Re-arm before invoking so the callback can cancel its own timer.
+    queue_.push_back(
+        Entry{entry.at + entry.period, entry.seq, entry.period, entry.cb});
+    std::push_heap(queue_.begin(), queue_.end(), EntryCompare{});
   }
-  return false;
+  entry.cb();
+  return true;
 }
 
 void Simulation::run(std::uint64_t max_events) {
@@ -76,7 +69,7 @@ void Simulation::run(std::uint64_t max_events) {
 
 void Simulation::run_until(TimePoint deadline) {
   SGXO_CHECK_MSG(deadline >= now_, "deadline in the past");
-  while (!queue_.empty() && queue_.top().at <= deadline) {
+  while (!queue_.empty() && queue_.front().at <= deadline) {
     step();
   }
   now_ = deadline;

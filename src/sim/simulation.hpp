@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/error.hpp"
@@ -48,8 +47,11 @@ class Simulation {
   /// Repeating events keep firing until cancelled or the run ends.
   EventId schedule_every(Duration initial_delay, Duration period, Callback cb);
 
-  /// Cancels a pending event. Returns false if it already fired / was
-  /// cancelled. Cancelling a repeating event stops future occurrences.
+  /// Cancels a pending event: it is removed from the queue at once.
+  /// Returns false, changing nothing, for an event that already fired (a
+  /// one-shot, also from inside its own callback), was cancelled before,
+  /// or was never scheduled. Cancelling a repeating event, also from its
+  /// own callback, stops future occurrences. O(pending events).
   bool cancel(EventId id);
 
   /// Runs until the event queue drains. Throws ContractViolation if more
@@ -61,7 +63,7 @@ class Simulation {
   /// the queue drained earlier.
   void run_until(TimePoint deadline);
 
-  /// True if nothing is pending.
+  /// True if nothing is pending (cancelled events are not pending).
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t fired_events() const { return fired_; }
@@ -90,8 +92,10 @@ class Simulation {
   TimePoint now_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, EntryCompare> queue_;
-  std::vector<std::uint64_t> cancelled_;  // sorted insertion not needed; small
+  /// Binary heap (std::push_heap / std::pop_heap with EntryCompare): the
+  /// front is the next event. (at, seq) is unique among queued entries, so
+  /// the firing order does not depend on the heap's layout.
+  std::vector<Entry> queue_;
 };
 
 }  // namespace sgxo::sim

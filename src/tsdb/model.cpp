@@ -212,15 +212,22 @@ std::size_t Series::compact(std::int64_t sealed_before_us) {
   if (chunks_.size() < 2) return 0;
   const std::int64_t max_span =
       kCompactMaxSpanWidths * options_.chunk_width_us;
+  const auto mergeable = [&](const Chunk& a, const Chunk& b) {
+    return b.end_us <= sealed_before_us && a.end_us <= sealed_before_us &&
+           a.points.size() + b.points.size() <= kCompactTargetPoints &&
+           b.end_us - a.start_us <= max_span;
+  };
+  // The greedy pass merges nothing unless some adjacent pair of the
+  // current chunks qualifies, so skip rebuilding the vector in that case.
+  if (std::adjacent_find(chunks_.begin(), chunks_.end(), mergeable) ==
+      chunks_.end()) {
+    return 0;
+  }
   std::size_t merges = 0;
   std::vector<Chunk> out;
   out.reserve(chunks_.size());
   for (Chunk& chunk : chunks_) {
-    if (!out.empty() && chunk.end_us <= sealed_before_us &&
-        out.back().end_us <= sealed_before_us &&
-        out.back().points.size() + chunk.points.size() <=
-            kCompactTargetPoints &&
-        chunk.end_us - out.back().start_us <= max_span) {
+    if (!out.empty() && mergeable(out.back(), chunk)) {
       Chunk& dst = out.back();
       dst.points.insert(dst.points.end(), chunk.points.begin(),
                         chunk.points.end());
@@ -256,6 +263,7 @@ const Series* Measurement::find_series(const Tags& tags) const {
 void Measurement::append(const Tags& tags, const std::string& key, Point p) {
   series_for(tags, key).append(p);
   ++points_;
+  if (!newest_.has_value() || p.time > *newest_) newest_ = p.time;
 }
 
 std::size_t Measurement::drop_before(TimePoint horizon) {
@@ -267,6 +275,9 @@ std::size_t Measurement::drop_before(TimePoint horizon) {
     it = it->second.empty() ? series_.erase(it) : std::next(it);
   }
   points_ -= dropped;
+  // Exactly the points older than the horizon went, so the newest point
+  // survives unless it was older too, and then no point survives.
+  if (newest_.has_value() && *newest_ < horizon) newest_.reset();
   return dropped;
 }
 
@@ -577,10 +588,17 @@ std::optional<TimePoint> Database::newest_time(
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it == shard.measurements.end()) continue;
-    it->second.for_each_series([&](const Series& series) {
-      const std::optional<TimePoint> t = series.newest(horizon);
+    const auto consider = [&](std::optional<TimePoint> t) {
       if (t.has_value() && (!newest.has_value() || *t > *newest)) newest = t;
-    });
+    };
+    if (!horizon.has_value()) {
+      consider(it->second.newest_time());
+      continue;
+    }
+    // Only a frozen shard needs its series: the newest point at or before
+    // the horizon can sit in any of them.
+    it->second.for_each_series(
+        [&](const Series& series) { consider(series.newest(horizon)); });
   }
   return newest;
 }

@@ -172,6 +172,11 @@ class Measurement {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
   [[nodiscard]] std::size_t point_count() const { return points_; }
+  /// Newest point time across the series (nullopt when none holds a
+  /// point). Like point_count, it tracks writes made through append.
+  [[nodiscard]] std::optional<TimePoint> newest_time() const {
+    return newest_;
+  }
 
   Series& series_for(const Tags& tags);
   /// As series_for, with the tags_key precomputed by the caller (the write
@@ -206,8 +211,9 @@ class Measurement {
   }
 
   /// Drops points older than `horizon` from every series, then erases the
-  /// series left empty (Series::empty). A later write to an erased tag set
-  /// starts a fresh series. Returns how many points were dropped.
+  /// series left empty (Series::empty), and forgets the newest point time
+  /// if it was older too. A later write to an erased tag set starts a
+  /// fresh series. Returns how many points were dropped.
   std::size_t drop_before(TimePoint horizon);
   std::size_t compact(std::int64_t sealed_before_us);
 
@@ -216,6 +222,7 @@ class Measurement {
   SeriesOptions options_;
   std::map<std::string, Series> series_;  // keyed by tags_key
   std::size_t points_ = 0;
+  std::optional<TimePoint> newest_;
 };
 
 struct DatabaseConfig {
@@ -334,7 +341,9 @@ class Database {
 
   /// Timestamp of the newest *visible* point of a measurement (respects
   /// the read horizons); nullopt when the measurement is empty or unknown.
-  /// The scheduler uses this to detect a stale metrics pipeline.
+  /// The scheduler uses this to detect a stale metrics pipeline. O(shards)
+  /// from each measurement's newest point time; only a shard under a read
+  /// horizon walks its series.
   [[nodiscard]] std::optional<TimePoint> newest_time(
       const std::string& measurement) const;
 

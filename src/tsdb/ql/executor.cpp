@@ -52,6 +52,9 @@ struct QueryAnalysis {
   /// A field predicate names a field measurement rows never carry, so a
   /// measurement scan of this node yields nothing.
   bool scan_fields_ok = true;
+  /// The GROUP BY tags in group-key order: sorted, duplicates dropped, as
+  /// tags_key renders a Tags map.
+  std::vector<std::string> group_tags;
   std::unique_ptr<QueryAnalysis> sub;  // analysis of a subquery source
 };
 
@@ -315,6 +318,7 @@ struct ScanSpec {
   std::vector<double> neq_times;          // time <> X, compared as doubles
   std::vector<const FieldPredicate*> value_preds;
   bool fields_ok = true;   // false: a field predicate can never match
+  const std::vector<std::string>* group_tags = nullptr;
   std::int64_t interval_us = 0;           // GROUP BY time(...)
   std::size_t rollup_level = kRollupLevelCount;  // == count → raw scan
   std::int64_t rollup_level_us = 0;
@@ -346,6 +350,11 @@ std::unique_ptr<QueryAnalysis> analyze_node(const SelectStmt& stmt) {
   auto analysis = std::make_unique<QueryAnalysis>();
   analysis->rollup_static_ok = rollup_static_ok(stmt);
   analysis->scan_fields_ok = scan_fields_ok(stmt);
+  analysis->group_tags = stmt.group_by;
+  std::sort(analysis->group_tags.begin(), analysis->group_tags.end());
+  analysis->group_tags.erase(
+      std::unique(analysis->group_tags.begin(), analysis->group_tags.end()),
+      analysis->group_tags.end());
   if (const auto* sub =
           std::get_if<std::unique_ptr<SelectStmt>>(&stmt.source)) {
     analysis->sub = analyze_node(**sub);
@@ -362,6 +371,7 @@ ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
   spec.measurement = &measurement;
   spec.interval_us = stmt.group_by_time.micros_count();
   spec.fields_ok = analysis.scan_fields_ok;
+  spec.group_tags = &analysis.group_tags;
 
   for (const Predicate& predicate : stmt.where) {
     if (const auto* fp = std::get_if<FieldPredicate>(&predicate)) {
@@ -436,6 +446,8 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
   if (spec.lo > hi) return groups;
   if (stats != nullptr) stats->used_rollup = use_rollup;
 
+  const std::vector<std::string>& group_tags = *spec.group_tags;
+  std::string base_key;  // reused across series: no allocation per series
   db.for_each_series_in_shard(
       *spec.measurement, shard,
       [&](const std::string&, const Series& series) {
@@ -444,14 +456,18 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
         // newest append: a cold series has nothing to give.
         if (series.newest_append_us() < spec.lo) return;
         if (stats != nullptr) ++stats->series;
-        // The group key is a pure function of the series tags — compute it
-        // once per series instead of once per point.
-        Tags key;
-        for (const std::string& tag : stmt.group_by) {
-          const auto it = series.tags().find(tag);
-          key.emplace(tag, it == series.tags().end() ? "" : it->second);
+        // The group key is a pure function of the series tags — render it
+        // once per series, straight from the tags, exactly as tags_key
+        // renders the group's tag set (a missing tag reads as "").
+        const Tags& tags = series.tags();
+        base_key.clear();
+        for (auto tag = tags.begin(); const std::string& name : group_tags) {
+          while (tag != tags.end() && tag->first < name) ++tag;
+          if (!base_key.empty()) base_key += ',';
+          base_key += name;
+          base_key += '=';
+          if (tag != tags.end() && tag->first == name) base_key += tag->second;
         }
-        const std::string base_key = tags_key(key);
 
         Group* current = nullptr;
         std::int64_t current_bucket = kInt64Min;
@@ -460,17 +476,23 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
           if (current != nullptr && (!bucketed || bucket == current_bucket)) {
             return *current;
           }
-          std::string key_str = base_key;
-          if (bucketed) key_str += bucket_suffix(bucket);
-          auto it = groups.find(key_str);
+          std::string bucket_key;
+          if (bucketed) bucket_key = base_key + bucket_suffix(bucket);
+          const std::string& key = bucketed ? bucket_key : base_key;
+          auto it = groups.find(key);
           if (it == groups.end()) {
+            // A new group: only now build its tag set.
             Group group;
-            group.tags = key;
+            for (const std::string& name : group_tags) {
+              const auto tag = tags.find(name);
+              group.tags.emplace_hint(group.tags.end(), name,
+                                      tag == tags.end() ? "" : tag->second);
+            }
             group.cells.reserve(stmt.projections.size());
             for (const Projection& proj : stmt.projections) {
               group.cells.emplace_back(proj.agg);
             }
-            it = groups.emplace(std::move(key_str), std::move(group)).first;
+            it = groups.emplace(key, std::move(group)).first;
           }
           current = &it->second;
           current_bucket = bucket;
@@ -628,9 +650,11 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
     case ScanMode::kSerial: parallel = false; break;
     case ScanMode::kParallel: parallel = shard_count > 1; break;
     case ScanMode::kAuto:
+      // hardware_concurrency() is a system call; ask only for data large
+      // enough to use the answer.
       parallel = shard_count > 1 &&
-                 std::thread::hardware_concurrency() > 1 &&
-                 db.points_in(measurement) >= kParallelMinPoints;
+                 db.points_in(measurement) >= kParallelMinPoints &&
+                 std::thread::hardware_concurrency() > 1;
       break;
   }
 
@@ -668,19 +692,18 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
   }
 
   // Merge partials in shard order. Aggregates are order-independent, so
-  // this produces the 1-shard fold bit for bit.
+  // this produces the 1-shard fold bit for bit. Groups new to `merged`
+  // move over as map nodes; only the keys both maps hold are left behind
+  // in the partial, and those are folded in.
   const double merge_start = stats != nullptr ? now_us() : 0.0;
   GroupMap merged = std::move(partials[0]);
   for (std::size_t s = 1; s < shard_count; ++s) {
-    for (auto& [key, group] : partials[s]) {
-      const auto it = merged.find(key);
-      if (it == merged.end()) {
-        merged.emplace(key, std::move(group));
-        continue;
-      }
-      it->second.min_time = std::min(it->second.min_time, group.min_time);
-      for (std::size_t c = 0; c < it->second.cells.size(); ++c) {
-        it->second.cells[c].merge(group.cells[c]);
+    merged.merge(partials[s]);
+    for (const auto& [key, group] : partials[s]) {
+      Group& into = merged.find(key)->second;
+      into.min_time = std::min(into.min_time, group.min_time);
+      for (std::size_t c = 0; c < into.cells.size(); ++c) {
+        into.cells[c].merge(group.cells[c]);
       }
     }
   }

@@ -28,6 +28,14 @@ cluster::PodSpec attested_pod(const std::string& name) {
                                     {0_B, Pages{100}}, behavior);
 }
 
+sim::FaultSpec fault(sim::FaultKind kind, Duration at, Duration duration) {
+  sim::FaultSpec spec;
+  spec.kind = kind;
+  spec.at = at;
+  spec.duration = duration;
+  return spec;
+}
+
 /// Attested cluster with a binpack scheduler and four running SGX pods;
 /// arms `plan` and returns after the cluster re-quiesced.
 struct StormRig {
@@ -98,8 +106,8 @@ TEST(AttestChaos, AttestationFaultsDriveTheGateAndStillConverge) {
 TEST(AttestChaos, StormAgainstAHealthyVerifierCausesNoChurn) {
   StormRig rig;
   sim::FaultPlan plan;
-  plan.faults.push_back({sim::FaultKind::kReattestationStorm,
-                         Duration::seconds(60), Duration::seconds(1)});
+  plan.faults.push_back(fault(sim::FaultKind::kReattestationStorm,
+                              Duration::seconds(60), Duration::seconds(1)));
   EXPECT_TRUE(rig.run(plan));
   const orch::AttestationGate& gate = *rig.cluster->attestation_gate();
   EXPECT_EQ(gate.storms(), 1u);
@@ -119,10 +127,10 @@ TEST(AttestChaos, StormDuringAnOutageShedsPodsThenReconverges) {
   // The verifier dies, then every verdict is forcibly expired while it is
   // still down: the grace window cannot be renewed, so running SGX pods
   // are shed. After the heal the evicted pods re-place and finish.
-  plan.faults.push_back({sim::FaultKind::kAttestationVerifierOutage,
-                         Duration::seconds(50), Duration::minutes(2)});
-  plan.faults.push_back({sim::FaultKind::kReattestationStorm,
-                         Duration::seconds(60), Duration::seconds(1)});
+  plan.faults.push_back(fault(sim::FaultKind::kAttestationVerifierOutage,
+                              Duration::seconds(50), Duration::minutes(2)));
+  plan.faults.push_back(fault(sim::FaultKind::kReattestationStorm,
+                              Duration::seconds(60), Duration::seconds(1)));
   EXPECT_TRUE(rig.run(plan));
   const orch::AttestationGate& gate = *rig.cluster->attestation_gate();
   EXPECT_EQ(gate.storms(), 1u);

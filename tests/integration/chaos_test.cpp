@@ -258,7 +258,9 @@ TEST_F(ShardedTsdbChaosFixture, ShardWriteErrorDropsOnlyThatShard) {
   EXPECT_EQ(cluster_.db().failed_writes(),
             cluster_.db().shard_failed_writes(victim));
   for (std::size_t s = 0; s < cluster_.db().shard_count(); ++s) {
-    if (s != victim) EXPECT_EQ(cluster_.db().shard_failed_writes(s), 0u);
+    if (s != victim) {
+      EXPECT_EQ(cluster_.db().shard_failed_writes(s), 0u);
+    }
   }
 
   run_to(Duration::minutes(6));

@@ -16,7 +16,8 @@
 // Listing-1 shape, LIMIT/OFFSET, and post-retention horizons. The forced
 // thread fan-out path must agree too. A churn phase checks the stores
 // against a brute-force fold over the recorded writes as well, since
-// cross-shard agreement cannot catch a flaw every store shares.
+// cross-shard agreement cannot catch a flaw every store shares, and
+// another checks newest_time against the points left visible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -461,6 +462,142 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
   }
   // Retention really did erase series along the way.
   EXPECT_LT(stores[0]->series_count("sgx/epc"), pods.size());
+}
+
+// --- newest_time: the staleness probe's answer ----------------------------
+//
+// Database::newest_time reads each measurement's kept newest point time
+// and walks series only on a shard frozen under a read horizon. Check it
+// against a brute-force maximum over the points retention has left, each
+// cut by its own shard's effective horizon, while pods churn, late writes
+// land out of order, global and per-shard horizons come and go, and
+// retention finally drains the store.
+
+TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
+  const std::uint64_t seed = GetParam();
+  std::vector<std::unique_ptr<Database>> stores;
+  for (const std::size_t shards : {1, 4}) {
+    DatabaseConfig config;
+    config.shards = shards;
+    config.chunk_width = Duration::seconds(120);
+    stores.push_back(std::make_unique<Database>(config));
+  }
+  struct Write {
+    std::int64_t time_us = 0;
+    std::size_t shard[2] = {0, 0};  // routed shard in each store
+  };
+  std::vector<Write> live;  // writes retention has not dropped yet
+  const auto write = [&](const Tags& tags, std::int64_t t) {
+    Write entry;
+    entry.time_us = at(t).micros_since_epoch();
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+      stores[i]->write("sgx/epc", tags, at(t), 1.0);
+      entry.shard[i] = stores[i]->shard_of("sgx/epc", tags);
+    }
+    live.push_back(entry);
+  };
+  const auto retain = [&](std::int64_t now, std::int64_t retention) {
+    for (auto& db : stores) db->maintain(at(now), Duration::seconds(retention));
+    const std::int64_t horizon = at(now - retention).micros_since_epoch();
+    std::erase_if(live,
+                  [horizon](const Write& w) { return w.time_us < horizon; });
+  };
+  const auto check = [&](const std::string& context) {
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+      const Database& db = *stores[i];
+      std::optional<std::int64_t> want;
+      for (const Write& w : live) {
+        const std::optional<TimePoint> horizon =
+            db.effective_read_horizon(w.shard[i]);
+        if (horizon.has_value() &&
+            w.time_us > horizon->micros_since_epoch()) {
+          continue;
+        }
+        if (!want.has_value() || w.time_us > *want) want = w.time_us;
+      }
+      const std::optional<TimePoint> got = db.newest_time("sgx/epc");
+      const std::string where =
+          context + " shards=" + std::to_string(db.shard_count());
+      ASSERT_EQ(got.has_value(), want.has_value()) << where;
+      if (want.has_value()) {
+        EXPECT_EQ(got->micros_since_epoch(), *want) << where;
+      }
+      EXPECT_FALSE(db.newest_time("memory/usage").has_value()) << where;
+    }
+  };
+
+  struct Pod {
+    Tags tags;
+    std::int64_t end = 0;
+  };
+  std::vector<Pod> pods;
+  Rng rng{seed * 7919 + 3};
+  constexpr std::int64_t kRetentionS = 300;
+  std::int64_t now = 0;
+  for (; now <= 1800; now += 5) {
+    if (rng.bernoulli(0.3)) {
+      const std::string name = "p" + std::to_string(pods.size());
+      pods.push_back(
+          {{{"pod_name", name},
+            {"nodename", "n" + std::to_string(rng.uniform_int(0, 3))}},
+           now + rng.uniform_int(20, 200)});
+    }
+    for (const Pod& pod : pods) {
+      if (now <= pod.end) write(pod.tags, now);
+    }
+    // A late sample, out of order and possibly past the retention horizon
+    // or into a series retention already erased.
+    if (!pods.empty() && rng.bernoulli(0.3)) {
+      const Pod& pod = pods[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(pods.size()) - 1))];
+      write(pod.tags, std::max<std::int64_t>(0, now - rng.uniform_int(0, 400)));
+    }
+    // Stale reads come and go: database-wide and on single shards.
+    if (rng.bernoulli(0.05)) {
+      const std::optional<TimePoint> horizon =
+          rng.bernoulli(0.5) ? std::optional<TimePoint>{at(
+                                   now - rng.uniform_int(0, 200))}
+                             : std::nullopt;
+      for (auto& db : stores) db->set_read_horizon(horizon);
+    }
+    if (rng.bernoulli(0.1)) {
+      for (auto& db : stores) {
+        const auto shard = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(db->shard_count()) - 1));
+        db->set_shard_read_horizon(
+            shard, rng.bernoulli(0.6) ? std::optional<TimePoint>{at(
+                                            now - rng.uniform_int(0, 200))}
+                                      : std::nullopt);
+      }
+    }
+    if (now % 30 == 0) retain(now, kRetentionS);
+    check("seed=" + std::to_string(seed) + " t=" + std::to_string(now));
+  }
+
+  // Drain: no more writes, and retention passes every point.
+  for (auto& db : stores) {
+    db->set_read_horizon(std::nullopt);
+    for (std::size_t s = 0; s < db->shard_count(); ++s) {
+      db->set_shard_read_horizon(s, std::nullopt);
+    }
+  }
+  now += kRetentionS;
+  retain(now, kRetentionS);
+  ASSERT_TRUE(live.empty());
+  check("drained");
+  for (auto& db : stores) {
+    EXPECT_EQ(db->total_points(), 0u);
+    EXPECT_FALSE(db->newest_time("sgx/epc").has_value());
+  }
+  // A write after the drain is the newest point again; a horizon before
+  // it hides it.
+  write(pods.front().tags, now);
+  check("rewritten");
+  for (auto& db : stores) db->set_read_horizon(at(now - 1));
+  check("rewritten behind a horizon");
+  for (auto& db : stores) {
+    EXPECT_FALSE(db->newest_time("sgx/epc").has_value());
+  }
 }
 
 // 8 ingest realizations × (30 + 12 + 1) queries ≈ 344 generated queries,

@@ -1,12 +1,13 @@
 // Property test for the ApiServer's secondary indexes.
 //
-// pending_pods / assigned_pods / namespace_usage / list_pods are served
-// from maintained indexes (pending queues, pods-by-node, per-namespace
-// accumulators). This suite drives randomized submit / bind / evict /
-// fail-node / recover / advance-time sequences and after every step
-// cross-checks each indexed answer against a reference computed by a full
-// scan of the pod store — the index must agree with the scan at all times,
-// including ordering.
+// pending_pods / assigned_pods / node_requests / namespace_usage /
+// list_pods are served from maintained indexes (pending queues,
+// pods-by-node with per-node request sums, per-namespace accumulators).
+// This suite drives randomized submit / bind / evict / migrate / fail-node
+// / recover / advance-time sequences and after every step cross-checks
+// each indexed answer against a reference computed by a full scan of the
+// pod store — the index must agree with the scan at all times, including
+// ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "orch/api_server.hpp"
+#include "sgx/migration.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -54,10 +56,20 @@ class IndexConsistencyFixture : public ::testing::Test {
     cluster::PodBehavior behavior;
     behavior.actual_usage = 1_GiB;
     behavior.duration = Duration::seconds(rng.uniform_int(5, 120));
+    // A third of the pods are SGX: they can bind only to the SGX nodes and
+    // can live-migrate between them.
+    const bool sgx = rng.bernoulli(1.0 / 3.0);
+    const Pages pages{sgx ? static_cast<std::uint64_t>(
+                                rng.uniform_int(16, 256))
+                          : 0};
+    if (sgx) {
+      behavior.sgx = true;
+      behavior.actual_usage = pages.as_bytes();
+    }
+    const Bytes memory = sgx ? 256_MiB : 1_GiB;
     cluster::PodSpec spec = cluster::make_stressor_pod(
-        "pod-" + std::to_string(next_pod_++), {1_GiB, Pages{0}},
-        {1_GiB, Pages{0}}, behavior,
-        kSchedulers[rng.uniform_int(0, 2)]);
+        "pod-" + std::to_string(next_pod_++), {memory, pages},
+        {memory, pages}, behavior, kSchedulers[rng.uniform_int(0, 2)]);
     spec.namespace_name = kNamespaces[rng.uniform_int(0, 2)];
     spec.priority = static_cast<int>(rng.uniform_int(0, 3));
     return spec;
@@ -134,6 +146,16 @@ class IndexConsistencyFixture : public ::testing::Test {
     for (const char* node : {"node-a", "node-b", "node-c", "ghost"}) {
       EXPECT_EQ(api_.assigned_pods(node), reference_assigned(node))
           << "node " << node;
+      // The kept request sum equals a recomputation over the node's pods.
+      PodFilter on_node;
+      on_node.node = node;
+      cluster::ResourceAmounts expected;
+      for (const PodRecord* record : api_.list_pods(on_node)) {
+        expected = expected + record->spec.total_requests();
+      }
+      const cluster::ResourceAmounts actual = api_.node_requests(node);
+      EXPECT_EQ(expected.memory, actual.memory) << "node " << node;
+      EXPECT_EQ(expected.epc_pages, actual.epc_pages) << "node " << node;
     }
     for (const char* ns : kNamespaces) {
       const cluster::ResourceAmounts expected = reference_usage(ns);
@@ -180,11 +202,13 @@ class IndexConsistencyFixture : public ::testing::Test {
   cluster::Kubelet kubelet_a_;
   cluster::Kubelet kubelet_b_;
   cluster::Kubelet kubelet_c_;
+  sgx::MigrationService migration_{perf_};
   int next_pod_ = 0;
 };
 
 TEST_F(IndexConsistencyFixture, RandomizedLifecycleAgreesWithFullScan) {
   Rng rng{20260805};
+  int migrations = 0;
   const std::vector<std::pair<cluster::Node*, cluster::NodeName>> nodes = {
       {&node_a_, "node-a"}, {&node_b_, "node-b"}, {&node_c_, "node-c"}};
 
@@ -198,19 +222,37 @@ TEST_F(IndexConsistencyFixture, RandomizedLifecycleAgreesWithFullScan) {
           rng.bernoulli(0.5) ? api_.default_scheduler()
                              : kSchedulers[rng.uniform_int(1, 2)]);
       const auto& [node, name] = nodes[rng.uniform_int(0, 2)];
-      if (!pending.empty() && node->schedulable()) {
+      if (!pending.empty() && node->schedulable() &&
+          (node->has_sgx() ||
+           !api_.pod(pending.front()).spec.wants_sgx())) {
         const cluster::PodName target = pending.front();
         ASSERT_TRUE(api_.try_bind(target, name,
                                   api_.pod(target).resource_version)
                         .bound());
       }
-    } else if (roll < 0.65) {
+    } else if (roll < 0.61) {
       const auto assigned =
           api_.assigned_pods(nodes[rng.uniform_int(0, 2)].second);
       if (!assigned.empty()) {
         api_.evict(assigned[rng.uniform_int(
                        0, static_cast<std::int64_t>(assigned.size()) - 1)],
                    "chaos");
+      }
+    } else if (roll < 0.66) {
+      // Live-migrate a running enclave to the other SGX node.
+      const bool from_b = rng.bernoulli(0.5);
+      const cluster::Kubelet& source = from_b ? kubelet_b_ : kubelet_c_;
+      const cluster::NodeName target = from_b ? "node-c" : "node-b";
+      PodFilter running;
+      running.phase = cluster::PodPhase::kRunning;
+      running.node = from_b ? "node-b" : "node-c";
+      for (const PodRecord* record : api_.list_pods(running)) {
+        if (api_.find_node(target)->node->schedulable() &&
+            source.pod_migratable(record->spec.name)) {
+          api_.migrate(record->spec.name, target, migration_);
+          ++migrations;
+          break;
+        }
       }
     } else if (roll < 0.72) {
       const auto& [node, name] = nodes[rng.uniform_int(0, 2)];
@@ -237,6 +279,7 @@ TEST_F(IndexConsistencyFixture, RandomizedLifecycleAgreesWithFullScan) {
 
   // The run must have actually exercised the interesting transitions.
   EXPECT_GT(api_.pod_count(), 50u);
+  EXPECT_GT(migrations, 0);
   EXPECT_FALSE(pods_in_phase(cluster::PodPhase::kSucceeded).empty());
   EXPECT_FALSE(pods_in_phase(cluster::PodPhase::kFailed).empty());
 }
