@@ -1,15 +1,14 @@
 // Microbenchmark of the sharded TSDB: measured ingest and query wall time
 // across shard counts {1, 2, 4, 8} at >= 1M samples.
 //
-// Every number is host wall clock of code that ran: ingest is one
-// write_many of the whole stream, and a query's latency is the median of
-// `query_runs` executions with the executor's default options (the path
-// the scheduler takes). Nothing is modeled.
+// Every number is host wall clock of code that ran: ingest is one write
+// per sample of the whole stream, and a query's latency is the median of
+// `query_runs` executions with the executor's default options. Nothing is
+// modeled.
 //
-// Three query shapes cover the planner paths: the paper's Listing-1
-// nested query over a 25 s window (raw, narrow), a 1 h MAX per node per
-// minute (served from the 60 s rollup level), and a 1 h P99 (quantile →
-// always raw, the worst case for wide windows).
+// Three query shapes: the paper's Listing-1 nested query over a 25 s
+// window (narrow, what the scheduler runs), a 1 h MAX per node per minute,
+// and a 1 h P99 (a quantile sketch per group).
 //
 // Writes BENCH_tsdb.json (or BENCH_tsdb_smoke.json with --smoke). Each
 // query row carries a digest of its result set; the smoke run re-parses
@@ -78,15 +77,20 @@ struct QueryResult {
   std::size_t shards = 0;
   int runs = 0;
   double wall_us = 0.0;  // median wall time per execute
-  std::int64_t rollup_level_us = 0;
   std::uint64_t digest = 0;  // of the result set, bit for bit
+};
+
+struct Sample {
+  Tags tags;
+  TimePoint time;
+  double value = 0.0;
 };
 
 /// The identical sample stream every store ingests: integer values,
 /// pods spread over 32 nodes, one point per series per cadence tick.
-std::vector<Database::Sample> make_samples(const BenchConfig& config) {
+std::vector<Sample> make_samples(const BenchConfig& config) {
   Rng rng{20260808};
-  std::vector<Database::Sample> samples;
+  std::vector<Sample> samples;
   samples.reserve(config.samples());
   std::vector<Tags> tags;
   tags.reserve(config.series);
@@ -97,22 +101,24 @@ std::vector<Database::Sample> make_samples(const BenchConfig& config) {
   for (std::size_t i = 0; i < config.points_per_series; ++i) {
     const TimePoint t = at(static_cast<std::int64_t>(i) * config.cadence_s);
     for (std::size_t s = 0; s < config.series; ++s) {
-      samples.push_back({"sgx/epc", tags[s], t,
-                         static_cast<double>(rng.uniform_int(1, 4096))});
+      samples.push_back(
+          {tags[s], t, static_cast<double>(rng.uniform_int(1, 4096))});
     }
   }
   return samples;
 }
 
-IngestResult ingest(Database& db, const std::vector<Database::Sample>& all) {
+IngestResult ingest(Database& db, const std::vector<Sample>& all) {
   IngestResult r;
   r.shards = db.shard_count();
   r.samples = all.size();
   const double start = now_us();
-  if (db.write_many(all) != all.size()) {
-    std::cerr << "warning: ingest dropped samples\n";
+  std::size_t accepted = 0;
+  for (const Sample& sample : all) {
+    accepted += db.write("sgx/epc", sample.tags, sample.time, sample.value);
   }
   r.wall_ms = (now_us() - start) / 1e3;
+  if (accepted != all.size()) std::cerr << "warning: ingest dropped samples\n";
   return r;
 }
 
@@ -142,14 +148,10 @@ QueryResult run_query(Database& db, const std::string& name,
   r.runs = runs;
   std::vector<double> wall;
   for (int i = 0; i < runs; ++i) {
-    tsdb::ql::ExecStats stats;
-    tsdb::ql::ExecOptions options;
-    options.stats = &stats;
     const double start = now_us();
-    const tsdb::ql::ResultSet result = prepared.execute(db, now, {}, options);
+    const tsdb::ql::ResultSet result = prepared.execute(db, now);
     wall.push_back(now_us() - start);
     if (result.rows.empty()) std::cerr << "warning: empty result\n";
-    r.rollup_level_us = stats.rollup_level_us;
     r.digest = digest(result);
   }
   std::sort(wall.begin(), wall.end());
@@ -176,7 +178,6 @@ void write_json(const std::string& path, const BenchConfig& config,
     const QueryResult& r = queries[i];
     out << "    {\"query\": \"" << r.query << "\", \"shards\": " << r.shards
         << ", \"runs\": " << r.runs << ", \"wall_us\": " << r.wall_us
-        << ", \"rollup_level_us\": " << r.rollup_level_us
         << ", \"result_digest\": \"" << to_hex(r.digest) << "\"}"
         << (i + 1 < queries.size() ? "," : "") << "\n";
   }
@@ -220,23 +221,20 @@ int main(int argc, char** argv) {
                    : std::vector<std::size_t>(std::begin(kShardCounts),
                                               std::end(kShardCounts));
 
-  const std::vector<Database::Sample> samples = make_samples(config);
+  const std::vector<Sample> samples = make_samples(config);
   const TimePoint now = at(
       static_cast<std::int64_t>(config.points_per_series - 1) *
       config.cadence_s);
 
-  // The three planner paths; windows chosen so the rollup query clears
-  // the 16-bucket eligibility floor even in smoke mode (60 s level needs
-  // width >= 960 s; smoke history = 64 * 5 s = 320 s → use the 10 s level
-  // there).
+  // Smoke history is 64 * 5 s = 320 s, so its wide windows are 300 s.
   const std::string listing1 =
       "SELECT SUM(epc) AS epc FROM "
       "(SELECT MAX(value) AS epc FROM \"sgx/epc\" "
       "WHERE value <> 0 AND time >= now() - 25s "
       "GROUP BY pod_name, nodename) GROUP BY nodename";
-  const std::string rollup =
+  const std::string per_minute =
       config.smoke ? "SELECT MAX(value) AS v FROM \"sgx/epc\" "
-                     "WHERE time >= now() - 300s GROUP BY time(10s), nodename"
+                     "WHERE time >= now() - 300s GROUP BY time(60s), nodename"
                    : "SELECT MAX(value) AS v FROM \"sgx/epc\" "
                      "WHERE time >= now() - 1h GROUP BY time(60s), nodename";
   const std::string quantile =
@@ -245,7 +243,7 @@ int main(int argc, char** argv) {
                    : "SELECT P99(value) AS tail FROM \"sgx/epc\" "
                      "WHERE time >= now() - 1h GROUP BY nodename";
   const std::vector<std::pair<std::string, std::string>> shapes = {
-      {"listing1_25s", listing1}, {"rollup_wide", rollup},
+      {"listing1_25s", listing1}, {"per_minute_wide", per_minute},
       {"p99_wide", quantile}};
 
   std::vector<IngestResult> ingests;
@@ -268,15 +266,10 @@ int main(int argc, char** argv) {
   }
   ingest_table.print(std::cout);
 
-  Table query_table(
-      {"query", "shards", "wall [us]", "rollup level", "result digest"});
+  Table query_table({"query", "shards", "wall [us]", "result digest"});
   for (const QueryResult& r : queries) {
-    query_table.add_row(
-        {r.query, std::to_string(r.shards), fmt_double(r.wall_us, 1),
-         r.rollup_level_us == 0
-             ? std::string("raw")
-             : std::to_string(r.rollup_level_us / 1000000) + "s",
-         to_hex(r.digest)});
+    query_table.add_row({r.query, std::to_string(r.shards),
+                         fmt_double(r.wall_us, 1), to_hex(r.digest)});
   }
   std::cout << "\n";
   query_table.print(std::cout);

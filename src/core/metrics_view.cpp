@@ -60,7 +60,6 @@ tsdb::ql::ResultSet ClusterMetrics::run(const tsdb::ql::PreparedQuery& query,
     last_stats_.series_scanned += shard.series;
     last_stats_.points_scanned += shard.points;
   }
-  last_stats_.rollup_level_us = stats.rollup_level_us;
   return result;
 }
 

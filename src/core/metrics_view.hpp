@@ -66,15 +66,16 @@ class ClusterMetrics {
   [[nodiscard]] std::optional<Duration> staleness(TimePoint now) const;
 
   /// Telemetry of the most recent query this view executed: how many TSDB
-  /// shards the fan-out touched, how many series it read, how many points
-  /// (or rollup buckets) it folded, and which rollup level served it
-  /// (0 = raw). `series_scanned` counts series read, not series visited:
+  /// shards gave it series, how many series it read and how many points
+  /// it folded. `series_scanned` counts series read, not series visited:
   /// a series whose newest sample predates the window is skipped unread
   /// and not counted, so the count tracks the series live in the window.
   struct QueryDiagnostics {
     std::size_t shards_scanned = 0;
     std::size_t series_scanned = 0;
     std::size_t points_scanned = 0;
+    /// Always 0: the store keeps no rollups. perfbench/e2e_replay.cpp
+    /// still reads it for its `tsdb.rollup_queries` count.
     std::int64_t rollup_level_us = 0;
   };
   [[nodiscard]] const QueryDiagnostics& last_query_stats() const {

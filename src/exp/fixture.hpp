@@ -42,7 +42,7 @@ struct ClusterConfig {
   Duration heapster_period = Duration::seconds(10);
   Duration probe_period = Duration::seconds(10);
   Duration metrics_window = Duration::seconds(25);
-  /// TSDB shard count (independent lock domains; see tsdb::DatabaseConfig).
+  /// TSDB shard count (each its own fault domain; see tsdb::DatabaseConfig).
   std::size_t tsdb_shards = 1;
   /// Attestation-gated admission: provisions every SGX node's platform
   /// with an AttestationVerifier, enables the API server's verdict cache

@@ -55,8 +55,6 @@ const char* to_string(ApiServer::BindStatus status) {
       return "AttestationPending";
     case ApiServer::BindStatus::kAttestationRejected:
       return "AttestationRejected";
-    case ApiServer::BindStatus::kBatchAborted:
-      return "BatchAborted";
   }
   return "unknown";
 }
@@ -387,7 +385,7 @@ void ApiServer::apply_bind(PodRecord& record, const NodeEntry& entry) {
 }
 
 ApiServer::BatchBindResult ApiServer::try_bind_batch(
-    const std::vector<BindRequest>& batch, BatchMode mode) {
+    const std::vector<BindRequest>& batch) {
   BatchBindResult result;
   result.entries.resize(batch.size());
 
@@ -399,7 +397,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
   std::vector<bool> valid(batch.size(), false);
   std::map<cluster::NodeName, Pages> staged;
   std::set<cluster::PodName> staged_pods;
-  bool all_valid = true;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const BindRequest& request = batch[i];
     BindOutcome& outcome = result.entries[i];
@@ -410,21 +407,18 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
       outcome.status = BindStatus::kNotPending;
       ++bind_conflicts_;
       ++result.conflicts;
-      all_valid = false;
       continue;
     }
     if (record.resource_version != request.expected_version) {
       outcome.status = BindStatus::kStaleVersion;
       ++bind_conflicts_;
       ++result.conflicts;
-      all_valid = false;
       continue;
     }
     const NodeEntry* entry = find_node(request.node);
     if (entry == nullptr || !entry->node->schedulable()) {
       outcome.status = BindStatus::kNodeUnavailable;
       ++result.unavailable;
-      all_valid = false;
       continue;
     }
     // Attestation gate (when enabled): binds to SGX nodes need a fresh
@@ -438,7 +432,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
         outcome.status = BindStatus::kAttestationPending;
         ++attestation_pending_;
         ++result.attestation_pending;
-        all_valid = false;
         continue;
       }
       if (check == AttestationGate::Check::kRejected) {
@@ -447,7 +440,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
         ++result.attestation_rejections;
         record_event(request.pod,
                      "BindRejected: attestation verdict on " + request.node);
-        all_valid = false;
         continue;
       }
     }
@@ -463,7 +455,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
       ++result.admission_rejections;
       record_event(request.pod,
                    "BindRejected: EPC admission guard on " + request.node);
-      all_valid = false;
       continue;
     }
     valid[i] = true;
@@ -471,14 +462,6 @@ ApiServer::BatchBindResult ApiServer::try_bind_batch(
     staged[request.node] =
         staged_here + record.spec.total_requests().epc_pages;
     staged_pods.insert(request.pod);
-  }
-
-  if (mode == BatchMode::kAtomic && !all_valid) {
-    result.aborted = true;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (valid[i]) result.entries[i].status = BindStatus::kBatchAborted;
-    }
-    return result;
   }
 
   // Phase 2 — apply in batch order. A watch callback fired by an earlier

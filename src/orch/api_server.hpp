@@ -217,9 +217,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
     /// definitive rejection (forged quote, revoked or unexpected
     /// measurement): the bind is refused until the verdict changes.
     kAttestationRejected,
-    /// kAtomic batch only: this entry validated cleanly but another entry
-    /// did not, so the whole transaction was rolled forward to nothing.
-    kBatchAborted,
   };
 
   /// Outcome of one conditional bind: the status plus the pod's observed
@@ -244,17 +241,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
     std::uint64_t expected_version = 0;
   };
 
-  /// Transaction semantics of try_bind_batch.
-  enum class BatchMode {
-    /// Each entry is individually all-or-nothing: valid entries apply,
-    /// invalid entries leave their pod untouched. The shared-state
-    /// schedulers' default.
-    kPerEntry,
-    /// Any invalid entry aborts the whole batch before anything applies;
-    /// clean entries come back kBatchAborted.
-    kAtomic,
-  };
-
   /// Result of a bind transaction: per-entry outcomes (parallel to the
   /// request vector) plus the conflict summary the shared-state
   /// schedulers feed into their batch-size/re-shard backoff.
@@ -272,8 +258,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
     std::size_t attestation_pending = 0;
     /// kAttestationRejected entries (cached definitive rejection).
     std::size_t attestation_rejections = 0;
-    /// kAtomic only: the batch validated dirty and nothing was applied.
-    bool aborted = false;
 
     /// Contended fraction of the batch — conflicts and guard rejections
     /// over attempts (0 for an empty batch). Node deaths are excluded:
@@ -301,14 +285,14 @@ class ApiServer final : public cluster::PodLifecycleListener {
   ///      live state: the CAS checks of try_bind plus EPC admission
   ///      charged cumulatively per node, so two entries of one batch can
   ///      never share the same last pages. Nothing mutates.
-  ///   2. *Apply* the valid entries in batch order (kPerEntry), or all of
-  ///      them only if every entry validated (kAtomic).
+  ///   2. *Apply* the valid entries in batch order. Each entry is
+  ///      all-or-nothing on its own: an invalid entry leaves its pod
+  ///      untouched and does not stop the others.
   /// A watch callback fired mid-apply can invalidate a later entry; the
   /// apply re-checks and downgrades such entries to a clean conflict
   /// instead of double-placing. Entry order is caller order — batch
   /// construction must itself be deterministic for seed-stable runs.
-  BatchBindResult try_bind_batch(const std::vector<BindRequest>& batch,
-                                 BatchMode mode = BatchMode::kPerEntry);
+  BatchBindResult try_bind_batch(const std::vector<BindRequest>& batch);
 
   /// try_bind rejections due to a stale version or a no-longer-pending
   /// pod (two schedulers racing for the same pod).

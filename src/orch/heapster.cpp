@@ -1,7 +1,5 @@
 #include "orch/heapster.hpp"
 
-#include <vector>
-
 namespace sgxo::orch {
 
 Heapster::Heapster(sim::Simulation& sim, ApiServer& api, tsdb::Database& db,
@@ -34,9 +32,6 @@ void Heapster::deliver(const cluster::PodName& pod,
 void Heapster::scrape_once() {
   ++scrapes_;
   const TimePoint now = sim_->now();
-  // On-time samples for the whole cluster go down as one batch, taking
-  // each TSDB shard lock once per scrape instead of once per pod.
-  std::vector<tsdb::Database::Sample> batch;
   for (const ApiServer::NodeEntry& entry : api_->all_nodes()) {
     for (const cluster::Kubelet::PodStats& stats :
          entry.kubelet->pod_stats()) {
@@ -57,15 +52,9 @@ void Heapster::scrape_once() {
         });
         continue;
       }
-      batch.push_back(tsdb::Database::Sample{
-          kMemoryMeasurement,
-          tsdb::Tags{{"pod_name", stats.pod},
-                     {"nodename", entry.node->name()},
-                     {"type", "pod"}},
-          now, value});
+      deliver(stats.pod, entry.node->name(), now, value);
     }
   }
-  if (!batch.empty()) db_->write_many(batch);
   // Retention plus chunk compaction ride on the scrape cadence — the
   // simulated stand-in for a background maintenance thread.
   db_->maintain(now, retention_);

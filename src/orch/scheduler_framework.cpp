@@ -377,8 +377,6 @@ std::size_t Scheduler::run_shared_cycle() {
           ++attestation_waits_;
           note_bind_failure(pod_name);
           break;
-        case ApiServer::BindStatus::kBatchAborted:
-          break;  // kPerEntry batches never abort
       }
     }
 

@@ -1,8 +1,5 @@
 #include "orch/sgx_probe.hpp"
 
-#include <utility>
-#include <vector>
-
 #include "common/error.hpp"
 
 namespace sgxo::orch {
@@ -34,9 +31,6 @@ void SgxProbe::probe_once() {
   ++probes_;
   const TimePoint now = sim_->now();
   const sgx::Driver& driver = *entry_.node->driver();
-  // One batch per probe cycle: every on-time sample of this node lands
-  // under its TSDB shard lock once.
-  std::vector<tsdb::Database::Sample> batch;
   for (const cluster::PodName& pod : entry_.kubelet->active_pods()) {
     Pages pages{0};
     for (const sgx::Pid pid : entry_.kubelet->pod_pids(pod)) {
@@ -57,10 +51,8 @@ void SgxProbe::probe_once() {
       });
       continue;
     }
-    batch.push_back(
-        tsdb::Database::Sample{kEpcMeasurement, std::move(tags), now, value});
+    db_->write(kEpcMeasurement, tags, now, value);
   }
-  if (!batch.empty()) db_->write_many(batch);
 }
 
 }  // namespace sgxo::orch

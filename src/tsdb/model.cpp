@@ -16,7 +16,7 @@ constexpr std::size_t kCompactTargetPoints = 4096;
 constexpr std::int64_t kCompactMaxSpanWidths = 8;
 
 // Floor division that rounds toward negative infinity, so pre-epoch
-// timestamps land in the right chunk/bucket.
+// timestamps land in the right chunk.
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   std::int64_t q = a / b;
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
@@ -47,74 +47,10 @@ std::vector<Point> Series::points() const {
   return out;
 }
 
-void Series::update_rollups(const Point& p) {
-  if (!options_.rollups) return;
-  const std::int64_t t = p.time.micros_since_epoch();
-  const double v = p.value;
-  for (std::size_t level = 0; level < kRollupLevelCount; ++level) {
-    const std::int64_t width = kRollupLevelsUs[level];
-    const std::int64_t start = floor_div(t, width) * width;
-    std::vector<RollupBucket>& buckets = rollups_[level];
-    // Fast path: in-order ingest lands in (or after) the last bucket.
-    RollupBucket* bucket = nullptr;
-    if (!buckets.empty() && buckets.back().start_us == start) {
-      bucket = &buckets.back();
-    } else if (buckets.empty() || buckets.back().start_us < start) {
-      buckets.push_back(RollupBucket{});
-      bucket = &buckets.back();
-      bucket->start_us = start;
-    } else {
-      auto it = std::lower_bound(buckets.begin(), buckets.end(), start,
-                                 [](const RollupBucket& b, std::int64_t s) {
-                                   return b.start_us < s;
-                                 });
-      if (it == buckets.end() || it->start_us != start) {
-        it = buckets.insert(it, RollupBucket{});
-        it->start_us = start;
-      }
-      bucket = &*it;
-    }
-    if (bucket->count == 0) {
-      bucket->sum = v;
-      bucket->min = v;
-      bucket->max = v;
-      bucket->first = v;
-      bucket->first_time_us = t;
-      bucket->last = v;
-      bucket->last_time_us = t;
-    } else {
-      bucket->sum += v;
-      bucket->min = std::min(bucket->min, v);
-      bucket->max = std::max(bucket->max, v);
-      // Lexicographic (time, value) ties keep the summary order-free.
-      if (t < bucket->first_time_us ||
-          (t == bucket->first_time_us && v < bucket->first)) {
-        bucket->first_time_us = t;
-        bucket->first = v;
-      }
-      if (t > bucket->last_time_us ||
-          (t == bucket->last_time_us && v > bucket->last)) {
-        bucket->last_time_us = t;
-        bucket->last = v;
-      }
-    }
-    ++bucket->count;
-  }
-}
-
-bool Series::empty() const {
-  return size_ == 0 &&
-         std::all_of(std::begin(rollups_), std::end(rollups_),
-                     [](const std::vector<RollupBucket>& level) {
-                       return level.empty();
-                     });
-}
-
 void Series::append(Point p) {
   const std::int64_t t = p.time.micros_since_epoch();
   ++size_;
   newest_append_us_ = std::max(newest_append_us_, t);
-  update_rollups(p);
 
   const auto insert_sorted = [&](Chunk& chunk) {
     if (chunk.points.empty() || chunk.points.back().time <= p.time) {
@@ -143,7 +79,7 @@ void Series::append(Point p) {
   }
   // New aligned chunk in sorted position (`it` is the first chunk that
   // starts after t).
-  const std::int64_t width = options_.chunk_width_us;
+  const std::int64_t width = chunk_width_us_;
   Chunk chunk;
   chunk.start_us = floor_div(t, width) * width;
   chunk.end_us = chunk.start_us + width;
@@ -195,23 +131,12 @@ std::size_t Series::drop_before(TimePoint horizon) {
     pts.erase(pts.begin(), first_kept);
   }
   size_ -= dropped;
-  // Rollup buckets go only once fully expired (start + level <= h), so a
-  // partially-expired bucket still serves queries; the executor snaps
-  // window edges to bucket starts anyway.
-  for (std::size_t level = 0; level < kRollupLevelCount; ++level) {
-    const std::int64_t width = kRollupLevelsUs[level];
-    std::vector<RollupBucket>& buckets = rollups_[level];
-    auto kept = buckets.begin();
-    while (kept != buckets.end() && kept->start_us + width <= h) ++kept;
-    buckets.erase(buckets.begin(), kept);
-  }
   return dropped;
 }
 
 std::size_t Series::compact(std::int64_t sealed_before_us) {
   if (chunks_.size() < 2) return 0;
-  const std::int64_t max_span =
-      kCompactMaxSpanWidths * options_.chunk_width_us;
+  const std::int64_t max_span = kCompactMaxSpanWidths * chunk_width_us_;
   const auto mergeable = [&](const Chunk& a, const Chunk& b) {
     return b.end_us <= sealed_before_us && a.end_us <= sealed_before_us &&
            a.points.size() + b.points.size() <= kCompactTargetPoints &&
@@ -250,7 +175,7 @@ Series& Measurement::series_for(const Tags& tags) {
 Series& Measurement::series_for(const Tags& tags, const std::string& key) {
   auto it = series_.find(key);
   if (it == series_.end()) {
-    it = series_.emplace(key, Series{tags, options_}).first;
+    it = series_.emplace(key, Series{tags, chunk_width_us_}).first;
   }
   return it->second;
 }
@@ -292,9 +217,7 @@ std::size_t Measurement::compact(std::int64_t sealed_before_us) {
 // ---- Database --------------------------------------------------------------
 
 Database::Database(DatabaseConfig config)
-    : config_(config),
-      series_options_{config.chunk_width.micros_count(), config.rollups},
-      shards_(std::max<std::size_t>(1, config.shards)) {
+    : config_(config), shards_(std::max<std::size_t>(1, config.shards)) {
   SGXO_CHECK_MSG(config_.chunk_width > Duration{},
                  "chunk width must be positive");
   config_.shards = shards_.size();
@@ -319,7 +242,9 @@ std::size_t Database::shard_of(const std::string& measurement,
 Measurement& Database::measurement_in(Shard& shard, const std::string& name) {
   auto it = shard.measurements.find(name);
   if (it == shard.measurements.end()) {
-    it = shard.measurements.emplace(name, Measurement{name, series_options_})
+    it = shard.measurements
+             .emplace(name,
+                      Measurement{name, config_.chunk_width.micros_count()})
              .first;
   }
   return it->second;
@@ -330,7 +255,6 @@ bool Database::write(const std::string& measurement, const Tags& tags,
   SGXO_CHECK_MSG(!measurement.empty(), "measurement name must not be empty");
   const std::string key = tags_key(tags);
   Shard& shard = shards_[route(measurement, key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
   if (write_fault_ || shard.write_fault) {
     ++shard.failed_writes;
     return false;
@@ -339,40 +263,8 @@ bool Database::write(const std::string& measurement, const Tags& tags,
   return true;
 }
 
-std::size_t Database::write_many(const std::vector<Sample>& batch) {
-  // Group by shard so each lock is taken once per batch; a stable pass
-  // preserves same-shard sample order (equal-timestamp writes keep their
-  // sequential insertion order).
-  std::vector<std::vector<std::pair<const Sample*, std::string>>> by_shard(
-      shards_.size());
-  for (const Sample& sample : batch) {
-    SGXO_CHECK_MSG(!sample.measurement.empty(),
-                   "measurement name must not be empty");
-    std::string key = tags_key(sample.tags);
-    const std::size_t idx = route(sample.measurement, key);
-    by_shard[idx].emplace_back(&sample, std::move(key));
-  }
-  std::size_t accepted = 0;
-  for (std::size_t idx = 0; idx < shards_.size(); ++idx) {
-    if (by_shard[idx].empty()) continue;
-    Shard& shard = shards_[idx];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [sample, key] : by_shard[idx]) {
-      if (write_fault_ || shard.write_fault) {
-        ++shard.failed_writes;
-        continue;
-      }
-      measurement_in(shard, sample->measurement)
-          .append(sample->tags, key, Point{sample->time, sample->value});
-      ++accepted;
-    }
-  }
-  return accepted;
-}
-
 bool Database::has_measurement(const std::string& name) const {
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.measurements.count(name) != 0) return true;
   }
   return false;
@@ -381,7 +273,6 @@ bool Database::has_measurement(const std::string& name) const {
 std::vector<std::string> Database::measurement_names() const {
   std::vector<std::string> names;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [name, m] : shard.measurements) {
       names.push_back(name);
     }
@@ -394,7 +285,6 @@ std::vector<std::string> Database::measurement_names() const {
 std::size_t Database::total_points() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [name, m] : shard.measurements) {
       total += m.point_count();
     }
@@ -405,7 +295,6 @@ std::size_t Database::total_points() const {
 std::size_t Database::series_count(const std::string& measurement) const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it != shard.measurements.end()) total += it->second.series_count();
   }
@@ -415,7 +304,6 @@ std::size_t Database::series_count(const std::string& measurement) const {
 std::size_t Database::points_in(const std::string& measurement) const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it != shard.measurements.end()) total += it->second.point_count();
   }
@@ -425,7 +313,6 @@ std::size_t Database::points_in(const std::string& measurement) const {
 std::size_t Database::chunk_count(const std::string& measurement) const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it == shard.measurements.end()) continue;
     it->second.for_each_series(
@@ -440,15 +327,12 @@ void Database::for_each_series(
   // K-way merge over the per-shard series maps: each shard's map is
   // already in tags_key order and the key space partitions across shards,
   // so merging by key reproduces the 1-shard iteration order exactly.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
   struct Cursor {
     std::map<std::string, Series>::const_iterator it;
     std::map<std::string, Series>::const_iterator end;
   };
   std::vector<Cursor> cursors;
   for (const Shard& shard : shards_) {
-    locks.emplace_back(shard.mu);
     const auto m = shard.measurements.find(measurement);
     if (m == shard.measurements.end()) continue;
     // Access the private series map through the public keyed visitor is
@@ -475,7 +359,6 @@ void Database::for_each_series_in_shard(
     const std::string& measurement, std::size_t shard_index,
     const std::function<void(const std::string&, const Series&)>& f) const {
   const Shard& shard = shards_[shard_index];
-  std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.measurements.find(measurement);
   if (it == shard.measurements.end()) return;
   it->second.for_each_keyed_series(f);
@@ -486,7 +369,6 @@ std::size_t Database::enforce_retention(TimePoint now, Duration retention) {
   const TimePoint horizon = now - retention;
   std::size_t dropped = 0;
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     for (auto& [name, m] : shard.measurements) {
       dropped += m.drop_before(horizon);
     }
@@ -499,7 +381,6 @@ std::size_t Database::compact(TimePoint now) {
       now.micros_since_epoch() - config_.chunk_width.micros_count();
   std::size_t merges = 0;
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     std::size_t shard_merges = 0;
     for (auto& [name, m] : shard.measurements) {
       shard_merges += m.compact(sealed_before);
@@ -519,7 +400,6 @@ std::size_t Database::maintain(TimePoint now, Duration retention) {
 std::uint64_t Database::compactions() const {
   std::uint64_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     total += shard.compactions;
   }
   return total;
@@ -528,7 +408,6 @@ std::uint64_t Database::compactions() const {
 std::uint64_t Database::failed_writes() const {
   std::uint64_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     total += shard.failed_writes;
   }
   return total;
@@ -536,44 +415,35 @@ std::uint64_t Database::failed_writes() const {
 
 void Database::set_shard_write_fault(std::size_t shard, bool faulted) {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   shards_[shard].write_fault = faulted;
 }
 
 bool Database::shard_write_fault(std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   return shards_[shard].write_fault;
 }
 
 std::uint64_t Database::shard_failed_writes(std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   return shards_[shard].failed_writes;
 }
 
 void Database::set_shard_read_horizon(std::size_t shard,
                                       std::optional<TimePoint> horizon) {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   shards_[shard].read_horizon = horizon;
 }
 
 std::optional<TimePoint> Database::shard_read_horizon(
     std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
   return shards_[shard].read_horizon;
 }
 
 std::optional<TimePoint> Database::effective_read_horizon(
     std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());
-  std::optional<TimePoint> local;
-  {
-    std::lock_guard<std::mutex> lock(shards_[shard].mu);
-    local = shards_[shard].read_horizon;
-  }
+  const std::optional<TimePoint>& local = shards_[shard].read_horizon;
   if (!read_horizon_.has_value()) return local;
   if (!local.has_value()) return read_horizon_;
   return std::min(*read_horizon_, *local);
@@ -585,7 +455,6 @@ std::optional<TimePoint> Database::newest_time(
   for (std::size_t idx = 0; idx < shards_.size(); ++idx) {
     const std::optional<TimePoint> horizon = effective_read_horizon(idx);
     const Shard& shard = shards_[idx];
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.measurements.find(measurement);
     if (it == shard.measurements.end()) continue;
     const auto consider = [&](std::optional<TimePoint> t) {

@@ -6,12 +6,11 @@
 // sliding-window queries (paper Listing 1) against it.
 //
 // The store is sharded: series are routed by an FNV-1a hash of
-// (measurement, tag set) onto N independent lock domains, so concurrent
-// ingest and query fan-out never contend on one global lock. Each series
-// keeps its points in time-partitioned chunks (sealed chunks are merged by
-// background compaction, retention drops whole chunks at a time) and
-// maintains precomputed rollup levels (10 s / 60 s bucket summaries) that
-// wide-window queries read instead of raw points.
+// (measurement, tag set) onto N shards, each a data layout and a fault
+// domain (per-shard write faults and read horizons). The simulator is
+// single-threaded, so shards take no locks. Each series keeps its points
+// in time-partitioned chunks: sealed chunks are merged by compaction, and
+// retention drops whole chunks at a time.
 #pragma once
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,42 +39,17 @@ struct Point {
   double value = 0.0;
 };
 
-/// One rollup bucket: an order-independent summary of every point whose
-/// timestamp falls in [start, start + level). count/sum are additive,
-/// min/max are lattice joins, and first/last break timestamp ties
-/// lexicographically by (time, value) so the summary is identical no
-/// matter what order points arrived in.
-struct RollupBucket {
-  std::int64_t start_us = 0;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double first = 0.0;
-  std::int64_t first_time_us = 0;
-  double last = 0.0;
-  std::int64_t last_time_us = 0;
-};
-
-/// Rollup levels, coarsest last. Queries pick the coarsest level whose
-/// buckets evenly tile the window (see ql::executor).
-inline constexpr std::int64_t kRollupLevelsUs[] = {10'000'000, 60'000'000};
-inline constexpr std::size_t kRollupLevelCount =
-    sizeof(kRollupLevelsUs) / sizeof(kRollupLevelsUs[0]);
-
-/// Per-series storage options, inherited from the owning Database.
-struct SeriesOptions {
-  std::int64_t chunk_width_us = 10 * 60'000'000LL;  // 10 min
-  bool rollups = true;
-};
+/// Width of the time partitions within each series, unless configured.
+inline constexpr Duration kDefaultChunkWidth = Duration::minutes(10);
 
 /// One series: a unique tag set within a measurement plus its points,
 /// stored as non-overlapping time-partitioned chunks sorted by start.
 class Series {
  public:
-  explicit Series(Tags tags) : tags_(std::move(tags)) {}
-  Series(Tags tags, SeriesOptions options)
-      : tags_(std::move(tags)), options_(options) {}
+  explicit Series(
+      Tags tags,
+      std::int64_t chunk_width_us = kDefaultChunkWidth.micros_count())
+      : tags_(std::move(tags)), chunk_width_us_(chunk_width_us) {}
 
   struct Chunk {
     std::int64_t start_us = 0;  // inclusive
@@ -93,23 +66,16 @@ class Series {
   [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
   [[nodiscard]] const std::vector<Chunk>& chunks() const { return chunks_; }
 
-  /// Rollup buckets for level `level` (index into kRollupLevelsUs), sorted
-  /// by start. Empty when rollups are disabled.
-  [[nodiscard]] const std::vector<RollupBucket>& rollup(
-      std::size_t level) const {
-    return rollups_[level];
-  }
-
   /// Largest timestamp ever appended (INT64_MIN before the first append).
-  /// Retention never lowers it, so it bounds every raw point and every
-  /// rollup bucket the series holds: a scan whose window starts after it
-  /// can skip the series without looking inside.
+  /// Retention never lowers it, so it bounds every point the series holds:
+  /// a scan whose window starts after it can skip the series without
+  /// looking inside.
   [[nodiscard]] std::int64_t newest_append_us() const {
     return newest_append_us_;
   }
 
-  /// True once retention has removed every point and every rollup bucket.
-  [[nodiscard]] bool empty() const;
+  /// True once retention has removed every point.
+  [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// Appends a point. Out-of-order writes are accepted (probes from
   /// different nodes are not synchronised) and kept sorted by time.
@@ -142,8 +108,7 @@ class Series {
       std::optional<TimePoint> horizon) const;
 
   /// Drops points strictly older than `horizon` (whole chunks where
-  /// possible) and rollup buckets that are entirely expired. Returns how
-  /// many points were dropped.
+  /// possible). Returns how many points were dropped.
   std::size_t drop_before(TimePoint horizon);
 
   /// Merges adjacent chunks that are sealed (end <= sealed_before_us) and
@@ -153,21 +118,19 @@ class Series {
 
  private:
   Tags tags_;
-  SeriesOptions options_;
+  std::int64_t chunk_width_us_;
   std::vector<Chunk> chunks_;  // sorted by start_us, non-overlapping
-  std::vector<RollupBucket> rollups_[kRollupLevelCount];  // sorted by start
   std::size_t size_ = 0;
   std::int64_t newest_append_us_ = std::numeric_limits<std::int64_t>::min();
-
-  void update_rollups(const Point& p);
 };
 
 /// A named measurement (e.g. "sgx/epc", "memory/usage") holding its series.
 class Measurement {
  public:
-  explicit Measurement(std::string name) : name_(std::move(name)) {}
-  Measurement(std::string name, SeriesOptions options)
-      : name_(std::move(name)), options_(options) {}
+  explicit Measurement(
+      std::string name,
+      std::int64_t chunk_width_us = kDefaultChunkWidth.micros_count())
+      : name_(std::move(name)), chunk_width_us_(chunk_width_us) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
@@ -219,19 +182,18 @@ class Measurement {
 
  private:
   std::string name_;
-  SeriesOptions options_;
+  std::int64_t chunk_width_us_;
   std::map<std::string, Series> series_;  // keyed by tags_key
   std::size_t points_ = 0;
   std::optional<TimePoint> newest_;
 };
 
 struct DatabaseConfig {
-  /// Independent lock domains; series are routed by FNV-1a hash.
+  /// Shards, each with its own write fault and read horizon; series are
+  /// routed by FNV-1a hash.
   std::size_t shards = 1;
   /// Width of the time partitions within each series.
-  Duration chunk_width = Duration::minutes(10);
-  /// Maintain 10 s / 60 s downsample levels on ingest.
-  bool rollups = true;
+  Duration chunk_width = kDefaultChunkWidth;
 };
 
 /// The database: measurements by name, sharded by series hash, plus an
@@ -246,8 +208,7 @@ class Database {
  public:
   Database() : Database(DatabaseConfig{}) {}
   explicit Database(DatabaseConfig config);
-  explicit Database(std::size_t shards)
-      : Database(DatabaseConfig{shards, Duration::minutes(10), true}) {}
+  explicit Database(std::size_t shards) : Database(DatabaseConfig{shards}) {}
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -264,17 +225,6 @@ class Database {
   bool write(const std::string& measurement, const Tags& tags, TimePoint time,
              double value);
 
-  struct Sample {
-    std::string measurement;
-    Tags tags;
-    TimePoint time;
-    double value = 0.0;
-  };
-  /// Batch insert: groups samples by shard and takes each shard lock once.
-  /// Relative order of samples routed to the same shard is preserved.
-  /// Returns how many samples were accepted.
-  std::size_t write_many(const std::vector<Sample>& batch);
-
   [[nodiscard]] bool has_measurement(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> measurement_names() const;
   [[nodiscard]] std::size_t total_points() const;
@@ -284,12 +234,11 @@ class Database {
 
   /// Visits every series of a measurement in canonical tags_key order —
   /// identical to the 1-shard iteration order, whatever the shard count.
-  /// All shard locks are held for the duration of the visit.
   void for_each_series(const std::string& measurement,
                        const std::function<void(const Series&)>& f) const;
 
-  /// Visits the series of one shard (tags_key order within the shard),
-  /// holding only that shard's lock. The executor's fan-out path.
+  /// Visits the series of one shard (tags_key order within the shard).
+  /// The executor folds a measurement shard by shard through this.
   void for_each_series_in_shard(
       const std::string& measurement, std::size_t shard,
       const std::function<void(const std::string&, const Series&)>& f) const;
@@ -349,7 +298,6 @@ class Database {
 
  private:
   struct Shard {
-    mutable std::mutex mu;
     std::map<std::string, Measurement> measurements;
     bool write_fault = false;
     std::uint64_t failed_writes = 0;
@@ -362,7 +310,6 @@ class Database {
   Measurement& measurement_in(Shard& shard, const std::string& name);
 
   DatabaseConfig config_;
-  SeriesOptions series_options_;
   std::vector<Shard> shards_;  // sized once at construction, never resized
   bool write_fault_ = false;
   std::optional<TimePoint> read_horizon_;

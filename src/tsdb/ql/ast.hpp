@@ -28,8 +28,7 @@ enum class Aggregate {
   kCount,
   kLast,
   kFirst,
-  // Quantiles over a deterministic mergeable log-bucket sketch. Not
-  // decomposable from rollup summaries, so they always scan raw points.
+  // Quantiles over a deterministic mergeable log-bucket sketch.
   kP50,
   kP95,
   kP99,

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <thread>
 
 #include "common/error.hpp"
 #include "tsdb/ql/lexer.hpp"
@@ -45,10 +43,6 @@ double ResultSet::value_for(const std::string& tag, const std::string& value,
 /// analyze() (PreparedQuery caches the result) or on the fly for one-shot
 /// queries.
 struct QueryAnalysis {
-  /// All projections are decomposable aggregates of "value" and the WHERE
-  /// clause has no field predicates and no `time <>` — the scan may read
-  /// rollup buckets when the window is wide enough.
-  bool rollup_static_ok = false;
   /// A field predicate names a field measurement rows never carry, so a
   /// measurement scan of this node yields nothing.
   bool scan_fields_ok = true;
@@ -63,14 +57,6 @@ namespace {
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 
-/// A rollup level must tile the window this many times before it beats a
-/// raw scan; narrower windows (the scheduler's 25 s Listing-1 slide) stay
-/// raw and exact.
-constexpr std::int64_t kRollupMinBuckets = 16;
-
-/// Below this many points a thread fan-out costs more than it saves.
-constexpr std::size_t kParallelMinPoints = 16'384;
-
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   std::int64_t q = a / b;
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
@@ -82,12 +68,6 @@ std::string bucket_suffix(std::int64_t bucket) {
   std::snprintf(suffix, sizeof suffix, "|t%020lld",
                 static_cast<long long>(bucket));
   return suffix;
-}
-
-double now_us() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// Deterministic mergeable quantile sketch: a fixed log-bucket histogram
@@ -181,35 +161,6 @@ class Accumulator {
         last_ = v;
       }
     }
-  }
-
-  /// Folds a whole rollup bucket. Only reached when the statement is
-  /// rollup-eligible, which excludes quantiles.
-  void add_summary(const RollupBucket& b) {
-    if (b.count == 0) return;
-    if (count_ == 0) {
-      min_ = b.min;
-      max_ = b.max;
-      first_ = b.first;
-      first_time_ = TimePoint::from_micros(b.first_time_us);
-      last_ = b.last;
-      last_time_ = TimePoint::from_micros(b.last_time_us);
-    } else {
-      min_ = std::min(min_, b.min);
-      max_ = std::max(max_, b.max);
-      const TimePoint bf = TimePoint::from_micros(b.first_time_us);
-      if (bf < first_time_ || (bf == first_time_ && b.first < first_)) {
-        first_time_ = bf;
-        first_ = b.first;
-      }
-      const TimePoint bl = TimePoint::from_micros(b.last_time_us);
-      if (bl > last_time_ || (bl == last_time_ && b.last > last_)) {
-        last_time_ = bl;
-        last_ = b.last;
-      }
-    }
-    count_ += b.count;
-    sum_ += b.sum;
   }
 
   void merge(const Accumulator& other) {
@@ -307,9 +258,9 @@ bool row_matches(const Row& row, const Predicate& predicate, TimePoint now,
                  static_cast<double>(bound_us));
 }
 
-/// Everything a measurement scan needs, resolved once before the fan-out:
-/// integer window bounds from the time predicates, residual per-point
-/// predicates, and the rollup level (if the statement and window qualify).
+/// Everything a measurement scan needs, resolved once before the first
+/// shard is read: integer window bounds from the time predicates and the
+/// residual per-point predicates.
 struct ScanSpec {
   const SelectStmt* stmt = nullptr;
   const std::string* measurement = nullptr;
@@ -320,23 +271,7 @@ struct ScanSpec {
   bool fields_ok = true;   // false: a field predicate can never match
   const std::vector<std::string>* group_tags = nullptr;
   std::int64_t interval_us = 0;           // GROUP BY time(...)
-  std::size_t rollup_level = kRollupLevelCount;  // == count → raw scan
-  std::int64_t rollup_level_us = 0;
 };
-
-bool rollup_static_ok(const SelectStmt& stmt) {
-  for (const Predicate& predicate : stmt.where) {
-    if (std::holds_alternative<FieldPredicate>(predicate)) return false;
-    if (std::get<TimePredicate>(predicate).op == CompareOp::kNeq) {
-      return false;
-    }
-  }
-  for (const Projection& proj : stmt.projections) {
-    if (proj.field != "value") return false;
-    if (is_quantile(proj.agg)) return false;
-  }
-  return true;
-}
 
 bool scan_fields_ok(const SelectStmt& stmt) {
   for (const Predicate& predicate : stmt.where) {
@@ -348,7 +283,6 @@ bool scan_fields_ok(const SelectStmt& stmt) {
 
 std::unique_ptr<QueryAnalysis> analyze_node(const SelectStmt& stmt) {
   auto analysis = std::make_unique<QueryAnalysis>();
-  analysis->rollup_static_ok = rollup_static_ok(stmt);
   analysis->scan_fields_ok = scan_fields_ok(stmt);
   analysis->group_tags = stmt.group_by;
   std::sort(analysis->group_tags.begin(), analysis->group_tags.end());
@@ -363,8 +297,7 @@ std::unique_ptr<QueryAnalysis> analyze_node(const SelectStmt& stmt) {
 }
 
 ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
-                      const Database& db, TimePoint now,
-                      const QueryParams& params,
+                      TimePoint now, const QueryParams& params,
                       const QueryAnalysis& analysis) {
   ScanSpec spec;
   spec.stmt = &stmt;
@@ -402,58 +335,30 @@ ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
         break;
     }
   }
-
-  // Rollup level: coarsest level whose buckets nest into the GROUP BY
-  // time() interval and tile the window at least kRollupMinBuckets times.
-  if (analysis.rollup_static_ok && db.config().rollups &&
-      spec.value_preds.empty()) {
-    std::int64_t width = kInt64Max;
-    if (spec.lo != kInt64Min) {
-      const std::int64_t effective_hi =
-          spec.hi == kInt64Max ? now.micros_since_epoch() : spec.hi;
-      width = effective_hi > spec.lo ? effective_hi - spec.lo : 0;
-    }
-    for (std::size_t level = kRollupLevelCount; level-- > 0;) {
-      const std::int64_t level_us = kRollupLevelsUs[level];
-      if (spec.interval_us != 0 && spec.interval_us % level_us != 0) continue;
-      if (width / level_us < kRollupMinBuckets) continue;
-      spec.rollup_level = level;
-      spec.rollup_level_us = level_us;
-      break;
-    }
-  }
   return spec;
 }
 
 /// Folds one shard of a measurement into per-group partial aggregates.
-/// Holds only that shard's lock; never throws (parameters were resolved
-/// before the fan-out), so it is safe on a worker thread.
 GroupMap scan_shard(const Database& db, const ScanSpec& spec,
                     std::size_t shard, ShardScanStats* stats) {
   GroupMap groups;
   if (!spec.fields_ok) return groups;
   const SelectStmt& stmt = *spec.stmt;
 
+  // A shard under a stale-read horizon shows no point newer than it.
   std::int64_t hi = spec.hi;
-  bool use_rollup = spec.rollup_level < kRollupLevelCount;
   const std::optional<TimePoint> horizon = db.effective_read_horizon(shard);
-  if (horizon.has_value()) {
-    // A frozen shard answers from raw points so the horizon cuts exactly;
-    // rollup buckets cannot be truncated mid-bucket.
-    hi = std::min(hi, horizon->micros_since_epoch());
-    use_rollup = false;
-  }
+  if (horizon.has_value()) hi = std::min(hi, horizon->micros_since_epoch());
   if (spec.lo > hi) return groups;
-  if (stats != nullptr) stats->used_rollup = use_rollup;
 
   const std::vector<std::string>& group_tags = *spec.group_tags;
   std::string base_key;  // reused across series: no allocation per series
   db.for_each_series_in_shard(
       *spec.measurement, shard,
       [&](const std::string&, const Series& series) {
-        // The scan folds only points and bucket starts at or after lo, and
-        // none of this series' points or bucket starts is newer than its
-        // newest append: a cold series has nothing to give.
+        // The scan folds only points at or after lo, and none of this
+        // series' points is newer than its newest append: a cold series
+        // has nothing to give.
         if (series.newest_append_us() < spec.lo) return;
         if (stats != nullptr) ++stats->series;
         // The group key is a pure function of the series tags — render it
@@ -526,63 +431,6 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
           }
         };
 
-        if (use_rollup) {
-          // A bucket cut mid-bucket by lo or hi cannot be folded whole:
-          // its summary covers points outside the window. Answer the
-          // bucket-aligned core [full_lo, full_hi) from rollups and fall
-          // back to raw points for the cut edges, so results are exact
-          // for arbitrary (including now()-relative) bounds.
-          const std::int64_t level_us = spec.rollup_level_us;
-          std::int64_t full_lo = kInt64Min;
-          if (spec.lo != kInt64Min) {
-            full_lo = floor_div(spec.lo + level_us - 1, level_us) * level_us;
-          }
-          std::int64_t full_hi = kInt64Max;
-          if (hi != kInt64Max) {
-            full_hi = floor_div(hi + 1, level_us) * level_us;
-          }
-          if (full_lo > full_hi - level_us) {
-            // No whole bucket fits between the cuts; pure raw scan.
-            series.for_each_in_window(spec.lo, hi, fold_point);
-            return;
-          }
-
-          const std::vector<RollupBucket>& buckets =
-              series.rollup(spec.rollup_level);
-          auto it = std::lower_bound(
-              buckets.begin(), buckets.end(), full_lo,
-              [](const RollupBucket& b, std::int64_t t) {
-                return b.start_us < t;
-              });
-          for (; it != buckets.end() && it->start_us <= full_hi - level_us;
-               ++it) {
-            if (stats != nullptr) ++stats->points;
-            Group* group;
-            if (spec.interval_us != 0) {
-              const std::int64_t window =
-                  floor_div(it->start_us, spec.interval_us);
-              group = &group_for(window, true);
-              group->min_time =
-                  TimePoint::from_micros(window * spec.interval_us);
-            } else {
-              group = &group_for(0, false);
-              group->min_time =
-                  std::min(group->min_time,
-                           TimePoint::from_micros(it->first_time_us));
-            }
-            for (std::size_t c = 0; c < stmt.projections.size(); ++c) {
-              group->cells[c].add_summary(*it);
-            }
-          }
-          if (spec.lo != kInt64Min) {
-            series.for_each_in_window(spec.lo, full_lo - 1, fold_point);
-          }
-          if (hi != kInt64Max) {
-            series.for_each_in_window(full_hi, hi, fold_point);
-          }
-          return;
-        }
-
         series.for_each_in_window(spec.lo, hi, fold_point);
       });
   return groups;
@@ -627,79 +475,30 @@ ResultSet exec_node(const SelectStmt& stmt, const Database& db, TimePoint now,
                     const QueryParams& params, const ExecOptions& options,
                     const QueryAnalysis& analysis);
 
-/// Fan-out path for `FROM "measurement"`.
+/// Scan path for `FROM "measurement"`.
 ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
                     const Database& db, TimePoint now,
                     const QueryParams& params, const ExecOptions& options,
                     const QueryAnalysis& analysis) {
-  const ScanSpec spec =
-      resolve_scan(stmt, measurement, db, now, params, analysis);
+  const ScanSpec spec = resolve_scan(stmt, measurement, now, params, analysis);
   const std::size_t shard_count = db.shard_count();
-
   ExecStats* stats = options.stats;
-  if (stats != nullptr) {
-    if (stats->shards.size() < shard_count) stats->shards.resize(shard_count);
-    if (spec.rollup_level < kRollupLevelCount) {
-      stats->rollup_level_us =
-          std::max(stats->rollup_level_us, spec.rollup_level_us);
-    }
+  if (stats != nullptr && stats->shards.size() < shard_count) {
+    stats->shards.resize(shard_count);
   }
 
-  bool parallel = false;
-  switch (options.mode) {
-    case ScanMode::kSerial: parallel = false; break;
-    case ScanMode::kParallel: parallel = shard_count > 1; break;
-    case ScanMode::kAuto:
-      // hardware_concurrency() is a system call; ask only for data large
-      // enough to use the answer.
-      parallel = shard_count > 1 &&
-                 db.points_in(measurement) >= kParallelMinPoints &&
-                 std::thread::hardware_concurrency() > 1;
-      break;
-  }
-
-  std::vector<GroupMap> partials(shard_count);
-  const auto scan_one = [&](std::size_t s) {
-    ShardScanStats local;
-    const double start = stats != nullptr ? now_us() : 0.0;
-    partials[s] = scan_shard(db, spec, s,
-                             stats != nullptr ? &local : nullptr);
-    if (stats != nullptr) {
-      local.scan_us = now_us() - start;
-      ShardScanStats& slot = stats->shards[s];
-      slot.series += local.series;
-      slot.points += local.points;
-      slot.scan_us += local.scan_us;
-      slot.used_rollup = slot.used_rollup || local.used_rollup;
-    }
-  };
-
-  if (parallel) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t workers =
-        std::min<std::size_t>(shard_count, std::max(2u, hw));
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        for (std::size_t s = w; s < shard_count; s += workers) scan_one(s);
-      });
-    }
-    for (std::size_t s = 0; s < shard_count; s += workers) scan_one(s);
-    for (std::thread& thread : threads) thread.join();
-  } else {
-    for (std::size_t s = 0; s < shard_count; ++s) scan_one(s);
-  }
-
-  // Merge partials in shard order. Aggregates are order-independent, so
-  // this produces the 1-shard fold bit for bit. Groups new to `merged`
-  // move over as map nodes; only the keys both maps hold are left behind
-  // in the partial, and those are folded in.
-  const double merge_start = stats != nullptr ? now_us() : 0.0;
-  GroupMap merged = std::move(partials[0]);
-  for (std::size_t s = 1; s < shard_count; ++s) {
-    merged.merge(partials[s]);
-    for (const auto& [key, group] : partials[s]) {
+  // Fold shard by shard and merge each partial in shard order.
+  // Aggregates are order-independent, so this produces the 1-shard fold
+  // bit for bit. Groups new to `merged` move over as map nodes; only the
+  // keys both maps hold are left behind in the partial, and those are
+  // folded in.
+  GroupMap merged;
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    ShardScanStats* shard_stats =
+        stats != nullptr ? &stats->shards[s] : nullptr;
+    GroupMap partial = scan_shard(db, spec, s, shard_stats);
+    merged.merge(partial);
+    for (const auto& [key, group] : partial) {
       Group& into = merged.find(key)->second;
       into.min_time = std::min(into.min_time, group.min_time);
       for (std::size_t c = 0; c < into.cells.size(); ++c) {
@@ -707,9 +506,7 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
       }
     }
   }
-  ResultSet result = render(stmt, merged);
-  if (stats != nullptr) stats->merge_us += now_us() - merge_start;
-  return result;
+  return render(stmt, merged);
 }
 
 /// Row-at-a-time path for subquery sources: execute the inner statement,

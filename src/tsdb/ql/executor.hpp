@@ -6,17 +6,14 @@
 // projected fields. A WHERE clause filters rows; GROUP BY + projections
 // aggregate them.
 //
-// Measurement scans fan out across the database's shards: each shard is
-// folded into partial aggregates under its own lock (optionally on its own
-// thread), and the partials are merged in shard order. Every aggregate is
-// order-independent (count/sum additive, min/max lattice joins, first/last
-// with lexicographic (time, value) tie-breaks, quantiles over a mergeable
-// sketch), so the merged result is bit-identical to a 1-shard scan. Wide
-// windows read precomputed rollup buckets instead of raw points when the
-// statement qualifies (see DESIGN.md §12).
+// A measurement scan folds the database's shards one after another into
+// partial aggregates and merges the partials in shard order. Every
+// aggregate is order-independent (count/sum additive, min/max lattice
+// joins, first/last with lexicographic (time, value) tie-breaks, quantiles
+// over a mergeable sketch), so the merged result is bit-identical to a
+// 1-shard scan (see DESIGN.md §12).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,42 +55,29 @@ using QueryParams = std::map<std::string, Duration>;
 
 /// Per-shard scan telemetry for one execute() call.
 struct ShardScanStats {
-  std::size_t series = 0;   // series read on this shard (cold ones skipped)
-  std::size_t points = 0;   // raw points (or rollup buckets) folded
-  double scan_us = 0.0;     // wall time of this shard's fold
-  bool used_rollup = false;
+  std::size_t series = 0;  // series read on this shard (cold ones skipped)
+  std::size_t points = 0;  // points folded
 };
 
 /// Filled when ExecOptions::stats is set. `shards` is indexed by shard id
 /// and accumulates over every measurement scan the statement performs
-/// (subqueries included). The parallel-makespan model of a fan-out is
-/// max(shards[i].scan_us) + merge_us; the serial cost is their sum.
+/// (subqueries included).
 struct ExecStats {
   std::vector<ShardScanStats> shards;
-  double merge_us = 0.0;
-  /// Rollup level used by the outermost qualifying scan (0 = raw).
-  std::int64_t rollup_level_us = 0;
-};
-
-enum class ScanMode {
-  kAuto,      // threads when hardware and data size justify them
-  kSerial,    // one shard after another on the calling thread
-  kParallel,  // force one task per shard (tests exercise the thread path)
 };
 
 struct QueryAnalysis;  // opaque; produced by analyze(), owned by callers
 
 struct ExecOptions {
-  ScanMode mode = ScanMode::kAuto;
   ExecStats* stats = nullptr;
-  /// Statement analysis cached at prepare time (rollup eligibility per
-  /// node). nullptr = analyze on the fly.
+  /// Statement analysis cached at prepare time. nullptr = analyze on the
+  /// fly.
   const QueryAnalysis* analysis = nullptr;
 };
 
-/// Precomputes the per-node static plan (rollup eligibility, source kind)
-/// for a statement tree. PreparedQuery caches this so per-execute planning
-/// does no AST walking beyond parameter resolution.
+/// Precomputes the per-node static plan (scan-field legality, GROUP BY
+/// tag order) for a statement tree. PreparedQuery caches this so
+/// per-execute planning does no AST walking beyond parameter resolution.
 [[nodiscard]] std::shared_ptr<const QueryAnalysis> analyze(
     const SelectStmt& stmt);
 

@@ -6,8 +6,8 @@
 // parse into an AST held for the lifetime of the caller; execution only
 // binds the now() anchor and any named duration parameters ($window).
 //
-// Prepare also front-loads the statement's static analysis (rollup
-// eligibility per node, metric resolution) so execute does zero parse or
+// Prepare also front-loads the statement's static analysis (scan-field
+// legality and GROUP BY tag order per node) so execute does zero parse or
 // plan work — it binds parameters, resolves window bounds, and scans.
 //
 // The one-shot ql::query(text, db, now) convenience is a thin wrapper
@@ -39,8 +39,8 @@ class PreparedQuery {
   /// binding is a QueryError, surfaced before any rows are read).
   [[nodiscard]] ResultSet execute(const Database& db, TimePoint now,
                                   const QueryParams& params = {}) const;
-  /// As above, with executor options (scan mode, stats). The cached
-  /// analysis always rides along; `options.analysis` is ignored.
+  /// As above, with executor options (scan stats). The cached analysis
+  /// always rides along; `options.analysis` is ignored.
   [[nodiscard]] ResultSet execute(const Database& db, TimePoint now,
                                   const QueryParams& params,
                                   const ExecOptions& options) const;

@@ -161,8 +161,8 @@ TEST(ClusterMetrics, QueryWorkTracksWindowNotPodsEverRun) {
   }
   // At most ceil((60 + 25) / 10) + 1 of the 181 pods share one window.
   EXPECT_LE(most_scanned, 10u);
-  // Retention erased the series of every pod whose last sample and 60 s
-  // rollup bucket fell out of the 15-minute horizon.
+  // Retention erased the series of every pod whose last sample fell out
+  // of the 15-minute horizon.
   EXPECT_LE(db.series_count(orch::SgxProbe::kEpcMeasurement),
             static_cast<std::size_t>((15 * 60 + 2 * kLifetime) / kStartEvery));
 }

@@ -10,14 +10,13 @@
 //
 // The suite generates hundreds of seeded random queries over a seeded
 // random ingest and compares 1-shard reference results against 2/4/8-shard
-// stores, covering: windows straddling chunk boundaries, rollup-eligible
-// wide windows next to raw narrow ones, GROUP BY time() at intervals that
-// do and do not divide the rollup levels, quantile sketches, the nested
-// Listing-1 shape, LIMIT/OFFSET, and post-retention horizons. The forced
-// thread fan-out path must agree too. A churn phase checks the stores
-// against a brute-force fold over the recorded writes as well, since
-// cross-shard agreement cannot catch a flaw every store shares, and
-// another checks newest_time against the points left visible.
+// stores, covering: windows straddling chunk boundaries, wide windows next
+// to narrow ones, GROUP BY time() at several intervals, quantile sketches,
+// the nested Listing-1 shape, LIMIT/OFFSET, and post-retention horizons.
+// A churn phase checks the stores against a brute-force fold over the
+// recorded writes as well, since cross-shard agreement cannot catch a flaw
+// every store shares, and another checks newest_time against the points
+// left visible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,8 +76,8 @@ constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
 
 /// One ingest realization shared by all shard counts: integer-valued
 /// samples (double sums stay exact in any order), a 2-minute chunk width
-/// so multi-minute windows straddle several chunks, and enough history
-/// (an hour at 5 s cadence) that both rollup levels become eligible.
+/// so multi-minute windows straddle several chunks, and an hour of history
+/// at 5 s cadence.
 struct StoreSet {
   std::vector<std::unique_ptr<Database>> stores;
 
@@ -119,9 +118,8 @@ struct StoreSet {
 };
 
 /// Seeded query generator over the grammar the executor supports. The
-/// window/interval palette is chosen to land on every planner path:
-/// 25 s → raw; 200 s → 10 s rollup eligible; 1200 s+ → 60 s rollup
-/// eligible; interval 50 s divides neither level → raw even when wide.
+/// windows run from the scheduler's 25 s to the whole hour of history, at
+/// GROUP BY time() intervals that do and do not divide a minute.
 std::string random_query(Rng& rng) {
   static const char* const kAggs[] = {"MAX",   "MIN",  "SUM", "COUNT",
                                       "MEAN",  "FIRST", "LAST", "P50",
@@ -149,7 +147,7 @@ std::string random_query(Rng& rng) {
   std::vector<std::string> where;
   where.push_back("time >= now() - " + std::to_string(window) + "s");
   if (rng.bernoulli(0.3)) {
-    where.push_back("value <> 0");  // field predicate → always raw scan
+    where.push_back("value <> 0");
   }
   if (rng.bernoulli(0.15)) {
     where.push_back("value > " + std::to_string(rng.uniform_int(0, 400)));
@@ -180,27 +178,18 @@ std::string random_query(Rng& rng) {
   return text;
 }
 
-/// Runs `text` on every store and checks the N-shard results (serial and,
-/// for the 4-shard store, forced-parallel) against the 1-shard reference.
+/// Runs `text` on every store and checks the N-shard results against the
+/// 1-shard reference.
 void check_query(StoreSet& set, const std::string& text, TimePoint now,
                  const std::string& context) {
   const ql::PreparedQuery prepared = ql::PreparedQuery::prepare(text);
   const ql::ResultSet want = prepared.execute(set.reference(), now);
   for (std::size_t i = 1; i < set.stores.size(); ++i) {
     Database& db = *set.stores[i];
-    ql::ExecOptions serial;
-    serial.mode = ql::ScanMode::kSerial;
     expect_bit_identical(
-        want, prepared.execute(db, now, {}, serial),
+        want, prepared.execute(db, now),
         context + " [" + std::to_string(db.shard_count()) + " shards] " +
             text);
-    if (db.shard_count() == 4) {
-      ql::ExecOptions parallel;
-      parallel.mode = ql::ScanMode::kParallel;
-      expect_bit_identical(
-          want, prepared.execute(db, now, {}, parallel),
-          context + " [4 shards, threaded] " + text);
-    }
   }
 }
 
@@ -375,7 +364,10 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
   };
   std::vector<Pod> pods;
   Rng rng{seed * 6151 + 11};
-  constexpr std::int64_t kRetentionS = 600;
+  // Checks run on whole minutes, so a retention that is not a whole number
+  // of minutes puts the horizon inside a minute: windows reaching past it
+  // must fold exactly the points retention kept.
+  constexpr std::int64_t kRetentionS = 575;
   for (std::int64_t now = 0; now <= 2400; now += 5) {
     if (rng.bernoulli(0.3)) {
       const std::string name = "p" + std::to_string(pods.size());
@@ -410,12 +402,8 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
           "\"sgx/epc\" WHERE value <> 0 AND time >= now() - " +
           std::to_string(window) +
           "s GROUP BY pod_name, nodename) GROUP BY nodename");
-      // Without `value <> 0`, 300 s is served from the 10 s rollups; a
-      // window reaching past the horizon is left out there, because a
-      // partly expired bucket still summarises dropped points.
-      std::vector<std::pair<std::string, bool>> filters = {
-          {"value <> 0 AND ", true}};
-      if (window < kRetentionS) filters.push_back({"", false});
+      const std::vector<std::pair<std::string, bool>> filters = {
+          {"value <> 0 AND ", true}, {"", false}};
       for (const std::int64_t cut : {std::int64_t{0}, std::int64_t{10}}) {
         for (const auto& [filter, nonzero] : filters) {
           for (const std::vector<std::string>& group_by :
@@ -601,12 +589,11 @@ TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
 }
 
 // 8 ingest realizations × (30 + 12 + 1) queries ≈ 344 generated queries,
-// each checked on three shard counts plus the threaded path, plus the
-// oracle phase above.
+// each checked on three shard counts, plus the oracle phases above.
 INSTANTIATE_TEST_SUITE_P(Seeds, TsdbDiffTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
-// --- Targeted planner-path cases the generator may only graze ----------
+// --- Targeted cases the generator may only graze -----------------------
 
 TEST(TsdbDiffTargeted, ChunkBoundaryStraddlingWindows) {
   StoreSet set{42};
@@ -627,14 +614,11 @@ TEST(TsdbDiffTargeted, ChunkBoundaryStraddlingWindows) {
   }
 }
 
-TEST(TsdbDiffTargeted, RollupSelectionAgreesWithRawPath) {
+TEST(TsdbDiffTargeted, WideWindows) {
   StoreSet set{43};
   const TimePoint now = at(3600);
-  // Wide window, no field predicate, interval divides the level → rollup
-  // path; the same window with `value <> 0` forces raw. Both must agree
-  // with the reference, and with each other where the data has no zeros
-  // filtered (COUNT over nonzero-only series can differ — that is why
-  // both variants go through the same reference store).
+  // Windows of 200 s to the whole hour, with and without `value <> 0`,
+  // per 10 s, per minute, per pod and per node.
   for (const char* text : {
            "SELECT MAX(value) AS v FROM \"sgx/epc\" "
            "WHERE time >= now() - 1200s GROUP BY time(60s), pod_name",
@@ -648,7 +632,7 @@ TEST(TsdbDiffTargeted, RollupSelectionAgreesWithRawPath) {
            "SELECT MEAN(value) AS v FROM \"sgx/epc\" "
            "WHERE time >= now() - 200s GROUP BY time(10s)",
        }) {
-    check_query(set, text, now, "rollup-selection");
+    check_query(set, text, now, "wide-window");
   }
 }
 
@@ -667,11 +651,9 @@ TEST(TsdbDiffTargeted, QuantileSketchesMergeDeterministically) {
   }
 }
 
-TEST(TsdbDiffTargeted, ShardStaleReadHorizonFallsBackToRawExactly) {
-  // A shard with a read horizon cannot serve rollups (buckets cannot be
-  // cut mid-bucket); it must fall back to a raw scan truncated at the
-  // horizon. The equivalent truncation on the 1-shard reference is the
-  // global horizon.
+TEST(TsdbDiffTargeted, ShardStaleReadHorizonCutsExactly) {
+  // A shard with a read horizon shows no point newer than it. The
+  // equivalent truncation on the 1-shard reference is the global horizon.
   DatabaseConfig flat_config;
   flat_config.chunk_width = Duration::seconds(120);
   Database flat{flat_config};
@@ -692,16 +674,13 @@ TEST(TsdbDiffTargeted, ShardStaleReadHorizonFallsBackToRawExactly) {
     sharded.set_shard_read_horizon(s, at(1800));
   }
   for (const char* text : {
-           // Rollup-eligible shape — the horizon forces raw on every shard.
            "SELECT SUM(value) AS v FROM \"sgx/epc\" "
            "WHERE time >= now() - 2400s GROUP BY time(60s)",
            "SELECT MAX(value) AS v FROM \"sgx/epc\" GROUP BY pod_name",
        }) {
     const ql::PreparedQuery prepared = ql::PreparedQuery::prepare(text);
     const ql::ResultSet want = prepared.execute(flat, at(2400));
-    ql::ExecOptions serial;
-    serial.mode = ql::ScanMode::kSerial;
-    expect_bit_identical(want, prepared.execute(sharded, at(2400), {}, serial),
+    expect_bit_identical(want, prepared.execute(sharded, at(2400)),
                          std::string("stale-read horizon ") + text);
   }
 }

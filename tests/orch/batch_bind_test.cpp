@@ -1,6 +1,6 @@
 // Transactional batch binds: per-entry outcomes, cumulative intra-batch
-// EPC admission, kAtomic all-or-nothing semantics, and the conflict
-// summary the shared-state schedulers feed into their backoff.
+// EPC admission, and the conflict summary the shared-state schedulers
+// feed into their backoff.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -80,7 +80,6 @@ TEST_F(BatchBindFixture, PerEntryBatchAppliesEachValidEntry) {
   EXPECT_EQ(result.bound, 1u);
   EXPECT_EQ(result.conflicts, 1u);
   EXPECT_EQ(result.unavailable, 1u);
-  EXPECT_FALSE(result.aborted);
   // The valid entry really applied; the invalid ones left their pods
   // pending and untouched.
   EXPECT_EQ(api_.pod("a").phase, cluster::PodPhase::kBound);
@@ -127,43 +126,6 @@ TEST_F(BatchBindFixture, DuplicatePodEntriesConflictWithinTheBatch) {
   EXPECT_EQ(api_.pod("p").node, "sgx-1");
 }
 
-TEST_F(BatchBindFixture, AtomicBatchLeavesNoPartialState) {
-  api_.submit(sgx_pod("a", Pages{100}));
-  api_.submit(sgx_pod("b", Pages{100}));
-  const std::uint64_t va = version("a");
-  const std::uint64_t vb = version("b");
-  const std::size_t events_before = api_.events().size();
-
-  const auto result = api_.try_bind_batch(
-      {
-          {"a", "sgx-1", va},      // would succeed
-          {"b", "sgx-1", vb + 1},  // stale — poisons the transaction
-      },
-      ApiServer::BatchMode::kAtomic);
-
-  EXPECT_TRUE(result.aborted);
-  EXPECT_EQ(result.entries[0], ApiServer::BindStatus::kBatchAborted);
-  EXPECT_EQ(result.entries[1], ApiServer::BindStatus::kStaleVersion);
-  EXPECT_EQ(result.bound, 0u);
-  // Nothing moved: both pods pending with untouched versions, both still
-  // queued, no kubelet delivery, no bind events.
-  EXPECT_EQ(api_.pod("a").phase, cluster::PodPhase::kPending);
-  EXPECT_EQ(api_.pod("b").phase, cluster::PodPhase::kPending);
-  EXPECT_EQ(version("a"), va);
-  EXPECT_EQ(version("b"), vb);
-  EXPECT_EQ(api_.pending_pods(api_.default_scheduler()).size(), 2u);
-  EXPECT_EQ(kubelet_1_.active_pod_count(), 0u);
-  EXPECT_EQ(api_.events().size(), events_before);
-
-  // The same batch with the stale entry fixed applies atomically.
-  const auto retry = api_.try_bind_batch(
-      {{"a", "sgx-1", va}, {"b", "sgx-1", vb}}, ApiServer::BatchMode::kAtomic);
-  EXPECT_FALSE(retry.aborted);
-  EXPECT_EQ(retry.bound, 2u);
-  EXPECT_EQ(api_.pod("a").phase, cluster::PodPhase::kBound);
-  EXPECT_EQ(api_.pod("b").phase, cluster::PodPhase::kBound);
-}
-
 TEST_F(BatchBindFixture, OutcomesCarryObservedVersions) {
   api_.submit(sgx_pod("a", Pages{100}));
   api_.submit(sgx_pod("b", Pages{100}));
@@ -185,7 +147,6 @@ TEST_F(BatchBindFixture, EmptyBatchIsANoOp) {
   EXPECT_TRUE(result.entries.empty());
   EXPECT_EQ(result.bound, 0u);
   EXPECT_DOUBLE_EQ(result.conflict_rate(), 0.0);
-  EXPECT_FALSE(result.aborted);
 }
 
 TEST_F(BatchBindFixture, UnknownPodInBatchIsACallerBug) {

@@ -127,9 +127,7 @@ TEST(Database, RetentionRequiresPositiveWindow) {
 // --- Time-partitioned chunks -------------------------------------------
 
 TEST(Series, PartitionsIntoAlignedChunks) {
-  SeriesOptions options;
-  options.chunk_width_us = Duration::seconds(100).micros_count();
-  Series s{{}, options};
+  Series s{{}, Duration::seconds(100).micros_count()};
   for (int i = 0; i < 250; i += 10) {
     s.append({at(i), static_cast<double>(i)});
   }
@@ -144,9 +142,7 @@ TEST(Series, PartitionsIntoAlignedChunks) {
 }
 
 TEST(Series, OutOfOrderAcrossChunkBoundary) {
-  SeriesOptions options;
-  options.chunk_width_us = Duration::seconds(100).micros_count();
-  Series s{{}, options};
+  Series s{{}, Duration::seconds(100).micros_count()};
   s.append({at(150), 150.0});
   s.append({at(50), 50.0});   // lands in an earlier, newly created chunk
   s.append({at(120), 120.0});  // lands mid-chunk, before 150
@@ -159,9 +155,7 @@ TEST(Series, OutOfOrderAcrossChunkBoundary) {
 }
 
 TEST(Series, WindowStraddlesChunkBoundary) {
-  SeriesOptions options;
-  options.chunk_width_us = Duration::seconds(100).micros_count();
-  Series s{{}, options};
+  Series s{{}, Duration::seconds(100).micros_count()};
   for (int i = 0; i < 300; i += 10) {
     s.append({at(i), static_cast<double>(i)});
   }
@@ -172,9 +166,7 @@ TEST(Series, WindowStraddlesChunkBoundary) {
 }
 
 TEST(Series, DropBeforeAcrossChunks) {
-  SeriesOptions options;
-  options.chunk_width_us = Duration::seconds(100).micros_count();
-  Series s{{}, options};
+  Series s{{}, Duration::seconds(100).micros_count()};
   for (int i = 0; i < 300; i += 10) {
     s.append({at(i), static_cast<double>(i)});
   }
@@ -186,9 +178,7 @@ TEST(Series, DropBeforeAcrossChunks) {
 }
 
 TEST(Series, CompactMergesSealedChunks) {
-  SeriesOptions options;
-  options.chunk_width_us = Duration::seconds(100).micros_count();
-  Series s{{}, options};
+  Series s{{}, Duration::seconds(100).micros_count()};
   for (int i = 0; i < 400; i += 10) {
     s.append({at(i), static_cast<double>(i)});
   }
@@ -204,62 +194,6 @@ TEST(Series, CompactMergesSealedChunks) {
   for (int i = 0; i < 40; ++i) {
     EXPECT_EQ(flat[static_cast<std::size_t>(i)].time, at(i * 10));
   }
-}
-
-// --- Rollups -----------------------------------------------------------
-
-TEST(Series, RollupBucketsAggregateCorrectly) {
-  Series s{{}};
-  // 10 s level: points at 1..9 s fall into bucket [0,10); 11..19 s into
-  // [10,20).
-  s.append({at(1), 4.0});
-  s.append({at(5), 2.0});
-  s.append({at(9), 6.0});
-  s.append({at(11), 10.0});
-  const auto& level0 = s.rollup(0);
-  ASSERT_EQ(level0.size(), 2u);
-  EXPECT_EQ(level0[0].start_us, 0);
-  EXPECT_EQ(level0[0].count, 3u);
-  EXPECT_DOUBLE_EQ(level0[0].sum, 12.0);
-  EXPECT_DOUBLE_EQ(level0[0].min, 2.0);
-  EXPECT_DOUBLE_EQ(level0[0].max, 6.0);
-  EXPECT_DOUBLE_EQ(level0[0].first, 4.0);
-  EXPECT_DOUBLE_EQ(level0[0].last, 6.0);
-  EXPECT_EQ(level0[1].start_us, 10'000'000);
-  EXPECT_EQ(level0[1].count, 1u);
-}
-
-TEST(Series, RollupHandlesOutOfOrderIngest) {
-  Series s{{}};
-  s.append({at(9), 9.0});
-  s.append({at(1), 1.0});  // earlier point in the same bucket
-  const auto& level0 = s.rollup(0);
-  ASSERT_EQ(level0.size(), 1u);
-  EXPECT_DOUBLE_EQ(level0[0].first, 1.0);
-  EXPECT_EQ(level0[0].first_time_us, Duration::seconds(1).micros_count());
-  EXPECT_DOUBLE_EQ(level0[0].last, 9.0);
-}
-
-TEST(Series, RollupsDisabledWhenConfigured) {
-  SeriesOptions options;
-  options.rollups = false;
-  Series s{{}, options};
-  s.append({at(1), 1.0});
-  EXPECT_TRUE(s.rollup(0).empty());
-  EXPECT_TRUE(s.rollup(1).empty());
-}
-
-TEST(Series, RetentionDropsOnlyFullyExpiredRollupBuckets) {
-  Series s{{}};
-  s.append({at(5), 5.0});
-  s.append({at(15), 15.0});
-  s.append({at(25), 25.0});
-  ASSERT_EQ(s.rollup(0).size(), 3u);
-  // Horizon 12 s: bucket [0,10) is fully expired; [10,20) straddles the
-  // horizon and must survive (queries under the horizon fall back to raw).
-  s.drop_before(at(12));
-  ASSERT_EQ(s.rollup(0).size(), 2u);
-  EXPECT_EQ(s.rollup(0)[0].start_us, 10'000'000);
 }
 
 // --- Series lifecycle ----------------------------------------------------
@@ -279,30 +213,12 @@ TEST(Measurement, RetentionErasesSeriesWithNoPointsAndNoBuckets) {
   Measurement m{"m"};
   m.append({{"pod", "gone"}}, "pod=gone", {at(5), 1.0});
   m.append({{"pod", "live"}}, "pod=live", {at(560), 2.0});
-  // Horizon 540 s: every point of "gone" and both of its buckets ([0,10)
-  // and [0,60)) are expired.
+  // Horizon 540 s: every point of "gone" is expired.
   EXPECT_EQ(m.drop_before(at(540)), 1u);
   EXPECT_EQ(m.series_count(), 1u);
   EXPECT_EQ(m.find_series({{"pod", "gone"}}), nullptr);
   EXPECT_NE(m.find_series({{"pod", "live"}}), nullptr);
   EXPECT_EQ(m.point_count(), 1u);
-}
-
-TEST(Measurement, PartiallyExpiredRollupBucketKeepsSeries) {
-  Measurement m{"m"};
-  m.append({{"pod", "a"}}, "pod=a", {at(65), 3.0});
-  // Horizon 100 s drops the point and the 10 s bucket [60,70), but the
-  // 60 s bucket [60,120) still straddles the horizon.
-  EXPECT_EQ(m.drop_before(at(100)), 1u);
-  const Series* s = m.find_series({{"pod", "a"}});
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->size(), 0u);
-  EXPECT_TRUE(s->rollup(0).empty());
-  ASSERT_EQ(s->rollup(1).size(), 1u);
-  EXPECT_FALSE(s->empty());
-  // Once the bucket's end passes the horizon the series goes too.
-  m.drop_before(at(120));
-  EXPECT_EQ(m.series_count(), 0u);
 }
 
 TEST(Database, LateWriteRecreatesErasedSeriesFromScratch) {
@@ -321,8 +237,6 @@ TEST(Database, LateWriteRecreatesErasedSeriesFromScratch) {
     if (series.tags().at("pod") != "a") return;
     EXPECT_EQ(series.size(), 1u);
     EXPECT_EQ(series.newest_append_us(), at(110).micros_since_epoch());
-    EXPECT_EQ(series.rollup(0).size(), 1u);
-    EXPECT_EQ(series.rollup(0)[0].count, 1u);
   });
   const ql::ResultSet result = ql::query(
       "SELECT COUNT(value) AS n, SUM(value) AS s FROM \"m\" "
@@ -335,81 +249,14 @@ TEST(Database, LateWriteRecreatesErasedSeriesFromScratch) {
   EXPECT_EQ(result.rows[0].field("s"), 7.0);
 }
 
-TEST(Database, RollupQueryBelowRetentionHorizonIsUnchanged) {
-  // A partially expired 60 s bucket still summarises points retention
-  // already dropped, so a rollup-served window reaching below the horizon
-  // folds them. These rows were computed before series were ever erased
-  // or skipped; the lifecycle must not move them.
-  Database db;
-  for (std::int64_t t = 0; t <= 3600; t += 5) {
-    db.write("m", {{"pod", "a"}}, at(t), static_cast<double>(t % 97 + 1));
-  }
-  for (std::int64_t t = 0; t <= 3600; t += 10) {
-    db.write("m", {{"pod", "b"}}, at(t), static_cast<double>(2 * (t % 53)));
-  }
-  // "c" has no raw point left after retention; only its straddling 60 s
-  // bucket [2400,2460) survives, and it must keep answering.
-  for (std::int64_t t = 2400; t <= 2425; t += 5) {
-    db.write("m", {{"pod", "c"}}, at(t), static_cast<double>(t - 2393));
-  }
-  db.enforce_retention(at(3600), Duration::seconds(1170));  // horizon 2430 s
-  EXPECT_EQ(db.series_count("m"), 3u);
-  EXPECT_EQ(db.total_points(), 353u);
-
-  ql::ExecStats stats;
-  ql::ExecOptions options;
-  options.stats = &stats;
-  const ql::ResultSet per_pod = ql::PreparedQuery::prepare(
-      "SELECT SUM(value) AS s, COUNT(value) AS n, MIN(value) AS lo, "
-      "MAX(value) AS hi, FIRST(value) AS f, LAST(value) AS l FROM \"m\" "
-      "WHERE time >= now() - 3600s GROUP BY pod")
-      .execute(db, at(3600), {}, options);
-  EXPECT_EQ(stats.rollup_level_us, 60'000'000);
-  struct Want {
-    const char* pod;
-    double s, n, lo, hi, f, l;
-  };
-  const Want want[] = {{"a", 11843, 241, 1, 97, 73, 12},
-                       {"b", 6366, 121, 0, 104, 30, 98},
-                       {"c", 117, 6, 7, 32, 7, 32}};
-  ASSERT_EQ(per_pod.rows.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const ql::Row& row = per_pod.rows[i];
-    EXPECT_EQ(row.tags.at("pod"), want[i].pod);
-    EXPECT_EQ(row.time, at(2400));
-    EXPECT_EQ(row.field("s"), want[i].s) << want[i].pod;
-    EXPECT_EQ(row.field("n"), want[i].n) << want[i].pod;
-    EXPECT_EQ(row.field("lo"), want[i].lo) << want[i].pod;
-    EXPECT_EQ(row.field("hi"), want[i].hi) << want[i].pod;
-    EXPECT_EQ(row.field("f"), want[i].f) << want[i].pod;
-    EXPECT_EQ(row.field("l"), want[i].l) << want[i].pod;
-  }
-
-  const ql::ResultSet per_minute = ql::query(
-      "SELECT SUM(value) AS s, COUNT(value) AS n FROM \"m\" "
-      "WHERE time >= now() - 1200s GROUP BY time(60s) LIMIT 3",
-      db, at(3600));
-  const double want_minutes[][2] = {{912, 24}, {1114, 18}, {745, 18}};
-  ASSERT_EQ(per_minute.rows.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(per_minute.rows[i].time,
-              at(2400 + 60 * static_cast<std::int64_t>(i)));
-    EXPECT_EQ(per_minute.rows[i].field("s"), want_minutes[i][0]);
-    EXPECT_EQ(per_minute.rows[i].field("n"), want_minutes[i][1]);
-  }
-}
-
 TEST(Database, NewestTimeIsNulloptOnceEveryPointExpired) {
   Database db;
   db.write("m", {{"pod", "a"}}, at(10), 1.0);
   db.write("m", {{"pod", "b"}}, at(65), 2.0);
   ASSERT_EQ(db.newest_time("m"), at(65));
-  // Horizon 100 s: "a" is erased; "b" survives on its straddling 60 s
-  // bucket but holds no sample, so the pipeline reads as empty.
+  // Horizon 100 s: both series hold no sample any more, so both are
+  // erased and the pipeline reads as empty.
   db.enforce_retention(at(160), Duration::seconds(60));
-  EXPECT_EQ(db.series_count("m"), 1u);
-  EXPECT_FALSE(db.newest_time("m").has_value());
-  db.enforce_retention(at(180), Duration::seconds(60));
   EXPECT_EQ(db.series_count("m"), 0u);
   EXPECT_FALSE(db.newest_time("m").has_value());
 }
@@ -455,17 +302,6 @@ TEST(Database, ForEachSeriesMergesShardsInCanonicalOrder) {
   });
   EXPECT_EQ(sharded_keys, flat_keys);
   EXPECT_TRUE(std::is_sorted(sharded_keys.begin(), sharded_keys.end()));
-}
-
-TEST(Database, WriteManyGroupsByShardAndCounts) {
-  Database db{4};
-  std::vector<Database::Sample> batch;
-  for (int i = 0; i < 20; ++i) {
-    batch.push_back({"m", {{"s", std::to_string(i % 5)}}, at(i),
-                     static_cast<double>(i)});
-  }
-  EXPECT_EQ(db.write_many(batch), 20u);
-  EXPECT_EQ(db.total_points(), 20u);
 }
 
 TEST(Database, PerShardWriteFaultOnlyDropsThatShard) {
