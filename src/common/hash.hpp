@@ -34,9 +34,10 @@ struct HashKey {
                                       std::span<const std::uint8_t> data);
 [[nodiscard]] std::uint64_t siphash24(HashKey key, std::string_view data);
 
-/// FNV-1a 64-bit.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+/// FNV-1a 64-bit. Passing one call's result as `hash` continues the
+/// stream: fnv1a(b, fnv1a(a)) == fnv1a(a + b).
+[[nodiscard]] constexpr std::uint64_t fnv1a(
+    std::string_view data, std::uint64_t hash = 0xcbf29ce484222325ULL) {
   for (const char c : data) {
     hash ^= static_cast<std::uint8_t>(c);
     hash *= 0x100000001b3ULL;

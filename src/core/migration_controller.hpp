@@ -7,7 +7,7 @@
 // pod fits *no* node — not because the cluster lacks total EPC, but
 // because free pages are fragmented across nodes — it migrates the
 // smallest running enclave that makes the pod fit: the victim moves to the
-// node with room for it, compacting free EPC on its source node.
+// node with room for it, consolidating free EPC on its source node.
 #pragma once
 
 #include <cstdint>

@@ -25,8 +25,9 @@ void Heapster::stop() {
 void Heapster::deliver(const cluster::PodName& pod,
                        const cluster::NodeName& node, TimePoint sampled,
                        double value) {
-  tsdb::Tags tags{{"pod_name", pod}, {"nodename", node}, {"type", "pod"}};
-  db_->write(kMemoryMeasurement, tags, sampled, value);
+  tags_["pod_name"] = pod;
+  tags_["nodename"] = node;
+  db_->write(kMemoryMeasurement, tags_, sampled, value);
 }
 
 void Heapster::scrape_once() {
@@ -55,9 +56,9 @@ void Heapster::scrape_once() {
       deliver(stats.pod, entry.node->name(), now, value);
     }
   }
-  // Retention plus chunk compaction ride on the scrape cadence — the
-  // simulated stand-in for a background maintenance thread.
-  db_->maintain(now, retention_);
+  // Retention rides on the scrape cadence — the simulated stand-in for a
+  // background maintenance thread.
+  db_->enforce_retention(now, retention_);
 }
 
 }  // namespace sgxo::orch

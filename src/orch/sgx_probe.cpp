@@ -11,6 +11,7 @@ SgxProbe::SgxProbe(sim::Simulation& sim, ApiServer::NodeEntry entry,
                  "probe needs a complete node entry");
   SGXO_CHECK_MSG(entry_.node->has_sgx(),
                  "SGX probe deployed on a node without SGX");
+  tags_ = {{"nodename", entry_.node->name()}, {"pod_name", ""}};
 }
 
 SgxProbe::~SgxProbe() { stop(); }
@@ -41,17 +42,18 @@ void SgxProbe::probe_once() {
       continue;
     }
     const double value = static_cast<double>(pages.as_bytes().count());
-    tsdb::Tags tags{{"pod_name", pod}, {"nodename", entry_.node->name()}};
+    tags_["pod_name"] = pod;
     if (sample_delay_ > Duration{}) {
       // Late delivery with the original timestamp: the point lands out of
-      // order, after the scheduler may already have run without it.
+      // order, after the scheduler may already have run without it. The
+      // write keeps its own copy of the tags.
       ++delayed_;
-      sim_->schedule_after(sample_delay_, [this, tags, now, value] {
+      sim_->schedule_after(sample_delay_, [this, tags = tags_, now, value] {
         db_->write(kEpcMeasurement, tags, now, value);
       });
       continue;
     }
-    db_->write(kEpcMeasurement, tags, now, value);
+    db_->write(kEpcMeasurement, tags_, now, value);
   }
 }
 

@@ -54,6 +54,8 @@ class SgxProbe {
   Duration sample_delay_{};
   std::uint64_t dropped_ = 0;
   std::uint64_t delayed_ = 0;
+  // Every sample's tag set, refilled per sample so a write allocates none.
+  tsdb::Tags tags_;
 };
 
 }  // namespace sgxo::orch

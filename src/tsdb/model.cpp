@@ -9,12 +9,6 @@
 namespace sgxo::tsdb {
 namespace {
 
-// Compaction policy: adjacent sealed chunks are merged while the result
-// stays small enough that straddling queries never scan far past their
-// window.
-constexpr std::size_t kCompactTargetPoints = 4096;
-constexpr std::int64_t kCompactMaxSpanWidths = 8;
-
 // Floor division that rounds toward negative infinity, so pre-epoch
 // timestamps land in the right chunk.
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
@@ -23,16 +17,22 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   return q;
 }
 
-}  // namespace
-
-std::string tags_key(const Tags& tags) {
-  std::string key;
+// Renders tags_key(tags) into `key`, reusing its capacity.
+void render_tags_key(const Tags& tags, std::string& key) {
+  key.clear();
   for (const auto& [k, v] : tags) {
     if (!key.empty()) key += ',';
     key += k;
     key += '=';
     key += v;
   }
+}
+
+}  // namespace
+
+std::string tags_key(const Tags& tags) {
+  std::string key;
+  render_tags_key(tags, key);
   return key;
 }
 
@@ -98,7 +98,6 @@ std::optional<TimePoint> Series::newest(
     std::optional<TimePoint> horizon) const {
   for (auto chunk = chunks_.rbegin(); chunk != chunks_.rend(); ++chunk) {
     const std::vector<Point>& pts = chunk->points;
-    if (pts.empty()) continue;
     if (!horizon.has_value()) return pts.back().time;
     // Last point with time <= horizon within this chunk, else keep looking
     // in earlier chunks.
@@ -120,7 +119,8 @@ std::size_t Series::drop_before(TimePoint horizon) {
     ++it;
   }
   chunks_.erase(chunks_.begin(), it);
-  // Partial trim of a straddling chunk: points strictly older than h.
+  // Partial trim of a straddling chunk: points strictly older than h. A
+  // chunk left without a point goes too, so every chunk holds one.
   if (!chunks_.empty() && chunks_.front().start_us < h) {
     std::vector<Point>& pts = chunks_.front().points;
     const auto first_kept = std::lower_bound(
@@ -128,57 +128,17 @@ std::size_t Series::drop_before(TimePoint horizon) {
           return p.time.micros_since_epoch() < t;
         });
     dropped += static_cast<std::size_t>(first_kept - pts.begin());
-    pts.erase(pts.begin(), first_kept);
+    if (first_kept == pts.end()) {
+      chunks_.erase(chunks_.begin());
+    } else {
+      pts.erase(pts.begin(), first_kept);
+    }
   }
   size_ -= dropped;
   return dropped;
 }
 
-std::size_t Series::compact(std::int64_t sealed_before_us) {
-  if (chunks_.size() < 2) return 0;
-  const std::int64_t max_span = kCompactMaxSpanWidths * chunk_width_us_;
-  const auto mergeable = [&](const Chunk& a, const Chunk& b) {
-    return b.end_us <= sealed_before_us && a.end_us <= sealed_before_us &&
-           a.points.size() + b.points.size() <= kCompactTargetPoints &&
-           b.end_us - a.start_us <= max_span;
-  };
-  // The greedy pass merges nothing unless some adjacent pair of the
-  // current chunks qualifies, so skip rebuilding the vector in that case.
-  if (std::adjacent_find(chunks_.begin(), chunks_.end(), mergeable) ==
-      chunks_.end()) {
-    return 0;
-  }
-  std::size_t merges = 0;
-  std::vector<Chunk> out;
-  out.reserve(chunks_.size());
-  for (Chunk& chunk : chunks_) {
-    if (!out.empty() && mergeable(out.back(), chunk)) {
-      Chunk& dst = out.back();
-      dst.points.insert(dst.points.end(), chunk.points.begin(),
-                        chunk.points.end());
-      dst.end_us = chunk.end_us;
-      ++merges;
-      continue;
-    }
-    out.push_back(std::move(chunk));
-  }
-  chunks_ = std::move(out);
-  return merges;
-}
-
 // ---- Measurement -----------------------------------------------------------
-
-Series& Measurement::series_for(const Tags& tags) {
-  return series_for(tags, tags_key(tags));
-}
-
-Series& Measurement::series_for(const Tags& tags, const std::string& key) {
-  auto it = series_.find(key);
-  if (it == series_.end()) {
-    it = series_.emplace(key, Series{tags, chunk_width_us_}).first;
-  }
-  return it->second;
-}
 
 const Series* Measurement::find_series(const Tags& tags) const {
   const auto it = series_.find(tags_key(tags));
@@ -186,32 +146,59 @@ const Series* Measurement::find_series(const Tags& tags) const {
 }
 
 void Measurement::append(const Tags& tags, const std::string& key, Point p) {
-  series_for(tags, key).append(p);
+  auto it = series_.find(key);
+  if (it == series_.end()) {
+    it = series_.emplace(key, Series{tags, chunk_width_us_}).first;
+    // The new entry goes where its successor in key order sits, and every
+    // entry from there on moves down one.
+    const auto next = std::next(it);
+    const std::size_t slot =
+        next == series_.end() ? summary_.size() : next->second.slot_;
+    summary_.insert(summary_.begin() + static_cast<std::ptrdiff_t>(slot),
+                    SummaryEntry{p.time.micros_since_epoch(),
+                                 p.time.micros_since_epoch(), it});
+    for (std::size_t i = slot; i < summary_.size(); ++i) {
+      summary_[i].series->second.slot_ = i;
+    }
+  }
+  Series& series = it->second;
+  series.append(p);
+  // An append only adds a point: the newest append can only rise and the
+  // oldest point only fall.
+  SummaryEntry& entry = summary_[series.slot_];
+  entry.newest_append_us = series.newest_append_us();
+  entry.oldest_us = std::min(entry.oldest_us, p.time.micros_since_epoch());
   ++points_;
   if (!newest_.has_value() || p.time > *newest_) newest_ = p.time;
 }
 
 std::size_t Measurement::drop_before(TimePoint horizon) {
+  const std::int64_t h = horizon.micros_since_epoch();
   std::size_t dropped = 0;
-  for (auto it = series_.begin(); it != series_.end();) {
-    dropped += it->second.drop_before(horizon);
-    // An emptied series can serve no query; keeping it would make every
-    // scan visit each tag set ever written.
-    it = it->second.empty() ? series_.erase(it) : std::next(it);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < summary_.size(); ++i) {
+    SummaryEntry entry = summary_[i];
+    if (entry.oldest_us < h) {
+      Series& series = entry.series->second;
+      dropped += series.drop_before(horizon);
+      if (series.empty()) {
+        // An emptied series can serve no query; keeping it would make
+        // every scan consider each tag set ever written. The entries after
+        // it move up, keeping their order.
+        series_.erase(entry.series);
+        continue;
+      }
+      entry.oldest_us = series.oldest().micros_since_epoch();
+    }
+    if (kept != i) entry.series->second.slot_ = kept;
+    summary_[kept++] = entry;
   }
+  summary_.resize(kept);
   points_ -= dropped;
   // Exactly the points older than the horizon went, so the newest point
   // survives unless it was older too, and then no point survives.
   if (newest_.has_value() && *newest_ < horizon) newest_.reset();
   return dropped;
-}
-
-std::size_t Measurement::compact(std::int64_t sealed_before_us) {
-  std::size_t merges = 0;
-  for (auto& [key, s] : series_) {
-    merges += s.compact(sealed_before_us);
-  }
-  return merges;
 }
 
 // ---- Database --------------------------------------------------------------
@@ -226,12 +213,9 @@ Database::Database(DatabaseConfig config)
 std::size_t Database::route(const std::string& measurement,
                             const std::string& key) const {
   if (shards_.size() == 1) return 0;
-  std::string routing;
-  routing.reserve(measurement.size() + 1 + key.size());
-  routing += measurement;
-  routing += '\n';
-  routing += key;
-  return static_cast<std::size_t>(fnv1a(routing) % shards_.size());
+  // fnv1a(measurement + '\n' + key), without building the string.
+  const std::uint64_t hash = fnv1a(key, fnv1a("\n", fnv1a(measurement)));
+  return static_cast<std::size_t>(hash % shards_.size());
 }
 
 std::size_t Database::shard_of(const std::string& measurement,
@@ -253,13 +237,13 @@ Measurement& Database::measurement_in(Shard& shard, const std::string& name) {
 bool Database::write(const std::string& measurement, const Tags& tags,
                      TimePoint time, double value) {
   SGXO_CHECK_MSG(!measurement.empty(), "measurement name must not be empty");
-  const std::string key = tags_key(tags);
-  Shard& shard = shards_[route(measurement, key)];
+  render_tags_key(tags, key_);
+  Shard& shard = shards_[route(measurement, key_)];
   if (write_fault_ || shard.write_fault) {
     ++shard.failed_writes;
     return false;
   }
-  measurement_in(shard, measurement).append(tags, key, Point{time, value});
+  measurement_in(shard, measurement).append(tags, key_, Point{time, value});
   return true;
 }
 
@@ -310,17 +294,6 @@ std::size_t Database::points_in(const std::string& measurement) const {
   return total;
 }
 
-std::size_t Database::chunk_count(const std::string& measurement) const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const auto it = shard.measurements.find(measurement);
-    if (it == shard.measurements.end()) continue;
-    it->second.for_each_series(
-        [&](const Series& s) { total += s.chunk_count(); });
-  }
-  return total;
-}
-
 void Database::for_each_series(
     const std::string& measurement,
     const std::function<void(const Series&)>& f) const {
@@ -335,8 +308,7 @@ void Database::for_each_series(
   for (const Shard& shard : shards_) {
     const auto m = shard.measurements.find(measurement);
     if (m == shard.measurements.end()) continue;
-    // Access the private series map through the public keyed visitor is
-    // not possible lazily; use iterators over an exported range instead.
+    // Each cursor walks one shard's series map in key order.
     cursors.push_back(Cursor{});
     cursors.back().it = m->second.series_begin();
     cursors.back().end = m->second.series_end();
@@ -355,13 +327,11 @@ void Database::for_each_series(
   }
 }
 
-void Database::for_each_series_in_shard(
-    const std::string& measurement, std::size_t shard_index,
-    const std::function<void(const std::string&, const Series&)>& f) const {
-  const Shard& shard = shards_[shard_index];
-  const auto it = shard.measurements.find(measurement);
-  if (it == shard.measurements.end()) return;
-  it->second.for_each_keyed_series(f);
+const Measurement* Database::find_measurement(const std::string& measurement,
+                                              std::size_t shard) const {
+  SGXO_CHECK(shard < shards_.size());
+  const auto it = shards_[shard].measurements.find(measurement);
+  return it == shards_[shard].measurements.end() ? nullptr : &it->second;
 }
 
 std::size_t Database::enforce_retention(TimePoint now, Duration retention) {
@@ -374,35 +344,6 @@ std::size_t Database::enforce_retention(TimePoint now, Duration retention) {
     }
   }
   return dropped;
-}
-
-std::size_t Database::compact(TimePoint now) {
-  const std::int64_t sealed_before =
-      now.micros_since_epoch() - config_.chunk_width.micros_count();
-  std::size_t merges = 0;
-  for (Shard& shard : shards_) {
-    std::size_t shard_merges = 0;
-    for (auto& [name, m] : shard.measurements) {
-      shard_merges += m.compact(sealed_before);
-    }
-    shard.compactions += shard_merges;
-    merges += shard_merges;
-  }
-  return merges;
-}
-
-std::size_t Database::maintain(TimePoint now, Duration retention) {
-  const std::size_t dropped = enforce_retention(now, retention);
-  compact(now);
-  return dropped;
-}
-
-std::uint64_t Database::compactions() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.compactions;
-  }
-  return total;
 }
 
 std::uint64_t Database::failed_writes() const {

@@ -9,8 +9,11 @@
 // (measurement, tag set) onto N shards, each a data layout and a fault
 // domain (per-shard write faults and read horizons). The simulator is
 // single-threaded, so shards take no locks. Each series keeps its points
-// in time-partitioned chunks: sealed chunks are merged by compaction, and
-// retention drops whole chunks at a time.
+// in time-partitioned chunks, and retention drops whole chunks at a time.
+// Each measurement also keeps a dense summary of its series (newest
+// append, oldest point), so a windowed scan reads only the series with a
+// recent append and retention trims only the series holding an expired
+// point.
 #pragma once
 
 #include <algorithm>
@@ -77,6 +80,12 @@ class Series {
   /// True once retention has removed every point.
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
+  /// Time of the oldest point; the series must not be empty. Every chunk
+  /// holds a point, so it is the front chunk's first.
+  [[nodiscard]] TimePoint oldest() const {
+    return chunks_.front().points.front().time;
+  }
+
   /// Appends a point. Out-of-order writes are accepted (probes from
   /// different nodes are not synchronised) and kept sorted by time.
   void append(Point p);
@@ -107,30 +116,38 @@ class Series {
   [[nodiscard]] std::optional<TimePoint> newest(
       std::optional<TimePoint> horizon) const;
 
-  /// Drops points strictly older than `horizon` (whole chunks where
-  /// possible). Returns how many points were dropped.
+  /// Drops points strictly older than `horizon`, and every chunk left
+  /// without a point. Returns how many points were dropped.
   std::size_t drop_before(TimePoint horizon);
 
-  /// Merges adjacent chunks that are sealed (end <= sealed_before_us) and
-  /// small, bounding per-series chunk count for long retention windows.
-  /// Returns the number of merges performed.
-  std::size_t compact(std::int64_t sealed_before_us);
-
  private:
+  friend class Measurement;
+
   Tags tags_;
   std::int64_t chunk_width_us_;
-  std::vector<Chunk> chunks_;  // sorted by start_us, non-overlapping
+  std::vector<Chunk> chunks_;  // sorted by start, disjoint, none empty
   std::size_t size_ = 0;
   std::int64_t newest_append_us_ = std::numeric_limits<std::int64_t>::min();
+  std::size_t slot_ = 0;  // index of its entry in the owner's summary
 };
 
 /// A named measurement (e.g. "sgx/epc", "memory/usage") holding its series.
+/// It is the only writer of its series, so it keeps their summary exact.
 class Measurement {
  public:
+  using SeriesMap = std::map<std::string, Series>;
+
   explicit Measurement(
       std::string name,
       std::int64_t chunk_width_us = kDefaultChunkWidth.micros_count())
       : name_(std::move(name)), chunk_width_us_(chunk_width_us) {}
+
+  // The summary points into the series map, which a move carries along
+  // and a copy would not.
+  Measurement(const Measurement&) = delete;
+  Measurement& operator=(const Measurement&) = delete;
+  Measurement(Measurement&&) = default;
+  Measurement& operator=(Measurement&&) = default;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
@@ -141,13 +158,11 @@ class Measurement {
     return newest_;
   }
 
-  Series& series_for(const Tags& tags);
-  /// As series_for, with the tags_key precomputed by the caller (the write
-  /// path already hashed it for shard routing).
-  Series& series_for(const Tags& tags, const std::string& key);
   [[nodiscard]] const Series* find_series(const Tags& tags) const;
 
-  /// Appends one point, keeping the measurement's point counter in sync.
+  /// Appends one point to the series of `tags`, creating it on first use.
+  /// `key` must be tags_key(tags) (the write path already rendered it for
+  /// shard routing).
   void append(const Tags& tags, const std::string& key, Point p);
 
   /// Visits every series (const), in tags_key order.
@@ -157,15 +172,17 @@ class Measurement {
       f(s);
     }
   }
-  /// Visits (tags_key, series) pairs in tags_key order.
+
+  /// Visits, in tags_key order, every series whose newest append is at or
+  /// after `lo_us`: no other series holds a point a scan from `lo_us` can
+  /// read. The summary picks them out without visiting the others.
   template <typename F>
-  void for_each_keyed_series(F&& f) const {
-    for (const auto& [key, s] : series_) {
-      f(key, s);
+  void for_each_series_since(std::int64_t lo_us, F&& f) const {
+    for (const SummaryEntry& entry : summary_) {
+      if (entry.newest_append_us >= lo_us) f(entry.series->second);
     }
   }
 
-  using SeriesMap = std::map<std::string, Series>;
   [[nodiscard]] SeriesMap::const_iterator series_begin() const {
     return series_.begin();
   }
@@ -173,17 +190,27 @@ class Measurement {
     return series_.end();
   }
 
-  /// Drops points older than `horizon` from every series, then erases the
-  /// series left empty (Series::empty), and forgets the newest point time
-  /// if it was older too. A later write to an erased tag set starts a
-  /// fresh series. Returns how many points were dropped.
+  /// Drops points older than `horizon`, then erases the series left empty
+  /// (Series::empty), and forgets the newest point time if it was older
+  /// too. Only series whose oldest point is older than the horizon are
+  /// touched: no other has a point to drop. A later write to an erased tag
+  /// set starts a fresh series. Returns how many points were dropped.
   std::size_t drop_before(TimePoint horizon);
-  std::size_t compact(std::int64_t sealed_before_us);
 
  private:
+  /// One series' entry in the summary, exact after every append and
+  /// retention pass. Entries stay in tags_key order, the map's order, so a
+  /// scan reads them in the order a walk of the map would.
+  struct SummaryEntry {
+    std::int64_t newest_append_us = 0;  // the series' newest_append_us()
+    std::int64_t oldest_us = 0;         // the series' oldest() point time
+    SeriesMap::iterator series;
+  };
+
   std::string name_;
   std::int64_t chunk_width_us_;
-  std::map<std::string, Series> series_;  // keyed by tags_key
+  SeriesMap series_;                   // keyed by tags_key
+  std::vector<SummaryEntry> summary_;  // one per series, in key order
   std::size_t points_ = 0;
   std::optional<TimePoint> newest_;
 };
@@ -230,32 +257,22 @@ class Database {
   [[nodiscard]] std::size_t total_points() const;
   [[nodiscard]] std::size_t series_count(const std::string& measurement) const;
   [[nodiscard]] std::size_t points_in(const std::string& measurement) const;
-  [[nodiscard]] std::size_t chunk_count(const std::string& measurement) const;
 
   /// Visits every series of a measurement in canonical tags_key order —
   /// identical to the 1-shard iteration order, whatever the shard count.
   void for_each_series(const std::string& measurement,
                        const std::function<void(const Series&)>& f) const;
 
-  /// Visits the series of one shard (tags_key order within the shard).
-  /// The executor folds a measurement shard by shard through this.
-  void for_each_series_in_shard(
-      const std::string& measurement, std::size_t shard,
-      const std::function<void(const std::string&, const Series&)>& f) const;
+  /// The series of `measurement` stored on one shard (nullptr when the
+  /// shard holds none). The executor folds a measurement shard by shard
+  /// through this.
+  [[nodiscard]] const Measurement* find_measurement(
+      const std::string& measurement, std::size_t shard) const;
 
   /// Deletes all points older than now - retention across all measurements.
   /// Returns the number of points dropped. The monitoring pipeline calls
   /// this periodically so long replays do not grow without bound.
   std::size_t enforce_retention(TimePoint now, Duration retention);
-
-  /// Merges sealed chunks (older than one chunk width). Returns merges.
-  std::size_t compact(TimePoint now);
-
-  /// Periodic background work: retention then compaction. Returns the
-  /// number of points dropped by retention.
-  std::size_t maintain(TimePoint now, Duration retention);
-
-  [[nodiscard]] std::uint64_t compactions() const;
 
   // ---- fault injection -----------------------------------------------------
   /// While set, every write (any shard) fails and is counted.
@@ -301,7 +318,6 @@ class Database {
     std::map<std::string, Measurement> measurements;
     bool write_fault = false;
     std::uint64_t failed_writes = 0;
-    std::uint64_t compactions = 0;
     std::optional<TimePoint> read_horizon;
   };
 
@@ -311,6 +327,7 @@ class Database {
 
   DatabaseConfig config_;
   std::vector<Shard> shards_;  // sized once at construction, never resized
+  std::string key_;  // write's series key, reused so a write allocates none
   bool write_fault_ = false;
   std::optional<TimePoint> read_horizon_;
 };

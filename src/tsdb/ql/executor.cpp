@@ -351,15 +351,19 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
   if (horizon.has_value()) hi = std::min(hi, horizon->micros_since_epoch());
   if (spec.lo > hi) return groups;
 
+  const Measurement* measurement =
+      db.find_measurement(*spec.measurement, shard);
+  if (measurement == nullptr) return groups;
+
   const std::vector<std::string>& group_tags = *spec.group_tags;
   std::string base_key;  // reused across series: no allocation per series
-  db.for_each_series_in_shard(
-      *spec.measurement, shard,
-      [&](const std::string&, const Series& series) {
-        // The scan folds only points at or after lo, and none of this
-        // series' points is newer than its newest append: a cold series
-        // has nothing to give.
-        if (series.newest_append_us() < spec.lo) return;
+  // The scan folds only points at or after lo, and no series holds a point
+  // newer than its newest append: only the series appended to since lo
+  // have anything to give. They come in tags_key order, as a walk of every
+  // series would visit them, so each group folds its points in the same
+  // sequence whatever the summary's order.
+  measurement->for_each_series_since(
+      spec.lo, [&](const Series& series) {
         if (stats != nullptr) ++stats->series;
         // The group key is a pure function of the series tags — render it
         // once per series, straight from the tags, exactly as tags_key

@@ -79,6 +79,12 @@ TEST(Fnv1a, KnownValues) {
   EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
 }
 
+TEST(Fnv1a, ChainedCallsHashTheConcatenation) {
+  EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
+  EXPECT_EQ(fnv1a("key", fnv1a("\n", fnv1a("m"))), fnv1a("m\nkey"));
+  EXPECT_EQ(fnv1a("", fnv1a("a")), fnv1a("a"));
+}
+
 TEST(Fnv1a, IsConstexpr) {
   static_assert(fnv1a("compile-time") != 0);
   SUCCEED();

@@ -153,7 +153,7 @@ TEST(ClusterMetrics, QueryWorkTracksWindowNotPodsEverRun) {
         ++live_in_window;
       }
     }
-    db.maintain(at(now), Duration::minutes(15));
+    db.enforce_retention(at(now), Duration::minutes(15));
     ASSERT_FALSE(metrics.epc_per_node(at(now)).empty()) << "t=" << now;
     const std::size_t scanned = metrics.last_query_stats().series_scanned;
     EXPECT_LE(scanned, live_in_window) << "t=" << now;

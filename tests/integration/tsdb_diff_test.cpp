@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -207,13 +208,13 @@ TEST_P(TsdbDiffTest, GeneratedQueriesAreBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST_P(TsdbDiffTest, EquivalenceHoldsAfterRetentionAndCompaction) {
+TEST_P(TsdbDiffTest, EquivalenceHoldsAfterRetention) {
   const std::uint64_t seed = GetParam();
   StoreSet set{seed};
-  // Age the stores: drop everything older than 20 minutes, then compact
-  // the sealed remainder. All stores must cut at the same horizon.
+  // Age the stores: drop everything older than 20 minutes. All stores
+  // must cut at the same horizon.
   for (auto& db : set.stores) {
-    db->maintain(at(3600), Duration::minutes(20));
+    db->enforce_retention(at(3600), Duration::minutes(20));
   }
   Rng rng{seed * 104729 + 3};
   const TimePoint now = at(3600);
@@ -248,6 +249,21 @@ class WriteLog {
     for (Entry& entry : writes_) {
       if (entry.time_us < horizon_us) entry.alive = false;
     }
+  }
+
+  [[nodiscard]] std::size_t live_points() const {
+    return static_cast<std::size_t>(std::count_if(
+        writes_.begin(), writes_.end(),
+        [](const Entry& entry) { return entry.alive; }));
+  }
+
+  /// Distinct tag sets among the live writes.
+  [[nodiscard]] std::size_t live_series() const {
+    std::set<Tags> tag_sets;
+    for (const Entry& entry : writes_) {
+      if (entry.alive) tag_sets.insert(entry.tags);
+    }
+    return tag_sets.size();
   }
 
   [[nodiscard]] std::optional<TimePoint> newest() const {
@@ -390,7 +406,9 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
     }
     if (now % 60 != 0) continue;
 
-    for (auto& db : stores) db->maintain(at(now), Duration::seconds(kRetentionS));
+    for (auto& db : stores) {
+      db->enforce_retention(at(now), Duration::seconds(kRetentionS));
+    }
     log.retain(at(now - kRetentionS).micros_since_epoch());
 
     const std::string context =
@@ -444,9 +462,12 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
             << context;
       }
     }
-    EXPECT_EQ(stores[0]->series_count("sgx/epc"),
-              stores[1]->series_count("sgx/epc"))
-        << context;
+    // Retention keeps exactly the live points, and a series exactly while
+    // it holds one.
+    for (auto& db : stores) {
+      EXPECT_EQ(db->points_in("sgx/epc"), log.live_points()) << context;
+      EXPECT_EQ(db->series_count("sgx/epc"), log.live_series()) << context;
+    }
   }
   // Retention really did erase series along the way.
   EXPECT_LT(stores[0]->series_count("sgx/epc"), pods.size());
@@ -485,7 +506,9 @@ TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
     live.push_back(entry);
   };
   const auto retain = [&](std::int64_t now, std::int64_t retention) {
-    for (auto& db : stores) db->maintain(at(now), Duration::seconds(retention));
+    for (auto& db : stores) {
+      db->enforce_retention(at(now), Duration::seconds(retention));
+    }
     const std::int64_t horizon = at(now - retention).micros_since_epoch();
     std::erase_if(live,
                   [horizon](const Write& w) { return w.time_us < horizon; });

@@ -2,6 +2,10 @@
 // DaemonSet controller, all pushing into the shared time-series database.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "orch/api_server.hpp"
 #include "orch/daemonset.hpp"
 #include "orch/heapster.hpp"
@@ -195,6 +199,83 @@ TEST_F(MonitoringFixture, ProbeAndHeapsterShareDatabase) {
   daemonset.stop();
   EXPECT_TRUE(db_.has_measurement("memory/usage"));
   EXPECT_TRUE(db_.has_measurement("sgx/epc"));
+}
+
+TEST_F(MonitoringFixture, EachSeriesCarriesOnlyItsOwnPodsTagsAndValues) {
+  // Heapster and the probe refill one tag set per sample; no pod's tags or
+  // value may leak into another pod's series, on time or delayed.
+  api_.submit(standard_pod("m", 1_GiB, Duration::minutes(10)));
+  api_.submit(sgx_pod("e", Pages{512}, Duration::minutes(10)));
+  api_.submit(sgx_pod("f", Pages{256}, Duration::minutes(10)));
+  ASSERT_TRUE(
+      api_.try_bind("m", "node-1", api_.pod("m").resource_version).bound());
+  ASSERT_TRUE(
+      api_.try_bind("e", "sgx-1", api_.pod("e").resource_version).bound());
+  ASSERT_TRUE(
+      api_.try_bind("f", "sgx-1", api_.pod("f").resource_version).bound());
+  sim_.run_until(TimePoint::epoch() + Duration::minutes(1));
+  for (const char* pod : {"m", "e", "f"}) {
+    ASSERT_EQ(api_.pod(pod).phase, cluster::PodPhase::kRunning) << pod;
+  }
+
+  Heapster heapster{sim_, api_, db_};
+  SgxProbe probe{sim_, *api_.find_node("sgx-1"), db_};
+  // Per series key, the points each pod should have produced.
+  std::map<std::string, std::vector<tsdb::Point>> want_memory;
+  const std::map<std::string, double> epc_bytes = {
+      {"e", static_cast<double>(Pages{512}.as_bytes().count())},
+      {"f", static_cast<double>(Pages{256}.as_bytes().count())}};
+  std::map<std::string, std::vector<tsdb::Point>> want_epc;
+  const auto sample = [&] {
+    const TimePoint now = sim_.now();
+    for (const ApiServer::NodeEntry& entry : api_.all_nodes()) {
+      for (const cluster::Kubelet::PodStats& stats :
+           entry.kubelet->pod_stats()) {
+        want_memory[tsdb::tags_key({{"nodename", entry.node->name()},
+                                    {"pod_name", stats.pod},
+                                    {"type", "pod"}})]
+            .push_back({now, static_cast<double>(stats.memory_usage.count())});
+      }
+    }
+    for (const auto& [pod, bytes] : epc_bytes) {
+      want_epc[tsdb::tags_key({{"nodename", "sgx-1"}, {"pod_name", pod}})]
+          .push_back({now, bytes});
+    }
+    heapster.scrape_once();
+    probe.probe_once();
+  };
+  sample();  // delivered on time
+  heapster.set_sample_delay(Duration::seconds(2));
+  probe.set_sample_delay(Duration::seconds(2));
+  sim_.run_until(sim_.now() + Duration::seconds(5));
+  sample();  // delivered 2 s late
+  sim_.run_until(sim_.now() + Duration::seconds(5));
+  EXPECT_EQ(heapster.delayed_samples(), 3u);
+  EXPECT_EQ(probe.delayed_samples(), 2u);
+
+  const auto stored = [&](const std::string& measurement) {
+    std::map<std::string, std::vector<tsdb::Point>> got;
+    db_.for_each_series(measurement, [&](const tsdb::Series& series) {
+      got[tsdb::tags_key(series.tags())] = series.points();
+    });
+    return got;
+  };
+  const auto expect_same = [](const auto& want, const auto& got) {
+    ASSERT_EQ(got.size(), want.size());
+    for (const auto& [key, points] : want) {
+      const auto it = got.find(key);
+      ASSERT_NE(it, got.end()) << key;
+      ASSERT_EQ(it->second.size(), points.size()) << key;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(it->second[i].time, points[i].time) << key;
+        EXPECT_EQ(it->second[i].value, points[i].value) << key;
+      }
+    }
+  };
+  expect_same(want_memory, stored(Heapster::kMemoryMeasurement));
+  expect_same(want_epc, stored(SgxProbe::kEpcMeasurement));
+  EXPECT_EQ(want_memory.size(), 3u);
+  EXPECT_EQ(want_memory.count("nodename=node-1,pod_name=m,type=pod"), 1u);
 }
 
 }  // namespace

@@ -74,19 +74,71 @@ TEST(Series, DropBeforeRemovesOldPoints) {
 
 TEST(Measurement, SeriesIdentityByTags) {
   Measurement m{"m"};
-  Series& a = m.series_for({{"pod", "a"}});
-  Series& b = m.series_for({{"pod", "b"}});
-  Series& a_again = m.series_for({{"pod", "a"}});
-  EXPECT_EQ(&a, &a_again);
-  EXPECT_NE(&a, &b);
+  m.append({{"pod", "a"}}, "pod=a", {at(1), 1.0});
+  const Series* a = m.find_series({{"pod", "a"}});
+  m.append({{"pod", "b"}}, "pod=b", {at(1), 2.0});
+  m.append({{"pod", "a"}}, "pod=a", {at(2), 3.0});
+  EXPECT_EQ(m.find_series({{"pod", "a"}}), a);
+  EXPECT_NE(m.find_series({{"pod", "b"}}), a);
+  EXPECT_EQ(a->size(), 2u);
   EXPECT_EQ(m.series_count(), 2u);
 }
 
 TEST(Measurement, FindSeries) {
   Measurement m{"m"};
-  m.series_for({{"pod", "a"}}).append({at(1), 1.0});
+  m.append({{"pod", "a"}}, "pod=a", {at(1), 1.0});
   EXPECT_NE(m.find_series({{"pod", "a"}}), nullptr);
   EXPECT_EQ(m.find_series({{"pod", "zzz"}}), nullptr);
+}
+
+TEST(Measurement, ScanVisitsOnlySeriesAppendedSinceInKeyOrder) {
+  Measurement m{"m"};
+  m.append({{"pod", "d"}}, "pod=d", {at(40), 1.0});
+  m.append({{"pod", "b"}}, "pod=b", {at(10), 1.0});
+  m.append({{"pod", "c"}}, "pod=c", {at(50), 1.0});
+  m.append({{"pod", "a"}}, "pod=a", {at(45), 1.0});
+  m.append({{"pod", "b"}}, "pod=b", {at(5), 1.0});  // late: b stays at 10 s
+  m.append({{"pod", "d"}}, "pod=d", {at(60), 1.0});
+  const auto visited = [&](std::int64_t lo_s) {
+    std::vector<std::string> pods;
+    m.for_each_series_since(at(lo_s).micros_since_epoch(),
+                            [&](const Series& series) {
+                              pods.push_back(series.tags().at("pod"));
+                            });
+    return pods;
+  };
+  EXPECT_EQ(visited(0), (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(visited(11), (std::vector<std::string>{"a", "c", "d"}));
+  EXPECT_EQ(visited(45), (std::vector<std::string>{"a", "c", "d"}));
+  EXPECT_EQ(visited(51), (std::vector<std::string>{"d"}));
+  EXPECT_TRUE(visited(61).empty());
+}
+
+TEST(Measurement, SummaryStaysExactWhenRetentionErasesSeries) {
+  Measurement m{"m"};
+  m.append({{"pod", "a"}}, "pod=a", {at(10), 1.0});
+  m.append({{"pod", "b"}}, "pod=b", {at(20), 2.0});
+  m.append({{"pod", "c"}}, "pod=c", {at(100), 3.0});
+  m.append({{"pod", "d"}}, "pod=d", {at(110), 4.0});
+  // a and b empty, and the series after them move up in the summary.
+  EXPECT_EQ(m.drop_before(at(50)), 2u);
+  EXPECT_EQ(m.series_count(), 2u);
+  // Writes to the moved series update their own entries.
+  m.append({{"pod", "d"}}, "pod=d", {at(200), 5.0});
+  m.append({{"pod", "c"}}, "pod=c", {at(60), 6.0});  // late: oldest now 60 s
+  std::vector<std::string> hot;
+  m.for_each_series_since(
+      at(150).micros_since_epoch(),
+      [&](const Series& series) { hot.push_back(series.tags().at("pod")); });
+  EXPECT_EQ(hot, std::vector<std::string>{"d"});
+  // Horizon 80 s: only c's late point is older.
+  EXPECT_EQ(m.drop_before(at(80)), 1u);
+  EXPECT_EQ(m.point_count(), 3u);
+  EXPECT_EQ(m.find_series({{"pod", "c"}})->oldest(), at(100));
+  // Horizon 150 s: c empties, d keeps its 200 s point.
+  EXPECT_EQ(m.drop_before(at(150)), 2u);
+  EXPECT_EQ(m.series_count(), 1u);
+  EXPECT_EQ(m.find_series({{"pod", "d"}})->oldest(), at(200));
 }
 
 TEST(Database, WriteCreatesMeasurementsAndSeries) {
@@ -177,23 +229,20 @@ TEST(Series, DropBeforeAcrossChunks) {
   EXPECT_EQ(s.chunk_count(), 2u);
 }
 
-TEST(Series, CompactMergesSealedChunks) {
-  Series s{{}, Duration::seconds(100).micros_count()};
-  for (int i = 0; i < 400; i += 10) {
+TEST(Series, DropBeforeErasesTheChunkItEmpties) {
+  Series s{{}, Duration::seconds(60).micros_count()};
+  for (int i = 0; i <= 50; i += 10) {
     s.append({at(i), static_cast<double>(i)});
   }
-  ASSERT_EQ(s.chunk_count(), 4u);
-  // Everything before 300 s is sealed → the first three chunks merge; the
-  // live chunk [300,400) is left alone.
-  const std::size_t merged =
-      s.compact(Duration::seconds(300).micros_count());
-  EXPECT_GT(merged, 0u);
-  EXPECT_EQ(s.chunk_count(), 2u);
-  EXPECT_EQ(s.size(), 40u);
-  const auto flat = s.points();
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(flat[static_cast<std::size_t>(i)].time, at(i * 10));
-  }
+  s.append({at(70), 70.0});
+  ASSERT_EQ(s.chunk_count(), 2u);
+  // Horizon 55 s straddles [0,60) but drops every point in it.
+  EXPECT_EQ(s.drop_before(at(55)), 6u);
+  EXPECT_EQ(s.chunk_count(), 1u);
+  EXPECT_EQ(s.chunks().front().start_us, at(60).micros_since_epoch());
+  EXPECT_EQ(s.oldest(), at(70));
+  EXPECT_EQ(s.newest(at(65)), std::nullopt);
+  EXPECT_EQ(s.newest(std::nullopt), at(70));
 }
 
 // --- Series lifecycle ----------------------------------------------------
@@ -353,22 +402,6 @@ TEST(Database, ShardedRetentionMatchesFlat) {
   const std::size_t b = flat.enforce_retention(at(100), Duration::seconds(30));
   EXPECT_EQ(a, b);
   EXPECT_EQ(sharded.total_points(), flat.total_points());
-}
-
-TEST(Database, MaintainCompactsSealedChunks) {
-  DatabaseConfig config;
-  config.shards = 2;
-  config.chunk_width = Duration::seconds(60);
-  Database db{config};
-  for (int i = 0; i < 600; i += 5) {
-    db.write("m", {{"k", "v"}}, at(i), static_cast<double>(i));
-  }
-  const std::size_t chunks_before = db.chunk_count("m");
-  EXPECT_GT(chunks_before, 4u);
-  db.maintain(at(600), Duration::hours(1));
-  EXPECT_LT(db.chunk_count("m"), chunks_before);
-  EXPECT_GT(db.compactions(), 0u);
-  EXPECT_EQ(db.total_points(), 120u);  // retention dropped nothing
 }
 
 }  // namespace
