@@ -1,6 +1,7 @@
 # Smoke check of the end-to-end replay benchmark: one traced run of every
-# seed-1 trace of three workloads, whose run digests must equal the ones
+# seed-1 trace of all four workloads, whose run digests must equal the ones
 # pinned in perfbench/digests.json (simulated behaviour unchanged).
+# paper_slice is the paper's own configuration, the default ClusterConfig;
 # epc_contention is one TSDB shard, five nodes and a deep queue;
 # monitor_dense scrapes every second, so TSDB ingest and retention run 10x
 # as often; scaled_5x adds four shards, 25 workers and the attestation gate.
@@ -16,7 +17,7 @@ foreach(var E2E_REPLAY DIGESTS TRACE)
 endforeach()
 
 file(READ ${DIGESTS} pinned_json)
-foreach(workload epc_contention monitor_dense scaled_5x)
+foreach(workload paper_slice epc_contention monitor_dense scaled_5x)
   string(REGEX REPLACE "\\.json$" ".${workload}.json" trace ${TRACE})
   execute_process(
     COMMAND ${E2E_REPLAY} --workload ${workload} --seed 1 --reps 1

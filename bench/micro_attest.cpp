@@ -178,8 +178,10 @@ ModeResult run_mode(const std::string& mode, bool cache,
   std::size_t bound = 0;
   const std::size_t cycle_cap = 10000;
   while (bound < config.pods && result.cycles < cycle_cap) {
-    const std::vector<cluster::PodName> pending =
-        api.pending_pods(api.default_scheduler());
+    orch::PodFilter filter;
+    filter.phase = cluster::PodPhase::kPending;
+    filter.scheduler = api.default_scheduler();
+    const std::vector<const orch::PodRecord*> pending = api.list_pods(filter);
     std::vector<ApiServer::BindRequest> batch;
     const std::size_t take = std::min(pending.size(), config.batch);
     batch.reserve(take);
@@ -188,7 +190,8 @@ ModeResult run_mode(const std::string& mode, bool cache,
       // not re-target the same still-verifying node forever.
       const std::string& node =
           node_names[(i + result.cycles) % node_names.size()];
-      batch.push_back({pending[i], node, api.pod(pending[i]).resource_version});
+      batch.push_back(
+          {pending[i]->spec.name, node, pending[i]->resource_version});
     }
     if (!batch.empty()) {
       const ApiServer::BatchBindResult outcome = api.try_bind_batch(batch);

@@ -77,8 +77,10 @@ Measurement run_cycle_bench(core::PlacementPolicy policy, int pods,
   Measurement m;
   m.policy = core::to_string(policy);
   m.pods = pods;
-  m.pending_at_measure =
-      cluster.api().pending_pods(scheduler.name()).size();
+  orch::PodFilter pending;
+  pending.phase = cluster::PodPhase::kPending;
+  pending.scheduler = scheduler.name();
+  m.pending_at_measure = cluster.api().list_pods(pending).size();
   m.cycle_us.reserve(static_cast<std::size_t>(cycles));
   for (int c = 0; c < cycles; ++c) {
     const auto start = std::chrono::steady_clock::now();

@@ -9,6 +9,13 @@
 
 namespace sgxo::cluster {
 
+namespace {
+// Re-attestation at bind delivery (see Kubelet::AttestationPolicy).
+constexpr Duration kAttestationRevalidateTtl = Duration::minutes(5);
+constexpr Duration kAttestationBackoffBase = Duration::millis(500);
+constexpr Duration kAttestationBackoffCap = Duration::seconds(30);
+}  // namespace
+
 Kubelet::Kubelet(sim::Simulation& sim, Node& node, const sgx::PerfModel& perf,
                  const ImageRegistry& registry, PodLifecycleListener& listener)
     : sim_(&sim),
@@ -90,7 +97,7 @@ void Kubelet::gate_admission(const PodName& name, std::uint64_t incarnation,
   }
 
   // A fresh local verdict covers the whole node: only the first admission
-  // per revalidate_ttl pays a verification round-trip.
+  // per kAttestationRevalidateTtl pays a verification round-trip.
   if (has_local_verdict_ && sim_->now() < local_verdict_expires_) {
     begin_image_pull(name, incarnation);
     return;
@@ -110,8 +117,7 @@ void Kubelet::gate_admission(const PodName& name, std::uint64_t incarnation,
 
     if (verdict.accepted()) {
       has_local_verdict_ = true;
-      local_verdict_expires_ =
-          sim_->now() + attestation_policy_.revalidate_ttl;
+      local_verdict_expires_ = sim_->now() + kAttestationRevalidateTtl;
       begin_image_pull(name, incarnation);
       return;
     }
@@ -131,14 +137,11 @@ void Kubelet::gate_admission(const PodName& name, std::uint64_t incarnation,
       return;
     }
     ++attestation_retries_;
-    Duration backoff = attestation_policy_.backoff_base;
-    for (int i = 0; i < attempt && backoff < attestation_policy_.backoff_cap;
-         ++i) {
+    Duration backoff = kAttestationBackoffBase;
+    for (int i = 0; i < attempt && backoff < kAttestationBackoffCap; ++i) {
       backoff = backoff * 2;
     }
-    if (backoff > attestation_policy_.backoff_cap) {
-      backoff = attestation_policy_.backoff_cap;
-    }
+    if (backoff > kAttestationBackoffCap) backoff = kAttestationBackoffCap;
     // Deterministic jitter (the kubelet owns no seeded Rng): hash of
     // (node, pod, attempt) decorrelates retry herds across nodes while
     // keeping same-seed replays bit-identical.

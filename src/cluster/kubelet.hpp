@@ -76,15 +76,12 @@ class Kubelet {
   /// Node-local re-verification policy, mirroring the EPC admission guard:
   /// even if the control plane's cached verdict said yes, the kubelet
   /// re-attests before containers start (defence against a stale
-  /// control-plane cache).
+  /// control-plane cache). A local verdict younger than 5 min is trusted
+  /// without a new round-trip, so only the first admission per 5 min pays
+  /// verification latency. Transient verifier failures (unavailable /
+  /// timed out) are retried with exponential backoff from 500 ms, capped
+  /// at 30 s, plus deterministic per-attempt jitter.
   struct AttestationPolicy {
-    /// A local verdict this fresh is trusted without a new round-trip, so
-    /// only the first admission per TTL pays verification latency.
-    Duration revalidate_ttl = Duration::minutes(5);
-    /// Capped exponential backoff for transient verifier failures
-    /// (unavailable / timed out), plus deterministic per-attempt jitter.
-    Duration backoff_base = Duration::millis(500);
-    Duration backoff_cap = Duration::seconds(30);
     /// Degradation: non-SGX pods start anyway while the verifier is
     /// unreachable (counted in degraded_admissions); SGX pods always fail
     /// closed and keep retrying.

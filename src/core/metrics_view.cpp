@@ -49,10 +49,8 @@ std::string ClusterMetrics::listing1_query() const {
 tsdb::ql::ResultSet ClusterMetrics::run(const tsdb::ql::PreparedQuery& query,
                                         TimePoint now) const {
   tsdb::ql::ExecStats stats;
-  tsdb::ql::ExecOptions options;
-  options.stats = &stats;
   tsdb::ql::ResultSet result =
-      query.execute(*db_, now, window_binding_, options);
+      query.execute(*db_, now, window_binding_, &stats);
   last_stats_ = QueryDiagnostics{};
   for (const tsdb::ql::ShardScanStats& shard : stats.shards) {
     if (shard.series == 0 && shard.points == 0) continue;

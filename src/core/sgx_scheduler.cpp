@@ -23,10 +23,11 @@ std::string resolve_name(const SgxSchedulerConfig& config) {
 SgxAwareScheduler::SgxAwareScheduler(sim::Simulation& sim,
                                      orch::ApiServer& api,
                                      const tsdb::Database& db,
+                                     Duration metrics_window,
                                      SgxSchedulerConfig config)
-    : Scheduler(sim, api, resolve_name(config), config.period),
+    : Scheduler(sim, api, resolve_name(config)),
       config_(std::move(config)),
-      metrics_(db, config_.metrics_window) {
+      metrics_(db, metrics_window) {
   if (!config_.identity.empty()) set_identity(config_.identity);
   if (config_.shared_state.has_value()) {
     enable_shared_state(*config_.shared_state);
@@ -125,12 +126,10 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
   // live pod missing, both over- and under-estimates. Past the staleness
   // threshold this cycle schedules on declared requests alone, exactly
   // like the Kubernetes default scheduler (the safe baseline).
-  if (config_.stale_metrics_threshold > Duration{}) {
-    const std::optional<Duration> age = metrics_.staleness(now);
-    if (age.has_value() && *age > config_.stale_metrics_threshold) {
-      ++degraded_cycles_;
-      return views;
-    }
+  const std::optional<Duration> age = metrics_.staleness(now);
+  if (age.has_value() && *age > kStaleMetricsThreshold) {
+    ++degraded_cycles_;
+    return views;
   }
   // Replace the request-based estimate with measurement-informed usage;
   // view.epc_requested stays request-based: it mirrors the device

@@ -36,9 +36,6 @@ namespace sgxo::core {
 
 struct SgxSchedulerConfig {
   PlacementPolicy policy = PlacementPolicy::kBinpack;
-  Duration period = Duration::seconds(5);
-  /// Sliding window of the usage queries (25 s in Listing 1).
-  Duration metrics_window = Duration::seconds(25);
   /// Scheduler name pods select; empty derives "sgx-binpack"/"sgx-spread".
   std::string name;
   /// Replica identity (shared-state fleets run N replicas sharing a
@@ -54,13 +51,6 @@ struct SgxSchedulerConfig {
   /// strictly-lower-priority pods from one node. Off by default — the
   /// paper's scheduler is non-preemptive.
   bool enable_preemption = false;
-  /// Graceful degradation: when the newest metrics sample is older than
-  /// this, the cycle falls back from measured usage to the declared
-  /// requests (the default scheduler's view) instead of trusting a dead
-  /// metrics pipeline. With a healthy 10 s probe period staleness stays
-  /// under one period, so the default only trips on real outages.
-  /// Zero disables the fallback (always trust the window).
-  Duration stale_metrics_threshold = Duration::seconds(60);
 };
 
 /// The measured half of the SGX-aware node views. Replaces each view's
@@ -79,14 +69,24 @@ void fold_measured_usage(std::vector<orch::NodeView>& views,
 
 class SgxAwareScheduler final : public orch::Scheduler {
  public:
+  /// Graceful degradation: when the newest metrics sample is older than
+  /// this, the cycle falls back from measured usage to the declared
+  /// requests (the default scheduler's view) instead of trusting a dead
+  /// metrics pipeline. With a healthy 10 s probe period staleness stays
+  /// under one period, so this only trips on real outages.
+  static constexpr Duration kStaleMetricsThreshold = Duration::seconds(60);
+
+  /// `metrics_window` is the sliding window of the usage queries (25 s in
+  /// Listing 1). The scheduler runs at the framework's default period.
   SgxAwareScheduler(sim::Simulation& sim, orch::ApiServer& api,
-                    const tsdb::Database& db, SgxSchedulerConfig config = {});
+                    const tsdb::Database& db, Duration metrics_window,
+                    SgxSchedulerConfig config);
 
   [[nodiscard]] PlacementPolicy policy() const { return config_.policy; }
   [[nodiscard]] const ClusterMetrics& metrics() const { return metrics_; }
   [[nodiscard]] std::uint64_t preemptions() const { return preemptions_; }
   /// Cycles that ran on declared requests because the metrics window was
-  /// stale past the configured threshold.
+  /// stale past kStaleMetricsThreshold.
   [[nodiscard]] std::uint64_t degraded_cycles() const override {
     return degraded_cycles_;
   }

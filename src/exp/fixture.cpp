@@ -10,9 +10,7 @@ namespace sgxo::exp {
 using namespace sgxo::literals;
 
 SimulatedCluster::SimulatedCluster(ClusterConfig config)
-    : config_(std::move(config)),
-      db_(config_.tsdb_shards),
-      perf_(config_.perf) {
+    : config_(std::move(config)), db_(config_.tsdb_shards) {
   api_ = std::make_unique<orch::ApiServer>(sim_);
 
   // The evaluation image everyone runs (pulled once per node, then cached).
@@ -57,14 +55,12 @@ SimulatedCluster::SimulatedCluster(ClusterConfig config)
     }
     api_->enable_attestation(
         *verifier_,
-        [this](const cluster::NodeName& name) { return node_quote(name); },
-        config_.attestation_config);
+        [this](const cluster::NodeName& name) { return node_quote(name); });
     for (const auto& kubelet : kubelets_) {
       if (!kubelet->node().has_sgx()) continue;
       kubelet->enable_attestation(
           *verifier_,
-          [this, name = kubelet->node_name()] { return node_quote(name); },
-          config_.attestation_policy);
+          [this, name = kubelet->node_name()] { return node_quote(name); });
     }
   }
 }
@@ -118,16 +114,8 @@ core::SgxAwareScheduler& SimulatedCluster::add_sgx_scheduler(
 
 core::SgxAwareScheduler& SimulatedCluster::add_sgx_scheduler(
     core::SgxSchedulerConfig config) {
-  if (config.period == Duration{}) {
-    config.period = config_.scheduler_period;
-  } else if (config.period == Duration::seconds(5)) {
-    config.period = config_.scheduler_period;  // struct default → cluster's
-  }
-  if (config.metrics_window == Duration::seconds(25)) {
-    config.metrics_window = config_.metrics_window;
-  }
   auto scheduler = std::make_unique<core::SgxAwareScheduler>(
-      sim_, *api_, db_, std::move(config));
+      sim_, *api_, db_, config_.metrics_window, std::move(config));
   scheduler->start();
   auto& ref = static_cast<core::SgxAwareScheduler&>(*schedulers_.emplace_back(
       std::move(scheduler)));
@@ -158,8 +146,7 @@ std::vector<core::SgxAwareScheduler*> SimulatedCluster::add_shared_state_fleet(
 }
 
 orch::DefaultScheduler& SimulatedCluster::add_default_scheduler() {
-  auto scheduler = std::make_unique<orch::DefaultScheduler>(
-      sim_, *api_, config_.scheduler_period);
+  auto scheduler = std::make_unique<orch::DefaultScheduler>(sim_, *api_);
   scheduler->start();
   orch::DefaultScheduler& ref = *scheduler;
   schedulers_.push_back(std::move(scheduler));

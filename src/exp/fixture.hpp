@@ -37,22 +37,18 @@ struct ClusterConfig {
   /// Hardware generation of the SGX machines (§VI-G: SGX 2 adds dynamic
   /// enclave memory).
   sgx::SgxVersion sgx_version = sgx::SgxVersion::kSgx1;
-  sgx::PerfModelConfig perf{};
-  Duration scheduler_period = Duration::seconds(5);
   Duration heapster_period = Duration::seconds(10);
   Duration probe_period = Duration::seconds(10);
+  /// Sliding window of the SGX-aware schedulers' usage queries (25 s in
+  /// Listing 1).
   Duration metrics_window = Duration::seconds(25);
   /// TSDB shard count (each its own fault domain; see tsdb::DatabaseConfig).
   std::size_t tsdb_shards = 1;
   /// Attestation-gated admission: provisions every SGX node's platform
   /// with an AttestationVerifier, enables the API server's verdict cache
-  /// and the kubelet-side re-verification at bind delivery.
+  /// and the kubelet-side re-verification at bind delivery, both with
+  /// their default tuning.
   bool attestation = false;
-  /// Gate tuning (TTLs, grace, degradation policy); used when
-  /// `attestation` is true.
-  orch::AttestationGate::Config attestation_config{};
-  /// Kubelet-side re-verification policy; used when `attestation` is true.
-  cluster::Kubelet::AttestationPolicy attestation_policy{};
 };
 
 class SimulatedCluster {
@@ -99,8 +95,8 @@ class SimulatedCluster {
   /// Creates and starts an SGX-aware scheduler with the given policy.
   core::SgxAwareScheduler& add_sgx_scheduler(core::PlacementPolicy policy,
                                              std::string name = "");
-  /// Full-control variant: period and metrics window default from the
-  /// cluster config when left at their zero values.
+  /// Full-control variant. Every SGX-aware scheduler queries the
+  /// cluster config's metrics window.
   core::SgxAwareScheduler& add_sgx_scheduler(core::SgxSchedulerConfig config);
   /// Creates and starts the Kubernetes default scheduler baseline.
   orch::DefaultScheduler& add_default_scheduler();

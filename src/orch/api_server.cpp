@@ -229,15 +229,6 @@ void ApiServer::submit(cluster::PodSpec spec) {
   notify_watchers(name, cluster::PodPhase::kPending);
 }
 
-void ApiServer::append_pending(const std::string& bucket,
-                               std::vector<const PodRecord*>& out) const {
-  const auto it = pending_queues_.find(bucket);
-  if (it == pending_queues_.end()) return;
-  for (const auto& [key, record] : it->second) {
-    out.push_back(record);
-  }
-}
-
 std::vector<const PodRecord*> ApiServer::list_pods(
     const PodFilter& filter) const {
   SGXO_CHECK_MSG(!filter.shard.has_value() || filter.shard_count > 0,
@@ -355,18 +346,6 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     if (filter.limit > 0 && out.size() == filter.limit) break;
     const PodRecord& record = pods_.at(name);
     if (matches(record)) out.push_back(&record);
-  }
-  return out;
-}
-
-std::vector<cluster::PodName> ApiServer::pending_pods(
-    const std::string& scheduler_name) const {
-  PodFilter filter;
-  filter.phase = cluster::PodPhase::kPending;
-  filter.scheduler = scheduler_name;
-  std::vector<cluster::PodName> out;
-  for (const PodRecord* record : list_pods(filter)) {
-    out.push_back(record->spec.name);
   }
   return out;
 }
@@ -586,17 +565,6 @@ void ApiServer::migrate(const cluster::PodName& pod,
   node_insert(record);
   record_event(pod, "Migrated " + source->node->name() + " -> " + target);
   destination->kubelet->admit_migrated(std::move(bundle), service, inbound);
-}
-
-std::vector<cluster::PodName> ApiServer::assigned_pods(
-    const cluster::NodeName& node) const {
-  PodFilter filter;
-  filter.node = node;
-  std::vector<cluster::PodName> out;
-  for (const PodRecord* record : list_pods(filter)) {
-    out.push_back(record->spec.name);
-  }
-  return out;
 }
 
 const PodRecord& ApiServer::pod(const cluster::PodName& name) const {

@@ -9,9 +9,9 @@
 // Read path: the store maintains secondary indexes — per-scheduler pending
 // queues in priority+FCFS order, a pods-by-node index carrying each node's
 // request sum, and per-namespace usage accumulators — updated
-// transactionally with every phase transition. pending_pods /
-// assigned_pods / node_requests / quota admission are therefore O(result),
-// not O(pods): the scheduler hot loop never scans the store.
+// transactionally with every phase transition. list_pods with a pending
+// or node filter, node_requests and quota admission are therefore
+// O(result), not O(pods): the scheduler hot loop never scans the store.
 //
 // Write path: conditional binds are the only scheduling writes. try_bind
 // CASes one pod; try_bind_batch validates a whole transaction of
@@ -97,10 +97,9 @@ struct ResourceQuota {
 [[nodiscard]] std::uint32_t shard_of(const cluster::PodName& pod,
                                      std::uint32_t shard_count);
 
-/// Selector for ApiServer::list_pods — the single read API behind the
-/// legacy pending_pods/assigned_pods/all_pods trio and the shared-state
-/// schedulers' shard pulls. Unset fields match everything; set fields are
-/// ANDed.
+/// Selector for ApiServer::list_pods — the single read API, including
+/// the shared-state schedulers' shard pulls. Unset fields match
+/// everything; set fields are ANDed.
 struct PodFilter {
   std::optional<cluster::PodPhase> phase;
   /// Node the pod is *currently assigned to* (bound or running there).
@@ -183,13 +182,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   /// writes and expect the filter to still hold.
   [[nodiscard]] std::vector<const PodRecord*> list_pods(
       const PodFilter& filter) const;
-
-  /// Pending pods owned by `scheduler_name`: highest priority first,
-  /// FCFS (oldest submission) within equal priority — the Kubernetes
-  /// scheduling-queue order. With the default priority 0 everywhere this
-  /// is plain FCFS, as in the paper. Wrapper over list_pods.
-  [[nodiscard]] std::vector<cluster::PodName> pending_pods(
-      const std::string& scheduler_name) const;
 
   /// Status of a conditional bind attempt. Everything except kBound
   /// leaves the pod exactly where it was (pending pods stay queued).
@@ -334,11 +326,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   void migrate(const cluster::PodName& pod, const cluster::NodeName& target,
                sgx::MigrationService& service);
 
-  /// Pods currently assigned to (bound or running on) `node`.
-  /// Wrapper over list_pods.
-  [[nodiscard]] std::vector<cluster::PodName> assigned_pods(
-      const cluster::NodeName& node) const;
-
   /// Preempts a bound/running pod: tears it down on its node and returns
   /// it to the pending queue (its first-start timestamp is retained for
   /// waiting-time accounting; the lost work is rerun from scratch).
@@ -424,9 +411,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   void node_insert(const PodRecord& record);
   void usage_add(const PodRecord& record);
   void usage_remove(const PodRecord& record);
-  /// Appends one pending bucket's records to `out` in queue order.
-  void append_pending(const std::string& bucket,
-                      std::vector<const PodRecord*>& out) const;
 
   sim::Simulation* sim_;
   std::unique_ptr<AttestationGate> attestation_;

@@ -12,21 +12,12 @@ constexpr Duration kRetryBase = Duration::seconds(1);
 constexpr Duration kRetryCap = Duration::seconds(60);
 }  // namespace
 
-PodRestarter::PodRestarter(sim::Simulation& sim, ApiServer& api,
-                           Duration period, Mode mode)
-    : sim_(&sim), api_(&api), period_(period), mode_(mode) {
-  SGXO_CHECK(period_ > Duration{});
-}
+PodRestarter::PodRestarter(sim::Simulation& sim, ApiServer& api)
+    : sim_(&sim), api_(&api) {}
 
 PodRestarter::~PodRestarter() { stop(); }
 
-void PodRestarter::connect_source() {
-  if (mode_ == Mode::kPoll) {
-    if (timer_.valid()) return;
-    timer_ = sim_->schedule_every(period_, period_, [this] { run_once(); });
-    return;
-  }
-  if (watch_ != 0) return;
+void PodRestarter::watch() {
   watch_ = api_->watch_pods([this](const ApiServer::PodUpdate& update) {
     if (update.phase != cluster::PodPhase::kFailed) return;
     const cluster::PodName pod = update.pod;
@@ -36,51 +27,43 @@ void PodRestarter::connect_source() {
   });
 }
 
+void PodRestarter::unwatch() {
+  if (watch_ == 0) return;
+  api_->unwatch(watch_);
+  watch_ = 0;
+}
+
 void PodRestarter::start() {
-  connected_ = true;
-  connect_source();
+  if (started_) return;
+  started_ = true;
+  // The list half of list+watch: failures from before the watch existed.
+  run_once();
+  watch();
 }
 
 void PodRestarter::stop() {
-  if (timer_.valid()) {
-    sim_->cancel(timer_);
-    timer_ = sim::EventId{};
-  }
-  if (watch_ != 0) {
-    api_->unwatch(watch_);
-    watch_ = 0;
-  }
+  started_ = false;
+  unwatch();
   for (auto& [pod, retry] : retries_) {
     if (retry.event.valid()) sim_->cancel(retry.event);
   }
   retries_.clear();
-  connected_ = false;
 }
 
 void PodRestarter::disconnect() {
-  if (!connected_) return;
-  connected_ = false;
+  if (!connected()) return;
   ++disconnects_;
-  if (timer_.valid()) {
-    sim_->cancel(timer_);
-    timer_ = sim::EventId{};
-  }
-  if (watch_ != 0) {
-    api_->unwatch(watch_);
-    watch_ = 0;
-  }
+  unwatch();
   // Armed admission retries stay armed: they are local state, not watch
   // events, and the quota pressure that caused them clears independently.
 }
 
 void PodRestarter::resync() {
-  if (connected_) return;
-  connected_ = true;
+  if (!started_ || connected()) return;
   ++resyncs_;
-  connect_source();
+  watch();
   // The re-list: one full reconciliation pass picks up every failure that
-  // happened while the channel was down (watch mode would otherwise never
-  // hear about them; poll mode just reconciles early).
+  // happened while the watch was down.
   run_once();
 }
 

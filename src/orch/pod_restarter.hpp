@@ -4,6 +4,10 @@
 // *policy* (EPC limit enforcement) are deliberately NOT restarted: the
 // driver killed them for lying about their resources.
 //
+// The controller is informer-driven, as Kubernetes controllers are: start()
+// lists the store once (catching failures that happened before it ran),
+// then reacts to failures through a watch on the API server.
+//
 // Failure handling (chaos-hardened):
 //   * a resubmission that fails admission (e.g. a namespace quota that is
 //     momentarily full with doomed pods) is retried with capped
@@ -25,35 +29,30 @@ namespace sgxo::orch {
 
 class PodRestarter {
  public:
-  /// How the controller learns about failures: periodic reconciliation
-  /// (robust, Kubernetes-controller style) or an informer watch on the
-  /// API server (reacts within one simulation event).
-  enum class Mode { kPoll, kWatch };
-
-  PodRestarter(sim::Simulation& sim, ApiServer& api,
-               Duration period = Duration::seconds(10),
-               Mode mode = Mode::kPoll);
+  PodRestarter(sim::Simulation& sim, ApiServer& api);
   ~PodRestarter();
 
   PodRestarter(const PodRestarter&) = delete;
   PodRestarter& operator=(const PodRestarter&) = delete;
 
+  /// Lists the store once (run_once), then watches it (idempotent).
   void start();
   void stop();
-  [[nodiscard]] Mode mode() const { return mode_; }
 
   /// One reconciliation pass; returns the number of pods resubmitted.
   std::size_t run_once();
 
   // ---- watch-channel fault surface ----------------------------------------
-  /// Drops the event source (the watch in kWatch mode, the poll timer in
-  /// kPoll mode) without forgetting state — an informer losing its
-  /// connection. Failures occurring now go unnoticed until resync().
+  /// Drops the watch without forgetting state — an informer losing its
+  /// connection. Failures occurring now go unnoticed until resync(). A
+  /// no-op unless the restarter is started and connected.
   void disconnect();
-  /// Reconnects the event source and immediately reconciles once,
-  /// catching everything missed while disconnected (the re-list).
+  /// Re-subscribes and immediately reconciles once, catching everything
+  /// missed while disconnected (the re-list). A no-op unless the
+  /// restarter is started and disconnected: a stopped restarter stays
+  /// stopped.
   void resync();
-  [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] bool connected() const { return watch_ != 0; }
   [[nodiscard]] std::uint64_t disconnects() const { return disconnects_; }
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
 
@@ -72,22 +71,20 @@ class PodRestarter {
   };
 
   [[nodiscard]] static bool restartable(const PodRecord& record);
-  void connect_source();
+  void watch();
+  void unwatch();
   /// Re-checks a failed pod and resubmits it if still warranted — the
   /// single entry point for watch deliveries and admission retries.
   void maybe_restart(const cluster::PodName& pod);
-  /// Resubmits one failed pod (shared by both modes). Returns false on an
-  /// admission rejection, which arms a capped-exponential retry instead
-  /// of propagating out of the caller (possibly a watch delivery).
+  /// Resubmits one failed pod. Returns false on an admission rejection,
+  /// which arms a capped-exponential retry instead of propagating out of
+  /// the caller (possibly a watch delivery).
   bool restart(const PodRecord& record);
   void schedule_retry(const cluster::PodName& pod);
 
   sim::Simulation* sim_;
   ApiServer* api_;
-  Duration period_;
-  Mode mode_;
-  bool connected_ = false;
-  sim::EventId timer_;
+  bool started_ = false;
   ApiServer::WatchId watch_ = 0;
   std::map<cluster::PodName, std::string> handled_;  // original → retry name
   std::map<cluster::PodName, Retry> retries_;

@@ -6,6 +6,14 @@
 
 namespace sgxo::orch {
 
+namespace {
+// Conflict-rate controller thresholds (see SharedStateConfig).
+constexpr double kShrinkAbove = 0.25;
+constexpr double kGrowBelow = 0.05;
+static_assert(kShrinkAbove > kGrowBelow,
+              "a batch must not be able to shrink and grow at once");
+}  // namespace
+
 bool fits(const cluster::PodSpec& pod, const NodeView& view) {
   const cluster::ResourceAmounts request = pod.total_requests();
   // nodeSelector pins the pod to one node.
@@ -61,9 +69,6 @@ void Scheduler::enable_shared_state(SharedStateConfig config) {
   SGXO_CHECK_MSG(config.min_batch <= config.initial_batch &&
                      config.initial_batch <= config.max_batch,
                  "batch bounds must satisfy min <= initial <= max");
-  SGXO_CHECK_MSG(config.shrink_above > config.grow_below,
-                 "controller thresholds must satisfy shrink_above > "
-                 "grow_below, or a batch could shrink and grow at once");
   shared_ = config;
   reset_conflict_controller();
 }
@@ -120,12 +125,6 @@ void Scheduler::set_bind_backoff(Duration base, Duration cap) {
   SGXO_CHECK_MSG(cap >= base, "backoff cap must be >= base");
   backoff_base_ = base;
   backoff_cap_ = cap;
-}
-
-void Scheduler::disable_bind_backoff() {
-  backoff_base_ = Duration{};
-  backoff_cap_ = Duration{};
-  backoffs_.clear();
 }
 
 void Scheduler::note_bind_failure(const cluster::PodName& pod) {
@@ -311,7 +310,7 @@ std::size_t Scheduler::run_shared_cycle() {
   filter.shard = config.shard;
   filter.limit = batch_size_;
   std::vector<const PodRecord*> pulled = api_->list_pods(filter);
-  if (pulled.empty() && config.work_stealing && config.shard_count > 1) {
+  if (pulled.empty() && config.shard_count > 1) {
     for (std::uint32_t k = 1; k < config.shard_count; ++k) {
       const std::uint32_t candidate =
           (config.shard + steal_rotation_ + k) % config.shard_count;
@@ -385,7 +384,7 @@ std::size_t Scheduler::run_shared_cycle() {
     // per race) and eventually rotates the steal origin so two replicas
     // stop colliding on the same drained shard; clean batches grow back.
     last_conflict_rate_ = result.conflict_rate();
-    if (last_conflict_rate_ > config.shrink_above) {
+    if (last_conflict_rate_ > kShrinkAbove) {
       batch_size_ = std::max(config.min_batch, batch_size_ / 2);
       ++conflict_streak_;
       if (config.reshard_after > 0 &&
@@ -396,7 +395,7 @@ std::size_t Scheduler::run_shared_cycle() {
       }
     } else {
       conflict_streak_ = 0;
-      if (last_conflict_rate_ < config.grow_below) {
+      if (last_conflict_rate_ < kGrowBelow) {
         batch_size_ = std::min(config.max_batch, batch_size_ * 2);
       }
     }

@@ -38,29 +38,25 @@
 namespace sgxo::orch {
 
 /// Knobs of the Omega-style shared-state mode (see the header comment).
-/// Every replica of a scheduler name gets one shard of the pending queue
-/// and submits its placements as batched bind transactions.
+/// Every replica of a scheduler name gets one shard of the pending queue,
+/// steals from its neighbours' shards once its own is drained, and submits
+/// its placements as batched bind transactions.
 struct SharedStateConfig {
   /// This replica's shard of the pending queue (stable pod-name hash mod
   /// shard_count). Must be < shard_count.
   std::uint32_t shard = 0;
   std::uint32_t shard_count = 1;
   /// Pods pulled — and bind attempts staged — per cycle, between the
-  /// congestion controller's bounds.
+  /// congestion controller's bounds. The controller halves the next batch
+  /// after one whose conflict_rate() exceeds 0.25 and doubles it after one
+  /// below 0.05.
   std::size_t initial_batch = 64;
   std::size_t min_batch = 8;
   std::size_t max_batch = 1024;
-  /// Conflict-rate controller: a batch whose conflict_rate() exceeds
-  /// shrink_above halves the next batch; one below grow_below doubles it.
-  double shrink_above = 0.25;
-  double grow_below = 0.05;
   /// Consecutive shrinking batches before the steal origin rotates (the
   /// "re-shard" escape hatch when two replicas keep colliding on the same
   /// stolen shard). 0 disables rotation.
   int reshard_after = 3;
-  /// Steal from neighbouring shards when this replica's own shard is
-  /// drained. Off means a drained replica idles (strict partitioning).
-  bool work_stealing = true;
 };
 
 /// A scheduler's view of one node during a scheduling cycle: capacities
@@ -177,7 +173,6 @@ class Scheduler {
   /// feasibility, TSDB queries) every single cycle; it takes precedence
   /// over strict FCFS for backed-off pods (they are skipped, not blocking).
   void set_bind_backoff(Duration base, Duration cap);
-  void disable_bind_backoff();
   [[nodiscard]] bool bind_backoff_enabled() const { return backoff_base_ > Duration{}; }
   /// Placement attempts skipped because the pod was still backing off.
   [[nodiscard]] std::uint64_t backoff_skips() const { return backoff_skips_; }

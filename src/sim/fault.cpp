@@ -70,6 +70,10 @@ std::string FaultPlan::describe() const {
 
 namespace {
 
+constexpr Duration kMinDuration = Duration::seconds(10);
+constexpr Duration kMaxDuration = Duration::minutes(2);
+constexpr Duration kMaxDelay = Duration::seconds(30);
+
 const std::string& pick(Rng& rng, const std::vector<std::string>& options) {
   return options[static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(options.size()) - 1))];
@@ -136,8 +140,6 @@ FaultKind downgrade_for_config(FaultKind kind,
 FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config) {
   SGXO_CHECK_MSG(config.min_faults <= config.max_faults,
                  "min_faults must not exceed max_faults");
-  SGXO_CHECK_MSG(config.min_duration <= config.max_duration,
-                 "min_duration must not exceed max_duration");
   FaultPlan plan;
   const auto count = static_cast<std::size_t>(rng.uniform_int(
       static_cast<std::int64_t>(config.min_faults),
@@ -153,8 +155,8 @@ FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config) {
     // Randomized plans always heal — the chaos harness asserts that the
     // cluster reconverges, which needs every injected fault to end.
     fault.duration = Duration::micros(
-        rng.uniform_int(config.min_duration.micros_count(),
-                        config.max_duration.micros_count()));
+        rng.uniform_int(kMinDuration.micros_count(),
+                        kMaxDuration.micros_count()));
     // Target / delay assignment for the *resolved* kind. Downgrading is
     // done (downgrade_for_config never returns a kind whose list below is
     // empty), so these draws cannot fail.
@@ -172,8 +174,7 @@ FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config) {
       case FaultKind::kSampleDelay:
       case FaultKind::kAttestationSlowVerify:
         fault.delay = Duration::micros(
-            rng.uniform_int(1, std::max<std::int64_t>(
-                                   config.max_delay.micros_count(), 1)));
+            rng.uniform_int(1, kMaxDelay.micros_count()));
         break;
       case FaultKind::kSchedulerCrash:
         fault.target = pick(rng, config.scheduler_targets);
@@ -237,14 +238,6 @@ void FaultInjector::heal(const FaultSpec& spec) {
 bool FaultInjector::active(FaultKind kind, const std::string& target) const {
   const auto it = active_.find(Key{kind, target});
   return it != active_.end() && it->second > 0;
-}
-
-std::size_t FaultInjector::active_count() const {
-  std::size_t total = 0;
-  for (const auto& [key, count] : active_) {
-    total += static_cast<std::size_t>(count);
-  }
-  return total;
 }
 
 }  // namespace sgxo::sim

@@ -104,11 +104,6 @@ struct RandomPlanConfig {
   Duration window = Duration::minutes(10);
   std::size_t min_faults = 1;
   std::size_t max_faults = 6;
-  /// Fault durations are drawn uniformly in [min_duration, max_duration].
-  Duration min_duration = Duration::seconds(10);
-  Duration max_duration = Duration::minutes(2);
-  /// kSampleDelay delays are drawn uniformly in (0, max_delay].
-  Duration max_delay = Duration::seconds(30);
   /// Crash / probe-dropout targets (typically the schedulable nodes; probe
   /// dropouts only land on the SGX subset a harness passes here).
   std::vector<std::string> crash_targets;
@@ -139,6 +134,8 @@ struct RandomPlanConfig {
 
 /// Draws a randomized, fully-healing fault plan. Every draw comes from
 /// `rng`, so the plan is a pure function of the seed and the config.
+/// Fault durations are drawn uniformly in [10 s, 2 min]; kSampleDelay and
+/// kAttestationSlowVerify delays uniformly in (0, 30 s].
 [[nodiscard]] FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config);
 
 class FaultInjector {
@@ -164,8 +161,6 @@ class FaultInjector {
   /// Total activations / heals fired so far.
   [[nodiscard]] std::uint64_t injected() const { return injected_; }
   [[nodiscard]] std::uint64_t healed() const { return healed_; }
-  /// Currently-active activation count (permanent faults never leave).
-  [[nodiscard]] std::size_t active_count() const;
 
  private:
   using Key = std::pair<FaultKind, std::string>;

@@ -294,39 +294,6 @@ std::size_t Database::points_in(const std::string& measurement) const {
   return total;
 }
 
-void Database::for_each_series(
-    const std::string& measurement,
-    const std::function<void(const Series&)>& f) const {
-  // K-way merge over the per-shard series maps: each shard's map is
-  // already in tags_key order and the key space partitions across shards,
-  // so merging by key reproduces the 1-shard iteration order exactly.
-  struct Cursor {
-    std::map<std::string, Series>::const_iterator it;
-    std::map<std::string, Series>::const_iterator end;
-  };
-  std::vector<Cursor> cursors;
-  for (const Shard& shard : shards_) {
-    const auto m = shard.measurements.find(measurement);
-    if (m == shard.measurements.end()) continue;
-    // Each cursor walks one shard's series map in key order.
-    cursors.push_back(Cursor{});
-    cursors.back().it = m->second.series_begin();
-    cursors.back().end = m->second.series_end();
-  }
-  while (true) {
-    Cursor* best = nullptr;
-    for (Cursor& cursor : cursors) {
-      if (cursor.it == cursor.end) continue;
-      if (best == nullptr || cursor.it->first < best->it->first) {
-        best = &cursor;
-      }
-    }
-    if (best == nullptr) break;
-    f(best->it->second);
-    ++best->it;
-  }
-}
-
 const Measurement* Database::find_measurement(const std::string& measurement,
                                               std::size_t shard) const {
   SGXO_CHECK(shard < shards_.size());

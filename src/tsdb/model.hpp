@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -183,13 +182,6 @@ class Measurement {
     }
   }
 
-  [[nodiscard]] SeriesMap::const_iterator series_begin() const {
-    return series_.begin();
-  }
-  [[nodiscard]] SeriesMap::const_iterator series_end() const {
-    return series_.end();
-  }
-
   /// Drops points older than `horizon`, then erases the series left empty
   /// (Series::empty), and forgets the newest point time if it was older
   /// too. Only series whose oldest point is older than the horizon are
@@ -257,11 +249,6 @@ class Database {
   [[nodiscard]] std::size_t total_points() const;
   [[nodiscard]] std::size_t series_count(const std::string& measurement) const;
   [[nodiscard]] std::size_t points_in(const std::string& measurement) const;
-
-  /// Visits every series of a measurement in canonical tags_key order —
-  /// identical to the 1-shard iteration order, whatever the shard count.
-  void for_each_series(const std::string& measurement,
-                       const std::function<void(const Series&)>& f) const;
 
   /// The series of `measurement` stored on one shard (nullptr when the
   /// shard holds none). The executor folds a measurement shard by shard

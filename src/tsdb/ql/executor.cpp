@@ -40,8 +40,7 @@ double ResultSet::value_for(const std::string& tag, const std::string& value,
 
 /// Per-statement static plan: everything about a node that does not depend
 /// on now(), parameter bindings, or the database. Computed once by
-/// analyze() (PreparedQuery caches the result) or on the fly for one-shot
-/// queries.
+/// analyze() and cached by PreparedQuery.
 struct QueryAnalysis {
   /// A field predicate names a field measurement rows never carry, so a
   /// measurement scan of this node yields nothing.
@@ -475,18 +474,13 @@ ResultSet render(const SelectStmt& stmt, GroupMap& groups) {
   return result;
 }
 
-ResultSet exec_node(const SelectStmt& stmt, const Database& db, TimePoint now,
-                    const QueryParams& params, const ExecOptions& options,
-                    const QueryAnalysis& analysis);
-
 /// Scan path for `FROM "measurement"`.
 ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
                     const Database& db, TimePoint now,
-                    const QueryParams& params, const ExecOptions& options,
+                    const QueryParams& params, ExecStats* stats,
                     const QueryAnalysis& analysis) {
   const ScanSpec spec = resolve_scan(stmt, measurement, now, params, analysis);
   const std::size_t shard_count = db.shard_count();
-  ExecStats* stats = options.stats;
   if (stats != nullptr && stats->shards.size() < shard_count) {
     stats->shards.resize(shard_count);
   }
@@ -518,12 +512,12 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
 /// did (inner rows are few — one per group — so scanning them centrally
 /// costs nothing).
 ResultSet exec_rows(const SelectStmt& stmt, const Database& db, TimePoint now,
-                    const QueryParams& params, const ExecOptions& options,
+                    const QueryParams& params, ExecStats* stats,
                     const QueryAnalysis& analysis) {
   const auto& sub = std::get<std::unique_ptr<SelectStmt>>(stmt.source);
   SGXO_CHECK(analysis.sub != nullptr);
   std::vector<Row> rows =
-      exec_node(*sub, db, now, params, options, *analysis.sub).rows;
+      execute(*sub, *analysis.sub, db, now, params, stats).rows;
 
   if (!stmt.where.empty()) {
     std::erase_if(rows, [&](const Row& row) {
@@ -575,33 +569,19 @@ ResultSet exec_rows(const SelectStmt& stmt, const Database& db, TimePoint now,
   return render(stmt, groups);
 }
 
-ResultSet exec_node(const SelectStmt& stmt, const Database& db, TimePoint now,
-                    const QueryParams& params, const ExecOptions& options,
-                    const QueryAnalysis& analysis) {
-  if (const auto* name = std::get_if<std::string>(&stmt.source)) {
-    return exec_scan(stmt, *name, db, now, params, options, analysis);
-  }
-  return exec_rows(stmt, db, now, params, options, analysis);
-}
-
 }  // namespace
 
 std::shared_ptr<const QueryAnalysis> analyze(const SelectStmt& stmt) {
   return std::shared_ptr<const QueryAnalysis>{analyze_node(stmt).release()};
 }
 
-ResultSet execute(const SelectStmt& stmt, const Database& db, TimePoint now,
-                  const QueryParams& params) {
-  return execute(stmt, db, now, params, ExecOptions{});
-}
-
-ResultSet execute(const SelectStmt& stmt, const Database& db, TimePoint now,
-                  const QueryParams& params, const ExecOptions& options) {
-  if (options.analysis != nullptr) {
-    return exec_node(stmt, db, now, params, options, *options.analysis);
+ResultSet execute(const SelectStmt& stmt, const QueryAnalysis& analysis,
+                  const Database& db, TimePoint now, const QueryParams& params,
+                  ExecStats* stats) {
+  if (const auto* name = std::get_if<std::string>(&stmt.source)) {
+    return exec_scan(stmt, *name, db, now, params, stats, analysis);
   }
-  const std::unique_ptr<QueryAnalysis> analysis = analyze_node(stmt);
-  return exec_node(stmt, db, now, params, options, *analysis);
+  return exec_rows(stmt, db, now, params, stats, analysis);
 }
 
 ResultSet query(const std::string& text, const Database& db, TimePoint now) {

@@ -59,7 +59,7 @@ struct ShardScanStats {
   std::size_t points = 0;  // points folded
 };
 
-/// Filled when ExecOptions::stats is set. `shards` is indexed by shard id
+/// Filled when execute() is given one. `shards` is indexed by shard id
 /// and accumulates over every measurement scan the statement performs
 /// (subqueries included).
 struct ExecStats {
@@ -68,27 +68,21 @@ struct ExecStats {
 
 struct QueryAnalysis;  // opaque; produced by analyze(), owned by callers
 
-struct ExecOptions {
-  ExecStats* stats = nullptr;
-  /// Statement analysis cached at prepare time. nullptr = analyze on the
-  /// fly.
-  const QueryAnalysis* analysis = nullptr;
-};
-
 /// Precomputes the per-node static plan (scan-field legality, GROUP BY
 /// tag order) for a statement tree. PreparedQuery caches this so
 /// per-execute planning does no AST walking beyond parameter resolution.
 [[nodiscard]] std::shared_ptr<const QueryAnalysis> analyze(
     const SelectStmt& stmt);
 
-/// Runs `stmt` against `db`, with `now` supplying the now() anchor for
-/// relative time predicates (the scheduler passes the virtual clock) and
-/// `params` binding any named duration parameters the statement uses.
-[[nodiscard]] ResultSet execute(const SelectStmt& stmt, const Database& db,
-                                TimePoint now, const QueryParams& params = {});
-[[nodiscard]] ResultSet execute(const SelectStmt& stmt, const Database& db,
-                                TimePoint now, const QueryParams& params,
-                                const ExecOptions& options);
+/// Runs `stmt`, whose plan `analysis` is analyze(stmt), against `db`, with
+/// `now` supplying the now() anchor for relative time predicates (the
+/// scheduler passes the virtual clock) and `params` binding any named
+/// duration parameters the statement uses. `stats`, when not null,
+/// collects per-shard scan telemetry. PreparedQuery is the caller.
+[[nodiscard]] ResultSet execute(const SelectStmt& stmt,
+                                const QueryAnalysis& analysis,
+                                const Database& db, TimePoint now,
+                                const QueryParams& params, ExecStats* stats);
 
 /// Convenience: parse + execute — a thin wrapper over
 /// PreparedQuery::prepare(text).execute(db, now). Callers on a hot path

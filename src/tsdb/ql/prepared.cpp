@@ -36,21 +36,14 @@ PreparedQuery PreparedQuery::prepare(std::string text) {
 }
 
 ResultSet PreparedQuery::execute(const Database& db, TimePoint now,
-                                 const QueryParams& params) const {
-  return execute(db, now, params, ExecOptions{});
-}
-
-ResultSet PreparedQuery::execute(const Database& db, TimePoint now,
                                  const QueryParams& params,
-                                 const ExecOptions& options) const {
+                                 ExecStats* stats) const {
   for (const std::string& name : params_) {
     if (params.find(name) == params.end()) {
       throw QueryError{"unbound query parameter '$" + name + "'"};
     }
   }
-  ExecOptions with_analysis = options;
-  with_analysis.analysis = analysis_.get();
-  return ql::execute(stmt_, db, now, params, with_analysis);
+  return ql::execute(stmt_, *analysis_, db, now, params, stats);
 }
 
 }  // namespace sgxo::tsdb::ql

@@ -37,13 +37,10 @@ class PreparedQuery {
   /// Runs the prepared statement. `now` anchors relative time predicates;
   /// `params` must bind every `$param` the statement names (a missing
   /// binding is a QueryError, surfaced before any rows are read).
+  /// `stats`, when not null, collects per-shard scan telemetry.
   [[nodiscard]] ResultSet execute(const Database& db, TimePoint now,
-                                  const QueryParams& params = {}) const;
-  /// As above, with executor options (scan stats). The cached analysis
-  /// always rides along; `options.analysis` is ignored.
-  [[nodiscard]] ResultSet execute(const Database& db, TimePoint now,
-                                  const QueryParams& params,
-                                  const ExecOptions& options) const;
+                                  const QueryParams& params = {},
+                                  ExecStats* stats = nullptr) const;
 
   [[nodiscard]] const SelectStmt& stmt() const { return stmt_; }
   [[nodiscard]] const std::string& text() const { return text_; }

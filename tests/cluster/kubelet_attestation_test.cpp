@@ -120,7 +120,7 @@ TEST(KubeletAttestation, FreshLocalVerdictSkipsTheRoundTrip) {
   rig.enable();
   rig.kubelet.admit_pod(sgx_pod("a", Pages{100}));
   rig.run_for(Duration::seconds(5));
-  // Second admission inside revalidate_ttl trusts the node-local verdict.
+  // Second admission inside the 5 min TTL trusts the node-local verdict.
   rig.kubelet.admit_pod(sgx_pod("b", Pages{100}));
   rig.run_for(Duration::seconds(5));
   EXPECT_EQ(rig.listener.running.size(), 2u);

@@ -114,9 +114,7 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   cluster.api().set_default_scheduler(scheduler.name());
   cluster.start_monitoring();
 
-  orch::PodRestarter restarter{cluster.sim(), cluster.api(),
-                               Duration::seconds(10),
-                               orch::PodRestarter::Mode::kWatch};
+  orch::PodRestarter restarter{cluster.sim(), cluster.api()};
   restarter.start();
 
   sim::FaultInjector injector{cluster.sim()};

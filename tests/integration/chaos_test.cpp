@@ -42,9 +42,8 @@ class ChaosFixture : public ::testing::Test {
     scheduler_ = &cluster_.add_sgx_scheduler(core::PlacementPolicy::kBinpack);
     cluster_.api().set_default_scheduler(scheduler_->name());
     cluster_.start_monitoring();
-    restarter_ = std::make_unique<orch::PodRestarter>(
-        cluster_.sim(), cluster_.api(), Duration::seconds(10),
-        orch::PodRestarter::Mode::kWatch);
+    restarter_ =
+        std::make_unique<orch::PodRestarter>(cluster_.sim(), cluster_.api());
     restarter_->start();
     cluster_.install_fault_handlers(injector_, restarter_.get());
   }

@@ -37,9 +37,7 @@ TEST(Soak, EverySubsystemAtOnce) {
   migration.start();
   core::ContentionMonitor contention{cluster.sim(), cluster.api()};
   contention.start();
-  orch::PodRestarter restarter{cluster.sim(), cluster.api(),
-                               Duration::seconds(10),
-                               orch::PodRestarter::Mode::kWatch};
+  orch::PodRestarter restarter{cluster.sim(), cluster.api()};
   restarter.start();
 
   // EPC quota for the squatters' namespace (they only *declare* 1 page,

@@ -1,6 +1,5 @@
 # Lint: the simulator core is single-threaded and deterministic, so no
-# file under src/ may include a threading header. <atomic> stays allowed
-# for the parse-work counter in tsdb/ql/lexer.cpp.
+# file under src/ may include a threading header.
 #
 #   cmake -DSRC=<repo>/src -P lint_single_threaded.cmake
 if(NOT DEFINED SRC)
@@ -11,7 +10,7 @@ file(GLOB_RECURSE files ${SRC}/*)
 set(offenders "")
 foreach(file ${files})
   file(STRINGS ${file} includes REGEX
-       "^[ \t]*#[ \t]*include[ \t]*<(thread|mutex|shared_mutex|condition_variable|future)>")
+       "^[ \t]*#[ \t]*include[ \t]*<(thread|mutex|shared_mutex|condition_variable|future|atomic)>")
   foreach(line ${includes})
     file(RELATIVE_PATH path ${SRC} ${file})
     string(STRIP "${line}" line)

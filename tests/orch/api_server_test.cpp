@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "pod_names.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -108,11 +109,11 @@ TEST_F(ApiServerFixture, PendingQueueIsFcfsPerScheduler) {
   api_.submit(pod("p1", ""));          // default → sched-x
   api_.submit(pod("p2", "sched-y"));
   api_.submit(pod("p3", "sched-x"));
-  EXPECT_EQ(api_.pending_pods("sched-x"),
+  EXPECT_EQ(pending_names(api_, "sched-x"),
             (std::vector<cluster::PodName>{"p1", "p3"}));
-  EXPECT_EQ(api_.pending_pods("sched-y"),
+  EXPECT_EQ(pending_names(api_, "sched-y"),
             (std::vector<cluster::PodName>{"p2"}));
-  EXPECT_TRUE(api_.pending_pods("other").empty());
+  EXPECT_TRUE(pending_names(api_, "other").empty());
 }
 
 TEST_F(ApiServerFixture, BindDeliversToKubeletAndTracksAssignment) {
@@ -120,9 +121,9 @@ TEST_F(ApiServerFixture, BindDeliversToKubeletAndTracksAssignment) {
   bind_now("p1", "node-a");
   EXPECT_EQ(api_.pod("p1").phase, cluster::PodPhase::kBound);
   EXPECT_EQ(api_.pod("p1").node, "node-a");
-  EXPECT_EQ(api_.assigned_pods("node-a"),
+  EXPECT_EQ(assigned_names(api_, "node-a"),
             std::vector<cluster::PodName>{"p1"});
-  EXPECT_TRUE(api_.pending_pods(api_.default_scheduler()).empty());
+  EXPECT_TRUE(pending_names(api_, api_.default_scheduler()).empty());
   // The Kubelet actually received it.
   sim_.run();
   EXPECT_EQ(api_.pod("p1").phase, cluster::PodPhase::kSucceeded);
@@ -157,7 +158,7 @@ TEST_F(ApiServerFixture, LifecycleTimestampsProduceMetrics) {
   EXPECT_GE(*record.turnaround_time(),
             *record.waiting_time() + Duration::seconds(30));
   // Terminal pods are no longer assigned to the node.
-  EXPECT_TRUE(api_.assigned_pods("node-a").empty());
+  EXPECT_TRUE(assigned_names(api_, "node-a").empty());
 }
 
 TEST_F(ApiServerFixture, EventsAreChronological) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "orch/api_server.hpp"
+#include "pod_names.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -77,7 +78,7 @@ TEST_F(ConditionalBindFixture, StaleVersionFailsCleanly) {
   // Nothing changed: still pending, still queued, version untouched.
   EXPECT_EQ(api_.pod("p").phase, cluster::PodPhase::kPending);
   EXPECT_EQ(version("p"), v0);
-  EXPECT_EQ(api_.pending_pods(api_.default_scheduler()).size(), 1u);
+  EXPECT_EQ(pending_names(api_, api_.default_scheduler()).size(), 1u);
   EXPECT_EQ(api_.bind_conflicts(), 1u);
 }
 
@@ -120,7 +121,7 @@ TEST_F(ConditionalBindFixture, TwoReplicasRacingForTheSamePod) {
             ApiServer::BindStatus::kNotPending);
   EXPECT_EQ(api_.pod("p").node, "sgx-1");
   EXPECT_EQ(api_.bind_conflicts(), 1u);
-  EXPECT_EQ(api_.assigned_pods("sgx-1").size(), 1u);
+  EXPECT_EQ(assigned_names(api_, "sgx-1").size(), 1u);
 }
 
 TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
@@ -144,7 +145,7 @@ TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
   // The loser re-enqueues without duplication: still pending, exactly one
   // queue entry, version untouched, and the rejection is in the event log.
   EXPECT_EQ(api_.pod("b").phase, cluster::PodPhase::kPending);
-  const auto pending = api_.pending_pods(api_.default_scheduler());
+  const auto pending = pending_names(api_, api_.default_scheduler());
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0], "b");
   EXPECT_EQ(version("b"), vb);

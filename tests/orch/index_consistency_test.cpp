@@ -1,8 +1,8 @@
 // Property test for the ApiServer's secondary indexes.
 //
-// pending_pods / assigned_pods / node_requests / namespace_usage /
-// list_pods are served from maintained indexes (pending queues,
-// pods-by-node with per-node request sums, per-namespace accumulators).
+// list_pods (pending and node filters) / node_requests / namespace_usage
+// are served from maintained indexes (pending queues, pods-by-node with
+// per-node request sums, per-namespace accumulators).
 // This suite drives randomized submit / bind / evict / migrate / fail-node
 // / recover / advance-time sequences and after every step cross-checks
 // each indexed answer against a reference computed by a full scan of the
@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "orch/api_server.hpp"
+#include "pod_names.hpp"
 #include "sgx/migration.hpp"
 
 namespace sgxo::orch {
@@ -140,11 +141,11 @@ class IndexConsistencyFixture : public ::testing::Test {
   void check_invariants() {
     for (const char* scheduler : {"default-scheduler", "sched-a", "sched-b",
                                   "ghost"}) {
-      EXPECT_EQ(api_.pending_pods(scheduler), reference_pending(scheduler))
+      EXPECT_EQ(pending_names(api_, scheduler), reference_pending(scheduler))
           << "scheduler " << scheduler;
     }
     for (const char* node : {"node-a", "node-b", "node-c", "ghost"}) {
-      EXPECT_EQ(api_.assigned_pods(node), reference_assigned(node))
+      EXPECT_EQ(assigned_names(api_, node), reference_assigned(node))
           << "node " << node;
       // The kept request sum equals a recomputation over the node's pods.
       PodFilter on_node;
@@ -218,9 +219,9 @@ TEST_F(IndexConsistencyFixture, RandomizedLifecycleAgreesWithFullScan) {
       api_.submit(make_pod(rng));
     } else if (roll < 0.55) {
       // Bind the head of a random scheduler's queue to a random ready node.
-      const auto pending = api_.pending_pods(
-          rng.bernoulli(0.5) ? api_.default_scheduler()
-                             : kSchedulers[rng.uniform_int(1, 2)]);
+      const auto pending = pending_names(
+          api_, rng.bernoulli(0.5) ? api_.default_scheduler()
+                                   : kSchedulers[rng.uniform_int(1, 2)]);
       const auto& [node, name] = nodes[rng.uniform_int(0, 2)];
       if (!pending.empty() && node->schedulable() &&
           (node->has_sgx() ||
@@ -232,7 +233,7 @@ TEST_F(IndexConsistencyFixture, RandomizedLifecycleAgreesWithFullScan) {
       }
     } else if (roll < 0.61) {
       const auto assigned =
-          api_.assigned_pods(nodes[rng.uniform_int(0, 2)].second);
+          assigned_names(api_, nodes[rng.uniform_int(0, 2)].second);
       if (!assigned.empty()) {
         api_.evict(assigned[rng.uniform_int(
                        0, static_cast<std::int64_t>(assigned.size()) - 1)],
@@ -290,21 +291,21 @@ TEST_F(IndexConsistencyFixture, DefaultSchedulerChangeReroutesUnnamedPods) {
   // without any index rebuild.
   api_.submit(make_pod_named("u1", ""));
   api_.submit(make_pod_named("n1", "sched-a"));
-  EXPECT_EQ(api_.pending_pods("default-scheduler"),
+  EXPECT_EQ(pending_names(api_, "default-scheduler"),
             (std::vector<cluster::PodName>{"u1"}));
 
   api_.set_default_scheduler("sched-a");
-  EXPECT_EQ(api_.pending_pods("sched-a"),
+  EXPECT_EQ(pending_names(api_, "sched-a"),
             (std::vector<cluster::PodName>{"u1", "n1"}));
-  EXPECT_TRUE(api_.pending_pods("default-scheduler").empty());
-  EXPECT_EQ(api_.pending_pods("sched-a"), reference_pending("sched-a"));
+  EXPECT_TRUE(pending_names(api_, "default-scheduler").empty());
+  EXPECT_EQ(pending_names(api_, "sched-a"), reference_pending("sched-a"));
 }
 
 TEST_F(IndexConsistencyFixture, PriorityOrderSurvivesEvictionRequeue) {
   api_.submit(make_pod_named("low-1", "", 0));
   api_.submit(make_pod_named("high", "", 5));
   api_.submit(make_pod_named("low-2", "", 0));
-  EXPECT_EQ(api_.pending_pods("default-scheduler"),
+  EXPECT_EQ(pending_names(api_, "default-scheduler"),
             (std::vector<cluster::PodName>{"high", "low-1", "low-2"}));
 
   // An evicted pod re-enters the queue at its original submission
@@ -313,12 +314,12 @@ TEST_F(IndexConsistencyFixture, PriorityOrderSurvivesEvictionRequeue) {
                             api_.pod("high").resource_version)
                   .bound());
   api_.evict("high", "test");
-  EXPECT_EQ(api_.pending_pods("default-scheduler"),
+  EXPECT_EQ(pending_names(api_, "default-scheduler"),
             (std::vector<cluster::PodName>{"high", "low-1", "low-2"}));
   ASSERT_TRUE(api_.try_bind("low-1", "node-a",
                             api_.pod("low-1").resource_version)
                   .bound());
-  EXPECT_EQ(api_.pending_pods("default-scheduler"),
+  EXPECT_EQ(pending_names(api_, "default-scheduler"),
             (std::vector<cluster::PodName>{"high", "low-2"}));
 }
 

@@ -255,9 +255,13 @@ TEST_F(MonitoringFixture, EachSeriesCarriesOnlyItsOwnPodsTagsAndValues) {
 
   const auto stored = [&](const std::string& measurement) {
     std::map<std::string, std::vector<tsdb::Point>> got;
-    db_.for_each_series(measurement, [&](const tsdb::Series& series) {
-      got[tsdb::tags_key(series.tags())] = series.points();
-    });
+    for (std::size_t shard = 0; shard < db_.shard_count(); ++shard) {
+      const tsdb::Measurement* m = db_.find_measurement(measurement, shard);
+      if (m == nullptr) continue;
+      m->for_each_series([&](const tsdb::Series& series) {
+        got[tsdb::tags_key(series.tags())] = series.points();
+      });
+    }
     return got;
   };
   const auto expect_same = [](const auto& want, const auto& got) {

@@ -1,6 +1,6 @@
 // Recovery paths: probe DaemonSet redeployment around node failure and
 // recovery, and PodRestarter resilience — quota-blocked resubmissions
-// retried with backoff, poll-mode disconnect/resync.
+// retried with backoff, watch disconnect/resync, the re-list on start.
 #include <gtest/gtest.h>
 
 #include "exp/fixture.hpp"
@@ -93,8 +93,7 @@ TEST_F(RecoveryFixture, QuotaBlockedRestartRetriesUntilAdmitted) {
   victim.node_selector = "node-1";
   cluster_.api().submit(std::move(victim));
 
-  PodRestarter restarter{cluster_.sim(), cluster_.api(),
-                         Duration::seconds(10), PodRestarter::Mode::kWatch};
+  PodRestarter restarter{cluster_.sim(), cluster_.api()};
   restarter.start();
   run_to(Duration::minutes(1));
   ASSERT_EQ(cluster_.api().pod("victim").phase, cluster::PodPhase::kRunning);
@@ -128,11 +127,10 @@ TEST_F(RecoveryFixture, QuotaBlockedRestartRetriesUntilAdmitted) {
   cluster_.stop_all();
 }
 
-TEST_F(RecoveryFixture, PollModeDisconnectPausesUntilResync) {
+TEST_F(RecoveryFixture, DisconnectPausesUntilResync) {
   cluster_.api().submit(
       standard_pod("victim", 1_GiB, Duration::hours(1)));
-  PodRestarter restarter{cluster_.sim(), cluster_.api(),
-                         Duration::seconds(10), PodRestarter::Mode::kPoll};
+  PodRestarter restarter{cluster_.sim(), cluster_.api()};
   restarter.start();
   run_to(Duration::minutes(1));
   const cluster::NodeName node = cluster_.api().pod("victim").node;
@@ -142,7 +140,7 @@ TEST_F(RecoveryFixture, PollModeDisconnectPausesUntilResync) {
   EXPECT_FALSE(restarter.connected());
   cluster_.api().fail_node(node);
 
-  // Many poll periods pass; the disconnected controller must not react.
+  // Minutes pass; the disconnected controller must not react.
   run_to(Duration::minutes(3));
   EXPECT_TRUE(restarter.retry_of("victim").empty());
 
@@ -157,8 +155,7 @@ TEST_F(RecoveryFixture, PollModeDisconnectPausesUntilResync) {
 }
 
 TEST_F(RecoveryFixture, WatchModeDisconnectIsIdempotent) {
-  PodRestarter restarter{cluster_.sim(), cluster_.api(),
-                         Duration::seconds(10), PodRestarter::Mode::kWatch};
+  PodRestarter restarter{cluster_.sim(), cluster_.api()};
   restarter.start();
   const std::size_t watches = cluster_.api().watch_count();
   restarter.disconnect();
@@ -169,6 +166,39 @@ TEST_F(RecoveryFixture, WatchModeDisconnectIsIdempotent) {
   restarter.resync();  // second resync is a no-op
   EXPECT_EQ(restarter.resyncs(), 1u);
   EXPECT_EQ(cluster_.api().watch_count(), watches);
+  restarter.stop();
+  cluster_.stop_all();
+}
+
+TEST_F(RecoveryFixture, StoppedRestarterIgnoresResync) {
+  PodRestarter restarter{cluster_.sim(), cluster_.api()};
+  restarter.start();
+  restarter.stop();
+  const std::size_t watches = cluster_.api().watch_count();
+  // A kWatchDisconnect heal after the owner stopped the restarter must not
+  // bring it back.
+  restarter.resync();
+  EXPECT_FALSE(restarter.connected());
+  EXPECT_EQ(cluster_.api().watch_count(), watches);
+  EXPECT_EQ(restarter.resyncs(), 0u);
+  cluster_.stop_all();
+}
+
+TEST_F(RecoveryFixture, RestarterStartedAfterANodeFailureResubmitsIt) {
+  cluster_.api().submit(standard_pod("victim", 1_GiB, Duration::hours(1)));
+  run_to(Duration::minutes(1));
+  const cluster::NodeName node = cluster_.api().pod("victim").node;
+  ASSERT_FALSE(node.empty());
+  cluster_.api().fail_node(node);
+
+  // No watch saw the failure; the list on start does.
+  PodRestarter restarter{cluster_.sim(), cluster_.api()};
+  restarter.start();
+  run_to(Duration::minutes(3));
+  EXPECT_EQ(restarter.retry_of("victim"), "victim-retry");
+  EXPECT_EQ(restarter.restarts(), 1u);
+  EXPECT_EQ(cluster_.api().pod("victim-retry").phase,
+            cluster::PodPhase::kRunning);
   restarter.stop();
   cluster_.stop_all();
 }

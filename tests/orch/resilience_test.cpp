@@ -85,47 +85,6 @@ TEST_F(ResilienceFixture, RecoveredNodeServesAgain) {
   cluster_.stop_all();
 }
 
-TEST_F(ResilienceFixture, RestarterResubmitsNodeFailureVictims) {
-  PodRestarter restarter{cluster_.sim(), cluster_.api()};
-  restarter.start();
-  cluster_.api().submit(sgx_pod("job", Pages{1000}, Duration::minutes(5)));
-  cluster_.sim().run_until(TimePoint::epoch() + Duration::seconds(30));
-  const cluster::NodeName node = cluster_.api().pod("job").node;
-  cluster_.api().fail_node(node);
-
-  cluster_.sim().run_until(TimePoint::epoch() + Duration::minutes(20));
-  restarter.stop();
-  cluster_.stop_all();
-
-  EXPECT_EQ(restarter.restarts(), 1u);
-  EXPECT_EQ(restarter.retry_of("job"), "job-retry");
-  ASSERT_TRUE(cluster_.api().has_pod("job-retry"));
-  const PodRecord& retry = cluster_.api().pod("job-retry");
-  EXPECT_EQ(retry.phase, cluster::PodPhase::kSucceeded);
-  EXPECT_NE(retry.node, node);  // the failed node stayed cordoned
-}
-
-TEST_F(ResilienceFixture, RestarterIgnoresPolicyKills) {
-  PodRestarter restarter{cluster_.sim(), cluster_.api()};
-  restarter.start();
-  // Declares 100 pages, allocates 1000: killed by enforcement, not
-  // infrastructure — must NOT be restarted.
-  cluster::PodBehavior behavior;
-  behavior.sgx = true;
-  behavior.actual_usage = Pages{1000}.as_bytes();
-  behavior.duration = Duration::minutes(5);
-  cluster_.api().submit(cluster::make_stressor_pod(
-      "overallocator", {0_B, Pages{100}}, {0_B, Pages{100}}, behavior));
-  cluster_.sim().run_until(TimePoint::epoch() + Duration::minutes(2));
-  restarter.stop();
-  cluster_.stop_all();
-
-  EXPECT_EQ(cluster_.api().pod("overallocator").phase,
-            cluster::PodPhase::kFailed);
-  EXPECT_EQ(restarter.retry_of("overallocator"), "");
-  EXPECT_FALSE(cluster_.api().has_pod("overallocator-retry"));
-}
-
 TEST_F(ResilienceFixture, RestarterDoesNotDoubleRestart) {
   PodRestarter restarter{cluster_.sim(), cluster_.api()};
   restarter.start();

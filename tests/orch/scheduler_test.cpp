@@ -5,6 +5,7 @@
 #include "orch/api_server.hpp"
 #include "orch/default_scheduler.hpp"
 #include "orch/scheduler_framework.hpp"
+#include "pod_names.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -249,7 +250,7 @@ TEST_F(SchedulerFixture, PendingQueuePriorityOrder) {
   api_.submit(high);
   api_.submit(mid_b);
   // Priority classes descending; FCFS inside the class of 5.
-  EXPECT_EQ(api_.pending_pods("s"),
+  EXPECT_EQ(pending_names(api_, "s"),
             (std::vector<cluster::PodName>{"high", "mid-a", "mid-b", "low"}));
 }
 

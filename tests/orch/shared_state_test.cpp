@@ -13,6 +13,7 @@
 #include "exp/fixture.hpp"
 #include "orch/api_server.hpp"
 #include "orch/default_scheduler.hpp"
+#include "pod_names.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -95,7 +96,7 @@ class SharedStateFixture : public ::testing::Test {
     return api_.watch_pods([this](const ApiServer::PodUpdate& update) {
       if (update.phase != cluster::PodPhase::kBound || rival_binding_) return;
       rival_binding_ = true;
-      const auto pending = api_.pending_pods(api_.default_scheduler());
+      const auto pending = pending_names(api_, api_.default_scheduler());
       if (!pending.empty()) {
         (void)api_.try_bind(pending.front(), "node-1",
                             api_.pod(pending.front()).resource_version);
@@ -176,29 +177,7 @@ TEST_F(SharedStateFixture, SharedStateCycleDrainsOwnShardFirst) {
   // The next cycle finds shard 0 dry and steals the neighbour's backlog.
   EXPECT_EQ(worker.run_once(), 20u - own_shard);
   EXPECT_EQ(worker.steal_cycles(), 1u);
-  EXPECT_TRUE(api_.pending_pods(api_.default_scheduler()).empty());
-}
-
-TEST_F(SharedStateFixture, StrictPartitioningIdlesInsteadOfStealing) {
-  DefaultScheduler worker{sim_, api_, Duration::seconds(5), "replica-0"};
-  SharedStateConfig config;
-  config.shard = 0;
-  config.shard_count = 2;
-  config.work_stealing = false;
-  worker.enable_shared_state(config);
-
-  // Pods all landing in shard 1 leave a strict shard-0 worker idle.
-  std::size_t foreign = 0;
-  for (int i = 0; foreign < 5; ++i) {
-    const std::string name = "pod-" + std::to_string(i);
-    if (shard_of(name, 2) == 1) {
-      api_.submit(standard_pod(name));
-      ++foreign;
-    }
-  }
-  EXPECT_EQ(worker.run_once(), 0u);
-  EXPECT_EQ(worker.steal_cycles(), 0u);
-  EXPECT_EQ(worker.batches(), 0u);
+  EXPECT_TRUE(pending_names(api_, api_.default_scheduler()).empty());
 }
 
 TEST_F(SharedStateFixture, ConflictControllerShrinksRehardsAndRecovers) {
@@ -211,7 +190,7 @@ TEST_F(SharedStateFixture, ConflictControllerShrinksRehardsAndRecovers) {
     api_.submit(standard_pod("pod-" + std::to_string(i)));
   }
   // Batch of 8: each worker bind lets the rival steal the next pod, so 4
-  // bind and 4 conflict — rate 0.5 > shrink_above → capacity halves.
+  // bind and 4 conflict — rate 0.5 > 0.25 → capacity halves.
   EXPECT_EQ(worker.run_once(), 4u);
   EXPECT_EQ(worker.bind_conflicts(), 4u);
   EXPECT_DOUBLE_EQ(worker.last_conflict_rate(), 0.5);

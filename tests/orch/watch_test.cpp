@@ -161,15 +161,14 @@ TEST_F(WatchFixture, ReentrantUnwatchDuringNestedNotification) {
 }
 
 TEST_F(WatchFixture, WatchDrivenRestarterReactsToNodeFailure) {
-  PodRestarter restarter{cluster_.sim(), cluster_.api(),
-                         Duration::seconds(10), PodRestarter::Mode::kWatch};
+  PodRestarter restarter{cluster_.sim(), cluster_.api()};
   restarter.start();
-  EXPECT_EQ(restarter.mode(), PodRestarter::Mode::kWatch);
 
   cluster_.api().submit(pod("svc", Duration::minutes(10)));
   cluster_.sim().run_until(TimePoint::epoch() + Duration::seconds(30));
   const TimePoint failure_time = cluster_.sim().now();
-  cluster_.api().fail_node(cluster_.api().pod("svc").node);
+  const cluster::NodeName node = cluster_.api().pod("svc").node;
+  cluster_.api().fail_node(node);
 
   // The watch fires within the same virtual instant (deferred one event).
   cluster_.sim().run_until(failure_time + Duration::millis(1));
@@ -181,12 +180,13 @@ TEST_F(WatchFixture, WatchDrivenRestarterReactsToNodeFailure) {
   cluster_.stop_all();
   EXPECT_EQ(cluster_.api().pod("svc-retry").phase,
             cluster::PodPhase::kSucceeded);
+  EXPECT_NE(cluster_.api().pod("svc-retry").node, node);  // stays cordoned
   EXPECT_EQ(restarter.restarts(), 1u);
+  EXPECT_EQ(restarter.retry_of("svc"), "svc-retry");
 }
 
 TEST_F(WatchFixture, WatchRestarterIgnoresPolicyKills) {
-  PodRestarter restarter{cluster_.sim(), cluster_.api(),
-                         Duration::seconds(10), PodRestarter::Mode::kWatch};
+  PodRestarter restarter{cluster_.sim(), cluster_.api()};
   restarter.start();
   cluster::PodBehavior behavior;
   behavior.sgx = true;
@@ -199,6 +199,7 @@ TEST_F(WatchFixture, WatchRestarterIgnoresPolicyKills) {
   cluster_.stop_all();
   EXPECT_EQ(cluster_.api().pod("liar").phase, cluster::PodPhase::kFailed);
   EXPECT_FALSE(cluster_.api().has_pod("liar-retry"));
+  EXPECT_EQ(restarter.retry_of("liar"), "");
   EXPECT_EQ(restarter.restarts(), 0u);
 }
 
