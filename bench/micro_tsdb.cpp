@@ -3,8 +3,8 @@
 //
 // Every number is host wall clock of code that ran: ingest is one write
 // per sample of the whole stream, and a query's latency is the median of
-// `query_runs` executions with the executor's default options. Nothing is
-// modeled.
+// `query_runs` executions of the prepared query, without scan stats.
+// Nothing is modeled.
 //
 // Three query shapes: the paper's Listing-1 nested query over a 25 s
 // window (narrow, what the scheduler runs), a 1 h MAX per node per minute,
