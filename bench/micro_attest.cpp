@@ -14,8 +14,8 @@
 // clock is reported for flavour only.
 //
 // The driver plays a plain FCFS scheduler: every 100 ms cycle it takes
-// the head of the pending queue (up to one batch) and round-robins the
-// pods over the SGX nodes with try_bind_batch, retrying deferred pods
+// the head of the pending queue (up to `batch` pods) and round-robins the
+// pods over the SGX nodes with one try_bind each, retrying deferred pods
 // the next cycle — ~1k pods churning through an 8-node fleet.
 //
 // Writes BENCH_attest.json (or BENCH_attest_smoke.json with --smoke).
@@ -45,7 +45,7 @@ using orch::AttestationGate;
 struct BenchConfig {
   std::size_t pods = 1000;
   std::size_t nodes = 8;
-  std::size_t batch = 128;      // bind-transaction cap per cycle
+  std::size_t batch = 128;      // bind attempts per cycle
   Duration cycle = Duration::millis(100);
   bool smoke = false;
 };
@@ -182,24 +182,19 @@ ModeResult run_mode(const std::string& mode, bool cache,
     filter.phase = cluster::PodPhase::kPending;
     filter.scheduler = api.default_scheduler();
     const std::vector<const orch::PodRecord*> pending = api.list_pods(filter);
-    std::vector<ApiServer::BindRequest> batch;
     const std::size_t take = std::min(pending.size(), config.batch);
-    batch.reserve(take);
+    const double cycle_ms = sim.now().since_epoch().as_millis();
     for (std::size_t i = 0; i < take; ++i) {
       // Rotate the round-robin start each cycle so a deferred pod does
       // not re-target the same still-verifying node forever.
       const std::string& node =
           node_names[(i + result.cycles) % node_names.size()];
-      batch.push_back(
-          {pending[i]->spec.name, node, pending[i]->resource_version});
-    }
-    if (!batch.empty()) {
-      const ApiServer::BatchBindResult outcome = api.try_bind_batch(batch);
-      const double admitted_ms = sim.now().since_epoch().as_millis();
-      for (std::size_t i = 0; i < outcome.bound; ++i) {
-        latencies_ms.push_back(admitted_ms);
+      if (api.try_bind(pending[i]->spec.name, node,
+                       pending[i]->resource_version)
+              .bound()) {
+        latencies_ms.push_back(cycle_ms);
+        ++bound;
       }
-      bound += outcome.bound;
     }
     if (!cache) gate.force_expire_all();
     sim.run_until(sim.now() + config.cycle);

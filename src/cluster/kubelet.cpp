@@ -29,12 +29,12 @@ Pages Kubelet::effective_epc_limit(const PodSpec& spec) {
   return limit.count() > 0 ? limit : spec.total_requests().epc_pages;
 }
 
-bool Kubelet::can_admit(const PodSpec& spec, Pages staged_epc) const {
+bool Kubelet::can_admit(const PodSpec& spec) const {
   if (active_.find(spec.name) != active_.end()) return false;
   if (!spec.wants_sgx()) return true;
   if (!node_->has_sgx()) return false;
   return node_->device_allocator().available() >=
-         staged_epc + spec.total_requests().epc_pages;
+         spec.total_requests().epc_pages;
 }
 
 void Kubelet::admit_pod(const PodSpec& spec) {

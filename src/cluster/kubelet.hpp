@@ -58,19 +58,12 @@ class Kubelet {
   /// Admission guard: would admit_pod succeed right now? Re-checks the
   /// pod's declared EPC request against the node's *live* device-plugin
   /// commitments (the ledger of every pod currently admitted here), so a
-  /// bind delivered by a scheduler with a stale node view — a sibling
-  /// shared-state replica that planned against the same pages, a
-  /// restarted scheduler trusting cached state — is rejected before it
-  /// can over-commit the EPC.
+  /// bind planned on a stale node view — a cycle whose view predates
+  /// another bind to this node, a restarted scheduler trusting cached
+  /// state — is rejected before it can over-commit the EPC.
   /// Deliberately EPC-only: standard memory over-commit is tolerated at
   /// admission, exactly as in Kubernetes.
-  ///
-  /// `staged_epc` is EPC already promised to earlier entries of an
-  /// in-flight bind batch targeting this node: batch validation charges
-  /// them before anything is applied, so one transaction cannot admit two
-  /// pods into the same last pages.
-  [[nodiscard]] bool can_admit(const PodSpec& spec,
-                               Pages staged_epc = Pages{0}) const;
+  [[nodiscard]] bool can_admit(const PodSpec& spec) const;
 
   // ---- attestation at bind delivery ----------------------------------------
   /// Node-local re-verification policy, mirroring the EPC admission guard:

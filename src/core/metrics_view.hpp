@@ -2,7 +2,8 @@
 //
 // All reads go through the InfluxQL engine, exactly as the real system
 // queries InfluxDB — including the paper's Listing 1 verbatim for per-node
-// EPC usage. The window (25 s in Listing 1) is configurable.
+// EPC usage. The window (25 s in Listing 1) is the caller's; the cluster
+// configuration holds its default (exp::ClusterConfig::metrics_window).
 //
 // The Listing-1 inner/outer statements are *prepared once* per measurement
 // at construction and re-executed every scheduling cycle with only now()
@@ -26,8 +27,7 @@ namespace sgxo::core {
 
 class ClusterMetrics {
  public:
-  explicit ClusterMetrics(const tsdb::Database& db,
-                          Duration window = Duration::seconds(25));
+  explicit ClusterMetrics(const tsdb::Database& db, Duration window);
 
   [[nodiscard]] Duration window() const { return window_; }
 

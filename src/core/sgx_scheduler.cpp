@@ -27,12 +27,7 @@ SgxAwareScheduler::SgxAwareScheduler(sim::Simulation& sim,
                                      SgxSchedulerConfig config)
     : Scheduler(sim, api, resolve_name(config)),
       config_(std::move(config)),
-      metrics_(db, metrics_window) {
-  if (!config_.identity.empty()) set_identity(config_.identity);
-  if (config_.shared_state.has_value()) {
-    enable_shared_state(*config_.shared_state);
-  }
-}
+      metrics_(db, metrics_window) {}
 
 void fold_measured_usage(std::vector<orch::NodeView>& views,
                          const std::vector<ClusterMetrics::PodUsage>& epc,

@@ -18,9 +18,7 @@
 // Non-preemptive; pods stay in the API server's FCFS pending queue until a
 // cycle finds room. Packaged to run as a pod itself, multiple instances
 // (binpack + spread + the default) can operate side by side, each pulling
-// only the pods that name it (§V-B). Each instance runs alone or as one
-// replica of a shared-state fleet (SgxSchedulerConfig::shared_state; see
-// orch/scheduler_framework.hpp).
+// only the pods that name it (§V-B).
 #pragma once
 
 #include <optional>
@@ -38,13 +36,6 @@ struct SgxSchedulerConfig {
   PlacementPolicy policy = PlacementPolicy::kBinpack;
   /// Scheduler name pods select; empty derives "sgx-binpack"/"sgx-spread".
   std::string name;
-  /// Replica identity (shared-state fleets run N replicas sharing a
-  /// name). Empty = the name itself.
-  std::string identity;
-  /// Shared-state mode (Omega-style): when set, this replica runs as one
-  /// always-active shard worker of a multi-scheduler fleet; binds go out
-  /// as batched transactions.
-  std::optional<orch::SharedStateConfig> shared_state;
   /// Priority preemption under contention (extension; the paper's
   /// per-process EPC ioctl exists "to identify processes that should be
   /// preempted", §V-E): a pending pod that fits nowhere may evict

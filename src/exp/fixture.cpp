@@ -122,29 +122,6 @@ core::SgxAwareScheduler& SimulatedCluster::add_sgx_scheduler(
   return ref;
 }
 
-std::vector<core::SgxAwareScheduler*> SimulatedCluster::add_shared_state_fleet(
-    std::size_t replicas, core::SgxSchedulerConfig base,
-    orch::SharedStateConfig shard_base) {
-  SGXO_CHECK_MSG(replicas >= 1, "a fleet needs at least one replica");
-  const std::string name = base.name.empty()
-                               ? core::SgxAwareScheduler::default_name(
-                                     base.policy)
-                               : base.name;
-  std::vector<core::SgxAwareScheduler*> fleet;
-  fleet.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) {
-    core::SgxSchedulerConfig config = base;
-    config.name = name;
-    config.identity = name + "-" + std::to_string(i);
-    orch::SharedStateConfig shard = shard_base;
-    shard.shard = static_cast<std::uint32_t>(i);
-    shard.shard_count = static_cast<std::uint32_t>(replicas);
-    config.shared_state = shard;
-    fleet.push_back(&add_sgx_scheduler(std::move(config)));
-  }
-  return fleet;
-}
-
 orch::DefaultScheduler& SimulatedCluster::add_default_scheduler() {
   auto scheduler = std::make_unique<orch::DefaultScheduler>(sim_, *api_);
   scheduler->start();
@@ -162,10 +139,9 @@ std::vector<orch::Scheduler*> SimulatedCluster::schedulers() {
   return out;
 }
 
-orch::Scheduler* SimulatedCluster::find_scheduler(
-    const std::string& identity) {
+orch::Scheduler* SimulatedCluster::find_scheduler(const std::string& name) {
   for (const auto& scheduler : schedulers_) {
-    if (scheduler->identity() == identity) return scheduler.get();
+    if (scheduler->name() == name) return scheduler.get();
   }
   return nullptr;
 }
@@ -267,9 +243,9 @@ void SimulatedCluster::install_fault_handlers(sim::FaultInjector& injector,
                      [restarter](const FaultSpec&) { restarter->resync(); });
   }
 
-  // Control-plane faults. A crashed replica stops (crash-stop) and its
-  // shared-state siblings steal its shard; on heal the process "restarts"
-  // with no cached state.
+  // Control-plane faults. A crashed scheduler stops (crash-stop) and its
+  // pending pods wait; on heal the process "restarts" with no cached
+  // state.
   injector.on_inject(FaultKind::kSchedulerCrash, [this](const FaultSpec& spec) {
     orch::Scheduler* scheduler = find_scheduler(spec.target);
     if (scheduler != nullptr && !scheduler->crashed()) scheduler->crash();

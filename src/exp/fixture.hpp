@@ -85,8 +85,8 @@ class SimulatedCluster {
   /// Registers the standard effect handlers for every FaultKind on the
   /// injector: node crash/reboot through the API server, probe/Heapster
   /// dropouts and delays on the monitoring pipeline, TSDB write errors
-  /// and stale-read windows on the database, scheduler crash/restart of
-  /// the replica whose identity the fault targets, attestation-verifier
+  /// and stale-read windows on the database, crash/restart of the
+  /// scheduler whose name the fault targets, attestation-verifier
   /// faults when attestation is on, and — when a restarter is given —
   /// watch-channel disconnect/re-sync on it.
   void install_fault_handlers(sim::FaultInjector& injector,
@@ -101,19 +101,10 @@ class SimulatedCluster {
   /// Creates and starts the Kubernetes default scheduler baseline.
   orch::DefaultScheduler& add_default_scheduler();
 
-  /// Creates and starts an Omega-style shared-state fleet: `replicas`
-  /// always-active SGX-aware schedulers sharing one name, replica i
-  /// draining shard i of `replicas` with identities "<name>-i". `base`
-  /// supplies everything except name/identity/shard (its shard_count is
-  /// overwritten with `replicas`). Returns the replicas in shard order.
-  std::vector<core::SgxAwareScheduler*> add_shared_state_fleet(
-      std::size_t replicas, core::SgxSchedulerConfig base = {},
-      orch::SharedStateConfig shard_base = {});
-
   /// All schedulers this fixture owns, in creation order.
   [[nodiscard]] std::vector<orch::Scheduler*> schedulers();
-  /// The scheduler replica with the given identity, or nullptr.
-  [[nodiscard]] orch::Scheduler* find_scheduler(const std::string& identity);
+  /// The first scheduler with the given name, or nullptr.
+  [[nodiscard]] orch::Scheduler* find_scheduler(const std::string& name);
 
   /// Starts Heapster and deploys the probe DaemonSet.
   void start_monitoring();

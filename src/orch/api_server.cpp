@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "common/log.hpp"
 
 namespace sgxo::orch {
@@ -32,12 +31,6 @@ bool assigned(cluster::PodPhase phase) {
 }
 
 }  // namespace
-
-std::uint32_t shard_of(const cluster::PodName& pod,
-                       std::uint32_t shard_count) {
-  SGXO_CHECK_MSG(shard_count > 0, "shard_count must be positive");
-  return static_cast<std::uint32_t>(fnv1a(pod) % shard_count);
-}
 
 const char* to_string(ApiServer::BindStatus status) {
   switch (status) {
@@ -231,11 +224,6 @@ void ApiServer::submit(cluster::PodSpec spec) {
 
 std::vector<const PodRecord*> ApiServer::list_pods(
     const PodFilter& filter) const {
-  SGXO_CHECK_MSG(!filter.shard.has_value() || filter.shard_count > 0,
-                 "PodFilter.shard requires a positive shard_count");
-  SGXO_CHECK_MSG(!filter.shard.has_value() ||
-                     *filter.shard < filter.shard_count,
-                 "PodFilter.shard out of range");
   const auto matches = [&](const PodRecord& record) {
     if (filter.phase.has_value() && record.phase != *filter.phase) {
       return false;
@@ -254,17 +242,7 @@ std::vector<const PodRecord*> ApiServer::list_pods(
                                      : record.spec.scheduler_name;
       if (owner != *filter.scheduler) return false;
     }
-    if (filter.shard.has_value() &&
-        shard_of(record.spec.name, filter.shard_count) != *filter.shard) {
-      return false;
-    }
     return true;
-  };
-  const auto truncated = [&](std::vector<const PodRecord*>& result) {
-    if (filter.limit > 0 && result.size() > filter.limit) {
-      result.resize(filter.limit);
-    }
-    return std::move(result);
   };
 
   std::vector<const PodRecord*> out;
@@ -272,10 +250,8 @@ std::vector<const PodRecord*> ApiServer::list_pods(
   // Pending pods come from the queue index, already in priority+FCFS
   // order. With a scheduler filter that is at most two buckets (the
   // scheduler's own and, for the cluster default, the unnamed one)
-  // streamed as a two-way merge — with a limit, the scan stops as soon as
-  // the limit is full, so a shard pull over a million-pod queue touches
-  // O(limit * shard_count) entries, not the whole queue. Without a
-  // scheduler filter it is every bucket, merged by sort.
+  // streamed as a two-way merge. Without a scheduler filter it is every
+  // bucket, merged by sort.
   if (filter.phase == cluster::PodPhase::kPending) {
     if (filter.scheduler.has_value()) {
       using QueueIt = std::map<QueueKey, const PodRecord*>::const_iterator;
@@ -296,7 +272,6 @@ std::vector<const PodRecord*> ApiServer::list_pods(
         }
       }
       while (named_it != named_end || unnamed_it != unnamed_end) {
-        if (filter.limit > 0 && out.size() == filter.limit) break;
         const bool take_named =
             unnamed_it == unnamed_end ||
             (named_it != named_end && named_it->first < unnamed_it->first);
@@ -323,7 +298,7 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     std::erase_if(out, [&](const PodRecord* record) {
       return !matches(*record);
     });
-    return truncated(out);
+    return out;
   }
 
   // Assigned pods come from the node index (pod-name order).
@@ -332,177 +307,91 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     if (it == pods_by_node_.end()) return out;
     out.reserve(it->second.pods.size());
     for (const auto& [name, record] : it->second.pods) {
-      if (filter.limit > 0 && out.size() == filter.limit) break;
       if (matches(*record)) out.push_back(record);
     }
     return out;
   }
 
   // Everything else: submission-order scan.
-  out.reserve(filter.limit > 0
-                  ? std::min(filter.limit, submission_order_.size())
-                  : submission_order_.size());
+  out.reserve(submission_order_.size());
   for (const cluster::PodName& name : submission_order_) {
-    if (filter.limit > 0 && out.size() == filter.limit) break;
     const PodRecord& record = pods_.at(name);
     if (matches(record)) out.push_back(&record);
   }
   return out;
 }
 
-void ApiServer::apply_bind(PodRecord& record, const NodeEntry& entry) {
-  const cluster::PodName pod = record.spec.name;
-  unindex(record);  // leaves the pending queue
-  record.phase = cluster::PodPhase::kBound;
-  record.bound = sim_->now();
-  record.node = entry.node->name();
-  bump_version(record);
-  node_insert(record);
-  record_event(pod, "Scheduled to " + record.node);
-  notify_watchers(pod, cluster::PodPhase::kBound);
-  entry.kubelet->admit_pod(record.spec);
-}
-
-ApiServer::BatchBindResult ApiServer::try_bind_batch(
-    const std::vector<BindRequest>& batch) {
-  BatchBindResult result;
-  result.entries.resize(batch.size());
-
-  // Phase 1 — validate, mutating nothing. EPC admission is charged
-  // cumulatively per target node (`staged`), and every pod already staged
-  // by an earlier entry conflicts with later duplicates, so one
-  // transaction can neither double-place a pod nor admit two pods into
-  // the same last pages.
-  std::vector<bool> valid(batch.size(), false);
-  std::map<cluster::NodeName, Pages> staged;
-  std::set<cluster::PodName> staged_pods;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const BindRequest& request = batch[i];
-    BindOutcome& outcome = result.entries[i];
-    const PodRecord& record = pod(request.pod);
-    outcome.resource_version = record.resource_version;
-    if (record.phase != cluster::PodPhase::kPending ||
-        staged_pods.count(request.pod) > 0) {
-      outcome.status = BindStatus::kNotPending;
-      ++bind_conflicts_;
-      ++result.conflicts;
-      continue;
-    }
-    if (record.resource_version != request.expected_version) {
-      outcome.status = BindStatus::kStaleVersion;
-      ++bind_conflicts_;
-      ++result.conflicts;
-      continue;
-    }
-    const NodeEntry* entry = find_node(request.node);
-    if (entry == nullptr || !entry->node->schedulable()) {
-      outcome.status = BindStatus::kNodeUnavailable;
-      ++result.unavailable;
-      continue;
-    }
-    // Attestation gate (when enabled): binds to SGX nodes need a fresh
-    // accepted quote verdict. A miss kicks off one (coalesced)
-    // verification and parks the entry kAttestationPending; a cached
-    // definitive rejection refuses it. Neither counts as contention.
-    if (attestation_ != nullptr && entry->node->has_sgx()) {
-      const AttestationGate::Check check =
-          attestation_->check_bind(request.node, record.spec.wants_sgx());
-      if (check == AttestationGate::Check::kPending) {
-        outcome.status = BindStatus::kAttestationPending;
-        ++attestation_pending_;
-        ++result.attestation_pending;
-        continue;
-      }
-      if (check == AttestationGate::Check::kRejected) {
-        outcome.status = BindStatus::kAttestationRejected;
-        ++attestation_rejections_;
-        ++result.attestation_rejections;
-        record_event(request.pod,
-                     "BindRejected: attestation verdict on " + request.node);
-        continue;
-      }
-    }
-    // Kubelet admission guard: re-check the declared EPC against the
-    // node's *live* device commitments plus this batch's staged pages. A
-    // scheduler whose view of the node predates another scheduler's binds
-    // passes the CAS above — the pod itself is unchanged — but must not
-    // be allowed to over-commit the EPC it promised never to over-commit.
-    const Pages staged_here = staged[request.node];
-    if (!entry->kubelet->can_admit(record.spec, staged_here)) {
-      outcome.status = BindStatus::kAdmissionRejected;
-      ++guard_rejections_;
-      ++result.admission_rejections;
-      record_event(request.pod,
-                   "BindRejected: EPC admission guard on " + request.node);
-      continue;
-    }
-    valid[i] = true;
-    outcome.status = BindStatus::kBound;  // tentative until applied
-    staged[request.node] =
-        staged_here + record.spec.total_requests().epc_pages;
-    staged_pods.insert(request.pod);
-  }
-
-  // Phase 2 — apply in batch order. A watch callback fired by an earlier
-  // apply may mutate a later entry's pod or node mid-batch; the re-checks
-  // downgrade such entries to clean conflicts instead of trusting the
-  // stale validation.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!valid[i]) continue;
-    const BindRequest& request = batch[i];
-    BindOutcome& outcome = result.entries[i];
-    PodRecord& record = mutable_pod(request.pod);
-    if (record.phase != cluster::PodPhase::kPending) {
-      outcome.status = BindStatus::kNotPending;
-      outcome.resource_version = record.resource_version;
-      ++bind_conflicts_;
-      ++result.conflicts;
-      continue;
-    }
-    if (record.resource_version != request.expected_version) {
-      outcome.status = BindStatus::kStaleVersion;
-      outcome.resource_version = record.resource_version;
-      ++bind_conflicts_;
-      ++result.conflicts;
-      continue;
-    }
-    const NodeEntry* entry = find_node(request.node);
-    if (entry == nullptr || !entry->node->schedulable()) {
-      outcome.status = BindStatus::kNodeUnavailable;
-      ++result.unavailable;
-      continue;
-    }
-    // Attestation re-check (pure peek — no counters, no new requests): a
-    // verdict can lapse between validation and apply when a watch
-    // callback advanced virtual state mid-batch.
-    if (attestation_ != nullptr && entry->node->has_sgx()) {
-      const AttestationGate::Check check =
-          attestation_->peek(request.node, record.spec.wants_sgx());
-      if (check == AttestationGate::Check::kPending) {
-        outcome.status = BindStatus::kAttestationPending;
-        ++attestation_pending_;
-        ++result.attestation_pending;
-        continue;
-      }
-      if (check == AttestationGate::Check::kRejected) {
-        outcome.status = BindStatus::kAttestationRejected;
-        ++attestation_rejections_;
-        ++result.attestation_rejections;
-        continue;
-      }
-    }
-    apply_bind(record, *entry);
-    outcome.resource_version = record.resource_version;
-    ++result.bound;
-  }
-  return result;
-}
-
 ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,
                                            const cluster::NodeName& node,
                                            std::uint64_t expected_version) {
-  return try_bind_batch({BindRequest{pod, node, expected_version}})
-      .entries.front();
+  PodRecord& record = mutable_pod(pod);
+  BindOutcome outcome;
+  outcome.resource_version = record.resource_version;
+
+  // Validate against live state, mutating nothing until every check has
+  // passed: the CAS (still pending, same version), the node, the
+  // attestation gate, then the kubelet's admission guard.
+  if (record.phase != cluster::PodPhase::kPending) {
+    outcome.status = BindStatus::kNotPending;
+    ++bind_conflicts_;
+    return outcome;
+  }
+  if (record.resource_version != expected_version) {
+    outcome.status = BindStatus::kStaleVersion;
+    ++bind_conflicts_;
+    return outcome;
+  }
+  const NodeEntry* entry = find_node(node);
+  if (entry == nullptr || !entry->node->schedulable()) {
+    outcome.status = BindStatus::kNodeUnavailable;
+    return outcome;
+  }
+  // Attestation gate (when enabled): binds to SGX nodes need a fresh
+  // accepted quote verdict. A miss kicks off one (coalesced) verification
+  // and parks the bind kAttestationPending; a cached definitive rejection
+  // refuses it.
+  if (attestation_ != nullptr && entry->node->has_sgx()) {
+    const AttestationGate::Check check =
+        attestation_->check_bind(node, record.spec.wants_sgx());
+    if (check == AttestationGate::Check::kPending) {
+      outcome.status = BindStatus::kAttestationPending;
+      ++attestation_pending_;
+      return outcome;
+    }
+    if (check == AttestationGate::Check::kRejected) {
+      outcome.status = BindStatus::kAttestationRejected;
+      ++attestation_rejections_;
+      record_event(pod, "BindRejected: attestation verdict on " + node);
+      return outcome;
+    }
+  }
+  // Kubelet admission guard: re-check the declared EPC against the node's
+  // *live* device commitments. A scheduler whose view of the node
+  // predates other binds passes the CAS above — the pod itself is
+  // unchanged — but must not over-commit the EPC it promised never to
+  // over-commit.
+  if (!entry->kubelet->can_admit(record.spec)) {
+    outcome.status = BindStatus::kAdmissionRejected;
+    ++guard_rejections_;
+    record_event(pod, "BindRejected: EPC admission guard on " + node);
+    return outcome;
+  }
+
+  // Apply: dequeue, bind, fire watchers and hand the pod to the kubelet.
+  // Names come from the record, which outlives anything a watcher does.
+  const cluster::PodName& name = record.spec.name;
+  unindex(record);  // leaves the pending queue
+  record.phase = cluster::PodPhase::kBound;
+  record.bound = sim_->now();
+  record.node = entry->node->name();
+  bump_version(record);
+  node_insert(record);
+  record_event(name, "Scheduled to " + record.node);
+  notify_watchers(name, cluster::PodPhase::kBound);
+  entry->kubelet->admit_pod(record.spec);
+  outcome.status = BindStatus::kBound;
+  outcome.resource_version = record.resource_version;
+  return outcome;
 }
 
 void ApiServer::evict(const cluster::PodName& pod,

@@ -14,12 +14,11 @@
 // O(result), not O(pods): the scheduler hot loop never scans the store.
 //
 // Write path: conditional binds are the only scheduling writes. try_bind
-// CASes one pod; try_bind_batch validates a whole transaction of
-// (pod, node, version) entries — charging EPC admission cumulatively per
-// node — and applies per-entry or atomically. N active schedulers racing
-// optimistically over sharded pending queues (Omega-style shared state)
-// are safe by construction: a loser gets a clean per-entry conflict, never
-// a double placement or an EPC over-commit.
+// validates one (pod, node, version) against live state — version CAS,
+// node availability, the attestation gate and the kubelet's EPC
+// admission guard — then applies it. A scheduler acting on a stale
+// snapshot gets a clean conflict, never a double placement or an EPC
+// over-commit.
 #pragma once
 
 #include <deque>
@@ -28,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -90,16 +88,8 @@ struct ResourceQuota {
   Pages epc_pages{};
 };
 
-/// Stable shard of a pod: FNV-1a of the name mod `shard_count`. A pure
-/// function of the name — identical across runs, replicas and processes —
-/// so shard assignment can never depend on iteration order or seeds
-/// (same-seed chaos runs stay bit-identical).
-[[nodiscard]] std::uint32_t shard_of(const cluster::PodName& pod,
-                                     std::uint32_t shard_count);
-
-/// Selector for ApiServer::list_pods — the single read API, including
-/// the shared-state schedulers' shard pulls. Unset fields match
-/// everything; set fields are ANDed.
+/// Selector for ApiServer::list_pods — the single read API. Unset fields
+/// match everything; set fields are ANDed.
 struct PodFilter {
   std::optional<cluster::PodPhase> phase;
   /// Node the pod is *currently assigned to* (bound or running there).
@@ -108,14 +98,6 @@ struct PodFilter {
   /// Resolved scheduler owner: a pod with an empty spec.scheduler_name is
   /// owned by the cluster default scheduler at query time.
   std::optional<std::string> scheduler;
-  /// Pending-queue shard: matches pods with shard_of(name, shard_count)
-  /// == shard. shard_count must be > 0 whenever shard is set.
-  std::optional<std::uint32_t> shard;
-  std::uint32_t shard_count = 0;
-  /// Truncates the result after ordering (0 = unlimited). The pending
-  /// read path streams, so a limited query costs O(entries scanned until
-  /// the limit), not O(queue) — the shared-state batch pull depends on it.
-  std::size_t limit = 0;
 };
 
 class ApiServer final : public cluster::PodLifecycleListener {
@@ -188,8 +170,7 @@ class ApiServer final : public cluster::PodLifecycleListener {
   enum class BindStatus {
     kBound,
     /// expected_version no longer matches — the pod changed since the
-    /// caller's snapshot (evicted+requeued, resubmitted, or bound and
-    /// re-bound by an earlier entry of the same batch).
+    /// caller's snapshot (evicted and requeued, or bound and evicted).
     kStaleVersion,
     /// The pod is not pending (already bound by another scheduler, or
     /// terminal).
@@ -197,9 +178,9 @@ class ApiServer final : public cluster::PodLifecycleListener {
     /// Unknown or unschedulable (master / failed) target node.
     kNodeUnavailable,
     /// The node's kubelet admission guard rejected the delivery: the
-    /// declared EPC no longer fits the node's live commitments (plus any
-    /// pages staged by earlier entries of the same batch). The last line
-    /// of defence against an over-commit planned on a stale node view.
+    /// declared EPC no longer fits the node's live commitments. The last
+    /// line of defence against an over-commit planned on a stale node
+    /// view.
     kAdmissionRejected,
     /// Attestation gate enabled and the target node has no fresh accepted
     /// verdict: a verification round-trip is in flight (or just
@@ -226,68 +207,17 @@ class ApiServer final : public cluster::PodLifecycleListener {
     }
   };
 
-  /// One entry of a bind transaction.
-  struct BindRequest {
-    cluster::PodName pod;
-    cluster::NodeName node;
-    std::uint64_t expected_version = 0;
-  };
-
-  /// Result of a bind transaction: per-entry outcomes (parallel to the
-  /// request vector) plus the conflict summary the shared-state
-  /// schedulers feed into their batch-size/re-shard backoff.
-  struct BatchBindResult {
-    std::vector<BindOutcome> entries;
-    std::size_t bound = 0;
-    /// kStaleVersion + kNotPending entries: another scheduler (or an
-    /// earlier entry of this batch) got there first.
-    std::size_t conflicts = 0;
-    /// kAdmissionRejected entries (stale node view caught by the guard).
-    std::size_t admission_rejections = 0;
-    /// kNodeUnavailable entries.
-    std::size_t unavailable = 0;
-    /// kAttestationPending entries (verification in flight for the node).
-    std::size_t attestation_pending = 0;
-    /// kAttestationRejected entries (cached definitive rejection).
-    std::size_t attestation_rejections = 0;
-
-    /// Contended fraction of the batch — conflicts and guard rejections
-    /// over attempts (0 for an empty batch). Node deaths are excluded:
-    /// they are faults, not contention.
-    [[nodiscard]] double conflict_rate() const {
-      if (entries.empty()) return 0.0;
-      return static_cast<double>(conflicts + admission_rejections) /
-             static_cast<double>(entries.size());
-    }
-  };
-
   /// Conditional (compare-and-swap) bind: succeeds only if the pod is
   /// still pending, its resource_version equals `expected_version`, the
   /// node is schedulable, and the node's kubelet admits the declared
   /// resources against its live commitments. On success the pod is bound
   /// and handed to the Kubelet; on any other outcome nothing changes.
-  /// Equivalent to a one-entry try_bind_batch.
   BindOutcome try_bind(const cluster::PodName& pod,
                        const cluster::NodeName& node,
                        std::uint64_t expected_version);
 
-  /// Transactional batch bind — the write surface of the shared-state
-  /// multi-scheduler control plane. Two phases:
-  ///   1. *Validate* every (pod, node, expected_version) entry against
-  ///      live state: the CAS checks of try_bind plus EPC admission
-  ///      charged cumulatively per node, so two entries of one batch can
-  ///      never share the same last pages. Nothing mutates.
-  ///   2. *Apply* the valid entries in batch order. Each entry is
-  ///      all-or-nothing on its own: an invalid entry leaves its pod
-  ///      untouched and does not stop the others.
-  /// A watch callback fired mid-apply can invalidate a later entry; the
-  /// apply re-checks and downgrades such entries to a clean conflict
-  /// instead of double-placing. Entry order is caller order — batch
-  /// construction must itself be deterministic for seed-stable runs.
-  BatchBindResult try_bind_batch(const std::vector<BindRequest>& batch);
-
   /// try_bind rejections due to a stale version or a no-longer-pending
-  /// pod (two schedulers racing for the same pod).
+  /// pod (two callers racing for the same pod).
   [[nodiscard]] std::uint64_t bind_conflicts() const {
     return bind_conflicts_;
   }
@@ -395,9 +325,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   /// Marks a mutation for optimistic concurrency: every phase transition
   /// or reassignment bumps the record's version.
   static void bump_version(PodRecord& record) { ++record.resource_version; }
-  /// Phase-2 commit of one validated bind entry: dequeues, binds, hands
-  /// the pod to the kubelet and fires watchers.
-  void apply_bind(PodRecord& record, const NodeEntry& entry);
   void record_event(const cluster::PodName& pod, std::string message);
   void notify_watchers(const cluster::PodName& pod,
                        cluster::PodPhase phase);

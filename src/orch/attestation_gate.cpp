@@ -62,15 +62,6 @@ AttestationGate::Check AttestationGate::check_bind(
   return check;
 }
 
-AttestationGate::Check AttestationGate::peek(const cluster::NodeName& node,
-                                             bool sgx_pod) const {
-  const auto it = cache_.find(node);
-  const TimePoint now = sim_->now();
-  const Entry* fresh =
-      (it != cache_.end() && now < it->second.expires) ? &it->second : nullptr;
-  return decide(fresh, sgx_pod);
-}
-
 bool AttestationGate::allows_running(const cluster::NodeName& node,
                                      TimePoint now) const {
   const auto it = cache_.find(node);

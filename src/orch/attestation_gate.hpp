@@ -87,10 +87,6 @@ class AttestationGate {
   /// verification on miss/expiry, and updates hit/miss counters.
   [[nodiscard]] Check check_bind(const cluster::NodeName& node, bool sgx_pod);
 
-  /// Pure re-check for the batch apply phase: same decision matrix as
-  /// check_bind but touches no counters and requests nothing.
-  [[nodiscard]] Check peek(const cluster::NodeName& node, bool sgx_pod) const;
-
   /// Invariant probe: may an SGX pod be *running* on `node` at `now`?
   /// True only while an accepted verdict is within its hard-expiry bound
   /// (TTL + grace, inclusive: the eviction event at the bound fires after

@@ -25,10 +25,8 @@ std::vector<NodeView> request_based_views(ApiServer& api) {
 }
 
 DefaultScheduler::DefaultScheduler(sim::Simulation& sim, ApiServer& api,
-                                   Duration period, std::string identity)
-    : Scheduler(sim, api, kName, period) {
-  if (!identity.empty()) set_identity(std::move(identity));
-}
+                                   Duration period)
+    : Scheduler(sim, api, kName, period) {}
 
 std::vector<NodeView> DefaultScheduler::collect_views() {
   return request_based_views(api());

@@ -13,11 +13,8 @@ class DefaultScheduler final : public Scheduler {
  public:
   static constexpr const char* kName = "default-scheduler";
 
-  /// `identity` distinguishes the replicas of a shared-state fleet (N
-  /// default schedulers sharing kName); empty keeps the name as identity.
   DefaultScheduler(sim::Simulation& sim, ApiServer& api,
-                   Duration period = Duration::seconds(5),
-                   std::string identity = {});
+                   Duration period = Duration::seconds(5));
 
  protected:
   /// Usage = sum of the declared requests of pods assigned to each node.

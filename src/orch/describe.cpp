@@ -200,27 +200,14 @@ std::string describe_control_plane(
   for (const Scheduler* scheduler : schedulers) {
     if (scheduler == nullptr) continue;
     const Scheduler::Health health = scheduler->health();
-    os << "  " << health.identity << " (" << health.name << "): ";
-    if (health.crashed) {
-      os << "CRASHED";
-    } else if (health.shared_state) {
-      os << "active shard=" << health.shard << "/" << health.shard_count;
-    } else {
-      os << "active";
-    }
-    os << ", cycles=" << health.cycles << " bound=" << health.bound
+    os << "  " << health.name << ": "
+       << (health.crashed ? "CRASHED" : "active")
+       << ", cycles=" << health.cycles << " bound=" << health.bound
        << " bind_conflicts=" << health.bind_conflicts
        << " guard_rejections=" << health.guard_rejections
        << " backoff_skips=" << health.backoff_skips
        << " degraded_cycles=" << health.degraded_cycles
-       << " attestation_waits=" << health.attestation_waits;
-    if (health.shared_state) {
-      os << " batch=" << health.batch_capacity
-         << " batches=" << health.batches
-         << " steal_cycles=" << health.steal_cycles
-         << " reshards=" << health.reshards;
-    }
-    os << '\n';
+       << " attestation_waits=" << health.attestation_waits << '\n';
   }
   return os.str();
 }

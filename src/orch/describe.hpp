@@ -38,10 +38,9 @@ namespace sgxo::orch {
 /// admission-guard counters, the attestation verdict cache (entries,
 /// hit/miss/expired traffic, per-node verdict + age, and a storm banner
 /// when more than a quarter of the attested nodes are mid
-/// re-verification), and one line per scheduler replica (identity,
-/// active/crashed state and shard, cycles, binds, conflicts, backoff skips,
-/// degraded cycles, attestation waits, and the shared-state batch
-/// counters).
+/// re-verification), and one line per scheduler (name, active/crashed
+/// state, cycles, binds, conflicts, guard rejections, backoff skips,
+/// degraded cycles and attestation waits).
 [[nodiscard]] std::string describe_control_plane(
     const ApiServer& api, const std::vector<const Scheduler*>& schedulers,
     TimePoint now);

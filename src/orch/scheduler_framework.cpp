@@ -6,14 +6,6 @@
 
 namespace sgxo::orch {
 
-namespace {
-// Conflict-rate controller thresholds (see SharedStateConfig).
-constexpr double kShrinkAbove = 0.25;
-constexpr double kGrowBelow = 0.05;
-static_assert(kShrinkAbove > kGrowBelow,
-              "a batch must not be able to shrink and grow at once");
-}  // namespace
-
 bool fits(const cluster::PodSpec& pod, const NodeView& view) {
   const cluster::ResourceAmounts request = pod.total_requests();
   // nodeSelector pins the pod to one node.
@@ -45,10 +37,6 @@ Scheduler::Scheduler(sim::Simulation& sim, ApiServer& api, std::string name,
 
 Scheduler::~Scheduler() { stop(); }
 
-void Scheduler::set_identity(std::string identity) {
-  identity_ = std::move(identity);
-}
-
 void Scheduler::start() {
   if (timer_.valid()) return;
   timer_ = sim_->schedule_every(period_, period_, [this] { run_once(); });
@@ -61,24 +49,6 @@ void Scheduler::stop() {
   }
 }
 
-void Scheduler::enable_shared_state(SharedStateConfig config) {
-  SGXO_CHECK_MSG(config.shard_count >= 1, "shard_count must be >= 1");
-  SGXO_CHECK_MSG(config.shard < config.shard_count,
-                 "shard must be < shard_count");
-  SGXO_CHECK_MSG(config.min_batch >= 1, "min_batch must be >= 1");
-  SGXO_CHECK_MSG(config.min_batch <= config.initial_batch &&
-                     config.initial_batch <= config.max_batch,
-                 "batch bounds must satisfy min <= initial <= max");
-  shared_ = config;
-  reset_conflict_controller();
-}
-
-void Scheduler::reset_conflict_controller() {
-  batch_size_ = shared_->initial_batch;
-  conflict_streak_ = 0;
-  steal_rotation_ = 0;
-}
-
 void Scheduler::crash() {
   stop();
   crashed_ = true;
@@ -87,19 +57,16 @@ void Scheduler::crash() {
 void Scheduler::restart() {
   if (!crashed_) return;
   crashed_ = false;
-  // A reborn replica trusts nothing it cached; the pending queue and node
-  // commitments are re-read from the ApiServer every cycle anyway, and
-  // the backoff clocks and batch size its previous life's controller
-  // chose are meaningless now.
+  // A reborn scheduler trusts nothing it cached; the pending queue and
+  // node commitments are re-read from the ApiServer every cycle anyway,
+  // and the backoff clocks of its previous life are meaningless now.
   backoffs_.clear();
-  if (shared_state_enabled()) reset_conflict_controller();
   start();
 }
 
 Scheduler::Health Scheduler::health() const {
   Health health;
   health.name = name_;
-  health.identity = identity();
   health.crashed = crashed_;
   health.cycles = cycles_;
   health.bound = bound_;
@@ -108,15 +75,6 @@ Scheduler::Health Scheduler::health() const {
   health.attestation_waits = attestation_waits_;
   health.backoff_skips = backoff_skips_;
   health.degraded_cycles = degraded_cycles();
-  health.shared_state = shared_state_enabled();
-  if (shared_state_enabled()) {
-    health.shard = shared_->shard;
-    health.shard_count = shared_->shard_count;
-    health.batch_capacity = batch_size_;
-    health.batches = batches_;
-    health.steal_cycles = steal_cycles_;
-    health.reshards = reshards_;
-  }
   return health;
 }
 
@@ -211,7 +169,6 @@ std::optional<cluster::NodeName> Scheduler::plan_pod(
 
 std::size_t Scheduler::run_once() {
   if (crashed_) return 0;
-  if (shared_state_enabled()) return run_shared_cycle();
 
   ++cycles_;
   Cycle cycle{collect_views()};
@@ -225,9 +182,9 @@ std::size_t Scheduler::run_once() {
   // The cycle works on a snapshot: record pointers plus the resource
   // version each pod had when the cycle started. Binds are conditional on
   // that version, so anything that mutates a pod mid-cycle — a watch
-  // callback fired by an earlier bind, another scheduler binding the same
-  // pod — turns this scheduler's attempt into a clean conflict instead of
-  // a double placement.
+  // callback fired by an earlier bind, another caller binding or evicting
+  // the same pod — turns this scheduler's attempt into a clean conflict
+  // instead of a double placement.
   PodFilter filter;
   filter.phase = cluster::PodPhase::kPending;
   filter.scheduler = name_;
@@ -290,118 +247,6 @@ std::size_t Scheduler::run_once() {
   // queue (bound elsewhere, finished, failed) are dropped periodically.
   if (bind_backoff_enabled() && cycles_ % 64 == 0) prune_backoffs();
 
-  bound_ += bound_this_cycle;
-  return bound_this_cycle;
-}
-
-std::size_t Scheduler::run_shared_cycle() {
-  ++cycles_;
-  const SharedStateConfig& config = *shared_;
-
-  // Pull up to one batch from this replica's own shard; if that shard is
-  // dry, probe neighbours in a deterministic rotation so a crashed (or
-  // merely slow) replica's backlog is absorbed without a failover step.
-  // The shard is a pure function of the pod name, so the pull — and with
-  // it the whole cycle — is bit-identical across same-seed runs.
-  PodFilter filter;
-  filter.phase = cluster::PodPhase::kPending;
-  filter.scheduler = name_;
-  filter.shard_count = config.shard_count;
-  filter.shard = config.shard;
-  filter.limit = batch_size_;
-  std::vector<const PodRecord*> pulled = api_->list_pods(filter);
-  if (pulled.empty() && config.shard_count > 1) {
-    for (std::uint32_t k = 1; k < config.shard_count; ++k) {
-      const std::uint32_t candidate =
-          (config.shard + steal_rotation_ + k) % config.shard_count;
-      if (candidate == config.shard) continue;
-      filter.shard = candidate;
-      pulled = api_->list_pods(filter);
-      if (!pulled.empty()) {
-        ++steal_cycles_;
-        break;
-      }
-    }
-  }
-  if (pulled.empty()) return 0;
-
-  // Plan the whole batch against one optimistic snapshot, reserving each
-  // staged placement in the cycle-local views so two batch entries cannot
-  // both claim the same node's last EPC pages from this replica's side.
-  // (Cross-replica races are the ApiServer's job: version CAS + the
-  // admission guard turn them into per-entry conflicts.)
-  Cycle cycle{collect_views()};
-  std::vector<ApiServer::BindRequest> batch;
-  batch.reserve(pulled.size());
-  for (const PodRecord* record : pulled) {
-    const cluster::PodSpec& spec = record->spec;
-    const std::optional<cluster::NodeName> chosen = plan_pod(cycle, spec);
-    if (cycle.blocked) break;
-    if (!chosen.has_value()) continue;
-    batch.push_back(ApiServer::BindRequest{spec.name, *chosen,
-                                           record->resource_version});
-    reserve(cycle.views, *chosen, spec);
-  }
-
-  std::size_t bound_this_cycle = 0;
-  if (!batch.empty()) {
-    const ApiServer::BatchBindResult result = api_->try_bind_batch(batch);
-    ++batches_;
-    SGXO_CHECK(result.entries.size() == batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const cluster::PodName& pod_name = batch[i].pod;
-      switch (result.entries[i].status) {
-        case ApiServer::BindStatus::kBound:
-          backoffs_.erase(pod_name);
-          ++bound_this_cycle;
-          break;
-        case ApiServer::BindStatus::kStaleVersion:
-        case ApiServer::BindStatus::kNotPending:
-          // Lost the optimistic race to a sibling replica; the pod stays
-          // wherever the winner put it, no backoff penalty.
-          ++bind_conflicts_;
-          break;
-        case ApiServer::BindStatus::kAdmissionRejected:
-          // Stale view of the node's live EPC commitments.
-          ++guard_rejections_;
-          note_bind_failure(pod_name);
-          break;
-        case ApiServer::BindStatus::kNodeUnavailable:
-          note_bind_failure(pod_name);
-          break;
-        case ApiServer::BindStatus::kAttestationPending:
-        case ApiServer::BindStatus::kAttestationRejected:
-          // Parked behind the attestation gate; excluded from the
-          // conflict rate (not contention), retried after backoff.
-          ++attestation_waits_;
-          note_bind_failure(pod_name);
-          break;
-      }
-    }
-
-    // Conflict-rate congestion controller: sustained contention shrinks
-    // the batch (fewer staged binds per transaction → fewer casualties
-    // per race) and eventually rotates the steal origin so two replicas
-    // stop colliding on the same drained shard; clean batches grow back.
-    last_conflict_rate_ = result.conflict_rate();
-    if (last_conflict_rate_ > kShrinkAbove) {
-      batch_size_ = std::max(config.min_batch, batch_size_ / 2);
-      ++conflict_streak_;
-      if (config.reshard_after > 0 &&
-          conflict_streak_ >= config.reshard_after) {
-        conflict_streak_ = 0;
-        steal_rotation_ = (steal_rotation_ + 1) % config.shard_count;
-        ++reshards_;
-      }
-    } else {
-      conflict_streak_ = 0;
-      if (last_conflict_rate_ < kGrowBelow) {
-        batch_size_ = std::min(config.max_batch, batch_size_ * 2);
-      }
-    }
-  }
-
-  if (bind_backoff_enabled() && cycles_ % 64 == 0) prune_backoffs();
   bound_ += bound_this_cycle;
   return bound_this_cycle;
 }

@@ -7,22 +7,11 @@
 // let the concrete placement policy pick a node, and bind. Pods that fit
 // nowhere stay in the persistent pending queue for the next cycle.
 //
-// A scheduler either runs alone or as one replica of an Omega-style
-// shared-state fleet (enable_shared_state). Replicas share a scheduler
-// *name* (they drain the same pending bucket) but carry distinct
-// *identities*, and every replica is always active. The pending bucket is
-// split into shards by stable pod hash; each replica drains its own shard
-// and steals from its neighbours (deterministic rotation order) when its
-// shard runs dry, so a crashed replica's backlog is absorbed without any
-// failover protocol. Each cycle plans up to one batch of placements
-// against its optimistic snapshot and submits them as ONE
-// ApiServer::try_bind_batch transaction; the batch's conflict summary
-// drives a congestion controller that halves the batch under sustained
-// contention (and rotates the steal origin — "re-shards") and grows it
-// again while batches come back clean. Binds are conditional
-// (resource-version CAS + kubelet admission guard), so two replicas racing
-// for the same pod or the same last EPC pages cannot double-place it or
-// over-commit the node: the loser gets a clean per-entry conflict.
+// Each scheduler name has one active instance, as in Kubernetes (§V-B).
+// Binds are conditional (resource-version CAS + kubelet admission guard,
+// see ApiServer::try_bind), so a cycle acting on a stale snapshot gets a
+// clean per-pod conflict instead of a double placement or an EPC
+// over-commit.
 #pragma once
 
 #include <map>
@@ -36,28 +25,6 @@
 #include "sim/simulation.hpp"
 
 namespace sgxo::orch {
-
-/// Knobs of the Omega-style shared-state mode (see the header comment).
-/// Every replica of a scheduler name gets one shard of the pending queue,
-/// steals from its neighbours' shards once its own is drained, and submits
-/// its placements as batched bind transactions.
-struct SharedStateConfig {
-  /// This replica's shard of the pending queue (stable pod-name hash mod
-  /// shard_count). Must be < shard_count.
-  std::uint32_t shard = 0;
-  std::uint32_t shard_count = 1;
-  /// Pods pulled — and bind attempts staged — per cycle, between the
-  /// congestion controller's bounds. The controller halves the next batch
-  /// after one whose conflict_rate() exceeds 0.25 and doubles it after one
-  /// below 0.05.
-  std::size_t initial_batch = 64;
-  std::size_t min_batch = 8;
-  std::size_t max_batch = 1024;
-  /// Consecutive shrinking batches before the steal origin rotates (the
-  /// "re-shard" escape hatch when two replicas keep colliding on the same
-  /// stolen shard). 0 disables rotation.
-  int reshard_after = 3;
-};
 
 /// A scheduler's view of one node during a scheduling cycle: capacities
 /// plus the usage estimate the concrete scheduler computed (measured,
@@ -110,52 +77,18 @@ class Scheduler {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Duration period() const { return period_; }
 
-  /// Replica identity; defaults to the scheduler name. Replicas of a
-  /// shared-state fleet share a name but must carry distinct identities
-  /// (fault plans and the control-plane report address replicas by it).
-  void set_identity(std::string identity);
-  [[nodiscard]] const std::string& identity() const {
-    return identity_.empty() ? name_ : identity_;
-  }
-
   /// Starts the periodic scheduling loop (idempotent).
   void start();
   void stop();
 
-  // ---- shared-state mode ----------------------------------------------------
-  /// Runs this replica as one active shard worker of an Omega-style
-  /// shared-state fleet (see the header comment).
-  void enable_shared_state(SharedStateConfig config);
-  [[nodiscard]] bool shared_state_enabled() const {
-    return shared_.has_value();
-  }
-  [[nodiscard]] const SharedStateConfig& shared_state() const {
-    return *shared_;
-  }
-  /// Current batch capacity chosen by the conflict controller.
-  [[nodiscard]] std::size_t batch_capacity() const { return batch_size_; }
-  /// Bind transactions submitted (cycles that staged at least one bind).
-  [[nodiscard]] std::uint64_t batches() const { return batches_; }
-  /// Cycles that drained a neighbour's shard instead of their own.
-  [[nodiscard]] std::uint64_t steal_cycles() const { return steal_cycles_; }
-  /// Steal-origin rotations forced by sustained conflicts.
-  [[nodiscard]] std::uint64_t reshards() const { return reshards_; }
-  /// Conflict rate of the most recent submitted batch.
-  [[nodiscard]] double last_conflict_rate() const {
-    return last_conflict_rate_;
-  }
-
   // ---- crash surface (fault injection) --------------------------------------
   /// Crash-stop: the loop halts, as with a real process kill. Work already
-  /// bound stays bound; in a shared-state fleet the siblings steal the
-  /// crashed replica's shard once their own run dry.
+  /// bound stays bound; the scheduler's pending pods wait for restart().
   void crash();
-  /// Restarts a crashed replica with no memory of its previous life:
-  /// backoff timers are dropped and the congestion controller (batch
-  /// capacity, conflict streak, steal rotation) returns to its
-  /// enable_shared_state values. Cumulative counters (cycles, binds,
-  /// batches, reshards, steal cycles) survive. Pending pods and node views
-  /// are re-read from the ApiServer every cycle anyway.
+  /// Restarts a crashed scheduler with no memory of its previous life:
+  /// backoff timers are dropped. Cumulative counters (cycles, binds)
+  /// survive. Pending pods and node views are re-read from the ApiServer
+  /// every cycle anyway.
   void restart();
   [[nodiscard]] bool crashed() const { return crashed_; }
 
@@ -178,12 +111,12 @@ class Scheduler {
   [[nodiscard]] std::uint64_t backoff_skips() const { return backoff_skips_; }
 
   /// One scheduling cycle; returns the number of pods bound. A crashed
-  /// replica's cycle is a no-op.
+  /// scheduler's cycle is a no-op.
   std::size_t run_once();
 
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
   [[nodiscard]] std::uint64_t total_bound() const { return bound_; }
-  /// Conditional binds this replica lost (stale version / pod taken by
+  /// Conditional binds this scheduler lost (stale version / pod taken by
   /// another scheduler) — each loser leaves the pod pending, re-enqueued
   /// for its next cycle.
   [[nodiscard]] std::uint64_t bind_conflicts() const {
@@ -207,7 +140,6 @@ class Scheduler {
   /// orch::describe_control_plane.
   struct Health {
     std::string name;
-    std::string identity;
     bool crashed = false;
     std::uint64_t cycles = 0;
     std::uint64_t bound = 0;
@@ -216,14 +148,6 @@ class Scheduler {
     std::uint64_t attestation_waits = 0;
     std::uint64_t backoff_skips = 0;
     std::uint64_t degraded_cycles = 0;
-    // Shared-state mode (zeros when disabled).
-    bool shared_state = false;
-    std::uint32_t shard = 0;
-    std::uint32_t shard_count = 0;
-    std::size_t batch_capacity = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t steal_cycles = 0;
-    std::uint64_t reshards = 0;
   };
   [[nodiscard]] Health health() const;
 
@@ -264,24 +188,17 @@ class Scheduler {
   void note_bind_failure(const cluster::PodName& pod);
   /// Drops backoff entries of pods that are no longer pending.
   void prune_backoffs();
-  /// Puts the congestion controller back to its enable_shared_state values.
-  void reset_conflict_controller();
-  /// The per-pod planning steps both cycle kinds share: skip a pod still
-  /// backing off, filter the feasible nodes (reporting the cycle's first
-  /// pod that fits nowhere to on_unschedulable), and let the policy pick.
-  /// nullopt leaves the pod pending; a failed placement under strict FCFS
-  /// also sets cycle.blocked, which ends the cycle.
+  /// Plans one pod: skip it while it backs off, filter the feasible nodes
+  /// (reporting the cycle's first pod that fits nowhere to
+  /// on_unschedulable), and let the policy pick. nullopt leaves the pod
+  /// pending; a failed placement under strict FCFS also sets
+  /// cycle.blocked, which ends the cycle.
   std::optional<cluster::NodeName> plan_pod(Cycle& cycle,
                                             const cluster::PodSpec& spec);
-  /// One shared-state cycle: pull a shard batch (stealing if dry), plan
-  /// placements against the optimistic view, submit one bind transaction,
-  /// and feed its conflict summary into the congestion controller.
-  std::size_t run_shared_cycle();
 
   sim::Simulation* sim_;
   ApiServer* api_;
   std::string name_;
-  std::string identity_;  // empty = name_
   Duration period_;
   sim::EventId timer_;
   bool strict_fcfs_ = false;
@@ -295,15 +212,6 @@ class Scheduler {
   std::uint64_t bind_conflicts_ = 0;
   std::uint64_t guard_rejections_ = 0;
   std::uint64_t attestation_waits_ = 0;
-  // Shared-state mode.
-  std::optional<SharedStateConfig> shared_;
-  std::size_t batch_size_ = 0;       // current controller-chosen capacity
-  int conflict_streak_ = 0;          // consecutive shrinking batches
-  std::uint32_t steal_rotation_ = 0; // offset of the steal probe order
-  std::uint64_t batches_ = 0;
-  std::uint64_t steal_cycles_ = 0;
-  std::uint64_t reshards_ = 0;
-  double last_conflict_rate_ = 0.0;
 };
 
 }  // namespace sgxo::orch

@@ -2,8 +2,8 @@
 //
 // A FaultPlan is a declarative schedule of fault activations (node
 // crashes, metrics-pipeline dropouts and delays, TSDB write errors and
-// stale-read windows, watch-channel disconnects, scheduler-replica
-// crashes, attestation-verifier failures). The FaultInjector arms
+// stale-read windows, watch-channel disconnects, scheduler crashes,
+// attestation-verifier failures). The FaultInjector arms
 // a plan on the simulation clock: every activation and every heal is an
 // ordinary simulation event, so a run with the same RNG seed and the same
 // plan is bit-for-bit reproducible — the foundation of the chaos property
@@ -46,9 +46,8 @@ enum class FaultKind {
   kTsdbStaleReads,
   /// An informer watch channel drops; the client re-lists on heal.
   kWatchDisconnect,
-  /// The scheduler replica with identity `target` crash-stops; its
-  /// shared-state siblings steal its shard. When the fault heals it
-  /// restarts with no cached state.
+  /// The scheduler named `target` crash-stops and its pending pods wait.
+  /// When the fault heals it restarts with no cached state.
   kSchedulerCrash,
   /// One TSDB shard (target = decimal shard index) drops every write
   /// routed to it; other shards keep ingesting.
@@ -108,9 +107,8 @@ struct RandomPlanConfig {
   /// dropouts only land on the SGX subset a harness passes here).
   std::vector<std::string> crash_targets;
   std::vector<std::string> probe_targets;
-  /// Scheduler replica identities eligible for kSchedulerCrash. Empty
-  /// downgrades those draws (like crash_targets) so single-scheduler
-  /// harness configs keep their plans.
+  /// Scheduler names eligible for kSchedulerCrash. Empty downgrades
+  /// those draws (like crash_targets).
   std::vector<std::string> scheduler_targets;
   /// TSDB shard indices (as decimal strings) eligible for the per-shard
   /// fault kinds. Empty downgrades those draws to the database-wide

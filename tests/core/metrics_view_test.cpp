@@ -12,6 +12,9 @@ namespace {
 
 using namespace sgxo::literals;
 
+/// Listing 1's sliding window.
+constexpr Duration kWindow = Duration::seconds(25);
+
 TimePoint at(std::int64_t seconds) {
   return TimePoint::epoch() + Duration::seconds(seconds);
 }
@@ -41,7 +44,7 @@ TEST(ClusterMetrics, EpcPerPodUsesMaxWithinWindow) {
   write_epc(db, "p1", "sgx-1", at(40), 8_MiB);
   write_epc(db, "p1", "sgx-1", at(50), 16_MiB);
   write_epc(db, "p1", "sgx-1", at(10), 64_MiB);  // outside 25 s window
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   const auto usages = metrics.epc_per_pod(at(60));
   ASSERT_EQ(usages.size(), 1u);
   EXPECT_EQ(usages[0].pod, "p1");
@@ -54,7 +57,7 @@ TEST(ClusterMetrics, EpcPerNodeSumsPods) {
   write_epc(db, "p1", "sgx-1", at(50), 8_MiB);
   write_epc(db, "p2", "sgx-1", at(50), 4_MiB);
   write_epc(db, "p3", "sgx-2", at(50), 2_MiB);
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   const auto per_node = metrics.epc_per_node(at(60));
   ASSERT_EQ(per_node.size(), 2u);
   EXPECT_EQ(per_node.at("sgx-1"), 12_MiB);
@@ -64,7 +67,7 @@ TEST(ClusterMetrics, EpcPerNodeSumsPods) {
 TEST(ClusterMetrics, ZeroSamplesFilteredLikeListing1) {
   tsdb::Database db;
   write_epc(db, "idle", "sgx-1", at(50), 0_B);
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   EXPECT_TRUE(metrics.epc_per_pod(at(60)).empty());
   EXPECT_TRUE(metrics.epc_per_node(at(60)).empty());
 }
@@ -73,7 +76,7 @@ TEST(ClusterMetrics, MemoryQueriesMirrorEpcQueries) {
   tsdb::Database db;
   write_mem(db, "web", "node-1", at(55), 4_GiB);
   write_mem(db, "db", "node-1", at(55), 8_GiB);
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   const auto per_pod = metrics.memory_per_pod(at(60));
   EXPECT_EQ(per_pod.size(), 2u);
   const auto per_node = metrics.memory_per_node(at(60));
@@ -83,7 +86,7 @@ TEST(ClusterMetrics, MemoryQueriesMirrorEpcQueries) {
 TEST(ClusterMetrics, DeadPodSamplesCountUntilWindowExpires) {
   tsdb::Database db;
   write_epc(db, "dead", "sgx-1", at(50), 8_MiB);
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   EXPECT_EQ(metrics.epc_per_node(at(60)).at("sgx-1"), 8_MiB);
   // 30 s later the sample has aged out of the 25 s window.
   EXPECT_TRUE(metrics.epc_per_node(at(80)).empty());
@@ -91,14 +94,14 @@ TEST(ClusterMetrics, DeadPodSamplesCountUntilWindowExpires) {
 
 TEST(ClusterMetrics, EmptyDatabaseGivesEmptyResults) {
   tsdb::Database db;
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   EXPECT_TRUE(metrics.epc_per_pod(at(60)).empty());
   EXPECT_TRUE(metrics.memory_per_node(at(60)).empty());
 }
 
 TEST(ClusterMetrics, Listing1TextMatchesPaper) {
   tsdb::Database db;
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   EXPECT_EQ(metrics.listing1_query(),
             "SELECT SUM(epc) AS epc FROM (SELECT MAX(value) AS epc FROM "
             "\"sgx/epc\" WHERE value <> 0 AND time >= now() - 25s GROUP BY "
@@ -108,7 +111,7 @@ TEST(ClusterMetrics, Listing1TextMatchesPaper) {
 TEST(ClusterMetrics, Listing1TextIsExecutable) {
   tsdb::Database db;
   write_epc(db, "p1", "sgx-1", at(50), 8_MiB);
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   const tsdb::ql::ResultSet result =
       tsdb::ql::query(metrics.listing1_query(), db, at(60));
   ASSERT_EQ(result.rows.size(), 1u);
@@ -121,7 +124,7 @@ TEST(ClusterMetrics, CustomWindowRespected) {
   write_epc(db, "p1", "sgx-1", at(10), 8_MiB);
   const ClusterMetrics wide{db, Duration::minutes(2)};
   EXPECT_EQ(wide.epc_per_node(at(60)).at("sgx-1"), 8_MiB);
-  const ClusterMetrics narrow{db, Duration::seconds(25)};
+  const ClusterMetrics narrow{db, kWindow};
   EXPECT_TRUE(narrow.epc_per_node(at(60)).empty());
 }
 
@@ -133,7 +136,7 @@ TEST(ClusterMetrics, QueryWorkTracksWindowNotPodsEverRun) {
   tsdb::DatabaseConfig config;
   config.shards = 4;
   tsdb::Database db{config};
-  const ClusterMetrics metrics{db};
+  const ClusterMetrics metrics{db, kWindow};
   constexpr std::int64_t kLifetime = 60;
   constexpr std::int64_t kStartEvery = 10;
   constexpr std::int64_t kEnd = 30 * 60;

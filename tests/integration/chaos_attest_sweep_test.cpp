@@ -1,4 +1,4 @@
-// Chaos property harness, part 4: the attestation sweep — 500 seeded
+// Chaos property harness, part 3: the attestation sweep — 500 seeded
 // fault scenarios with attestation-gated admission on and the attestation
 // fault kinds (verifier outage, slow verify, re-attestation storm) mixed
 // into every random plan. On top of the standard invariants (EPC never

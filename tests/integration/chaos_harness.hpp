@@ -1,7 +1,7 @@
 // Shared chaos-scenario runner: one fully-assembled control plane (an SGX
-// scheduler or a shared-state fleet of them + monitoring + watch-driven
-// restarter) replaying a Borg-trace slice while a seeded random fault plan
-// fires through the FaultInjector.
+// scheduler + monitoring + watch-driven restarter) replaying a Borg-trace
+// slice while a seeded random fault plan fires through the FaultInjector;
+// the plan may crash and restart the scheduler itself.
 //
 // The runner never asserts; it returns the scenario's outcome with every
 // invariant violation as a string, so callers attach the seed and the
@@ -35,11 +35,6 @@ struct ScenarioConfig {
   std::size_t min_faults = 1;
   std::size_t max_faults = 6;
   Duration deadline = Duration::hours(24);
-  /// Scheduler replicas. 1 runs a single scheduler; more build a
-  /// shared-state fleet (SimulatedCluster::add_shared_state_fleet: every
-  /// replica active on its own pending-queue shard, batched binds, work
-  /// stealing) whose replicas are the plan's kSchedulerCrash targets.
-  std::size_t scheduler_replicas = 1;
   /// TSDB shard count for the cluster's metrics store.
   std::size_t tsdb_shards = 1;
   /// Adds the per-shard TSDB fault kinds (shard write-error, shard stale
@@ -68,10 +63,6 @@ struct ScenarioResult {
   std::uint64_t resyncs = 0;
   std::uint64_t bind_conflicts = 0;    // ApiServer-wide CAS losses
   std::uint64_t guard_rejections = 0;  // kubelet admission-guard saves
-  // Shared-state counters (zero unless scheduler_replicas > 1).
-  std::uint64_t batches = 0;
-  std::uint64_t steal_cycles = 0;
-  std::uint64_t reshards = 0;
   // Attestation counters (zero unless config.attestation).
   std::uint64_t attestation_verifications = 0;  // gate quote round-trips
   std::uint64_t attestation_hits = 0;           // fresh-verdict cache hits
@@ -100,17 +91,9 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   cluster_config.tsdb_shards = config.tsdb_shards;
   cluster_config.attestation = config.attestation;
   SimulatedCluster cluster{cluster_config};
-  core::SgxSchedulerConfig sched_config;
-  sched_config.policy = core::PlacementPolicy::kBinpack;
-  const bool fleet = config.scheduler_replicas > 1;
-  std::vector<core::SgxAwareScheduler*> replicas =
-      fleet ? cluster.add_shared_state_fleet(config.scheduler_replicas,
-                                             sched_config)
-            : std::vector{&cluster.add_sgx_scheduler(sched_config)};
-  for (core::SgxAwareScheduler* replica : replicas) {
-    replica->set_bind_backoff(Duration::seconds(5), Duration::minutes(2));
-  }
-  auto& scheduler = *replicas.front();
+  core::SgxAwareScheduler& scheduler =
+      cluster.add_sgx_scheduler(core::PlacementPolicy::kBinpack);
+  scheduler.set_bind_backoff(Duration::seconds(5), Duration::minutes(2));
   cluster.api().set_default_scheduler(scheduler.name());
   cluster.start_monitoring();
 
@@ -144,11 +127,7 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   plan_config.max_faults = config.max_faults;
   plan_config.crash_targets = {"node-1", "node-2", "sgx-1", "sgx-2"};
   plan_config.probe_targets = {"sgx-1", "sgx-2"};
-  if (fleet) {
-    for (core::SgxAwareScheduler* replica : replicas) {
-      plan_config.scheduler_targets.push_back(replica->identity());
-    }
-  }
+  plan_config.scheduler_targets = {scheduler.name()};
   if (config.tsdb_shard_faults) {
     for (std::size_t s = 0; s < cluster.db().shard_count(); ++s) {
       plan_config.tsdb_shard_targets.push_back(std::to_string(s));
@@ -239,14 +218,9 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
 
   result.injected = injector.injected();
   result.healed = injector.healed();
-  for (core::SgxAwareScheduler* replica : replicas) {
-    result.degraded_cycles += replica->degraded_cycles();
-    result.backoff_skips += replica->backoff_skips();
-    result.batches += replica->batches();
-    result.steal_cycles += replica->steal_cycles();
-    result.reshards += replica->reshards();
-    result.attestation_waits += replica->attestation_waits();
-  }
+  result.degraded_cycles = scheduler.degraded_cycles();
+  result.backoff_skips = scheduler.backoff_skips();
+  result.attestation_waits = scheduler.attestation_waits();
   if (const orch::AttestationGate* gate = cluster.attestation_gate();
       gate != nullptr) {
     result.attestation_verifications = gate->verifications();

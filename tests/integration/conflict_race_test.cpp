@@ -1,23 +1,29 @@
-// Conflict-race property test: four *active* shared-state scheduler
-// replicas (work stealing on) race over contended pods on a
-// cluster whose single SGX worker has EPC for exactly one pod at a time.
-// Across 500 seeded scenarios with shuffled submission order and varied
-// durations/periods, every contended pod must be placed exactly once —
-// one "Scheduled to" event per pod, never a double placement — and a
-// latecomer holding the pod's original resource_version must get a clean
-// conflict outcome, not a second bind. Every 50th seed runs twice and
-// must produce a bit-identical event log.
+// Conflict-race property test: seed-shuffled bind actors race over
+// contended pods on a cluster whose single SGX worker has EPC for exactly
+// one pod at a time, while the simulator runs. Each actor remembers the
+// resource_version it last saw for every pod and, on about half of its
+// ticks, replays those stale versions instead of re-reading the queue; an
+// evictor now and then sends the running pod back to the queue, so a
+// remembered version can be stale while its pod is pending again. Across
+// 500 seeds:
+//   * every try_bind by a latecomer — a pod that is no longer pending, or
+//     a version that is no longer the pod's — gets kNotPending or
+//     kStaleVersion (the resource-version CAS);
+//   * a fresh bind while another pod holds the slot gets
+//     kAdmissionRejected (the kubelet admission guard), and the slot never
+//     holds two pods;
+//   * each pod gets exactly one "Scheduled to" event per stay in the
+//     pending queue, and every pod succeeds.
+// Every 50th seed runs twice and must produce a bit-identical event log.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "orch/api_server.hpp"
-#include "orch/default_scheduler.hpp"
 
 namespace sgxo::orch {
 namespace {
@@ -26,6 +32,7 @@ using namespace sgxo::literals;
 
 /// The worker's EPC fits exactly one contended pod.
 constexpr Pages kSlot{512};
+constexpr std::size_t kActors = 4;
 
 cluster::MachineSpec machine(const std::string& name,
                              std::optional<Pages> epc = std::nullopt,
@@ -48,10 +55,34 @@ cluster::PodSpec contended_pod(const std::string& name, Duration duration) {
                                     behavior);
 }
 
-/// Runs one seeded race to quiescence, asserts the placement properties,
-/// and returns the serialized event log for determinism comparisons.
-std::vector<std::string> run_race(std::uint64_t seed) {
+/// The pods holding the worker's slot (bound or running there).
+std::size_t slot_holders(const ApiServer& api) {
+  PodFilter filter;
+  filter.node = "sgx-1";
+  return api.list_pods(filter).size();
+}
+
+template <typename T>
+void shuffle(std::vector<T>& items, Rng& rng) {
+  for (std::size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1], items[static_cast<std::size_t>(rng.uniform_int(
+                                0, static_cast<std::int64_t>(i) - 1))]);
+  }
+}
+
+/// What one seed's race saw, summed over every try_bind call.
+struct RaceResult {
+  std::vector<std::string> log;  // the event log, for determinism checks
+  std::size_t not_pending = 0;
+  std::size_t stale = 0;
+  std::size_t guard_refusals = 0;
+};
+
+/// Runs one seeded race to quiescence and asserts the placement
+/// properties.
+RaceResult run_race(std::uint64_t seed) {
   Rng rng{seed};
+  RaceResult result;
 
   sim::Simulation sim;
   ApiServer api{sim};
@@ -64,90 +95,153 @@ std::vector<std::string> run_race(std::uint64_t seed) {
   api.register_node(worker, kubelet_w);
   api.register_node(master, kubelet_m);
 
-  // Four always-active replicas with staggered periods, one per shard.
-  std::vector<std::unique_ptr<DefaultScheduler>> fleet;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    fleet.push_back(std::make_unique<DefaultScheduler>(
-        sim, api, Duration::seconds(2 + (seed + i) % 4),
-        "replica-" + std::to_string(i)));
-    SharedStateConfig config;
-    config.shard = i;
-    config.shard_count = 4;
-    fleet.back()->enable_shared_state(config);
-    fleet.back()->start();
-  }
-
   // Contended pods, submitted in a seed-shuffled order with seed-varied
-  // runtimes. Only one can hold the EPC at any instant, so the fleet
-  // must serialize them without ever double-placing one.
+  // runtimes. Only one can hold the EPC at any instant.
   const std::size_t count = 4 + static_cast<std::size_t>(seed % 4);
   std::vector<std::string> names;
   for (std::size_t i = 0; i < count; ++i) {
     names.push_back("contended-" + std::to_string(i));
   }
-  for (std::size_t i = names.size(); i > 1; --i) {
-    std::swap(names[i - 1], names[static_cast<std::size_t>(rng.uniform_int(
-                                0, static_cast<std::int64_t>(i) - 1))]);
-  }
+  shuffle(names, rng);
   std::vector<std::uint64_t> submit_versions;
   for (const std::string& name : names) {
     api.submit(contended_pod(
         name, Duration::minutes(1 + rng.uniform_int(0, 3))));
     submit_versions.push_back(api.pod(name).resource_version);
   }
+  const auto all_succeeded = [&] {
+    for (const std::string& name : names) {
+      if (api.pod(name).phase != cluster::PodPhase::kSucceeded) return false;
+    }
+    return true;
+  };
 
-  sim.run_until(sim.now() + Duration::hours(1));
+  // One bind attempt, judged against the pod's live state just before it.
+  const auto attempt = [&](const std::string& pod, std::uint64_t version) {
+    const PodRecord& live = api.pod(pod);
+    const bool latecomer = live.phase != cluster::PodPhase::kPending ||
+                           live.resource_version != version;
+    const bool slot_taken = slot_holders(api) > 0;
+    const ApiServer::BindOutcome outcome = api.try_bind(pod, "sgx-1", version);
+    const bool expected =
+        latecomer    ? outcome == ApiServer::BindStatus::kNotPending ||
+                           outcome == ApiServer::BindStatus::kStaleVersion
+        : slot_taken ? outcome == ApiServer::BindStatus::kAdmissionRejected
+                     : outcome.bound();
+    EXPECT_TRUE(expected) << "seed " << seed << " pod " << pod << " v"
+                          << version << (latecomer ? " (latecomer)" : "")
+                          << (slot_taken ? " (slot taken)" : "") << ": "
+                          << outcome;
+    EXPECT_LE(slot_holders(api), 1u)
+        << "seed " << seed << ": two pods in the slot";
+    if (outcome == ApiServer::BindStatus::kNotPending) ++result.not_pending;
+    if (outcome == ApiServer::BindStatus::kStaleVersion) ++result.stale;
+    if (outcome == ApiServer::BindStatus::kAdmissionRejected) {
+      ++result.guard_refusals;
+    }
+  };
 
-  std::uint64_t fleet_bound = 0;
-  std::uint64_t fleet_batches = 0;
-  for (const auto& replica : fleet) {
-    const Scheduler::Health health = replica->health();
-    EXPECT_TRUE(health.shared_state) << "seed " << seed;
-    fleet_bound += health.bound;
-    fleet_batches += health.batches;
+  // Actors with staggered periods. Each remembers the last version it saw
+  // per pod; on a re-read it refreshes the pods still pending and keeps
+  // the rest, so it goes on replaying versions that have gone stale.
+  struct Actor {
+    Rng rng;
+    std::map<std::string, std::uint64_t> seen;
+  };
+  std::vector<Actor> actors;
+  for (std::size_t i = 0; i < kActors; ++i) actors.push_back({rng.split(), {}});
+  for (std::size_t i = 0; i < kActors; ++i) {
+    const Duration period = Duration::seconds(
+        2 + static_cast<std::int64_t>((seed + i) % 4));
+    sim.schedule_every(period, period, [&, i] {
+      if (all_succeeded()) return;
+      Actor& actor = actors[i];
+      if (actor.seen.empty() || actor.rng.uniform_int(0, 1) == 0) {
+        PodFilter pending;
+        pending.phase = cluster::PodPhase::kPending;
+        for (const PodRecord* record : api.list_pods(pending)) {
+          actor.seen[record->spec.name] = record->resource_version;
+        }
+      }
+      std::vector<std::string> order;
+      for (const auto& [pod, version] : actor.seen) order.push_back(pod);
+      shuffle(order, actor.rng);
+      for (const std::string& pod : order) attempt(pod, actor.seen[pod]);
+    });
   }
-  EXPECT_EQ(fleet_bound, count) << "seed " << seed;
-  EXPECT_GT(fleet_batches, 0u) << "seed " << seed;
+
+  // The evictor sends the running pod back to the queue, each pod at most
+  // once, so the race always ends.
+  Rng evict_rng = rng.split();
+  const Duration evict_period =
+      Duration::seconds(40 + evict_rng.uniform_int(0, 60));
+  sim.schedule_every(evict_period, evict_period, [&] {
+    PodFilter holders;
+    holders.node = "sgx-1";
+    for (const PodRecord* record : api.list_pods(holders)) {
+      if (record->evictions == 0 && evict_rng.uniform_int(0, 1) == 0) {
+        api.evict(record->spec.name, "preempted by the race");
+      }
+    }
+  });
+
+  const TimePoint deadline = sim.now() + Duration::hours(3);
+  while (!all_succeeded() && sim.now() < deadline) {
+    sim.run_until(sim.now() + Duration::minutes(1));
+  }
 
   for (std::size_t i = 0; i < names.size(); ++i) {
     const std::string& name = names[i];
-    EXPECT_EQ(api.pod(name).phase, cluster::PodPhase::kSucceeded)
+    const PodRecord& record = api.pod(name);
+    EXPECT_EQ(record.phase, cluster::PodPhase::kSucceeded)
         << "seed " << seed << " pod " << name;
-    std::size_t scheduled_events = 0;
+    // The core property: one placement per stay in the pending queue,
+    // never a second one for the same stay.
+    std::size_t placed = 0;
+    bool in_queue = true;
     for (const Event& event : api.events()) {
-      if (event.pod == name &&
-          event.message.rfind("Scheduled to", 0) == 0) {
-        ++scheduled_events;
+      if (event.pod != name) continue;
+      if (event.message.rfind("Scheduled to", 0) == 0) {
+        EXPECT_TRUE(in_queue) << "seed " << seed << " pod " << name
+                              << " placed twice at " << event.time;
+        in_queue = false;
+        ++placed;
+      } else if (event.message.rfind("Evicted", 0) == 0) {
+        in_queue = true;
       }
     }
-    // The core property: exactly one kBound ever happened per pod.
-    EXPECT_EQ(scheduled_events, 1u) << "seed " << seed << " pod " << name;
-    // A latecomer replaying the original version gets a clean conflict —
-    // never a second placement.
-    const ApiServer::BindOutcome stale =
-        api.try_bind(name, "sgx-1", submit_versions[i]);
-    EXPECT_FALSE(stale.bound()) << "seed " << seed << " pod " << name;
-    EXPECT_EQ(stale, ApiServer::BindStatus::kNotPending)
+    EXPECT_EQ(placed, 1u + record.evictions)
+        << "seed " << seed << " pod " << name;
+    // Replaying the submission version after the fact is a clean conflict.
+    EXPECT_EQ(api.try_bind(name, "sgx-1", submit_versions[i]),
+              ApiServer::BindStatus::kNotPending)
         << "seed " << seed << " pod " << name;
   }
+  EXPECT_GT(result.guard_refusals, 0u) << "seed " << seed;
 
-  std::vector<std::string> log;
   for (const Event& event : api.events()) {
     std::ostringstream line;
     line << event.time << '|' << event.pod << '|' << event.message;
-    log.push_back(line.str());
+    result.log.push_back(line.str());
   }
-  return log;
+  return result;
 }
 
 void run_shard(std::uint64_t first_seed, std::uint64_t last_seed) {
+  std::size_t not_pending = 0;
+  std::size_t stale = 0;
   for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
-    const std::vector<std::string> log = run_race(seed);
+    const RaceResult result = run_race(seed);
+    not_pending += result.not_pending;
+    stale += result.stale;
     if (seed % 50 == 0) {
-      EXPECT_EQ(log, run_race(seed))
+      EXPECT_EQ(result.log, run_race(seed).log)
           << "seed " << seed << " is not deterministic";
     }
   }
+  // Both kinds of latecomer occur in every shard.
+  EXPECT_GT(not_pending, 0u);
+  EXPECT_GT(stale, 0u);
 }
 
 TEST(ConflictRace, Seeds001To125) { run_shard(1, 125); }

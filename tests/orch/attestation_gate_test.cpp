@@ -138,13 +138,11 @@ TEST_F(AttestationGateFixture, ConcurrentBindsCoalesceIntoOneVerification) {
   api_.submit(sgx_pod("a", Pages{100}));
   api_.submit(sgx_pod("b", Pages{100}));
   api_.submit(sgx_pod("c", Pages{100}));
-  const auto result = api_.try_bind_batch({
-      {"a", "sgx-1", version("a")},
-      {"b", "sgx-1", version("b")},
-      {"c", "sgx-1", version("c")},
-  });
-  EXPECT_EQ(result.attestation_pending, 3u);
-  EXPECT_EQ(result.bound, 0u);
+  for (const std::string pod : {"a", "b", "c"}) {
+    EXPECT_EQ(api_.try_bind(pod, "sgx-1", version(pod)),
+              ApiServer::BindStatus::kAttestationPending);
+  }
+  EXPECT_EQ(api_.attestation_pending(), 3u);
   // One node, one round-trip: the second and third checks coalesced onto
   // the in-flight verification.
   EXPECT_EQ(gate().verifications(), 1u);
@@ -152,12 +150,9 @@ TEST_F(AttestationGateFixture, ConcurrentBindsCoalesceIntoOneVerification) {
   EXPECT_EQ(verifier_.attempts(), 1u);
 
   run_for(Duration::seconds(1));
-  const auto retry = api_.try_bind_batch({
-      {"a", "sgx-1", version("a")},
-      {"b", "sgx-1", version("b")},
-      {"c", "sgx-1", version("c")},
-  });
-  EXPECT_EQ(retry.bound, 3u);
+  for (const std::string pod : {"a", "b", "c"}) {
+    EXPECT_TRUE(api_.try_bind(pod, "sgx-1", version(pod)).bound());
+  }
   EXPECT_EQ(gate().verifications(), 1u);  // all three hits now
 }
 

@@ -1,8 +1,7 @@
-// Conditional (compare-and-swap) bind tests: resource versions, the four
-// rejection outcomes, and the race the CAS exists for — two shared-state
-// scheduler replicas acting on the same snapshot, racing for the same pod
-// or the last EPC pages of a node. Exactly one wins; the loser's pod is
-// neither lost nor duplicated.
+// Conditional (compare-and-swap) bind tests: resource versions, the
+// rejection outcomes, and the race the CAS exists for — two callers acting
+// on the same snapshot, racing for the same pod or the last EPC pages of a
+// node. Exactly one wins; the loser's pod is neither lost nor duplicated.
 #include <gtest/gtest.h>
 
 #include "orch/api_server.hpp"
@@ -110,12 +109,12 @@ TEST_F(ConditionalBindFixture, UnknownAndMasterNodesAreUnavailable) {
 
 TEST_F(ConditionalBindFixture, TwoReplicasRacingForTheSamePod) {
   api_.submit(sgx_pod("p", Pages{100}));
-  // Both replicas snapshot the same pending queue.
+  // Both callers snapshot the same pending queue.
   const std::uint64_t snapshot = version("p");
-  // Replica A wins the race.
+  // Caller A wins the race.
   EXPECT_EQ(api_.try_bind("p", "sgx-1", snapshot),
             ApiServer::BindStatus::kBound);
-  // Replica B's attempt on the same snapshot is a clean conflict: the pod
+  // Caller B's attempt on the same snapshot is a clean conflict: the pod
   // stays exactly where A put it.
   EXPECT_EQ(api_.try_bind("p", "sgx-1", snapshot),
             ApiServer::BindStatus::kNotPending);
@@ -131,10 +130,10 @@ TEST_F(ConditionalBindFixture, RaceForTheLastEpcPagesAdmitsExactlyOne) {
   const std::uint64_t va = version("a");
   const std::uint64_t vb = version("b");
 
-  // Replica A binds pod a — the CAS passes and the kubelet admits it.
+  // Caller A binds pod a — the CAS passes and the kubelet admits it.
   EXPECT_EQ(api_.try_bind("a", "sgx-1", va), ApiServer::BindStatus::kBound);
 
-  // Replica B, acting on a view that predates A's bind, tries to put pod
+  // Caller B, acting on a view that predates A's bind, tries to put pod
   // b on the same node. The pod CAS passes (b itself is unchanged) — only
   // the kubelet admission guard stands between the stale view and an EPC
   // over-commit.

@@ -114,20 +114,18 @@ TEST_F(DescribeFixture, DescribeNodeWithoutSgx) {
 }
 
 TEST_F(DescribeFixture, ControlPlaneReport) {
-  // The single scheduler reports as plain "active"; a crashed one says so.
+  // A running scheduler reports as "active"; a crashed one says so.
   std::string text = describe_control_plane(
       cluster_.api(), {scheduler_}, cluster_.sim().now());
   EXPECT_NE(text.find("Bind conflicts:   0"), std::string::npos);
   EXPECT_NE(text.find("Guard rejections: 0"), std::string::npos);
-  EXPECT_NE(text.find("sgx-binpack (sgx-binpack): active, cycles="),
-            std::string::npos);
+  EXPECT_NE(text.find("sgx-binpack: active, cycles="), std::string::npos);
   EXPECT_NE(text.find("degraded_cycles=0"), std::string::npos);
 
   scheduler_->crash();
   text = describe_control_plane(cluster_.api(), {scheduler_},
                                 cluster_.sim().now());
-  EXPECT_NE(text.find("sgx-binpack (sgx-binpack): CRASHED"),
-            std::string::npos);
+  EXPECT_NE(text.find("sgx-binpack: CRASHED"), std::string::npos);
 }
 
 TEST_F(DescribeFixture, ControlPlaneOmitsAttestationWhenDisabled) {

@@ -1,5 +1,5 @@
-// Tests for the scheduler framework (feasibility filter, FCFS loop) and
-// the request-based Kubernetes default scheduler.
+// Tests for the scheduler framework (feasibility filter, FCFS loop,
+// crash and restart) and the request-based Kubernetes default scheduler.
 #include <gtest/gtest.h>
 
 #include "orch/api_server.hpp"
@@ -252,6 +252,62 @@ TEST_F(SchedulerFixture, PendingQueuePriorityOrder) {
   // Priority classes descending; FCFS inside the class of 5.
   EXPECT_EQ(pending_names(api_, "s"),
             (std::vector<cluster::PodName>{"high", "mid-a", "mid-b", "low"}));
+}
+
+TEST_F(SchedulerFixture, RestartDropsInheritedBindBackoffs) {
+  DefaultScheduler scheduler{sim_, api_};
+  scheduler.set_bind_backoff(Duration::seconds(60), Duration::minutes(10));
+
+  // Short-lived fillers hold 40 of each 64 GiB node, so the 40 GiB pod
+  // fits nowhere and the scheduler arms a 60 s backoff against it.
+  for (const std::string node : {"node-a", "node-b"}) {
+    const std::string filler = "filler-" + node;
+    api_.submit(standard_pod(filler, 40_GiB, Duration::seconds(2)));
+    ASSERT_TRUE(api_.try_bind(filler, node, api_.pod(filler).resource_version)
+                    .bound());
+  }
+  api_.submit(standard_pod("pod", 40_GiB));
+  ASSERT_EQ(scheduler.run_once(), 0u);
+
+  // The scheduler crashes; meanwhile the fillers finish and free their
+  // nodes, well before the 60 s backoff would have elapsed.
+  scheduler.crash();
+  sim_.run_until(sim_.now() + Duration::seconds(4));
+  ASSERT_EQ(api_.pod("filler-node-a").phase, cluster::PodPhase::kSucceeded);
+
+  // The restarted scheduler binds on its first cycle: the backoff its
+  // previous life armed is gone. Were it inherited, this cycle would skip
+  // the pod until t=60s.
+  scheduler.restart();
+  EXPECT_FALSE(scheduler.crashed());
+  EXPECT_EQ(scheduler.run_once(), 1u);
+  EXPECT_EQ(scheduler.backoff_skips(), 0u);
+  EXPECT_EQ(api_.pod("pod").phase, cluster::PodPhase::kBound);
+}
+
+TEST_F(SchedulerFixture, RestartedSchedulerBindsAgain) {
+  DefaultScheduler scheduler{sim_, api_, Duration::seconds(5)};
+  scheduler.start();
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(12));
+  const std::uint64_t cycles_at_crash = scheduler.cycles();
+  scheduler.crash();
+  EXPECT_TRUE(scheduler.crashed());
+
+  // While crashed, neither the periodic loop nor a direct cycle binds.
+  api_.submit(standard_pod("p1", 1_GiB, Duration::minutes(5)));
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(40));
+  EXPECT_EQ(scheduler.run_once(), 0u);
+  EXPECT_EQ(scheduler.cycles(), cycles_at_crash);
+  EXPECT_EQ(api_.pod("p1").phase, cluster::PodPhase::kPending);
+
+  // The first cycle after restart, one period later, binds the pod.
+  scheduler.restart();
+  EXPECT_FALSE(scheduler.crashed());
+  sim_.run_until(sim_.now() + Duration::seconds(5));
+  EXPECT_EQ(scheduler.cycles(), cycles_at_crash + 1);
+  EXPECT_EQ(scheduler.total_bound(), 1u);
+  EXPECT_NE(api_.pod("p1").phase, cluster::PodPhase::kPending);
+  scheduler.stop();
 }
 
 TEST(SchedulerConstruction, Validation) {
