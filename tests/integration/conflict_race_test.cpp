@@ -62,8 +62,7 @@ std::size_t slot_holders(const ApiServer& api) {
   return api.list_pods(filter).size();
 }
 
-template <typename T>
-void shuffle(std::vector<T>& items, Rng& rng) {
+void shuffle(std::vector<std::string>& items, Rng& rng) {
   for (std::size_t i = items.size(); i > 1; --i) {
     std::swap(items[i - 1], items[static_cast<std::size_t>(rng.uniform_int(
                                 0, static_cast<std::int64_t>(i) - 1))]);
