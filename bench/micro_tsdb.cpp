@@ -13,7 +13,7 @@
 // Writes BENCH_tsdb.json (or BENCH_tsdb_smoke.json with --smoke). Each
 // query row carries a digest of its result set; the smoke run re-parses
 // the file and fails unless every query returned the identical result set
-// on 1 and 4 shards.
+// on every shard count.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -216,11 +216,6 @@ int main(int argc, char** argv) {
       config.query_runs = 5;
     }
   }
-  const std::vector<std::size_t> shard_counts =
-      config.smoke ? std::vector<std::size_t>{1, 4}
-                   : std::vector<std::size_t>(std::begin(kShardCounts),
-                                              std::end(kShardCounts));
-
   const std::vector<Sample> samples = make_samples(config);
   const TimePoint now = at(
       static_cast<std::int64_t>(config.points_per_series - 1) *
@@ -248,7 +243,7 @@ int main(int argc, char** argv) {
 
   std::vector<IngestResult> ingests;
   std::vector<QueryResult> queries;
-  for (const std::size_t shards : shard_counts) {
+  for (const std::size_t shards : kShardCounts) {
     DatabaseConfig db_config;
     db_config.shards = shards;
     Database db{db_config};
@@ -281,20 +276,23 @@ int main(int argc, char** argv) {
 
   if (config.smoke) {
     // Regression guard (ctest `bench` label): sharding is a data layout,
-    // so every query must return the same result set on 1 and 4 shards.
+    // so every query must return the 1-shard result set on every shard
+    // count.
     for (const auto& [name, text] : shapes) {
       const std::string one = digest_from_json(path, name, 1);
-      const std::string four = digest_from_json(path, name, 4);
-      std::cout << "smoke guard: " << name << " result digest 1-shard=" << one
-                << " 4-shard=" << four << "\n";
-      if (one.empty() || four.empty()) {
-        std::cerr << "smoke guard: missing datapoints in " << path << "\n";
-        return 1;
-      }
-      if (one != four) {
-        std::cerr << "smoke guard: " << name
-                  << " differs between 1 and 4 shards\n";
-        return 1;
+      for (const std::size_t shards : kShardCounts) {
+        const std::string other = digest_from_json(path, name, shards);
+        std::cout << "smoke guard: " << name << " result digest " << shards
+                  << "-shard=" << other << "\n";
+        if (one.empty() || other.empty()) {
+          std::cerr << "smoke guard: missing datapoints in " << path << "\n";
+          return 1;
+        }
+        if (other != one) {
+          std::cerr << "smoke guard: " << name << " differs between 1 and "
+                    << shards << " shards\n";
+          return 1;
+        }
       }
     }
   }

@@ -76,8 +76,9 @@ class SgxAwareScheduler final : public orch::Scheduler {
   [[nodiscard]] PlacementPolicy policy() const { return config_.policy; }
   [[nodiscard]] const ClusterMetrics& metrics() const { return metrics_; }
   [[nodiscard]] std::uint64_t preemptions() const { return preemptions_; }
-  /// Cycles that ran on declared requests because the metrics window was
-  /// stale past kStaleMetricsThreshold.
+  /// Cycles that planned pods on declared requests because the metrics
+  /// window was stale past kStaleMetricsThreshold. A cycle with no pod to
+  /// plan runs no query and does not count, however stale the window.
   [[nodiscard]] std::uint64_t degraded_cycles() const override {
     return degraded_cycles_;
   }

@@ -104,13 +104,10 @@ void Scheduler::prune_backoffs() {
 }
 
 struct Scheduler::Cycle {
-  explicit Cycle(std::vector<NodeView> node_views)
-      : views(std::move(node_views)) {
-    feasible.reserve(views.size());
-  }
-
-  /// Every schedulable node, charged with this cycle's reservations.
-  std::vector<NodeView> views;
+  /// Every schedulable node, charged with this cycle's reservations. Built
+  /// by plan_pod for the cycle's first pod that is not backing off; a
+  /// cycle that plans no pod builds none.
+  std::optional<std::vector<NodeView>> views;
   /// plan_pod's feasible-node scratch, reused for every pod of the cycle.
   std::vector<NodeView> feasible;
   bool unschedulable_reported = false;
@@ -147,18 +144,24 @@ std::optional<cluster::NodeName> Scheduler::plan_pod(
     }
   }
 
+  if (!cycle.views.has_value()) {
+    // Nothing the cycle did so far changes what the views would show: it
+    // only listed its pending pods and skipped backed-off ones.
+    cycle.views = collect_views();
+    cycle.feasible.reserve(cycle.views->size());
+  }
+  const std::vector<NodeView>& views = *cycle.views;
   cycle.feasible.clear();
-  std::copy_if(cycle.views.begin(), cycle.views.end(),
-               std::back_inserter(cycle.feasible),
+  std::copy_if(views.begin(), views.end(), std::back_inserter(cycle.feasible),
                [&](const NodeView& view) { return fits(spec, view); });
   std::optional<cluster::NodeName> chosen;
   if (cycle.feasible.empty()) {
     if (!cycle.unschedulable_reported) {
       cycle.unschedulable_reported = true;
-      on_unschedulable(spec, cycle.views);
+      on_unschedulable(spec, views);
     }
   } else {
-    chosen = select_node(spec, cycle.feasible, cycle.views);
+    chosen = select_node(spec, cycle.feasible, views);
   }
   if (!chosen.has_value()) {
     note_bind_failure(spec.name);
@@ -171,7 +174,7 @@ std::size_t Scheduler::run_once() {
   if (crashed_) return 0;
 
   ++cycles_;
-  Cycle cycle{collect_views()};
+  Cycle cycle;
   std::size_t bound_this_cycle = 0;
 
   // FCFS: older pods get first pick of this cycle's resources; pods that
@@ -240,7 +243,7 @@ std::size_t Scheduler::run_once() {
     }
     backoffs_.erase(pod_name);
     ++bound_this_cycle;
-    reserve(cycle.views, *chosen, spec);
+    reserve(*cycle.views, *chosen, spec);
   }
 
   // Keep the backoff map bounded: entries of pods that left the pending

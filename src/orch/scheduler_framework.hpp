@@ -5,7 +5,10 @@
 // pods FCFS, build a resource view of every schedulable node, filter
 // infeasible job-node combinations (hardware compatibility, saturation),
 // let the concrete placement policy pick a node, and bind. Pods that fit
-// nowhere stay in the persistent pending queue for the next cycle.
+// nowhere stay in the persistent pending queue for the next cycle. The
+// views are built when the cycle plans its first pod, so a cycle with no
+// pending pod, or with only backed-off ones, reads no node state and runs
+// no metrics query.
 //
 // Each scheduler name has one active instance, as in Kubernetes (§V-B).
 // Binds are conditional (resource-version CAS + kubelet admission guard,
@@ -131,9 +134,10 @@ class Scheduler {
   [[nodiscard]] std::uint64_t attestation_waits() const {
     return attestation_waits_;
   }
-  /// Cycles that fell back from measured usage to declared requests;
-  /// meaningful for metrics-driven schedulers (base schedulers never
-  /// degrade).
+  /// Cycles that planned pods on declared requests because measured usage
+  /// could not be trusted; meaningful for metrics-driven schedulers (base
+  /// schedulers never degrade). A cycle that plans no pod builds no views
+  /// and so never counts.
   [[nodiscard]] virtual std::uint64_t degraded_cycles() const { return 0; }
 
   /// Control-plane health snapshot, the raw material of
@@ -153,6 +157,7 @@ class Scheduler {
 
  protected:
   /// Builds this cycle's per-node views (capacities + usage estimates).
+  /// Called at most once per cycle, when it plans its first pod.
   [[nodiscard]] virtual std::vector<NodeView> collect_views() = 0;
 
   /// Picks a node for `pod` among `feasible` (all already pass fits()).
@@ -188,11 +193,12 @@ class Scheduler {
   void note_bind_failure(const cluster::PodName& pod);
   /// Drops backoff entries of pods that are no longer pending.
   void prune_backoffs();
-  /// Plans one pod: skip it while it backs off, filter the feasible nodes
-  /// (reporting the cycle's first pod that fits nowhere to
-  /// on_unschedulable), and let the policy pick. nullopt leaves the pod
-  /// pending; a failed placement under strict FCFS also sets
-  /// cycle.blocked, which ends the cycle.
+  /// Plans one pod: skip it while it backs off, build the cycle's views if
+  /// this is its first planned pod, filter the feasible nodes (reporting
+  /// the cycle's first pod that fits nowhere to on_unschedulable), and
+  /// let the policy pick. nullopt leaves the pod pending; a failed
+  /// placement under strict FCFS also sets cycle.blocked, which ends the
+  /// cycle.
   std::optional<cluster::NodeName> plan_pod(Cycle& cycle,
                                             const cluster::PodSpec& spec);
 

@@ -4,7 +4,10 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "tsdb/ql/lexer.hpp"
@@ -48,6 +51,9 @@ struct QueryAnalysis {
   /// The GROUP BY tags in group-key order: sorted, duplicates dropped, as
   /// tags_key renders a Tags map.
   std::vector<std::string> group_tags;
+  /// The projections a measurement scan feeds: those over "value", the
+  /// one field measurement rows carry.
+  std::vector<std::size_t> value_projections;
   std::unique_ptr<QueryAnalysis> sub;  // analysis of a subquery source
 };
 
@@ -55,6 +61,7 @@ namespace {
 
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
 
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   std::int64_t q = a / b;
@@ -62,18 +69,38 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   return q;
 }
 
-std::string bucket_suffix(std::int64_t bucket) {
-  char suffix[32];
-  std::snprintf(suffix, sizeof suffix, "|t%020lld",
-                static_cast<long long>(bucket));
-  return suffix;
+/// Renders the group key of a series or row with tag set `tags` into
+/// `key`: tags_key of its GROUP BY tags, `group_tags` being sorted and
+/// deduplicated as tags_key renders them, a missing tag reading as "".
+/// Reuses the key's capacity.
+void render_group_key(const Tags& tags,
+                      const std::vector<std::string>& group_tags,
+                      std::string& key) {
+  key.clear();
+  auto tag = tags.begin();
+  for (const std::string& name : group_tags) {
+    while (tag != tags.end() && tag->first < name) ++tag;
+    if (!key.empty()) key += ',';
+    key += name;
+    key += '=';
+    if (tag != tags.end() && tag->first == name) key += tag->second;
+  }
 }
 
-/// Deterministic mergeable quantile sketch: a fixed log-bucket histogram
-/// (sign/zero bucket + 4 sub-buckets per power of two). Merging adds
-/// counts, so the result is independent of shard layout and fold order;
-/// the reported quantile is the lower edge of the bucket holding the
-/// target rank (a ≤ 19 % relative overestimate bound per bucket edge).
+/// Appends the GROUP BY time bucket to a group key.
+void append_bucket_suffix(std::string& key, std::int64_t bucket) {
+  char suffix[32];
+  const int size = std::snprintf(suffix, sizeof suffix, "|t%020lld",
+                                 static_cast<long long>(bucket));
+  key.append(suffix, static_cast<std::size_t>(size));
+}
+
+/// Deterministic quantile sketch: a fixed log-bucket histogram (sign/zero
+/// bucket + 4 sub-buckets per power of two). A value's bucket depends on
+/// the value alone, so the counts, and the quantile, are independent of
+/// shard layout and fold order; the reported quantile is the lower edge
+/// of the bucket holding the target rank (a ≤ 19 % relative overestimate
+/// bound per bucket edge).
 class QuantileSketch {
  public:
   static constexpr std::size_t kSubBuckets = 4;
@@ -85,11 +112,6 @@ class QuantileSketch {
   void add(double v) {
     ++counts_[bucket_of(v)];
     ++total_;
-  }
-
-  void merge(const QuantileSketch& other) {
-    for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
-    total_ += other.total_;
   }
 
   [[nodiscard]] double quantile(double q) const {
@@ -129,9 +151,11 @@ class QuantileSketch {
   std::uint64_t total_ = 0;
 };
 
-/// Aggregation state for one (group, projection) cell. Every operation is
-/// order-independent and mergeable, so per-shard partials combine into the
-/// same values a single sequential fold would produce.
+/// Aggregation state for one (group, projection) cell. count, min, max,
+/// first, last and the quantiles do not depend on the order values arrive
+/// in; sum and mean are exact, and so order-independent, while the values
+/// and their partial sums are integers below 2^53, as every sample the
+/// system writes is.
 class Accumulator {
  public:
   explicit Accumulator(Aggregate agg) : agg_(agg) {
@@ -160,34 +184,6 @@ class Accumulator {
         last_ = v;
       }
     }
-  }
-
-  void merge(const Accumulator& other) {
-    if (other.count_ == 0) return;
-    if (sketch_ && other.sketch_) sketch_->merge(*other.sketch_);
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-      first_ = other.first_;
-      first_time_ = other.first_time_;
-      last_ = other.last_;
-      last_time_ = other.last_time_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-      if (other.first_time_ < first_time_ ||
-          (other.first_time_ == first_time_ && other.first_ < first_)) {
-        first_time_ = other.first_time_;
-        first_ = other.first_;
-      }
-      if (other.last_time_ > last_time_ ||
-          (other.last_time_ == last_time_ && other.last_ > last_)) {
-        last_time_ = other.last_time_;
-        last_ = other.last_;
-      }
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
   }
 
   [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -223,12 +219,126 @@ class Accumulator {
   std::unique_ptr<QuantileSketch> sketch_;
 };
 
-struct Group {
-  Tags tags;
-  TimePoint min_time{TimePoint::from_micros(kInt64Max)};
-  std::vector<Accumulator> cells;
+/// The GROUP BY state of one statement: every group its fold creates.
+///
+/// A group is identified by its key, the tags_key of its GROUP BY tags
+/// plus the bucket suffix under GROUP BY time, so two tag tuples that
+/// render the same key share a group, and render() orders rows by key.
+/// A caller renders each key into a buffer of its own and looks it up by
+/// hash (open addressing over group indices). Key bytes live in one arena
+/// and cells, one Accumulator per projection, in one flat vector; a group
+/// refers to both by offset, so neither growing moves a group. A group's
+/// tags are built at render from the tag set of the series or row that
+/// created it, which must outlive the table.
+class GroupTable {
+ public:
+  GroupTable(const SelectStmt& stmt,
+             const std::vector<std::string>& group_tags)
+      : stmt_(&stmt), group_tags_(&group_tags) {}
+
+  /// The group with key `key`, created on first sight with `tags` as the
+  /// tag set its row reports.
+  std::size_t find_or_insert(std::string_view key, const Tags& tags) {
+    const std::size_t hash = std::hash<std::string_view>{}(key);
+    if (2 * (groups_.size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == 0) {
+        slots_[i] = groups_.size() + 1;
+        groups_.push_back(Group{hash, arena_.size(), key.size(), &tags,
+                                TimePoint::from_micros(kInt64Max)});
+        arena_.append(key);
+        for (const Projection& proj : stmt_->projections) {
+          cells_.emplace_back(proj.agg);
+        }
+        return groups_.size() - 1;
+      }
+      const std::size_t group = slots_[i] - 1;
+      if (groups_[group].hash == hash && key_of(group) == key) return group;
+    }
+  }
+
+  /// The group's time: its bucket's start under GROUP BY time, else its
+  /// oldest point or row.
+  TimePoint& time(std::size_t group) { return groups_[group].time; }
+
+  Accumulator& cell(std::size_t group, std::size_t projection) {
+    return cells_[group * stmt_->projections.size() + projection];
+  }
+
+  /// One row per group with a non-empty cell, in key order, after OFFSET
+  /// and LIMIT.
+  [[nodiscard]] ResultSet render() const {
+    std::vector<std::size_t> order(groups_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return key_of(a) < key_of(b);
+    });
+    const std::vector<Projection>& projections = stmt_->projections;
+    ResultSet result;
+    result.rows.reserve(groups_.size());
+    std::size_t offset = stmt_->offset;
+    for (const std::size_t g : order) {
+      if (stmt_->limit > 0 && result.rows.size() == stmt_->limit) break;
+      Row row;
+      for (std::size_t c = 0; c < projections.size(); ++c) {
+        const Accumulator& cell = cells_[g * projections.size() + c];
+        if (!cell.empty()) {
+          row.fields.emplace(projections[c].alias, cell.result());
+        }
+      }
+      if (row.fields.empty()) continue;  // no projection saw a value
+      if (offset > 0) {
+        --offset;
+        continue;
+      }
+      const Group& group = groups_[g];
+      for (const std::string& name : *group_tags_) {
+        const auto tag = group.tags->find(name);
+        row.tags.emplace_hint(row.tags.end(), name,
+                              tag == group.tags->end() ? "" : tag->second);
+      }
+      row.time = group.time;
+      result.rows.push_back(std::move(row));
+    }
+    return result;
+  }
+
+ private:
+  struct Group {
+    std::size_t hash = 0;
+    std::size_t key_offset = 0;  // into arena_
+    std::size_t key_size = 0;
+    const Tags* tags = nullptr;
+    TimePoint time;
+  };
+
+  [[nodiscard]] std::string_view key_of(std::size_t group) const {
+    return std::string_view{arena_}.substr(groups_[group].key_offset,
+                                           groups_[group].key_size);
+  }
+
+  /// Doubles the slots (16 at first) and re-places every group by its
+  /// stored hash.
+  void grow() {
+    std::vector<std::size_t> slots(
+        std::max<std::size_t>(16, 2 * slots_.size()));
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      std::size_t i = groups_[g].hash & mask;
+      while (slots[i] != 0) i = (i + 1) & mask;
+      slots[i] = g + 1;
+    }
+    slots_ = std::move(slots);
+  }
+
+  const SelectStmt* stmt_;
+  const std::vector<std::string>* group_tags_;
+  std::vector<Group> groups_;
+  std::vector<std::size_t> slots_;  // group index + 1; 0 = empty
+  std::string arena_;               // every group's key, back to back
+  std::vector<Accumulator> cells_;  // projections.size() per group
 };
-using GroupMap = std::map<std::string, Group>;
 
 /// The effective offset of a time predicate: its literal, or its bound
 /// parameter for prepared statements.
@@ -261,14 +371,12 @@ bool row_matches(const Row& row, const Predicate& predicate, TimePoint now,
 /// shard is read: integer window bounds from the time predicates and the
 /// residual per-point predicates.
 struct ScanSpec {
-  const SelectStmt* stmt = nullptr;
   const std::string* measurement = nullptr;
   std::int64_t lo = kInt64Min;
   std::int64_t hi = kInt64Max;
   std::vector<double> neq_times;          // time <> X, compared as doubles
   std::vector<const FieldPredicate*> value_preds;
-  bool fields_ok = true;   // false: a field predicate can never match
-  const std::vector<std::string>* group_tags = nullptr;
+  const QueryAnalysis* analysis = nullptr;
   std::int64_t interval_us = 0;           // GROUP BY time(...)
 };
 
@@ -288,6 +396,11 @@ std::unique_ptr<QueryAnalysis> analyze_node(const SelectStmt& stmt) {
   analysis->group_tags.erase(
       std::unique(analysis->group_tags.begin(), analysis->group_tags.end()),
       analysis->group_tags.end());
+  for (std::size_t c = 0; c < stmt.projections.size(); ++c) {
+    if (stmt.projections[c].field == "value") {
+      analysis->value_projections.push_back(c);
+    }
+  }
   if (const auto* sub =
           std::get_if<std::unique_ptr<SelectStmt>>(&stmt.source)) {
     analysis->sub = analyze_node(**sub);
@@ -299,16 +412,14 @@ ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
                       TimePoint now, const QueryParams& params,
                       const QueryAnalysis& analysis) {
   ScanSpec spec;
-  spec.stmt = &stmt;
   spec.measurement = &measurement;
   spec.interval_us = stmt.group_by_time.micros_count();
-  spec.fields_ok = analysis.scan_fields_ok;
-  spec.group_tags = &analysis.group_tags;
+  spec.analysis = &analysis;
 
   for (const Predicate& predicate : stmt.where) {
     if (const auto* fp = std::get_if<FieldPredicate>(&predicate)) {
       if (fp->field == "value") spec.value_preds.push_back(fp);
-      continue;  // non-"value" fields already folded into fields_ok
+      continue;  // non-"value" fields already folded into scan_fields_ok
     }
     const auto& tp = std::get<TimePredicate>(predicate);
     const std::int64_t offset = time_offset_us(tp, params);
@@ -337,77 +448,37 @@ ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
   return spec;
 }
 
-/// Folds one shard of a measurement into per-group partial aggregates.
-GroupMap scan_shard(const Database& db, const ScanSpec& spec,
-                    std::size_t shard, ShardScanStats* stats) {
-  GroupMap groups;
-  if (!spec.fields_ok) return groups;
-  const SelectStmt& stmt = *spec.stmt;
-
+/// Folds one shard of a measurement into `table`, rendering each group
+/// key into `key`, a buffer reused across series and shards.
+void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
+                GroupTable& table, std::string& key, ShardScanStats* stats) {
   // A shard under a stale-read horizon shows no point newer than it.
   std::int64_t hi = spec.hi;
   const std::optional<TimePoint> horizon = db.effective_read_horizon(shard);
   if (horizon.has_value()) hi = std::min(hi, horizon->micros_since_epoch());
-  if (spec.lo > hi) return groups;
+  if (spec.lo > hi) return;
 
   const Measurement* measurement =
       db.find_measurement(*spec.measurement, shard);
-  if (measurement == nullptr) return groups;
+  if (measurement == nullptr) return;
 
-  const std::vector<std::string>& group_tags = *spec.group_tags;
-  std::string base_key;  // reused across series: no allocation per series
+  const QueryAnalysis& analysis = *spec.analysis;
   // The scan folds only points at or after lo, and no series holds a point
   // newer than its newest append: only the series appended to since lo
   // have anything to give. They come in tags_key order, as a walk of every
-  // series would visit them, so each group folds its points in the same
-  // sequence whatever the summary's order.
+  // series would visit them.
   measurement->for_each_series_since(
       spec.lo, [&](const Series& series) {
         if (stats != nullptr) ++stats->series;
-        // The group key is a pure function of the series tags — render it
-        // once per series, straight from the tags, exactly as tags_key
-        // renders the group's tag set (a missing tag reads as "").
+        // The group key is a pure function of the series tags: render it
+        // once per series, and append a bucket suffix per bucket.
         const Tags& tags = series.tags();
-        base_key.clear();
-        for (auto tag = tags.begin(); const std::string& name : group_tags) {
-          while (tag != tags.end() && tag->first < name) ++tag;
-          if (!base_key.empty()) base_key += ',';
-          base_key += name;
-          base_key += '=';
-          if (tag != tags.end() && tag->first == name) base_key += tag->second;
-        }
+        render_group_key(tags, analysis.group_tags, key);
+        const std::size_t base_size = key.size();
+        std::size_t group = kNoGroup;
+        std::int64_t current_bucket = 0;
 
-        Group* current = nullptr;
-        std::int64_t current_bucket = kInt64Min;
-        const auto group_for = [&](std::int64_t bucket,
-                                   bool bucketed) -> Group& {
-          if (current != nullptr && (!bucketed || bucket == current_bucket)) {
-            return *current;
-          }
-          std::string bucket_key;
-          if (bucketed) bucket_key = base_key + bucket_suffix(bucket);
-          const std::string& key = bucketed ? bucket_key : base_key;
-          auto it = groups.find(key);
-          if (it == groups.end()) {
-            // A new group: only now build its tag set.
-            Group group;
-            for (const std::string& name : group_tags) {
-              const auto tag = tags.find(name);
-              group.tags.emplace_hint(group.tags.end(), name,
-                                      tag == tags.end() ? "" : tag->second);
-            }
-            group.cells.reserve(stmt.projections.size());
-            for (const Projection& proj : stmt.projections) {
-              group.cells.emplace_back(proj.agg);
-            }
-            it = groups.emplace(key, std::move(group)).first;
-          }
-          current = &it->second;
-          current_bucket = bucket;
-          return *current;
-        };
-
-        const auto fold_point = [&](const Point& p) {
+        series.for_each_in_window(spec.lo, hi, [&](const Point& p) {
           const auto t = static_cast<double>(p.time.micros_since_epoch());
           for (const double bound : spec.neq_times) {
             if (t == bound) return;
@@ -416,62 +487,26 @@ GroupMap scan_shard(const Database& db, const ScanSpec& spec,
             if (!compare(p.value, fp->op, fp->literal)) return;
           }
           if (stats != nullptr) ++stats->points;
-          Group* group;
           if (spec.interval_us != 0) {
-            const std::int64_t window =
+            const std::int64_t bucket =
                 floor_div(p.time.micros_since_epoch(), spec.interval_us);
-            group = &group_for(window, true);
-            group->min_time =
-                TimePoint::from_micros(window * spec.interval_us);
-          } else {
-            group = &group_for(0, false);
-            group->min_time = std::min(group->min_time, p.time);
-          }
-          for (std::size_t c = 0; c < stmt.projections.size(); ++c) {
-            if (stmt.projections[c].field == "value") {
-              group->cells[c].add(p.value, p.time);
+            if (group == kNoGroup || bucket != current_bucket) {
+              key.resize(base_size);
+              append_bucket_suffix(key, bucket);
+              group = table.find_or_insert(key, tags);
+              current_bucket = bucket;
             }
+            table.time(group) =
+                TimePoint::from_micros(bucket * spec.interval_us);
+          } else {
+            if (group == kNoGroup) group = table.find_or_insert(key, tags);
+            table.time(group) = std::min(table.time(group), p.time);
           }
-        };
-
-        series.for_each_in_window(spec.lo, hi, fold_point);
+          for (const std::size_t c : analysis.value_projections) {
+            table.cell(group, c).add(p.value, p.time);
+          }
+        });
       });
-  return groups;
-}
-
-ResultSet render(const SelectStmt& stmt, GroupMap& groups) {
-  ResultSet result;
-  result.rows.reserve(groups.size());
-  for (auto& [key, group] : groups) {
-    Row out;
-    out.tags = std::move(group.tags);
-    out.time = group.min_time;
-    bool any = false;
-    for (std::size_t c = 0; c < stmt.projections.size(); ++c) {
-      if (!group.cells[c].empty()) {
-        out.fields.emplace(stmt.projections[c].alias, group.cells[c].result());
-        any = true;
-      }
-    }
-    if (any) {
-      result.rows.push_back(std::move(out));
-    }
-  }
-  // OFFSET/LIMIT over the deterministic (tags, time) order produced by
-  // the group map.
-  if (stmt.offset > 0) {
-    if (stmt.offset >= result.rows.size()) {
-      result.rows.clear();
-    } else {
-      result.rows.erase(result.rows.begin(),
-                        result.rows.begin() +
-                            static_cast<std::ptrdiff_t>(stmt.offset));
-    }
-  }
-  if (stmt.limit > 0 && result.rows.size() > stmt.limit) {
-    result.rows.resize(stmt.limit);
-  }
-  return result;
 }
 
 /// Scan path for `FROM "measurement"`.
@@ -485,32 +520,24 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
     stats->shards.resize(shard_count);
   }
 
-  // Fold shard by shard and merge each partial in shard order.
-  // Aggregates are order-independent, so this produces the 1-shard fold
-  // bit for bit. Groups new to `merged` move over as map nodes; only the
-  // keys both maps hold are left behind in the partial, and those are
-  // folded in.
-  GroupMap merged;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    ShardScanStats* shard_stats =
-        stats != nullptr ? &stats->shards[s] : nullptr;
-    GroupMap partial = scan_shard(db, spec, s, shard_stats);
-    merged.merge(partial);
-    for (const auto& [key, group] : partial) {
-      Group& into = merged.find(key)->second;
-      into.min_time = std::min(into.min_time, group.min_time);
-      for (std::size_t c = 0; c < into.cells.size(); ++c) {
-        into.cells[c].merge(group.cells[c]);
-      }
+  // Every shard folds straight into one table, in shard order. A group's
+  // aggregates do not depend on the order its points arrive in (see
+  // Accumulator), so this is the 1-shard fold bit for bit.
+  GroupTable table{stmt, analysis.group_tags};
+  if (analysis.scan_fields_ok) {
+    std::string key;
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      scan_shard(db, spec, s, table, key,
+                 stats != nullptr ? &stats->shards[s] : nullptr);
     }
   }
-  return render(stmt, merged);
+  return table.render();
 }
 
 /// Row-at-a-time path for subquery sources: execute the inner statement,
-/// then filter/group its output rows exactly as the pre-shard executor
-/// did (inner rows are few — one per group — so scanning them centrally
-/// costs nothing).
+/// then filter and group its output rows into the same kind of table
+/// (inner rows are few, one per group, so scanning them centrally costs
+/// nothing).
 ResultSet exec_rows(const SelectStmt& stmt, const Database& db, TimePoint now,
                     const QueryParams& params, ExecStats* stats,
                     const QueryAnalysis& analysis) {
@@ -528,45 +555,33 @@ ResultSet exec_rows(const SelectStmt& stmt, const Database& db, TimePoint now,
     });
   }
 
-  GroupMap groups;
   const bool time_buckets = stmt.group_by_time > Duration{};
   const std::int64_t interval_us = stmt.group_by_time.micros_count();
-
+  // The table reads a group's tags from the row that created it, so it
+  // must not outlive `rows`.
+  GroupTable table{stmt, analysis.group_tags};
+  std::string key;
   for (const Row& row : rows) {
-    Tags key;
-    for (const std::string& tag : stmt.group_by) {
-      const auto it = row.tags.find(tag);
-      key.emplace(tag, it == row.tags.end() ? "" : it->second);
-    }
-    std::string key_str = tags_key(key);
+    render_group_key(row.tags, analysis.group_tags, key);
     TimePoint window_start = row.time;
     if (time_buckets) {
       const std::int64_t bucket =
           floor_div(row.time.micros_since_epoch(), interval_us);
       window_start = TimePoint::from_micros(bucket * interval_us);
-      key_str += bucket_suffix(bucket);
+      append_bucket_suffix(key, bucket);
     }
-    auto it = groups.find(key_str);
-    if (it == groups.end()) {
-      Group group;
-      group.tags = std::move(key);
-      group.cells.reserve(stmt.projections.size());
-      for (const Projection& proj : stmt.projections) {
-        group.cells.emplace_back(proj.agg);
-      }
-      it = groups.emplace(std::move(key_str), std::move(group)).first;
-    }
-    Group& group = it->second;
-    group.min_time =
-        time_buckets ? window_start : std::min(group.min_time, row.time);
+    const std::size_t group = table.find_or_insert(key, row.tags);
+    table.time(group) = time_buckets
+                            ? window_start
+                            : std::min(table.time(group), row.time);
     for (std::size_t c = 0; c < stmt.projections.size(); ++c) {
       const auto field_it = row.fields.find(stmt.projections[c].field);
       if (field_it != row.fields.end()) {
-        group.cells[c].add(field_it->second, row.time);
+        table.cell(group, c).add(field_it->second, row.time);
       }
     }
   }
-  return render(stmt, groups);
+  return table.render();
 }
 
 }  // namespace

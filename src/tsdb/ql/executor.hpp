@@ -6,12 +6,16 @@
 // projected fields. A WHERE clause filters rows; GROUP BY + projections
 // aggregate them.
 //
-// A measurement scan folds the database's shards one after another into
-// partial aggregates and merges the partials in shard order. Every
-// aggregate is order-independent (count/sum additive, min/max lattice
-// joins, first/last with lexicographic (time, value) tie-breaks, quantiles
-// over a mergeable sketch), so the merged result is bit-identical to a
-// 1-shard scan (see DESIGN.md §12).
+// A statement folds into one group table: a measurement scan folds the
+// database's shards one after another straight into it, and a subquery's
+// rows fold into one of their own. A group is its rendered key (tags_key
+// of its GROUP BY tags, plus a bucket suffix under GROUP BY time), looked
+// up by hash; tags and rows are built only at render, in key order. No
+// aggregate depends on the order its values arrive in (count additive,
+// min/max lattice joins, first/last with lexicographic (time, value)
+// tie-breaks, quantiles over a fixed-bucket sketch, sum exact on the
+// integer-valued samples the system writes), so the result is
+// bit-identical to a 1-shard scan (see DESIGN.md §12).
 #pragma once
 
 #include <map>

@@ -188,20 +188,28 @@ TEST_F(ChaosFixture, StaleReadsTripTheSchedulerIntoRequestFallback) {
                                Duration::minutes(1), Duration::minutes(5)));
   injector_.arm(plan);
 
-  run_to(Duration::minutes(6));
-  EXPECT_GT(scheduler_->degraded_cycles(), 0u);
+  // A cycle degrades only when it plans a pod: with nothing pending, the
+  // stale window goes unread.
+  run_to(Duration::minutes(5));
+  EXPECT_EQ(scheduler_->degraded_cycles(), 0u);
 
   // Scheduling continues mid-outage, on requests alone.
-  cluster_.api().submit(sgx_pod("during-next", Pages{500}, Duration::minutes(1)));
-  run_to(Duration::minutes(7));
+  cluster_.api().submit(
+      sgx_pod("during-next", Pages{500}, Duration::minutes(1)));
+  run_to(Duration::minutes(6));
+  EXPECT_GT(scheduler_->degraded_cycles(), 0u);
   EXPECT_NE(cluster_.api().pod("during-next").phase,
             cluster::PodPhase::kPending);
 
-  // Healed at 7min: fresh samples visible again, no further degraded
-  // cycles after the first post-heal read.
+  // Healed at 7min: fresh samples visible again. A pod submitted after the
+  // heal is planned on measured usage, so no further cycle degrades.
   run_to(Duration::minutes(8));
   const std::uint64_t degraded = scheduler_->degraded_cycles();
+  cluster_.api().submit(
+      sgx_pod("after-heal", Pages{500}, Duration::minutes(1)));
   run_to(Duration::minutes(11));
+  EXPECT_NE(cluster_.api().pod("after-heal").phase,
+            cluster::PodPhase::kPending);
   EXPECT_EQ(scheduler_->degraded_cycles(), degraded);
 }
 

@@ -310,6 +310,63 @@ TEST_F(SchedulerFixture, RestartedSchedulerBindsAgain) {
   scheduler.stop();
 }
 
+/// The default scheduler's views and a first-fit policy, counting how
+/// often a cycle builds its views.
+class ViewCountingScheduler final : public Scheduler {
+ public:
+  ViewCountingScheduler(sim::Simulation& sim, ApiServer& api)
+      : Scheduler(sim, api, DefaultScheduler::kName) {}
+
+  std::size_t view_builds = 0;
+
+ protected:
+  std::vector<NodeView> collect_views() override {
+    ++view_builds;
+    return request_based_views(api());
+  }
+
+  std::optional<cluster::NodeName> select_node(
+      const cluster::PodSpec& pod, const std::vector<NodeView>& feasible,
+      const std::vector<NodeView>& all) override {
+    (void)pod;
+    (void)all;
+    return feasible.front().name;
+  }
+};
+
+TEST_F(SchedulerFixture, CycleWithNoPendingPodBuildsNoViews) {
+  ViewCountingScheduler scheduler{sim_, api_};
+  EXPECT_EQ(scheduler.run_once(), 0u);
+  EXPECT_EQ(scheduler.view_builds, 0u);
+  EXPECT_EQ(scheduler.cycles(), 1u);
+}
+
+TEST_F(SchedulerFixture, CycleWhosePodsAllBackOffBuildsNoViews) {
+  ViewCountingScheduler scheduler{sim_, api_};
+  scheduler.set_bind_backoff(Duration::seconds(60), Duration::minutes(10));
+  api_.submit(standard_pod("huge-1", 100_GiB));  // fits nowhere
+  api_.submit(standard_pod("huge-2", 100_GiB));
+  // The first cycle plans both pods on one set of views and backs both off.
+  EXPECT_EQ(scheduler.run_once(), 0u);
+  EXPECT_EQ(scheduler.view_builds, 1u);
+
+  // Within the backoff the next cycle skips both pods and plans nothing.
+  sim_.run_until(sim_.now() + Duration::seconds(5));
+  EXPECT_EQ(scheduler.run_once(), 0u);
+  EXPECT_EQ(scheduler.backoff_skips(), 2u);
+  EXPECT_EQ(scheduler.view_builds, 1u);
+  EXPECT_EQ(scheduler.cycles(), 2u);
+}
+
+TEST_F(SchedulerFixture, CycleBuildsItsViewsOnceForAllItsPods) {
+  ViewCountingScheduler scheduler{sim_, api_};
+  for (const std::string name : {"p1", "p2", "p3"}) {
+    api_.submit(standard_pod(name, 1_GiB));
+  }
+  EXPECT_EQ(scheduler.run_once(), 3u);
+  EXPECT_EQ(scheduler.view_builds, 1u);
+}
+
 TEST(SchedulerConstruction, Validation) {
   sim::Simulation sim;
   ApiServer api{sim};

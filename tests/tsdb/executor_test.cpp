@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 #include "tsdb/ql/parser.hpp"
 
@@ -179,6 +186,210 @@ TEST(Executor, RowFieldAccess) {
   EXPECT_FALSE(row.has_field("b"));
   EXPECT_DOUBLE_EQ(row.field("a"), 1.0);
   EXPECT_THROW((void)row.field("b"), ContractViolation);
+}
+
+// ---- the group table: growth, key order, key collisions ---------------------
+
+constexpr std::size_t kShardCounts[] = {1, 4};
+
+struct PodSample {
+  std::string pod;
+  std::string container;
+  std::int64_t t = 0;  // seconds
+  double value = 0.0;
+};
+
+/// 1,000 pods with two series each ("app" and "side" containers), samples
+/// every 10 s over [0, 50] s with small integer values.
+std::vector<PodSample> thousand_pods() {
+  std::vector<PodSample> samples;
+  for (int pod = 0; pod < 1000; ++pod) {
+    char name[16];
+    std::snprintf(name, sizeof name, "pod-%04d", pod);
+    for (int c = 0; c < 2; ++c) {
+      for (int t = 0; t <= 50; t += 10) {
+        samples.push_back({name, c == 0 ? "app" : "side", t,
+                           static_cast<double>((pod * 7 + c * 3 + t) % 97)});
+      }
+    }
+  }
+  return samples;
+}
+
+void write(Database& db, const std::vector<PodSample>& samples) {
+  for (const PodSample& s : samples) {
+    db.write("m", {{"pod_name", s.pod}, {"container", s.container}}, at(s.t),
+             s.value);
+  }
+}
+
+/// The brute-force fold of one group: every aggregate from its samples.
+struct Folded {
+  double count = 0;
+  double sum = 0;
+  double min = 0;
+  double max = 0;
+  std::pair<std::int64_t, double> first;  // (time, value), lexicographic
+  std::pair<std::int64_t, double> last;
+
+  void add(std::int64_t t, double v) {
+    const std::pair<std::int64_t, double> sample{t, v};
+    if (count == 0) {
+      min = max = v;
+      first = last = sample;
+    }
+    min = std::min(min, v);
+    max = std::max(max, v);
+    first = std::min(first, sample);
+    last = std::max(last, sample);
+    ++count;
+    sum += v;
+  }
+};
+
+TEST(GroupTable, ThousandGroupsMatchABruteForceFold) {
+  const std::vector<PodSample> samples = thousand_pods();
+  // Window [20, 50] s; under GROUP BY time(20s) a pod's points fall into
+  // buckets 1 (20, 30 s) and 2 (40, 50 s), 2000 groups.
+  for (const bool bucketed : {false, true}) {
+    std::map<std::pair<std::string, std::int64_t>, Folded> expected;
+    for (const PodSample& s : samples) {
+      if (s.t < 20) continue;
+      expected[{s.pod, bucketed ? s.t / 20 : 0}].add(s.t, s.value);
+    }
+    const std::string text =
+        std::string("SELECT COUNT(value) AS n, SUM(value) AS s, "
+                    "MIN(value) AS lo, MAX(value) AS hi, FIRST(value) AS f, "
+                    "LAST(value) AS l, MEAN(value) AS avg FROM m "
+                    "WHERE time >= now() - 30s GROUP BY ") +
+        (bucketed ? "time(20s), pod_name" : "pod_name");
+    for (const std::size_t shards : kShardCounts) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   (bucketed ? " bucketed" : ""));
+      Database db{shards};
+      write(db, samples);
+      const ResultSet result = query(text, db, at(50));
+      ASSERT_EQ(result.rows.size(), expected.size());
+      auto row = result.rows.begin();
+      for (const auto& [group, fold] : expected) {
+        EXPECT_EQ(row->tags, (Tags{{"pod_name", group.first}}));
+        EXPECT_EQ(row->time, bucketed ? at(group.second * 20) : at(20));
+        EXPECT_EQ(row->field("n"), fold.count);
+        EXPECT_EQ(row->field("s"), fold.sum);
+        EXPECT_EQ(row->field("lo"), fold.min);
+        EXPECT_EQ(row->field("hi"), fold.max);
+        EXPECT_EQ(row->field("f"), fold.first.second);
+        EXPECT_EQ(row->field("l"), fold.last.second);
+        EXPECT_EQ(row->field("avg"), fold.sum / fold.count);
+        ++row;
+      }
+    }
+  }
+}
+
+TEST(GroupTable, ThousandOuterGroupsOverASubquery) {
+  const std::vector<PodSample> samples = thousand_pods();
+  // Listing 1's shape: the MAX per (pod, container), summed per pod.
+  std::map<std::pair<std::string, std::string>, double> inner;
+  for (const PodSample& s : samples) {
+    if (s.t < 20) continue;
+    auto [it, fresh] = inner.try_emplace({s.pod, s.container}, s.value);
+    if (!fresh) it->second = std::max(it->second, s.value);
+  }
+  std::map<std::string, double> expected;
+  for (const auto& [series, max] : inner) expected[series.first] += max;
+
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    write(db, samples);
+    const ResultSet result = query(
+        "SELECT SUM(mx) AS s FROM (SELECT MAX(value) AS mx FROM m "
+        "WHERE time >= now() - 30s GROUP BY pod_name, container) "
+        "GROUP BY pod_name",
+        db, at(50));
+    ASSERT_EQ(result.rows.size(), expected.size());
+    auto row = result.rows.begin();
+    for (const auto& [pod, sum] : expected) {
+      EXPECT_EQ(row->tags, (Tags{{"pod_name", pod}}));
+      EXPECT_EQ(row->field("s"), sum);
+      ++row;
+    }
+  }
+}
+
+TEST(GroupTable, RowsComeInKeyOrderNotTagValueOrder) {
+  // "host=a!,pod=x" sorts before "host=a,pod=x" ('!' < ','), although the
+  // value "a" sorts before "a!".
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    db.write("m", {{"host", "a"}, {"pod", "x"}}, at(0), 1.0);
+    db.write("m", {{"host", "a!"}, {"pod", "x"}}, at(0), 2.0);
+    db.write("m", {{"host", "a"}, {"pod", "y"}}, at(0), 3.0);
+    const ResultSet result =
+        query("SELECT SUM(value) AS s FROM m GROUP BY host, pod", db, at(0));
+    ASSERT_EQ(result.rows.size(), 3u);
+    EXPECT_EQ(result.rows[0].tags, (Tags{{"host", "a!"}, {"pod", "x"}}));
+    EXPECT_EQ(result.rows[0].field("s"), 2.0);
+    EXPECT_EQ(result.rows[1].tags, (Tags{{"host", "a"}, {"pod", "x"}}));
+    EXPECT_EQ(result.rows[1].field("s"), 1.0);
+    EXPECT_EQ(result.rows[2].tags, (Tags{{"host", "a"}, {"pod", "y"}}));
+    EXPECT_EQ(result.rows[2].field("s"), 3.0);
+
+    // The subquery path orders its groups the same way.
+    const ResultSet outer = query(
+        "SELECT SUM(s) AS s FROM (SELECT SUM(value) AS s FROM m "
+        "GROUP BY host, pod) GROUP BY host, pod",
+        db, at(0));
+    ASSERT_EQ(outer.rows.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(outer.rows[i].tags, result.rows[i].tags);
+      EXPECT_EQ(outer.rows[i].field("s"), result.rows[i].field("s"));
+    }
+  }
+}
+
+TEST(GroupTable, TagTuplesThatRenderOneKeyShareAGroup) {
+  // Both series render the group key "a=1,b=2,b=3", so they fold into one
+  // group. Its row reports the tags of the series folded first: shards are
+  // read in order, and each shard's series in key order.
+  const Tags first{{"a", "1,b=2"}, {"b", "3"}, {"c", "x"}};
+  const Tags second{{"a", "1"}, {"b", "2,b=3"}, {"c", "y"}};
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    db.write("m", first, at(0), 4.0);
+    db.write("m", second, at(10), 5.0);
+    db.write("m", {{"a", "1"}, {"b", "2"}, {"c", "z"}}, at(0), 6.0);
+    const bool first_folded_first =
+        db.shard_of("m", first) <= db.shard_of("m", second);
+    const Tags& creator = first_folded_first ? first : second;
+    const Tags group_tags{{"a", creator.at("a")}, {"b", creator.at("b")}};
+
+    const ResultSet result = query(
+        "SELECT SUM(value) AS s, COUNT(value) AS n, MIN(time_unused) AS u "
+        "FROM m GROUP BY a, b",
+        db, at(10));
+    ASSERT_EQ(result.rows.size(), 2u);
+    EXPECT_EQ(result.rows[0].tags, (Tags{{"a", "1"}, {"b", "2"}}));
+    EXPECT_EQ(result.rows[0].field("s"), 6.0);
+    EXPECT_EQ(result.rows[1].tags, group_tags);
+    EXPECT_EQ(result.rows[1].field("s"), 9.0);
+    EXPECT_EQ(result.rows[1].field("n"), 2.0);
+    EXPECT_EQ(result.rows[1].time, at(0));
+    EXPECT_FALSE(result.rows[1].has_field("u"));
+
+    // Over a subquery the inner rows collide the same way.
+    const ResultSet outer = query(
+        "SELECT SUM(s) AS s FROM (SELECT SUM(value) AS s FROM m "
+        "GROUP BY a, b, c) GROUP BY a, b",
+        db, at(10));
+    ASSERT_EQ(outer.rows.size(), 2u);
+    EXPECT_EQ(outer.rows[1].tags,
+              (Tags{{"a", "1,b=2"}, {"b", "3"}}));  // inner rows: key order
+    EXPECT_EQ(outer.rows[1].field("s"), 9.0);
+  }
 }
 
 TEST(Executor, CompareOpSemantics) {
