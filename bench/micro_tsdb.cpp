@@ -34,7 +34,6 @@ namespace {
 
 using namespace sgxo;
 using tsdb::Database;
-using tsdb::DatabaseConfig;
 using tsdb::Tags;
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
@@ -244,9 +243,7 @@ int main(int argc, char** argv) {
   std::vector<IngestResult> ingests;
   std::vector<QueryResult> queries;
   for (const std::size_t shards : kShardCounts) {
-    DatabaseConfig db_config;
-    db_config.shards = shards;
-    Database db{db_config};
+    Database db{shards};
     ingests.push_back(ingest(db, samples));
     for (const auto& [name, text] : shapes) {
       queries.push_back(run_query(db, name, text, now, config.query_runs));

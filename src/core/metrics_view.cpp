@@ -53,8 +53,6 @@ tsdb::ql::ResultSet ClusterMetrics::run(const tsdb::ql::PreparedQuery& query,
       query.execute(*db_, now, window_binding_, &stats);
   last_stats_ = QueryDiagnostics{};
   for (const tsdb::ql::ShardScanStats& shard : stats.shards) {
-    if (shard.series == 0 && shard.points == 0) continue;
-    ++last_stats_.shards_scanned;
     last_stats_.series_scanned += shard.series;
     last_stats_.points_scanned += shard.points;
   }

@@ -65,13 +65,12 @@ class ClusterMetrics {
   /// threshold to decide when to stop trusting measurements.
   [[nodiscard]] std::optional<Duration> staleness(TimePoint now) const;
 
-  /// Telemetry of the most recent query this view executed: how many TSDB
-  /// shards gave it series, how many series it read and how many points
-  /// it folded. `series_scanned` counts series read, not series visited:
-  /// a series whose newest sample predates the window is skipped unread
-  /// and not counted, so the count tracks the series live in the window.
+  /// Telemetry of the most recent query this view executed: how many
+  /// series it read and how many points it folded. `series_scanned`
+  /// counts series read, not series visited: a series whose newest sample
+  /// predates the window is skipped unread and not counted, so the count
+  /// tracks the series live in the window.
   struct QueryDiagnostics {
-    std::size_t shards_scanned = 0;
     std::size_t series_scanned = 0;
     std::size_t points_scanned = 0;
     /// Always 0: the store keeps no rollups. perfbench/e2e_replay.cpp

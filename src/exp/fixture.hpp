@@ -42,7 +42,7 @@ struct ClusterConfig {
   /// Sliding window of the SGX-aware schedulers' usage queries (25 s in
   /// Listing 1).
   Duration metrics_window = Duration::seconds(25);
-  /// TSDB shard count (each its own fault domain; see tsdb::DatabaseConfig).
+  /// TSDB shard count (each its own fault domain; see tsdb::Database).
   std::size_t tsdb_shards = 1;
   /// Attestation-gated admission: provisions every SGX node's platform
   /// with an AttestationVerifier, enables the API server's verdict cache

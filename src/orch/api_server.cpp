@@ -333,12 +333,10 @@ ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,
   // attestation gate, then the kubelet's admission guard.
   if (record.phase != cluster::PodPhase::kPending) {
     outcome.status = BindStatus::kNotPending;
-    ++bind_conflicts_;
     return outcome;
   }
   if (record.resource_version != expected_version) {
     outcome.status = BindStatus::kStaleVersion;
-    ++bind_conflicts_;
     return outcome;
   }
   const NodeEntry* entry = find_node(node);
@@ -355,12 +353,10 @@ ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,
         attestation_->check_bind(node, record.spec.wants_sgx());
     if (check == AttestationGate::Check::kPending) {
       outcome.status = BindStatus::kAttestationPending;
-      ++attestation_pending_;
       return outcome;
     }
     if (check == AttestationGate::Check::kRejected) {
       outcome.status = BindStatus::kAttestationRejected;
-      ++attestation_rejections_;
       record_event(pod, "BindRejected: attestation verdict on " + node);
       return outcome;
     }
@@ -372,7 +368,6 @@ ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,
   // over-commit.
   if (!entry->kubelet->can_admit(record.spec)) {
     outcome.status = BindStatus::kAdmissionRejected;
-    ++guard_rejections_;
     record_event(pod, "BindRejected: EPC admission guard on " + node);
     return outcome;
   }

@@ -216,17 +216,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
                        const cluster::NodeName& node,
                        std::uint64_t expected_version);
 
-  /// try_bind rejections due to a stale version or a no-longer-pending
-  /// pod (two callers racing for the same pod).
-  [[nodiscard]] std::uint64_t bind_conflicts() const {
-    return bind_conflicts_;
-  }
-  /// try_bind rejections by the kubelet admission guard (an over-commit
-  /// stopped at delivery).
-  [[nodiscard]] std::uint64_t guard_rejections() const {
-    return guard_rejections_;
-  }
-
   // ---- attestation gate ----------------------------------------------------
   /// Enables attestation-gated admission: binds to SGX nodes require a
   /// fresh accepted quote verdict from the gate's cache (misses go
@@ -239,14 +228,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   [[nodiscard]] AttestationGate* attestation() { return attestation_.get(); }
   [[nodiscard]] const AttestationGate* attestation() const {
     return attestation_.get();
-  }
-  /// try_bind outcomes deferred while a node verification was in flight.
-  [[nodiscard]] std::uint64_t attestation_pending() const {
-    return attestation_pending_;
-  }
-  /// try_bind outcomes refused on a cached definitive rejection.
-  [[nodiscard]] std::uint64_t attestation_rejections() const {
-    return attestation_rejections_;
   }
 
   /// Live-migrates a *running* SGX pod to another schedulable SGX node
@@ -341,10 +322,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
 
   sim::Simulation* sim_;
   std::unique_ptr<AttestationGate> attestation_;
-  std::uint64_t bind_conflicts_ = 0;
-  std::uint64_t guard_rejections_ = 0;
-  std::uint64_t attestation_pending_ = 0;
-  std::uint64_t attestation_rejections_ = 0;
   std::string default_scheduler_ = "default-scheduler";
   std::map<std::string, ResourceQuota> quotas_;
   std::vector<NodeEntry> nodes_;

@@ -153,9 +153,7 @@ std::string describe_control_plane(
     const ApiServer& api, const std::vector<const Scheduler*>& schedulers,
     TimePoint now) {
   std::ostringstream os;
-  os << "Control plane:\n"
-     << "  Bind conflicts:   " << api.bind_conflicts() << '\n'
-     << "  Guard rejections: " << api.guard_rejections() << '\n';
+  os << "Control plane:\n";
 
   if (const AttestationGate* gate = api.attestation(); gate != nullptr) {
     const auto verdicts = gate->verdicts();

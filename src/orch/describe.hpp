@@ -34,13 +34,12 @@ namespace sgxo::orch {
 [[nodiscard]] std::string describe_node(const ApiServer& api,
                                         const cluster::NodeName& name);
 
-/// Control-plane health report: ApiServer-wide conditional-bind conflict /
-/// admission-guard counters, the attestation verdict cache (entries,
+/// Control-plane health report: the attestation verdict cache (entries,
 /// hit/miss/expired traffic, per-node verdict + age, and a storm banner
 /// when more than a quarter of the attested nodes are mid
 /// re-verification), and one line per scheduler (name, active/crashed
-/// state, cycles, binds, conflicts, guard rejections, backoff skips,
-/// degraded cycles and attestation waits).
+/// state, cycles, binds, and the bind conflicts, guard rejections,
+/// backoff skips, degraded cycles and attestation waits it counted).
 [[nodiscard]] std::string describe_control_plane(
     const ApiServer& api, const std::vector<const Scheduler*>& schedulers,
     TimePoint now);

@@ -3,12 +3,8 @@
 namespace sgxo::orch {
 
 Heapster::Heapster(sim::Simulation& sim, ApiServer& api, tsdb::Database& db,
-                   Duration scrape_period, Duration retention)
-    : sim_(&sim),
-      api_(&api),
-      db_(&db),
-      period_(scrape_period),
-      retention_(retention) {}
+                   Duration scrape_period)
+    : sim_(&sim), api_(&api), db_(&db), period_(scrape_period) {}
 
 void Heapster::start() {
   if (timer_.valid()) return;
@@ -58,7 +54,7 @@ void Heapster::scrape_once() {
   }
   // Retention rides on the scrape cadence — the simulated stand-in for a
   // background maintenance thread.
-  db_->enforce_retention(now, retention_);
+  db_->enforce_retention(now, kRetention);
 }
 
 }  // namespace sgxo::orch

@@ -17,10 +17,11 @@ class Heapster {
  public:
   /// Measurement written for per-pod standard memory usage (bytes).
   static constexpr const char* kMemoryMeasurement = "memory/usage";
+  /// Every scrape drops the samples older than this, in every measurement.
+  static constexpr Duration kRetention = Duration::minutes(15);
 
   Heapster(sim::Simulation& sim, ApiServer& api, tsdb::Database& db,
-           Duration scrape_period = Duration::seconds(10),
-           Duration retention = Duration::minutes(15));
+           Duration scrape_period = Duration::seconds(10));
 
   Heapster(const Heapster&) = delete;
   Heapster& operator=(const Heapster&) = delete;
@@ -52,7 +53,6 @@ class Heapster {
   ApiServer* api_;
   tsdb::Database* db_;
   Duration period_;
-  Duration retention_;
   sim::EventId timer_;
   std::uint64_t scrapes_ = 0;
   bool drop_samples_ = false;

@@ -9,26 +9,38 @@
 namespace sgxo::tsdb {
 namespace {
 
-// Floor division that rounds toward negative infinity, so pre-epoch
-// timestamps land in the right chunk.
-std::int64_t floor_div(std::int64_t a, std::int64_t b) {
-  std::int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
+// Appends `text` to `out` with a backslash before each '\\', ',' and '=',
+// copying the runs between them whole. The three compares are or-ed into
+// one branch per character: every write renders a key, and almost no
+// text needs an escape.
+void append_escaped(std::string& out, std::string_view text) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if ((c == '\\') | (c == ',') | (c == '=')) {
+      out.append(text.substr(run, i - run));
+      out += '\\';
+      run = i;
+    }
+  }
+  out.append(text.substr(run));
 }
 
 // Renders tags_key(tags) into `key`, reusing its capacity.
 void render_tags_key(const Tags& tags, std::string& key) {
   key.clear();
-  for (const auto& [k, v] : tags) {
-    if (!key.empty()) key += ',';
-    key += k;
-    key += '=';
-    key += v;
-  }
+  for (const auto& [name, value] : tags) append_tag(key, name, value);
 }
 
 }  // namespace
+
+void append_tag(std::string& key, std::string_view name,
+                std::string_view value) {
+  if (!key.empty()) key += ',';
+  append_escaped(key, name);
+  key += '=';
+  append_escaped(key, value);
+}
 
 std::string tags_key(const Tags& tags) {
   std::string key;
@@ -38,103 +50,38 @@ std::string tags_key(const Tags& tags) {
 
 // ---- Series ----------------------------------------------------------------
 
-std::vector<Point> Series::points() const {
-  std::vector<Point> out;
-  out.reserve(size_);
-  for (const Chunk& chunk : chunks_) {
-    out.insert(out.end(), chunk.points.begin(), chunk.points.end());
-  }
-  return out;
-}
-
 void Series::append(Point p) {
-  const std::int64_t t = p.time.micros_since_epoch();
-  ++size_;
-  newest_append_us_ = std::max(newest_append_us_, t);
-
-  const auto insert_sorted = [&](Chunk& chunk) {
-    if (chunk.points.empty() || chunk.points.back().time <= p.time) {
-      chunk.points.push_back(p);
-      return;
-    }
-    const auto pos = std::upper_bound(
-        chunk.points.begin(), chunk.points.end(), p,
-        [](const Point& a, const Point& b) { return a.time < b.time; });
-    chunk.points.insert(pos, p);
-  };
-
-  // Fast path: the newest chunk covers t (in-order ingest).
-  if (!chunks_.empty() && t >= chunks_.back().start_us &&
-      t < chunks_.back().end_us) {
-    insert_sorted(chunks_.back());
+  newest_append_us_ =
+      std::max(newest_append_us_, p.time.micros_since_epoch());
+  if (points_.empty() || points_.back().time <= p.time) {
+    points_.push_back(p);
     return;
   }
-  // General path: the chunk whose [start, end) contains t, if any.
-  auto it = std::upper_bound(
-      chunks_.begin(), chunks_.end(), t,
-      [](std::int64_t time, const Chunk& c) { return time < c.end_us; });
-  if (it != chunks_.end() && t >= it->start_us) {
-    insert_sorted(*it);
-    return;
-  }
-  // New aligned chunk in sorted position (`it` is the first chunk that
-  // starts after t).
-  const std::int64_t width = chunk_width_us_;
-  Chunk chunk;
-  chunk.start_us = floor_div(t, width) * width;
-  chunk.end_us = chunk.start_us + width;
-  chunk.points.push_back(p);
-  chunks_.insert(it, std::move(chunk));
-}
-
-std::vector<Point> Series::in_window(TimePoint lo, TimePoint hi) const {
-  std::vector<Point> out;
-  for_each_in_window(lo.micros_since_epoch(), hi.micros_since_epoch(),
-                     [&](const Point& p) { out.push_back(p); });
-  return out;
+  // A late sample goes after every point at or before its time.
+  const auto pos = std::upper_bound(
+      points_.begin(), points_.end(), p.time,
+      [](TimePoint t, const Point& q) { return t < q.time; });
+  points_.insert(pos, p);
 }
 
 std::optional<TimePoint> Series::newest(
     std::optional<TimePoint> horizon) const {
-  for (auto chunk = chunks_.rbegin(); chunk != chunks_.rend(); ++chunk) {
-    const std::vector<Point>& pts = chunk->points;
-    if (!horizon.has_value()) return pts.back().time;
-    // Last point with time <= horizon within this chunk, else keep looking
-    // in earlier chunks.
-    const auto it = std::upper_bound(
-        pts.begin(), pts.end(), *horizon,
+  auto end = points_.end();
+  if (horizon.has_value()) {
+    end = std::upper_bound(
+        points_.begin(), end, *horizon,
         [](TimePoint t, const Point& p) { return t < p.time; });
-    if (it != pts.begin()) return std::prev(it)->time;
   }
-  return std::nullopt;
+  if (end == points_.begin()) return std::nullopt;
+  return std::prev(end)->time;
 }
 
 std::size_t Series::drop_before(TimePoint horizon) {
-  const std::int64_t h = horizon.micros_since_epoch();
-  std::size_t dropped = 0;
-  // Whole chunks first: end <= h means every point is < h.
-  auto it = chunks_.begin();
-  while (it != chunks_.end() && it->end_us <= h) {
-    dropped += it->points.size();
-    ++it;
-  }
-  chunks_.erase(chunks_.begin(), it);
-  // Partial trim of a straddling chunk: points strictly older than h. A
-  // chunk left without a point goes too, so every chunk holds one.
-  if (!chunks_.empty() && chunks_.front().start_us < h) {
-    std::vector<Point>& pts = chunks_.front().points;
-    const auto first_kept = std::lower_bound(
-        pts.begin(), pts.end(), h, [](const Point& p, std::int64_t t) {
-          return p.time.micros_since_epoch() < t;
-        });
-    dropped += static_cast<std::size_t>(first_kept - pts.begin());
-    if (first_kept == pts.end()) {
-      chunks_.erase(chunks_.begin());
-    } else {
-      pts.erase(pts.begin(), first_kept);
-    }
-  }
-  size_ -= dropped;
+  const auto first_kept = std::lower_bound(
+      points_.begin(), points_.end(), horizon,
+      [](const Point& p, TimePoint t) { return p.time < t; });
+  const auto dropped = static_cast<std::size_t>(first_kept - points_.begin());
+  points_.erase(points_.begin(), first_kept);
   return dropped;
 }
 
@@ -148,7 +95,7 @@ const Series* Measurement::find_series(const Tags& tags) const {
 void Measurement::append(const Tags& tags, const std::string& key, Point p) {
   auto it = series_.find(key);
   if (it == series_.end()) {
-    it = series_.emplace(key, Series{tags, chunk_width_us_}).first;
+    it = series_.emplace(key, Series{tags}).first;
     // The new entry goes where its successor in key order sits, and every
     // entry from there on moves down one.
     const auto next = std::next(it);
@@ -203,12 +150,8 @@ std::size_t Measurement::drop_before(TimePoint horizon) {
 
 // ---- Database --------------------------------------------------------------
 
-Database::Database(DatabaseConfig config)
-    : config_(config), shards_(std::max<std::size_t>(1, config.shards)) {
-  SGXO_CHECK_MSG(config_.chunk_width > Duration{},
-                 "chunk width must be positive");
-  config_.shards = shards_.size();
-}
+Database::Database(std::size_t shards)
+    : shards_(std::max<std::size_t>(1, shards)) {}
 
 std::size_t Database::route(const std::string& measurement,
                             const std::string& key) const {
@@ -226,10 +169,7 @@ std::size_t Database::shard_of(const std::string& measurement,
 Measurement& Database::measurement_in(Shard& shard, const std::string& name) {
   auto it = shard.measurements.find(name);
   if (it == shard.measurements.end()) {
-    it = shard.measurements
-             .emplace(name,
-                      Measurement{name, config_.chunk_width.micros_count()})
-             .first;
+    it = shard.measurements.emplace(name, Measurement{name}).first;
   }
   return it->second;
 }

@@ -9,7 +9,8 @@
 // (measurement, tag set) onto N shards, each a data layout and a fault
 // domain (per-shard write faults and read horizons). The simulator is
 // single-threaded, so shards take no locks. Each series keeps its points
-// in time-partitioned chunks, and retention drops whole chunks at a time.
+// in one time-sorted vector: a window scan starts at one binary search,
+// and retention erases the expired prefix.
 // Each measurement also keeps a dense summary of its series (newest
 // append, oldest point), so a windowed scan reads only the series with a
 // recent append and retention trims only the series holding an expired
@@ -22,6 +23,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.hpp"
@@ -32,8 +34,15 @@ namespace sgxo::tsdb {
 /// equal and can key series directly.
 using Tags = std::map<std::string, std::string>;
 
-/// Canonical "k1=v1,k2=v2" rendering (used for diagnostics and as a stable
-/// grouping key).
+/// Appends one "name=value" pair of a series or group key to `key`, after
+/// a ',' unless `key` is empty. '\\', ',' and '=' in the name and the value
+/// are backslash-escaped, as in InfluxDB's line protocol, so distinct tag
+/// sets render distinct keys.
+void append_tag(std::string& key, std::string_view name,
+                std::string_view value);
+
+/// Canonical "k1=v1,k2=v2" rendering through append_tag (used for
+/// diagnostics and as a stable grouping key).
 [[nodiscard]] std::string tags_key(const Tags& tags);
 
 struct Point {
@@ -41,32 +50,15 @@ struct Point {
   double value = 0.0;
 };
 
-/// Width of the time partitions within each series, unless configured.
-inline constexpr Duration kDefaultChunkWidth = Duration::minutes(10);
-
-/// One series: a unique tag set within a measurement plus its points,
-/// stored as non-overlapping time-partitioned chunks sorted by start.
+/// One series: a unique tag set within a measurement plus its points.
 class Series {
  public:
-  explicit Series(
-      Tags tags,
-      std::int64_t chunk_width_us = kDefaultChunkWidth.micros_count())
-      : tags_(std::move(tags)), chunk_width_us_(chunk_width_us) {}
-
-  struct Chunk {
-    std::int64_t start_us = 0;  // inclusive
-    std::int64_t end_us = 0;    // exclusive; every point time < end_us
-    std::vector<Point> points;  // sorted by time (stable for equal times)
-  };
+  explicit Series(Tags tags) : tags_(std::move(tags)) {}
 
   [[nodiscard]] const Tags& tags() const { return tags_; }
-  /// Flattened copy of all points in time order (chunks are disjoint and
-  /// sorted, so concatenation is globally sorted). Tests and small
-  /// consumers only; the executor iterates chunks in place.
-  [[nodiscard]] std::vector<Point> points() const;
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
-  [[nodiscard]] const std::vector<Chunk>& chunks() const { return chunks_; }
+  /// Every point, sorted by time (stable for equal times).
+  [[nodiscard]] const std::vector<Point>& points() const { return points_; }
+  [[nodiscard]] std::size_t size() const { return points_.size(); }
 
   /// Largest timestamp ever appended (INT64_MIN before the first append).
   /// Retention never lowers it, so it bounds every point the series holds:
@@ -77,13 +69,10 @@ class Series {
   }
 
   /// True once retention has removed every point.
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] bool empty() const { return points_.empty(); }
 
-  /// Time of the oldest point; the series must not be empty. Every chunk
-  /// holds a point, so it is the front chunk's first.
-  [[nodiscard]] TimePoint oldest() const {
-    return chunks_.front().points.front().time;
-  }
+  /// Time of the oldest point; the series must not be empty.
+  [[nodiscard]] TimePoint oldest() const { return points_.front().time; }
 
   /// Appends a point. Out-of-order writes are accepted (probes from
   /// different nodes are not synchronised) and kept sorted by time.
@@ -93,39 +82,29 @@ class Series {
   template <typename F>
   void for_each_in_window(std::int64_t lo_us, std::int64_t hi_us,
                           F&& f) const {
-    auto chunk = std::upper_bound(
-        chunks_.begin(), chunks_.end(), lo_us,
-        [](std::int64_t t, const Chunk& c) { return t < c.end_us; });
-    for (; chunk != chunks_.end() && chunk->start_us <= hi_us; ++chunk) {
-      const std::vector<Point>& pts = chunk->points;
-      auto it = std::lower_bound(pts.begin(), pts.end(), lo_us,
-                                 [](const Point& p, std::int64_t t) {
-                                   return p.time.micros_since_epoch() < t;
-                                 });
-      for (; it != pts.end() && it->time.micros_since_epoch() <= hi_us; ++it) {
-        f(*it);
-      }
+    auto it = std::lower_bound(points_.begin(), points_.end(), lo_us,
+                               [](const Point& p, std::int64_t t) {
+                                 return p.time.micros_since_epoch() < t;
+                               });
+    for (; it != points_.end() && it->time.micros_since_epoch() <= hi_us;
+         ++it) {
+      f(*it);
     }
   }
-
-  /// Points with lo <= time <= hi (materialised copy).
-  [[nodiscard]] std::vector<Point> in_window(TimePoint lo, TimePoint hi) const;
 
   /// Newest point time that is <= horizon (no horizon: newest overall).
   [[nodiscard]] std::optional<TimePoint> newest(
       std::optional<TimePoint> horizon) const;
 
-  /// Drops points strictly older than `horizon`, and every chunk left
-  /// without a point. Returns how many points were dropped.
+  /// Drops points strictly older than `horizon`. Returns how many points
+  /// were dropped.
   std::size_t drop_before(TimePoint horizon);
 
  private:
   friend class Measurement;
 
   Tags tags_;
-  std::int64_t chunk_width_us_;
-  std::vector<Chunk> chunks_;  // sorted by start, disjoint, none empty
-  std::size_t size_ = 0;
+  std::vector<Point> points_;  // sorted by time
   std::int64_t newest_append_us_ = std::numeric_limits<std::int64_t>::min();
   std::size_t slot_ = 0;  // index of its entry in the owner's summary
 };
@@ -136,10 +115,7 @@ class Measurement {
  public:
   using SeriesMap = std::map<std::string, Series>;
 
-  explicit Measurement(
-      std::string name,
-      std::int64_t chunk_width_us = kDefaultChunkWidth.micros_count())
-      : name_(std::move(name)), chunk_width_us_(chunk_width_us) {}
+  explicit Measurement(std::string name) : name_(std::move(name)) {}
 
   // The summary points into the series map, which a move carries along
   // and a copy would not.
@@ -200,23 +176,15 @@ class Measurement {
   };
 
   std::string name_;
-  std::int64_t chunk_width_us_;
   SeriesMap series_;                   // keyed by tags_key
   std::vector<SummaryEntry> summary_;  // one per series, in key order
   std::size_t points_ = 0;
   std::optional<TimePoint> newest_;
 };
 
-struct DatabaseConfig {
-  /// Shards, each with its own write fault and read horizon; series are
-  /// routed by FNV-1a hash.
-  std::size_t shards = 1;
-  /// Width of the time partitions within each series.
-  Duration chunk_width = kDefaultChunkWidth;
-};
-
-/// The database: measurements by name, sharded by series hash, plus an
-/// optional retention horizon.
+/// The database: measurements by name, sharded by series hash (FNV-1a),
+/// plus an optional retention horizon. Each shard has its own write fault
+/// and read horizon.
 ///
 /// Fault-injection surface: writes can be made to fail (samples are lost,
 /// as when the real InfluxDB endpoint is unreachable) and reads can be
@@ -225,14 +193,12 @@ struct DatabaseConfig {
 /// harness drives them.
 class Database {
  public:
-  Database() : Database(DatabaseConfig{}) {}
-  explicit Database(DatabaseConfig config);
-  explicit Database(std::size_t shards) : Database(DatabaseConfig{shards}) {}
+  /// A shard count of 0 reads as 1.
+  explicit Database(std::size_t shards = 1);
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  [[nodiscard]] const DatabaseConfig& config() const { return config_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   /// Shard a series routes to: fnv1a(measurement \n tags_key) % shards.
@@ -312,7 +278,6 @@ class Database {
                                   const std::string& key) const;
   Measurement& measurement_in(Shard& shard, const std::string& name);
 
-  DatabaseConfig config_;
   std::vector<Shard> shards_;  // sized once at construction, never resized
   std::string key_;  // write's series key, reused so a write allocates none
   bool write_fault_ = false;

@@ -80,10 +80,8 @@ void render_group_key(const Tags& tags,
   auto tag = tags.begin();
   for (const std::string& name : group_tags) {
     while (tag != tags.end() && tag->first < name) ++tag;
-    if (!key.empty()) key += ',';
-    key += name;
-    key += '=';
-    if (tag != tags.end() && tag->first == name) key += tag->second;
+    const bool present = tag != tags.end() && tag->first == name;
+    append_tag(key, name, present ? std::string_view{tag->second} : "");
   }
 }
 
@@ -222,8 +220,9 @@ class Accumulator {
 /// The GROUP BY state of one statement: every group its fold creates.
 ///
 /// A group is identified by its key, the tags_key of its GROUP BY tags
-/// plus the bucket suffix under GROUP BY time, so two tag tuples that
-/// render the same key share a group, and render() orders rows by key.
+/// plus the bucket suffix under GROUP BY time. tags_key escapes its
+/// separators, so two distinct tag tuples never share a group; render()
+/// orders rows by key.
 /// A caller renders each key into a buffer of its own and looks it up by
 /// hash (open addressing over group indices). Key bytes live in one arena
 /// and cells, one Accumulator per projection, in one flat vector; a group

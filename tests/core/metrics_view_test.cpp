@@ -133,9 +133,7 @@ TEST(ClusterMetrics, QueryWorkTracksWindowNotPodsEverRun) {
   // 60 s and sampled every 5 s, with Heapster's 15-minute retention run on
   // every tick. The Listing-1 query must read only the series with a
   // sample in its 25 s window, however many pods have come and gone.
-  tsdb::DatabaseConfig config;
-  config.shards = 4;
-  tsdb::Database db{config};
+  tsdb::Database db{4};
   const ClusterMetrics metrics{db, kWindow};
   constexpr std::int64_t kLifetime = 60;
   constexpr std::int64_t kStartEvery = 10;

@@ -61,7 +61,7 @@ struct ScenarioResult {
   std::uint64_t backoff_skips = 0;
   std::uint64_t disconnects = 0;
   std::uint64_t resyncs = 0;
-  std::uint64_t bind_conflicts = 0;    // ApiServer-wide CAS losses
+  std::uint64_t bind_conflicts = 0;    // the scheduler's CAS losses
   std::uint64_t guard_rejections = 0;  // kubelet admission-guard saves
   // Attestation counters (zero unless config.attestation).
   std::uint64_t attestation_verifications = 0;  // gate quote round-trips
@@ -218,9 +218,12 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
 
   result.injected = injector.injected();
   result.healed = injector.healed();
-  result.degraded_cycles = scheduler.degraded_cycles();
-  result.backoff_skips = scheduler.backoff_skips();
-  result.attestation_waits = scheduler.attestation_waits();
+  const orch::Scheduler::Health health = scheduler.health();
+  result.degraded_cycles = health.degraded_cycles;
+  result.backoff_skips = health.backoff_skips;
+  result.attestation_waits = health.attestation_waits;
+  result.bind_conflicts = health.bind_conflicts;
+  result.guard_rejections = health.guard_rejections;
   if (const orch::AttestationGate* gate = cluster.attestation_gate();
       gate != nullptr) {
     result.attestation_verifications = gate->verifications();
@@ -232,8 +235,6 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
       result.degraded_admissions += kubelet->degraded_admissions();
     }
   }
-  result.bind_conflicts = cluster.api().bind_conflicts();
-  result.guard_rejections = cluster.api().guard_rejections();
   result.disconnects = restarter.disconnects();
   result.resyncs = restarter.resyncs();
 

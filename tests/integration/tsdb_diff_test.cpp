@@ -10,7 +10,7 @@
 //
 // The suite generates hundreds of seeded random queries over a seeded
 // random ingest and compares 1-shard reference results against 2/4/8-shard
-// stores, covering: windows straddling chunk boundaries, wide windows next
+// stores, covering: window edges on sample instants, wide windows next
 // to narrow ones, GROUP BY time() at several intervals, quantile sketches,
 // the nested Listing-1 shape, LIMIT/OFFSET, and post-retention horizons.
 // A churn phase checks the stores against a brute-force fold over the
@@ -76,18 +76,14 @@ void expect_bit_identical(const ql::ResultSet& want, const ql::ResultSet& got,
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
 
 /// One ingest realization shared by all shard counts: integer-valued
-/// samples (double sums stay exact in any order), a 2-minute chunk width
-/// so multi-minute windows straddle several chunks, and an hour of history
+/// samples (double sums stay exact in any order) and an hour of history
 /// at 5 s cadence.
 struct StoreSet {
   std::vector<std::unique_ptr<Database>> stores;
 
   explicit StoreSet(std::uint64_t seed) {
     for (const std::size_t shards : kShardCounts) {
-      DatabaseConfig config;
-      config.shards = shards;
-      config.chunk_width = Duration::seconds(120);
-      stores.push_back(std::make_unique<Database>(config));
+      stores.push_back(std::make_unique<Database>(shards));
     }
     Rng rng{seed};
     const int pods = static_cast<int>(rng.uniform_int(6, 12));
@@ -363,10 +359,7 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
   const std::uint64_t seed = GetParam();
   std::vector<std::unique_ptr<Database>> stores;
   for (const std::size_t shards : {1, 4}) {
-    DatabaseConfig config;
-    config.shards = shards;
-    config.chunk_width = Duration::seconds(120);
-    stores.push_back(std::make_unique<Database>(config));
+    stores.push_back(std::make_unique<Database>(shards));
   }
   WriteLog log;
   const auto write = [&](const Tags& tags, std::int64_t t, double value) {
@@ -486,10 +479,7 @@ TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
   const std::uint64_t seed = GetParam();
   std::vector<std::unique_ptr<Database>> stores;
   for (const std::size_t shards : {1, 4}) {
-    DatabaseConfig config;
-    config.shards = shards;
-    config.chunk_width = Duration::seconds(120);
-    stores.push_back(std::make_unique<Database>(config));
+    stores.push_back(std::make_unique<Database>(shards));
   }
   struct Write {
     std::int64_t time_us = 0;
@@ -618,10 +608,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TsdbDiffTest,
 
 // --- Targeted cases the generator may only graze -----------------------
 
-TEST(TsdbDiffTargeted, ChunkBoundaryStraddlingWindows) {
+TEST(TsdbDiffTargeted, WindowEdgesOnSampleInstants) {
   StoreSet set{42};
-  // chunk_width = 120 s: these windows start/end exactly on, one inside,
-  // and one outside chunk edges.
+  // Pod phases of 0-4 s at a 5 s cadence put a sample on every whole
+  // second, so each edge below lands on some pod's sample: an inclusive
+  // edge keeps it, an exclusive one drops it.
   const TimePoint now = at(3600);
   for (const char* text : {
            "SELECT SUM(value) AS v FROM \"sgx/epc\" WHERE time >= 240s "
@@ -633,7 +624,7 @@ TEST(TsdbDiffTargeted, ChunkBoundaryStraddlingWindows) {
            "SELECT MEAN(value) AS v FROM \"sgx/epc\" WHERE time >= 115s "
            "AND time <= 125s GROUP BY time(10s)",
        }) {
-    check_query(set, text, now, "chunk-boundary");
+    check_query(set, text, now, "sample-edge");
   }
 }
 
@@ -677,12 +668,8 @@ TEST(TsdbDiffTargeted, QuantileSketchesMergeDeterministically) {
 TEST(TsdbDiffTargeted, ShardStaleReadHorizonCutsExactly) {
   // A shard with a read horizon shows no point newer than it. The
   // equivalent truncation on the 1-shard reference is the global horizon.
-  DatabaseConfig flat_config;
-  flat_config.chunk_width = Duration::seconds(120);
-  Database flat{flat_config};
-  DatabaseConfig sharded_config = flat_config;
-  sharded_config.shards = 4;
-  Database sharded{sharded_config};
+  Database flat{1};
+  Database sharded{4};
   Rng rng{4242};
   for (int p = 0; p < 8; ++p) {
     const Tags tags{{"pod_name", "p" + std::to_string(p)}};

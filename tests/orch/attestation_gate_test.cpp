@@ -129,8 +129,6 @@ TEST_F(AttestationGateFixture, FirstBindWaitsThenHitsTheCache) {
   EXPECT_TRUE(second.bound());
   EXPECT_EQ(gate().hits(), 1u);
   EXPECT_EQ(gate().verifications(), 1u);
-  EXPECT_EQ(api_.attestation_pending(), 1u);
-  EXPECT_EQ(api_.attestation_rejections(), 0u);
 }
 
 TEST_F(AttestationGateFixture, ConcurrentBindsCoalesceIntoOneVerification) {
@@ -142,7 +140,6 @@ TEST_F(AttestationGateFixture, ConcurrentBindsCoalesceIntoOneVerification) {
     EXPECT_EQ(api_.try_bind(pod, "sgx-1", version(pod)),
               ApiServer::BindStatus::kAttestationPending);
   }
-  EXPECT_EQ(api_.attestation_pending(), 3u);
   // One node, one round-trip: the second and third checks coalesced onto
   // the in-flight verification.
   EXPECT_EQ(gate().verifications(), 1u);
@@ -185,7 +182,6 @@ TEST_F(AttestationGateFixture, ForgedQuoteSignatureIsDefinitivelyRejected) {
   run_for(Duration::seconds(1));
   const auto outcome = api_.try_bind("a", "sgx-1", version("a"));
   EXPECT_EQ(outcome, ApiServer::BindStatus::kAttestationRejected);
-  EXPECT_EQ(api_.attestation_rejections(), 1u);
   EXPECT_EQ(verifier_.rejected(), 1u);
   ASSERT_EQ(gate().verdicts().size(), 1u);
   EXPECT_FALSE(gate().verdicts()[0].accepted);

@@ -117,9 +117,9 @@ TEST_F(DescribeFixture, ControlPlaneReport) {
   // A running scheduler reports as "active"; a crashed one says so.
   std::string text = describe_control_plane(
       cluster_.api(), {scheduler_}, cluster_.sim().now());
-  EXPECT_NE(text.find("Bind conflicts:   0"), std::string::npos);
-  EXPECT_NE(text.find("Guard rejections: 0"), std::string::npos);
   EXPECT_NE(text.find("sgx-binpack: active, cycles="), std::string::npos);
+  EXPECT_NE(text.find("bind_conflicts=0 guard_rejections=0"),
+            std::string::npos);
   EXPECT_NE(text.find("degraded_cycles=0"), std::string::npos);
 
   scheduler_->crash();

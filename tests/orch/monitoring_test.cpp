@@ -90,8 +90,8 @@ TEST_F(MonitoringFixture, HeapsterWritesPerPodMemorySamples) {
 }
 
 TEST_F(MonitoringFixture, HeapsterEnforcesRetention) {
-  Heapster heapster{sim_, api_, db_, Duration::seconds(10),
-                    Duration::seconds(60)};
+  constexpr Duration kPeriod = Duration::seconds(10);
+  Heapster heapster{sim_, api_, db_, kPeriod};
   heapster.start();
   api_.submit(standard_pod("long", 1_GiB, Duration::hours(2)));
   ASSERT_TRUE(api_.try_bind("long", "node-1",
@@ -99,8 +99,11 @@ TEST_F(MonitoringFixture, HeapsterEnforcesRetention) {
                   .bound());
   sim_.run_until(TimePoint::epoch() + Duration::minutes(30));
   heapster.stop();
-  // Retention keeps ~6 samples (60 s window at 10 s period) per series.
-  EXPECT_LE(db_.total_points(), 8u);
+  // Twice the retention in, the one series keeps the samples of the last
+  // 15 min, the one at the horizon included: 91 of the 180 scraped.
+  const auto per_series = static_cast<std::size_t>(
+      Heapster::kRetention.micros_count() / kPeriod.micros_count() + 1);
+  EXPECT_EQ(db_.total_points(), per_series);
 }
 
 TEST_F(MonitoringFixture, SgxProbeReportsPodEpcInBytes) {

@@ -350,45 +350,47 @@ TEST(GroupTable, RowsComeInKeyOrderNotTagValueOrder) {
   }
 }
 
-TEST(GroupTable, TagTuplesThatRenderOneKeyShareAGroup) {
-  // Both series render the group key "a=1,b=2,b=3", so they fold into one
-  // group. Its row reports the tags of the series folded first: shards are
-  // read in order, and each shard's series in key order.
+TEST(GroupTable, SeparatorsInTagValuesKeepGroupsApart) {
+  // Unescaped, the first two series would both render the group key
+  // "a=1,b=2,b=3" and share a group. Escaped, every tag tuple is a group
+  // of its own that reports its own tags, in escaped key order:
+  // "a=1,b=2" < "a=1,b=2\,b\=3" < "a=1\,b\=2,b=3" (',' < '\').
   const Tags first{{"a", "1,b=2"}, {"b", "3"}, {"c", "x"}};
   const Tags second{{"a", "1"}, {"b", "2,b=3"}, {"c", "y"}};
-  for (const std::size_t shards : kShardCounts) {
+  const std::vector<Tags> groups{{{"a", "1"}, {"b", "2"}},
+                                 {{"a", "1"}, {"b", "2,b=3"}},
+                                 {{"a", "1,b=2"}, {"b", "3"}}};
+  const std::vector<double> sums{6.0, 5.0, 4.0};
+  for (const std::size_t shards : {1, 2, 4, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     Database db{shards};
     db.write("m", first, at(0), 4.0);
     db.write("m", second, at(10), 5.0);
     db.write("m", {{"a", "1"}, {"b", "2"}, {"c", "z"}}, at(0), 6.0);
-    const bool first_folded_first =
-        db.shard_of("m", first) <= db.shard_of("m", second);
-    const Tags& creator = first_folded_first ? first : second;
-    const Tags group_tags{{"a", creator.at("a")}, {"b", creator.at("b")}};
 
     const ResultSet result = query(
         "SELECT SUM(value) AS s, COUNT(value) AS n, MIN(time_unused) AS u "
         "FROM m GROUP BY a, b",
         db, at(10));
-    ASSERT_EQ(result.rows.size(), 2u);
-    EXPECT_EQ(result.rows[0].tags, (Tags{{"a", "1"}, {"b", "2"}}));
-    EXPECT_EQ(result.rows[0].field("s"), 6.0);
-    EXPECT_EQ(result.rows[1].tags, group_tags);
-    EXPECT_EQ(result.rows[1].field("s"), 9.0);
-    EXPECT_EQ(result.rows[1].field("n"), 2.0);
-    EXPECT_EQ(result.rows[1].time, at(0));
-    EXPECT_FALSE(result.rows[1].has_field("u"));
+    ASSERT_EQ(result.rows.size(), groups.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      EXPECT_EQ(result.rows[i].tags, groups[i]);
+      EXPECT_EQ(result.rows[i].field("s"), sums[i]);
+      EXPECT_EQ(result.rows[i].field("n"), 1.0);
+      EXPECT_FALSE(result.rows[i].has_field("u"));
+    }
+    EXPECT_EQ(result.rows[1].time, at(10));
 
-    // Over a subquery the inner rows collide the same way.
+    // Over a subquery the inner rows keep apart the same way.
     const ResultSet outer = query(
         "SELECT SUM(s) AS s FROM (SELECT SUM(value) AS s FROM m "
         "GROUP BY a, b, c) GROUP BY a, b",
         db, at(10));
-    ASSERT_EQ(outer.rows.size(), 2u);
-    EXPECT_EQ(outer.rows[1].tags,
-              (Tags{{"a", "1,b=2"}, {"b", "3"}}));  // inner rows: key order
-    EXPECT_EQ(outer.rows[1].field("s"), 9.0);
+    ASSERT_EQ(outer.rows.size(), groups.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      EXPECT_EQ(outer.rows[i].tags, groups[i]);
+      EXPECT_EQ(outer.rows[i].field("s"), sums[i]);
+    }
   }
 }
 

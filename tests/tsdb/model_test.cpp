@@ -18,9 +18,20 @@ TimePoint at(std::int64_t seconds) {
   return TimePoint::epoch() + Duration::seconds(seconds);
 }
 
+/// The points of `s` with lo <= time <= hi, as the executor visits them.
+std::vector<Point> window(const Series& s, TimePoint lo, TimePoint hi) {
+  std::vector<Point> out;
+  s.for_each_in_window(lo.micros_since_epoch(), hi.micros_since_epoch(),
+                       [&](const Point& p) { out.push_back(p); });
+  return out;
+}
+
 TEST(Tags, CanonicalKey) {
   EXPECT_EQ(tags_key({}), "");
   EXPECT_EQ(tags_key({{"b", "2"}, {"a", "1"}}), "a=1,b=2");
+  // Separators inside a name or value are escaped, as is the escape.
+  EXPECT_EQ(tags_key({{"a", "1,b=2"}}), R"(a=1\,b\=2)");
+  EXPECT_EQ(tags_key({{"k=\\", "v"}}), R"(k\=\\=v)");
 }
 
 TEST(Series, AppendsInOrder) {
@@ -36,12 +47,15 @@ TEST(Series, AppendsInOrder) {
 TEST(Series, OutOfOrderAppendsSorted) {
   Series s{{}};
   s.append({at(3), 3.0});
-  s.append({at(1), 1.0});
-  s.append({at(2), 2.0});
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.points()[0].time, at(1));
-  EXPECT_EQ(s.points()[1].time, at(2));
-  EXPECT_EQ(s.points()[2].time, at(3));
+  s.append({at(1), 1.0});   // before every point
+  s.append({at(2), 2.0});   // between two points
+  s.append({at(2), 2.5});   // late, after the point it ties with
+  s.append({at(3), 3.5});   // in order, after the point it ties with
+  std::vector<double> values;
+  for (const Point& p : s.points()) values.push_back(p.value);
+  EXPECT_EQ(values, (std::vector<double>{1.0, 2.0, 2.5, 3.0, 3.5}));
+  EXPECT_EQ(s.oldest(), at(1));
+  EXPECT_EQ(s.newest_append_us(), at(3).micros_since_epoch());
 }
 
 TEST(Series, WindowQueryInclusive) {
@@ -49,16 +63,24 @@ TEST(Series, WindowQueryInclusive) {
   for (int i = 1; i <= 10; ++i) {
     s.append({at(i), static_cast<double>(i)});
   }
-  const auto window = s.in_window(at(3), at(6));
-  ASSERT_EQ(window.size(), 4u);
-  EXPECT_DOUBLE_EQ(window.front().value, 3.0);
-  EXPECT_DOUBLE_EQ(window.back().value, 6.0);
+  // Both edges on sample instants: both samples are in.
+  const auto inner = window(s, at(3), at(6));
+  ASSERT_EQ(inner.size(), 4u);
+  EXPECT_DOUBLE_EQ(inner.front().value, 3.0);
+  EXPECT_DOUBLE_EQ(inner.back().value, 6.0);
+  // Edges on the first and the last sample, and one-instant windows.
+  EXPECT_EQ(window(s, at(0), at(1)).size(), 1u);
+  EXPECT_EQ(window(s, at(10), at(20)).size(), 1u);
+  EXPECT_EQ(window(s, at(7), at(7)).size(), 1u);
+  EXPECT_EQ(window(s, at(1), at(10)).size(), 10u);
 }
 
 TEST(Series, EmptyWindow) {
   Series s{{}};
   s.append({at(10), 1.0});
-  EXPECT_TRUE(s.in_window(at(1), at(5)).empty());
+  EXPECT_TRUE(window(s, at(1), at(5)).empty());
+  EXPECT_TRUE(window(s, at(11), at(20)).empty());
+  EXPECT_TRUE(window(s, at(10), at(5)).empty());  // lo after hi
 }
 
 TEST(Series, DropBeforeRemovesOldPoints) {
@@ -66,9 +88,21 @@ TEST(Series, DropBeforeRemovesOldPoints) {
   for (int i = 1; i <= 5; ++i) {
     s.append({at(i), static_cast<double>(i)});
   }
+  // Strictly older points go; one at the horizon stays.
   EXPECT_EQ(s.drop_before(at(3)), 2u);
   EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.points().front().time, at(3));
+  EXPECT_EQ(s.oldest(), at(3));
+  EXPECT_EQ(s.drop_before(at(3)), 0u);
+  // newest(horizon) after the trim: nothing left at or before 2 s.
+  EXPECT_EQ(s.newest(at(2)), std::nullopt);
+  EXPECT_EQ(s.newest(at(3)), at(3));
+  EXPECT_EQ(s.newest(at(4)), at(4));
+  EXPECT_EQ(s.newest(std::nullopt), at(5));
+  // A horizon past every point empties the series.
+  EXPECT_EQ(s.drop_before(at(100)), 3u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.newest(std::nullopt), std::nullopt);
+  EXPECT_EQ(s.drop_before(at(200)), 0u);
 }
 
 TEST(Measurement, SeriesIdentityByTags) {
@@ -154,6 +188,32 @@ TEST(Database, WriteCreatesMeasurementsAndSeries) {
             (std::vector<std::string>{"memory/usage", "sgx/epc"}));
 }
 
+TEST(Database, TagSetsThatRenderAlikeUnescapedAreTwoSeries) {
+  // Without escaping, both tag sets would render the key "a=1,b=2".
+  const Tags joined{{"a", "1,b=2"}};
+  const Tags split{{"a", "1"}, {"b", "2"}};
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    db.write("m", joined, at(0), 1.0);
+    db.write("m", split, at(0), 2.0);
+    EXPECT_EQ(db.series_count("m"), 2u);
+    for (const Tags& tags : {joined, split}) {
+      const Measurement* m = db.find_measurement("m", db.shard_of("m", tags));
+      ASSERT_NE(m, nullptr);
+      const Series* series = m->find_series(tags);
+      ASSERT_NE(series, nullptr);
+      EXPECT_EQ(series->tags(), tags);
+      EXPECT_EQ(series->size(), 1u);
+    }
+    const ql::ResultSet result =
+        ql::query("SELECT SUM(value) AS s FROM m GROUP BY b", db, at(0));
+    ASSERT_EQ(result.rows.size(), 2u);
+    EXPECT_EQ(result.value_for("b", "", "s", -1.0), 1.0);
+    EXPECT_EQ(result.value_for("b", "2", "s", -1.0), 2.0);
+  }
+}
+
 TEST(Database, RejectsEmptyMeasurementName) {
   Database db;
   EXPECT_THROW(db.write("", {}, at(1), 1.0), ContractViolation);
@@ -173,75 +233,6 @@ TEST(Database, RetentionDropsOldPoints) {
 TEST(Database, RetentionRequiresPositiveWindow) {
   Database db;
   EXPECT_THROW(db.enforce_retention(at(10), Duration{}), ContractViolation);
-}
-
-// --- Time-partitioned chunks -------------------------------------------
-
-TEST(Series, PartitionsIntoAlignedChunks) {
-  Series s{{}, Duration::seconds(100).micros_count()};
-  for (int i = 0; i < 250; i += 10) {
-    s.append({at(i), static_cast<double>(i)});
-  }
-  // Points span [0, 240] → chunks [0,100), [100,200), [200,300).
-  EXPECT_EQ(s.chunk_count(), 3u);
-  EXPECT_EQ(s.size(), 25u);
-  const auto& chunks = s.chunks();
-  EXPECT_EQ(chunks[0].start_us, 0);
-  EXPECT_EQ(chunks[0].end_us, 100'000'000);
-  EXPECT_EQ(chunks[1].start_us, 100'000'000);
-  EXPECT_EQ(chunks[2].start_us, 200'000'000);
-}
-
-TEST(Series, OutOfOrderAcrossChunkBoundary) {
-  Series s{{}, Duration::seconds(100).micros_count()};
-  s.append({at(150), 150.0});
-  s.append({at(50), 50.0});   // lands in an earlier, newly created chunk
-  s.append({at(120), 120.0});  // lands mid-chunk, before 150
-  ASSERT_EQ(s.size(), 3u);
-  const auto flat = s.points();
-  EXPECT_EQ(flat[0].time, at(50));
-  EXPECT_EQ(flat[1].time, at(120));
-  EXPECT_EQ(flat[2].time, at(150));
-  EXPECT_EQ(s.chunk_count(), 2u);
-}
-
-TEST(Series, WindowStraddlesChunkBoundary) {
-  Series s{{}, Duration::seconds(100).micros_count()};
-  for (int i = 0; i < 300; i += 10) {
-    s.append({at(i), static_cast<double>(i)});
-  }
-  const auto window = s.in_window(at(90), at(210));
-  ASSERT_EQ(window.size(), 13u);  // 90,100,...,210
-  EXPECT_EQ(window.front().time, at(90));
-  EXPECT_EQ(window.back().time, at(210));
-}
-
-TEST(Series, DropBeforeAcrossChunks) {
-  Series s{{}, Duration::seconds(100).micros_count()};
-  for (int i = 0; i < 300; i += 10) {
-    s.append({at(i), static_cast<double>(i)});
-  }
-  // Horizon 150 s: chunk [0,100) drops whole, [100,200) trims 100..140.
-  EXPECT_EQ(s.drop_before(at(150)), 15u);
-  EXPECT_EQ(s.size(), 15u);
-  EXPECT_EQ(s.points().front().time, at(150));
-  EXPECT_EQ(s.chunk_count(), 2u);
-}
-
-TEST(Series, DropBeforeErasesTheChunkItEmpties) {
-  Series s{{}, Duration::seconds(60).micros_count()};
-  for (int i = 0; i <= 50; i += 10) {
-    s.append({at(i), static_cast<double>(i)});
-  }
-  s.append({at(70), 70.0});
-  ASSERT_EQ(s.chunk_count(), 2u);
-  // Horizon 55 s straddles [0,60) but drops every point in it.
-  EXPECT_EQ(s.drop_before(at(55)), 6u);
-  EXPECT_EQ(s.chunk_count(), 1u);
-  EXPECT_EQ(s.chunks().front().start_us, at(60).micros_since_epoch());
-  EXPECT_EQ(s.oldest(), at(70));
-  EXPECT_EQ(s.newest(at(65)), std::nullopt);
-  EXPECT_EQ(s.newest(std::nullopt), at(70));
 }
 
 // --- Series lifecycle ----------------------------------------------------
