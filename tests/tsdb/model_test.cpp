@@ -235,6 +235,61 @@ TEST(Database, RetentionRequiresPositiveWindow) {
   EXPECT_THROW(db.enforce_retention(at(10), Duration{}), ContractViolation);
 }
 
+// --- Points spread over minutes -----------------------------------------
+// These cases are named for the 100 s and 60 s chunks a series was once
+// cut into. Their points still cross those boundaries; the one sorted
+// vector must give the answers the chunks gave.
+
+TEST(Series, OutOfOrderAcrossChunkBoundary) {
+  Series s{{}};
+  s.append({at(150), 150.0});
+  s.append({at(50), 50.0});    // 100 s before every point
+  s.append({at(120), 120.0});  // between two points
+  ASSERT_EQ(s.size(), 3u);
+  const auto& flat = s.points();
+  EXPECT_EQ(flat[0].time, at(50));
+  EXPECT_EQ(flat[1].time, at(120));
+  EXPECT_EQ(flat[2].time, at(150));
+  EXPECT_EQ(s.oldest(), at(50));
+}
+
+TEST(Series, WindowStraddlesChunkBoundary) {
+  Series s{{}};
+  for (int i = 0; i < 300; i += 10) {
+    s.append({at(i), static_cast<double>(i)});
+  }
+  const auto straddling = window(s, at(90), at(210));
+  ASSERT_EQ(straddling.size(), 13u);  // 90,100,...,210
+  EXPECT_EQ(straddling.front().time, at(90));
+  EXPECT_EQ(straddling.back().time, at(210));
+}
+
+TEST(Series, DropBeforeAcrossChunks) {
+  Series s{{}};
+  for (int i = 0; i < 300; i += 10) {
+    s.append({at(i), static_cast<double>(i)});
+  }
+  // Horizon 150 s: 0..140 go, 150..290 stay.
+  EXPECT_EQ(s.drop_before(at(150)), 15u);
+  EXPECT_EQ(s.size(), 15u);
+  EXPECT_EQ(s.points().front().time, at(150));
+  EXPECT_EQ(s.points().back().time, at(290));
+}
+
+TEST(Series, DropBeforeErasesTheChunkItEmpties) {
+  Series s{{}};
+  for (int i = 0; i <= 50; i += 10) {
+    s.append({at(i), static_cast<double>(i)});
+  }
+  s.append({at(70), 70.0});
+  // Horizon 55 s drops every point of the first minute.
+  EXPECT_EQ(s.drop_before(at(55)), 6u);
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.oldest(), at(70));
+  EXPECT_EQ(s.newest(at(65)), std::nullopt);
+  EXPECT_EQ(s.newest(std::nullopt), at(70));
+}
+
 // --- Series lifecycle ----------------------------------------------------
 
 TEST(Series, NewestAppendBoundSurvivesRetention) {
