@@ -6,14 +6,15 @@
 // `query_runs` executions of the prepared query, without scan stats.
 // Nothing is modeled.
 //
-// Three query shapes: the paper's Listing-1 nested query over a 25 s
-// window (narrow, what the scheduler runs), a 1 h MAX per node per minute,
-// and a 1 h P99 (a quantile sketch per group).
+// Two query shapes, both the paper's Listing-1 nested query: over a 25 s
+// window (narrow, what the scheduler runs) and over the whole history
+// (wide: 1 h, or 300 s in the smoke run), which folds every point.
 //
 // Writes BENCH_tsdb.json (or BENCH_tsdb_smoke.json with --smoke). Each
 // query row carries a digest of its result set; the smoke run re-parses
 // the file and fails unless every query returned the identical result set
-// on every shard count.
+// on every shard count, fails on an empty result set, and fails unless
+// listing1_25s returned the result set pinned in kListing1SmokeDigest.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -37,6 +38,11 @@ using tsdb::Database;
 using tsdb::Tags;
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
+
+/// listing1_25s's result digest in the smoke run: 32 nodes' sums of their
+/// pods' maxima. Agreement across shard counts cannot catch a wrong answer
+/// every shard count shares; this pin can.
+constexpr const char* kListing1SmokeDigest = "28840870a6cb3385";
 
 struct BenchConfig {
   std::size_t series = 2048;
@@ -76,6 +82,7 @@ struct QueryResult {
   std::size_t shards = 0;
   int runs = 0;
   double wall_us = 0.0;  // median wall time per execute
+  std::size_t rows = 0;
   std::uint64_t digest = 0;  // of the result set, bit for bit
 };
 
@@ -150,7 +157,7 @@ QueryResult run_query(Database& db, const std::string& name,
     const double start = now_us();
     const tsdb::ql::ResultSet result = prepared.execute(db, now);
     wall.push_back(now_us() - start);
-    if (result.rows.empty()) std::cerr << "warning: empty result\n";
+    r.rows = result.rows.size();
     r.digest = digest(result);
   }
   std::sort(wall.begin(), wall.end());
@@ -220,25 +227,16 @@ int main(int argc, char** argv) {
       static_cast<std::int64_t>(config.points_per_series - 1) *
       config.cadence_s);
 
-  // Smoke history is 64 * 5 s = 320 s, so its wide windows are 300 s.
-  const std::string listing1 =
-      "SELECT SUM(epc) AS epc FROM "
-      "(SELECT MAX(value) AS epc FROM \"sgx/epc\" "
-      "WHERE value <> 0 AND time >= now() - 25s "
-      "GROUP BY pod_name, nodename) GROUP BY nodename";
-  const std::string per_minute =
-      config.smoke ? "SELECT MAX(value) AS v FROM \"sgx/epc\" "
-                     "WHERE time >= now() - 300s GROUP BY time(60s), nodename"
-                   : "SELECT MAX(value) AS v FROM \"sgx/epc\" "
-                     "WHERE time >= now() - 1h GROUP BY time(60s), nodename";
-  const std::string quantile =
-      config.smoke ? "SELECT P99(value) AS tail FROM \"sgx/epc\" "
-                     "WHERE time >= now() - 300s GROUP BY nodename"
-                   : "SELECT P99(value) AS tail FROM \"sgx/epc\" "
-                     "WHERE time >= now() - 1h GROUP BY nodename";
+  const auto listing1 = [](const std::string& window) {
+    return "SELECT SUM(epc) AS epc FROM "
+           "(SELECT MAX(value) AS epc FROM \"sgx/epc\" "
+           "WHERE value <> 0 AND time >= now() - " +
+           window + " GROUP BY pod_name, nodename) GROUP BY nodename";
+  };
+  // Smoke history is 64 * 5 s = 320 s, so its wide window is 300 s.
   const std::vector<std::pair<std::string, std::string>> shapes = {
-      {"listing1_25s", listing1}, {"per_minute_wide", per_minute},
-      {"p99_wide", quantile}};
+      {"listing1_25s", listing1("25s")},
+      {"listing1_wide", listing1(config.smoke ? "300s" : "1h")}};
 
   std::vector<IngestResult> ingests;
   std::vector<QueryResult> queries;
@@ -258,10 +256,12 @@ int main(int argc, char** argv) {
   }
   ingest_table.print(std::cout);
 
-  Table query_table({"query", "shards", "wall [us]", "result digest"});
+  Table query_table(
+      {"query", "shards", "wall [us]", "rows", "result digest"});
   for (const QueryResult& r : queries) {
     query_table.add_row({r.query, std::to_string(r.shards),
-                         fmt_double(r.wall_us, 1), to_hex(r.digest)});
+                         fmt_double(r.wall_us, 1), std::to_string(r.rows),
+                         to_hex(r.digest)});
   }
   std::cout << "\n";
   query_table.print(std::cout);
@@ -274,7 +274,25 @@ int main(int argc, char** argv) {
   if (config.smoke) {
     // Regression guard (ctest `bench` label): sharding is a data layout,
     // so every query must return the 1-shard result set on every shard
-    // count.
+    // count; that result set must not be empty, and Listing 1's must be
+    // the pinned one.
+    for (const QueryResult& r : queries) {
+      if (r.rows == 0) {
+        std::cerr << "smoke guard: " << r.query << " returned no rows on "
+                  << r.shards << " shards\n";
+        return 1;
+      }
+    }
+    const std::string listing1_digest =
+        digest_from_json(path, "listing1_25s", 1);
+    std::cout << "smoke guard: listing1_25s result digest 1-shard="
+              << listing1_digest << " pinned=" << kListing1SmokeDigest
+              << "\n";
+    if (listing1_digest != kListing1SmokeDigest) {
+      std::cerr << "smoke guard: listing1_25s differs from the pinned "
+                   "result set\n";
+      return 1;
+    }
     for (const auto& [name, text] : shapes) {
       const std::string one = digest_from_json(path, name, 1);
       for (const std::size_t shards : kShardCounts) {

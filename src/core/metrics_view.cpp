@@ -6,21 +6,35 @@ namespace sgxo::core {
 
 namespace {
 
+/// The window as an InfluxQL duration literal. Only whole seconds render
+/// exactly, and a window below 1 s would render as 0s.
 std::string window_literal(Duration window) {
+  SGXO_CHECK_MSG(window >= Duration::seconds(1) &&
+                     window.micros_count() % 1'000'000 == 0,
+                 "metrics window must be a whole number of seconds, at "
+                 "least 1 s, to render exactly in InfluxQL");
   return std::to_string(window.micros_count() / 1'000'000) + "s";
 }
 
-// The Listing-1 statements with the window as a $window parameter, so one
-// prepared AST serves any window bound at execute time.
-std::string inner_text(const std::string& measurement) {
-  return "SELECT MAX(value) AS usage FROM \"" + measurement +
-         "\" WHERE value <> 0 AND time >= now() - $window"
+/// Listing 1's inner statement over `measurement`: each pod's MAX over the
+/// window, as column `column`.
+std::string inner_text(const std::string& measurement,
+                       const std::string& column, Duration window) {
+  return "SELECT MAX(value) AS " + column + " FROM \"" + measurement +
+         "\" WHERE value <> 0 AND time >= now() - " + window_literal(window) +
          " GROUP BY pod_name, nodename";
 }
 
-std::string outer_text(const std::string& measurement) {
-  return "SELECT SUM(usage) AS usage FROM (" + inner_text(measurement) +
-         ") GROUP BY nodename";
+/// Listing 1: the inner statement's per-pod values summed per node.
+std::string outer_text(const std::string& measurement,
+                       const std::string& column, Duration window) {
+  return "SELECT SUM(" + column + ") AS " + column + " FROM (" +
+         inner_text(measurement, column, window) + ") GROUP BY nodename";
+}
+
+/// The one column a Listing-1 statement projects.
+const std::string& column_of(const tsdb::ql::PreparedQuery& query) {
+  return query.stmt().projections.front().alias;
 }
 
 }  // namespace
@@ -28,40 +42,27 @@ std::string outer_text(const std::string& measurement) {
 ClusterMetrics::ClusterMetrics(const tsdb::Database& db, Duration window)
     : db_(&db),
       window_(window),
-      window_binding_({{"window", window}}),
-      epc_inner_(tsdb::ql::PreparedQuery::prepare(inner_text("sgx/epc"))),
-      epc_outer_(tsdb::ql::PreparedQuery::prepare(outer_text("sgx/epc"))),
-      memory_inner_(
-          tsdb::ql::PreparedQuery::prepare(inner_text("memory/usage"))),
-      memory_outer_(
-          tsdb::ql::PreparedQuery::prepare(outer_text("memory/usage"))) {
-  SGXO_CHECK_MSG(window_ >= Duration::seconds(1),
-                 "metrics window below 1 s would render as 0s in InfluxQL");
-}
-
-std::string ClusterMetrics::listing1_query() const {
-  return "SELECT SUM(epc) AS epc FROM (SELECT MAX(value) AS epc FROM "
-         "\"sgx/epc\" WHERE value <> 0 AND time >= now() - " +
-         window_literal(window_) +
-         " GROUP BY pod_name, nodename) GROUP BY nodename";
-}
+      epc_inner_(tsdb::ql::PreparedQuery::prepare(
+          inner_text("sgx/epc", "epc", window))),
+      epc_outer_(tsdb::ql::PreparedQuery::prepare(
+          outer_text("sgx/epc", "epc", window))),
+      memory_inner_(tsdb::ql::PreparedQuery::prepare(
+          inner_text("memory/usage", "usage", window))),
+      memory_outer_(tsdb::ql::PreparedQuery::prepare(
+          outer_text("memory/usage", "usage", window))) {}
 
 tsdb::ql::ResultSet ClusterMetrics::run(const tsdb::ql::PreparedQuery& query,
                                         TimePoint now) const {
   tsdb::ql::ExecStats stats;
-  tsdb::ql::ResultSet result =
-      query.execute(*db_, now, window_binding_, &stats);
-  last_stats_ = QueryDiagnostics{};
-  for (const tsdb::ql::ShardScanStats& shard : stats.shards) {
-    last_stats_.series_scanned += shard.series;
-    last_stats_.points_scanned += shard.points;
-  }
+  tsdb::ql::ResultSet result = query.execute(*db_, now, &stats);
+  last_stats_ = QueryDiagnostics{stats.series, stats.points};
   return result;
 }
 
 std::vector<ClusterMetrics::PodUsage> ClusterMetrics::per_pod(
     const tsdb::ql::PreparedQuery& query, TimePoint now) const {
   tsdb::ql::ResultSet result = run(query, now);
+  const std::string& column = column_of(query);
   std::vector<PodUsage> usages;
   usages.reserve(result.rows.size());
   for (tsdb::ql::Row& row : result.rows) {
@@ -71,8 +72,7 @@ std::vector<ClusterMetrics::PodUsage> ClusterMetrics::per_pod(
     const auto node_it = row.tags.find("nodename");
     if (pod_it != row.tags.end()) usage.pod = std::move(pod_it->second);
     if (node_it != row.tags.end()) usage.node = std::move(node_it->second);
-    usage.usage =
-        Bytes{static_cast<std::uint64_t>(row.field("usage"))};
+    usage.usage = Bytes{static_cast<std::uint64_t>(row.field(column))};
     usages.push_back(std::move(usage));
   }
   return usages;
@@ -81,12 +81,13 @@ std::vector<ClusterMetrics::PodUsage> ClusterMetrics::per_pod(
 std::map<cluster::NodeName, Bytes> ClusterMetrics::per_node(
     const tsdb::ql::PreparedQuery& query, TimePoint now) const {
   const tsdb::ql::ResultSet result = run(query, now);
+  const std::string& column = column_of(query);
   std::map<cluster::NodeName, Bytes> usage;
   for (const tsdb::ql::Row& row : result.rows) {
     const auto node_it = row.tags.find("nodename");
     const std::string node =
         node_it == row.tags.end() ? "" : node_it->second;
-    usage[node] = Bytes{static_cast<std::uint64_t>(row.field("usage"))};
+    usage[node] = Bytes{static_cast<std::uint64_t>(row.field(column))};
   }
   return usage;
 }

@@ -5,10 +5,10 @@
 // EPC usage. The window (25 s in Listing 1) is the caller's; the cluster
 // configuration holds its default (exp::ClusterConfig::metrics_window).
 //
-// The Listing-1 inner/outer statements are *prepared once* per measurement
-// at construction and re-executed every scheduling cycle with only now()
-// and the $window parameter bound — no string building, lexing or parsing
-// on the scheduler hot path.
+// The Listing-1 inner/outer statements are built and *prepared once* per
+// measurement at construction, with the window written into their text,
+// and re-executed every scheduling cycle with only now() bound — no
+// string building, lexing or parsing on the scheduler hot path.
 #pragma once
 
 #include <map>
@@ -27,6 +27,8 @@ namespace sgxo::core {
 
 class ClusterMetrics {
  public:
+  /// `window` must be a whole number of seconds, at least 1 s, so that
+  /// the statements' `now() - <n>s` renders it exactly.
   explicit ClusterMetrics(const tsdb::Database& db, Duration window);
 
   [[nodiscard]] Duration window() const { return window_; }
@@ -57,7 +59,9 @@ class ClusterMetrics {
       TimePoint now) const;
 
   /// The exact Listing-1 text executed by epc_per_node (for inspection).
-  [[nodiscard]] std::string listing1_query() const;
+  [[nodiscard]] const std::string& listing1_query() const {
+    return epc_outer_.text();
+  }
 
   /// Age of the newest visible sample across both monitored measurements
   /// (EPC + standard memory); nullopt while the pipeline has produced no
@@ -92,7 +96,6 @@ class ClusterMetrics {
 
   const tsdb::Database* db_;
   Duration window_;
-  tsdb::ql::QueryParams window_binding_;
   tsdb::ql::PreparedQuery epc_inner_;
   tsdb::ql::PreparedQuery epc_outer_;
   tsdb::ql::PreparedQuery memory_inner_;

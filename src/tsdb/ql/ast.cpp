@@ -14,25 +14,8 @@ const char* to_string(Aggregate agg) {
     case Aggregate::kCount: return "count";
     case Aggregate::kLast: return "last";
     case Aggregate::kFirst: return "first";
-    case Aggregate::kP50: return "p50";
-    case Aggregate::kP95: return "p95";
-    case Aggregate::kP99: return "p99";
   }
   return "?";
-}
-
-bool is_quantile(Aggregate agg) {
-  return agg == Aggregate::kP50 || agg == Aggregate::kP95 ||
-         agg == Aggregate::kP99;
-}
-
-double quantile_rank(Aggregate agg) {
-  switch (agg) {
-    case Aggregate::kP50: return 0.50;
-    case Aggregate::kP95: return 0.95;
-    case Aggregate::kP99: return 0.99;
-    default: return 0.0;
-  }
 }
 
 std::optional<Aggregate> aggregate_from(const std::string& name) {
@@ -47,9 +30,6 @@ std::optional<Aggregate> aggregate_from(const std::string& name) {
   if (lower == "count") return Aggregate::kCount;
   if (lower == "last") return Aggregate::kLast;
   if (lower == "first") return Aggregate::kFirst;
-  if (lower == "p50" || lower == "percentile50") return Aggregate::kP50;
-  if (lower == "p95" || lower == "percentile95") return Aggregate::kP95;
-  if (lower == "p99" || lower == "percentile99") return Aggregate::kP99;
   return std::nullopt;
 }
 

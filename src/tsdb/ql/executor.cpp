@@ -1,16 +1,12 @@
 #include "tsdb/ql/executor.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <numeric>
 #include <string_view>
 
 #include "common/error.hpp"
-#include "tsdb/ql/lexer.hpp"
 #include "tsdb/ql/prepared.hpp"
 
 namespace sgxo::tsdb::ql {
@@ -42,8 +38,8 @@ double ResultSet::value_for(const std::string& tag, const std::string& value,
 }
 
 /// Per-statement static plan: everything about a node that does not depend
-/// on now(), parameter bindings, or the database. Computed once by
-/// analyze() and cached by PreparedQuery.
+/// on now() or the database. Computed once by analyze() and cached by
+/// PreparedQuery.
 struct QueryAnalysis {
   /// A field predicate names a field measurement rows never carry, so a
   /// measurement scan of this node yields nothing.
@@ -63,12 +59,6 @@ constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
 
-std::int64_t floor_div(std::int64_t a, std::int64_t b) {
-  std::int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-
 /// Renders the group key of a series or row with tag set `tags` into
 /// `key`: tags_key of its GROUP BY tags, `group_tags` being sorted and
 /// deduplicated as tags_key renders them, a missing tag reading as "".
@@ -85,83 +75,16 @@ void render_group_key(const Tags& tags,
   }
 }
 
-/// Appends the GROUP BY time bucket to a group key.
-void append_bucket_suffix(std::string& key, std::int64_t bucket) {
-  char suffix[32];
-  const int size = std::snprintf(suffix, sizeof suffix, "|t%020lld",
-                                 static_cast<long long>(bucket));
-  key.append(suffix, static_cast<std::size_t>(size));
-}
-
-/// Deterministic quantile sketch: a fixed log-bucket histogram (sign/zero
-/// bucket + 4 sub-buckets per power of two). A value's bucket depends on
-/// the value alone, so the counts, and the quantile, are independent of
-/// shard layout and fold order; the reported quantile is the lower edge
-/// of the bucket holding the target rank (a ≤ 19 % relative overestimate
-/// bound per bucket edge).
-class QuantileSketch {
- public:
-  static constexpr std::size_t kSubBuckets = 4;
-  static constexpr int kMinExp = -64;
-  static constexpr int kMaxExp = 64;
-  static constexpr std::size_t kBuckets =
-      1 + static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets;
-
-  void add(double v) {
-    ++counts_[bucket_of(v)];
-    ++total_;
-  }
-
-  [[nodiscard]] double quantile(double q) const {
-    if (total_ == 0) return 0.0;
-    const std::uint64_t rank = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               std::ceil(q * static_cast<double>(total_))));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      seen += counts_[i];
-      if (seen >= rank) return lower_edge(i);
-    }
-    return lower_edge(kBuckets - 1);
-  }
-
- private:
-  static std::size_t bucket_of(double v) {
-    if (!(v > 0.0)) return 0;  // zero, negatives, NaN → the floor bucket
-    int exp = 0;
-    const double mantissa = std::frexp(v, &exp);  // v = m * 2^exp, m ∈ [.5,1)
-    exp = std::clamp(exp, kMinExp, kMaxExp - 1);
-    auto sub = static_cast<std::size_t>((mantissa - 0.5) * 2.0 *
-                                        static_cast<double>(kSubBuckets));
-    sub = std::min(sub, kSubBuckets - 1);
-    return 1 + static_cast<std::size_t>(exp - kMinExp) * kSubBuckets + sub;
-  }
-
-  static double lower_edge(std::size_t bucket) {
-    if (bucket == 0) return 0.0;
-    const std::size_t idx = bucket - 1;
-    const int exp = kMinExp + static_cast<int>(idx / kSubBuckets);
-    const auto sub = static_cast<double>(idx % kSubBuckets);
-    return std::ldexp(0.5 + sub / (2.0 * kSubBuckets), exp);
-  }
-
-  std::array<std::uint64_t, kBuckets> counts_{};
-  std::uint64_t total_ = 0;
-};
-
 /// Aggregation state for one (group, projection) cell. count, min, max,
-/// first, last and the quantiles do not depend on the order values arrive
-/// in; sum and mean are exact, and so order-independent, while the values
-/// and their partial sums are integers below 2^53, as every sample the
-/// system writes is.
+/// first and last do not depend on the order values arrive in; sum and
+/// mean are exact, and so order-independent, while the values and their
+/// partial sums are integers below 2^53, as every sample the system
+/// writes is.
 class Accumulator {
  public:
-  explicit Accumulator(Aggregate agg) : agg_(agg) {
-    if (is_quantile(agg_)) sketch_ = std::make_unique<QuantileSketch>();
-  }
+  explicit Accumulator(Aggregate agg) : agg_(agg) {}
 
   void add(double v, TimePoint t) {
-    if (sketch_) sketch_->add(v);
     ++count_;
     sum_ += v;
     if (count_ == 1) {
@@ -196,10 +119,6 @@ class Accumulator {
       case Aggregate::kCount: return static_cast<double>(count_);
       case Aggregate::kLast: return last_;
       case Aggregate::kFirst: return first_;
-      case Aggregate::kP50:
-      case Aggregate::kP95:
-      case Aggregate::kP99:
-        return sketch_->quantile(quantile_rank(agg_));
     }
     return 0.0;
   }
@@ -214,15 +133,13 @@ class Accumulator {
   double last_ = 0.0;
   TimePoint first_time_;
   TimePoint last_time_;
-  std::unique_ptr<QuantileSketch> sketch_;
 };
 
 /// The GROUP BY state of one statement: every group its fold creates.
 ///
-/// A group is identified by its key, the tags_key of its GROUP BY tags
-/// plus the bucket suffix under GROUP BY time. tags_key escapes its
-/// separators, so two distinct tag tuples never share a group; render()
-/// orders rows by key.
+/// A group is identified by its key, the tags_key of its GROUP BY tags.
+/// tags_key escapes its separators, so two distinct tag tuples never share
+/// a group; render() orders rows by key.
 /// A caller renders each key into a buffer of its own and looks it up by
 /// hash (open addressing over group indices). Key bytes live in one arena
 /// and cells, one Accumulator per projection, in one flat vector; a group
@@ -257,16 +174,14 @@ class GroupTable {
     }
   }
 
-  /// The group's time: its bucket's start under GROUP BY time, else its
-  /// oldest point or row.
+  /// The group's time: its oldest point or row.
   TimePoint& time(std::size_t group) { return groups_[group].time; }
 
   Accumulator& cell(std::size_t group, std::size_t projection) {
     return cells_[group * stmt_->projections.size() + projection];
   }
 
-  /// One row per group with a non-empty cell, in key order, after OFFSET
-  /// and LIMIT.
+  /// One row per group with a non-empty cell, in key order.
   [[nodiscard]] ResultSet render() const {
     std::vector<std::size_t> order(groups_.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -276,9 +191,7 @@ class GroupTable {
     const std::vector<Projection>& projections = stmt_->projections;
     ResultSet result;
     result.rows.reserve(groups_.size());
-    std::size_t offset = stmt_->offset;
     for (const std::size_t g : order) {
-      if (stmt_->limit > 0 && result.rows.size() == stmt_->limit) break;
       Row row;
       for (std::size_t c = 0; c < projections.size(); ++c) {
         const Accumulator& cell = cells_[g * projections.size() + c];
@@ -287,10 +200,6 @@ class GroupTable {
         }
       }
       if (row.fields.empty()) continue;  // no projection saw a value
-      if (offset > 0) {
-        --offset;
-        continue;
-      }
       const Group& group = groups_[g];
       for (const std::string& name : *group_tags_) {
         const auto tag = group.tags->find(name);
@@ -339,31 +248,21 @@ class GroupTable {
   std::vector<Accumulator> cells_;  // projections.size() per group
 };
 
-/// The effective offset of a time predicate: its literal, or its bound
-/// parameter for prepared statements.
-std::int64_t time_offset_us(const TimePredicate& tp,
-                            const QueryParams& params) {
-  if (tp.param.empty()) return tp.offset_us;
-  const auto it = params.find(tp.param);
-  if (it == params.end()) {
-    throw QueryError{"unbound query parameter '$" + tp.param + "'"};
-  }
-  return tp.param_sign * it->second.micros_count();
+/// The instant a time predicate compares against.
+std::int64_t time_bound_us(const TimePredicate& tp, TimePoint now) {
+  return tp.relative_to_now ? now.micros_since_epoch() + tp.offset_us
+                            : tp.offset_us;
 }
 
-bool row_matches(const Row& row, const Predicate& predicate, TimePoint now,
-                 const QueryParams& params) {
+bool row_matches(const Row& row, const Predicate& predicate, TimePoint now) {
   if (const auto* fp = std::get_if<FieldPredicate>(&predicate)) {
     const auto it = row.fields.find(fp->field);
     if (it == row.fields.end()) return false;
     return compare(it->second, fp->op, fp->literal);
   }
   const auto& tp = std::get<TimePredicate>(predicate);
-  const std::int64_t offset_us = time_offset_us(tp, params);
-  const std::int64_t bound_us =
-      tp.relative_to_now ? now.micros_since_epoch() + offset_us : offset_us;
   return compare(static_cast<double>(row.time.micros_since_epoch()), tp.op,
-                 static_cast<double>(bound_us));
+                 static_cast<double>(time_bound_us(tp, now)));
 }
 
 /// Everything a measurement scan needs, resolved once before the first
@@ -376,7 +275,6 @@ struct ScanSpec {
   std::vector<double> neq_times;          // time <> X, compared as doubles
   std::vector<const FieldPredicate*> value_preds;
   const QueryAnalysis* analysis = nullptr;
-  std::int64_t interval_us = 0;           // GROUP BY time(...)
 };
 
 bool scan_fields_ok(const SelectStmt& stmt) {
@@ -408,11 +306,9 @@ std::unique_ptr<QueryAnalysis> analyze_node(const SelectStmt& stmt) {
 }
 
 ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
-                      TimePoint now, const QueryParams& params,
-                      const QueryAnalysis& analysis) {
+                      TimePoint now, const QueryAnalysis& analysis) {
   ScanSpec spec;
   spec.measurement = &measurement;
-  spec.interval_us = stmt.group_by_time.micros_count();
   spec.analysis = &analysis;
 
   for (const Predicate& predicate : stmt.where) {
@@ -421,9 +317,7 @@ ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
       continue;  // non-"value" fields already folded into scan_fields_ok
     }
     const auto& tp = std::get<TimePredicate>(predicate);
-    const std::int64_t offset = time_offset_us(tp, params);
-    const std::int64_t bound =
-        tp.relative_to_now ? now.micros_since_epoch() + offset : offset;
+    const std::int64_t bound = time_bound_us(tp, now);
     switch (tp.op) {
       case CompareOp::kGte: spec.lo = std::max(spec.lo, bound); break;
       case CompareOp::kGt:
@@ -450,7 +344,7 @@ ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
 /// Folds one shard of a measurement into `table`, rendering each group
 /// key into `key`, a buffer reused across series and shards.
 void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
-                GroupTable& table, std::string& key, ShardScanStats* stats) {
+                GroupTable& table, std::string& key, ExecStats* stats) {
   // A shard under a stale-read horizon shows no point newer than it.
   std::int64_t hi = spec.hi;
   const std::optional<TimePoint> horizon = db.effective_read_horizon(shard);
@@ -470,12 +364,10 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
       spec.lo, [&](const Series& series) {
         if (stats != nullptr) ++stats->series;
         // The group key is a pure function of the series tags: render it
-        // once per series, and append a bucket suffix per bucket.
+        // once per series.
         const Tags& tags = series.tags();
         render_group_key(tags, analysis.group_tags, key);
-        const std::size_t base_size = key.size();
         std::size_t group = kNoGroup;
-        std::int64_t current_bucket = 0;
 
         series.for_each_in_window(spec.lo, hi, [&](const Point& p) {
           const auto t = static_cast<double>(p.time.micros_since_epoch());
@@ -486,21 +378,8 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
             if (!compare(p.value, fp->op, fp->literal)) return;
           }
           if (stats != nullptr) ++stats->points;
-          if (spec.interval_us != 0) {
-            const std::int64_t bucket =
-                floor_div(p.time.micros_since_epoch(), spec.interval_us);
-            if (group == kNoGroup || bucket != current_bucket) {
-              key.resize(base_size);
-              append_bucket_suffix(key, bucket);
-              group = table.find_or_insert(key, tags);
-              current_bucket = bucket;
-            }
-            table.time(group) =
-                TimePoint::from_micros(bucket * spec.interval_us);
-          } else {
-            if (group == kNoGroup) group = table.find_or_insert(key, tags);
-            table.time(group) = std::min(table.time(group), p.time);
-          }
+          if (group == kNoGroup) group = table.find_or_insert(key, tags);
+          table.time(group) = std::min(table.time(group), p.time);
           for (const std::size_t c : analysis.value_projections) {
             table.cell(group, c).add(p.value, p.time);
           }
@@ -510,14 +389,9 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
 
 /// Scan path for `FROM "measurement"`.
 ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
-                    const Database& db, TimePoint now,
-                    const QueryParams& params, ExecStats* stats,
+                    const Database& db, TimePoint now, ExecStats* stats,
                     const QueryAnalysis& analysis) {
-  const ScanSpec spec = resolve_scan(stmt, measurement, now, params, analysis);
-  const std::size_t shard_count = db.shard_count();
-  if (stats != nullptr && stats->shards.size() < shard_count) {
-    stats->shards.resize(shard_count);
-  }
+  const ScanSpec spec = resolve_scan(stmt, measurement, now, analysis);
 
   // Every shard folds straight into one table, in shard order. A group's
   // aggregates do not depend on the order its points arrive in (see
@@ -525,9 +399,8 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
   GroupTable table{stmt, analysis.group_tags};
   if (analysis.scan_fields_ok) {
     std::string key;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      scan_shard(db, spec, s, table, key,
-                 stats != nullptr ? &stats->shards[s] : nullptr);
+    for (std::size_t s = 0; s < db.shard_count(); ++s) {
+      scan_shard(db, spec, s, table, key, stats);
     }
   }
   return table.render();
@@ -538,41 +411,28 @@ ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
 /// (inner rows are few, one per group, so scanning them centrally costs
 /// nothing).
 ResultSet exec_rows(const SelectStmt& stmt, const Database& db, TimePoint now,
-                    const QueryParams& params, ExecStats* stats,
-                    const QueryAnalysis& analysis) {
+                    ExecStats* stats, const QueryAnalysis& analysis) {
   const auto& sub = std::get<std::unique_ptr<SelectStmt>>(stmt.source);
   SGXO_CHECK(analysis.sub != nullptr);
-  std::vector<Row> rows =
-      execute(*sub, *analysis.sub, db, now, params, stats).rows;
+  std::vector<Row> rows = execute(*sub, *analysis.sub, db, now, stats).rows;
 
   if (!stmt.where.empty()) {
     std::erase_if(rows, [&](const Row& row) {
       return !std::all_of(stmt.where.begin(), stmt.where.end(),
                           [&](const Predicate& p) {
-                            return row_matches(row, p, now, params);
+                            return row_matches(row, p, now);
                           });
     });
   }
 
-  const bool time_buckets = stmt.group_by_time > Duration{};
-  const std::int64_t interval_us = stmt.group_by_time.micros_count();
   // The table reads a group's tags from the row that created it, so it
   // must not outlive `rows`.
   GroupTable table{stmt, analysis.group_tags};
   std::string key;
   for (const Row& row : rows) {
     render_group_key(row.tags, analysis.group_tags, key);
-    TimePoint window_start = row.time;
-    if (time_buckets) {
-      const std::int64_t bucket =
-          floor_div(row.time.micros_since_epoch(), interval_us);
-      window_start = TimePoint::from_micros(bucket * interval_us);
-      append_bucket_suffix(key, bucket);
-    }
     const std::size_t group = table.find_or_insert(key, row.tags);
-    table.time(group) = time_buckets
-                            ? window_start
-                            : std::min(table.time(group), row.time);
+    table.time(group) = std::min(table.time(group), row.time);
     for (std::size_t c = 0; c < stmt.projections.size(); ++c) {
       const auto field_it = row.fields.find(stmt.projections[c].field);
       if (field_it != row.fields.end()) {
@@ -590,12 +450,11 @@ std::shared_ptr<const QueryAnalysis> analyze(const SelectStmt& stmt) {
 }
 
 ResultSet execute(const SelectStmt& stmt, const QueryAnalysis& analysis,
-                  const Database& db, TimePoint now, const QueryParams& params,
-                  ExecStats* stats) {
+                  const Database& db, TimePoint now, ExecStats* stats) {
   if (const auto* name = std::get_if<std::string>(&stmt.source)) {
-    return exec_scan(stmt, *name, db, now, params, stats, analysis);
+    return exec_scan(stmt, *name, db, now, stats, analysis);
   }
-  return exec_rows(stmt, db, now, params, stats, analysis);
+  return exec_rows(stmt, db, now, stats, analysis);
 }
 
 ResultSet query(const std::string& text, const Database& db, TimePoint now) {

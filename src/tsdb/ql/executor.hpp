@@ -9,13 +9,12 @@
 // A statement folds into one group table: a measurement scan folds the
 // database's shards one after another straight into it, and a subquery's
 // rows fold into one of their own. A group is its rendered key (tags_key
-// of its GROUP BY tags, plus a bucket suffix under GROUP BY time), looked
-// up by hash; tags and rows are built only at render, in key order. No
-// aggregate depends on the order its values arrive in (count additive,
-// min/max lattice joins, first/last with lexicographic (time, value)
-// tie-breaks, quantiles over a fixed-bucket sketch, sum exact on the
-// integer-valued samples the system writes), so the result is
-// bit-identical to a 1-shard scan (see DESIGN.md §12).
+// of its GROUP BY tags), looked up by hash; tags and rows are built only
+// at render, in key order. No aggregate depends on the order its values
+// arrive in (count additive, min/max lattice joins, first/last with
+// lexicographic (time, value) tie-breaks, sum exact on the integer-valued
+// samples the system writes), so the result is bit-identical to a
+// 1-shard scan (see DESIGN.md §12).
 #pragma once
 
 #include <map>
@@ -53,40 +52,31 @@ struct ResultSet {
                                  double fallback = 0.0) const;
 };
 
-/// Named duration bindings for `$param` placeholders (`now() - $window`),
-/// bound at execute time by prepared queries.
-using QueryParams = std::map<std::string, Duration>;
-
-/// Per-shard scan telemetry for one execute() call.
-struct ShardScanStats {
-  std::size_t series = 0;  // series read on this shard (cold ones skipped)
-  std::size_t points = 0;  // points folded
-};
-
-/// Filled when execute() is given one. `shards` is indexed by shard id
-/// and accumulates over every measurement scan the statement performs
+/// Scan telemetry, filled when execute() is given one. It accumulates
+/// over every shard and every measurement scan the statement performs
 /// (subqueries included).
 struct ExecStats {
-  std::vector<ShardScanStats> shards;
+  std::size_t series = 0;  // series read (cold ones skipped)
+  std::size_t points = 0;  // points folded
 };
 
 struct QueryAnalysis;  // opaque; produced by analyze(), owned by callers
 
 /// Precomputes the per-node static plan (scan-field legality, GROUP BY
 /// tag order) for a statement tree. PreparedQuery caches this so
-/// per-execute planning does no AST walking beyond parameter resolution.
+/// per-execute planning does no AST walking beyond resolving window
+/// bounds.
 [[nodiscard]] std::shared_ptr<const QueryAnalysis> analyze(
     const SelectStmt& stmt);
 
 /// Runs `stmt`, whose plan `analysis` is analyze(stmt), against `db`, with
 /// `now` supplying the now() anchor for relative time predicates (the
-/// scheduler passes the virtual clock) and `params` binding any named
-/// duration parameters the statement uses. `stats`, when not null,
-/// collects per-shard scan telemetry. PreparedQuery is the caller.
+/// scheduler passes the virtual clock). `stats`, when not null, counts
+/// the series and points scanned. PreparedQuery is the caller.
 [[nodiscard]] ResultSet execute(const SelectStmt& stmt,
                                 const QueryAnalysis& analysis,
                                 const Database& db, TimePoint now,
-                                const QueryParams& params, ExecStats* stats);
+                                ExecStats* stats);
 
 /// Convenience: parse + execute — a thin wrapper over
 /// PreparedQuery::prepare(text).execute(db, now). Callers on a hot path

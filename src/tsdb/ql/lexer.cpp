@@ -8,10 +8,8 @@ const char* to_string(TokenKind kind) {
   switch (kind) {
     case TokenKind::kIdentifier: return "identifier";
     case TokenKind::kQuotedIdent: return "quoted identifier";
-    case TokenKind::kString: return "string";
     case TokenKind::kNumber: return "number";
     case TokenKind::kDuration: return "duration";
-    case TokenKind::kParam: return "parameter";
     case TokenKind::kLParen: return "'('";
     case TokenKind::kRParen: return "')'";
     case TokenKind::kComma: return "','";
@@ -135,29 +133,6 @@ std::vector<Token> lex(const std::string& query) {
         if (i >= n) fail("unterminated quoted identifier", start);
         ++i;  // closing quote
         push(TokenKind::kQuotedIdent, std::move(text), start);
-        continue;
-      }
-      case '\'': {
-        ++i;
-        std::string text;
-        while (i < n && query[i] != '\'') {
-          text += query[i];
-          ++i;
-        }
-        if (i >= n) fail("unterminated string literal", start);
-        ++i;
-        push(TokenKind::kString, std::move(text), start);
-        continue;
-      }
-      case '$': {
-        ++i;
-        std::string name;
-        while (i < n && is_ident_char(query[i])) {
-          name += query[i];
-          ++i;
-        }
-        if (name.empty()) fail("expected parameter name after '$'", start);
-        push(TokenKind::kParam, std::move(name), start);
         continue;
       }
       default:

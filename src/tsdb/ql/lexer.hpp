@@ -1,11 +1,14 @@
-// Lexer for the InfluxQL subset understood by the executor — enough to run
-// the paper's Listing 1 verbatim:
+// Lexer for the InfluxQL subset understood by the executor (see ast.hpp),
+// which runs the paper's Listing 1 verbatim:
 //
 //   SELECT SUM(epc) AS epc FROM
 //     (SELECT MAX(value) AS epc FROM "sgx/epc"
 //      WHERE value <> 0 AND time >= now() - 25s
 //      GROUP BY pod_name, nodename)
 //   GROUP BY nodename
+//
+// No rule takes a string literal or a `$param` placeholder, so `'` and `$`
+// are stray characters.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +21,8 @@ namespace sgxo::tsdb::ql {
 enum class TokenKind {
   kIdentifier,      // select, sum, epc, pod_name, now, ...
   kQuotedIdent,     // "sgx/epc"
-  kString,          // 'literal'
   kNumber,          // 0, 25, 3.5
   kDuration,        // 25s, 5m, 100ms, 2h, 10u
-  kParam,           // $window — bound at execute time (prepared queries)
   kLParen,
   kRParen,
   kComma,
@@ -41,7 +42,7 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;          // raw text (unquoted for idents/strings)
+  std::string text;          // raw text (unquoted for quoted idents)
   double number = 0.0;       // for kNumber
   std::int64_t duration_us = 0;  // for kDuration
   std::size_t offset = 0;    // byte offset in the query (for error messages)

@@ -83,53 +83,13 @@ class Parser {
     }
     if (accept_keyword("group")) {
       expect_keyword("by");
-      parse_group_term(stmt);
+      stmt.group_by.push_back(parse_tag_name());
       while (peek().kind == TokenKind::kComma) {
         advance();
-        parse_group_term(stmt);
+        stmt.group_by.push_back(parse_tag_name());
       }
-    }
-    if (accept_keyword("limit")) {
-      stmt.limit = parse_row_count("LIMIT");
-    }
-    if (accept_keyword("offset")) {
-      stmt.offset = parse_row_count("OFFSET");
     }
     return stmt;
-  }
-
-  std::size_t parse_row_count(const char* clause) {
-    const Token tok = expect(TokenKind::kNumber);
-    const double value = tok.number;
-    if (value < 1.0 || value != static_cast<double>(
-                                    static_cast<std::size_t>(value))) {
-      throw QueryError{"query error at offset " + std::to_string(tok.offset) +
-                       ": " + clause + " needs a positive integer"};
-    }
-    return static_cast<std::size_t>(value);
-  }
-
-  /// One GROUP BY term: a tag name or time(<interval>).
-  void parse_group_term(SelectStmt& stmt) {
-    if (is_keyword("time")) {
-      const Token time_tok = advance();
-      expect(TokenKind::kLParen);
-      const Token interval = expect(TokenKind::kDuration);
-      expect(TokenKind::kRParen);
-      if (stmt.group_by_time > Duration{}) {
-        throw QueryError{"query error at offset " +
-                         std::to_string(time_tok.offset) +
-                         ": GROUP BY time() given twice"};
-      }
-      if (interval.duration_us <= 0) {
-        throw QueryError{"query error at offset " +
-                         std::to_string(interval.offset) +
-                         ": GROUP BY time() interval must be positive"};
-      }
-      stmt.group_by_time = Duration::micros(interval.duration_us);
-      return;
-    }
-    stmt.group_by.push_back(parse_tag_name());
   }
 
   Projection parse_projection() {
@@ -234,13 +194,8 @@ class Parser {
       pred.offset_us = 0;
       if (peek().kind == TokenKind::kMinus || peek().kind == TokenKind::kPlus) {
         const bool negative = advance().kind == TokenKind::kMinus;
-        if (peek().kind == TokenKind::kParam) {
-          pred.param = advance().text;
-          pred.param_sign = negative ? -1 : 1;
-        } else {
-          const Token dur = expect(TokenKind::kDuration);
-          pred.offset_us = negative ? -dur.duration_us : dur.duration_us;
-        }
+        const Token dur = expect(TokenKind::kDuration);
+        pred.offset_us = negative ? -dur.duration_us : dur.duration_us;
       }
       return pred;
     }

@@ -36,6 +36,8 @@ void write_mem(tsdb::Database& db, const std::string& pod,
 TEST(ClusterMetrics, WindowValidation) {
   tsdb::Database db;
   EXPECT_THROW(ClusterMetrics(db, Duration::millis(500)), ContractViolation);
+  // The window is written into the statements as whole seconds.
+  EXPECT_THROW(ClusterMetrics(db, Duration::millis(1500)), ContractViolation);
   EXPECT_NO_THROW(ClusterMetrics(db, Duration::seconds(1)));
 }
 
@@ -123,6 +125,8 @@ TEST(ClusterMetrics, CustomWindowRespected) {
   tsdb::Database db;
   write_epc(db, "p1", "sgx-1", at(10), 8_MiB);
   const ClusterMetrics wide{db, Duration::minutes(2)};
+  EXPECT_NE(wide.listing1_query().find("time >= now() - 120s GROUP BY"),
+            std::string::npos);
   EXPECT_EQ(wide.epc_per_node(at(60)).at("sgx-1"), 8_MiB);
   const ClusterMetrics narrow{db, kWindow};
   EXPECT_TRUE(narrow.epc_per_node(at(60)).empty());

@@ -1,18 +1,18 @@
-// Differential equivalence suite for the sharded TSDB (ISSUE 9 satellite).
+// Differential equivalence suite for the sharded TSDB.
 //
 // The sharding contract is strong: for ANY query, an N-shard database fed
 // the same ingest must return bit-identical results to a 1-shard database
 // — not approximately equal, identical to the last mantissa bit. This
 // holds because every aggregate merges order-independently (count/sum are
 // additive over integer-valued samples, min/max are lattice joins,
-// first/last break ties lexicographically, quantiles fold into a mergeable
-// sketch) and partials merge in shard order.
+// first/last break ties lexicographically) and partials merge in shard
+// order.
 //
 // The suite generates hundreds of seeded random queries over a seeded
 // random ingest and compares 1-shard reference results against 2/4/8-shard
-// stores, covering: window edges on sample instants, wide windows next
-// to narrow ones, GROUP BY time() at several intervals, quantile sketches,
-// the nested Listing-1 shape, LIMIT/OFFSET, and post-retention horizons.
+// stores, covering: every aggregate, window edges on sample instants, wide
+// windows next to narrow ones, tag grouping, the nested Listing-1 shape,
+// and post-retention horizons.
 // A churn phase checks the stores against a brute-force fold over the
 // recorded writes as well, since cross-shard agreement cannot catch a flaw
 // every store shares, and another checks newest_time against the points
@@ -115,21 +115,16 @@ struct StoreSet {
 };
 
 /// Seeded query generator over the grammar the executor supports. The
-/// windows run from the scheduler's 25 s to the whole hour of history, at
-/// GROUP BY time() intervals that do and do not divide a minute.
+/// windows run from the scheduler's 25 s to the whole hour of history.
 std::string random_query(Rng& rng) {
-  static const char* const kAggs[] = {"MAX",   "MIN",  "SUM", "COUNT",
-                                      "MEAN",  "FIRST", "LAST", "P50",
-                                      "P95",   "P99"};
+  static const char* const kAggs[] = {"MAX",  "MIN",   "SUM", "COUNT",
+                                      "MEAN", "FIRST", "LAST"};
   static const std::int64_t kWindows[] = {25, 90, 200, 480, 1200, 3600};
-  static const char* const kIntervals[] = {"", "10s", "60s", "50s", "120s"};
 
   const std::string agg =
-      kAggs[static_cast<std::size_t>(rng.uniform_int(0, 9))];
+      kAggs[static_cast<std::size_t>(rng.uniform_int(0, 6))];
   const std::int64_t window =
       kWindows[static_cast<std::size_t>(rng.uniform_int(0, 5))];
-  const std::string interval =
-      kIntervals[static_cast<std::size_t>(rng.uniform_int(0, 4))];
 
   if (rng.bernoulli(0.25)) {
     // The paper's Listing-1 shape: per-pod max rolled up per node.
@@ -159,18 +154,9 @@ std::string random_query(Rng& rng) {
   std::vector<std::string> group;
   if (rng.bernoulli(0.5)) group.push_back("pod_name");
   if (rng.bernoulli(0.3)) group.push_back("nodename");
-  if (!interval.empty() && rng.bernoulli(0.6)) {
-    group.push_back("time(" + interval + ")");
-  }
   if (!group.empty()) {
     text += " GROUP BY " + group[0];
     for (std::size_t i = 1; i < group.size(); ++i) text += ", " + group[i];
-  }
-  if (rng.bernoulli(0.2)) {
-    text += " LIMIT " + std::to_string(rng.uniform_int(1, 8));
-    if (rng.bernoulli(0.5)) {
-      text += " OFFSET " + std::to_string(rng.uniform_int(1, 3));
-    }
   }
   return text;
 }
@@ -622,7 +608,7 @@ TEST(TsdbDiffTargeted, WindowEdgesOnSampleInstants) {
            "SELECT COUNT(value) AS v FROM \"sgx/epc\" WHERE time > 120s "
            "AND time < 600s GROUP BY pod_name",
            "SELECT MEAN(value) AS v FROM \"sgx/epc\" WHERE time >= 115s "
-           "AND time <= 125s GROUP BY time(10s)",
+           "AND time <= 125s GROUP BY nodename",
        }) {
     check_query(set, text, now, "sample-edge");
   }
@@ -632,36 +618,21 @@ TEST(TsdbDiffTargeted, WideWindows) {
   StoreSet set{43};
   const TimePoint now = at(3600);
   // Windows of 200 s to the whole hour, with and without `value <> 0`,
-  // per 10 s, per minute, per pod and per node.
+  // per pod, per node and over the whole measurement.
   for (const char* text : {
            "SELECT MAX(value) AS v FROM \"sgx/epc\" "
-           "WHERE time >= now() - 1200s GROUP BY time(60s), pod_name",
+           "WHERE time >= now() - 1200s GROUP BY pod_name",
            "SELECT MAX(value) AS v FROM \"sgx/epc\" "
            "WHERE value <> 0 AND time >= now() - 1200s "
-           "GROUP BY time(60s), pod_name",
+           "GROUP BY pod_name",
            "SELECT SUM(value) AS v FROM \"sgx/epc\" "
            "WHERE time >= now() - 3600s GROUP BY nodename",
            "SELECT FIRST(value) AS f, LAST(value) AS l FROM \"sgx/epc\" "
            "WHERE time >= now() - 1200s GROUP BY pod_name",
            "SELECT MEAN(value) AS v FROM \"sgx/epc\" "
-           "WHERE time >= now() - 200s GROUP BY time(10s)",
+           "WHERE time >= now() - 200s",
        }) {
     check_query(set, text, now, "wide-window");
-  }
-}
-
-TEST(TsdbDiffTargeted, QuantileSketchesMergeDeterministically) {
-  StoreSet set{44};
-  const TimePoint now = at(3600);
-  for (const char* text : {
-           "SELECT P50(value) AS med FROM \"sgx/epc\" "
-           "WHERE time >= now() - 600s GROUP BY nodename",
-           "SELECT P95(value) AS hi, P99(value) AS tail FROM \"sgx/epc\" "
-           "WHERE time >= now() - 3600s",
-           "SELECT P99(value) AS tail FROM \"sgx/epc\" "
-           "WHERE time >= now() - 300s GROUP BY time(60s), pod_name",
-       }) {
-    check_query(set, text, now, "quantiles");
   }
 }
 
@@ -685,7 +656,7 @@ TEST(TsdbDiffTargeted, ShardStaleReadHorizonCutsExactly) {
   }
   for (const char* text : {
            "SELECT SUM(value) AS v FROM \"sgx/epc\" "
-           "WHERE time >= now() - 2400s GROUP BY time(60s)",
+           "WHERE time >= now() - 2400s",
            "SELECT MAX(value) AS v FROM \"sgx/epc\" GROUP BY pod_name",
        }) {
     const ql::PreparedQuery prepared = ql::PreparedQuery::prepare(text);

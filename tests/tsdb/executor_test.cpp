@@ -249,40 +249,34 @@ struct Folded {
 
 TEST(GroupTable, ThousandGroupsMatchABruteForceFold) {
   const std::vector<PodSample> samples = thousand_pods();
-  // Window [20, 50] s; under GROUP BY time(20s) a pod's points fall into
-  // buckets 1 (20, 30 s) and 2 (40, 50 s), 2000 groups.
-  for (const bool bucketed : {false, true}) {
-    std::map<std::pair<std::string, std::int64_t>, Folded> expected;
-    for (const PodSample& s : samples) {
-      if (s.t < 20) continue;
-      expected[{s.pod, bucketed ? s.t / 20 : 0}].add(s.t, s.value);
-    }
-    const std::string text =
-        std::string("SELECT COUNT(value) AS n, SUM(value) AS s, "
-                    "MIN(value) AS lo, MAX(value) AS hi, FIRST(value) AS f, "
-                    "LAST(value) AS l, MEAN(value) AS avg FROM m "
-                    "WHERE time >= now() - 30s GROUP BY ") +
-        (bucketed ? "time(20s), pod_name" : "pod_name");
-    for (const std::size_t shards : kShardCounts) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   (bucketed ? " bucketed" : ""));
-      Database db{shards};
-      write(db, samples);
-      const ResultSet result = query(text, db, at(50));
-      ASSERT_EQ(result.rows.size(), expected.size());
-      auto row = result.rows.begin();
-      for (const auto& [group, fold] : expected) {
-        EXPECT_EQ(row->tags, (Tags{{"pod_name", group.first}}));
-        EXPECT_EQ(row->time, bucketed ? at(group.second * 20) : at(20));
-        EXPECT_EQ(row->field("n"), fold.count);
-        EXPECT_EQ(row->field("s"), fold.sum);
-        EXPECT_EQ(row->field("lo"), fold.min);
-        EXPECT_EQ(row->field("hi"), fold.max);
-        EXPECT_EQ(row->field("f"), fold.first.second);
-        EXPECT_EQ(row->field("l"), fold.last.second);
-        EXPECT_EQ(row->field("avg"), fold.sum / fold.count);
-        ++row;
-      }
+  // Window [20, 50] s: 1000 groups of 8 samples, 4 per container.
+  std::map<std::string, Folded> expected;
+  for (const PodSample& s : samples) {
+    if (s.t < 20) continue;
+    expected[s.pod].add(s.t, s.value);
+  }
+  const std::string text =
+      "SELECT COUNT(value) AS n, SUM(value) AS s, MIN(value) AS lo, "
+      "MAX(value) AS hi, FIRST(value) AS f, LAST(value) AS l, "
+      "MEAN(value) AS avg FROM m WHERE time >= now() - 30s GROUP BY pod_name";
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    write(db, samples);
+    const ResultSet result = query(text, db, at(50));
+    ASSERT_EQ(result.rows.size(), expected.size());
+    auto row = result.rows.begin();
+    for (const auto& [pod, fold] : expected) {
+      EXPECT_EQ(row->tags, (Tags{{"pod_name", pod}}));
+      EXPECT_EQ(row->time, at(20));
+      EXPECT_EQ(row->field("n"), fold.count);
+      EXPECT_EQ(row->field("s"), fold.sum);
+      EXPECT_EQ(row->field("lo"), fold.min);
+      EXPECT_EQ(row->field("hi"), fold.max);
+      EXPECT_EQ(row->field("f"), fold.first.second);
+      EXPECT_EQ(row->field("l"), fold.last.second);
+      EXPECT_EQ(row->field("avg"), fold.sum / fold.count);
+      ++row;
     }
   }
 }

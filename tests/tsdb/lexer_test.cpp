@@ -26,12 +26,6 @@ TEST(Lexer, QuotedIdentifierWithSlash) {
   EXPECT_EQ(tokens[0].text, "sgx/epc");
 }
 
-TEST(Lexer, StringLiteral) {
-  const auto tokens = lex("'hello world'");
-  EXPECT_EQ(tokens[0].kind, TokenKind::kString);
-  EXPECT_EQ(tokens[0].text, "hello world");
-}
-
 TEST(Lexer, Numbers) {
   const auto tokens = lex("0 42 3.5");
   EXPECT_EQ(tokens[0].kind, TokenKind::kNumber);
@@ -85,13 +79,11 @@ TEST(Lexer, UnterminatedQuotedIdent) {
   EXPECT_THROW(lex("\"unterminated"), QueryError);
 }
 
-TEST(Lexer, UnterminatedString) {
-  EXPECT_THROW(lex("'unterminated"), QueryError);
-}
-
 TEST(Lexer, RejectsStrayCharacters) {
   EXPECT_THROW(lex("SELECT @"), QueryError);
   EXPECT_THROW(lex("!"), QueryError);
+  // No rule takes a string literal.
+  EXPECT_THROW(lex("'x'"), QueryError);
 }
 
 TEST(Lexer, TokenOffsetsTrackPosition) {

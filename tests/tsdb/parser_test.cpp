@@ -168,5 +168,23 @@ TEST(Parser, RejectsMalformedStatements) {
                QueryError);
 }
 
+TEST(Parser, RejectsGrammarBeyondListing1) {
+  // The subset is Listing 1's grammar: no time buckets, row windows,
+  // quantiles or placeholders, in the outer statement or a subquery.
+  for (const char* text : {
+           "SELECT MAX(value) FROM m GROUP BY time(10s)",
+           "SELECT MAX(value) FROM m GROUP BY pod_name, time(10s)",
+           "SELECT MAX(value) FROM m GROUP BY pod_name LIMIT 5",
+           "SELECT MAX(value) FROM m GROUP BY pod_name OFFSET 1",
+           "SELECT P99(value) FROM m",
+           "SELECT MAX(value) FROM m WHERE time >= now() - $w",
+           "SELECT SUM(v) FROM (SELECT MAX(value) AS v FROM m "
+           "GROUP BY time(10s))",
+           "SELECT SUM(v) FROM (SELECT MAX(value) AS v FROM m LIMIT 5)",
+       }) {
+    EXPECT_THROW((void)parse(text), QueryError) << text;
+  }
+}
+
 }  // namespace
 }  // namespace sgxo::tsdb::ql

@@ -2,14 +2,14 @@
 // string path (ql::query is a wrapper over prepare + execute). The
 // differential suite below re-runs every query exercised by
 // executor_test.cpp through both paths and compares row-for-row; the
-// remaining tests cover what only prepared statements can do: $param
-// placeholders bound at execute time.
+// remaining tests cover what only prepared statements promise: the text
+// is kept, malformed text fails at prepare, and execute binds only now()
+// and does no parse work.
 #include "tsdb/ql/prepared.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "tsdb/ql/executor.hpp"
 #include "tsdb/ql/lexer.hpp"
@@ -110,7 +110,6 @@ TEST_F(PreparedQueryFixture, DifferentialAgainstStringPath) {
   for (const char* text : kExecutorTestQueries) {
     const ResultSet via_string = query(text, db_, at(60));
     const PreparedQuery prepared = PreparedQuery::prepare(text);
-    EXPECT_TRUE(prepared.parameters().empty()) << text;
     const ResultSet via_prepared = prepared.execute(db_, at(60));
     expect_same_results(via_string, via_prepared, text);
   }
@@ -132,82 +131,15 @@ TEST_F(PreparedQueryFixture, DifferentialAtMultipleNowAnchors) {
   }
 }
 
-TEST_F(PreparedQueryFixture, WindowParameterMatchesLiteralWindow) {
-  const PreparedQuery prepared = PreparedQuery::prepare(
-      "SELECT SUM(epc) AS epc FROM "
-      "(SELECT MAX(value) AS epc FROM \"sgx/epc\" "
-      "WHERE value <> 0 AND time >= now() - $window "
-      "GROUP BY pod_name, nodename) GROUP BY nodename");
-  ASSERT_EQ(prepared.parameters(), std::vector<std::string>{"window"});
-
-  // One AST, two windows: each equals the literal-window string query.
-  for (const std::int64_t window : {25, 60}) {
-    const ResultSet literal = query(
-        "SELECT SUM(epc) AS epc FROM "
-        "(SELECT MAX(value) AS epc FROM \"sgx/epc\" "
-        "WHERE value <> 0 AND time >= now() - " +
-            std::to_string(window) +
-            "s GROUP BY pod_name, nodename) GROUP BY nodename",
-        db_, at(60));
-    const ResultSet bound = prepared.execute(
-        db_, at(60), {{"window", Duration::seconds(window)}});
-    expect_same_results(literal, bound, "window=" + std::to_string(window));
-  }
-}
-
-TEST_F(PreparedQueryFixture, UnboundParameterIsAnError) {
-  const PreparedQuery prepared = PreparedQuery::prepare(
-      "SELECT MAX(value) FROM \"sgx/epc\" WHERE time >= now() - $window");
-  EXPECT_THROW((void)prepared.execute(db_, at(60)), QueryError);
-  EXPECT_THROW(
-      (void)prepared.execute(db_, at(60), {{"wrong", Duration::seconds(1)}}),
-      QueryError);
-}
-
-TEST_F(PreparedQueryFixture, ExtraBindingsAreIgnored) {
-  const PreparedQuery prepared = PreparedQuery::prepare(
-      "SELECT COUNT(value) AS n FROM \"sgx/epc\" WHERE time >= now() - "
-      "$window");
-  const ResultSet result = prepared.execute(
-      db_, at(60),
-      {{"window", Duration::seconds(25)}, {"unused", Duration::hours(1)}});
-  ASSERT_EQ(result.rows.size(), 1u);
-  // Window [35, 60]: 3 series × 3 samples + the zero sample = 10.
-  EXPECT_DOUBLE_EQ(result.rows[0].field("n"), 10.0);
-}
-
-TEST_F(PreparedQueryFixture, ParameterInAdditivePosition) {
-  // now() + $p (future bound) parses and binds with the positive sign.
-  const PreparedQuery prepared = PreparedQuery::prepare(
-      "SELECT COUNT(value) AS n FROM m WHERE time <= now() + $slack");
-  const ResultSet result =
-      prepared.execute(db_, TimePoint::from_micros(500),
-                       {{"slack", Duration::micros(500)}});
-  ASSERT_EQ(result.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.rows[0].field("n"), 1.0);
-}
-
 TEST(PreparedQuery, MalformedTextFailsAtPrepareTime) {
   EXPECT_THROW((void)PreparedQuery::prepare("SELECT"), QueryError);
   EXPECT_THROW((void)PreparedQuery::prepare("SELECT MAX(value) FROM"),
                QueryError);
-  // A bare '$' names no parameter.
-  EXPECT_THROW((void)PreparedQuery::prepare(
-                   "SELECT MAX(value) FROM m WHERE time >= now() - $"),
-               QueryError);
-}
-
-TEST(PreparedQuery, SubqueryParametersAreCollected) {
-  const PreparedQuery prepared = PreparedQuery::prepare(
-      "SELECT SUM(epc) AS epc FROM "
-      "(SELECT MAX(value) AS epc FROM m WHERE time >= now() - $inner) "
-      "GROUP BY nodename");
-  ASSERT_EQ(prepared.parameters(), std::vector<std::string>{"inner"});
 }
 
 TEST(PreparedQuery, TextIsPreservedVerbatim) {
   const std::string text =
-      "SELECT MAX(value) FROM m WHERE time >= now() - $window";
+      "SELECT MAX(value) FROM m WHERE time >= now() - 25s";
   const PreparedQuery prepared = PreparedQuery::prepare(text);
   EXPECT_EQ(prepared.text(), text);
 }
@@ -220,13 +152,12 @@ TEST_F(PreparedQueryFixture, ExecuteDoesZeroParseWork) {
   const PreparedQuery prepared = PreparedQuery::prepare(
       "SELECT SUM(epc) AS epc FROM "
       "(SELECT MAX(value) AS epc FROM \"sgx/epc\" "
-      "WHERE value <> 0 AND time >= now() - $window "
+      "WHERE value <> 0 AND time >= now() - 25s "
       "GROUP BY pod_name, nodename) GROUP BY nodename");
   const std::uint64_t before = parse_work_count();
   ResultSet last;
   for (int i = 0; i < 1000; ++i) {
-    last = prepared.execute(
-        db_, at(60 + (i % 5)), {{"window", Duration::seconds(25 + (i % 3))}});
+    last = prepared.execute(db_, at(60 + (i % 5)));
   }
   EXPECT_EQ(parse_work_count(), before);
   EXPECT_FALSE(last.rows.empty());
