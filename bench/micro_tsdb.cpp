@@ -6,6 +6,12 @@
 // `query_runs` executions of the prepared query, without scan stats.
 // Nothing is modeled.
 //
+// Each shard count ingests the stream twice. The queried store writes
+// through series refs, as Heapster and the SGX probe do: a series' first
+// sample takes the tag write, and every later one appends through the ref
+// it returned. A second store takes the tag write for every sample, so its
+// ingest row prices the key render, routing and lookups a ref skips.
+//
 // Two query shapes, both the paper's Listing-1 nested query: over a 25 s
 // window (narrow, what the scheduler runs) and over the whole history
 // (wide: 1 h, or 300 s in the smoke run), which folds every point.
@@ -35,6 +41,7 @@ namespace {
 
 using namespace sgxo;
 using tsdb::Database;
+using tsdb::SeriesRef;
 using tsdb::Tags;
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
@@ -66,7 +73,15 @@ double now_us() {
       .count();
 }
 
+/// How an ingest writes each sample.
+enum class WritePath { kRefs, kTags };
+
+const char* to_string(WritePath path) {
+  return path == WritePath::kRefs ? "refs" : "tags";
+}
+
 struct IngestResult {
+  WritePath path = WritePath::kRefs;
   std::size_t shards = 0;
   std::size_t samples = 0;
   double wall_ms = 0.0;
@@ -87,44 +102,59 @@ struct QueryResult {
 };
 
 struct Sample {
-  Tags tags;
+  std::size_t series = 0;  // index into Stream::tags
   TimePoint time;
   double value = 0.0;
 };
 
+struct Stream {
+  std::vector<Tags> tags;  // one tag set per series
+  std::vector<Sample> samples;
+};
+
 /// The identical sample stream every store ingests: integer values,
 /// pods spread over 32 nodes, one point per series per cadence tick.
-std::vector<Sample> make_samples(const BenchConfig& config) {
+Stream make_stream(const BenchConfig& config) {
   Rng rng{20260808};
-  std::vector<Sample> samples;
-  samples.reserve(config.samples());
-  std::vector<Tags> tags;
-  tags.reserve(config.series);
+  Stream stream;
+  stream.tags.reserve(config.series);
   for (std::size_t s = 0; s < config.series; ++s) {
-    tags.push_back({{"pod_name", "p" + std::to_string(s)},
-                    {"nodename", "n" + std::to_string(s % 32)}});
+    stream.tags.push_back({{"pod_name", "p" + std::to_string(s)},
+                           {"nodename", "n" + std::to_string(s % 32)}});
   }
+  stream.samples.reserve(config.samples());
   for (std::size_t i = 0; i < config.points_per_series; ++i) {
     const TimePoint t = at(static_cast<std::int64_t>(i) * config.cadence_s);
     for (std::size_t s = 0; s < config.series; ++s) {
-      samples.push_back(
-          {tags[s], t, static_cast<double>(rng.uniform_int(1, 4096))});
+      stream.samples.push_back(
+          {s, t, static_cast<double>(rng.uniform_int(1, 4096))});
     }
   }
-  return samples;
+  return stream;
 }
 
-IngestResult ingest(Database& db, const std::vector<Sample>& all) {
+IngestResult ingest(Database& db, const Stream& stream, WritePath path) {
   IngestResult r;
+  r.path = path;
   r.shards = db.shard_count();
-  r.samples = all.size();
-  const double start = now_us();
+  r.samples = stream.samples.size();
+  std::vector<SeriesRef> refs(stream.tags.size());
   std::size_t accepted = 0;
-  for (const Sample& sample : all) {
-    accepted += db.write("sgx/epc", sample.tags, sample.time, sample.value);
+  const double start = now_us();
+  for (const Sample& sample : stream.samples) {
+    SeriesRef& ref = refs[sample.series];
+    if (path == WritePath::kRefs && db.live(ref)) {
+      accepted += db.write(ref, sample.time, sample.value) ? 1 : 0;
+      continue;
+    }
+    const auto written = db.write("sgx/epc", stream.tags[sample.series],
+                                  sample.time, sample.value);
+    if (!written.has_value()) continue;
+    ref = *written;
+    ++accepted;
   }
   r.wall_ms = (now_us() - start) / 1e3;
-  if (accepted != all.size()) std::cerr << "warning: ingest dropped samples\n";
+  if (accepted != r.samples) std::cerr << "warning: ingest dropped samples\n";
   return r;
 }
 
@@ -174,7 +204,8 @@ void write_json(const std::string& path, const BenchConfig& config,
       << "  \"samples\": " << config.samples() << ",\n  \"ingest\": [\n";
   for (std::size_t i = 0; i < ingests.size(); ++i) {
     const IngestResult& r = ingests[i];
-    out << "    {\"shards\": " << r.shards << ", \"samples\": " << r.samples
+    out << "    {\"path\": \"" << to_string(r.path)
+        << "\", \"shards\": " << r.shards << ", \"samples\": " << r.samples
         << ", \"wall_ms\": " << r.wall_ms
         << ", \"samples_per_sec\": " << r.samples_per_sec() << "}"
         << (i + 1 < ingests.size() ? "," : "") << "\n";
@@ -222,7 +253,7 @@ int main(int argc, char** argv) {
       config.query_runs = 5;
     }
   }
-  const std::vector<Sample> samples = make_samples(config);
+  const Stream stream = make_stream(config);
   const TimePoint now = at(
       static_cast<std::int64_t>(config.points_per_series - 1) *
       config.cadence_s);
@@ -241,16 +272,22 @@ int main(int argc, char** argv) {
   std::vector<IngestResult> ingests;
   std::vector<QueryResult> queries;
   for (const std::size_t shards : kShardCounts) {
+    {
+      Database tag_written{shards};
+      ingests.push_back(ingest(tag_written, stream, WritePath::kTags));
+    }
     Database db{shards};
-    ingests.push_back(ingest(db, samples));
+    ingests.push_back(ingest(db, stream, WritePath::kRefs));
     for (const auto& [name, text] : shapes) {
       queries.push_back(run_query(db, name, text, now, config.query_runs));
     }
   }
 
-  Table ingest_table({"shards", "samples", "wall [ms]", "samples/s"});
+  Table ingest_table(
+      {"path", "shards", "samples", "wall [ms]", "samples/s"});
   for (const IngestResult& r : ingests) {
-    ingest_table.add_row({std::to_string(r.shards), std::to_string(r.samples),
+    ingest_table.add_row({to_string(r.path), std::to_string(r.shards),
+                          std::to_string(r.samples),
                           fmt_double(r.wall_ms, 1),
                           fmt_double(r.samples_per_sec(), 0)});
   }

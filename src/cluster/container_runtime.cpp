@@ -1,7 +1,5 @@
 #include "cluster/container_runtime.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace sgxo::cluster {
@@ -63,22 +61,10 @@ std::vector<ContainerId> ContainerRuntime::containers_of(
   return ids;
 }
 
-Bytes ContainerRuntime::pod_memory_usage(const PodName& pod) const {
+Bytes ContainerRuntime::memory_usage() const {
   Bytes total{};
-  for (const auto& [id, info] : containers_) {
-    if (info.pod == pod) total += info.memory_usage;
-  }
+  for (const auto& [id, info] : containers_) total += info.memory_usage;
   return total;
-}
-
-std::vector<PodName> ContainerRuntime::running_pods() const {
-  std::vector<PodName> pods;
-  for (const auto& [id, info] : containers_) {
-    if (std::find(pods.begin(), pods.end(), info.pod) == pods.end()) {
-      pods.push_back(info.pod);
-    }
-  }
-  return pods;
 }
 
 }  // namespace sgxo::cluster

@@ -50,10 +50,8 @@ class ContainerRuntime {
   [[nodiscard]] const ContainerInfo& info(ContainerId id) const;
   [[nodiscard]] std::vector<ContainerId> containers_of(const PodName& pod) const;
   [[nodiscard]] std::size_t container_count() const { return containers_.size(); }
-  /// Sum of standard memory used by all containers of a pod.
-  [[nodiscard]] Bytes pod_memory_usage(const PodName& pod) const;
-  /// All distinct pods with at least one running container.
-  [[nodiscard]] std::vector<PodName> running_pods() const;
+  /// Sum of standard memory used by all containers.
+  [[nodiscard]] Bytes memory_usage() const;
 
   /// The cgroup path shared by all containers of `pod` — available before
   /// containers start (§V-D: it is the pod identifier used by the driver).

@@ -443,15 +443,21 @@ std::vector<Kubelet::PodStats> Kubelet::pod_stats() const {
   std::vector<PodStats> stats;
   stats.reserve(active_.size());
   for (const auto& [name, pod] : active_) {
-    stats.push_back(
-        PodStats{name, node_->runtime().pod_memory_usage(name)});
+    Bytes usage{};
+    for (const ContainerId id : pod.containers) {
+      usage += node_->runtime().info(id).memory_usage;
+    }
+    stats.push_back(PodStats{name, usage});
   }
   return stats;
 }
 
 std::vector<sgx::Pid> Kubelet::pod_pids(const PodName& pod) const {
   std::vector<sgx::Pid> pids;
-  for (const ContainerId id : node_->runtime().containers_of(pod)) {
+  const auto it = active_.find(pod);
+  if (it == active_.end()) return pids;
+  pids.reserve(it->second.containers.size());
+  for (const ContainerId id : it->second.containers) {
     pids.push_back(node_->runtime().info(id).pid);
   }
   return pids;

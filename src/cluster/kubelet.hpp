@@ -12,6 +12,9 @@
 // Startup latencies follow the measured model (Fig. 6): ~100 ms PSW/AESM
 // per container plus size-dependent enclave allocation; <1 ms for standard
 // pods.
+//
+// The monitoring reads (Heapster's pod_stats, the SGX probe's pod_pids)
+// walk each active pod's own container list, not the node's runtime.
 #pragma once
 
 #include <cstdint>
@@ -110,15 +113,18 @@ class Kubelet {
     return attestation_rejected_pods_;
   }
 
-  /// Per-pod standard memory usage, the stats Heapster scrapes.
+  /// Per-pod standard memory usage, the stats Heapster scrapes: one entry
+  /// per active pod, in name order, summing the pod's own containers.
   struct PodStats {
     PodName pod;
     Bytes memory_usage{};
   };
   [[nodiscard]] std::vector<PodStats> pod_stats() const;
 
-  /// Pids of a running pod's containers — the SGX probe feeds these to the
-  /// driver's per-process ioctl.
+  /// Pids of an active pod's containers, in start order (none for a pod
+  /// not active here) — the SGX probe feeds these to the driver's
+  /// per-process ioctl. Like pod_stats, it reads the pod's own container
+  /// list, not the node's whole runtime.
   [[nodiscard]] std::vector<sgx::Pid> pod_pids(const PodName& pod) const;
   [[nodiscard]] std::vector<PodName> active_pods() const;
   [[nodiscard]] std::size_t active_pod_count() const { return active_.size(); }
@@ -162,6 +168,8 @@ class Kubelet {
  private:
   struct ActivePod {
     PodSpec spec;
+    /// Its containers in start order; they run until teardown, which
+    /// erases the pod.
     std::vector<ContainerId> containers;
     std::optional<sgx::EnclaveHandle> enclave;
     bool limits_installed = false;

@@ -27,12 +27,6 @@ void Node::reboot() {
   ready_ = true;
 }
 
-Bytes Node::memory_used() const {
-  Bytes total{};
-  for (const PodName& pod : runtime_.running_pods()) {
-    total += runtime_.pod_memory_usage(pod);
-  }
-  return total;
-}
+Bytes Node::memory_used() const { return runtime_.memory_usage(); }
 
 }  // namespace sgxo::cluster

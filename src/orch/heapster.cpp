@@ -4,7 +4,11 @@ namespace sgxo::orch {
 
 Heapster::Heapster(sim::Simulation& sim, ApiServer& api, tsdb::Database& db,
                    Duration scrape_period)
-    : sim_(&sim), api_(&api), db_(&db), period_(scrape_period) {}
+    : sim_(&sim),
+      api_(&api),
+      db_(&db),
+      period_(scrape_period),
+      writer_(db, kMemoryMeasurement, {{"type", "pod"}}) {}
 
 void Heapster::start() {
   if (timer_.valid()) return;
@@ -16,14 +20,6 @@ void Heapster::stop() {
     sim_->cancel(timer_);
     timer_ = sim::EventId{};
   }
-}
-
-void Heapster::deliver(const cluster::PodName& pod,
-                       const cluster::NodeName& node, TimePoint sampled,
-                       double value) {
-  tags_["pod_name"] = pod;
-  tags_["nodename"] = node;
-  db_->write(kMemoryMeasurement, tags_, sampled, value);
 }
 
 void Heapster::scrape_once() {
@@ -40,18 +36,19 @@ void Heapster::scrape_once() {
       if (sample_delay_ > Duration{}) {
         // Delayed delivery keeps the original sample timestamp, so the
         // point lands out of order — exactly what a congested collector
-        // produces.
+        // produces. The sample is in flight, so its write holds no pointer
+        // to Heapster.
         ++delayed_;
-        const cluster::PodName pod = stats.pod;
-        const cluster::NodeName node = entry.node->name();
-        sim_->schedule_after(sample_delay_, [this, pod, node, now, value] {
-          deliver(pod, node, now, value);
-        });
+        sim_->schedule_after(
+            sample_delay_,
+            [db = db_, tags = writer_.tags_of(stats.pod, entry.node->name()),
+             now, value] { db->write(kMemoryMeasurement, tags, now, value); });
         continue;
       }
-      deliver(stats.pod, entry.node->name(), now, value);
+      writer_.write(stats.pod, entry.node->name(), now, value);
     }
   }
+  writer_.end_round();
   // Retention rides on the scrape cadence — the simulated stand-in for a
   // background maintenance thread.
   db_->enforce_retention(now, kRetention);

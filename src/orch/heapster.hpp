@@ -2,12 +2,15 @@
 // Kubelet's per-pod standard-memory stats and pushes them into the shared
 // time-series database, tagged with pod_name and nodename — the same tag
 // scheme the SGX probe uses, so the scheduler can issue equivalent queries
-// for both resources.
+// for both resources. Samples go through a PodSampleWriter, which keeps
+// one series ref per pod, so a scrape renders no series key for a pod it
+// already wrote; delayed samples take the tag write.
 #pragma once
 
 #include <string>
 
 #include "orch/api_server.hpp"
+#include "orch/pod_sample_writer.hpp"
 #include "sim/simulation.hpp"
 #include "tsdb/model.hpp"
 
@@ -46,9 +49,6 @@ class Heapster {
   [[nodiscard]] std::uint64_t delayed_samples() const { return delayed_; }
 
  private:
-  void deliver(const cluster::PodName& pod, const cluster::NodeName& node,
-               TimePoint sampled, double value);
-
   sim::Simulation* sim_;
   ApiServer* api_;
   tsdb::Database* db_;
@@ -59,8 +59,7 @@ class Heapster {
   Duration sample_delay_{};
   std::uint64_t dropped_ = 0;
   std::uint64_t delayed_ = 0;
-  // Every sample's tag set, refilled per sample so a write allocates none.
-  tsdb::Tags tags_{{"nodename", ""}, {"pod_name", ""}, {"type", "pod"}};
+  PodSampleWriter writer_;
 };
 
 }  // namespace sgxo::orch

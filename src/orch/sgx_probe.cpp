@@ -6,12 +6,15 @@ namespace sgxo::orch {
 
 SgxProbe::SgxProbe(sim::Simulation& sim, ApiServer::NodeEntry entry,
                    tsdb::Database& db, Duration period)
-    : sim_(&sim), entry_(entry), db_(&db), period_(period) {
+    : sim_(&sim),
+      entry_(entry),
+      db_(&db),
+      period_(period),
+      writer_(db, kEpcMeasurement, {}) {
   SGXO_CHECK_MSG(entry_.node != nullptr && entry_.kubelet != nullptr,
                  "probe needs a complete node entry");
   SGXO_CHECK_MSG(entry_.node->has_sgx(),
                  "SGX probe deployed on a node without SGX");
-  tags_ = {{"nodename", entry_.node->name()}, {"pod_name", ""}};
 }
 
 SgxProbe::~SgxProbe() { stop(); }
@@ -42,19 +45,22 @@ void SgxProbe::probe_once() {
       continue;
     }
     const double value = static_cast<double>(pages.as_bytes().count());
-    tags_["pod_name"] = pod;
     if (sample_delay_ > Duration{}) {
       // Late delivery with the original timestamp: the point lands out of
       // order, after the scheduler may already have run without it. The
-      // write keeps its own copy of the tags.
+      // sample is in flight and lands even if the probe crashes first, so
+      // its write holds no pointer to the probe.
       ++delayed_;
-      sim_->schedule_after(sample_delay_, [this, tags = tags_, now, value] {
-        db_->write(kEpcMeasurement, tags, now, value);
-      });
+      sim_->schedule_after(
+          sample_delay_,
+          [db = db_, tags = writer_.tags_of(pod, node_name()), now, value] {
+            db->write(kEpcMeasurement, tags, now, value);
+          });
       continue;
     }
-    db_->write(kEpcMeasurement, tags_, now, value);
+    writer_.write(pod, node_name(), now, value);
   }
+  writer_.end_round();
 }
 
 }  // namespace sgxo::orch

@@ -2,10 +2,13 @@
 // through a DaemonSet), reads per-process EPC usage from the modified
 // driver's ioctl, aggregates per pod, and pushes the samples into the same
 // InfluxDB-style database as Heapster — measurement "sgx/epc", tags
-// pod_name and nodename, value in bytes.
+// pod_name and nodename, value in bytes. Like Heapster it writes through a
+// PodSampleWriter, one series ref per pod on its node; delayed samples
+// take the tag write.
 #pragma once
 
 #include "orch/api_server.hpp"
+#include "orch/pod_sample_writer.hpp"
 #include "sim/simulation.hpp"
 #include "tsdb/model.hpp"
 
@@ -54,8 +57,7 @@ class SgxProbe {
   Duration sample_delay_{};
   std::uint64_t dropped_ = 0;
   std::uint64_t delayed_ = 0;
-  // Every sample's tag set, refilled per sample so a write allocates none.
-  tsdb::Tags tags_;
+  PodSampleWriter writer_;
 };
 
 }  // namespace sgxo::orch

@@ -85,6 +85,32 @@ std::size_t Series::drop_before(TimePoint horizon) {
   return dropped;
 }
 
+// ---- SeriesTable -----------------------------------------------------------
+
+SeriesRef SeriesTable::add(Measurement& measurement, Series& series,
+                           std::size_t shard) {
+  std::uint32_t index = 0;
+  if (free_.empty()) {
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{});
+    slots_.back().generation = 1;
+  } else {
+    index = free_.back();
+    free_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.measurement = &measurement;
+  slot.series = &series;
+  slot.shard = static_cast<std::uint32_t>(shard);
+  return SeriesRef{index, slot.generation};
+}
+
+void SeriesTable::remove(SeriesRef ref) {
+  Slot& slot = slots_[ref.slot];
+  slot = Slot{nullptr, nullptr, 0, slot.generation + 1};
+  free_.push_back(ref.slot);
+}
+
 // ---- Measurement -----------------------------------------------------------
 
 const Series* Measurement::find_series(const Tags& tags) const {
@@ -92,27 +118,32 @@ const Series* Measurement::find_series(const Tags& tags) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
-void Measurement::append(const Tags& tags, const std::string& key, Point p) {
+Series& Measurement::series_for(const Tags& tags, const std::string& key) {
   auto it = series_.find(key);
-  if (it == series_.end()) {
-    it = series_.emplace(key, Series{tags}).first;
-    // The new entry goes where its successor in key order sits, and every
-    // entry from there on moves down one.
-    const auto next = std::next(it);
-    const std::size_t slot =
-        next == series_.end() ? summary_.size() : next->second.slot_;
-    summary_.insert(summary_.begin() + static_cast<std::ptrdiff_t>(slot),
-                    SummaryEntry{p.time.micros_since_epoch(),
-                                 p.time.micros_since_epoch(), it});
-    for (std::size_t i = slot; i < summary_.size(); ++i) {
-      summary_[i].series->second.slot_ = i;
-    }
-  }
+  if (it != series_.end()) return it->second;
+  it = series_.emplace(key, Series{tags}).first;
   Series& series = it->second;
+  series.ref_ = table_->add(*this, series, shard_);
+  // The new entry goes where its successor in key order sits, and every
+  // entry from there on moves down one. It holds no point yet, so no scan
+  // reads it and retention passes it by until the first append.
+  const auto next = std::next(it);
+  const std::size_t entry =
+      next == series_.end() ? summary_.size() : next->second.entry_;
+  summary_.insert(summary_.begin() + static_cast<std::ptrdiff_t>(entry),
+                  SummaryEntry{std::numeric_limits<std::int64_t>::min(),
+                               std::numeric_limits<std::int64_t>::max(), it});
+  for (std::size_t i = entry; i < summary_.size(); ++i) {
+    summary_[i].series->second.entry_ = i;
+  }
+  return series;
+}
+
+void Measurement::append(Series& series, Point p) {
   series.append(p);
   // An append only adds a point: the newest append can only rise and the
   // oldest point only fall.
-  SummaryEntry& entry = summary_[series.slot_];
+  SummaryEntry& entry = summary_[series.entry_];
   entry.newest_append_us = series.newest_append_us();
   entry.oldest_us = std::min(entry.oldest_us, p.time.micros_since_epoch());
   ++points_;
@@ -130,14 +161,15 @@ std::size_t Measurement::drop_before(TimePoint horizon) {
       dropped += series.drop_before(horizon);
       if (series.empty()) {
         // An emptied series can serve no query; keeping it would make
-        // every scan consider each tag set ever written. The entries after
-        // it move up, keeping their order.
+        // every scan consider each tag set ever written. Its refs go
+        // stale, and the entries after it move up, keeping their order.
+        table_->remove(series.ref_);
         series_.erase(entry.series);
         continue;
       }
       entry.oldest_us = series.oldest().micros_since_epoch();
     }
-    if (kept != i) entry.series->second.slot_ = kept;
+    if (kept != i) entry.series->second.entry_ = kept;
     summary_[kept++] = entry;
   }
   summary_.resize(kept);
@@ -166,24 +198,39 @@ std::size_t Database::shard_of(const std::string& measurement,
   return route(measurement, tags_key(tags));
 }
 
-Measurement& Database::measurement_in(Shard& shard, const std::string& name) {
-  auto it = shard.measurements.find(name);
-  if (it == shard.measurements.end()) {
-    it = shard.measurements.emplace(name, Measurement{name}).first;
-  }
-  return it->second;
+Measurement& Database::measurement_in(std::size_t shard,
+                                      const std::string& name) {
+  return shards_[shard]
+      .measurements.try_emplace(name, name, table_, shard)
+      .first->second;
 }
 
-bool Database::write(const std::string& measurement, const Tags& tags,
-                     TimePoint time, double value) {
+std::optional<SeriesRef> Database::write(const std::string& measurement,
+                                         const Tags& tags, TimePoint time,
+                                         double value) {
   SGXO_CHECK_MSG(!measurement.empty(), "measurement name must not be empty");
   render_tags_key(tags, key_);
-  Shard& shard = shards_[route(measurement, key_)];
+  const std::size_t index = route(measurement, key_);
+  Shard& shard = shards_[index];
+  if (write_fault_ || shard.write_fault) {
+    ++shard.failed_writes;
+    return std::nullopt;
+  }
+  Measurement& m = measurement_in(index, measurement);
+  Series& series = m.series_for(tags, key_);
+  m.append(series, Point{time, value});
+  return series.ref();
+}
+
+bool Database::write(SeriesRef ref, TimePoint time, double value) {
+  const SeriesTable::Slot* slot = table_.find(ref);
+  SGXO_CHECK_MSG(slot != nullptr, "write through a stale series ref");
+  Shard& shard = shards_[slot->shard];
   if (write_fault_ || shard.write_fault) {
     ++shard.failed_writes;
     return false;
   }
-  measurement_in(shard, measurement).append(tags, key_, Point{time, value});
+  slot->measurement->append(*slot->series, Point{time, value});
   return true;
 }
 

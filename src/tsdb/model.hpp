@@ -15,6 +15,12 @@
 // append, oldest point), so a windowed scan reads only the series with a
 // recent append and retention trims only the series holding an expired
 // point.
+//
+// A successful tag write also hands out the series' SeriesRef: a slot in
+// the database-wide series table plus that slot's generation. A write
+// through a live ref appends straight to its series, with no key render,
+// routing or map lookup; the monitoring writers keep one ref per pod.
+// Retention erasing a series frees its slot and stales its refs.
 #pragma once
 
 #include <algorithm>
@@ -50,12 +56,24 @@ struct Point {
   double value = 0.0;
 };
 
+/// Names one series for writes that skip the tag work: a slot in the
+/// database's series table and the generation the slot had when the
+/// series took it. Retention erasing the series bumps the generation, so
+/// the ref stays stale even once another series reuses the slot. A
+/// default ref is stale.
+struct SeriesRef {
+  std::uint32_t slot = 0;
+  std::uint32_t generation = 0;
+};
+
 /// One series: a unique tag set within a measurement plus its points.
 class Series {
  public:
   explicit Series(Tags tags) : tags_(std::move(tags)) {}
 
   [[nodiscard]] const Tags& tags() const { return tags_; }
+  /// The series' ref (stale for a series no database holds).
+  [[nodiscard]] SeriesRef ref() const { return ref_; }
   /// Every point, sorted by time (stable for equal times).
   [[nodiscard]] const std::vector<Point>& points() const { return points_; }
   [[nodiscard]] std::size_t size() const { return points_.size(); }
@@ -106,7 +124,40 @@ class Series {
   Tags tags_;
   std::vector<Point> points_;  // sorted by time
   std::int64_t newest_append_us_ = std::numeric_limits<std::int64_t>::min();
-  std::size_t slot_ = 0;  // index of its entry in the owner's summary
+  std::size_t entry_ = 0;  // index of its entry in the owner's summary
+  SeriesRef ref_;          // its slot in the series table
+};
+
+class Measurement;
+
+/// The database-wide series table behind SeriesRef: one slot per live
+/// series, naming the series, the measurement that owns it and the shard
+/// it routes to. Erasing a series frees its slot: the generation is
+/// bumped and the slot goes on a free list for the next new series.
+class SeriesTable {
+ public:
+  struct Slot {
+    Measurement* measurement = nullptr;
+    Series* series = nullptr;
+    std::uint32_t shard = 0;
+    std::uint32_t generation = 0;  // 1 on first use, so a default ref is stale
+  };
+
+  /// Gives a new series a slot and returns the series' ref.
+  SeriesRef add(Measurement& measurement, Series& series, std::size_t shard);
+  /// Frees the slot of an erased series: every ref to it goes stale.
+  void remove(SeriesRef ref);
+
+  /// The slot `ref` names while its series lives, else nullptr.
+  [[nodiscard]] const Slot* find(SeriesRef ref) const {
+    if (ref.slot >= slots_.size()) return nullptr;
+    const Slot& slot = slots_[ref.slot];
+    return slot.generation == ref.generation ? &slot : nullptr;
+  }
+
+ private:
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // slots of erased series
 };
 
 /// A named measurement (e.g. "sgx/epc", "memory/usage") holding its series.
@@ -115,14 +166,13 @@ class Measurement {
  public:
   using SeriesMap = std::map<std::string, Series>;
 
-  explicit Measurement(std::string name) : name_(std::move(name)) {}
+  /// A measurement on `shard` whose series take their slots in `table`.
+  Measurement(std::string name, SeriesTable& table, std::size_t shard)
+      : name_(std::move(name)), table_(&table), shard_(shard) {}
 
-  // The summary points into the series map, which a move carries along
-  // and a copy would not.
+  // The series table points at it, so it never moves.
   Measurement(const Measurement&) = delete;
   Measurement& operator=(const Measurement&) = delete;
-  Measurement(Measurement&&) = default;
-  Measurement& operator=(Measurement&&) = default;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
@@ -135,10 +185,14 @@ class Measurement {
 
   [[nodiscard]] const Series* find_series(const Tags& tags) const;
 
-  /// Appends one point to the series of `tags`, creating it on first use.
-  /// `key` must be tags_key(tags) (the write path already rendered it for
-  /// shard routing).
-  void append(const Tags& tags, const std::string& key, Point p);
+  /// The series of `tags`, created on first use with an entry in the
+  /// summary and a slot in the series table. `key` must be tags_key(tags)
+  /// (the write path already rendered it for shard routing).
+  Series& series_for(const Tags& tags, const std::string& key);
+
+  /// Appends one point to `series`, which must be one of this
+  /// measurement's. Tag writes and ref writes both append here.
+  void append(Series& series, Point p);
 
   /// Visits every series (const), in tags_key order.
   template <typename F>
@@ -159,10 +213,11 @@ class Measurement {
   }
 
   /// Drops points older than `horizon`, then erases the series left empty
-  /// (Series::empty), and forgets the newest point time if it was older
-  /// too. Only series whose oldest point is older than the horizon are
-  /// touched: no other has a point to drop. A later write to an erased tag
-  /// set starts a fresh series. Returns how many points were dropped.
+  /// (Series::empty), freeing their slots in the series table, and forgets
+  /// the newest point time if it was older too. Only series whose oldest
+  /// point is older than the horizon are touched: no other has a point to
+  /// drop. A later write to an erased tag set starts a fresh series.
+  /// Returns how many points were dropped.
   std::size_t drop_before(TimePoint horizon);
 
  private:
@@ -176,6 +231,8 @@ class Measurement {
   };
 
   std::string name_;
+  SeriesTable* table_;
+  std::size_t shard_;
   SeriesMap series_;                   // keyed by tags_key
   std::vector<SummaryEntry> summary_;  // one per series, in key order
   std::size_t points_ = 0;
@@ -205,10 +262,25 @@ class Database {
   [[nodiscard]] std::size_t shard_of(const std::string& measurement,
                                      const Tags& tags) const;
 
-  /// Inserts one sample. Returns false (and drops the sample) while a
-  /// write fault — global or on the routed shard — is active.
-  bool write(const std::string& measurement, const Tags& tags, TimePoint time,
-             double value);
+  /// Inserts one sample into the series of `tags`, creating it on first
+  /// use, and returns the series' ref. Returns nullopt, drops the sample
+  /// and creates no series while a write fault — global or on the routed
+  /// shard — is active.
+  std::optional<SeriesRef> write(const std::string& measurement,
+                                 const Tags& tags, TimePoint time,
+                                 double value);
+
+  /// Inserts one sample into the series `ref` names, which must be live:
+  /// no key render, routing or lookup. Returns false, and drops the sample,
+  /// while a write fault — global or on the series' shard — is active.
+  bool write(SeriesRef ref, TimePoint time, double value);
+
+  /// True while the series `ref` names exists. Retention erasing it stales
+  /// the ref for good; a writer holding a stale ref writes through the tag
+  /// set again and keeps the ref that write returns.
+  [[nodiscard]] bool live(SeriesRef ref) const {
+    return table_.find(ref) != nullptr;
+  }
 
   [[nodiscard]] bool has_measurement(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> measurement_names() const;
@@ -276,9 +348,10 @@ class Database {
 
   [[nodiscard]] std::size_t route(const std::string& measurement,
                                   const std::string& key) const;
-  Measurement& measurement_in(Shard& shard, const std::string& name);
+  Measurement& measurement_in(std::size_t shard, const std::string& name);
 
   std::vector<Shard> shards_;  // sized once at construction, never resized
+  SeriesTable table_;
   std::string key_;  // write's series key, reused so a write allocates none
   bool write_fault_ = false;
   std::optional<TimePoint> read_horizon_;

@@ -248,10 +248,15 @@ class GroupTable {
   std::vector<Accumulator> cells_;  // projections.size() per group
 };
 
-/// The instant a time predicate compares against.
+/// The instant a time predicate compares against. now() plus an offset
+/// past either end of the int64 clock saturates at that end.
 std::int64_t time_bound_us(const TimePredicate& tp, TimePoint now) {
-  return tp.relative_to_now ? now.micros_since_epoch() + tp.offset_us
-                            : tp.offset_us;
+  if (!tp.relative_to_now) return tp.offset_us;
+  std::int64_t bound = 0;
+  if (__builtin_add_overflow(now.micros_since_epoch(), tp.offset_us, &bound)) {
+    return tp.offset_us > 0 ? kInt64Max : kInt64Min;
+  }
+  return bound;
 }
 
 bool row_matches(const Row& row, const Predicate& predicate, TimePoint now) {

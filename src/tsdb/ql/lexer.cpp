@@ -1,6 +1,8 @@
 #include "tsdb/ql/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <stdexcept>
 
 namespace sgxo::tsdb::ql {
 
@@ -52,6 +54,31 @@ std::int64_t unit_multiplier(const std::string& unit, std::size_t offset) {
   if (unit == "d") return 24LL * 3600 * 1'000'000;
   if (unit == "w") return 7LL * 24 * 3600 * 1'000'000;
   fail("unknown duration unit '" + unit + "'", offset);
+}
+
+/// A number literal; literals a double cannot hold are errors.
+double parse_number(const std::string& digits, std::size_t offset) {
+  try {
+    return std::stod(digits);
+  } catch (const std::out_of_range&) {
+    fail("number " + digits + " is out of range", offset);
+  }
+}
+
+/// A duration literal in microseconds; durations past the int64
+/// microsecond range are errors.
+std::int64_t parse_duration_us(const std::string& digits,
+                               const std::string& unit, std::size_t offset) {
+  const std::int64_t unit_us = unit_multiplier(unit, offset);
+  std::int64_t count = 0;
+  const auto parsed =
+      std::from_chars(digits.data(), digits.data() + digits.size(), count);
+  std::int64_t us = 0;
+  if (parsed.ec != std::errc{} ||
+      __builtin_mul_overflow(count, unit_us, &us)) {
+    fail("duration " + digits + unit + " is out of range", offset);
+  }
+  return us;
 }
 
 }  // namespace
@@ -159,12 +186,12 @@ std::vector<Token> lex(const std::string& query) {
       if (unit.empty()) {
         t.kind = TokenKind::kNumber;
         t.text = digits;
-        t.number = std::stod(digits);
+        t.number = parse_number(digits, start);
       } else {
         if (has_dot) fail("fractional durations are not supported", start);
         t.kind = TokenKind::kDuration;
         t.text = digits + unit;
-        t.duration_us = std::stoll(digits) * unit_multiplier(unit, start);
+        t.duration_us = parse_duration_us(digits, unit, start);
       }
       tokens.push_back(std::move(t));
       continue;

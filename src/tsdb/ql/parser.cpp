@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 namespace sgxo::tsdb::ql {
@@ -200,6 +202,12 @@ class Parser {
       return pred;
     }
     if (peek().kind == TokenKind::kNumber) {
+      // A literal is never negative (a minus is its own token), and the
+      // cast is defined only below 2^63.
+      if (peek().number >=
+          static_cast<double>(std::numeric_limits<std::int64_t>::max())) {
+        fail("absolute time out of range");
+      }
       pred.relative_to_now = false;
       pred.offset_us = static_cast<std::int64_t>(advance().number);
       return pred;

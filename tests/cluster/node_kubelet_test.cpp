@@ -64,6 +64,24 @@ TEST(Node, MemoryUsedTracksContainers) {
   EXPECT_EQ(node.memory_used(), 0_B);
 }
 
+TEST(Node, MemoryUsedSumsEveryContainerOnce) {
+  // Two containers of one pod and one of another: the node total counts
+  // each container once, whichever pod it belongs to.
+  Node node{standard_machine()};
+  ContainerSpec cspec;
+  cspec.name = "c";
+  cspec.image = "img";
+  const ContainerId a1 = node.runtime().run("pod-a", cspec, {});
+  const ContainerId a2 = node.runtime().run("pod-a", cspec, {});
+  const ContainerId b = node.runtime().run("pod-b", cspec, {});
+  node.runtime().set_memory_usage(a1, 1_GiB);
+  node.runtime().set_memory_usage(a2, 512_MiB);
+  node.runtime().set_memory_usage(b, 256_MiB);
+  EXPECT_EQ(node.memory_used(), 1_GiB + 512_MiB + 256_MiB);
+  node.runtime().kill_pod("pod-a");
+  EXPECT_EQ(node.memory_used(), 256_MiB);
+}
+
 /// Records lifecycle callbacks with their virtual timestamps.
 class RecordingListener final : public PodLifecycleListener {
  public:
@@ -226,6 +244,38 @@ TEST_F(KubeletFixture, PodPidsListed) {
   sim_.run_until(TimePoint::epoch() + Duration::seconds(10));
   EXPECT_EQ(kubelet_.pod_pids("p").size(), 1u);
   EXPECT_EQ(kubelet_.active_pods(), std::vector<PodName>{"p"});
+}
+
+TEST_F(KubeletFixture, TwoContainerPodStatsSumBothContainers) {
+  PodSpec duo = sgx_pod("duo", Pages{100}, Pages{100}.as_bytes(),
+                        Duration::seconds(60));
+  duo.containers.push_back(duo.containers.front());
+  duo.containers.back().name = "sidecar";
+  kubelet_.admit_pod(duo);
+  kubelet_.admit_pod(
+      standard_pod("solo", 1_GiB, 1_GiB, Duration::seconds(60)));
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(10));
+  const std::vector<ContainerId> ids = node_.runtime().containers_of("duo");
+  ASSERT_EQ(ids.size(), 2u);
+  node_.runtime().set_memory_usage(ids[0], 1_GiB);
+  node_.runtime().set_memory_usage(ids[1], 512_MiB);
+  // One entry per pod, in name order, each summing the pod's containers.
+  const auto stats = kubelet_.pod_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].pod, "duo");
+  EXPECT_EQ(stats[0].memory_usage, 1_GiB + 512_MiB);
+  EXPECT_EQ(stats[1].pod, "solo");
+  EXPECT_EQ(stats[1].memory_usage, 1_GiB);
+  EXPECT_EQ(node_.memory_used(), 2_GiB + 512_MiB);
+  // Both pids, in start order; a pod not active here has none.
+  EXPECT_EQ(kubelet_.pod_pids("duo"),
+            (std::vector<sgx::Pid>{node_.runtime().info(ids[0]).pid,
+                                   node_.runtime().info(ids[1]).pid}));
+  EXPECT_TRUE(kubelet_.pod_pids("ghost").empty());
+  sim_.run();
+  EXPECT_TRUE(kubelet_.pod_stats().empty());
+  EXPECT_TRUE(kubelet_.pod_pids("duo").empty());
+  EXPECT_EQ(node_.memory_used(), 0_B);
 }
 
 TEST_F(KubeletFixture, DuplicateAdmissionRejected) {

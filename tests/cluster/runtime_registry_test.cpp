@@ -62,25 +62,6 @@ TEST(ContainerRuntime, KillPodRemovesAllItsContainers) {
   EXPECT_TRUE(rt.running(other));
 }
 
-TEST(ContainerRuntime, MemoryUsageAggregatesPerPod) {
-  ContainerRuntime rt;
-  const ContainerId c1 = rt.run("pod-a", spec(), {});
-  const ContainerId c2 = rt.run("pod-a", spec(), {});
-  rt.set_memory_usage(c1, 1_GiB);
-  rt.set_memory_usage(c2, 512_MiB);
-  EXPECT_EQ(rt.pod_memory_usage("pod-a"), 1_GiB + 512_MiB);
-  EXPECT_EQ(rt.pod_memory_usage("ghost"), 0_B);
-}
-
-TEST(ContainerRuntime, RunningPodsDeduplicated) {
-  ContainerRuntime rt;
-  (void)rt.run("pod-a", spec(), {});
-  (void)rt.run("pod-a", spec(), {});
-  (void)rt.run("pod-b", spec(), {});
-  const auto pods = rt.running_pods();
-  EXPECT_EQ(pods.size(), 2u);
-}
-
 TEST(ContainerRuntime, RejectsEmptyPodName) {
   ContainerRuntime rt;
   EXPECT_THROW((void)rt.run("", spec(), {}), ContractViolation);

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -343,20 +344,44 @@ class WriteLog {
 
 TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
   const std::uint64_t seed = GetParam();
+  // The first pair of stores takes the tag write for every sample. The
+  // second writes as Heapster and the SGX probe do: through a ref kept per
+  // pod, falling back to the tag write, and keeping its ref, once
+  // retention has erased the series and staled the ref.
+  constexpr std::size_t kTagStores = 2;
   std::vector<std::unique_ptr<Database>> stores;
-  for (const std::size_t shards : {1, 4}) {
+  for (const std::size_t shards : {1, 4, 1, 4}) {
     stores.push_back(std::make_unique<Database>(shards));
   }
   WriteLog log;
-  const auto write = [&](const Tags& tags, std::int64_t t, double value) {
-    for (auto& db : stores) db->write("sgx/epc", tags, at(t), value);
-    log.write(tags, at(t).micros_since_epoch(), value);
-  };
 
   struct Pod {
     Tags tags;
     std::int64_t end = 0;
+    std::array<SeriesRef, 2> refs{};  // one per ref-written store
   };
+  std::size_t stale_refs = 0;
+  const auto write = [&](Pod& pod, std::int64_t t, double value) {
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+      Database& db = *stores[i];
+      if (i < kTagStores) {
+        db.write("sgx/epc", pod.tags, at(t), value);
+        continue;
+      }
+      SeriesRef& ref = pod.refs[i - kTagStores];
+      if (db.live(ref)) {
+        ASSERT_TRUE(db.write(ref, at(t), value));
+        continue;
+      }
+      if (ref.generation != 0) ++stale_refs;
+      const std::optional<SeriesRef> fresh =
+          db.write("sgx/epc", pod.tags, at(t), value);
+      ASSERT_TRUE(fresh.has_value());
+      ref = *fresh;
+    }
+    log.write(pod.tags, at(t).micros_since_epoch(), value);
+  };
+
   std::vector<Pod> pods;
   Rng rng{seed * 6151 + 11};
   // Checks run on whole minutes, so a retention that is not a whole number
@@ -370,17 +395,18 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
                        {"nodename", "n" + std::to_string(rng.uniform_int(0, 3))}},
                       now + rng.uniform_int(20, 300)});
     }
-    for (const Pod& pod : pods) {
+    for (Pod& pod : pods) {
       if (now <= pod.end) {
-        write(pod.tags, now, static_cast<double>(rng.uniform_int(0, 50)));
+        write(pod, now, static_cast<double>(rng.uniform_int(0, 50)));
       }
     }
     // A late sample for some pod, live or long gone: anywhere from just
-    // now to past the retention horizon, often into an erased series.
+    // now to past the retention horizon, often into an erased series,
+    // whose refs are then stale.
     if (!pods.empty() && rng.bernoulli(0.2)) {
-      const Pod& pod = pods[static_cast<std::size_t>(
+      Pod& pod = pods[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(pods.size()) - 1))];
-      write(pod.tags, std::max<std::int64_t>(0, now - rng.uniform_int(0, 700)),
+      write(pod, std::max<std::int64_t>(0, now - rng.uniform_int(0, 700)),
             static_cast<double>(rng.uniform_int(1, 50)));
     }
     if (now % 60 != 0) continue;
@@ -448,8 +474,10 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
       EXPECT_EQ(db->series_count("sgx/epc"), log.live_series()) << context;
     }
   }
-  // Retention really did erase series along the way.
+  // Retention really did erase series along the way, and writes met the
+  // refs it staled.
   EXPECT_LT(stores[0]->series_count("sgx/epc"), pods.size());
+  EXPECT_GT(stale_refs, 0u);
 }
 
 // --- newest_time: the staleness probe's answer ----------------------------

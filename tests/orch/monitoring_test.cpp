@@ -9,6 +9,7 @@
 #include "orch/api_server.hpp"
 #include "orch/daemonset.hpp"
 #include "orch/heapster.hpp"
+#include "orch/pod_sample_writer.hpp"
 #include "orch/sgx_probe.hpp"
 #include "tsdb/ql/executor.hpp"
 
@@ -106,6 +107,124 @@ TEST_F(MonitoringFixture, HeapsterEnforcesRetention) {
   EXPECT_EQ(db_.total_points(), per_series);
 }
 
+/// The points of the series of `tags` in `measurement`, oldest first
+/// (empty when there is no such series).
+std::vector<tsdb::Point> points_of(const tsdb::Database& db,
+                                   const std::string& measurement,
+                                   const tsdb::Tags& tags) {
+  const tsdb::Measurement* m =
+      db.find_measurement(measurement, db.shard_of(measurement, tags));
+  const tsdb::Series* series = m == nullptr ? nullptr : m->find_series(tags);
+  return series == nullptr ? std::vector<tsdb::Point>{} : series->points();
+}
+
+tsdb::Tags memory_tags(const std::string& pod, const std::string& node) {
+  return {{"nodename", node}, {"pod_name", pod}, {"type", "pod"}};
+}
+
+TEST_F(MonitoringFixture, ReboundPodIsSampledUnderItsNewNode) {
+  Heapster heapster{sim_, api_, db_, Duration::seconds(10)};
+  heapster.start();
+  api_.submit(standard_pod("mover", 1_GiB, Duration::hours(1)));
+  ASSERT_TRUE(api_.try_bind("mover", "node-1",
+                            api_.pod("mover").resource_version)
+                  .bound());
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(35));
+  // Evicted and bound to the other node between two scrapes: the next
+  // scrape finds the pod on sgx-1 while its kept ref names the node-1
+  // series, which is still live.
+  api_.evict("mover", "test");
+  ASSERT_TRUE(api_.try_bind("mover", "sgx-1",
+                            api_.pod("mover").resource_version)
+                  .bound());
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(65));
+  heapster.stop();
+  const std::vector<tsdb::Point> before = points_of(
+      db_, Heapster::kMemoryMeasurement, memory_tags("mover", "node-1"));
+  const std::vector<tsdb::Point> after = points_of(
+      db_, Heapster::kMemoryMeasurement, memory_tags("mover", "sgx-1"));
+  ASSERT_EQ(before.size(), 3u);  // 10, 20 and 30 s
+  EXPECT_EQ(before.back().time, TimePoint::epoch() + Duration::seconds(30));
+  ASSERT_EQ(after.size(), 3u);  // 40, 50 and 60 s
+  EXPECT_EQ(after.front().time, TimePoint::epoch() + Duration::seconds(40));
+  EXPECT_EQ(db_.series_count(Heapster::kMemoryMeasurement), 2u);
+}
+
+TEST_F(MonitoringFixture, SamplingResumesIntoAFreshSeriesAfterAnOutage) {
+  constexpr Duration kPeriod = Duration::seconds(10);
+  Heapster heapster{sim_, api_, db_, kPeriod};
+  heapster.start();
+  api_.submit(standard_pod("long", 1_GiB, Duration::hours(2)));
+  ASSERT_TRUE(api_.try_bind("long", "node-1",
+                            api_.pod("long").resource_version)
+                  .bound());
+  const tsdb::Tags tags = memory_tags("long", "node-1");
+  sim_.run_until(TimePoint::epoch() + Duration::minutes(1));
+  ASSERT_EQ(points_of(db_, Heapster::kMemoryMeasurement, tags).size(), 6u);
+  // A dropout longer than the retention: the live pod's series is erased.
+  heapster.set_drop_samples(true);
+  sim_.run_until(TimePoint::epoch() + Duration::minutes(17));
+  EXPECT_EQ(db_.series_count(Heapster::kMemoryMeasurement), 0u);
+  heapster.set_drop_samples(false);
+  sim_.run_until(TimePoint::epoch() + Duration::minutes(17) +
+                 Duration::seconds(25));
+  std::vector<tsdb::Point> points =
+      points_of(db_, Heapster::kMemoryMeasurement, tags);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points.front().time,
+            TimePoint::epoch() + Duration::minutes(17) + kPeriod);
+  // A TSDB write outage longer than the retention: the scrapes keep
+  // writing through the pod's ref, fail, and retention erases the series
+  // under the ref. The first scrape after the outage finds the ref stale
+  // and starts a fresh series through the tag write.
+  db_.set_write_fault(true);
+  sim_.run_until(TimePoint::epoch() + Duration::minutes(33));
+  EXPECT_EQ(db_.series_count(Heapster::kMemoryMeasurement), 0u);
+  EXPECT_EQ(db_.failed_writes(), 94u);  // 17:30 to 33:00, every 10 s
+  db_.set_write_fault(false);
+  sim_.run_until(TimePoint::epoch() + Duration::minutes(33) +
+                 Duration::seconds(25));
+  heapster.stop();
+  points = points_of(db_, Heapster::kMemoryMeasurement, tags);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points.front().time,
+            TimePoint::epoch() + Duration::minutes(33) + kPeriod);
+  EXPECT_EQ(db_.series_count(Heapster::kMemoryMeasurement), 1u);
+}
+
+TEST_F(MonitoringFixture, SampleWriterKeepsRefsForThePodsOfTheLastRound) {
+  PodSampleWriter writer{db_, "m", {}};
+  const auto at = [](std::int64_t s) {
+    return TimePoint::epoch() + Duration::seconds(s);
+  };
+  writer.write("a", "n1", at(1), 1.0);
+  writer.write("b", "n1", at(1), 2.0);
+  writer.end_round();
+  EXPECT_EQ(writer.cached_pods(), 2u);
+  writer.write("a", "n1", at(2), 3.0);
+  writer.end_round();
+  EXPECT_EQ(writer.cached_pods(), 1u);  // b was not written
+  // A node change resolves a new series.
+  writer.write("a", "n2", at(3), 4.0);
+  EXPECT_EQ(writer.tags_of("a", "n1"),
+            (tsdb::Tags{{"nodename", "n1"}, {"pod_name", "a"}}));
+  writer.end_round();
+  EXPECT_EQ(writer.cached_pods(), 1u);
+  const auto values = [&](const std::string& pod, const std::string& node) {
+    std::vector<double> out;
+    for (const tsdb::Point& p :
+         points_of(db_, "m", {{"nodename", node}, {"pod_name", pod}})) {
+      out.push_back(p.value);
+    }
+    return out;
+  };
+  EXPECT_EQ(values("a", "n1"), (std::vector<double>{1.0, 3.0}));
+  EXPECT_EQ(values("a", "n2"), std::vector<double>{4.0});
+  EXPECT_EQ(values("b", "n1"), std::vector<double>{2.0});
+  writer.end_round();
+  EXPECT_EQ(writer.cached_pods(), 0u);
+}
+
 TEST_F(MonitoringFixture, SgxProbeReportsPodEpcInBytes) {
   api_.submit(sgx_pod("enclave", Pages{2048}, Duration::minutes(5)));
   ASSERT_TRUE(api_.try_bind("enclave", "sgx-1",
@@ -184,6 +303,28 @@ TEST_F(MonitoringFixture, DaemonSetCoversNewSgxNode) {
   daemonset.stop();
 }
 
+TEST_F(MonitoringFixture, DelayedProbeSampleLandsAfterTheProbeCrashed) {
+  api_.submit(sgx_pod("e", Pages{512}, Duration::minutes(10)));
+  ASSERT_TRUE(
+      api_.try_bind("e", "sgx-1", api_.pod("e").resource_version).bound());
+  ProbeDaemonSet daemonset{sim_, api_, db_, Duration::seconds(10),
+                           Duration::minutes(30)};
+  daemonset.start();
+  daemonset.set_sample_delay("", Duration::seconds(5));
+  // The probe samples at 10 s; the sample is still in flight when the
+  // probe process dies at 12 s, and lands at 15 s all the same.
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(12));
+  ASSERT_EQ(daemonset.probe("sgx-1")->delayed_samples(), 1u);
+  daemonset.crash_probe("sgx-1");
+  sim_.run_until(TimePoint::epoch() + Duration::seconds(16));
+  const std::vector<tsdb::Point> points =
+      points_of(db_, SgxProbe::kEpcMeasurement,
+                {{"nodename", "sgx-1"}, {"pod_name", "e"}});
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].time, TimePoint::epoch() + Duration::seconds(10));
+  daemonset.stop();
+}
+
 TEST_F(MonitoringFixture, ProbeAndHeapsterShareDatabase) {
   // The point of the shared schema: the scheduler can issue equivalent
   // queries for SGX and non-SGX metrics (§V-C).
@@ -205,8 +346,9 @@ TEST_F(MonitoringFixture, ProbeAndHeapsterShareDatabase) {
 }
 
 TEST_F(MonitoringFixture, EachSeriesCarriesOnlyItsOwnPodsTagsAndValues) {
-  // Heapster and the probe refill one tag set per sample; no pod's tags or
-  // value may leak into another pod's series, on time or delayed.
+  // Heapster and the probe keep a series ref per pod and refill one tag
+  // set for each tag write; no pod's tags or value may leak into another
+  // pod's series, on time or delayed.
   api_.submit(standard_pod("m", 1_GiB, Duration::minutes(10)));
   api_.submit(sgx_pod("e", Pages{512}, Duration::minutes(10)));
   api_.submit(sgx_pod("f", Pages{256}, Duration::minutes(10)));

@@ -154,6 +154,29 @@ TEST(Executor, TimeBoundsAreInclusiveExclusiveByOp) {
   EXPECT_TRUE(gt.rows.empty());
 }
 
+TEST(Executor, NowOffsetsPastTheClockSaturate) {
+  Database db;
+  db.write("m", {}, at(10), 1.0);
+  // now() + INT64_MAX us is past the end of the clock: no point is at or
+  // after it, and every point is at or before it.
+  const std::string max_us = "9223372036854775807us";
+  EXPECT_TRUE(query("SELECT COUNT(value) AS n FROM m WHERE time >= now() + " +
+                        max_us,
+                    db, at(100))
+                  .rows.empty());
+  const ResultSet before = query(
+      "SELECT COUNT(value) AS n FROM m WHERE time <= now() + " + max_us, db,
+      at(100));
+  ASSERT_EQ(before.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(before.rows[0].field("n"), 1.0);
+  // now() - INT64_MAX us stays on the clock here; the point is after it.
+  const ResultSet after = query(
+      "SELECT COUNT(value) AS n FROM m WHERE time >= now() - " + max_us, db,
+      at(100));
+  ASSERT_EQ(after.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(after.rows[0].field("n"), 1.0);
+}
+
 TEST(Executor, SubqueryFieldMismatchDropsRows) {
   Database db;
   db.write("m", {{"k", "v"}}, TimePoint::from_micros(1), 1.0);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace sgxo::tsdb::ql {
 namespace {
 
@@ -52,6 +56,21 @@ TEST(Lexer, RejectsUnknownDurationUnit) {
 
 TEST(Lexer, RejectsFractionalDuration) {
   EXPECT_THROW(lex("2.5s"), QueryError);
+}
+
+TEST(Lexer, RejectsOutOfRangeLiterals) {
+  // A count past int64, a count whose microseconds overflow, and an
+  // integer no double holds are query errors, not library exceptions or
+  // wrapped values.
+  EXPECT_THROW(lex("99999999999999999999s"), QueryError);
+  EXPECT_THROW(lex("99999999999999w"), QueryError);
+  EXPECT_THROW(lex("15250285w"), QueryError);
+  EXPECT_THROW(lex(std::string(400, '9')), QueryError);
+  // The largest durations that fit still lex.
+  EXPECT_EQ(lex("9223372036854775807us")[0].duration_us,
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(lex("15250284w")[0].duration_us, 9223371763200000000LL);
+  EXPECT_DOUBLE_EQ(lex(std::string(300, '9'))[0].number, 1e300);
 }
 
 TEST(Lexer, ComparisonOperators) {

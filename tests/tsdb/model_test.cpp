@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,11 @@ namespace {
 
 TimePoint at(std::int64_t seconds) {
   return TimePoint::epoch() + Duration::seconds(seconds);
+}
+
+/// A tag write into a bare measurement, as Database::write makes it.
+void put(Measurement& m, const Tags& tags, Point p) {
+  m.append(m.series_for(tags, tags_key(tags)), p);
 }
 
 /// The points of `s` with lo <= time <= hi, as the executor visits them.
@@ -106,11 +112,12 @@ TEST(Series, DropBeforeRemovesOldPoints) {
 }
 
 TEST(Measurement, SeriesIdentityByTags) {
-  Measurement m{"m"};
-  m.append({{"pod", "a"}}, "pod=a", {at(1), 1.0});
+  SeriesTable table;
+  Measurement m{"m", table, 0};
+  put(m, {{"pod", "a"}}, {at(1), 1.0});
   const Series* a = m.find_series({{"pod", "a"}});
-  m.append({{"pod", "b"}}, "pod=b", {at(1), 2.0});
-  m.append({{"pod", "a"}}, "pod=a", {at(2), 3.0});
+  put(m, {{"pod", "b"}}, {at(1), 2.0});
+  put(m, {{"pod", "a"}}, {at(2), 3.0});
   EXPECT_EQ(m.find_series({{"pod", "a"}}), a);
   EXPECT_NE(m.find_series({{"pod", "b"}}), a);
   EXPECT_EQ(a->size(), 2u);
@@ -118,20 +125,22 @@ TEST(Measurement, SeriesIdentityByTags) {
 }
 
 TEST(Measurement, FindSeries) {
-  Measurement m{"m"};
-  m.append({{"pod", "a"}}, "pod=a", {at(1), 1.0});
+  SeriesTable table;
+  Measurement m{"m", table, 0};
+  put(m, {{"pod", "a"}}, {at(1), 1.0});
   EXPECT_NE(m.find_series({{"pod", "a"}}), nullptr);
   EXPECT_EQ(m.find_series({{"pod", "zzz"}}), nullptr);
 }
 
 TEST(Measurement, ScanVisitsOnlySeriesAppendedSinceInKeyOrder) {
-  Measurement m{"m"};
-  m.append({{"pod", "d"}}, "pod=d", {at(40), 1.0});
-  m.append({{"pod", "b"}}, "pod=b", {at(10), 1.0});
-  m.append({{"pod", "c"}}, "pod=c", {at(50), 1.0});
-  m.append({{"pod", "a"}}, "pod=a", {at(45), 1.0});
-  m.append({{"pod", "b"}}, "pod=b", {at(5), 1.0});  // late: b stays at 10 s
-  m.append({{"pod", "d"}}, "pod=d", {at(60), 1.0});
+  SeriesTable table;
+  Measurement m{"m", table, 0};
+  put(m, {{"pod", "d"}}, {at(40), 1.0});
+  put(m, {{"pod", "b"}}, {at(10), 1.0});
+  put(m, {{"pod", "c"}}, {at(50), 1.0});
+  put(m, {{"pod", "a"}}, {at(45), 1.0});
+  put(m, {{"pod", "b"}}, {at(5), 1.0});  // late: b stays at 10 s
+  put(m, {{"pod", "d"}}, {at(60), 1.0});
   const auto visited = [&](std::int64_t lo_s) {
     std::vector<std::string> pods;
     m.for_each_series_since(at(lo_s).micros_since_epoch(),
@@ -148,17 +157,18 @@ TEST(Measurement, ScanVisitsOnlySeriesAppendedSinceInKeyOrder) {
 }
 
 TEST(Measurement, SummaryStaysExactWhenRetentionErasesSeries) {
-  Measurement m{"m"};
-  m.append({{"pod", "a"}}, "pod=a", {at(10), 1.0});
-  m.append({{"pod", "b"}}, "pod=b", {at(20), 2.0});
-  m.append({{"pod", "c"}}, "pod=c", {at(100), 3.0});
-  m.append({{"pod", "d"}}, "pod=d", {at(110), 4.0});
+  SeriesTable table;
+  Measurement m{"m", table, 0};
+  put(m, {{"pod", "a"}}, {at(10), 1.0});
+  put(m, {{"pod", "b"}}, {at(20), 2.0});
+  put(m, {{"pod", "c"}}, {at(100), 3.0});
+  put(m, {{"pod", "d"}}, {at(110), 4.0});
   // a and b empty, and the series after them move up in the summary.
   EXPECT_EQ(m.drop_before(at(50)), 2u);
   EXPECT_EQ(m.series_count(), 2u);
   // Writes to the moved series update their own entries.
-  m.append({{"pod", "d"}}, "pod=d", {at(200), 5.0});
-  m.append({{"pod", "c"}}, "pod=c", {at(60), 6.0});  // late: oldest now 60 s
+  put(m, {{"pod", "d"}}, {at(200), 5.0});
+  put(m, {{"pod", "c"}}, {at(60), 6.0});  // late: oldest now 60 s
   std::vector<std::string> hot;
   m.for_each_series_since(
       at(150).micros_since_epoch(),
@@ -304,9 +314,10 @@ TEST(Series, NewestAppendBoundSurvivesRetention) {
 }
 
 TEST(Measurement, RetentionErasesSeriesWithNoPointsAndNoBuckets) {
-  Measurement m{"m"};
-  m.append({{"pod", "gone"}}, "pod=gone", {at(5), 1.0});
-  m.append({{"pod", "live"}}, "pod=live", {at(560), 2.0});
+  SeriesTable table;
+  Measurement m{"m", table, 0};
+  put(m, {{"pod", "gone"}}, {at(5), 1.0});
+  put(m, {{"pod", "live"}}, {at(560), 2.0});
   // Horizon 540 s: every point of "gone" is expired.
   EXPECT_EQ(m.drop_before(at(540)), 1u);
   EXPECT_EQ(m.series_count(), 1u);
@@ -433,6 +444,160 @@ TEST(Database, ShardedRetentionMatchesFlat) {
   const std::size_t b = flat.enforce_retention(at(100), Duration::seconds(30));
   EXPECT_EQ(a, b);
   EXPECT_EQ(sharded.total_points(), flat.total_points());
+}
+
+// --- Series refs ---------------------------------------------------------
+
+/// The series of `tags` in measurement `name`, or nullptr.
+const Series* series_of(const Database& db, const Tags& tags,
+                        const std::string& name = "m") {
+  const Measurement* m = db.find_measurement(name, db.shard_of(name, tags));
+  return m == nullptr ? nullptr : m->find_series(tags);
+}
+
+std::vector<double> values_of(const Series& series) {
+  std::vector<double> values;
+  for (const Point& p : series.points()) values.push_back(p.value);
+  return values;
+}
+
+TEST(SeriesRef, RefAndTagWritesLandInOneSeries) {
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    const Tags tags{{"nodename", "n"}, {"pod_name", "p"}};
+    const std::optional<SeriesRef> ref = db.write("m", tags, at(1), 1.0);
+    ASSERT_TRUE(ref.has_value());
+    EXPECT_TRUE(db.live(*ref));
+    EXPECT_TRUE(db.write(*ref, at(2), 2.0));
+    // The tag write finds the series the ref names and hands out its ref.
+    const std::optional<SeriesRef> again = db.write("m", tags, at(3), 3.0);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->slot, ref->slot);
+    EXPECT_EQ(again->generation, ref->generation);
+    EXPECT_TRUE(db.write(*ref, at(0), 0.5));  // late, through the ref
+    EXPECT_EQ(db.series_count("m"), 1u);
+    EXPECT_EQ(db.points_in("m"), 4u);
+    EXPECT_EQ(db.total_points(), 4u);
+    EXPECT_EQ(db.newest_time("m"), at(3));
+    const Series* series = series_of(db, tags);
+    ASSERT_NE(series, nullptr);
+    EXPECT_EQ(values_of(*series), (std::vector<double>{0.5, 1.0, 2.0, 3.0}));
+    // Ref-written points keep the measurement's summary exact: a windowed
+    // scan finds them.
+    const ql::ResultSet window = ql::query(
+        "SELECT COUNT(value) AS n, SUM(value) AS s FROM m "
+        "WHERE time >= now() - 1s",
+        db, at(3));
+    ASSERT_EQ(window.rows.size(), 1u);
+    EXPECT_EQ(window.rows[0].field("n"), 2.0);
+    EXPECT_EQ(window.rows[0].field("s"), 5.0);
+  }
+}
+
+TEST(SeriesRef, RetentionStalesTheRefAndTheTagWriteStartsAFreshSeries) {
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    const Tags gone{{"pod_name", "gone"}};
+    const Tags kept{{"pod_name", "kept"}};
+    const SeriesRef old = db.write("m", gone, at(10), 1.0).value();
+    const SeriesRef trimmed = db.write("m", kept, at(10), 1.0).value();
+    ASSERT_TRUE(db.write(trimmed, at(200), 2.0));
+    // Horizon 100 s: "gone" is erased, "kept" only loses its first point.
+    EXPECT_EQ(db.enforce_retention(at(200), Duration::seconds(100)), 2u);
+    EXPECT_FALSE(db.live(old));
+    EXPECT_TRUE(db.live(trimmed));
+    EXPECT_THROW(db.write(old, at(150), 3.0), ContractViolation);
+    EXPECT_EQ(db.total_points(), 1u);
+    // The writer's fallback: the tag write makes a fresh series, whose
+    // first point is the new one.
+    const SeriesRef fresh = db.write("m", gone, at(150), 3.0).value();
+    EXPECT_TRUE(db.live(fresh));
+    EXPECT_FALSE(db.live(old));
+    EXPECT_EQ(db.series_count("m"), 2u);
+    const Series* series = series_of(db, gone);
+    ASSERT_NE(series, nullptr);
+    EXPECT_EQ(values_of(*series), std::vector<double>{3.0});
+    EXPECT_EQ(series->newest_append_us(), at(150).micros_since_epoch());
+    EXPECT_TRUE(db.write(fresh, at(210), 4.0));
+    EXPECT_EQ(values_of(*series), (std::vector<double>{3.0, 4.0}));
+  }
+}
+
+TEST(SeriesRef, OldRefIsRejectedAfterAnotherSeriesReusesItsSlot) {
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    EXPECT_FALSE(db.live(SeriesRef{}));  // a default ref names no series
+    std::vector<SeriesRef> old;
+    old.push_back(db.write("m", {{"pod_name", "p0"}}, at(0), 1.0).value());
+    for (int round = 1; round <= 3; ++round) {
+      SCOPED_TRACE("round=" + std::to_string(round));
+      // Retention erases the one series, and the next new series, of
+      // another tag set and even another measurement, takes its slot.
+      db.enforce_retention(at(100 * round), Duration::seconds(50));
+      ASSERT_EQ(db.total_points(), 0u);
+      const Tags tags{{"pod_name", "p" + std::to_string(round)}};
+      const std::string name = round % 2 == 0 ? "m" : "other";
+      const SeriesRef reused = db.write(name, tags, at(100 * round), 2.0).value();
+      EXPECT_EQ(reused.slot, old.front().slot);
+      for (const SeriesRef& stale : old) {
+        EXPECT_NE(reused.generation, stale.generation);
+        EXPECT_FALSE(db.live(stale));
+        EXPECT_THROW(db.write(stale, at(100 * round), 9.0), ContractViolation);
+      }
+      EXPECT_TRUE(db.write(reused, at(100 * round + 1), 3.0));
+      const Series* series = series_of(db, tags, name);
+      ASSERT_NE(series, nullptr);
+      EXPECT_EQ(values_of(*series), (std::vector<double>{2.0, 3.0}));
+      EXPECT_EQ(db.total_points(), 2u);
+      old.push_back(reused);
+    }
+  }
+}
+
+TEST(SeriesRef, RefWriteUnderAFaultCountsOnTheRoutedShardAndStoresNothing) {
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    const Tags tags{{"pod_name", "p"}};
+    const std::size_t shard = db.shard_of("m", tags);
+    const SeriesRef ref = db.write("m", tags, at(1), 1.0).value();
+    db.set_write_fault(true);
+    EXPECT_FALSE(db.write(ref, at(2), 2.0));
+    db.set_write_fault(false);
+    db.set_shard_write_fault(shard, true);
+    EXPECT_FALSE(db.write(ref, at(3), 3.0));
+    EXPECT_EQ(db.write("m", tags, at(4), 4.0), std::nullopt);
+    EXPECT_EQ(db.shard_failed_writes(shard), 3u);
+    EXPECT_EQ(db.failed_writes(), 3u);
+    EXPECT_EQ(db.points_in("m"), 1u);
+    EXPECT_EQ(db.newest_time("m"), at(1));
+    // A fault drops samples; the series and its ref stay.
+    EXPECT_TRUE(db.live(ref));
+    db.set_shard_write_fault(shard, false);
+    EXPECT_TRUE(db.write(ref, at(5), 5.0));
+    EXPECT_EQ(values_of(*series_of(db, tags)),
+              (std::vector<double>{1.0, 5.0}));
+  }
+}
+
+TEST(SeriesRef, FailedTagWriteCreatesNoSeries) {
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Database db{shards};
+    const Tags tags{{"pod_name", "p"}};
+    db.set_shard_write_fault(db.shard_of("m", tags), true);
+    EXPECT_EQ(db.write("m", tags, at(1), 1.0), std::nullopt);
+    EXPECT_EQ(db.series_count("m"), 0u);
+    EXPECT_EQ(db.failed_writes(), 1u);
+    db.set_shard_write_fault(db.shard_of("m", tags), false);
+    // The first series the database makes takes the first slot.
+    const SeriesRef ref = db.write("m", tags, at(2), 2.0).value();
+    EXPECT_EQ(ref.slot, 0u);
+    EXPECT_EQ(db.series_count("m"), 1u);
+  }
 }
 
 }  // namespace

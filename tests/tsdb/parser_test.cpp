@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <variant>
+
 namespace sgxo::tsdb::ql {
 namespace {
 
@@ -102,6 +107,25 @@ TEST(Parser, AbsoluteTimePredicate) {
   const auto& pred = std::get<TimePredicate>(stmt.where[0]);
   EXPECT_FALSE(pred.relative_to_now);
   EXPECT_EQ(pred.offset_us, 123456);
+}
+
+TEST(Parser, RejectsOutOfRangeTimes) {
+  const std::string where = "SELECT MAX(value) FROM m WHERE time >= ";
+  for (const std::string rhs :
+       {"now() - 99999999999999999999s", "now() - 99999999999999w",
+        "99999999999999999999999", "9223372036854775808"}) {
+    EXPECT_THROW((void)parse(where + rhs), QueryError) << rhs;
+  }
+  // The extremes that fit: the largest offset, and the largest double
+  // below 2^63 as an absolute time.
+  EXPECT_EQ(std::get<TimePredicate>(
+                parse(where + "now() - 9223372036854775807us").where[0])
+                .offset_us,
+            -std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(
+      std::get<TimePredicate>(parse(where + "9223372036854774784").where[0])
+          .offset_us,
+      9223372036854774784LL);
 }
 
 TEST(Parser, ConjunctionOfPredicates) {
