@@ -10,7 +10,7 @@
 namespace sgxo::cluster {
 
 namespace {
-// Re-attestation at bind delivery (see Kubelet::AttestationPolicy).
+// Re-attestation at bind delivery (see Kubelet::enable_attestation).
 constexpr Duration kAttestationRevalidateTtl = Duration::minutes(5);
 constexpr Duration kAttestationBackoffBase = Duration::millis(500);
 constexpr Duration kAttestationBackoffCap = Duration::seconds(30);
@@ -64,7 +64,7 @@ void Kubelet::admit_pod(const PodSpec& spec) {
   }
 
   const auto emplaced = active_.emplace(
-      spec.name, ActivePod{spec, {}, std::nullopt, true, std::nullopt});
+      spec.name, ActivePod{spec, {}, std::nullopt, std::nullopt});
   const std::uint64_t incarnation = ++next_incarnation_;
   emplaced.first->second.incarnation = incarnation;
 
@@ -76,17 +76,10 @@ void Kubelet::admit_pod(const PodSpec& spec) {
 }
 
 void Kubelet::enable_attestation(sgx::QuoteTransport& transport,
-                                 std::function<sgx::Quote()> quote_source,
-                                 AttestationPolicy policy) {
+                                 std::function<sgx::Quote()> quote_source) {
   SGXO_CHECK_MSG(static_cast<bool>(quote_source), "null quote source");
   attestation_transport_ = &transport;
   quote_source_ = std::move(quote_source);
-  attestation_policy_ = policy;
-}
-
-void Kubelet::enable_attestation(sgx::QuoteTransport& transport,
-                                 std::function<sgx::Quote()> quote_source) {
-  enable_attestation(transport, std::move(quote_source), AttestationPolicy{});
 }
 
 void Kubelet::gate_admission(const PodName& name, std::uint64_t incarnation,
@@ -113,8 +106,6 @@ void Kubelet::gate_admission(const PodName& name, std::uint64_t incarnation,
         pod_it->second.incarnation != incarnation) {
       return;  // torn down mid-verification
     }
-    const PodSpec& pod_spec = pod_it->second.spec;
-
     if (verdict.accepted()) {
       has_local_verdict_ = true;
       local_verdict_expires_ = sim_->now() + kAttestationRevalidateTtl;
@@ -129,9 +120,9 @@ void Kubelet::gate_admission(const PodName& name, std::uint64_t incarnation,
       listener_->on_pod_failed(name, "AttestationRejected");
       return;
     }
-    // Transient verifier failure. Non-SGX pods may fail open; SGX pods
-    // fail closed and retry with capped exponential backoff + jitter.
-    if (!pod_spec.wants_sgx() && attestation_policy_.fail_open_non_sgx) {
+    // Transient verifier failure. Non-SGX pods fail open; SGX pods fail
+    // closed and retry with capped exponential backoff + jitter.
+    if (!pod_it->second.spec.wants_sgx()) {
       ++degraded_admissions_;
       begin_image_pull(name, incarnation);
       return;
@@ -313,10 +304,8 @@ void Kubelet::teardown(ActivePod& pod) {
   node_->runtime().kill_pod(pod.spec.name);
   if (pod.spec.wants_sgx() && node_->has_sgx()) {
     node_->device_allocator().release(pod.spec.name);
-    if (pod.limits_installed) {
-      node_->driver()->forget_pod(
-          ContainerRuntime::cgroup_path_for(pod.spec.name));
-    }
+    node_->driver()->forget_pod(
+        ContainerRuntime::cgroup_path_for(pod.spec.name));
   }
 }
 
@@ -376,7 +365,7 @@ void Kubelet::admit_migrated(MigrationBundle bundle,
   node_->driver()->set_pod_limit(ContainerRuntime::cgroup_path_for(name),
                                  effective_epc_limit(bundle.spec));
   const auto emplaced = active_.emplace(
-      name, ActivePod{bundle.spec, {}, std::nullopt, true, std::nullopt});
+      name, ActivePod{bundle.spec, {}, std::nullopt, std::nullopt});
   const std::uint64_t incarnation = ++next_incarnation_;
   emplaced.first->second.incarnation = incarnation;
 
@@ -429,7 +418,9 @@ void Kubelet::evict_pod(const PodName& pod) {
 }
 
 void Kubelet::handle_node_failure() {
-  std::vector<PodName> victims = active_pods();
+  std::vector<PodName> victims;
+  victims.reserve(active_.size());
+  for (const auto& [name, pod] : active_) victims.push_back(name);
   for (const PodName& pod : victims) {
     const auto it = active_.find(pod);
     if (it == active_.end()) continue;
@@ -437,39 +428,6 @@ void Kubelet::handle_node_failure() {
     active_.erase(it);
     listener_->on_pod_failed(pod, "NodeFailure");
   }
-}
-
-std::vector<Kubelet::PodStats> Kubelet::pod_stats() const {
-  std::vector<PodStats> stats;
-  stats.reserve(active_.size());
-  for (const auto& [name, pod] : active_) {
-    Bytes usage{};
-    for (const ContainerId id : pod.containers) {
-      usage += node_->runtime().info(id).memory_usage;
-    }
-    stats.push_back(PodStats{name, usage});
-  }
-  return stats;
-}
-
-std::vector<sgx::Pid> Kubelet::pod_pids(const PodName& pod) const {
-  std::vector<sgx::Pid> pids;
-  const auto it = active_.find(pod);
-  if (it == active_.end()) return pids;
-  pids.reserve(it->second.containers.size());
-  for (const ContainerId id : it->second.containers) {
-    pids.push_back(node_->runtime().info(id).pid);
-  }
-  return pids;
-}
-
-std::vector<PodName> Kubelet::active_pods() const {
-  std::vector<PodName> pods;
-  pods.reserve(active_.size());
-  for (const auto& [name, pod] : active_) {
-    pods.push_back(name);
-  }
-  return pods;
 }
 
 }  // namespace sgxo::cluster

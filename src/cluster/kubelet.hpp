@@ -13,8 +13,9 @@
 // per container plus size-dependent enclave allocation; <1 ms for standard
 // pods.
 //
-// The monitoring reads (Heapster's pod_stats, the SGX probe's pod_pids)
-// walk each active pod's own container list, not the node's runtime.
+// The monitoring reads (Heapster's memory scrape, the SGX probe's EPC
+// probe) visit each active pod's own container list, not the node's
+// runtime.
 #pragma once
 
 #include <cstdint>
@@ -69,28 +70,17 @@ class Kubelet {
   [[nodiscard]] bool can_admit(const PodSpec& spec) const;
 
   // ---- attestation at bind delivery ----------------------------------------
-  /// Node-local re-verification policy, mirroring the EPC admission guard:
-  /// even if the control plane's cached verdict said yes, the kubelet
-  /// re-attests before containers start (defence against a stale
-  /// control-plane cache). A local verdict younger than 5 min is trusted
-  /// without a new round-trip, so only the first admission per 5 min pays
-  /// verification latency. Transient verifier failures (unavailable /
-  /// timed out) are retried with exponential backoff from 500 ms, capped
-  /// at 30 s, plus deterministic per-attempt jitter.
-  struct AttestationPolicy {
-    /// Degradation: non-SGX pods start anyway while the verifier is
-    /// unreachable (counted in degraded_admissions); SGX pods always fail
-    /// closed and keep retrying.
-    bool fail_open_non_sgx = true;
-  };
-
-  /// Enables quote re-verification at bind delivery. `quote_source`
-  /// produces this node's current quote on demand. (Two overloads instead
-  /// of a defaulted policy: GCC rejects a nested class's member
-  /// initializers in the enclosing class's default arguments.)
-  void enable_attestation(sgx::QuoteTransport& transport,
-                          std::function<sgx::Quote()> quote_source,
-                          AttestationPolicy policy);
+  /// Enables quote re-verification at bind delivery, mirroring the EPC
+  /// admission guard: even if the control plane's cached verdict said yes,
+  /// the kubelet re-attests before containers start (defence against a
+  /// stale control-plane cache). `quote_source` produces this node's
+  /// current quote on demand. A local verdict younger than 5 min is
+  /// trusted without a new round-trip, so only the first admission per
+  /// 5 min pays verification latency. While the verifier is unreachable
+  /// (unavailable / timed out) non-SGX pods start anyway (counted in
+  /// degraded_admissions); SGX pods fail closed and retry with exponential
+  /// backoff from 500 ms, capped at 30 s, plus deterministic per-attempt
+  /// jitter.
   void enable_attestation(sgx::QuoteTransport& transport,
                           std::function<sgx::Quote()> quote_source);
   [[nodiscard]] bool attestation_enabled() const {
@@ -104,7 +94,7 @@ class Kubelet {
   [[nodiscard]] std::uint64_t attestation_retries() const {
     return attestation_retries_;
   }
-  /// Non-SGX pods started without a verdict (fail-open policy).
+  /// Non-SGX pods started without a verdict (they fail open).
   [[nodiscard]] std::uint64_t degraded_admissions() const {
     return degraded_admissions_;
   }
@@ -113,20 +103,15 @@ class Kubelet {
     return attestation_rejected_pods_;
   }
 
-  /// Per-pod standard memory usage, the stats Heapster scrapes: one entry
-  /// per active pod, in name order, summing the pod's own containers.
-  struct PodStats {
-    PodName pod;
-    Bytes memory_usage{};
-  };
-  [[nodiscard]] std::vector<PodStats> pod_stats() const;
-
-  /// Pids of an active pod's containers, in start order (none for a pod
-  /// not active here) — the SGX probe feeds these to the driver's
-  /// per-process ioctl. Like pod_stats, it reads the pod's own container
-  /// list, not the node's whole runtime.
-  [[nodiscard]] std::vector<sgx::Pid> pod_pids(const PodName& pod) const;
-  [[nodiscard]] std::vector<PodName> active_pods() const;
+  /// Calls `visit(const PodName&, const std::vector<ContainerId>&)` for
+  /// each active pod, in name order, with its containers in start order —
+  /// the per-pod read of the monitors: Heapster sums the containers'
+  /// memory, the SGX probe feeds their pids to the driver's per-process
+  /// ioctl. Nothing is copied; `visit` must not admit or tear down pods.
+  template <typename F>
+  void for_each_active_pod(F&& visit) const {
+    for (const auto& [name, pod] : active_) visit(name, pod.containers);
+  }
   [[nodiscard]] std::size_t active_pod_count() const { return active_.size(); }
 
   // ---- enclave migration (paper §VIII future work) -------------------------
@@ -172,7 +157,6 @@ class Kubelet {
     /// erases the pod.
     std::vector<ContainerId> containers;
     std::optional<sgx::EnclaveHandle> enclave;
-    bool limits_installed = false;
     /// When the stressor's runtime elapses (set once running).
     std::optional<TimePoint> completion_due;
     /// Per-admission stamp. An eviction requeues the pod under the *same*
@@ -217,7 +201,6 @@ class Kubelet {
   // Attestation at bind delivery (disabled until enable_attestation).
   sgx::QuoteTransport* attestation_transport_ = nullptr;
   std::function<sgx::Quote()> quote_source_;
-  AttestationPolicy attestation_policy_;
   /// Local node verdict: fresh admissions skip the round-trip until it
   /// expires.
   bool has_local_verdict_ = false;

@@ -49,9 +49,7 @@ struct PodBehavior {
 
 struct PodSpec {
   PodName name;
-  /// Kubernetes namespace; ResourceQuotas are enforced per namespace at
-  /// admission (EPC pages are an extended resource, so tenants can be
-  /// given an EPC budget like any other quota).
+  /// Kubernetes namespace, shown by `get pods` and `describe`.
   std::string namespace_name = "default";
   std::vector<ContainerSpec> containers;
   /// Kubernetes supports several schedulers side by side; pods select one

@@ -20,11 +20,6 @@ std::optional<Duration> PodRecord::turnaround_time() const {
 
 namespace {
 
-bool terminal(cluster::PodPhase phase) {
-  return phase == cluster::PodPhase::kSucceeded ||
-         phase == cluster::PodPhase::kFailed;
-}
-
 bool assigned(cluster::PodPhase phase) {
   return phase == cluster::PodPhase::kBound ||
          phase == cluster::PodPhase::kRunning;
@@ -96,26 +91,6 @@ const ApiServer::NodeEntry* ApiServer::find_node(
   return it == node_index_.end() ? nullptr : &nodes_[it->second];
 }
 
-void ApiServer::set_quota(const std::string& namespace_name,
-                          ResourceQuota quota) {
-  SGXO_CHECK_MSG(!namespace_name.empty(), "namespace must be named");
-  quotas_[namespace_name] = quota;
-}
-
-std::optional<ResourceQuota> ApiServer::quota(
-    const std::string& namespace_name) const {
-  const auto it = quotas_.find(namespace_name);
-  if (it == quotas_.end()) return std::nullopt;
-  return it->second;
-}
-
-cluster::ResourceAmounts ApiServer::namespace_usage(
-    const std::string& namespace_name) const {
-  const auto it = usage_by_namespace_.find(namespace_name);
-  return it == usage_by_namespace_.end() ? cluster::ResourceAmounts{}
-                                         : it->second;
-}
-
 cluster::ResourceAmounts ApiServer::node_requests(
     const cluster::NodeName& node) const {
   const auto it = pods_by_node_.find(node);
@@ -162,51 +137,12 @@ void ApiServer::unindex(const PodRecord& record) {
   // Terminal pods are in no index.
 }
 
-void ApiServer::usage_add(const PodRecord& record) {
-  const cluster::ResourceAmounts request = record.spec.total_requests();
-  cluster::ResourceAmounts& usage =
-      usage_by_namespace_[record.spec.namespace_name];
-  usage.memory += request.memory;
-  usage.epc_pages += request.epc_pages;
-}
-
-void ApiServer::usage_remove(const PodRecord& record) {
-  const cluster::ResourceAmounts request = record.spec.total_requests();
-  const auto it = usage_by_namespace_.find(record.spec.namespace_name);
-  SGXO_CHECK(it != usage_by_namespace_.end());
-  SGXO_CHECK(it->second.memory >= request.memory &&
-             it->second.epc_pages >= request.epc_pages);
-  it->second.memory -= request.memory;
-  it->second.epc_pages -= request.epc_pages;
-}
-
 // ---- pod lifecycle ----------------------------------------------------------
 
 void ApiServer::submit(cluster::PodSpec spec) {
   SGXO_CHECK_MSG(!spec.name.empty(), "pod needs a name");
   SGXO_CHECK_MSG(pods_.find(spec.name) == pods_.end(),
                  "pod name already exists: " + spec.name);
-
-  // Quota admission: the namespace's non-terminal requests plus this pod
-  // must fit every limited resource. The usage accumulator makes this
-  // O(log namespaces) instead of a full pod-store scan.
-  const auto quota_it = quotas_.find(spec.namespace_name);
-  if (quota_it != quotas_.end()) {
-    const ResourceQuota& quota = quota_it->second;
-    const cluster::ResourceAmounts usage =
-        namespace_usage(spec.namespace_name);
-    const cluster::ResourceAmounts request = spec.total_requests();
-    if (quota.memory.count() > 0 &&
-        usage.memory + request.memory > quota.memory) {
-      throw QuotaExceeded{"namespace '" + spec.namespace_name +
-                          "' memory quota exceeded by pod " + spec.name};
-    }
-    if (quota.epc_pages.count() > 0 &&
-        usage.epc_pages + request.epc_pages > quota.epc_pages) {
-      throw QuotaExceeded{"namespace '" + spec.namespace_name +
-                          "' EPC page quota exceeded by pod " + spec.name};
-    }
-  }
 
   PodRecord record;
   record.spec = std::move(spec);
@@ -217,7 +153,6 @@ void ApiServer::submit(cluster::PodSpec spec) {
       pods_.emplace(name, std::move(record)).first->second;
   submission_order_.push_back(name);
   pending_insert(stored);
-  usage_add(stored);
   record_event(name, "Submitted");
   notify_watchers(name, cluster::PodPhase::kPending);
 }
@@ -230,10 +165,6 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     }
     if (filter.node.has_value() &&
         (!assigned(record.phase) || record.node != *filter.node)) {
-      return false;
-    }
-    if (filter.namespace_name.has_value() &&
-        record.spec.namespace_name != *filter.namespace_name) {
       return false;
     }
     if (filter.scheduler.has_value()) {
@@ -569,7 +500,6 @@ void ApiServer::on_pod_succeeded(const cluster::PodName& pod) {
   SGXO_CHECK_MSG(record.phase == cluster::PodPhase::kRunning,
                  "pod succeeded without running");
   unindex(record);
-  usage_remove(record);
   record.phase = cluster::PodPhase::kSucceeded;
   record.finished = sim_->now();
   bump_version(record);
@@ -580,10 +510,7 @@ void ApiServer::on_pod_succeeded(const cluster::PodName& pod) {
 void ApiServer::on_pod_failed(const cluster::PodName& pod,
                               const std::string& reason) {
   PodRecord& record = mutable_pod(pod);
-  if (!terminal(record.phase)) {
-    unindex(record);
-    usage_remove(record);
-  }
+  unindex(record);  // a repeated failure report finds it in no index
   record.phase = cluster::PodPhase::kFailed;
   record.finished = sim_->now();
   record.failure_reason = reason;

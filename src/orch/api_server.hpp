@@ -7,11 +7,11 @@
 // (waiting time = submission → running; turnaround = submission → finish).
 //
 // Read path: the store maintains secondary indexes — per-scheduler pending
-// queues in priority+FCFS order, a pods-by-node index carrying each node's
-// request sum, and per-namespace usage accumulators — updated
-// transactionally with every phase transition. list_pods with a pending
-// or node filter, node_requests and quota admission are therefore
-// O(result), not O(pods): the scheduler hot loop never scans the store.
+// queues in priority+FCFS order and a pods-by-node index carrying each
+// node's request sum — updated transactionally with every phase
+// transition. list_pods with a pending or node filter and node_requests
+// are therefore O(result), not O(pods): the scheduler hot loop never
+// scans the store.
 //
 // Write path: conditional binds are the only scheduling writes. try_bind
 // validates one (pod, node, version) against live state — version CAS,
@@ -75,26 +75,12 @@ struct Event {
   std::string message;
 };
 
-/// Pod submission rejected by namespace quota admission.
-class QuotaExceeded : public DomainError {
- public:
-  using DomainError::DomainError;
-};
-
-/// Per-namespace resource budget. Zero-valued members mean "unlimited"
-/// for that resource.
-struct ResourceQuota {
-  Bytes memory{};
-  Pages epc_pages{};
-};
-
 /// Selector for ApiServer::list_pods — the single read API. Unset fields
 /// match everything; set fields are ANDed.
 struct PodFilter {
   std::optional<cluster::PodPhase> phase;
   /// Node the pod is *currently assigned to* (bound or running there).
   std::optional<cluster::NodeName> node;
-  std::optional<std::string> namespace_name;
   /// Resolved scheduler owner: a pod with an empty spec.scheduler_name is
   /// owned by the cluster default scheduler at query time.
   std::optional<std::string> scheduler;
@@ -121,16 +107,6 @@ class ApiServer final : public cluster::PodLifecycleListener {
   [[nodiscard]] std::vector<NodeEntry> all_nodes() const;
   [[nodiscard]] const NodeEntry* find_node(const cluster::NodeName& name) const;
 
-  // ---- admission control ---------------------------------------------------
-  /// Installs (or replaces) the quota of a namespace. Pods already
-  /// admitted are unaffected; future submissions must fit.
-  void set_quota(const std::string& namespace_name, ResourceQuota quota);
-  [[nodiscard]] std::optional<ResourceQuota> quota(
-      const std::string& namespace_name) const;
-  /// Requests of all non-terminal pods of a namespace (what counts
-  /// against its quota). O(1): served from the maintained accumulator.
-  [[nodiscard]] cluster::ResourceAmounts namespace_usage(
-      const std::string& namespace_name) const;
   /// Requests of the pods assigned to (bound or running on) `node` — the
   /// request-based usage of a node view. O(log nodes): served from the
   /// node index, which keeps the sum with every bind, move and release.
@@ -138,8 +114,7 @@ class ApiServer final : public cluster::PodLifecycleListener {
       const cluster::NodeName& node) const;
 
   // ---- pod lifecycle -------------------------------------------------------
-  /// Submits a pod; it enters the pending queue. Throws QuotaExceeded if
-  /// the pod's namespace has a quota the submission would violate.
+  /// Submits a pod; it enters the pending queue.
   void submit(cluster::PodSpec spec);
 
   /// The cluster-wide default scheduler name, used by pods that do not
@@ -317,13 +292,10 @@ class ApiServer final : public cluster::PodLifecycleListener {
   void unindex(const PodRecord& record);
   void pending_insert(const PodRecord& record);
   void node_insert(const PodRecord& record);
-  void usage_add(const PodRecord& record);
-  void usage_remove(const PodRecord& record);
 
   sim::Simulation* sim_;
   std::unique_ptr<AttestationGate> attestation_;
   std::string default_scheduler_ = "default-scheduler";
-  std::map<std::string, ResourceQuota> quotas_;
   std::vector<NodeEntry> nodes_;
   /// Name → index into nodes_: find_node stays O(log nodes) at fleet
   /// scale (nodes_ is append-only, so indexes never dangle).
@@ -337,13 +309,12 @@ class ApiServer final : public cluster::PodLifecycleListener {
   // time, so changing the default never invalidates the index).
   std::map<std::string, std::map<QueueKey, const PodRecord*>> pending_queues_;
   /// The pods assigned to one node, by name, and the sum of their
-  /// requests (maintained like usage_by_namespace_).
+  /// requests, kept with every bind, move and release.
   struct NodePods {
     std::map<cluster::PodName, const PodRecord*> pods;
     cluster::ResourceAmounts requests;
   };
   std::map<cluster::NodeName, NodePods> pods_by_node_;
-  std::map<std::string, cluster::ResourceAmounts> usage_by_namespace_;
 
   std::deque<Event> events_;
   std::size_t event_cap_ = kDefaultEventRetention;

@@ -16,13 +16,7 @@ AttestationGate::AttestationGate(sim::Simulation& sim, ApiServer& api,
       quotes_(std::move(quotes)),
       config_(config) {
   SGXO_CHECK(quotes_ != nullptr);
-  SGXO_CHECK(config_.renew_fraction > 0.0 && config_.renew_fraction < 1.0);
 }
-
-AttestationGate::AttestationGate(sim::Simulation& sim, ApiServer& api,
-                                 sgx::QuoteTransport& transport,
-                                 QuoteSource quotes)
-    : AttestationGate(sim, api, transport, std::move(quotes), Config{}) {}
 
 AttestationGate::Check AttestationGate::decide(const Entry* fresh,
                                                bool sgx_pod) const {
@@ -31,7 +25,7 @@ AttestationGate::Check AttestationGate::decide(const Entry* fresh,
     if (!fresh->transient) return Check::kRejected;
   }
   // No usable verdict (missing, expired, or fresh-but-transient failure).
-  if (!sgx_pod && config_.fail_open_non_sgx) return Check::kDegradedPass;
+  if (!sgx_pod) return Check::kDegradedPass;
   return Check::kPending;
 }
 
@@ -70,7 +64,7 @@ bool AttestationGate::allows_running(const cluster::NodeName& node,
   // Inclusive bound: the hard-expiry eviction event scheduled *at*
   // expires + grace fires after a probe landing on the same tick (FIFO
   // within a timestamp), so the probe must still allow that instant.
-  return entry.accepted && now <= entry.expires + config_.expiry_grace;
+  return entry.accepted && now <= entry.expires + kExpiryGrace;
 }
 
 void AttestationGate::request_verification(const cluster::NodeName& node) {
@@ -101,9 +95,9 @@ void AttestationGate::install(const cluster::NodeName& node,
   // running pods.
   if (verdict.transient() && existing != cache_.end() &&
       existing->second.accepted &&
-      now <= existing->second.expires + config_.expiry_grace) {
+      now <= existing->second.expires + kExpiryGrace) {
     const std::uint64_t gen = existing->second.generation;
-    sim_->schedule_after(config_.negative_ttl, [this, node, gen] {
+    sim_->schedule_after(kNegativeTtl, [this, node, gen] {
       const auto it = cache_.find(node);
       if (it == cache_.end() || it->second.generation != gen) return;
       request_verification(node);
@@ -115,8 +109,7 @@ void AttestationGate::install(const cluster::NodeName& node,
   entry.accepted = verdict.accepted();
   entry.transient = verdict.transient();
   entry.decided = now;
-  entry.expires =
-      now + (entry.accepted ? config_.verdict_ttl : config_.negative_ttl);
+  entry.expires = now + (entry.accepted ? kVerdictTtl : kNegativeTtl);
   entry.reason = verdict.reason;
   entry.measurement = measurement;
   entry.generation = next_generation_++;
@@ -126,16 +119,13 @@ void AttestationGate::install(const cluster::NodeName& node,
   if (verdict.accepted()) {
     // Background renewal shortly before expiry keeps a healthy deployment
     // permanently fresh — binds pay the round-trip only once per node.
-    const auto renew_after = Duration::micros(static_cast<std::int64_t>(
-        static_cast<double>(config_.verdict_ttl.micros_count()) *
-        config_.renew_fraction));
-    sim_->schedule_after(renew_after, [this, node, gen] {
+    sim_->schedule_after(kRenewAfter, [this, node, gen] {
       const auto it = cache_.find(node);
       if (it == cache_.end() || it->second.generation != gen) return;
       request_verification(node);
     });
     if (config_.evict_on_expiry) {
-      sim_->schedule_after(config_.verdict_ttl + config_.expiry_grace,
+      sim_->schedule_after(kVerdictTtl + kExpiryGrace,
                            [this, node] { enforce_expiry(node); });
     }
     return;
@@ -146,7 +136,7 @@ void AttestationGate::install(const cluster::NodeName& node,
     evict_sgx_pods(node, "AttestationRejected");
   }
   // Transient / rejected entries schedule nothing; the next bind attempt
-  // after negative_ttl re-triggers verification.
+  // after kNegativeTtl re-triggers verification.
 }
 
 void AttestationGate::enforce_expiry(const cluster::NodeName& node) {
@@ -187,7 +177,7 @@ void AttestationGate::force_expire_all() {
   for (const cluster::NodeName& node : expired_nodes) {
     request_verification(node);
     if (config_.evict_on_expiry) {
-      sim_->schedule_after(config_.expiry_grace,
+      sim_->schedule_after(kExpiryGrace,
                            [this, node] { enforce_expiry(node); });
     }
   }

@@ -32,26 +32,24 @@ class ApiServer;
 class AttestationGate {
  public:
   struct Config {
-    /// How long an accepted verdict stays valid.
-    Duration verdict_ttl = Duration::minutes(5);
-    /// How long a negative verdict (rejected or transient failure) is
-    /// cached before the next bind may retrigger verification — negative
-    /// caching keeps a dead verifier from being hammered every cycle.
-    Duration negative_ttl = Duration::seconds(20);
-    /// Fraction of verdict_ttl after which an accepted verdict renews
-    /// itself in the background (0.75 → renew at 75% of TTL).
-    double renew_fraction = 0.75;
-    /// Grace past soft expiry before running pods are evicted. Soft
-    /// expiry blocks *new* binds; hard expiry (TTL + grace) is when
-    /// already-running SGX pods must be gone.
-    Duration expiry_grace = Duration::seconds(5);
     /// Enforce hard expiry by evicting running SGX pods. Off = report-only
     /// (benches that measure cache economics without churn).
     bool evict_on_expiry = true;
-    /// Degradation policy for non-SGX pods when no usable verdict exists:
-    /// admit anyway (counted in degraded_admissions) instead of waiting.
-    bool fail_open_non_sgx = true;
   };
+
+  /// How long an accepted verdict stays valid.
+  static constexpr Duration kVerdictTtl = Duration::minutes(5);
+  /// How long a negative verdict (rejected or transient failure) is cached
+  /// before the next bind may retrigger verification — negative caching
+  /// keeps a dead verifier from being hammered every cycle.
+  static constexpr Duration kNegativeTtl = Duration::seconds(20);
+  /// An accepted verdict renews itself in the background at 75% of
+  /// kVerdictTtl.
+  static constexpr Duration kRenewAfter = Duration::seconds(225);
+  /// Grace past soft expiry before running pods are evicted. Soft expiry
+  /// blocks *new* binds; hard expiry (TTL + grace) is when already-running
+  /// SGX pods must be gone.
+  static constexpr Duration kExpiryGrace = Duration::seconds(5);
 
   /// Produces the node's current quote on demand (the kubelet-side quoting
   /// enclave round, collapsed — transport failure modes live in the
@@ -62,8 +60,8 @@ class AttestationGate {
   enum class Check {
     /// Fresh accepted verdict — bind proceeds.
     kPass,
-    /// No usable verdict, but the pod is non-SGX and the policy fails
-    /// open — bind proceeds, counted as a degraded admission.
+    /// No usable verdict, but the pod is non-SGX, so it fails open — bind
+    /// proceeds, counted as a degraded admission.
     kDegradedPass,
     /// Verification in flight or just requested — the bind must wait
     /// (kAttestationPending) and retry a later cycle.
@@ -72,16 +70,9 @@ class AttestationGate {
     kRejected,
   };
 
-  /// (Two overloads instead of a defaulted config: GCC rejects a nested
-  /// class's member initializers in the enclosing class's default
-  /// arguments.)
   AttestationGate(sim::Simulation& sim, ApiServer& api,
                   sgx::QuoteTransport& transport, QuoteSource quotes,
                   Config config);
-  AttestationGate(sim::Simulation& sim, ApiServer& api,
-                  sgx::QuoteTransport& transport, QuoteSource quotes);
-
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Bind-path check (mutating): consults the cache, kicks off a
   /// verification on miss/expiry, and updates hit/miss counters.

@@ -26,27 +26,35 @@ void Heapster::scrape_once() {
   ++scrapes_;
   const TimePoint now = sim_->now();
   for (const ApiServer::NodeEntry& entry : api_->all_nodes()) {
-    for (const cluster::Kubelet::PodStats& stats :
-         entry.kubelet->pod_stats()) {
-      if (drop_samples_) {
-        ++dropped_;
-        continue;
-      }
-      const double value = static_cast<double>(stats.memory_usage.count());
-      if (sample_delay_ > Duration{}) {
-        // Delayed delivery keeps the original sample timestamp, so the
-        // point lands out of order — exactly what a congested collector
-        // produces. The sample is in flight, so its write holds no pointer
-        // to Heapster.
-        ++delayed_;
-        sim_->schedule_after(
-            sample_delay_,
-            [db = db_, tags = writer_.tags_of(stats.pod, entry.node->name()),
-             now, value] { db->write(kMemoryMeasurement, tags, now, value); });
-        continue;
-      }
-      writer_.write(stats.pod, entry.node->name(), now, value);
-    }
+    const cluster::ContainerRuntime& runtime = entry.node->runtime();
+    entry.kubelet->for_each_active_pod(
+        [&](const cluster::PodName& pod,
+            const std::vector<cluster::ContainerId>& containers) {
+          if (drop_samples_) {
+            ++dropped_;
+            return;
+          }
+          Bytes usage{};
+          for (const cluster::ContainerId id : containers) {
+            usage += runtime.info(id).memory_usage;
+          }
+          const double value = static_cast<double>(usage.count());
+          if (sample_delay_ > Duration{}) {
+            // Delayed delivery keeps the original sample timestamp, so the
+            // point lands out of order — exactly what a congested
+            // collector produces. The sample is in flight, so its write
+            // holds no pointer to Heapster.
+            ++delayed_;
+            sim_->schedule_after(
+                sample_delay_,
+                [db = db_, tags = writer_.tags_of(pod, entry.node->name()),
+                 now, value] {
+                  db->write(kMemoryMeasurement, tags, now, value);
+                });
+            return;
+          }
+          writer_.write(pod, entry.node->name(), now, value);
+        });
   }
   writer_.end_round();
   // Retention rides on the scrape cadence — the simulated stand-in for a

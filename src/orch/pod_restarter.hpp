@@ -6,20 +6,13 @@
 //
 // The controller is informer-driven, as Kubernetes controllers are: start()
 // lists the store once (catching failures that happened before it ran),
-// then reacts to failures through a watch on the API server.
-//
-// Failure handling (chaos-hardened):
-//   * a resubmission that fails admission (e.g. a namespace quota that is
-//     momentarily full with doomed pods) is retried with capped
-//     exponential backoff instead of crashing the delivery path;
-//   * the informer watch channel can disconnect (fault injection);
-//     resync() re-subscribes and runs a full reconciliation pass to catch
-//     every failure missed while the channel was down — Kubernetes
-//     list+watch semantics.
+// then reacts to failures through a watch on the API server. The informer
+// watch channel can disconnect (fault injection); resync() re-subscribes
+// and runs a full reconciliation pass to catch every failure missed while
+// the channel was down — Kubernetes list+watch semantics.
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 
 #include "orch/api_server.hpp"
@@ -57,39 +50,26 @@ class PodRestarter {
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
 
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-  /// Resubmission attempts rejected by admission (each is retried later).
-  [[nodiscard]] std::uint64_t rejected_restarts() const {
-    return rejected_restarts_;
-  }
   /// The retry pod name a failed pod was resubmitted as ("" if none).
   [[nodiscard]] std::string retry_of(const cluster::PodName& pod) const;
 
  private:
-  struct Retry {
-    Duration delay{};     // next wait after a rejected resubmission
-    sim::EventId event;   // armed retry (invalid when none pending)
-  };
-
   [[nodiscard]] static bool restartable(const PodRecord& record);
   void watch();
   void unwatch();
   /// Re-checks a failed pod and resubmits it if still warranted — the
-  /// single entry point for watch deliveries and admission retries.
+  /// entry point for watch deliveries.
   void maybe_restart(const cluster::PodName& pod);
-  /// Resubmits one failed pod. Returns false on an admission rejection,
-  /// which arms a capped-exponential retry instead of propagating out of
-  /// the caller (possibly a watch delivery).
+  /// Resubmits one failed pod, or adopts a retry that already exists.
+  /// Returns true when it submitted one.
   bool restart(const PodRecord& record);
-  void schedule_retry(const cluster::PodName& pod);
 
   sim::Simulation* sim_;
   ApiServer* api_;
   bool started_ = false;
   ApiServer::WatchId watch_ = 0;
   std::map<cluster::PodName, std::string> handled_;  // original → retry name
-  std::map<cluster::PodName, Retry> retries_;
   std::uint64_t restarts_ = 0;
-  std::uint64_t rejected_restarts_ = 0;
   std::uint64_t disconnects_ = 0;
   std::uint64_t resyncs_ = 0;
 };

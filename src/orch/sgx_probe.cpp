@@ -35,31 +35,33 @@ void SgxProbe::probe_once() {
   ++probes_;
   const TimePoint now = sim_->now();
   const sgx::Driver& driver = *entry_.node->driver();
-  for (const cluster::PodName& pod : entry_.kubelet->active_pods()) {
-    Pages pages{0};
-    for (const sgx::Pid pid : entry_.kubelet->pod_pids(pod)) {
-      pages += driver.process_pages(pid);
-    }
-    if (drop_samples_) {
-      ++dropped_;
-      continue;
-    }
-    const double value = static_cast<double>(pages.as_bytes().count());
-    if (sample_delay_ > Duration{}) {
-      // Late delivery with the original timestamp: the point lands out of
-      // order, after the scheduler may already have run without it. The
-      // sample is in flight and lands even if the probe crashes first, so
-      // its write holds no pointer to the probe.
-      ++delayed_;
-      sim_->schedule_after(
-          sample_delay_,
-          [db = db_, tags = writer_.tags_of(pod, node_name()), now, value] {
-            db->write(kEpcMeasurement, tags, now, value);
-          });
-      continue;
-    }
-    writer_.write(pod, node_name(), now, value);
-  }
+  const cluster::ContainerRuntime& runtime = entry_.node->runtime();
+  entry_.kubelet->for_each_active_pod(
+      [&](const cluster::PodName& pod,
+          const std::vector<cluster::ContainerId>& containers) {
+        Pages pages{0};
+        for (const cluster::ContainerId id : containers) {
+          pages += driver.process_pages(runtime.info(id).pid);
+        }
+        if (drop_samples_) {
+          ++dropped_;
+          return;
+        }
+        const double value = static_cast<double>(pages.as_bytes().count());
+        if (sample_delay_ > Duration{}) {
+          // Late delivery with the original timestamp: the point lands out
+          // of order, after the scheduler may already have run without it.
+          // The sample is in flight and lands even if the probe crashes
+          // first, so its write holds no pointer to the probe.
+          ++delayed_;
+          sim_->schedule_after(
+              sample_delay_,
+              [db = db_, tags = writer_.tags_of(pod, node_name()), now,
+               value] { db->write(kEpcMeasurement, tags, now, value); });
+          return;
+        }
+        writer_.write(pod, node_name(), now, value);
+      });
   writer_.end_round();
 }
 

@@ -42,13 +42,12 @@ QuoteVerdict AttestationVerifier::verify(const Quote& quote) {
   ++attempts_;
   if (outage_) {
     ++unavailable_;
-    return {VerifyStatus::kUnavailable, config_.timeout,
-            "verifier unreachable"};
+    return {VerifyStatus::kUnavailable, kTimeout, "verifier unreachable"};
   }
-  const Duration latency = config_.round_trip + extra_latency_;
-  if (latency > config_.timeout) {
+  const Duration latency = kRoundTrip + extra_latency_;
+  if (latency > kTimeout) {
     ++timeouts_;
-    return {VerifyStatus::kTimeout, config_.timeout,
+    return {VerifyStatus::kTimeout, kTimeout,
             "verification timed out"};
   }
   if (!service_.verify(quote)) {

@@ -68,11 +68,12 @@ class AttestationVerifier final : public QuoteTransport {
     /// a single attested stressor image; multi-measurement policy would
     /// layer on top).
     Measurement expected{};
-    /// Healthy round-trip to the verifier.
-    Duration round_trip = Duration::millis(50);
-    /// Attempts whose modelled latency exceeds this time out.
-    Duration timeout = Duration::seconds(1);
   };
+
+  /// Healthy round-trip to the verifier.
+  static constexpr Duration kRoundTrip = Duration::millis(50);
+  /// Attempts whose modelled latency exceeds this time out.
+  static constexpr Duration kTimeout = Duration::seconds(1);
 
   AttestationVerifier() = default;
   explicit AttestationVerifier(Config config) : config_(config) {}

@@ -76,9 +76,8 @@ struct Rig {
     verifier.provision(platform);
   }
 
-  void enable(Kubelet::AttestationPolicy policy = {}) {
-    kubelet.enable_attestation(
-        verifier, [this] { return quote(); }, policy);
+  void enable() {
+    kubelet.enable_attestation(verifier, [this] { return quote(); });
   }
 
   [[nodiscard]] sgx::Quote quote() {
@@ -161,19 +160,6 @@ TEST(KubeletAttestation, NonSgxPodFailsOpenWhileVerifierIsDown) {
   ASSERT_EQ(rig.listener.running.size(), 1u);
   EXPECT_EQ(rig.kubelet.degraded_admissions(), 1u);
   EXPECT_EQ(rig.kubelet.attestation_retries(), 0u);
-}
-
-TEST(KubeletAttestation, NonSgxPodFailsClosedWhenPolicySaysSo) {
-  Rig rig;
-  Kubelet::AttestationPolicy policy;
-  policy.fail_open_non_sgx = false;
-  rig.enable(policy);
-  rig.verifier.set_outage(true);
-  rig.kubelet.admit_pod(plain_pod("web"));
-  rig.run_for(Duration::seconds(10));
-  EXPECT_TRUE(rig.listener.running.empty());
-  EXPECT_EQ(rig.kubelet.degraded_admissions(), 0u);
-  EXPECT_GE(rig.kubelet.attestation_retries(), 1u);
 }
 
 TEST(KubeletAttestation, ForgedQuoteFailsThePodDefinitively) {

@@ -132,6 +132,27 @@ class KubeletFixture : public ::testing::Test {
                              behavior);
   }
 
+  /// What the monitors read through for_each_active_pod: per pod, in visit
+  /// order, its containers' summed memory and their pids.
+  struct VisitedPod {
+    PodName pod;
+    Bytes memory{};
+    std::vector<sgx::Pid> pids;
+  };
+  [[nodiscard]] std::vector<VisitedPod> visit_pods() const {
+    std::vector<VisitedPod> out;
+    kubelet_.for_each_active_pod(
+        [&](const PodName& pod, const std::vector<ContainerId>& containers) {
+          VisitedPod& visited = out.emplace_back();
+          visited.pod = pod;
+          for (const ContainerId id : containers) {
+            visited.memory += node_.runtime().info(id).memory_usage;
+            visited.pids.push_back(node_.runtime().info(id).pid);
+          }
+        });
+    return out;
+  }
+
   sim::Simulation sim_;
   sgx::PerfModel perf_;
   ImageRegistry registry_{125e6};
@@ -232,18 +253,20 @@ TEST_F(KubeletFixture, PodStatsExposeMemoryUsage) {
   kubelet_.admit_pod(
       standard_pod("mem", 2_GiB, 2_GiB, Duration::seconds(60)));
   sim_.run_until(TimePoint::epoch() + Duration::seconds(10));
-  const auto stats = kubelet_.pod_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].pod, "mem");
-  EXPECT_EQ(stats[0].memory_usage, 2_GiB);
+  const auto pods = visit_pods();
+  ASSERT_EQ(pods.size(), 1u);
+  EXPECT_EQ(pods[0].pod, "mem");
+  EXPECT_EQ(pods[0].memory, 2_GiB);
 }
 
 TEST_F(KubeletFixture, PodPidsListed) {
   kubelet_.admit_pod(sgx_pod("p", Pages{100}, Pages{100}.as_bytes(),
                              Duration::seconds(60)));
   sim_.run_until(TimePoint::epoch() + Duration::seconds(10));
-  EXPECT_EQ(kubelet_.pod_pids("p").size(), 1u);
-  EXPECT_EQ(kubelet_.active_pods(), std::vector<PodName>{"p"});
+  const auto pods = visit_pods();
+  ASSERT_EQ(pods.size(), 1u);
+  EXPECT_EQ(pods[0].pod, "p");
+  EXPECT_EQ(pods[0].pids.size(), 1u);
 }
 
 TEST_F(KubeletFixture, TwoContainerPodStatsSumBothContainers) {
@@ -259,22 +282,20 @@ TEST_F(KubeletFixture, TwoContainerPodStatsSumBothContainers) {
   ASSERT_EQ(ids.size(), 2u);
   node_.runtime().set_memory_usage(ids[0], 1_GiB);
   node_.runtime().set_memory_usage(ids[1], 512_MiB);
-  // One entry per pod, in name order, each summing the pod's containers.
-  const auto stats = kubelet_.pod_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].pod, "duo");
-  EXPECT_EQ(stats[0].memory_usage, 1_GiB + 512_MiB);
-  EXPECT_EQ(stats[1].pod, "solo");
-  EXPECT_EQ(stats[1].memory_usage, 1_GiB);
+  // One visit per pod, in name order, with the pod's own containers.
+  const auto pods = visit_pods();
+  ASSERT_EQ(pods.size(), 2u);
+  EXPECT_EQ(pods[0].pod, "duo");
+  EXPECT_EQ(pods[0].memory, 1_GiB + 512_MiB);
+  EXPECT_EQ(pods[1].pod, "solo");
+  EXPECT_EQ(pods[1].memory, 1_GiB);
   EXPECT_EQ(node_.memory_used(), 2_GiB + 512_MiB);
-  // Both pids, in start order; a pod not active here has none.
-  EXPECT_EQ(kubelet_.pod_pids("duo"),
+  // Both pids, in start order.
+  EXPECT_EQ(pods[0].pids,
             (std::vector<sgx::Pid>{node_.runtime().info(ids[0]).pid,
                                    node_.runtime().info(ids[1]).pid}));
-  EXPECT_TRUE(kubelet_.pod_pids("ghost").empty());
   sim_.run();
-  EXPECT_TRUE(kubelet_.pod_stats().empty());
-  EXPECT_TRUE(kubelet_.pod_pids("duo").empty());
+  EXPECT_TRUE(visit_pods().empty());
   EXPECT_EQ(node_.memory_used(), 0_B);
 }
 

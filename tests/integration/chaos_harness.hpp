@@ -161,13 +161,14 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
         }
         std::map<cluster::PodName, int> on_kubelets;
         for (cluster::Kubelet* kubelet : cluster.kubelets()) {
-          for (const cluster::PodName& pod : kubelet->active_pods()) {
-            if (++on_kubelets[pod] == 2) {
-              result.violations.push_back(
-                  "pod " + pod + " active on two kubelets at " +
-                  sgxo::to_string(cluster.sim().now().since_epoch()));
-            }
-          }
+          kubelet->for_each_active_pod(
+              [&](const cluster::PodName& pod, const auto& /*containers*/) {
+                if (++on_kubelets[pod] == 2) {
+                  result.violations.push_back(
+                      "pod " + pod + " active on two kubelets at " +
+                      sgxo::to_string(cluster.sim().now().since_epoch()));
+                }
+              });
         }
         // Attestation invariant: no SGX pod keeps running on a node whose
         // verdict is rejected or past its hard expiry (the gate's eviction
@@ -176,10 +177,11 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
             gate != nullptr) {
           for (cluster::Kubelet* kubelet : cluster.kubelets()) {
             if (!kubelet->node().has_sgx()) continue;
-            for (const cluster::PodName& pod : kubelet->active_pods()) {
+            kubelet->for_each_active_pod([&](const cluster::PodName& pod,
+                                             const auto& /*containers*/) {
               const orch::PodRecord& record = cluster.api().pod(pod);
-              if (record.phase != cluster::PodPhase::kRunning) continue;
-              if (!record.spec.wants_sgx()) continue;
+              if (record.phase != cluster::PodPhase::kRunning) return;
+              if (!record.spec.wants_sgx()) return;
               if (!gate->allows_running(kubelet->node_name(),
                                         cluster.sim().now())) {
                 result.violations.push_back(
@@ -187,7 +189,7 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
                     " with an expired/rejected attestation verdict at " +
                     sgxo::to_string(cluster.sim().now().since_epoch()));
               }
-            }
+            });
           }
         }
       });

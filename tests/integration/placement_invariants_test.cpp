@@ -65,14 +65,14 @@ TEST_P(PlacementInvariants, HoldThroughoutReplay) {
           }
           // Placement record consistency + hardware compatibility.
           const auto* entry = cluster.api().find_node(node->name());
-          for (const cluster::PodName& pod :
-               entry->kubelet->active_pods()) {
-            const orch::PodRecord& record = cluster.api().pod(pod);
-            ASSERT_EQ(record.node, node->name()) << pod;
-            if (record.spec.wants_sgx()) {
-              ASSERT_TRUE(node->has_sgx()) << pod;
-            }
-          }
+          entry->kubelet->for_each_active_pod(
+              [&](const cluster::PodName& pod, const auto& /*containers*/) {
+                const orch::PodRecord& record = cluster.api().pod(pod);
+                ASSERT_EQ(record.node, node->name()) << pod;
+                if (record.spec.wants_sgx()) {
+                  ASSERT_TRUE(node->has_sgx()) << pod;
+                }
+              });
         }
       });
 

@@ -1,13 +1,12 @@
 // Soak test: every subsystem active at once on one cluster — trace
 // replay, malicious squatters with enforcement, priority jobs with
 // preemption, a node failure with watch-driven restarts, the migration
-// defragmenter, the contention monitor — with invariant probes running
-// the whole time. The system must end quiescent and consistent.
+// defragmenter — with invariant probes running the whole time. The system
+// must end quiescent and consistent.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "core/contention_monitor.hpp"
 #include "core/migration_controller.hpp"
 #include "core/sgx_scheduler.hpp"
 #include "exp/fixture.hpp"
@@ -21,8 +20,6 @@
 namespace sgxo::exp {
 namespace {
 
-using namespace sgxo::literals;
-
 TEST(Soak, EverySubsystemAtOnce) {
   SimulatedCluster cluster;
   core::SgxSchedulerConfig sched_config;
@@ -35,14 +32,8 @@ TEST(Soak, EverySubsystemAtOnce) {
   core::MigrationController migration{cluster.sim(), cluster.api(),
                                       cluster.perf()};
   migration.start();
-  core::ContentionMonitor contention{cluster.sim(), cluster.api()};
-  contention.start();
   orch::PodRestarter restarter{cluster.sim(), cluster.api()};
   restarter.start();
-
-  // EPC quota for the squatters' namespace (they only *declare* 1 page,
-  // so quota admission lets them in — the driver kills them later).
-  cluster.api().set_quota("tenants", orch::ResourceQuota{0_B, Pages{4096}});
 
   // The trace workload: 120 jobs over 15 minutes, 60 % SGX, every 12th
   // job latency-critical.
@@ -70,7 +61,6 @@ TEST(Soak, EverySubsystemAtOnce) {
   squatters[0].node_selector = "sgx-1";
   squatters[1].node_selector = "sgx-2";
   for (auto& squatter : squatters) {
-    squatter.namespace_name = "tenants";
     cluster.api().submit(std::move(squatter));
   }
 
@@ -97,7 +87,6 @@ TEST(Soak, EverySubsystemAtOnce) {
 
   cluster.sim().run_until(TimePoint::epoch() + Duration::hours(6));
   migration.stop();
-  contention.stop();
   restarter.stop();
   cluster.stop_all();
   EXPECT_GT(checks, 1000u);

@@ -1,8 +1,8 @@
 // Property test for the ApiServer's secondary indexes.
 //
-// list_pods (pending and node filters) / node_requests / namespace_usage
-// are served from maintained indexes (pending queues, pods-by-node with
-// per-node request sums, per-namespace accumulators).
+// list_pods (pending and node filters) and node_requests are served from
+// maintained indexes (pending queues, pods-by-node with per-node request
+// sums).
 // This suite drives randomized submit / bind / evict / migrate / fail-node
 // / recover / advance-time sequences and after every step cross-checks
 // each indexed answer against a reference computed by a full scan of the
@@ -36,7 +36,6 @@ cluster::MachineSpec machine(const std::string& name, bool sgx, bool master) {
 }
 
 constexpr const char* kSchedulers[] = {"", "sched-a", "sched-b"};
-constexpr const char* kNamespaces[] = {"default", "team-a", "team-b"};
 
 class IndexConsistencyFixture : public ::testing::Test {
  protected:
@@ -71,7 +70,6 @@ class IndexConsistencyFixture : public ::testing::Test {
     cluster::PodSpec spec = cluster::make_stressor_pod(
         "pod-" + std::to_string(next_pod_++), {memory, pages},
         {memory, pages}, behavior, kSchedulers[rng.uniform_int(0, 2)]);
-    spec.namespace_name = kNamespaces[rng.uniform_int(0, 2)];
     spec.priority = static_cast<int>(rng.uniform_int(0, 3));
     return spec;
   }
@@ -124,20 +122,6 @@ class IndexConsistencyFixture : public ::testing::Test {
     return out;
   }
 
-  [[nodiscard]] cluster::ResourceAmounts reference_usage(
-      const std::string& namespace_name) const {
-    cluster::ResourceAmounts usage;
-    for (const PodRecord* record : api_.all_pods()) {
-      if (record->spec.namespace_name != namespace_name) continue;
-      if (record->phase == cluster::PodPhase::kSucceeded ||
-          record->phase == cluster::PodPhase::kFailed) {
-        continue;
-      }
-      usage = usage + record->spec.total_requests();
-    }
-    return usage;
-  }
-
   void check_invariants() {
     for (const char* scheduler : {"default-scheduler", "sched-a", "sched-b",
                                   "ghost"}) {
@@ -158,14 +142,8 @@ class IndexConsistencyFixture : public ::testing::Test {
       EXPECT_EQ(expected.memory, actual.memory) << "node " << node;
       EXPECT_EQ(expected.epc_pages, actual.epc_pages) << "node " << node;
     }
-    for (const char* ns : kNamespaces) {
-      const cluster::ResourceAmounts expected = reference_usage(ns);
-      const cluster::ResourceAmounts actual = api_.namespace_usage(ns);
-      EXPECT_EQ(expected.memory, actual.memory) << "namespace " << ns;
-      EXPECT_EQ(expected.epc_pages, actual.epc_pages) << "namespace " << ns;
-    }
-    // Combined filters fall out of the same machinery: phase+node and
-    // namespace filters must agree with a hand filter of the full scan.
+    // Combined filters fall out of the same machinery: a phase+node
+    // filter must agree with a hand filter of the full scan.
     PodFilter running_b;
     running_b.phase = cluster::PodPhase::kRunning;
     running_b.node = "node-b";
@@ -264,8 +242,7 @@ TEST_F(IndexConsistencyFixture, RandomizedLifecycleAgreesWithFullScan) {
       }
     } else if (roll < 0.78) {
       // on_pod_failed carries no phase precondition: re-reporting failure
-      // on an already-failed pod must not double-release the usage
-      // accumulator (the terminal guard).
+      // on an already-failed pod must leave every index as it was.
       const auto failed = pods_in_phase(cluster::PodPhase::kFailed);
       if (!failed.empty()) {
         api_.on_pod_failed(failed.front(), "RepeatedReport");

@@ -374,13 +374,18 @@ TEST_F(MonitoringFixture, EachSeriesCarriesOnlyItsOwnPodsTagsAndValues) {
   const auto sample = [&] {
     const TimePoint now = sim_.now();
     for (const ApiServer::NodeEntry& entry : api_.all_nodes()) {
-      for (const cluster::Kubelet::PodStats& stats :
-           entry.kubelet->pod_stats()) {
-        want_memory[tsdb::tags_key({{"nodename", entry.node->name()},
-                                    {"pod_name", stats.pod},
-                                    {"type", "pod"}})]
-            .push_back({now, static_cast<double>(stats.memory_usage.count())});
-      }
+      entry.kubelet->for_each_active_pod(
+          [&](const cluster::PodName& pod,
+              const std::vector<cluster::ContainerId>& containers) {
+            Bytes usage{};
+            for (const cluster::ContainerId id : containers) {
+              usage += entry.node->runtime().info(id).memory_usage;
+            }
+            want_memory[tsdb::tags_key({{"nodename", entry.node->name()},
+                                        {"pod_name", pod},
+                                        {"type", "pod"}})]
+                .push_back({now, static_cast<double>(usage.count())});
+          });
     }
     for (const auto& [pod, bytes] : epc_bytes) {
       want_epc[tsdb::tags_key({{"nodename", "sgx-1"}, {"pod_name", pod}})]

@@ -1,6 +1,6 @@
 // Recovery paths: probe DaemonSet redeployment around node failure and
-// recovery, and PodRestarter resilience — quota-blocked resubmissions
-// retried with backoff, watch disconnect/resync, the re-list on start.
+// recovery, and PodRestarter resilience — watch disconnect/resync and the
+// re-list on start.
 #include <gtest/gtest.h>
 
 #include "exp/fixture.hpp"
@@ -83,47 +83,6 @@ TEST_F(RecoveryFixture, ProbeRedeployAfterNodeRecoveryResumesSampling) {
   const auto newest = cluster_.db().newest_time("sgx/epc");
   ASSERT_TRUE(newest.has_value());
   EXPECT_GT(*newest, TimePoint::epoch() + Duration::minutes(3));
-  cluster_.stop_all();
-}
-
-TEST_F(RecoveryFixture, QuotaBlockedRestartRetriesUntilAdmitted) {
-  cluster_.api().set_quota("t", ResourceQuota{2_GiB, Pages{0}});
-  auto victim = standard_pod("victim", 1_GiB, Duration::hours(1));
-  victim.namespace_name = "t";
-  victim.node_selector = "node-1";
-  cluster_.api().submit(std::move(victim));
-
-  PodRestarter restarter{cluster_.sim(), cluster_.api()};
-  restarter.start();
-  run_to(Duration::minutes(1));
-  ASSERT_EQ(cluster_.api().pod("victim").phase, cluster::PodPhase::kRunning);
-
-  // The node dies, and in the same instant another tenant pod takes the
-  // whole namespace quota: the watch-driven resubmission is rejected at
-  // admission and must be retried, not dropped (and must not crash the
-  // watch delivery path it runs in).
-  cluster_.sim().schedule_at(
-      TimePoint::epoch() + Duration::minutes(2), [&] {
-        cluster_.api().fail_node("node-1");
-        auto blocker = standard_pod("blocker", 2_GiB, Duration::seconds(30));
-        blocker.namespace_name = "t";
-        blocker.node_selector = "node-2";
-        cluster_.api().submit(std::move(blocker));
-      });
-
-  run_to(Duration::minutes(2) + Duration::seconds(1));
-  EXPECT_GE(restarter.rejected_restarts(), 1u);
-  EXPECT_TRUE(restarter.retry_of("victim").empty());
-  EXPECT_EQ(restarter.restarts(), 0u);
-
-  // The blocker finishes in 30 s, releasing quota; the armed backoff
-  // retry then goes through and the victim's replacement runs.
-  run_to(Duration::minutes(5));
-  const std::string retry = restarter.retry_of("victim");
-  ASSERT_FALSE(retry.empty());
-  EXPECT_EQ(restarter.restarts(), 1u);
-  EXPECT_EQ(cluster_.api().pod(retry).phase, cluster::PodPhase::kRunning);
-  restarter.stop();
   cluster_.stop_all();
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace sgxo::sgx {
 namespace {
@@ -168,6 +173,80 @@ TEST(Driver, CustomEpcGeometry) {
   config.enforce_limits = false;
   Driver driver{config};
   EXPECT_EQ(driver.total_epc_pages().count(), 8192u);
+}
+
+/// The enforcement hook against a per-pod ledger (limit, charged pages):
+/// over random create/init/destroy sequences on five pods with random
+/// limits, EINIT succeeds exactly when the pod's initialised pages plus
+/// the new enclave fit its limit.
+TEST(Driver, LimitEnforcementMatchesAPerPodLedger) {
+  struct Ledger {
+    Pages limit;
+    Pages charged{0};
+  };
+  Rng rng{77};
+  int admitted_total = 0;
+  int denied_total = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    Driver driver{enforcing()};
+    std::vector<CgroupPath> pods;
+    std::vector<Ledger> ledgers;
+    for (int p = 0; p < 5; ++p) {
+      const Pages limit{
+          static_cast<std::uint64_t>(rng.uniform_int(100, 8000))};
+      pods.push_back("/pod-" + std::to_string(p));
+      driver.set_pod_limit(pods.back(), limit);
+      ledgers.push_back(Ledger{limit});
+    }
+
+    std::vector<std::vector<std::pair<EnclaveId, Pages>>> live(pods.size());
+    for (int step = 0; step < 60; ++step) {
+      const auto pod = static_cast<std::size_t>(rng.uniform_int(0, 4));
+      if (rng.bernoulli(0.3) && !live[pod].empty()) {
+        const auto [id, pages] = live[pod].back();
+        live[pod].pop_back();
+        driver.destroy_enclave(id);
+        ledgers[pod].charged -= pages;
+        continue;
+      }
+      const Pages pages{
+          static_cast<std::uint64_t>(rng.uniform_int(50, 4000))};
+      const bool fits = ledgers[pod].charged + pages <= ledgers[pod].limit;
+      const EnclaveId id = driver.create_enclave(pod + 1, pods[pod], pages);
+      bool admitted = true;
+      try {
+        driver.init_enclave(id);
+      } catch (const EnclaveInitDenied&) {
+        admitted = false;
+      }
+      ASSERT_EQ(admitted, fits) << "trial " << trial << " step " << step;
+      if (admitted) {
+        ledgers[pod].charged += pages;
+        live[pod].emplace_back(id, pages);
+        ++admitted_total;
+      } else {
+        ++denied_total;
+      }
+    }
+  }
+  // Both sides of the hook were exercised.
+  EXPECT_GT(admitted_total, 0);
+  EXPECT_GT(denied_total, 0);
+}
+
+TEST(PagingStats, DriverExportsPagedOutCounter) {
+  Driver driver{stock()};
+  EXPECT_EQ(driver.read_module_param("sgx_nr_paged_out_pages"), "0");
+  // Fill the EPC, then over-commit: the older enclave's pages are evicted.
+  const auto big = driver.create_enclave(1, "/a", driver.total_epc_pages());
+  driver.init_enclave(big);
+  const auto intruder = driver.create_enclave(2, "/b", Pages{1000});
+  driver.init_enclave(intruder);
+  EXPECT_EQ(driver.read_module_param("sgx_nr_paged_out_pages"), "1000");
+  driver.destroy_enclave(intruder);
+  // Counter is cumulative: it never decreases.
+  EXPECT_EQ(driver.read_module_param("sgx_nr_paged_out_pages"), "1000");
+  driver.destroy_enclave(big);
 }
 
 }  // namespace

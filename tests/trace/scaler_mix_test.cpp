@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/error.hpp"
-#include "trace/csv.hpp"
 #include "trace/generator.hpp"
 #include "trace/scaler.hpp"
 #include "trace/sgx_mix.hpp"
@@ -86,74 +83,6 @@ TEST(SgxMix, RejectsOutOfRangeFraction) {
   Rng rng{7};
   EXPECT_THROW(designate_sgx(jobs, -0.1, rng), ContractViolation);
   EXPECT_THROW(designate_sgx(jobs, 1.1, rng), ContractViolation);
-}
-
-TEST(Csv, RoundTripsThroughStream) {
-  const auto jobs = BorgTraceGenerator{}.evaluation_slice();
-  std::stringstream ss;
-  write_csv(ss, jobs);
-  const auto loaded = read_csv(ss);
-  ASSERT_EQ(loaded.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(loaded[i].id, jobs[i].id);
-    EXPECT_EQ(loaded[i].submission, jobs[i].submission);
-    EXPECT_EQ(loaded[i].duration, jobs[i].duration);
-    EXPECT_DOUBLE_EQ(loaded[i].assigned_memory, jobs[i].assigned_memory);
-    EXPECT_DOUBLE_EQ(loaded[i].max_memory_usage, jobs[i].max_memory_usage);
-    EXPECT_EQ(loaded[i].sgx, jobs[i].sgx);
-  }
-}
-
-TEST(Csv, PreservesSgxFlag) {
-  std::vector<TraceJob> jobs{job(0.1, 0.05, true), job(0.2, 0.1, false)};
-  std::stringstream ss;
-  write_csv(ss, jobs);
-  const auto loaded = read_csv(ss);
-  EXPECT_TRUE(loaded[0].sgx);
-  EXPECT_FALSE(loaded[1].sgx);
-}
-
-TEST(Csv, RejectsMissingHeader) {
-  std::stringstream ss{"1,2,3,4,5,6\n"};
-  EXPECT_THROW((void)read_csv(ss), DomainError);
-}
-
-TEST(Csv, RejectsWrongFieldCount) {
-  std::stringstream ss;
-  ss << "id,submission_us,duration_us,assigned_memory,max_memory_usage,sgx\n"
-     << "1,2,3\n";
-  EXPECT_THROW((void)read_csv(ss), DomainError);
-}
-
-TEST(Csv, RejectsMalformedNumbers) {
-  std::stringstream ss;
-  ss << "id,submission_us,duration_us,assigned_memory,max_memory_usage,sgx\n"
-     << "x,2,3,0.1,0.2,0\n";
-  EXPECT_THROW((void)read_csv(ss), DomainError);
-}
-
-TEST(Csv, RejectsBadSgxFlag) {
-  std::stringstream ss;
-  ss << "id,submission_us,duration_us,assigned_memory,max_memory_usage,sgx\n"
-     << "1,2,3,0.1,0.2,5\n";
-  EXPECT_THROW((void)read_csv(ss), DomainError);
-}
-
-TEST(Csv, SkipsBlankLines) {
-  std::stringstream ss;
-  ss << "id,submission_us,duration_us,assigned_memory,max_memory_usage,sgx\n"
-     << "1,2,3,0.1,0.2,1\n"
-     << "\n";
-  EXPECT_EQ(read_csv(ss).size(), 1u);
-}
-
-TEST(Csv, FileRoundTrip) {
-  const auto jobs = BorgTraceGenerator{}.evaluation_slice();
-  const std::string path = ::testing::TempDir() + "/trace_test.csv";
-  write_csv_file(path, jobs);
-  const auto loaded = read_csv_file(path);
-  EXPECT_EQ(loaded.size(), jobs.size());
-  EXPECT_THROW((void)read_csv_file("/nonexistent/dir/f.csv"), DomainError);
 }
 
 TEST(TraceJob, OverAllocationPredicate) {
