@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "orch/default_scheduler.hpp"
 
 namespace sgxo::core {
 
@@ -108,11 +107,7 @@ void fold_measured_usage(std::vector<orch::NodeView>& views,
   }
 }
 
-std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
-  // Start from the request-based view: capacities plus the device-plugin
-  // accounting column (epc_requested) and request-based usage.
-  std::vector<orch::NodeView> views = orch::request_based_views(api());
-
+void SgxAwareScheduler::measure_views(std::vector<orch::NodeView>& views) {
   const TimePoint now = sim().now();
 
   // Graceful degradation: a metrics pipeline that has stopped producing
@@ -124,7 +119,7 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
   const std::optional<Duration> age = metrics_.staleness(now);
   if (age.has_value() && *age > kStaleMetricsThreshold) {
     ++degraded_cycles_;
-    return views;
+    return;
   }
   // Replace the request-based estimate with measurement-informed usage;
   // view.epc_requested stays request-based: it mirrors the device
@@ -132,7 +127,6 @@ std::vector<orch::NodeView> SgxAwareScheduler::collect_views() {
   const auto epc_measured = metrics_.epc_per_pod(now);
   const auto mem_measured = metrics_.memory_per_pod(now);
   fold_measured_usage(views, epc_measured, mem_measured, api());
-  return views;
 }
 
 std::optional<cluster::NodeName> SgxAwareScheduler::select_node(
@@ -147,10 +141,13 @@ std::optional<cluster::NodeName> SgxAwareScheduler::select_node(
   return std::nullopt;
 }
 
+bool SgxAwareScheduler::acts_on_unschedulable(
+    const cluster::PodSpec& pod) const {
+  return config_.enable_preemption && pod.priority > 0;
+}
+
 void SgxAwareScheduler::on_unschedulable(
     const cluster::PodSpec& pod, const std::vector<orch::NodeView>& all) {
-  if (!config_.enable_preemption || pod.priority <= 0) return;
-
   // Per node, collect strictly-lower-priority victims (cheapest first:
   // lowest priority, then smallest footprint) and check whether evicting
   // a prefix of them makes the pod fit. The node needing the fewest

@@ -13,7 +13,9 @@
 // when the window contains a sample for it, and its declared request until
 // then (bindings lag the probes by up to one probe period). Samples of
 // recently dead pods still inside the window count as usage, exactly as
-// Listing 1 would report them.
+// Listing 1 would report them. A cycle runs the queries only when one of
+// its pods passes the measurement-free checks (orch::FitScreen) or may
+// preempt: a pod that fails them fits nowhere whatever the window shows.
 //
 // Non-preemptive; pods stay in the API server's FCFS pending queue until a
 // cycle finds room. Packaged to run as a pod itself, multiple instances
@@ -76,9 +78,11 @@ class SgxAwareScheduler final : public orch::Scheduler {
   [[nodiscard]] PlacementPolicy policy() const { return config_.policy; }
   [[nodiscard]] const ClusterMetrics& metrics() const { return metrics_; }
   [[nodiscard]] std::uint64_t preemptions() const { return preemptions_; }
-  /// Cycles that planned pods on declared requests because the metrics
-  /// window was stale past kStaleMetricsThreshold. A cycle with no pod to
-  /// plan runs no query and does not count, however stale the window.
+  /// Cycles that measured their views on a metrics window stale past
+  /// kStaleMetricsThreshold and so planned on declared requests. A cycle
+  /// measures only for a pod that passes the FitScreen or that it may
+  /// preempt for; any other cycle reads no metrics and does not count,
+  /// however stale the window.
   [[nodiscard]] std::uint64_t degraded_cycles() const override {
     return degraded_cycles_;
   }
@@ -86,11 +90,19 @@ class SgxAwareScheduler final : public orch::Scheduler {
   [[nodiscard]] static std::string default_name(PlacementPolicy policy);
 
  protected:
-  [[nodiscard]] std::vector<orch::NodeView> collect_views() override;
+  /// Checks the window's staleness, runs the two Listing-1 per-pod
+  /// queries and folds them into `views` (fold_measured_usage); on a
+  /// stale window it leaves the views request-based and counts a
+  /// degraded cycle.
+  void measure_views(std::vector<orch::NodeView>& views) override;
   [[nodiscard]] std::optional<cluster::NodeName> select_node(
       const cluster::PodSpec& pod,
       const std::vector<orch::NodeView>& feasible,
       const std::vector<orch::NodeView>& all) override;
+
+  /// With preemption enabled, for a pod of positive priority.
+  [[nodiscard]] bool acts_on_unschedulable(
+      const cluster::PodSpec& pod) const override;
 
   /// Preemption: evicts the cheapest set of strictly-lower-priority pods
   /// on a single node that makes `pod` fit there; the pod itself binds on

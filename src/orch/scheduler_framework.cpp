@@ -6,26 +6,89 @@
 
 namespace sgxo::orch {
 
-bool fits(const cluster::PodSpec& pod, const NodeView& view) {
-  const cluster::ResourceAmounts request = pod.total_requests();
+namespace {
+
+/// The measurement-free half of fits(): what the FitScreen decides.
+bool fits_unmeasured(const cluster::PodSpec& pod,
+                     const cluster::ResourceAmounts& request, bool sgx,
+                     const NodeView& view) {
   // nodeSelector pins the pod to one node.
   if (!pod.node_selector.empty() && pod.node_selector != view.name) {
     return false;
   }
   // Hardware compatibility: SGX-enabled jobs need an SGX node.
-  if (pod.wants_sgx() && !view.sgx_capable) return false;
+  if (sgx && !view.sgx_capable) return false;
+  // The device plugin's request accounting: pages are finite device items.
+  return !sgx || view.epc_requested + request.epc_pages <= view.epc_capacity;
+}
+
+/// fits() for a pod whose request and SGX flag are already computed.
+bool fits_request(const cluster::PodSpec& pod,
+                  const cluster::ResourceAmounts& request, bool sgx,
+                  const NodeView& view) {
+  if (!fits_unmeasured(pod, request, sgx, view)) return false;
   // Standard memory saturation.
   if (view.memory_used + request.memory > view.memory_capacity) return false;
   // EPC saturation — over-commitment is deliberately prevented (§V-A):
-  // the usage estimate must fit, and so must the device-plugin request
-  // accounting (pages are finite device items).
-  if (pod.wants_sgx()) {
-    if (view.epc_used + request.epc_pages > view.epc_capacity) return false;
-    if (view.epc_requested + request.epc_pages > view.epc_capacity) {
-      return false;
+  // the usage estimate must fit as well as the request accounting.
+  return !sgx || view.epc_used + request.epc_pages <= view.epc_capacity;
+}
+
+}  // namespace
+
+bool fits(const cluster::PodSpec& pod, const NodeView& view) {
+  return fits_request(pod, pod.total_requests(), pod.wants_sgx(), view);
+}
+
+std::vector<NodeView> request_based_views(ApiServer& api) {
+  std::vector<NodeView> views;
+  for (const ApiServer::NodeEntry& entry : api.schedulable_nodes()) {
+    NodeView view;
+    view.name = entry.node->name();
+    view.sgx_capable = entry.node->has_sgx();
+    view.memory_capacity = entry.node->memory_capacity();
+    view.epc_capacity = entry.node->epc_capacity();
+    const cluster::ResourceAmounts requested = api.node_requests(view.name);
+    view.memory_used = requested.memory;
+    view.epc_used = requested.epc_pages;
+    view.epc_requested = requested.epc_pages;
+    views.push_back(view);
+  }
+  // Stable, deterministic node order.
+  std::sort(views.begin(), views.end(),
+            [](const NodeView& a, const NodeView& b) { return a.name < b.name; });
+  return views;
+}
+
+FitScreen::FitScreen(const std::vector<NodeView>& views) : views_(&views) {
+  refresh();
+}
+
+void FitScreen::refresh() {
+  sgx_headroom_.reset();
+  for (const NodeView& view : *views_) {
+    if (!view.sgx_capable || view.epc_requested > view.epc_capacity) continue;
+    const Pages headroom = view.epc_capacity - view.epc_requested;
+    if (!sgx_headroom_.has_value() || headroom > *sgx_headroom_) {
+      sgx_headroom_ = headroom;
     }
   }
-  return true;
+}
+
+bool FitScreen::may_fit(const cluster::PodSpec& pod,
+                        const cluster::ResourceAmounts& request,
+                        bool sgx) const {
+  if (!pod.node_selector.empty()) {
+    const auto it = std::lower_bound(
+        views_->begin(), views_->end(), pod.node_selector,
+        [](const NodeView& view, const cluster::NodeName& name) {
+          return view.name < name;
+        });
+    return it != views_->end() && it->name == pod.node_selector &&
+           fits_unmeasured(pod, request, sgx, *it);
+  }
+  if (!sgx) return !views_->empty();
+  return sgx_headroom_.has_value() && request.epc_pages <= *sgx_headroom_;
 }
 
 Scheduler::Scheduler(sim::Simulation& sim, ApiServer& api, std::string name,
@@ -105,9 +168,13 @@ void Scheduler::prune_backoffs() {
 
 struct Scheduler::Cycle {
   /// Every schedulable node, charged with this cycle's reservations. Built
-  /// by plan_pod for the cycle's first pod that is not backing off; a
-  /// cycle that plans no pod builds none.
+  /// request-based by plan_pod for the cycle's first pod that is not
+  /// backing off; a cycle that plans no pod builds none.
   std::optional<std::vector<NodeView>> views;
+  /// Screens the cycle's pods against `views`; built with them.
+  std::optional<FitScreen> screen;
+  /// Whether measure_views has run on `views`.
+  bool measured = false;
   /// plan_pod's feasible-node scratch, reused for every pod of the cycle.
   std::vector<NodeView> feasible;
   bool unschedulable_reported = false;
@@ -147,18 +214,38 @@ std::optional<cluster::NodeName> Scheduler::plan_pod(
   if (!cycle.views.has_value()) {
     // Nothing the cycle did so far changes what the views would show: it
     // only listed its pending pods and skipped backed-off ones.
-    cycle.views = collect_views();
+    cycle.views = request_based_views(*api_);
+    cycle.screen.emplace(*cycle.views);
     cycle.feasible.reserve(cycle.views->size());
   }
-  const std::vector<NodeView>& views = *cycle.views;
+  std::vector<NodeView>& views = *cycle.views;
+  // A pod the screen rejects fits nowhere whatever the measurements show,
+  // so only a pod that passes it, or one on_unschedulable acts on, needs
+  // them. Until then the cycle has bound nothing, so measuring late gives
+  // the views that measuring at its first planned pod would.
+  const auto measure = [&] {
+    if (cycle.measured) return;
+    cycle.measured = true;
+    measure_views(views);
+  };
+  const cluster::ResourceAmounts request = spec.total_requests();
+  const bool sgx = spec.wants_sgx();
   cycle.feasible.clear();
-  std::copy_if(views.begin(), views.end(), std::back_inserter(cycle.feasible),
-               [&](const NodeView& view) { return fits(spec, view); });
+  if (cycle.screen->may_fit(spec, request, sgx)) {
+    measure();
+    std::copy_if(views.begin(), views.end(),
+                 std::back_inserter(cycle.feasible), [&](const NodeView& view) {
+                   return fits_request(spec, request, sgx, view);
+                 });
+  }
   std::optional<cluster::NodeName> chosen;
   if (cycle.feasible.empty()) {
     if (!cycle.unschedulable_reported) {
       cycle.unschedulable_reported = true;
-      on_unschedulable(spec, views);
+      if (acts_on_unschedulable(spec)) {
+        measure();
+        on_unschedulable(spec, views);
+      }
     }
   } else {
     chosen = select_node(spec, cycle.feasible, views);
@@ -244,6 +331,7 @@ std::size_t Scheduler::run_once() {
     backoffs_.erase(pod_name);
     ++bound_this_cycle;
     reserve(*cycle.views, *chosen, spec);
+    cycle.screen->refresh();
   }
 
   // Keep the backoff map bounded: entries of pods that left the pending

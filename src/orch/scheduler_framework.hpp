@@ -6,9 +6,12 @@
 // infeasible job-node combinations (hardware compatibility, saturation),
 // let the concrete placement policy pick a node, and bind. Pods that fit
 // nowhere stay in the persistent pending queue for the next cycle. The
-// views are built when the cycle plans its first pod, so a cycle with no
-// pending pod, or with only backed-off ones, reads no node state and runs
-// no metrics query.
+// request-based views are built when the cycle plans its first pod, so a
+// cycle with no pending pod, or with only backed-off ones, reads no node
+// state. Each pod is first screened on the measurement-free half of fits()
+// (FitScreen), and the concrete scheduler folds its measurements into the
+// views (measure_views) only at the cycle's first pod that passes, so a
+// cycle in which no pod can fit anywhere runs no metrics query.
 //
 // Each scheduler name has one active instance, as in Kubernetes (§V-B).
 // Binds are conditional (resource-version CAS + kubelet admission guard,
@@ -67,6 +70,42 @@ struct NodeView {
 /// saturation constraints (never over-commits the EPC: both the measured
 /// usage and the device-plugin request accounting must fit).
 [[nodiscard]] bool fits(const cluster::PodSpec& pod, const NodeView& view);
+
+/// Builds request-based node views from the API server's state: usage is
+/// the sum of the declared requests of the pods assigned to each node.
+/// Every cycle starts from them; the default scheduler plans on them as
+/// they are. Sorted by node name; O(nodes), since each node's request sum
+/// is kept by the ApiServer.
+[[nodiscard]] std::vector<NodeView> request_based_views(ApiServer& api);
+
+/// The measurement-free half of fits() over one cycle's views: the node
+/// selector, SGX capability and the device plugin's accounting
+/// (epc_requested + request <= epc_capacity). None of these reads a usage
+/// estimate, so a pod the screen rejects fits no view whatever the
+/// measurements show: fits(pod, v) for any v of the views implies
+/// may_fit(pod, ...). A pod without a node selector is screened in O(1)
+/// against the largest EPC headroom of any SGX view, one with a selector
+/// against its own node, found by binary search.
+class FitScreen {
+ public:
+  /// `views` must be sorted by name and outlive the screen.
+  explicit FitScreen(const std::vector<NodeView>& views);
+
+  /// Re-reads the EPC headroom after a reservation charged the views.
+  void refresh();
+
+  /// `request` and `sgx` must be `pod.total_requests()` and
+  /// `pod.wants_sgx()`.
+  [[nodiscard]] bool may_fit(const cluster::PodSpec& pod,
+                             const cluster::ResourceAmounts& request,
+                             bool sgx) const;
+
+ private:
+  const std::vector<NodeView>* views_;
+  /// max(epc_capacity - epc_requested) over the SGX views whose
+  /// accounting is within capacity; nullopt if there is none.
+  std::optional<Pages> sgx_headroom_;
+};
 
 class Scheduler {
  public:
@@ -136,8 +175,9 @@ class Scheduler {
   }
   /// Cycles that planned pods on declared requests because measured usage
   /// could not be trusted; meaningful for metrics-driven schedulers (base
-  /// schedulers never degrade). A cycle that plans no pod builds no views
-  /// and so never counts.
+  /// schedulers never degrade). Only a cycle that measures its views can
+  /// count: one with no pod that passes the FitScreen, and no pod that
+  /// on_unschedulable acts on, reads no measurement.
   [[nodiscard]] virtual std::uint64_t degraded_cycles() const { return 0; }
 
   /// Control-plane health snapshot, the raw material of
@@ -156,9 +196,15 @@ class Scheduler {
   [[nodiscard]] Health health() const;
 
  protected:
-  /// Builds this cycle's per-node views (capacities + usage estimates).
-  /// Called at most once per cycle, when it plans its first pod.
-  [[nodiscard]] virtual std::vector<NodeView> collect_views() = 0;
+  /// Replaces the usage estimates of this cycle's request_based_views
+  /// with measurement-informed ones, in place; must leave every field the
+  /// FitScreen reads as it is. Called at most once per cycle, before the
+  /// first pod that passes the screen is filtered, or before
+  /// on_unschedulable acts; a cycle with neither never measures. Nothing
+  /// the cycle did before changes what a measurement shows: it bound
+  /// nothing, and virtual time does not move within a cycle. Default:
+  /// nothing, so the cycle plans on declared requests.
+  virtual void measure_views(std::vector<NodeView>& views) { (void)views; }
 
   /// Picks a node for `pod` among `feasible` (all already pass fits()).
   /// `all` carries this cycle's view of every schedulable node — policies
@@ -168,9 +214,17 @@ class Scheduler {
       const cluster::PodSpec& pod, const std::vector<NodeView>& feasible,
       const std::vector<NodeView>& all) = 0;
 
-  /// Called at most once per cycle, for the highest-priority pod that fit
-  /// nowhere. Implementations may free resources for the *next* cycle
-  /// (e.g. preempt lower-priority pods). Default: nothing.
+  /// Whether on_unschedulable may act for `pod`. Default: never.
+  [[nodiscard]] virtual bool acts_on_unschedulable(
+      const cluster::PodSpec& pod) const {
+    (void)pod;
+    return false;
+  }
+
+  /// Called at most once per cycle, on measured views, for the cycle's
+  /// first pod that fit nowhere (the queue is in priority order), and only
+  /// if acts_on_unschedulable(pod). Implementations may free resources for
+  /// the *next* cycle (e.g. preempt lower-priority pods). Default: nothing.
   virtual void on_unschedulable(const cluster::PodSpec& pod,
                                 const std::vector<NodeView>& all) {
     (void)pod;
@@ -193,12 +247,13 @@ class Scheduler {
   void note_bind_failure(const cluster::PodName& pod);
   /// Drops backoff entries of pods that are no longer pending.
   void prune_backoffs();
-  /// Plans one pod: skip it while it backs off, build the cycle's views if
-  /// this is its first planned pod, filter the feasible nodes (reporting
-  /// the cycle's first pod that fits nowhere to on_unschedulable), and
-  /// let the policy pick. nullopt leaves the pod pending; a failed
-  /// placement under strict FCFS also sets cycle.blocked, which ends the
-  /// cycle.
+  /// Plans one pod: skip it while it backs off, build the cycle's
+  /// request-based views if this is its first planned pod, screen it, and
+  /// for a pod that passes, measure the views if no pod before it did,
+  /// filter the feasible nodes and let the policy pick. The cycle's first
+  /// pod that fits nowhere goes to on_unschedulable if that may act on
+  /// it. nullopt leaves the pod pending; a failed placement under strict
+  /// FCFS also sets cycle.blocked, which ends the cycle.
   std::optional<cluster::NodeName> plan_pod(Cycle& cycle,
                                             const cluster::PodSpec& spec);
 

@@ -2,7 +2,7 @@
 // kind, each asserting the specific degradation and recovery path — plus
 // the determinism regression (same seed + same plan → bit-identical
 // traces) and a small smoke sweep of randomized plans. The full 500-seed
-// sweep lives in chaos_sweep_test.cpp (ctest label: long;chaos).
+// sweep lives in chaos_sweep_test.cpp (ctest label: chaos).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -188,10 +188,18 @@ TEST_F(ChaosFixture, StaleReadsTripTheSchedulerIntoRequestFallback) {
                                Duration::minutes(1), Duration::minutes(5)));
   injector_.arm(plan);
 
-  // A cycle degrades only when it plans a pod: with nothing pending, the
-  // stale window goes unread.
+  // A cycle degrades only when it measures its views: with nothing
+  // pending, the stale window goes unread...
+  run_to(Duration::minutes(4));
+  EXPECT_EQ(scheduler_->degraded_cycles(), 0u);
+  // ...and so it does with only a pod pending that fails the
+  // measurement-free checks: no SGX node's EPC holds its request.
+  cluster_.api().submit(
+      sgx_pod("never-fits", Pages{30'000}, Duration::minutes(1)));
   run_to(Duration::minutes(5));
   EXPECT_EQ(scheduler_->degraded_cycles(), 0u);
+  EXPECT_EQ(cluster_.api().pod("never-fits").phase,
+            cluster::PodPhase::kPending);
 
   // Scheduling continues mid-outage, on requests alone.
   cluster_.api().submit(

@@ -8,6 +8,8 @@
 //   * every running pod's node matches the API server's record.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/sgx_scheduler.hpp"
 #include "exp/fixture.hpp"
 #include "trace/generator.hpp"
@@ -21,6 +23,12 @@ namespace {
 struct Params {
   core::PlacementPolicy policy;
   std::uint64_t seed;
+
+  // gtest prints the parameter into each case's ctest name; without a
+  // printer it dumps the struct's bytes, indeterminate padding included.
+  friend void PrintTo(const Params& p, std::ostream* os) {
+    *os << '{' << core::to_string(p.policy) << ", " << p.seed << '}';
+  }
 };
 
 class PlacementInvariants : public ::testing::TestWithParam<Params> {};

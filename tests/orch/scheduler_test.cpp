@@ -1,7 +1,13 @@
-// Tests for the scheduler framework (feasibility filter, FCFS loop,
-// crash and restart) and the request-based Kubernetes default scheduler.
+// Tests for the scheduler framework (feasibility filter, fit screen, FCFS
+// loop, crash and restart) and the request-based Kubernetes default
+// scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "orch/api_server.hpp"
 #include "orch/default_scheduler.hpp"
 #include "orch/scheduler_framework.hpp"
@@ -310,19 +316,24 @@ TEST_F(SchedulerFixture, RestartedSchedulerBindsAgain) {
   scheduler.stop();
 }
 
-/// The default scheduler's views and a first-fit policy, counting how
-/// often a cycle builds its views.
+/// The default scheduler's request-based views and a first-fit policy,
+/// counting how often a cycle measures its views. With `preempts` set,
+/// on_unschedulable acts on every pod and records whether the cycle had
+/// measured its views by then.
 class ViewCountingScheduler final : public Scheduler {
  public:
   ViewCountingScheduler(sim::Simulation& sim, ApiServer& api)
       : Scheduler(sim, api, DefaultScheduler::kName) {}
 
-  std::size_t view_builds = 0;
+  std::size_t measurements = 0;
+  bool preempts = false;
+  std::size_t unschedulable_calls = 0;
+  std::size_t measurements_at_unschedulable = 0;
 
  protected:
-  std::vector<NodeView> collect_views() override {
-    ++view_builds;
-    return request_based_views(api());
+  void measure_views(std::vector<NodeView>& views) override {
+    (void)views;
+    ++measurements;
   }
 
   std::optional<cluster::NodeName> select_node(
@@ -332,12 +343,25 @@ class ViewCountingScheduler final : public Scheduler {
     (void)all;
     return feasible.front().name;
   }
+
+  bool acts_on_unschedulable(const cluster::PodSpec& pod) const override {
+    (void)pod;
+    return preempts;
+  }
+
+  void on_unschedulable(const cluster::PodSpec& pod,
+                        const std::vector<NodeView>& all) override {
+    (void)pod;
+    (void)all;
+    ++unschedulable_calls;
+    measurements_at_unschedulable = measurements;
+  }
 };
 
 TEST_F(SchedulerFixture, CycleWithNoPendingPodBuildsNoViews) {
   ViewCountingScheduler scheduler{sim_, api_};
   EXPECT_EQ(scheduler.run_once(), 0u);
-  EXPECT_EQ(scheduler.view_builds, 0u);
+  EXPECT_EQ(scheduler.measurements, 0u);
   EXPECT_EQ(scheduler.cycles(), 1u);
 }
 
@@ -348,13 +372,13 @@ TEST_F(SchedulerFixture, CycleWhosePodsAllBackOffBuildsNoViews) {
   api_.submit(standard_pod("huge-2", 100_GiB));
   // The first cycle plans both pods on one set of views and backs both off.
   EXPECT_EQ(scheduler.run_once(), 0u);
-  EXPECT_EQ(scheduler.view_builds, 1u);
+  EXPECT_EQ(scheduler.measurements, 1u);
 
   // Within the backoff the next cycle skips both pods and plans nothing.
   sim_.run_until(sim_.now() + Duration::seconds(5));
   EXPECT_EQ(scheduler.run_once(), 0u);
   EXPECT_EQ(scheduler.backoff_skips(), 2u);
-  EXPECT_EQ(scheduler.view_builds, 1u);
+  EXPECT_EQ(scheduler.measurements, 1u);
   EXPECT_EQ(scheduler.cycles(), 2u);
 }
 
@@ -364,7 +388,208 @@ TEST_F(SchedulerFixture, CycleBuildsItsViewsOnceForAllItsPods) {
     api_.submit(standard_pod(name, 1_GiB));
   }
   EXPECT_EQ(scheduler.run_once(), 3u);
-  EXPECT_EQ(scheduler.view_builds, 1u);
+  EXPECT_EQ(scheduler.measurements, 1u);
+}
+
+/// The scheduler fixture plus a second SGX node, so that a pod's EPC
+/// request can exceed its selected node's headroom and still be below the
+/// cluster's largest.
+class ScreenFixture : public SchedulerFixture {
+ protected:
+  ScreenFixture()
+      : sgx_b_(machine("sgx-b", 8_GiB, true)),
+        kubelet_sb_(sim_, sgx_b_, perf_, registry_, api_) {
+    api_.register_node(sgx_b_, kubelet_sb_);
+  }
+
+  /// Binds a long-running SGX pod requesting `pages` to `node`.
+  void fill(const std::string& node, Pages pages) {
+    const std::string name = "filler-" + node;
+    api_.submit(sgx_pod(name, pages, Duration::hours(1)));
+    ASSERT_TRUE(
+        api_.try_bind(name, node, api_.pod(name).resource_version).bound());
+  }
+
+  /// Leaves sgx-a 3,936 pages of request headroom and sgx-b 9,936.
+  void fill_sgx_nodes() {
+    fill("sgx-a", Pages{20'000});
+    fill("sgx-b", Pages{14'000});
+  }
+
+  /// Two pods that fail the screen: the first exceeds both headrooms, the
+  /// second fits sgx-b's but names sgx-a.
+  void submit_screen_failures() {
+    fill_sgx_nodes();
+    api_.submit(sgx_pod("too-big", Pages{12'000}));
+    cluster::PodSpec pinned = sgx_pod("pinned", Pages{5'000});
+    pinned.node_selector = "sgx-a";
+    api_.submit(pinned);
+  }
+
+  cluster::Node sgx_b_;
+  cluster::Kubelet kubelet_sb_;
+};
+
+TEST_F(ScreenFixture, CycleWhosePodsAllFailTheScreenMeasuresNothing) {
+  submit_screen_failures();
+  ViewCountingScheduler scheduler{sim_, api_};
+  scheduler.set_bind_backoff(Duration::seconds(60), Duration::minutes(10));
+  EXPECT_EQ(scheduler.run_once(), 0u);
+  EXPECT_EQ(scheduler.measurements, 0u);
+  EXPECT_EQ(scheduler.cycles(), 1u);
+  EXPECT_EQ(api_.pod("too-big").phase, cluster::PodPhase::kPending);
+  EXPECT_EQ(api_.pod("pinned").phase, cluster::PodPhase::kPending);
+
+  // Both pods backed off: within the backoff the next cycle skips both.
+  sim_.run_until(sim_.now() + Duration::seconds(5));
+  EXPECT_EQ(scheduler.run_once(), 0u);
+  EXPECT_EQ(scheduler.backoff_skips(), 2u);
+  EXPECT_EQ(scheduler.measurements, 0u);
+  EXPECT_EQ(scheduler.cycles(), 2u);
+}
+
+TEST_F(ScreenFixture, StrictFcfsHeadThatFailsTheScreenEndsTheCycle) {
+  submit_screen_failures();
+  api_.submit(standard_pod("small", 1_GiB));
+  ViewCountingScheduler scheduler{sim_, api_};
+  scheduler.set_strict_fcfs(true);
+  EXPECT_EQ(scheduler.run_once(), 0u);
+  EXPECT_EQ(scheduler.measurements, 0u);
+  EXPECT_EQ(api_.pod("small").phase, cluster::PodPhase::kPending);
+}
+
+TEST_F(ScreenFixture, HeadFailsTheScreenAndTheNextPodMeasuresOnceAndBinds) {
+  fill_sgx_nodes();
+  api_.submit(sgx_pod("too-big", Pages{12'000}));
+  api_.submit(sgx_pod("fits-b", Pages{5'000}));
+  ViewCountingScheduler scheduler{sim_, api_};
+  EXPECT_EQ(scheduler.run_once(), 1u);
+  EXPECT_EQ(scheduler.measurements, 1u);
+  EXPECT_EQ(api_.pod("too-big").phase, cluster::PodPhase::kPending);
+  EXPECT_EQ(api_.pod("fits-b").node, "sgx-b");
+}
+
+TEST_F(ScreenFixture, OnUnschedulableActsOnlyOnMeasuredViews) {
+  submit_screen_failures();
+  ViewCountingScheduler passive{sim_, api_};
+  EXPECT_EQ(passive.run_once(), 0u);
+  EXPECT_EQ(passive.unschedulable_calls, 0u);
+  EXPECT_EQ(passive.measurements, 0u);
+
+  // A scheduler that may act on the head measures before it is called,
+  // once per cycle and for the first pod only.
+  ViewCountingScheduler acting{sim_, api_};
+  acting.preempts = true;
+  EXPECT_EQ(acting.run_once(), 0u);
+  EXPECT_EQ(acting.unschedulable_calls, 1u);
+  EXPECT_EQ(acting.measurements_at_unschedulable, 1u);
+  EXPECT_EQ(acting.measurements, 1u);
+}
+
+/// One random view: SGX or not, capacity and accounting both around the
+/// pods' requests, so that equality and over-commit both occur.
+NodeView random_view(Rng& rng, const std::string& name) {
+  NodeView v;
+  v.name = name;
+  v.sgx_capable = rng.bernoulli(0.6);
+  v.memory_capacity = Bytes{static_cast<std::uint64_t>(rng.uniform_int(0, 8))};
+  v.memory_used = Bytes{static_cast<std::uint64_t>(rng.uniform_int(0, 10))};
+  if (v.sgx_capable) {
+    v.epc_capacity = Pages{static_cast<std::uint64_t>(rng.uniform_int(0, 8))};
+    v.epc_used = Pages{static_cast<std::uint64_t>(rng.uniform_int(0, 10))};
+    v.epc_requested = Pages{static_cast<std::uint64_t>(rng.uniform_int(0, 10))};
+  }
+  return v;
+}
+
+/// One random pod over the same small ranges: SGX or not, with a zero
+/// EPC request but an EPC limit at times (still an SGX pod), and a node
+/// selector that names a view, an unknown node or nothing.
+cluster::PodSpec random_pod(Rng& rng, const std::vector<NodeView>& views) {
+  const Bytes memory{static_cast<std::uint64_t>(rng.uniform_int(0, 4))};
+  cluster::PodSpec pod;
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      pod = standard_pod("p", memory);
+      break;
+    case 1:
+      pod = sgx_pod("p", Pages{static_cast<std::uint64_t>(
+                             rng.uniform_int(0, 6))});
+      break;
+    default:  // EPC limit only: wants SGX with a zero EPC request
+      pod = sgx_pod("p", Pages{0});
+      pod.containers.front().limits.epc_pages = Pages{1};
+      break;
+  }
+  pod.containers.front().requests.memory = memory;
+  const auto selector = rng.uniform_int(0, 3);
+  if (selector == 1 && !views.empty()) {
+    pod.node_selector =
+        views[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(views.size()) - 1))]
+            .name;
+  } else if (selector == 2) {
+    pod.node_selector = "unknown";
+  }
+  return pod;
+}
+
+TEST(FitScreen, FitsOnAnyViewImpliesTheScreenPasses) {
+  // This implication is what makes skipping a screened-out pod's
+  // measurements exact. Each round screens pods against fresh views,
+  // then charges reservations to the views and screens again, as a cycle
+  // does after each bind.
+  Rng rng{20181};
+  std::size_t fitting = 0;
+  std::size_t rejected = 0;
+  std::size_t exact_headroom = 0;
+  for (int round = 0; round < 2'000; ++round) {
+    std::vector<NodeView> views;
+    const auto nodes = rng.uniform_int(0, 4);
+    for (std::int64_t n = 0; n < nodes; ++n) {
+      views.push_back(random_view(rng, "n" + std::to_string(n)));
+    }
+    FitScreen screen{views};
+    for (int reservation = 0; reservation < 3; ++reservation) {
+      for (int trial = 0; trial < 10; ++trial) {
+        const cluster::PodSpec pod = random_pod(rng, views);
+        const cluster::ResourceAmounts request = pod.total_requests();
+        const bool passes = screen.may_fit(pod, request, pod.wants_sgx());
+        // The screen is exactly fits() on idle views: no usage estimate
+        // left to fail on.
+        EXPECT_EQ(passes, std::any_of(views.begin(), views.end(),
+                                      [&](const NodeView& view) {
+                                        NodeView idle = view;
+                                        idle.memory_used = Bytes{0};
+                                        idle.memory_capacity = Bytes{1'000};
+                                        idle.epc_used = Pages{0};
+                                        return fits(pod, idle);
+                                      }))
+            << "round " << round;
+        for (const NodeView& view : views) {
+          if (!fits(pod, view)) continue;
+          ++fitting;
+          EXPECT_TRUE(passes) << "round " << round << ", node " << view.name;
+          if (pod.wants_sgx() &&
+              view.epc_requested + request.epc_pages == view.epc_capacity) {
+            ++exact_headroom;
+          }
+        }
+        if (!passes) ++rejected;
+      }
+      if (views.empty()) break;
+      NodeView& reserved = views[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(views.size()) - 1))];
+      const auto pages = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+      reserved.epc_used += Pages{pages};
+      reserved.epc_requested += Pages{pages};
+      screen.refresh();
+    }
+  }
+  // The draws reach every case the implication must survive.
+  EXPECT_GT(fitting, 1'000u);
+  EXPECT_GT(rejected, 1'000u);
+  EXPECT_GT(exact_headroom, 100u);
 }
 
 TEST(SchedulerConstruction, Validation) {
