@@ -17,8 +17,8 @@
 // its pods passes the measurement-free checks (orch::FitScreen) or may
 // preempt: a pod that fails them fits nowhere whatever the window shows.
 //
-// Non-preemptive; pods stay in the API server's FCFS pending queue until a
-// cycle finds room. Packaged to run as a pod itself, multiple instances
+// Non-preemptive; pods stay in the API server's FCFS pending queue, and
+// every cycle plans each of them again until one finds room. Packaged to run as a pod itself, multiple instances
 // (binpack + spread + the default) can operate side by side, each pulling
 // only the pods that name it (§V-B).
 #pragma once
@@ -70,7 +70,7 @@ class SgxAwareScheduler final : public orch::Scheduler {
   static constexpr Duration kStaleMetricsThreshold = Duration::seconds(60);
 
   /// `metrics_window` is the sliding window of the usage queries (25 s in
-  /// Listing 1). The scheduler runs at the framework's default period.
+  /// Listing 1). The scheduler runs every Scheduler::kPeriod.
   SgxAwareScheduler(sim::Simulation& sim, orch::ApiServer& api,
                     const tsdb::Database& db, Duration metrics_window,
                     SgxSchedulerConfig config);

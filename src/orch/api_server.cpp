@@ -101,8 +101,7 @@ cluster::ResourceAmounts ApiServer::node_requests(
 // ---- index maintenance ------------------------------------------------------
 
 void ApiServer::pending_insert(const PodRecord& record) {
-  pending_queues_[record.spec.scheduler_name].emplace(
-      QueueKey{record.spec.priority, record.seq}, &record);
+  pending_.emplace(QueueKey{record.spec.priority, record.seq}, &record);
 }
 
 void ApiServer::node_insert(const PodRecord& record) {
@@ -115,10 +114,9 @@ void ApiServer::node_insert(const PodRecord& record) {
 
 void ApiServer::unindex(const PodRecord& record) {
   if (record.phase == cluster::PodPhase::kPending) {
-    auto it = pending_queues_.find(record.spec.scheduler_name);
-    SGXO_CHECK(it != pending_queues_.end());
-    it->second.erase(QueueKey{record.spec.priority, record.seq});
-    if (it->second.empty()) pending_queues_.erase(it);
+    const std::size_t erased =
+        pending_.erase(QueueKey{record.spec.priority, record.seq});
+    SGXO_CHECK(erased == 1);
     return;
   }
   if (assigned(record.phase)) {
@@ -179,56 +177,11 @@ std::vector<const PodRecord*> ApiServer::list_pods(
   std::vector<const PodRecord*> out;
 
   // Pending pods come from the queue index, already in priority+FCFS
-  // order. With a scheduler filter that is at most two buckets (the
-  // scheduler's own and, for the cluster default, the unnamed one)
-  // streamed as a two-way merge. Without a scheduler filter it is every
-  // bucket, merged by sort.
+  // order.
   if (filter.phase == cluster::PodPhase::kPending) {
-    if (filter.scheduler.has_value()) {
-      using QueueIt = std::map<QueueKey, const PodRecord*>::const_iterator;
-      QueueIt named_it;
-      QueueIt named_end;
-      QueueIt unnamed_it;
-      QueueIt unnamed_end;
-      if (const auto it = pending_queues_.find(*filter.scheduler);
-          it != pending_queues_.end()) {
-        named_it = it->second.begin();
-        named_end = it->second.end();
-      }
-      if (*filter.scheduler == default_scheduler_) {
-        if (const auto it = pending_queues_.find("");
-            it != pending_queues_.end()) {
-          unnamed_it = it->second.begin();
-          unnamed_end = it->second.end();
-        }
-      }
-      while (named_it != named_end || unnamed_it != unnamed_end) {
-        const bool take_named =
-            unnamed_it == unnamed_end ||
-            (named_it != named_end && named_it->first < unnamed_it->first);
-        const PodRecord* record =
-            take_named ? named_it->second : unnamed_it->second;
-        if (take_named) {
-          ++named_it;
-        } else {
-          ++unnamed_it;
-        }
-        if (matches(*record)) out.push_back(record);
-      }
-      return out;
+    for (const auto& [key, record] : pending_) {
+      if (matches(*record)) out.push_back(record);
     }
-    for (const auto& [bucket, queue] : pending_queues_) {
-      (void)bucket;
-      for (const auto& [key, record] : queue) out.push_back(record);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const PodRecord* a, const PodRecord* b) {
-                return QueueKey{a->spec.priority, a->seq} <
-                       QueueKey{b->spec.priority, b->seq};
-              });
-    std::erase_if(out, [&](const PodRecord* record) {
-      return !matches(*record);
-    });
     return out;
   }
 

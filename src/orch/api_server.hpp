@@ -6,12 +6,12 @@
 // timestamps recorded here are the raw material of every evaluation metric
 // (waiting time = submission → running; turnaround = submission → finish).
 //
-// Read path: the store maintains secondary indexes — per-scheduler pending
-// queues in priority+FCFS order and a pods-by-node index carrying each
-// node's request sum — updated transactionally with every phase
-// transition. list_pods with a pending or node filter and node_requests
-// are therefore O(result), not O(pods): the scheduler hot loop never
-// scans the store.
+// Read path: the store maintains secondary indexes — one pending queue in
+// priority+FCFS order and a pods-by-node index carrying each node's
+// request sum — updated transactionally with every phase transition.
+// list_pods with a pending filter is therefore O(pending pods), with a
+// node filter O(the node's pods), and node_requests O(log nodes), not
+// O(pods): the scheduler hot loop never scans the store.
 //
 // Write path: conditional binds are the only scheduling writes. try_bind
 // validates one (pod, node, version) against live state — version CAS,
@@ -129,7 +129,9 @@ class ApiServer final : public cluster::PodLifecycleListener {
 
   // ---- read path -----------------------------------------------------------
   /// Pods matching `filter`, served from the secondary indexes where one
-  /// applies (O(result)). Result order is deterministic:
+  /// applies: O(pending pods) with phase == kPending, whatever the
+  /// scheduler filter, and O(the node's pods) with a node filter. Result
+  /// order is deterministic:
   ///   * phase == kPending → scheduling-queue order: highest priority
   ///     first, FCFS (oldest submission) within equal priority;
   ///   * else, node filter set → pod-name order (the node index);
@@ -304,10 +306,10 @@ class ApiServer final : public cluster::PodLifecycleListener {
   std::vector<cluster::PodName> submission_order_;
   std::uint64_t next_seq_ = 0;
 
-  // Secondary indexes. Pending queues are bucketed by the *declared*
-  // scheduler name ("" = whatever the cluster default resolves to at query
-  // time, so changing the default never invalidates the index).
-  std::map<std::string, std::map<QueueKey, const PodRecord*>> pending_queues_;
+  // Secondary indexes. The pending queue holds every pending pod; a
+  // scheduler filter resolves each pod's owner at query time, so changing
+  // the cluster default never invalidates the index.
+  std::map<QueueKey, const PodRecord*> pending_;
   /// The pods assigned to one node, by name, and the sum of their
   /// requests, kept with every bind, move and release.
   struct NodePods {

@@ -5,18 +5,13 @@
 namespace sgxo::orch {
 
 ProbeDaemonSet::ProbeDaemonSet(sim::Simulation& sim, ApiServer& api,
-                               tsdb::Database& db, Duration probe_period,
-                               Duration reconcile_period)
-    : sim_(&sim),
-      api_(&api),
-      db_(&db),
-      probe_period_(probe_period),
-      reconcile_period_(reconcile_period) {}
+                               tsdb::Database& db, Duration probe_period)
+    : sim_(&sim), api_(&api), db_(&db), probe_period_(probe_period) {}
 
 void ProbeDaemonSet::start() {
   reconcile();
   if (!timer_.valid()) {
-    timer_ = sim_->schedule_every(reconcile_period_, reconcile_period_,
+    timer_ = sim_->schedule_every(kReconcilePeriod, kReconcilePeriod,
                                   [this] { reconcile(); });
   }
 }

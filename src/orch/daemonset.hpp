@@ -18,9 +18,12 @@ namespace sgxo::orch {
 
 class ProbeDaemonSet {
  public:
+  /// Reconciliation period: a new SGX node, or one whose probe crashed,
+  /// gets a probe within 30 s.
+  static constexpr Duration kReconcilePeriod = Duration::seconds(30);
+
   ProbeDaemonSet(sim::Simulation& sim, ApiServer& api, tsdb::Database& db,
-                 Duration probe_period = Duration::seconds(10),
-                 Duration reconcile_period = Duration::seconds(30));
+                 Duration probe_period = Duration::seconds(10));
 
   ProbeDaemonSet(const ProbeDaemonSet&) = delete;
   ProbeDaemonSet& operator=(const ProbeDaemonSet&) = delete;
@@ -62,7 +65,6 @@ class ProbeDaemonSet {
   ApiServer* api_;
   tsdb::Database* db_;
   Duration probe_period_;
-  Duration reconcile_period_;
   sim::EventId timer_;
   std::map<cluster::NodeName, std::unique_ptr<SgxProbe>> probes_;
   std::map<cluster::NodeName, FaultState> faults_;  // "" = all probes

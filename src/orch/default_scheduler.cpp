@@ -4,9 +4,8 @@
 
 namespace sgxo::orch {
 
-DefaultScheduler::DefaultScheduler(sim::Simulation& sim, ApiServer& api,
-                                   Duration period)
-    : Scheduler(sim, api, kName, period) {}
+DefaultScheduler::DefaultScheduler(sim::Simulation& sim, ApiServer& api)
+    : Scheduler(sim, api, kName) {}
 
 std::optional<cluster::NodeName> DefaultScheduler::select_node(
     const cluster::PodSpec& pod, const std::vector<NodeView>& feasible,

@@ -14,8 +14,7 @@ class DefaultScheduler final : public Scheduler {
  public:
   static constexpr const char* kName = "default-scheduler";
 
-  DefaultScheduler(sim::Simulation& sim, ApiServer& api,
-                   Duration period = Duration::seconds(5));
+  DefaultScheduler(sim::Simulation& sim, ApiServer& api);
 
  protected:
   /// Least-requested priority: the feasible node with the lowest combined

@@ -203,7 +203,6 @@ std::string describe_control_plane(
        << ", cycles=" << health.cycles << " bound=" << health.bound
        << " bind_conflicts=" << health.bind_conflicts
        << " guard_rejections=" << health.guard_rejections
-       << " backoff_skips=" << health.backoff_skips
        << " degraded_cycles=" << health.degraded_cycles
        << " attestation_waits=" << health.attestation_waits << '\n';
   }

@@ -39,7 +39,7 @@ namespace sgxo::orch {
 /// when more than a quarter of the attested nodes are mid
 /// re-verification), and one line per scheduler (name, active/crashed
 /// state, cycles, binds, and the bind conflicts, guard rejections,
-/// backoff skips, degraded cycles and attestation waits it counted).
+/// degraded cycles and attestation waits it counted).
 [[nodiscard]] std::string describe_control_plane(
     const ApiServer& api, const std::vector<const Scheduler*>& schedulers,
     TimePoint now);

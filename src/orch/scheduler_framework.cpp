@@ -91,18 +91,16 @@ bool FitScreen::may_fit(const cluster::PodSpec& pod,
   return sgx_headroom_.has_value() && request.epc_pages <= *sgx_headroom_;
 }
 
-Scheduler::Scheduler(sim::Simulation& sim, ApiServer& api, std::string name,
-                     Duration period)
-    : sim_(&sim), api_(&api), name_(std::move(name)), period_(period) {
+Scheduler::Scheduler(sim::Simulation& sim, ApiServer& api, std::string name)
+    : sim_(&sim), api_(&api), name_(std::move(name)) {
   SGXO_CHECK_MSG(!name_.empty(), "scheduler needs a name");
-  SGXO_CHECK_MSG(period_ > Duration{}, "scheduling period must be positive");
 }
 
 Scheduler::~Scheduler() { stop(); }
 
 void Scheduler::start() {
   if (timer_.valid()) return;
-  timer_ = sim_->schedule_every(period_, period_, [this] { run_once(); });
+  timer_ = sim_->schedule_every(kPeriod, kPeriod, [this] { run_once(); });
 }
 
 void Scheduler::stop() {
@@ -120,10 +118,6 @@ void Scheduler::crash() {
 void Scheduler::restart() {
   if (!crashed_) return;
   crashed_ = false;
-  // A reborn scheduler trusts nothing it cached; the pending queue and
-  // node commitments are re-read from the ApiServer every cycle anyway,
-  // and the backoff clocks of its previous life are meaningless now.
-  backoffs_.clear();
   start();
 }
 
@@ -136,50 +130,28 @@ Scheduler::Health Scheduler::health() const {
   health.bind_conflicts = bind_conflicts_;
   health.guard_rejections = guard_rejections_;
   health.attestation_waits = attestation_waits_;
-  health.backoff_skips = backoff_skips_;
   health.degraded_cycles = degraded_cycles();
   return health;
 }
 
-void Scheduler::set_bind_backoff(Duration base, Duration cap) {
-  SGXO_CHECK_MSG(base > Duration{}, "backoff base must be positive");
-  SGXO_CHECK_MSG(cap >= base, "backoff cap must be >= base");
-  backoff_base_ = base;
-  backoff_cap_ = cap;
-}
-
-void Scheduler::note_bind_failure(const cluster::PodName& pod) {
-  if (!bind_backoff_enabled()) return;
-  PodBackoff& entry = backoffs_[pod];
-  entry.delay = entry.delay == Duration{}
-                    ? backoff_base_
-                    : std::min(entry.delay * 2, backoff_cap_);
-  entry.not_before = sim_->now() + entry.delay;
-}
-
-void Scheduler::prune_backoffs() {
-  for (auto it = backoffs_.begin(); it != backoffs_.end();) {
-    const bool still_pending =
-        api_->has_pod(it->first) &&
-        api_->pod(it->first).phase == cluster::PodPhase::kPending;
-    it = still_pending ? std::next(it) : backoffs_.erase(it);
-  }
-}
-
 struct Scheduler::Cycle {
-  /// Every schedulable node, charged with this cycle's reservations. Built
-  /// request-based by plan_pod for the cycle's first pod that is not
-  /// backing off; a cycle that plans no pod builds none.
-  std::optional<std::vector<NodeView>> views;
-  /// Screens the cycle's pods against `views`; built with them.
-  std::optional<FitScreen> screen;
+  explicit Cycle(ApiServer& api)
+      : views(request_based_views(api)), screen(views) {
+    feasible.reserve(views.size());
+  }
+  // `screen` points at `views`.
+  Cycle(const Cycle&) = delete;
+  Cycle& operator=(const Cycle&) = delete;
+
+  /// Every schedulable node, charged with this cycle's reservations.
+  std::vector<NodeView> views;
+  /// Screens the cycle's pods against `views`.
+  FitScreen screen;
   /// Whether measure_views has run on `views`.
   bool measured = false;
   /// plan_pod's feasible-node scratch, reused for every pod of the cycle.
   std::vector<NodeView> feasible;
   bool unschedulable_reported = false;
-  /// Strict FCFS: a pod that fit nowhere ends the cycle.
-  bool blocked = false;
 };
 
 namespace {
@@ -202,67 +174,42 @@ void reserve(std::vector<NodeView>& views, const cluster::NodeName& node,
 
 std::optional<cluster::NodeName> Scheduler::plan_pod(
     Cycle& cycle, const cluster::PodSpec& spec) {
-  if (bind_backoff_enabled()) {
-    const auto backoff_it = backoffs_.find(spec.name);
-    if (backoff_it != backoffs_.end() &&
-        sim_->now() < backoff_it->second.not_before) {
-      ++backoff_skips_;
-      return std::nullopt;  // still backing off — never blocks younger pods
-    }
-  }
-
-  if (!cycle.views.has_value()) {
-    // Nothing the cycle did so far changes what the views would show: it
-    // only listed its pending pods and skipped backed-off ones.
-    cycle.views = request_based_views(*api_);
-    cycle.screen.emplace(*cycle.views);
-    cycle.feasible.reserve(cycle.views->size());
-  }
-  std::vector<NodeView>& views = *cycle.views;
   // A pod the screen rejects fits nowhere whatever the measurements show,
   // so only a pod that passes it, or one on_unschedulable acts on, needs
   // them. Until then the cycle has bound nothing, so measuring late gives
-  // the views that measuring at its first planned pod would.
+  // the views that measuring at its first pod would.
   const auto measure = [&] {
     if (cycle.measured) return;
     cycle.measured = true;
-    measure_views(views);
+    measure_views(cycle.views);
   };
   const cluster::ResourceAmounts request = spec.total_requests();
   const bool sgx = spec.wants_sgx();
   cycle.feasible.clear();
-  if (cycle.screen->may_fit(spec, request, sgx)) {
+  if (cycle.screen.may_fit(spec, request, sgx)) {
     measure();
-    std::copy_if(views.begin(), views.end(),
+    std::copy_if(cycle.views.begin(), cycle.views.end(),
                  std::back_inserter(cycle.feasible), [&](const NodeView& view) {
                    return fits_request(spec, request, sgx, view);
                  });
   }
-  std::optional<cluster::NodeName> chosen;
-  if (cycle.feasible.empty()) {
-    if (!cycle.unschedulable_reported) {
-      cycle.unschedulable_reported = true;
-      if (acts_on_unschedulable(spec)) {
-        measure();
-        on_unschedulable(spec, views);
-      }
+  if (!cycle.feasible.empty()) {
+    return select_node(spec, cycle.feasible, cycle.views);
+  }
+  if (!cycle.unschedulable_reported) {
+    cycle.unschedulable_reported = true;
+    if (acts_on_unschedulable(spec)) {
+      measure();
+      on_unschedulable(spec, cycle.views);
     }
-  } else {
-    chosen = select_node(spec, cycle.feasible, views);
   }
-  if (!chosen.has_value()) {
-    note_bind_failure(spec.name);
-    cycle.blocked = strict_fcfs_;
-  }
-  return chosen;
+  return std::nullopt;
 }
 
 std::size_t Scheduler::run_once() {
   if (crashed_) return 0;
 
   ++cycles_;
-  Cycle cycle;
-  std::size_t bound_this_cycle = 0;
 
   // FCFS: older pods get first pick of this cycle's resources; pods that
   // fit nowhere right now stay pending without blocking younger ones
@@ -286,57 +233,47 @@ std::size_t Scheduler::run_once() {
   for (const PodRecord* record : api_->list_pods(filter)) {
     snapshot.push_back(PendingSnapshot{record, record->resource_version});
   }
+  if (snapshot.empty()) return 0;
+
+  Cycle cycle{*api_};
+  std::size_t bound_this_cycle = 0;
   for (const PendingSnapshot& pending : snapshot) {
     const cluster::PodSpec& spec = pending.record->spec;
-    const cluster::PodName& pod_name = spec.name;
     const std::optional<cluster::NodeName> chosen = plan_pod(cycle, spec);
-    if (cycle.blocked) break;
-    if (!chosen.has_value()) continue;
-
-    const ApiServer::BindOutcome outcome =
-        api_->try_bind(pod_name, *chosen, pending.version);
-    if (outcome == ApiServer::BindStatus::kStaleVersion ||
-        outcome == ApiServer::BindStatus::kNotPending) {
-      // Lost the race: the pod changed (or was taken) since the cycle's
-      // snapshot. It stays wherever the winner put it; if still pending
-      // it is re-enqueued for the next cycle, without a backoff penalty.
-      ++bind_conflicts_;
-      continue;
+    if (chosen.has_value()) {
+      const ApiServer::BindOutcome outcome =
+          api_->try_bind(spec.name, *chosen, pending.version);
+      if (outcome.bound()) {
+        ++bound_this_cycle;
+        reserve(cycle.views, *chosen, spec);
+        cycle.screen.refresh();
+        continue;
+      }
+      if (outcome == ApiServer::BindStatus::kStaleVersion ||
+          outcome == ApiServer::BindStatus::kNotPending) {
+        // Lost the race: the pod changed (or was taken) since the cycle's
+        // snapshot. It stays wherever the winner put it; if still pending
+        // it is planned again next cycle.
+        ++bind_conflicts_;
+        continue;
+      }
+      // Refused: the kubelet's live commitments disagree with this
+      // cycle's view (admission guard), the node died since the views
+      // were built, or the attestation gate parked the bind (verification
+      // in flight) or refused the node. The pod stays pending and is
+      // planned again next cycle, on rebuilt views.
+      if (outcome == ApiServer::BindStatus::kAdmissionRejected) {
+        ++guard_rejections_;
+      }
+      if (outcome == ApiServer::BindStatus::kAttestationPending ||
+          outcome == ApiServer::BindStatus::kAttestationRejected) {
+        ++attestation_waits_;
+      }
     }
-    if (outcome == ApiServer::BindStatus::kAdmissionRejected) {
-      // The kubelet's live commitments disagree with this cycle's view.
-      // Back the pod off like any other failed placement; the view is
-      // rebuilt next cycle.
-      ++guard_rejections_;
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
-    if (outcome == ApiServer::BindStatus::kNodeUnavailable) {
-      // The node died between view collection and bind.
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
-    if (outcome == ApiServer::BindStatus::kAttestationPending ||
-        outcome == ApiServer::BindStatus::kAttestationRejected) {
-      // The attestation gate parked the bind (verification in flight) or
-      // refused the node. Back off and retry; a pending verdict usually
-      // resolves within one round-trip.
-      ++attestation_waits_;
-      note_bind_failure(pod_name);
-      if (strict_fcfs_) break;
-      continue;
-    }
-    backoffs_.erase(pod_name);
-    ++bound_this_cycle;
-    reserve(*cycle.views, *chosen, spec);
-    cycle.screen->refresh();
+    // Strict FCFS: a pod that fit nowhere, or whose bind was refused,
+    // ends the cycle.
+    if (strict_fcfs_) break;
   }
-
-  // Keep the backoff map bounded: entries of pods that left the pending
-  // queue (bound elsewhere, finished, failed) are dropped periodically.
-  if (bind_backoff_enabled() && cycles_ % 64 == 0) prune_backoffs();
 
   bound_ += bound_this_cycle;
   return bound_this_cycle;

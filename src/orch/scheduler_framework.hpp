@@ -5,10 +5,10 @@
 // pods FCFS, build a resource view of every schedulable node, filter
 // infeasible job-node combinations (hardware compatibility, saturation),
 // let the concrete placement policy pick a node, and bind. Pods that fit
-// nowhere stay in the persistent pending queue for the next cycle. The
-// request-based views are built when the cycle plans its first pod, so a
-// cycle with no pending pod, or with only backed-off ones, reads no node
-// state. Each pod is first screened on the measurement-free half of fits()
+// nowhere stay in the persistent pending queue and are planned again the
+// next cycle. The request-based views are built once per cycle with a
+// pending pod, so a cycle with an empty queue reads no node state. Each
+// pod is first screened on the measurement-free half of fits()
 // (FitScreen), and the concrete scheduler folds its measurements into the
 // views (measure_views) only at the cycle's first pod that passes, so a
 // cycle in which no pod can fit anywhere runs no metrics query.
@@ -20,7 +20,6 @@
 // over-commit.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -109,15 +108,17 @@ class FitScreen {
 
 class Scheduler {
  public:
-  Scheduler(sim::Simulation& sim, ApiServer& api, std::string name,
-            Duration period = Duration::seconds(5));
+  /// The scheduling period: one cycle every 5 s of virtual time.
+  static constexpr Duration kPeriod = Duration::seconds(5);
+
+  Scheduler(sim::Simulation& sim, ApiServer& api, std::string name);
   virtual ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] Duration period() const { return period_; }
+  [[nodiscard]] Duration period() const { return kPeriod; }
 
   /// Starts the periodic scheduling loop (idempotent).
   void start();
@@ -127,10 +128,9 @@ class Scheduler {
   /// Crash-stop: the loop halts, as with a real process kill. Work already
   /// bound stays bound; the scheduler's pending pods wait for restart().
   void crash();
-  /// Restarts a crashed scheduler with no memory of its previous life:
-  /// backoff timers are dropped. Cumulative counters (cycles, binds)
-  /// survive. Pending pods and node views are re-read from the ApiServer
-  /// every cycle anyway.
+  /// Restarts a crashed scheduler. It keeps no state between cycles:
+  /// pending pods and node views are re-read from the ApiServer every
+  /// cycle. Cumulative counters (cycles, binds) survive.
   void restart();
   [[nodiscard]] bool crashed() const { return crashed_; }
 
@@ -140,17 +140,6 @@ class Scheduler {
   /// design-choice ablation.
   void set_strict_fcfs(bool strict) { strict_fcfs_ = strict; }
   [[nodiscard]] bool strict_fcfs() const { return strict_fcfs_; }
-
-  /// Capped exponential bind backoff (off by default): a pod that failed
-  /// placement waits `base` before its next attempt, doubling per failure
-  /// up to `cap`, and resets on a successful bind. Under fault churn this
-  /// keeps repeatedly-unschedulable pods from being re-evaluated (views,
-  /// feasibility, TSDB queries) every single cycle; it takes precedence
-  /// over strict FCFS for backed-off pods (they are skipped, not blocking).
-  void set_bind_backoff(Duration base, Duration cap);
-  [[nodiscard]] bool bind_backoff_enabled() const { return backoff_base_ > Duration{}; }
-  /// Placement attempts skipped because the pod was still backing off.
-  [[nodiscard]] std::uint64_t backoff_skips() const { return backoff_skips_; }
 
   /// One scheduling cycle; returns the number of pods bound. A crashed
   /// scheduler's cycle is a no-op.
@@ -169,7 +158,8 @@ class Scheduler {
     return guard_rejections_;
   }
   /// Bind attempts parked behind the attestation gate (verification in
-  /// flight or a cached rejection) — the pod backs off and retries.
+  /// flight or a cached rejection) — the pod stays pending for the next
+  /// cycle.
   [[nodiscard]] std::uint64_t attestation_waits() const {
     return attestation_waits_;
   }
@@ -190,7 +180,6 @@ class Scheduler {
     std::uint64_t bind_conflicts = 0;
     std::uint64_t guard_rejections = 0;
     std::uint64_t attestation_waits = 0;
-    std::uint64_t backoff_skips = 0;
     std::uint64_t degraded_cycles = 0;
   };
   [[nodiscard]] Health health() const;
@@ -235,38 +224,24 @@ class Scheduler {
   [[nodiscard]] sim::Simulation& sim() { return *sim_; }
 
  private:
-  struct PodBackoff {
-    Duration delay{};      // next wait after a failed attempt
-    TimePoint not_before;  // next attempt no earlier than this
-  };
-  /// Cycle-local planning state: this cycle's node views plus the scratch
-  /// plan_pod reuses for every pod (defined in the .cpp).
+  /// Cycle-local planning state: this cycle's node views and their
+  /// screen, plus the scratch plan_pod reuses for every pod (defined in
+  /// the .cpp).
   struct Cycle;
 
-  /// Records a failed placement attempt: arms/doubles the pod's backoff.
-  void note_bind_failure(const cluster::PodName& pod);
-  /// Drops backoff entries of pods that are no longer pending.
-  void prune_backoffs();
-  /// Plans one pod: skip it while it backs off, build the cycle's
-  /// request-based views if this is its first planned pod, screen it, and
-  /// for a pod that passes, measure the views if no pod before it did,
-  /// filter the feasible nodes and let the policy pick. The cycle's first
-  /// pod that fits nowhere goes to on_unschedulable if that may act on
-  /// it. nullopt leaves the pod pending; a failed placement under strict
-  /// FCFS also sets cycle.blocked, which ends the cycle.
+  /// Plans one pod: screen it, and for a pod that passes, measure the
+  /// views if no pod before it did, filter the feasible nodes and let the
+  /// policy pick. The cycle's first pod that fits nowhere goes to
+  /// on_unschedulable if that may act on it. nullopt leaves the pod
+  /// pending.
   std::optional<cluster::NodeName> plan_pod(Cycle& cycle,
                                             const cluster::PodSpec& spec);
 
   sim::Simulation* sim_;
   ApiServer* api_;
   std::string name_;
-  Duration period_;
   sim::EventId timer_;
   bool strict_fcfs_ = false;
-  Duration backoff_base_{};  // zero = backoff disabled
-  Duration backoff_cap_{};
-  std::map<cluster::PodName, PodBackoff> backoffs_;
-  std::uint64_t backoff_skips_ = 0;
   std::uint64_t cycles_ = 0;
   std::uint64_t bound_ = 0;
   bool crashed_ = false;

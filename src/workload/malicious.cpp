@@ -20,8 +20,7 @@ cluster::PodSpec malicious_pod(const std::string& name,
       static_cast<double>(config.epc.usable.count())))};
   behavior.duration = config.duration;
 
-  return cluster::make_stressor_pod(name, declared, declared, behavior,
-                                    config.scheduler_name);
+  return cluster::make_stressor_pod(name, declared, declared, behavior);
 }
 
 std::vector<cluster::PodSpec> malicious_pods(std::size_t count,

@@ -22,7 +22,6 @@ struct MaliciousConfig {
   Duration duration = Duration::hours(12);
   /// EPC geometry of the targeted nodes.
   sgx::EpcConfig epc = sgx::EpcConfig::sgx1();
-  std::string scheduler_name;
 };
 
 /// One malicious pod. The paper deploys as many as there are SGX-enabled

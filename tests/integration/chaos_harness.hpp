@@ -58,7 +58,6 @@ struct ScenarioResult {
   std::uint64_t injected = 0;
   std::uint64_t healed = 0;
   std::uint64_t degraded_cycles = 0;
-  std::uint64_t backoff_skips = 0;
   std::uint64_t disconnects = 0;
   std::uint64_t resyncs = 0;
   std::uint64_t bind_conflicts = 0;    // the scheduler's CAS losses
@@ -93,7 +92,6 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   SimulatedCluster cluster{cluster_config};
   core::SgxAwareScheduler& scheduler =
       cluster.add_sgx_scheduler(core::PlacementPolicy::kBinpack);
-  scheduler.set_bind_backoff(Duration::seconds(5), Duration::minutes(2));
   cluster.api().set_default_scheduler(scheduler.name());
   cluster.start_monitoring();
 
@@ -222,7 +220,6 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   result.healed = injector.healed();
   const orch::Scheduler::Health health = scheduler.health();
   result.degraded_cycles = health.degraded_cycles;
-  result.backoff_skips = health.backoff_skips;
   result.attestation_waits = health.attestation_waits;
   result.bind_conflicts = health.bind_conflicts;
   result.guard_rejections = health.guard_rejections;

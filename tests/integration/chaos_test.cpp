@@ -399,7 +399,6 @@ TEST(ChaosDeterminism, SchedulerCrashScenarioWithSameSeedIsBitIdentical) {
   const chaos::ScenarioResult b = chaos::run_scenario(2);
   ASSERT_NE(a.plan.find("scheduler-crash"), std::string::npos) << a.plan;
   EXPECT_EQ(a.plan, b.plan);
-  EXPECT_EQ(a.backoff_skips, b.backoff_skips);
   EXPECT_EQ(a.succeeded, b.succeeded);
   ASSERT_EQ(a.event_log.size(), b.event_log.size());
   for (std::size_t i = 0; i < a.event_log.size(); ++i) {
@@ -451,7 +450,7 @@ TEST(ChaosSweep, SmokeTwentyFiveSeeds) {
 
 TEST(ChaosSweep, ShardedTsdbSmokeTenSeeds) {
   // The 500-seed per-shard-fault sweep lives in chaos_tsdb_sweep_test.cpp
-  // (label: chaos); this keeps a slice of it in the default suite.
+  // (label: chaos); this keeps a slice of it beside the targeted cases.
   chaos::ScenarioConfig config;
   config.tsdb_shards = 4;
   config.tsdb_shard_faults = true;

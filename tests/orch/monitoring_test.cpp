@@ -277,8 +277,7 @@ TEST_F(MonitoringFixture, DaemonSetDeploysProbesOnSgxNodesOnly) {
 }
 
 TEST_F(MonitoringFixture, DaemonSetRedeploysCrashedProbe) {
-  ProbeDaemonSet daemonset{sim_, api_, db_, Duration::seconds(10),
-                           Duration::seconds(30)};
+  ProbeDaemonSet daemonset{sim_, api_, db_};
   daemonset.start();
   daemonset.crash_probe("sgx-1");
   EXPECT_EQ(daemonset.probe_count(), 0u);
@@ -290,8 +289,7 @@ TEST_F(MonitoringFixture, DaemonSetRedeploysCrashedProbe) {
 }
 
 TEST_F(MonitoringFixture, DaemonSetCoversNewSgxNode) {
-  ProbeDaemonSet daemonset{sim_, api_, db_, Duration::seconds(10),
-                           Duration::seconds(30)};
+  ProbeDaemonSet daemonset{sim_, api_, db_};
   daemonset.start();
   // A new SGX machine joins the cluster.
   cluster::Node late{machine("sgx-2", true)};
@@ -307,8 +305,7 @@ TEST_F(MonitoringFixture, DelayedProbeSampleLandsAfterTheProbeCrashed) {
   api_.submit(sgx_pod("e", Pages{512}, Duration::minutes(10)));
   ASSERT_TRUE(
       api_.try_bind("e", "sgx-1", api_.pod("e").resource_version).bound());
-  ProbeDaemonSet daemonset{sim_, api_, db_, Duration::seconds(10),
-                           Duration::minutes(30)};
+  ProbeDaemonSet daemonset{sim_, api_, db_};
   daemonset.start();
   daemonset.set_sample_delay("", Duration::seconds(5));
   // The probe samples at 10 s; the sample is still in flight when the

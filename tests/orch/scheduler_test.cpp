@@ -208,7 +208,7 @@ TEST_F(SchedulerFixture, SgxRequestAccountingLimitsPacking) {
 }
 
 TEST_F(SchedulerFixture, PeriodicLoopDrivesQueue) {
-  DefaultScheduler scheduler{sim_, api_, Duration::seconds(5)};
+  DefaultScheduler scheduler{sim_, api_};
   scheduler.start();
   api_.submit(standard_pod("p1", 1_GiB, Duration::seconds(10)));
   sim_.run_until(TimePoint::epoch() + Duration::seconds(30));
@@ -260,39 +260,8 @@ TEST_F(SchedulerFixture, PendingQueuePriorityOrder) {
             (std::vector<cluster::PodName>{"high", "mid-a", "mid-b", "low"}));
 }
 
-TEST_F(SchedulerFixture, RestartDropsInheritedBindBackoffs) {
-  DefaultScheduler scheduler{sim_, api_};
-  scheduler.set_bind_backoff(Duration::seconds(60), Duration::minutes(10));
-
-  // Short-lived fillers hold 40 of each 64 GiB node, so the 40 GiB pod
-  // fits nowhere and the scheduler arms a 60 s backoff against it.
-  for (const std::string node : {"node-a", "node-b"}) {
-    const std::string filler = "filler-" + node;
-    api_.submit(standard_pod(filler, 40_GiB, Duration::seconds(2)));
-    ASSERT_TRUE(api_.try_bind(filler, node, api_.pod(filler).resource_version)
-                    .bound());
-  }
-  api_.submit(standard_pod("pod", 40_GiB));
-  ASSERT_EQ(scheduler.run_once(), 0u);
-
-  // The scheduler crashes; meanwhile the fillers finish and free their
-  // nodes, well before the 60 s backoff would have elapsed.
-  scheduler.crash();
-  sim_.run_until(sim_.now() + Duration::seconds(4));
-  ASSERT_EQ(api_.pod("filler-node-a").phase, cluster::PodPhase::kSucceeded);
-
-  // The restarted scheduler binds on its first cycle: the backoff its
-  // previous life armed is gone. Were it inherited, this cycle would skip
-  // the pod until t=60s.
-  scheduler.restart();
-  EXPECT_FALSE(scheduler.crashed());
-  EXPECT_EQ(scheduler.run_once(), 1u);
-  EXPECT_EQ(scheduler.backoff_skips(), 0u);
-  EXPECT_EQ(api_.pod("pod").phase, cluster::PodPhase::kBound);
-}
-
 TEST_F(SchedulerFixture, RestartedSchedulerBindsAgain) {
-  DefaultScheduler scheduler{sim_, api_, Duration::seconds(5)};
+  DefaultScheduler scheduler{sim_, api_};
   scheduler.start();
   sim_.run_until(TimePoint::epoch() + Duration::seconds(12));
   const std::uint64_t cycles_at_crash = scheduler.cycles();
@@ -365,23 +334,6 @@ TEST_F(SchedulerFixture, CycleWithNoPendingPodBuildsNoViews) {
   EXPECT_EQ(scheduler.cycles(), 1u);
 }
 
-TEST_F(SchedulerFixture, CycleWhosePodsAllBackOffBuildsNoViews) {
-  ViewCountingScheduler scheduler{sim_, api_};
-  scheduler.set_bind_backoff(Duration::seconds(60), Duration::minutes(10));
-  api_.submit(standard_pod("huge-1", 100_GiB));  // fits nowhere
-  api_.submit(standard_pod("huge-2", 100_GiB));
-  // The first cycle plans both pods on one set of views and backs both off.
-  EXPECT_EQ(scheduler.run_once(), 0u);
-  EXPECT_EQ(scheduler.measurements, 1u);
-
-  // Within the backoff the next cycle skips both pods and plans nothing.
-  sim_.run_until(sim_.now() + Duration::seconds(5));
-  EXPECT_EQ(scheduler.run_once(), 0u);
-  EXPECT_EQ(scheduler.backoff_skips(), 2u);
-  EXPECT_EQ(scheduler.measurements, 1u);
-  EXPECT_EQ(scheduler.cycles(), 2u);
-}
-
 TEST_F(SchedulerFixture, CycleBuildsItsViewsOnceForAllItsPods) {
   ViewCountingScheduler scheduler{sim_, api_};
   for (const std::string name : {"p1", "p2", "p3"}) {
@@ -433,17 +385,15 @@ class ScreenFixture : public SchedulerFixture {
 TEST_F(ScreenFixture, CycleWhosePodsAllFailTheScreenMeasuresNothing) {
   submit_screen_failures();
   ViewCountingScheduler scheduler{sim_, api_};
-  scheduler.set_bind_backoff(Duration::seconds(60), Duration::minutes(10));
   EXPECT_EQ(scheduler.run_once(), 0u);
   EXPECT_EQ(scheduler.measurements, 0u);
   EXPECT_EQ(scheduler.cycles(), 1u);
   EXPECT_EQ(api_.pod("too-big").phase, cluster::PodPhase::kPending);
   EXPECT_EQ(api_.pod("pinned").phase, cluster::PodPhase::kPending);
 
-  // Both pods backed off: within the backoff the next cycle skips both.
+  // The next cycle screens both pods again and still measures nothing.
   sim_.run_until(sim_.now() + Duration::seconds(5));
   EXPECT_EQ(scheduler.run_once(), 0u);
-  EXPECT_EQ(scheduler.backoff_skips(), 2u);
   EXPECT_EQ(scheduler.measurements, 0u);
   EXPECT_EQ(scheduler.cycles(), 2u);
 }
@@ -590,12 +540,6 @@ TEST(FitScreen, FitsOnAnyViewImpliesTheScreenPasses) {
   EXPECT_GT(fitting, 1'000u);
   EXPECT_GT(rejected, 1'000u);
   EXPECT_GT(exact_headroom, 100u);
-}
-
-TEST(SchedulerConstruction, Validation) {
-  sim::Simulation sim;
-  ApiServer api{sim};
-  EXPECT_THROW(DefaultScheduler(sim, api, Duration{}), ContractViolation);
 }
 
 }  // namespace
