@@ -20,7 +20,7 @@
 // query row carries a digest of its result set; the smoke run re-parses
 // the file and fails unless every query returned the identical result set
 // on every shard count, fails on an empty result set, and fails unless
-// listing1_25s returned the result set pinned in kListing1SmokeDigest.
+// each query returned the result set pinned in kSmokeDigests.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -46,10 +47,14 @@ using tsdb::Tags;
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
 
-/// listing1_25s's result digest in the smoke run: 32 nodes' sums of their
-/// pods' maxima. Agreement across shard counts cannot catch a wrong answer
-/// every shard count shares; this pin can.
-constexpr const char* kListing1SmokeDigest = "28840870a6cb3385";
+/// Each query's result digest in the smoke run: 32 nodes' sums of their
+/// pods' maxima over 25 s and over the whole history. Agreement across
+/// shard counts cannot catch a wrong answer every shard count shares;
+/// these pins can.
+constexpr std::pair<const char*, const char*> kSmokeDigests[] = {
+    {"listing1_25s", "28840870a6cb3385"},
+    {"listing1_wide", "e649bf9fd76c29a4"},
+};
 
 struct BenchConfig {
   std::size_t series = 2048;
@@ -311,8 +316,8 @@ int main(int argc, char** argv) {
   if (config.smoke) {
     // Regression guard (ctest `bench` label): sharding is a data layout,
     // so every query must return the 1-shard result set on every shard
-    // count; that result set must not be empty, and Listing 1's must be
-    // the pinned one.
+    // count; that result set must not be empty, and must be the pinned
+    // one.
     for (const QueryResult& r : queries) {
       if (r.rows == 0) {
         std::cerr << "smoke guard: " << r.query << " returned no rows on "
@@ -320,15 +325,15 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    const std::string listing1_digest =
-        digest_from_json(path, "listing1_25s", 1);
-    std::cout << "smoke guard: listing1_25s result digest 1-shard="
-              << listing1_digest << " pinned=" << kListing1SmokeDigest
-              << "\n";
-    if (listing1_digest != kListing1SmokeDigest) {
-      std::cerr << "smoke guard: listing1_25s differs from the pinned "
-                   "result set\n";
-      return 1;
+    for (const auto& [name, pinned] : kSmokeDigests) {
+      const std::string one = digest_from_json(path, name, 1);
+      std::cout << "smoke guard: " << name << " result digest 1-shard="
+                << one << " pinned=" << pinned << "\n";
+      if (one != pinned) {
+        std::cerr << "smoke guard: " << name
+                  << " differs from the pinned result set\n";
+        return 1;
+      }
     }
     for (const auto& [name, text] : shapes) {
       const std::string one = digest_from_json(path, name, 1);

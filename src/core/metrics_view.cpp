@@ -32,9 +32,9 @@ std::string outer_text(const std::string& measurement,
          inner_text(measurement, column, window) + ") GROUP BY nodename";
 }
 
-/// The one column a Listing-1 statement projects.
+/// The column a Listing-1 statement projects.
 const std::string& column_of(const tsdb::ql::PreparedQuery& query) {
-  return query.stmt().projections.front().alias;
+  return query.stmt().projection.alias;
 }
 
 }  // namespace

@@ -180,15 +180,16 @@ void SimulatedCluster::install_fault_handlers(sim::FaultInjector& injector,
     heapster_->set_drop_samples(false);
   });
 
-  // Sample delay hits the whole pipeline: probes on the targeted node
-  // ("" = all) plus Heapster.
+  // Sample delay: a targeted delay slows that node's probe; an untargeted
+  // one ("") slows every probe and Heapster, the one central scraper.
+  // Each is healed on its own, as the injector counts them.
   injector.on_inject(FaultKind::kSampleDelay, [this](const FaultSpec& spec) {
     daemonset_->set_sample_delay(spec.target, spec.delay);
-    heapster_->set_sample_delay(spec.delay);
+    if (spec.target.empty()) heapster_->set_sample_delay(spec.delay);
   });
   injector.on_heal(FaultKind::kSampleDelay, [this](const FaultSpec& spec) {
     daemonset_->set_sample_delay(spec.target, Duration{});
-    heapster_->set_sample_delay(Duration{});
+    if (spec.target.empty()) heapster_->set_sample_delay(Duration{});
   });
 
   injector.on_inject(FaultKind::kTsdbWriteError, [this](const FaultSpec&) {

@@ -37,8 +37,9 @@ enum class FaultKind {
   kProbeDropout,
   /// Heapster stops delivering standard-memory samples (cluster-wide).
   kHeapsterDropout,
-  /// Probe + Heapster samples arrive `delay` late (original timestamps,
-  /// out-of-order TSDB writes).
+  /// Samples arrive `delay` late (original timestamps, out-of-order TSDB
+  /// writes): the SGX probe's on `target`, or with "" every probe's and
+  /// Heapster's.
   kSampleDelay,
   /// Every TSDB write fails (samples are lost, not buffered).
   kTsdbWriteError,

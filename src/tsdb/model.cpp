@@ -124,18 +124,12 @@ Series& Measurement::series_for(const Tags& tags, const std::string& key) {
   it = series_.emplace(key, Series{tags}).first;
   Series& series = it->second;
   series.ref_ = table_->add(*this, series, shard_);
-  // The new entry goes where its successor in key order sits, and every
-  // entry from there on moves down one. It holds no point yet, so no scan
-  // reads it and retention passes it by until the first append.
-  const auto next = std::next(it);
-  const std::size_t entry =
-      next == series_.end() ? summary_.size() : next->second.entry_;
-  summary_.insert(summary_.begin() + static_cast<std::ptrdiff_t>(entry),
-                  SummaryEntry{std::numeric_limits<std::int64_t>::min(),
-                               std::numeric_limits<std::int64_t>::max(), it});
-  for (std::size_t i = entry; i < summary_.size(); ++i) {
-    summary_[i].series->second.entry_ = i;
-  }
+  // The new entry goes last. It holds no point yet, so no scan reads it
+  // and retention passes it by until the first append.
+  series.entry_ = summary_.size();
+  summary_.push_back(SummaryEntry{std::numeric_limits<std::int64_t>::min(),
+                                  std::numeric_limits<std::int64_t>::max(),
+                                  it});
   return series;
 }
 

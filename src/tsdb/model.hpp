@@ -202,7 +202,7 @@ class Measurement {
     }
   }
 
-  /// Visits, in tags_key order, every series whose newest append is at or
+  /// Visits, in creation order, every series whose newest append is at or
   /// after `lo_us`: no other series holds a point a scan from `lo_us` can
   /// read. The summary picks them out without visiting the others.
   template <typename F>
@@ -222,8 +222,9 @@ class Measurement {
 
  private:
   /// One series' entry in the summary, exact after every append and
-  /// retention pass. Entries stay in tags_key order, the map's order, so a
-  /// scan reads them in the order a walk of the map would.
+  /// retention pass. Entries stay in the order their series were created:
+  /// a new series' entry goes last, and retention's compaction keeps the
+  /// order of the entries it keeps.
   struct SummaryEntry {
     std::int64_t newest_append_us = 0;  // the series' newest_append_us()
     std::int64_t oldest_us = 0;         // the series' oldest() point time
@@ -234,7 +235,7 @@ class Measurement {
   SeriesTable* table_;
   std::size_t shard_;
   SeriesMap series_;                   // keyed by tags_key
-  std::vector<SummaryEntry> summary_;  // one per series, in key order
+  std::vector<SummaryEntry> summary_;  // one per series, in creation order
   std::size_t points_ = 0;
   std::optional<TimePoint> newest_;
 };

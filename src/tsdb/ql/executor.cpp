@@ -41,15 +41,16 @@ double ResultSet::value_for(const std::string& tag, const std::string& value,
 /// on now() or the database. Computed once by analyze() and cached by
 /// PreparedQuery.
 struct QueryAnalysis {
-  /// A field predicate names a field measurement rows never carry, so a
-  /// measurement scan of this node yields nothing.
+  /// The projection and every field predicate read "value", the one field
+  /// measurement rows carry; otherwise a measurement scan of this node
+  /// yields nothing.
   bool scan_fields_ok = true;
+  /// The literals of the field predicates: a point whose value equals one
+  /// is excluded.
+  std::vector<double> excluded;
   /// The GROUP BY tags in group-key order: sorted, duplicates dropped, as
   /// tags_key renders a Tags map.
   std::vector<std::string> group_tags;
-  /// The projections a measurement scan feeds: those over "value", the
-  /// one field measurement rows carry.
-  std::vector<std::size_t> value_projections;
   std::unique_ptr<QueryAnalysis> sub;  // analysis of a subquery source
 };
 
@@ -75,66 +76,6 @@ void render_group_key(const Tags& tags,
   }
 }
 
-/// Aggregation state for one (group, projection) cell. count, min, max,
-/// first and last do not depend on the order values arrive in; sum and
-/// mean are exact, and so order-independent, while the values and their
-/// partial sums are integers below 2^53, as every sample the system
-/// writes is.
-class Accumulator {
- public:
-  explicit Accumulator(Aggregate agg) : agg_(agg) {}
-
-  void add(double v, TimePoint t) {
-    ++count_;
-    sum_ += v;
-    if (count_ == 1) {
-      min_ = max_ = v;
-      first_ = last_ = v;
-      first_time_ = last_time_ = t;
-    } else {
-      min_ = std::min(min_, v);
-      max_ = std::max(max_, v);
-      // Lexicographic (time, value) tie-breaks keep first/last independent
-      // of arrival and fold order.
-      if (t < first_time_ || (t == first_time_ && v < first_)) {
-        first_time_ = t;
-        first_ = v;
-      }
-      if (t > last_time_ || (t == last_time_ && v > last_)) {
-        last_time_ = t;
-        last_ = v;
-      }
-    }
-  }
-
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-
-  [[nodiscard]] double result() const {
-    switch (agg_) {
-      case Aggregate::kMax: return max_;
-      case Aggregate::kMin: return min_;
-      case Aggregate::kSum: return sum_;
-      case Aggregate::kMean:
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-      case Aggregate::kCount: return static_cast<double>(count_);
-      case Aggregate::kLast: return last_;
-      case Aggregate::kFirst: return first_;
-    }
-    return 0.0;
-  }
-
- private:
-  Aggregate agg_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double first_ = 0.0;
-  double last_ = 0.0;
-  TimePoint first_time_;
-  TimePoint last_time_;
-};
-
 /// The GROUP BY state of one statement: every group its fold creates.
 ///
 /// A group is identified by its key, the tags_key of its GROUP BY tags.
@@ -142,18 +83,20 @@ class Accumulator {
 /// a group; render() orders rows by key.
 /// A caller renders each key into a buffer of its own and looks it up by
 /// hash (open addressing over group indices). Key bytes live in one arena
-/// and cells, one Accumulator per projection, in one flat vector; a group
-/// refers to both by offset, so neither growing moves a group. A group's
-/// tags are built at render from the tag set of the series or row that
-/// created it, which must outlive the table.
+/// that a group refers to by offset, so growing it moves no group. A
+/// group's tags are built at render from the tag set of the series or row
+/// that created it, which must outlive the table.
 class GroupTable {
  public:
-  GroupTable(const SelectStmt& stmt,
+  GroupTable(const Projection& projection,
              const std::vector<std::string>& group_tags)
-      : stmt_(&stmt), group_tags_(&group_tags) {}
+      : agg_(projection.agg),
+        alias_(&projection.alias),
+        group_tags_(&group_tags) {}
 
   /// The group with key `key`, created on first sight with `tags` as the
-  /// tag set its row reports.
+  /// tag set its row reports. Every caller folds a value into the group
+  /// it gets.
   std::size_t find_or_insert(std::string_view key, const Tags& tags) {
     const std::size_t hash = std::hash<std::string_view>{}(key);
     if (2 * (groups_.size() + 1) > slots_.size()) grow();
@@ -164,9 +107,6 @@ class GroupTable {
         groups_.push_back(Group{hash, arena_.size(), key.size(), &tags,
                                 TimePoint::from_micros(kInt64Max)});
         arena_.append(key);
-        for (const Projection& proj : stmt_->projections) {
-          cells_.emplace_back(proj.agg);
-        }
         return groups_.size() - 1;
       }
       const std::size_t group = slots_[i] - 1;
@@ -174,33 +114,35 @@ class GroupTable {
     }
   }
 
-  /// The group's time: its oldest point or row.
-  TimePoint& time(std::size_t group) { return groups_[group].time; }
-
-  Accumulator& cell(std::size_t group, std::size_t projection) {
-    return cells_[group * stmt_->projections.size() + projection];
+  /// Folds value `v` at time `t` into `group`. The group's time is its
+  /// oldest point or row. SUM adds from 0.0; MAX takes the first value,
+  /// then std::max. Neither depends on the order values arrive in while
+  /// the values and their partial sums are integers below 2^53, as every
+  /// sample the system writes is.
+  void add(std::size_t group, TimePoint t, double v) {
+    Group& g = groups_[group];
+    g.time = std::min(g.time, t);
+    if (agg_ == Aggregate::kSum) {
+      g.value += v;
+    } else {
+      g.value = g.seen ? std::max(g.value, v) : v;
+    }
+    g.seen = true;
   }
 
-  /// One row per group with a non-empty cell, in key order.
+  /// One row per group, in key order.
   [[nodiscard]] ResultSet render() const {
     std::vector<std::size_t> order(groups_.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return key_of(a) < key_of(b);
     });
-    const std::vector<Projection>& projections = stmt_->projections;
     ResultSet result;
     result.rows.reserve(groups_.size());
     for (const std::size_t g : order) {
-      Row row;
-      for (std::size_t c = 0; c < projections.size(); ++c) {
-        const Accumulator& cell = cells_[g * projections.size() + c];
-        if (!cell.empty()) {
-          row.fields.emplace(projections[c].alias, cell.result());
-        }
-      }
-      if (row.fields.empty()) continue;  // no projection saw a value
       const Group& group = groups_[g];
+      Row row;
+      row.fields.emplace(*alias_, group.value);
       for (const std::string& name : *group_tags_) {
         const auto tag = group.tags->find(name);
         row.tags.emplace_hint(row.tags.end(), name,
@@ -219,6 +161,8 @@ class GroupTable {
     std::size_t key_size = 0;
     const Tags* tags = nullptr;
     TimePoint time;
+    bool seen = false;  // a value was folded (MAX's first value)
+    double value = 0.0;
   };
 
   [[nodiscard]] std::string_view key_of(std::size_t group) const {
@@ -240,69 +184,54 @@ class GroupTable {
     slots_ = std::move(slots);
   }
 
-  const SelectStmt* stmt_;
+  Aggregate agg_;
+  const std::string* alias_;
   const std::vector<std::string>* group_tags_;
   std::vector<Group> groups_;
   std::vector<std::size_t> slots_;  // group index + 1; 0 = empty
   std::string arena_;               // every group's key, back to back
-  std::vector<Accumulator> cells_;  // projections.size() per group
 };
 
-/// The instant a time predicate compares against. now() plus an offset
-/// past either end of the int64 clock saturates at that end.
-std::int64_t time_bound_us(const TimePredicate& tp, TimePoint now) {
-  if (!tp.relative_to_now) return tp.offset_us;
-  std::int64_t bound = 0;
-  if (__builtin_add_overflow(now.micros_since_epoch(), tp.offset_us, &bound)) {
-    return tp.offset_us > 0 ? kInt64Max : kInt64Min;
+/// The start of the statement's window: the latest now() + offset among
+/// its time predicates, INT64_MIN without one. now() plus an offset past
+/// the start of the int64 clock saturates there.
+std::int64_t window_start(const SelectStmt& stmt, TimePoint now) {
+  std::int64_t lo = kInt64Min;
+  for (const Predicate& predicate : stmt.where) {
+    const auto* tp = std::get_if<TimePredicate>(&predicate);
+    if (tp == nullptr) continue;
+    std::int64_t bound = 0;
+    if (__builtin_add_overflow(now.micros_since_epoch(), tp->offset_us,
+                               &bound)) {
+      bound = kInt64Min;  // offsets are <= 0
+    }
+    lo = std::max(lo, bound);
   }
-  return bound;
-}
-
-bool row_matches(const Row& row, const Predicate& predicate, TimePoint now) {
-  if (const auto* fp = std::get_if<FieldPredicate>(&predicate)) {
-    const auto it = row.fields.find(fp->field);
-    if (it == row.fields.end()) return false;
-    return compare(it->second, fp->op, fp->literal);
-  }
-  const auto& tp = std::get<TimePredicate>(predicate);
-  return compare(static_cast<double>(row.time.micros_since_epoch()), tp.op,
-                 static_cast<double>(time_bound_us(tp, now)));
+  return lo;
 }
 
 /// Everything a measurement scan needs, resolved once before the first
-/// shard is read: integer window bounds from the time predicates and the
-/// residual per-point predicates.
+/// shard is read.
 struct ScanSpec {
   const std::string* measurement = nullptr;
   std::int64_t lo = kInt64Min;
-  std::int64_t hi = kInt64Max;
-  std::vector<double> neq_times;          // time <> X, compared as doubles
-  std::vector<const FieldPredicate*> value_preds;
   const QueryAnalysis* analysis = nullptr;
 };
 
-bool scan_fields_ok(const SelectStmt& stmt) {
-  for (const Predicate& predicate : stmt.where) {
-    const auto* fp = std::get_if<FieldPredicate>(&predicate);
-    if (fp != nullptr && fp->field != "value") return false;
-  }
-  return true;
-}
-
 std::unique_ptr<QueryAnalysis> analyze_node(const SelectStmt& stmt) {
   auto analysis = std::make_unique<QueryAnalysis>();
-  analysis->scan_fields_ok = scan_fields_ok(stmt);
+  analysis->scan_fields_ok = stmt.projection.field == "value";
+  for (const Predicate& predicate : stmt.where) {
+    const auto* fp = std::get_if<FieldPredicate>(&predicate);
+    if (fp == nullptr) continue;
+    if (fp->field != "value") analysis->scan_fields_ok = false;
+    analysis->excluded.push_back(fp->literal);
+  }
   analysis->group_tags = stmt.group_by;
   std::sort(analysis->group_tags.begin(), analysis->group_tags.end());
   analysis->group_tags.erase(
       std::unique(analysis->group_tags.begin(), analysis->group_tags.end()),
       analysis->group_tags.end());
-  for (std::size_t c = 0; c < stmt.projections.size(); ++c) {
-    if (stmt.projections[c].field == "value") {
-      analysis->value_projections.push_back(c);
-    }
-  }
   if (const auto* sub =
           std::get_if<std::unique_ptr<SelectStmt>>(&stmt.source)) {
     analysis->sub = analyze_node(**sub);
@@ -310,50 +239,14 @@ std::unique_ptr<QueryAnalysis> analyze_node(const SelectStmt& stmt) {
   return analysis;
 }
 
-ScanSpec resolve_scan(const SelectStmt& stmt, const std::string& measurement,
-                      TimePoint now, const QueryAnalysis& analysis) {
-  ScanSpec spec;
-  spec.measurement = &measurement;
-  spec.analysis = &analysis;
-
-  for (const Predicate& predicate : stmt.where) {
-    if (const auto* fp = std::get_if<FieldPredicate>(&predicate)) {
-      if (fp->field == "value") spec.value_preds.push_back(fp);
-      continue;  // non-"value" fields already folded into scan_fields_ok
-    }
-    const auto& tp = std::get<TimePredicate>(predicate);
-    const std::int64_t bound = time_bound_us(tp, now);
-    switch (tp.op) {
-      case CompareOp::kGte: spec.lo = std::max(spec.lo, bound); break;
-      case CompareOp::kGt:
-        spec.lo = std::max(spec.lo,
-                           bound == kInt64Max ? bound : bound + 1);
-        break;
-      case CompareOp::kLte: spec.hi = std::min(spec.hi, bound); break;
-      case CompareOp::kLt:
-        spec.hi = std::min(spec.hi,
-                           bound == kInt64Min ? bound : bound - 1);
-        break;
-      case CompareOp::kEq:
-        spec.lo = std::max(spec.lo, bound);
-        spec.hi = std::min(spec.hi, bound);
-        break;
-      case CompareOp::kNeq:
-        spec.neq_times.push_back(static_cast<double>(bound));
-        break;
-    }
-  }
-  return spec;
-}
-
 /// Folds one shard of a measurement into `table`, rendering each group
 /// key into `key`, a buffer reused across series and shards.
 void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
                 GroupTable& table, std::string& key, ExecStats* stats) {
   // A shard under a stale-read horizon shows no point newer than it.
-  std::int64_t hi = spec.hi;
+  std::int64_t hi = kInt64Max;
   const std::optional<TimePoint> horizon = db.effective_read_horizon(shard);
-  if (horizon.has_value()) hi = std::min(hi, horizon->micros_since_epoch());
+  if (horizon.has_value()) hi = horizon->micros_since_epoch();
   if (spec.lo > hi) return;
 
   const Measurement* measurement =
@@ -363,8 +256,7 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
   const QueryAnalysis& analysis = *spec.analysis;
   // The scan folds only points at or after lo, and no series holds a point
   // newer than its newest append: only the series appended to since lo
-  // have anything to give. They come in tags_key order, as a walk of every
-  // series would visit them.
+  // have anything to give.
   measurement->for_each_series_since(
       spec.lo, [&](const Series& series) {
         if (stats != nullptr) ++stats->series;
@@ -375,19 +267,12 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
         std::size_t group = kNoGroup;
 
         series.for_each_in_window(spec.lo, hi, [&](const Point& p) {
-          const auto t = static_cast<double>(p.time.micros_since_epoch());
-          for (const double bound : spec.neq_times) {
-            if (t == bound) return;
-          }
-          for (const FieldPredicate* fp : spec.value_preds) {
-            if (!compare(p.value, fp->op, fp->literal)) return;
+          for (const double excluded : analysis.excluded) {
+            if (p.value == excluded) return;
           }
           if (stats != nullptr) ++stats->points;
           if (group == kNoGroup) group = table.find_or_insert(key, tags);
-          table.time(group) = std::min(table.time(group), p.time);
-          for (const std::size_t c : analysis.value_projections) {
-            table.cell(group, c).add(p.value, p.time);
-          }
+          table.add(group, p.time, p.value);
         });
       });
 }
@@ -396,12 +281,12 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
 ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
                     const Database& db, TimePoint now, ExecStats* stats,
                     const QueryAnalysis& analysis) {
-  const ScanSpec spec = resolve_scan(stmt, measurement, now, analysis);
+  const ScanSpec spec{&measurement, window_start(stmt, now), &analysis};
 
   // Every shard folds straight into one table, in shard order. A group's
-  // aggregates do not depend on the order its points arrive in (see
-  // Accumulator), so this is the 1-shard fold bit for bit.
-  GroupTable table{stmt, analysis.group_tags};
+  // aggregate does not depend on the order its points arrive in (see
+  // GroupTable::add), so this is the 1-shard fold bit for bit.
+  GroupTable table{stmt.projection, analysis.group_tags};
   if (analysis.scan_fields_ok) {
     std::string key;
     for (std::size_t s = 0; s < db.shard_count(); ++s) {
@@ -419,31 +304,29 @@ ResultSet exec_rows(const SelectStmt& stmt, const Database& db, TimePoint now,
                     ExecStats* stats, const QueryAnalysis& analysis) {
   const auto& sub = std::get<std::unique_ptr<SelectStmt>>(stmt.source);
   SGXO_CHECK(analysis.sub != nullptr);
-  std::vector<Row> rows = execute(*sub, *analysis.sub, db, now, stats).rows;
-
-  if (!stmt.where.empty()) {
-    std::erase_if(rows, [&](const Row& row) {
-      return !std::all_of(stmt.where.begin(), stmt.where.end(),
-                          [&](const Predicate& p) {
-                            return row_matches(row, p, now);
-                          });
-    });
-  }
+  const std::vector<Row> rows =
+      execute(*sub, *analysis.sub, db, now, stats).rows;
+  const std::int64_t lo = window_start(stmt, now);
+  const auto passes = [&](const Row& row) {
+    if (row.time.micros_since_epoch() < lo) return false;
+    for (const Predicate& predicate : stmt.where) {
+      const auto* fp = std::get_if<FieldPredicate>(&predicate);
+      if (fp == nullptr) continue;
+      const auto it = row.fields.find(fp->field);
+      if (it == row.fields.end() || it->second == fp->literal) return false;
+    }
+    return true;
+  };
 
   // The table reads a group's tags from the row that created it, so it
   // must not outlive `rows`.
-  GroupTable table{stmt, analysis.group_tags};
+  GroupTable table{stmt.projection, analysis.group_tags};
   std::string key;
   for (const Row& row : rows) {
+    const auto field = row.fields.find(stmt.projection.field);
+    if (field == row.fields.end() || !passes(row)) continue;
     render_group_key(row.tags, analysis.group_tags, key);
-    const std::size_t group = table.find_or_insert(key, row.tags);
-    table.time(group) = std::min(table.time(group), row.time);
-    for (std::size_t c = 0; c < stmt.projections.size(); ++c) {
-      const auto field_it = row.fields.find(stmt.projections[c].field);
-      if (field_it != row.fields.end()) {
-        table.cell(group, c).add(field_it->second, row.time);
-      }
-    }
+    table.add(table.find_or_insert(key, row.tags), row.time, field->second);
   }
   return table.render();
 }

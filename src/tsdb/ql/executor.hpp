@@ -3,18 +3,17 @@
 // Rows are the uniform exchange format between query stages: reading a
 // measurement produces one row per point (fields = {"value": v}, tags from
 // the series); executing a subquery produces one row per group with the
-// projected fields. A WHERE clause filters rows; GROUP BY + projections
-// aggregate them.
+// projected field. A WHERE clause filters rows; GROUP BY and the
+// projection's MAX or SUM aggregate them.
 //
 // A statement folds into one group table: a measurement scan folds the
 // database's shards one after another straight into it, and a subquery's
 // rows fold into one of their own. A group is its rendered key (tags_key
 // of its GROUP BY tags), looked up by hash; tags and rows are built only
-// at render, in key order. No aggregate depends on the order its values
-// arrive in (count additive, min/max lattice joins, first/last with
-// lexicographic (time, value) tie-breaks, sum exact on the integer-valued
-// samples the system writes), so the result is bit-identical to a
-// 1-shard scan (see DESIGN.md §12).
+// at render, in key order. Neither aggregate depends on the order its
+// values arrive in (max is a lattice join, sum exact on the
+// integer-valued samples the system writes), so the result is
+// bit-identical to a 1-shard scan (see DESIGN.md §12).
 #pragma once
 
 #include <map>
@@ -62,16 +61,16 @@ struct ExecStats {
 
 struct QueryAnalysis;  // opaque; produced by analyze(), owned by callers
 
-/// Precomputes the per-node static plan (scan-field legality, GROUP BY
-/// tag order) for a statement tree. PreparedQuery caches this so
-/// per-execute planning does no AST walking beyond resolving window
-/// bounds.
+/// Precomputes the per-node static plan (scan-field legality, excluded
+/// values, GROUP BY tag order) for a statement tree. PreparedQuery caches
+/// this so per-execute planning does no AST walking beyond resolving the
+/// window start.
 [[nodiscard]] std::shared_ptr<const QueryAnalysis> analyze(
     const SelectStmt& stmt);
 
 /// Runs `stmt`, whose plan `analysis` is analyze(stmt), against `db`, with
-/// `now` supplying the now() anchor for relative time predicates (the
-/// scheduler passes the virtual clock). `stats`, when not null, counts
+/// `now` supplying the now() anchor for time predicates (the scheduler
+/// passes the virtual clock). `stats`, when not null, counts
 /// the series and points scanned. PreparedQuery is the caller.
 [[nodiscard]] ResultSet execute(const SelectStmt& stmt,
                                 const QueryAnalysis& analysis,

@@ -15,14 +15,8 @@ const char* to_string(TokenKind kind) {
     case TokenKind::kLParen: return "'('";
     case TokenKind::kRParen: return "')'";
     case TokenKind::kComma: return "','";
-    case TokenKind::kStar: return "'*'";
-    case TokenKind::kPlus: return "'+'";
     case TokenKind::kMinus: return "'-'";
-    case TokenKind::kEq: return "'='";
     case TokenKind::kNeq: return "'<>'";
-    case TokenKind::kLt: return "'<'";
-    case TokenKind::kLte: return "'<='";
-    case TokenKind::kGt: return "'>'";
     case TokenKind::kGte: return "'>='";
     case TokenKind::kEnd: return "end of query";
   }
@@ -118,38 +112,21 @@ std::vector<Token> lex(const std::string& query) {
       case '(': push(TokenKind::kLParen, "(", start); ++i; continue;
       case ')': push(TokenKind::kRParen, ")", start); ++i; continue;
       case ',': push(TokenKind::kComma, ",", start); ++i; continue;
-      case '*': push(TokenKind::kStar, "*", start); ++i; continue;
-      case '+': push(TokenKind::kPlus, "+", start); ++i; continue;
       case '-': push(TokenKind::kMinus, "-", start); ++i; continue;
-      case '=': push(TokenKind::kEq, "=", start); ++i; continue;
-      case '!':
-        if (i + 1 < n && query[i + 1] == '=') {
-          push(TokenKind::kNeq, "!=", start);
-          i += 2;
-          continue;
-        }
-        fail("unexpected '!'", start);
       case '<':
         if (i + 1 < n && query[i + 1] == '>') {
           push(TokenKind::kNeq, "<>", start);
           i += 2;
-        } else if (i + 1 < n && query[i + 1] == '=') {
-          push(TokenKind::kLte, "<=", start);
-          i += 2;
-        } else {
-          push(TokenKind::kLt, "<", start);
-          ++i;
+          continue;
         }
-        continue;
+        fail("expected '<>'", start);
       case '>':
         if (i + 1 < n && query[i + 1] == '=') {
           push(TokenKind::kGte, ">=", start);
           i += 2;
-        } else {
-          push(TokenKind::kGt, ">", start);
-          ++i;
+          continue;
         }
-        continue;
+        fail("expected '>='", start);
       case '"': {
         ++i;
         std::string text;

@@ -1,5 +1,5 @@
-// Lexer for the InfluxQL subset understood by the executor (see ast.hpp),
-// which runs the paper's Listing 1 verbatim:
+// Lexer for the InfluxQL subset understood by the executor (see ast.hpp):
+// the tokens of the paper's Listing 1, which it runs verbatim:
 //
 //   SELECT SUM(epc) AS epc FROM
 //     (SELECT MAX(value) AS epc FROM "sgx/epc"
@@ -7,8 +7,9 @@
 //      GROUP BY pod_name, nodename)
 //   GROUP BY nodename
 //
-// No rule takes a string literal or a `$param` placeholder, so `'` and `$`
-// are stray characters.
+// `<>` and `>=` are the only operators and `-` the only sign, so `=`,
+// `<`, `<=`, `>`, `!=`, `+` and `*` are stray characters, as are `'` and
+// `$`: no rule takes a string literal or a `$param` placeholder.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +27,9 @@ enum class TokenKind {
   kLParen,
   kRParen,
   kComma,
-  kStar,
-  kPlus,
   kMinus,
-  kEq,              // =
-  kNeq,             // <> or !=
-  kLt,
-  kLte,
-  kGt,
-  kGte,
+  kNeq,             // <>
+  kGte,             // >=
   kEnd,
 };
 

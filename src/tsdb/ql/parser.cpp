@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
-#include <limits>
 #include <memory>
 
 namespace sgxo::tsdb::ql {
@@ -70,11 +68,7 @@ class Parser {
   SelectStmt parse_select() {
     expect_keyword("select");
     SelectStmt stmt;
-    stmt.projections.push_back(parse_projection());
-    while (peek().kind == TokenKind::kComma) {
-      advance();
-      stmt.projections.push_back(parse_projection());
-    }
+    stmt.projection = parse_projection();
     expect_keyword("from");
     stmt.source = parse_source();
     if (accept_keyword("where")) {
@@ -105,12 +99,8 @@ class Parser {
     Projection proj;
     proj.agg = *agg;
     expect(TokenKind::kLParen);
-    if (peek().kind == TokenKind::kStar) {
-      // COUNT(*) counts rows regardless of field; model as field "value".
-      advance();
-      proj.field = "value";
-    } else if (peek().kind == TokenKind::kQuotedIdent ||
-               peek().kind == TokenKind::kIdentifier) {
+    if (peek().kind == TokenKind::kQuotedIdent ||
+        peek().kind == TokenKind::kIdentifier) {
       proj.field = advance().text;
     } else {
       fail("expected field name");
@@ -151,73 +141,27 @@ class Parser {
     fail("expected tag name");
   }
 
-  CompareOp parse_compare_op() {
-    switch (peek().kind) {
-      case TokenKind::kEq: advance(); return CompareOp::kEq;
-      case TokenKind::kNeq: advance(); return CompareOp::kNeq;
-      case TokenKind::kLt: advance(); return CompareOp::kLt;
-      case TokenKind::kLte: advance(); return CompareOp::kLte;
-      case TokenKind::kGt: advance(); return CompareOp::kGt;
-      case TokenKind::kGte: advance(); return CompareOp::kGte;
-      default: fail("expected comparison operator");
-    }
-  }
-
+  /// `<field> <> <number>` or `time >= now() [- <duration>]`.
   Predicate parse_predicate() {
     if (peek().kind != TokenKind::kIdentifier &&
         peek().kind != TokenKind::kQuotedIdent) {
       fail("expected field or 'time' on left of predicate");
     }
     const Token lhs = advance();
-    const CompareOp op = parse_compare_op();
     if (lower(lhs.text) == "time") {
-      return parse_time_rhs(op);
-    }
-    FieldPredicate pred;
-    pred.field = lhs.text;
-    pred.op = op;
-    if (peek().kind == TokenKind::kMinus) {
-      advance();
-      pred.literal = -expect(TokenKind::kNumber).number;
-    } else {
-      pred.literal = expect(TokenKind::kNumber).number;
-    }
-    return pred;
-  }
-
-  Predicate parse_time_rhs(CompareOp op) {
-    TimePredicate pred;
-    pred.op = op;
-    if (is_keyword("now")) {
-      advance();
+      expect(TokenKind::kGte);
+      expect_keyword("now");
       expect(TokenKind::kLParen);
       expect(TokenKind::kRParen);
-      pred.relative_to_now = true;
-      pred.offset_us = 0;
-      if (peek().kind == TokenKind::kMinus || peek().kind == TokenKind::kPlus) {
-        const bool negative = advance().kind == TokenKind::kMinus;
-        const Token dur = expect(TokenKind::kDuration);
-        pred.offset_us = negative ? -dur.duration_us : dur.duration_us;
+      TimePredicate pred;
+      if (peek().kind == TokenKind::kMinus) {
+        advance();
+        pred.offset_us = -expect(TokenKind::kDuration).duration_us;
       }
       return pred;
     }
-    if (peek().kind == TokenKind::kNumber) {
-      // A literal is never negative (a minus is its own token), and the
-      // cast is defined only below 2^63.
-      if (peek().number >=
-          static_cast<double>(std::numeric_limits<std::int64_t>::max())) {
-        fail("absolute time out of range");
-      }
-      pred.relative_to_now = false;
-      pred.offset_us = static_cast<std::int64_t>(advance().number);
-      return pred;
-    }
-    if (peek().kind == TokenKind::kDuration) {
-      pred.relative_to_now = false;
-      pred.offset_us = advance().duration_us;
-      return pred;
-    }
-    fail("expected now() or absolute time on right of time predicate");
+    expect(TokenKind::kNeq);
+    return FieldPredicate{lhs.text, expect(TokenKind::kNumber).number};
   }
 
   std::vector<Token> tokens_;

@@ -8,8 +8,9 @@
 // into the statement text.
 //
 // Prepare also front-loads the statement's static analysis (scan-field
-// legality and GROUP BY tag order per node) so execute does zero parse or
-// plan work — it resolves window bounds from now() and scans.
+// legality, excluded values and GROUP BY tag order per node) so execute
+// does zero parse or plan work — it resolves the window start from now()
+// and scans.
 //
 // The one-shot ql::query(text, db, now) convenience is a thin wrapper
 // over prepare + execute, so both paths share one executor and produce
@@ -33,7 +34,7 @@ class PreparedQuery {
   PreparedQuery(PreparedQuery&&) = default;
   PreparedQuery& operator=(PreparedQuery&&) = default;
 
-  /// Runs the prepared statement. `now` anchors relative time predicates.
+  /// Runs the prepared statement. `now` anchors the time predicates.
   /// `stats`, when not null, counts the series and points scanned.
   [[nodiscard]] ResultSet execute(const Database& db, TimePoint now,
                                   ExecStats* stats = nullptr) const;

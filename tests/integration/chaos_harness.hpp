@@ -197,12 +197,8 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
   // A fault can outlast the workload: quiescence only means every job is
   // terminal, so drive the clock past the plan's last heal before reading
   // the injector counters.
-  Duration plan_end{};
-  for (const sim::FaultSpec& spec : plan.faults) {
-    plan_end = std::max(plan_end, spec.at + spec.duration);
-  }
   const TimePoint after_plan =
-      TimePoint::epoch() + plan_end + Duration::seconds(1);
+      TimePoint::epoch() + plan.horizon() + Duration::seconds(1);
   if (after_plan > cluster.sim().now()) cluster.sim().run_until(after_plan);
   // A crash near the end of the plan can fail a pod inside the
   // resubmission window — every existing record is terminal, so the first

@@ -1,8 +1,9 @@
 // Chaos property harness, part 1: targeted scenarios — one per fault
 // kind, each asserting the specific degradation and recovery path — plus
 // the determinism regression (same seed + same plan → bit-identical
-// traces) and a small smoke sweep of randomized plans. The full 500-seed
-// sweep lives in chaos_sweep_test.cpp (ctest label: chaos).
+// traces). The randomized 500-seed sweeps live in chaos_sweep_test.cpp,
+// chaos_tsdb_sweep_test.cpp and chaos_attest_sweep_test.cpp (ctest label:
+// chaos).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -155,6 +156,49 @@ TEST_F(ChaosFixture, HeapsterDropoutAndSampleDelayCountOnTheirSurfaces) {
   run_to(Duration::minutes(5));
   EXPECT_GT(cluster_.heapster().dropped_samples(), 0u);
   EXPECT_GT(cluster_.heapster().delayed_samples(), 0u);
+}
+
+TEST_F(ChaosFixture,
+       SampleDelaysHealPerTargetAndOnlyUntargetedOnesDelayHeapster) {
+  // A 10 s delay on sgx-1's probe during [10 s, 70 s], and a cluster-wide
+  // 20 s delay during [30 s, 5:30].
+  sim::FaultPlan plan;
+  sim::FaultSpec targeted = fault(sim::FaultKind::kSampleDelay,
+                                  Duration::seconds(10), Duration::minutes(1),
+                                  "sgx-1");
+  targeted.delay = Duration::seconds(10);
+  plan.faults.push_back(targeted);
+  sim::FaultSpec everywhere =
+      fault(sim::FaultKind::kSampleDelay, Duration::seconds(30),
+            Duration::minutes(5));
+  everywhere.delay = Duration::seconds(20);
+  plan.faults.push_back(everywhere);
+  injector_.arm(plan);
+  const auto probe_delay = [&](const std::string& node) {
+    const orch::SgxProbe* probe = cluster_.daemonset().probe(node);
+    EXPECT_NE(probe, nullptr) << node;
+    return probe == nullptr ? Duration{} : probe->sample_delay();
+  };
+
+  // The targeted delay slows sgx-1's probe alone.
+  run_to(Duration::seconds(20));
+  EXPECT_EQ(probe_delay("sgx-1"), Duration::seconds(10));
+  EXPECT_EQ(probe_delay("sgx-2"), Duration{});
+  EXPECT_EQ(cluster_.heapster().sample_delay(), Duration{});
+
+  // Healing it leaves the cluster-wide delay on every probe and on
+  // Heapster.
+  run_to(Duration::minutes(2));
+  EXPECT_FALSE(injector_.active(sim::FaultKind::kSampleDelay, "sgx-1"));
+  EXPECT_TRUE(injector_.active(sim::FaultKind::kSampleDelay, ""));
+  EXPECT_EQ(probe_delay("sgx-1"), Duration::seconds(20));
+  EXPECT_EQ(probe_delay("sgx-2"), Duration::seconds(20));
+  EXPECT_EQ(cluster_.heapster().sample_delay(), Duration::seconds(20));
+
+  run_to(Duration::minutes(6));
+  EXPECT_EQ(probe_delay("sgx-1"), Duration{});
+  EXPECT_EQ(probe_delay("sgx-2"), Duration{});
+  EXPECT_EQ(cluster_.heapster().sample_delay(), Duration{});
 }
 
 TEST_F(ChaosFixture, TsdbWriteErrorLosesSamplesThenRecovers) {
@@ -434,35 +478,6 @@ TEST(ChaosDeterminism, DifferentSeedsProduceDifferentPlans) {
   config.probe_targets = {"sgx-1"};
   EXPECT_NE(sim::random_plan(rng_a, config).describe(),
             sim::random_plan(rng_b, config).describe());
-}
-
-// ---- randomized smoke sweep (full 500-seed sweep: chaos_sweep_test) --------
-
-TEST(ChaosSweep, SmokeTwentyFiveSeeds) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const chaos::ScenarioResult result = chaos::run_scenario(seed);
-    for (const std::string& violation : result.violations) {
-      ADD_FAILURE() << "seed " << seed << ": " << violation
-                    << "\n  plan: " << result.plan;
-    }
-  }
-}
-
-TEST(ChaosSweep, ShardedTsdbSmokeTenSeeds) {
-  // The 500-seed per-shard-fault sweep lives in chaos_tsdb_sweep_test.cpp
-  // (label: chaos); this keeps a slice of it beside the targeted cases.
-  chaos::ScenarioConfig config;
-  config.tsdb_shards = 4;
-  config.tsdb_shard_faults = true;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const chaos::ScenarioResult result = chaos::run_scenario(seed, config);
-    for (const std::string& violation : result.violations) {
-      ADD_FAILURE() << "seed " << seed << ": " << violation
-                    << "\n  plan: " << result.plan;
-    }
-    EXPECT_EQ(result.injected, result.healed)
-        << "seed " << seed << " plan: " << result.plan;
-  }
 }
 
 }  // namespace

@@ -3,16 +3,16 @@
 // The sharding contract is strong: for ANY query, an N-shard database fed
 // the same ingest must return bit-identical results to a 1-shard database
 // — not approximately equal, identical to the last mantissa bit. This
-// holds because every aggregate merges order-independently (count/sum are
-// additive over integer-valued samples, min/max are lattice joins,
-// first/last break ties lexicographically) and partials merge in shard
-// order.
+// holds because both aggregates fold order-independently (sum is additive
+// over integer-valued samples, max is a lattice join) and shards fold in
+// shard order.
 //
 // The suite generates hundreds of seeded random queries over a seeded
 // random ingest and compares 1-shard reference results against 2/4/8-shard
-// stores, covering: every aggregate, window edges on sample instants, wide
-// windows next to narrow ones, tag grouping, the nested Listing-1 shape,
-// and post-retention horizons.
+// stores, covering: MAX and SUM, with and without `value <> 0`, window
+// edges on sample instants (now() anchored on whole seconds), wide windows
+// next to narrow ones, tag grouping, the nested Listing-1 shape, and
+// post-retention horizons.
 // A churn phase checks the stores against a brute-force fold over the
 // recorded writes as well, since cross-shard agreement cannot catch a flaw
 // every store shares, and another checks newest_time against the points
@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -118,12 +117,9 @@ struct StoreSet {
 /// Seeded query generator over the grammar the executor supports. The
 /// windows run from the scheduler's 25 s to the whole hour of history.
 std::string random_query(Rng& rng) {
-  static const char* const kAggs[] = {"MAX",  "MIN",   "SUM", "COUNT",
-                                      "MEAN", "FIRST", "LAST"};
   static const std::int64_t kWindows[] = {25, 90, 200, 480, 1200, 3600};
 
-  const std::string agg =
-      kAggs[static_cast<std::size_t>(rng.uniform_int(0, 6))];
+  const std::string agg = rng.bernoulli(0.5) ? "MAX" : "SUM";
   const std::int64_t window =
       kWindows[static_cast<std::size_t>(rng.uniform_int(0, 5))];
 
@@ -136,21 +132,9 @@ std::string random_query(Rng& rng) {
            "s GROUP BY pod_name, nodename) GROUP BY nodename";
   }
 
-  std::string text = "SELECT " + agg + "(value) AS v FROM \"sgx/epc\"";
-  std::vector<std::string> where;
-  where.push_back("time >= now() - " + std::to_string(window) + "s");
-  if (rng.bernoulli(0.3)) {
-    where.push_back("value <> 0");
-  }
-  if (rng.bernoulli(0.15)) {
-    where.push_back("value > " + std::to_string(rng.uniform_int(0, 400)));
-  }
-  if (rng.bernoulli(0.3)) {
-    where.push_back("time <= now() - " +
-                    std::to_string(rng.uniform_int(0, window / 2)) + "s");
-  }
-  text += " WHERE " + where[0];
-  for (std::size_t i = 1; i < where.size(); ++i) text += " AND " + where[i];
+  std::string text = "SELECT " + agg + "(value) AS v FROM \"sgx/epc\" WHERE ";
+  if (rng.bernoulli(0.3)) text += "value <> 0 AND ";
+  text += "time >= now() - " + std::to_string(window) + "s";
 
   std::vector<std::string> group;
   if (rng.bernoulli(0.5)) group.push_back("pod_name");
@@ -179,14 +163,22 @@ void check_query(StoreSet& set, const std::string& text, TimePoint now,
 
 class TsdbDiffTest : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// A now() anchor for one generated query: a whole second in the last
+/// half hour of history. Pods sample on whole seconds, so the window,
+/// which starts a whole number of seconds earlier, starts on the sample
+/// instant of every pod whose phase matches; an anchor before the newest
+/// sample folds the samples after it too.
+TimePoint random_anchor(Rng& rng) { return at(rng.uniform_int(1800, 3600)); }
+
 TEST_P(TsdbDiffTest, GeneratedQueriesAreBitIdenticalAcrossShardCounts) {
   const std::uint64_t seed = GetParam();
   StoreSet set{seed};
   Rng rng{seed * 7919 + 1};
-  // Anchor inside the data so both look-back and closed windows hit.
-  const TimePoint now = at(3600);
   for (int i = 0; i < 30; ++i) {
-    check_query(set, random_query(rng), now,
+    // The query is drawn before its anchor: the order in which a call's
+    // arguments are evaluated is unspecified.
+    const std::string text = random_query(rng);
+    check_query(set, text, random_anchor(rng),
                 "seed=" + std::to_string(seed) + " q=" + std::to_string(i));
   }
 }
@@ -200,14 +192,14 @@ TEST_P(TsdbDiffTest, EquivalenceHoldsAfterRetention) {
     db->enforce_retention(at(3600), Duration::minutes(20));
   }
   Rng rng{seed * 104729 + 3};
-  const TimePoint now = at(3600);
   for (int i = 0; i < 12; ++i) {
-    check_query(set, random_query(rng), now,
+    const std::string text = random_query(rng);
+    check_query(set, text, random_anchor(rng),
                 "post-retention seed=" + std::to_string(seed) +
                     " q=" + std::to_string(i));
   }
   // Windows reaching past the horizon see exactly the surviving points.
-  check_query(set, "SELECT COUNT(value) AS n FROM \"sgx/epc\"", now,
+  check_query(set, "SELECT SUM(value) AS n FROM \"sgx/epc\"", at(3600),
               "post-retention full scan seed=" + std::to_string(seed));
 }
 
@@ -258,52 +250,43 @@ class WriteLog {
     return newest;
   }
 
-  /// COUNT/FIRST/LAST/MAX/MIN/SUM of the live points in [lo, hi] grouped
-  /// by `group_by`, rows in tags_key order, row time = earliest point.
-  [[nodiscard]] ql::ResultSet fold(std::int64_t lo, std::int64_t hi,
-                                   bool nonzero_only,
+  /// MAX or SUM, as field `field`, of the live points at or after lo
+  /// grouped by `group_by`, rows in tags_key order, row time = earliest
+  /// point.
+  [[nodiscard]] ql::ResultSet fold(ql::Aggregate agg, const std::string& field,
+                                   std::int64_t lo, bool nonzero_only,
                                    const std::vector<std::string>& group_by)
       const {
     struct Cell {
       Tags tags;
-      std::int64_t first_t = 0, last_t = 0;
-      double n = 0, first = 0, last = 0, max = 0, min = 0, sum = 0;
+      std::int64_t first_t = 0;
+      double value = 0;
     };
     std::map<std::string, Cell> cells;
     for (const Entry& e : writes_) {
-      if (!e.alive || e.time_us < lo || e.time_us > hi) continue;
+      if (!e.alive || e.time_us < lo) continue;
       if (nonzero_only && e.value == 0.0) continue;
       Tags key;
       for (const std::string& tag : group_by) {
         const auto it = e.tags.find(tag);
         key.emplace(tag, it == e.tags.end() ? "" : it->second);
       }
-      Cell& c = cells[tags_key(key)];
-      if (c.n == 0) {
-        c = Cell{key, e.time_us, e.time_us, 1, e.value, e.value,
-                 e.value, e.value, e.value};
-        continue;
-      }
-      ++c.n;
-      c.sum += e.value;
-      c.max = std::max(c.max, e.value);
-      c.min = std::min(c.min, e.value);
-      if (e.time_us < c.first_t || (e.time_us == c.first_t && e.value < c.first)) {
-        c.first_t = e.time_us;
-        c.first = e.value;
-      }
-      if (e.time_us > c.last_t || (e.time_us == c.last_t && e.value > c.last)) {
-        c.last_t = e.time_us;
-        c.last = e.value;
-      }
+      Cell& c = cells
+                    .try_emplace(tags_key(key),
+                                 Cell{key, e.time_us,
+                                      agg == ql::Aggregate::kMax ? e.value
+                                                                 : 0.0})
+                    .first->second;
+      c.first_t = std::min(c.first_t, e.time_us);
+      c.value = agg == ql::Aggregate::kMax ? std::max(c.value, e.value)
+                                           : c.value + e.value;
     }
     ql::ResultSet result;
     for (const auto& [key, c] : cells) {
       ql::Row row;
       row.tags = c.tags;
       row.time = TimePoint::from_micros(c.first_t);
-      row.fields = {{"n", c.n},   {"f", c.first}, {"l", c.last},
-                    {"hi", c.max}, {"lo", c.min},  {"s", c.sum}};
+      row.fields = {{field, c.value}};
       result.rows.push_back(std::move(row));
     }
     return result;
@@ -311,9 +294,8 @@ class WriteLog {
 
   /// Paper Listing 1: per-node SUM of the per-pod MAX of nonzero samples.
   [[nodiscard]] ql::ResultSet listing1(std::int64_t lo) const {
-    const ql::ResultSet pods =
-        fold(lo, std::numeric_limits<std::int64_t>::max(), true,
-             {"pod_name", "nodename"});
+    const ql::ResultSet pods = fold(ql::Aggregate::kMax, "hi", lo, true,
+                                    {"pod_name", "nodename"});
     std::map<std::string, ql::Row> nodes;
     for (const ql::Row& pod : pods.rows) {
       const std::string& node = pod.tags.at("nodename");
@@ -427,28 +409,31 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
           "s GROUP BY pod_name, nodename) GROUP BY nodename");
       const std::vector<std::pair<std::string, bool>> filters = {
           {"value <> 0 AND ", true}, {"", false}};
-      for (const std::int64_t cut : {std::int64_t{0}, std::int64_t{10}}) {
-        for (const auto& [filter, nonzero] : filters) {
-          for (const std::vector<std::string>& group_by :
-               {std::vector<std::string>{"pod_name"},
-                std::vector<std::string>{"nodename"},
-                std::vector<std::string>{}}) {
-            std::string text =
-                "SELECT COUNT(value) AS n, FIRST(value) AS f, "
-                "LAST(value) AS l, MAX(value) AS hi, MIN(value) AS lo, "
-                "SUM(value) AS s FROM \"sgx/epc\" WHERE " +
-                filter + "time >= now() - " + std::to_string(window) + "s";
-            std::int64_t hi = std::numeric_limits<std::int64_t>::max();
-            if (cut > 0) {
-              text += " AND time <= now() - " + std::to_string(cut) + "s";
-              hi = at(now - cut).micros_since_epoch();
-            }
-            if (!group_by.empty()) text += " GROUP BY " + group_by[0];
-            const ql::ResultSet want = log.fold(lo, hi, nonzero, group_by);
-            const ql::PreparedQuery query = ql::PreparedQuery::prepare(text);
-            for (auto& db : stores) {
-              expect_bit_identical(want, query.execute(*db, at(now)),
-                                   context + " " + text);
+      // An anchor 10 s back folds the samples after it as well.
+      for (const std::int64_t back : {std::int64_t{0}, std::int64_t{10}}) {
+        const std::int64_t start = at(now - back - window).micros_since_epoch();
+        for (const auto& [agg, field] :
+             {std::pair{ql::Aggregate::kMax, std::string{"hi"}},
+              std::pair{ql::Aggregate::kSum, std::string{"s"}}}) {
+          for (const auto& [filter, nonzero] : filters) {
+            for (const std::vector<std::string>& group_by :
+                 {std::vector<std::string>{"pod_name"},
+                  std::vector<std::string>{"nodename"},
+                  std::vector<std::string>{}}) {
+              std::string text = std::string{"SELECT "} + ql::to_string(agg) +
+                                 "(value) AS " + field +
+                                 " FROM \"sgx/epc\" WHERE " + filter +
+                                 "time >= now() - " + std::to_string(window) +
+                                 "s";
+              if (!group_by.empty()) text += " GROUP BY " + group_by[0];
+              const ql::ResultSet want =
+                  log.fold(agg, field, start, nonzero, group_by);
+              const ql::PreparedQuery query = ql::PreparedQuery::prepare(text);
+              for (auto& db : stores) {
+                expect_bit_identical(want,
+                                     query.execute(*db, at(now - back)),
+                                     context + " " + text);
+              }
             }
           }
         }
@@ -625,20 +610,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TsdbDiffTest,
 TEST(TsdbDiffTargeted, WindowEdgesOnSampleInstants) {
   StoreSet set{42};
   // Pod phases of 0-4 s at a 5 s cadence put a sample on every whole
-  // second, so each edge below lands on some pod's sample: an inclusive
-  // edge keeps it, an exclusive one drops it.
-  const TimePoint now = at(3600);
-  for (const char* text : {
-           "SELECT SUM(value) AS v FROM \"sgx/epc\" WHERE time >= 240s "
-           "AND time <= 360s",
-           "SELECT SUM(value) AS v FROM \"sgx/epc\" WHERE time >= 239s "
-           "AND time <= 361s",
-           "SELECT COUNT(value) AS v FROM \"sgx/epc\" WHERE time > 120s "
-           "AND time < 600s GROUP BY pod_name",
-           "SELECT MEAN(value) AS v FROM \"sgx/epc\" WHERE time >= 115s "
-           "AND time <= 125s GROUP BY nodename",
-       }) {
-    check_query(set, text, now, "sample-edge");
+  // second, so each window below starts on some pod's sample at one anchor
+  // (the inclusive edge keeps it) and just after it at the next (the
+  // sample drops out).
+  for (const std::int64_t now_s : {360, 361, 600, 601}) {
+    for (const char* text : {
+             "SELECT SUM(value) AS v FROM \"sgx/epc\" "
+             "WHERE time >= now() - 120s",
+             "SELECT MAX(value) AS v FROM \"sgx/epc\" "
+             "WHERE time >= now() - 480s GROUP BY pod_name",
+             "SELECT SUM(value) AS v FROM \"sgx/epc\" "
+             "WHERE value <> 0 AND time >= now() - 10s GROUP BY nodename",
+         }) {
+      check_query(set, text, at(now_s),
+                  "sample-edge now=" + std::to_string(now_s));
+    }
   }
 }
 
@@ -655,9 +641,9 @@ TEST(TsdbDiffTargeted, WideWindows) {
            "GROUP BY pod_name",
            "SELECT SUM(value) AS v FROM \"sgx/epc\" "
            "WHERE time >= now() - 3600s GROUP BY nodename",
-           "SELECT FIRST(value) AS f, LAST(value) AS l FROM \"sgx/epc\" "
-           "WHERE time >= now() - 1200s GROUP BY pod_name",
-           "SELECT MEAN(value) AS v FROM \"sgx/epc\" "
+           "SELECT SUM(value) AS v FROM \"sgx/epc\" "
+           "WHERE value <> 0 AND time >= now() - 1200s GROUP BY pod_name",
+           "SELECT SUM(value) AS v FROM \"sgx/epc\" "
            "WHERE time >= now() - 200s",
        }) {
     check_query(set, text, now, "wide-window");

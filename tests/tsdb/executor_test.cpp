@@ -84,36 +84,6 @@ TEST_F(ExecutorFixture, UnknownMeasurementIsEmpty) {
   EXPECT_TRUE(result.rows.empty());
 }
 
-TEST_F(ExecutorFixture, CountAggregate) {
-  const ResultSet result = query(
-      "SELECT COUNT(value) AS n FROM \"sgx/epc\" WHERE time >= now() - 25s "
-      "GROUP BY nodename",
-      db_, at(60));
-  // Window [35, 60]: n1 has 2 pods × 3 samples = 6; n2 has 3 + 1 zero = 4.
-  EXPECT_DOUBLE_EQ(result.value_for("nodename", "n1", "n"), 6.0);
-  EXPECT_DOUBLE_EQ(result.value_for("nodename", "n2", "n"), 4.0);
-}
-
-TEST_F(ExecutorFixture, MeanMinAggregates) {
-  const ResultSet result = query(
-      "SELECT MEAN(value) AS avg, MIN(value) AS lo FROM \"sgx/epc\" "
-      "WHERE value <> 0 AND time >= now() - 1h GROUP BY pod_name",
-      db_, at(60));
-  // p1: values 100..160 step 10 → mean 130, min 100.
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "p1", "avg"), 130.0);
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "p1", "lo"), 100.0);
-}
-
-TEST_F(ExecutorFixture, FirstLastAggregates) {
-  const ResultSet result = query(
-      "SELECT FIRST(value) AS f, LAST(value) AS l FROM \"sgx/epc\" "
-      "WHERE value <> 0 GROUP BY pod_name",
-      db_, at(60));
-  // For p1: first sample 100 (t=0), last 160 (t=60).
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "p1", "f"), 100.0);
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "p1", "l"), 160.0);
-}
-
 TEST_F(ExecutorFixture, NoGroupByProducesSingleRow) {
   const ResultSet result = query(
       "SELECT SUM(value) AS total FROM \"sgx/epc\" WHERE time >= now() - 25s "
@@ -135,46 +105,47 @@ TEST_F(ExecutorFixture, GroupByMissingTagGroupsUnderEmpty) {
 }
 
 TEST_F(ExecutorFixture, AllRowsFilteredYieldsEmpty) {
+  // Window [90, 100]: every sample is older.
   const ResultSet result = query(
-      "SELECT MAX(value) FROM \"sgx/epc\" WHERE value > 100000", db_, at(60));
+      "SELECT MAX(value) FROM \"sgx/epc\" WHERE time >= now() - 10s", db_,
+      at(100));
   EXPECT_TRUE(result.rows.empty());
+  // A measurement whose every sample is excluded.
+  db_.write("zeros", {}, at(60), 0.0);
+  EXPECT_TRUE(query("SELECT SUM(value) FROM zeros WHERE value <> 0", db_,
+                    at(60))
+                  .rows.empty());
 }
 
 TEST(Executor, TimeBoundsAreInclusiveExclusiveByOp) {
   Database db;
   db.write("m", {}, TimePoint::from_micros(1000), 1.0);
   db.write("m", {}, TimePoint::from_micros(2000), 2.0);
-  const ResultSet gte = query(
-      "SELECT COUNT(value) AS n FROM m WHERE time >= 2000", db,
-      TimePoint::from_micros(5000));
-  EXPECT_DOUBLE_EQ(gte.rows[0].field("n"), 1.0);
-  const ResultSet gt = query(
-      "SELECT COUNT(value) AS n FROM m WHERE time > 2000", db,
-      TimePoint::from_micros(5000));
-  EXPECT_TRUE(gt.rows.empty());
+  const std::string text =
+      "SELECT SUM(value) AS s FROM m WHERE time >= now() - 3000us";
+  // Window start on the 2000 us sample: `>=` keeps it.
+  const ResultSet on_edge = query(text, db, TimePoint::from_micros(5000));
+  ASSERT_EQ(on_edge.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(on_edge.rows[0].field("s"), 2.0);
+  // One microsecond later the window starts past it.
+  EXPECT_TRUE(query(text, db, TimePoint::from_micros(5001)).rows.empty());
 }
 
 TEST(Executor, NowOffsetsPastTheClockSaturate) {
   Database db;
   db.write("m", {}, at(10), 1.0);
-  // now() + INT64_MAX us is past the end of the clock: no point is at or
-  // after it, and every point is at or before it.
-  const std::string max_us = "9223372036854775807us";
-  EXPECT_TRUE(query("SELECT COUNT(value) AS n FROM m WHERE time >= now() + " +
-                        max_us,
-                    db, at(100))
-                  .rows.empty());
-  const ResultSet before = query(
-      "SELECT COUNT(value) AS n FROM m WHERE time <= now() + " + max_us, db,
-      at(100));
-  ASSERT_EQ(before.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(before.rows[0].field("n"), 1.0);
-  // now() - INT64_MAX us stays on the clock here; the point is after it.
-  const ResultSet after = query(
-      "SELECT COUNT(value) AS n FROM m WHERE time >= now() - " + max_us, db,
-      at(100));
-  ASSERT_EQ(after.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(after.rows[0].field("n"), 1.0);
+  const std::string text =
+      "SELECT SUM(value) AS s FROM m WHERE time >= now() - "
+      "9223372036854775807us";
+  // At a negative now(), now() - INT64_MAX us is before the start of the
+  // clock: the window starts there, and the point is after it.
+  const ResultSet saturated = query(text, db, at(-100));
+  ASSERT_EQ(saturated.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(saturated.rows[0].field("s"), 1.0);
+  // At a positive now() it stays on the clock; the point is after it.
+  const ResultSet on_clock = query(text, db, at(100));
+  ASSERT_EQ(on_clock.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(on_clock.rows[0].field("s"), 1.0);
 }
 
 TEST(Executor, SubqueryFieldMismatchDropsRows) {
@@ -246,26 +217,15 @@ void write(Database& db, const std::vector<PodSample>& samples) {
   }
 }
 
-/// The brute-force fold of one group: every aggregate from its samples.
+/// The brute-force fold of one group: both aggregates from its samples.
 struct Folded {
-  double count = 0;
+  bool seen = false;
   double sum = 0;
-  double min = 0;
   double max = 0;
-  std::pair<std::int64_t, double> first;  // (time, value), lexicographic
-  std::pair<std::int64_t, double> last;
 
-  void add(std::int64_t t, double v) {
-    const std::pair<std::int64_t, double> sample{t, v};
-    if (count == 0) {
-      min = max = v;
-      first = last = sample;
-    }
-    min = std::min(min, v);
-    max = std::max(max, v);
-    first = std::min(first, sample);
-    last = std::max(last, sample);
-    ++count;
+  void add(double v) {
+    max = seen ? std::max(max, v) : v;
+    seen = true;
     sum += v;
   }
 };
@@ -276,30 +236,33 @@ TEST(GroupTable, ThousandGroupsMatchABruteForceFold) {
   std::map<std::string, Folded> expected;
   for (const PodSample& s : samples) {
     if (s.t < 20) continue;
-    expected[s.pod].add(s.t, s.value);
+    expected[s.pod].add(s.value);
   }
-  const std::string text =
-      "SELECT COUNT(value) AS n, SUM(value) AS s, MIN(value) AS lo, "
-      "MAX(value) AS hi, FIRST(value) AS f, LAST(value) AS l, "
-      "MEAN(value) AS avg FROM m WHERE time >= now() - 30s GROUP BY pod_name";
   for (const std::size_t shards : kShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     Database db{shards};
     write(db, samples);
-    const ResultSet result = query(text, db, at(50));
-    ASSERT_EQ(result.rows.size(), expected.size());
-    auto row = result.rows.begin();
+    const ResultSet sums = query(
+        "SELECT SUM(value) AS s FROM m WHERE time >= now() - 30s "
+        "GROUP BY pod_name",
+        db, at(50));
+    const ResultSet maxima = query(
+        "SELECT MAX(value) AS hi FROM m WHERE time >= now() - 30s "
+        "GROUP BY pod_name",
+        db, at(50));
+    ASSERT_EQ(sums.rows.size(), expected.size());
+    ASSERT_EQ(maxima.rows.size(), expected.size());
+    auto sum = sums.rows.begin();
+    auto max = maxima.rows.begin();
     for (const auto& [pod, fold] : expected) {
-      EXPECT_EQ(row->tags, (Tags{{"pod_name", pod}}));
-      EXPECT_EQ(row->time, at(20));
-      EXPECT_EQ(row->field("n"), fold.count);
-      EXPECT_EQ(row->field("s"), fold.sum);
-      EXPECT_EQ(row->field("lo"), fold.min);
-      EXPECT_EQ(row->field("hi"), fold.max);
-      EXPECT_EQ(row->field("f"), fold.first.second);
-      EXPECT_EQ(row->field("l"), fold.last.second);
-      EXPECT_EQ(row->field("avg"), fold.sum / fold.count);
-      ++row;
+      EXPECT_EQ(sum->tags, (Tags{{"pod_name", pod}}));
+      EXPECT_EQ(max->tags, (Tags{{"pod_name", pod}}));
+      EXPECT_EQ(sum->time, at(20));
+      EXPECT_EQ(max->time, at(20));
+      EXPECT_EQ(sum->field("s"), fold.sum);
+      EXPECT_EQ(max->field("hi"), fold.max);
+      ++sum;
+      ++max;
     }
   }
 }
@@ -385,18 +348,18 @@ TEST(GroupTable, SeparatorsInTagValuesKeepGroupsApart) {
     db.write("m", second, at(10), 5.0);
     db.write("m", {{"a", "1"}, {"b", "2"}, {"c", "z"}}, at(0), 6.0);
 
-    const ResultSet result = query(
-        "SELECT SUM(value) AS s, COUNT(value) AS n, MIN(time_unused) AS u "
-        "FROM m GROUP BY a, b",
-        db, at(10));
+    const ResultSet result =
+        query("SELECT SUM(value) AS s FROM m GROUP BY a, b", db, at(10));
     ASSERT_EQ(result.rows.size(), groups.size());
     for (std::size_t i = 0; i < groups.size(); ++i) {
       EXPECT_EQ(result.rows[i].tags, groups[i]);
       EXPECT_EQ(result.rows[i].field("s"), sums[i]);
-      EXPECT_EQ(result.rows[i].field("n"), 1.0);
-      EXPECT_FALSE(result.rows[i].has_field("u"));
     }
     EXPECT_EQ(result.rows[1].time, at(10));
+    // Measurement rows carry "value" only.
+    EXPECT_TRUE(query("SELECT SUM(time_unused) AS u FROM m GROUP BY a, b",
+                      db, at(10))
+                    .rows.empty());
 
     // Over a subquery the inner rows keep apart the same way.
     const ResultSet outer = query(
@@ -409,16 +372,6 @@ TEST(GroupTable, SeparatorsInTagValuesKeepGroupsApart) {
       EXPECT_EQ(outer.rows[i].field("s"), sums[i]);
     }
   }
-}
-
-TEST(Executor, CompareOpSemantics) {
-  EXPECT_TRUE(compare(1.0, CompareOp::kEq, 1.0));
-  EXPECT_TRUE(compare(1.0, CompareOp::kNeq, 2.0));
-  EXPECT_TRUE(compare(1.0, CompareOp::kLt, 2.0));
-  EXPECT_TRUE(compare(2.0, CompareOp::kLte, 2.0));
-  EXPECT_TRUE(compare(3.0, CompareOp::kGt, 2.0));
-  EXPECT_TRUE(compare(2.0, CompareOp::kGte, 2.0));
-  EXPECT_FALSE(compare(1.0, CompareOp::kGt, 2.0));
 }
 
 }  // namespace

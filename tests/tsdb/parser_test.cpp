@@ -12,10 +12,9 @@ namespace {
 
 TEST(Parser, MinimalSelect) {
   const SelectStmt stmt = parse("SELECT MAX(value) FROM m");
-  ASSERT_EQ(stmt.projections.size(), 1u);
-  EXPECT_EQ(stmt.projections[0].agg, Aggregate::kMax);
-  EXPECT_EQ(stmt.projections[0].field, "value");
-  EXPECT_EQ(stmt.projections[0].alias, "max");  // defaults to agg name
+  EXPECT_EQ(stmt.projection.agg, Aggregate::kMax);
+  EXPECT_EQ(stmt.projection.field, "value");
+  EXPECT_EQ(stmt.projection.alias, "max");  // defaults to agg name
   ASSERT_TRUE(std::holds_alternative<std::string>(stmt.source));
   EXPECT_EQ(std::get<std::string>(stmt.source), "m");
   EXPECT_TRUE(stmt.where.empty());
@@ -24,35 +23,33 @@ TEST(Parser, MinimalSelect) {
 
 TEST(Parser, CaseInsensitiveKeywords) {
   const SelectStmt stmt = parse("select sum(value) from m group by k");
-  EXPECT_EQ(stmt.projections[0].agg, Aggregate::kSum);
+  EXPECT_EQ(stmt.projection.agg, Aggregate::kSum);
   EXPECT_EQ(stmt.group_by, std::vector<std::string>{"k"});
 }
 
 TEST(Parser, AliasViaAs) {
-  const SelectStmt stmt = parse("SELECT MEAN(value) AS avg_mem FROM m");
-  EXPECT_EQ(stmt.projections[0].alias, "avg_mem");
+  const SelectStmt stmt = parse("SELECT SUM(value) AS mem FROM m");
+  EXPECT_EQ(stmt.projection.alias, "mem");
 }
 
 TEST(Parser, MultipleProjections) {
-  const SelectStmt stmt =
-      parse("SELECT MAX(value) AS hi, MIN(value) AS lo, COUNT(*) FROM m");
-  ASSERT_EQ(stmt.projections.size(), 3u);
-  EXPECT_EQ(stmt.projections[0].alias, "hi");
-  EXPECT_EQ(stmt.projections[1].agg, Aggregate::kMin);
-  EXPECT_EQ(stmt.projections[2].agg, Aggregate::kCount);
-  EXPECT_EQ(stmt.projections[2].field, "value");  // COUNT(*) counts rows
+  // Listing 1's statements project one column.
+  for (const char* text :
+       {"SELECT MAX(value) AS hi, SUM(value) AS s FROM m",
+        "SELECT MAX(value) AS hi, MIN(value) AS lo, COUNT(*) FROM m"}) {
+    EXPECT_THROW((void)parse(text), QueryError) << text;
+  }
 }
 
 TEST(Parser, AllAggregates) {
-  for (const char* name :
-       {"MAX", "MIN", "SUM", "MEAN", "COUNT", "LAST", "FIRST"}) {
+  for (const char* name : {"MAX", "max", "SUM", "Sum"}) {
     const SelectStmt stmt =
         parse(std::string("SELECT ") + name + "(value) FROM m");
-    EXPECT_EQ(to_string(stmt.projections[0].agg),
-              aggregate_from(name).has_value()
-                  ? to_string(*aggregate_from(name))
-                  : "?");
+    ASSERT_TRUE(aggregate_from(name).has_value()) << name;
+    EXPECT_EQ(stmt.projection.agg, *aggregate_from(name));
   }
+  EXPECT_EQ(to_string(Aggregate::kMax), std::string("max"));
+  EXPECT_EQ(to_string(Aggregate::kSum), std::string("sum"));
   EXPECT_THROW(parse("SELECT MEDIAN(value) FROM m"), QueryError);
 }
 
@@ -67,72 +64,64 @@ TEST(Parser, FieldPredicate) {
   ASSERT_EQ(stmt.where.size(), 1u);
   const auto& pred = std::get<FieldPredicate>(stmt.where[0]);
   EXPECT_EQ(pred.field, "value");
-  EXPECT_EQ(pred.op, CompareOp::kNeq);
   EXPECT_DOUBLE_EQ(pred.literal, 0.0);
 }
 
 TEST(Parser, NegativeFieldLiteral) {
-  const SelectStmt stmt = parse("SELECT MAX(value) FROM m WHERE value > -2");
-  const auto& pred = std::get<FieldPredicate>(stmt.where[0]);
-  EXPECT_DOUBLE_EQ(pred.literal, -2.0);
+  // Field literals are unsigned numbers, as Listing 1's `value <> 0` is.
+  EXPECT_THROW((void)parse("SELECT MAX(value) FROM m WHERE value <> -2"),
+               QueryError);
 }
 
 TEST(Parser, RelativeTimePredicate) {
   const SelectStmt stmt =
       parse("SELECT MAX(value) FROM m WHERE time >= now() - 25s");
   const auto& pred = std::get<TimePredicate>(stmt.where[0]);
-  EXPECT_EQ(pred.op, CompareOp::kGte);
-  EXPECT_TRUE(pred.relative_to_now);
   EXPECT_EQ(pred.offset_us, -25'000'000);
 }
 
 TEST(Parser, NowPlusDuration) {
-  const SelectStmt stmt =
-      parse("SELECT MAX(value) FROM m WHERE time < now() + 5m");
-  const auto& pred = std::get<TimePredicate>(stmt.where[0]);
-  EXPECT_EQ(pred.offset_us, 300'000'000);
+  // Listing 1's window only looks back from now().
+  EXPECT_THROW(
+      (void)parse("SELECT MAX(value) FROM m WHERE time >= now() + 5m"),
+      QueryError);
 }
 
 TEST(Parser, BareNow) {
   const SelectStmt stmt =
-      parse("SELECT MAX(value) FROM m WHERE time <= now()");
+      parse("SELECT MAX(value) FROM m WHERE time >= now()");
   const auto& pred = std::get<TimePredicate>(stmt.where[0]);
-  EXPECT_TRUE(pred.relative_to_now);
   EXPECT_EQ(pred.offset_us, 0);
 }
 
 TEST(Parser, AbsoluteTimePredicate) {
-  const SelectStmt stmt =
-      parse("SELECT MAX(value) FROM m WHERE time >= 123456");
-  const auto& pred = std::get<TimePredicate>(stmt.where[0]);
-  EXPECT_FALSE(pred.relative_to_now);
-  EXPECT_EQ(pred.offset_us, 123456);
+  // Listing 1's window is relative to now(): no absolute time, as a
+  // number or as a duration.
+  for (const char* text : {"SELECT MAX(value) FROM m WHERE time >= 123456",
+                           "SELECT MAX(value) FROM m WHERE time >= 25s"}) {
+    EXPECT_THROW((void)parse(text), QueryError) << text;
+  }
 }
 
 TEST(Parser, RejectsOutOfRangeTimes) {
   const std::string where = "SELECT MAX(value) FROM m WHERE time >= ";
   for (const std::string rhs :
-       {"now() - 99999999999999999999s", "now() - 99999999999999w",
-        "99999999999999999999999", "9223372036854775808"}) {
+       {"now() - 99999999999999999999s", "now() - 99999999999999w"}) {
     EXPECT_THROW((void)parse(where + rhs), QueryError) << rhs;
   }
-  // The extremes that fit: the largest offset, and the largest double
-  // below 2^63 as an absolute time.
+  // The largest offset fits.
   EXPECT_EQ(std::get<TimePredicate>(
                 parse(where + "now() - 9223372036854775807us").where[0])
                 .offset_us,
             -std::numeric_limits<std::int64_t>::max());
-  EXPECT_EQ(
-      std::get<TimePredicate>(parse(where + "9223372036854774784").where[0])
-          .offset_us,
-      9223372036854774784LL);
 }
 
 TEST(Parser, ConjunctionOfPredicates) {
   const SelectStmt stmt = parse(
       "SELECT MAX(value) FROM m WHERE value <> 0 AND time >= now() - 1m AND "
-      "value < 100");
-  EXPECT_EQ(stmt.where.size(), 3u);
+      "value <> 100");
+  ASSERT_EQ(stmt.where.size(), 3u);
+  EXPECT_DOUBLE_EQ(std::get<FieldPredicate>(stmt.where[2]).literal, 100.0);
 }
 
 TEST(Parser, GroupByMultipleTags) {
@@ -148,7 +137,7 @@ TEST(Parser, Subquery) {
   ASSERT_TRUE(
       std::holds_alternative<std::unique_ptr<SelectStmt>>(stmt.source));
   const auto& sub = *std::get<std::unique_ptr<SelectStmt>>(stmt.source);
-  EXPECT_EQ(sub.projections[0].alias, "epc");
+  EXPECT_EQ(sub.projection.alias, "epc");
   EXPECT_EQ(std::get<std::string>(sub.source), "m");
 }
 
@@ -159,8 +148,8 @@ TEST(Parser, Listing1Verbatim) {
       "WHERE value <> 0 AND time >= now() - 25s "
       "GROUP BY pod_name, nodename) "
       "GROUP BY nodename");
-  EXPECT_EQ(stmt.projections[0].agg, Aggregate::kSum);
-  EXPECT_EQ(stmt.projections[0].field, "epc");
+  EXPECT_EQ(stmt.projection.agg, Aggregate::kSum);
+  EXPECT_EQ(stmt.projection.field, "epc");
   EXPECT_EQ(stmt.group_by, std::vector<std::string>{"nodename"});
   const auto& sub = *std::get<std::unique_ptr<SelectStmt>>(stmt.source);
   EXPECT_EQ(std::get<std::string>(sub.source), "sgx/epc");
@@ -186,16 +175,35 @@ TEST(Parser, RejectsMalformedStatements) {
   EXPECT_THROW(parse("SELECT MAX(value) FROM m GROUP nodename"), QueryError);
   EXPECT_THROW(parse("SELECT MAX(value) FROM m WHERE"), QueryError);
   EXPECT_THROW(parse("SELECT MAX(value) FROM m trailing"), QueryError);
-  EXPECT_THROW(parse("SELECT MAX(value) FROM (SELECT MIN(value) FROM x"),
+  EXPECT_THROW(parse("SELECT MAX(value) FROM (SELECT MAX(value) FROM x"),
                QueryError);
   EXPECT_THROW(parse("SELECT MAX(value) FROM m WHERE time >= tomorrow()"),
                QueryError);
 }
 
 TEST(Parser, RejectsGrammarBeyondListing1) {
-  // The subset is Listing 1's grammar: no time buckets, row windows,
-  // quantiles or placeholders, in the outer statement or a subquery.
+  // The subset is Listing 1's grammar: MAX or SUM of one field, `<>` on a
+  // field and `>= now() [- d]` on time. No other aggregate or comparison,
+  // and no time buckets, row windows, quantiles or placeholders, in the
+  // outer statement or a subquery. (A second column, a negative literal,
+  // `now() + d` and absolute times have tests of their own above.)
   for (const char* text : {
+           "SELECT MIN(value) FROM m",
+           "SELECT MEAN(value) FROM m",
+           "SELECT COUNT(value) FROM m",
+           "SELECT FIRST(value) FROM m",
+           "SELECT LAST(value) FROM m",
+           "SELECT COUNT(*) FROM m",
+           "SELECT MAX(value) FROM m WHERE value = 0",
+           "SELECT MAX(value) FROM m WHERE value < 100",
+           "SELECT MAX(value) FROM m WHERE value <= 100",
+           "SELECT MAX(value) FROM m WHERE value > 100",
+           "SELECT MAX(value) FROM m WHERE value != 0",
+           "SELECT MAX(value) FROM m WHERE value >= 1",
+           "SELECT MAX(value) FROM m WHERE time <> now()",
+           "SELECT SUM(v) FROM (SELECT MIN(value) AS v FROM m)",
+           "SELECT SUM(v) FROM (SELECT MAX(value) AS v FROM m "
+           "WHERE time >= 0)",
            "SELECT MAX(value) FROM m GROUP BY time(10s)",
            "SELECT MAX(value) FROM m GROUP BY pod_name, time(10s)",
            "SELECT MAX(value) FROM m GROUP BY pod_name LIMIT 5",
