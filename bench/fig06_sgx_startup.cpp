@@ -42,7 +42,7 @@ int main() {
     const Bytes requested = mib(size_mib);
     OnlineStats psw;
     OnlineStats alloc;
-    measure(model.config().psw_startup.as_millis(), psw);
+    measure(sgx::PerfModel::kPswStartup.as_millis(), psw);
     measure(model.alloc_latency(requested, usable).as_millis(), alloc);
     table.add_row({fmt_double(size_mib, 1),
                    fmt_double(psw.mean(), 1) + " ± " +
@@ -64,10 +64,10 @@ int main() {
             << "  slope above usable limit : "
             << fmt_double(above / 32.0, 2) << " ms/MiB (paper: 4.5)\n"
             << "  knee penalty at 93.5 MiB : ~"
-            << fmt_double(model.config().paging_knee_penalty.as_millis(), 0)
+            << fmt_double(sgx::PerfModel::kPagingKneePenalty.as_millis(), 0)
             << " ms (paper: ~200 ms)\n"
             << "  standard jobs (not plotted): "
-            << fmt_double(model.standard_startup().as_millis(), 2)
+            << fmt_double(sgx::PerfModel::kStandardStartup.as_millis(), 2)
             << " ms — below 1 ms as reported\n";
   return 0;
 }

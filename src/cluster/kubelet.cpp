@@ -182,7 +182,7 @@ void Kubelet::start_containers(const PodName& name,
   // Startup latency before the workload is live (Fig. 6 model). On SGX 2
   // nodes a dynamic-profile enclave only commits its initial working set
   // at build time — the main startup win of dynamic memory (§VI-G).
-  Duration startup = perf_->standard_startup();
+  Duration startup = sgx::PerfModel::kStandardStartup;
   if (pod.spec.behavior.sgx) {
     const Bytes build_size = use_dynamic_memory(pod.spec)
                                  ? pod.spec.behavior.initial_usage()
@@ -371,7 +371,7 @@ void Kubelet::admit_migrated(MigrationBundle bundle,
 
   // Wire transfer, then container restart (PSW again — one instance per
   // container) and enclave restore.
-  const Duration psw = perf_->config().psw_startup;
+  const Duration psw = sgx::PerfModel::kPswStartup;
   auto shared = std::make_shared<MigrationBundle>(std::move(bundle));
   sim_->schedule_after(inbound_delay + psw, [this, name, incarnation, shared,
                                              &service] {

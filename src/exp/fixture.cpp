@@ -148,145 +148,147 @@ orch::Scheduler* SimulatedCluster::find_scheduler(const std::string& name) {
 
 void SimulatedCluster::install_fault_handlers(sim::FaultInjector& injector,
                                               orch::PodRestarter* restarter) {
+  injector.on_change([this, restarter](
+                         const sim::FaultSpec& changed, bool activated,
+                         const std::vector<sim::FaultSpec>& active) {
+    apply_faults(changed, activated, active, restarter);
+  });
+}
+
+void SimulatedCluster::apply_faults(const sim::FaultSpec& changed,
+                                    bool activated,
+                                    const std::vector<sim::FaultSpec>& active,
+                                    orch::PodRestarter* restarter) {
   using sim::FaultKind;
   using sim::FaultSpec;
 
-  // Node crash / reboot. Guarded on the node's current readiness so a
-  // test driving fail_node directly alongside the injector cannot
-  // double-fail (the injector already refcounts same-target overlaps).
-  injector.on_inject(FaultKind::kNodeCrash, [this](const FaultSpec& spec) {
-    cluster::Node* node = find_node(spec.target);
-    if (node != nullptr && node->ready()) api_->fail_node(spec.target);
-  });
-  injector.on_heal(FaultKind::kNodeCrash, [this](const FaultSpec& spec) {
-    cluster::Node* node = find_node(spec.target);
-    if (node != nullptr && !node->ready()) api_->recover_node(spec.target);
-  });
-
-  // SGX-probe dropout ("" targets every probe); redeployed probes inherit
-  // the active fault state from the DaemonSet.
-  injector.on_inject(FaultKind::kProbeDropout, [this](const FaultSpec& spec) {
-    daemonset_->set_drop_samples(spec.target, true);
-  });
-  injector.on_heal(FaultKind::kProbeDropout, [this](const FaultSpec& spec) {
-    daemonset_->set_drop_samples(spec.target, false);
-  });
-
-  // Heapster dropout is cluster-wide (one central scraper).
-  injector.on_inject(FaultKind::kHeapsterDropout, [this](const FaultSpec&) {
-    heapster_->set_drop_samples(true);
-  });
-  injector.on_heal(FaultKind::kHeapsterDropout, [this](const FaultSpec&) {
-    heapster_->set_drop_samples(false);
-  });
-
-  // Sample delay: a targeted delay slows that node's probe; an untargeted
-  // one ("") slows every probe and Heapster, the one central scraper.
-  // Each is healed on its own, as the injector counts them.
-  injector.on_inject(FaultKind::kSampleDelay, [this](const FaultSpec& spec) {
-    daemonset_->set_sample_delay(spec.target, spec.delay);
-    if (spec.target.empty()) heapster_->set_sample_delay(spec.delay);
-  });
-  injector.on_heal(FaultKind::kSampleDelay, [this](const FaultSpec& spec) {
-    daemonset_->set_sample_delay(spec.target, Duration{});
-    if (spec.target.empty()) heapster_->set_sample_delay(Duration{});
-  });
-
-  injector.on_inject(FaultKind::kTsdbWriteError, [this](const FaultSpec&) {
-    db_.set_write_fault(true);
-  });
-  injector.on_heal(FaultKind::kTsdbWriteError, [this](const FaultSpec&) {
-    db_.set_write_fault(false);
-  });
-
-  // Stale reads: queries see nothing newer than the activation instant.
-  injector.on_inject(FaultKind::kTsdbStaleReads, [this](const FaultSpec&) {
-    db_.set_read_horizon(sim_.now());
-  });
-  injector.on_heal(FaultKind::kTsdbStaleReads, [this](const FaultSpec&) {
-    db_.set_read_horizon(std::nullopt);
-  });
-
-  // Per-shard TSDB faults: the target is a decimal shard index (wrapped
-  // into range so a plan generated for a bigger database stays valid).
-  const auto shard_of = [this](const FaultSpec& spec) {
-    std::size_t shard = 0;
-    try {
-      shard = static_cast<std::size_t>(std::stoul(spec.target));
-    } catch (const std::exception&) {
-      shard = 0;
-    }
-    return shard % db_.shard_count();
+  const auto any = [&](const auto& applies) {
+    return std::any_of(active.begin(), active.end(), applies);
   };
-  injector.on_inject(FaultKind::kTsdbShardWriteError,
-                     [this, shard_of](const FaultSpec& spec) {
-                       db_.set_shard_write_fault(shard_of(spec), true);
-                     });
-  injector.on_heal(FaultKind::kTsdbShardWriteError,
-                   [this, shard_of](const FaultSpec& spec) {
-                     db_.set_shard_write_fault(shard_of(spec), false);
-                   });
-  injector.on_inject(FaultKind::kTsdbShardStaleReads,
-                     [this, shard_of](const FaultSpec& spec) {
-                       db_.set_shard_read_horizon(shard_of(spec), sim_.now());
-                     });
-  injector.on_heal(FaultKind::kTsdbShardStaleReads,
-                   [this, shard_of](const FaultSpec& spec) {
-                     db_.set_shard_read_horizon(shard_of(spec), std::nullopt);
-                   });
+  const auto largest_delay = [&](const auto& applies) {
+    Duration delay{};
+    for (const FaultSpec& spec : active) {
+      if (applies(spec)) delay = std::max(delay, spec.delay);
+    }
+    return delay;
+  };
+  const auto same_target = [&](const FaultSpec& spec) {
+    return spec.target == changed.target;
+  };
+  // A probe fault names its node's probe, or with "" every probe.
+  const auto names_probe = [](const cluster::NodeName& node) {
+    return [&node](const FaultSpec& spec) {
+      return spec.target.empty() || spec.target == node;
+    };
+  };
+  // A per-shard fault's target is a decimal shard index, wrapped into
+  // range so a plan generated for a bigger database stays valid.
+  const auto shard_of = [this](const FaultSpec& spec) -> std::size_t {
+    try {
+      return std::stoul(spec.target) % db_.shard_count();
+    } catch (const std::exception&) {
+      return 0;
+    }
+  };
+  const auto same_shard = [&](const FaultSpec& spec) {
+    return shard_of(spec) == shard_of(changed);
+  };
 
-  if (restarter != nullptr) {
-    injector.on_inject(FaultKind::kWatchDisconnect,
-                       [restarter](const FaultSpec&) {
-                         restarter->disconnect();
-                       });
-    injector.on_heal(FaultKind::kWatchDisconnect,
-                     [restarter](const FaultSpec&) { restarter->resync(); });
-  }
-
-  // Control-plane faults. A crashed scheduler stops (crash-stop) and its
-  // pending pods wait; on heal the process "restarts" with no cached
-  // state.
-  injector.on_inject(FaultKind::kSchedulerCrash, [this](const FaultSpec& spec) {
-    orch::Scheduler* scheduler = find_scheduler(spec.target);
-    if (scheduler != nullptr && !scheduler->crashed()) scheduler->crash();
-  });
-  injector.on_heal(FaultKind::kSchedulerCrash, [this](const FaultSpec& spec) {
-    orch::Scheduler* scheduler = find_scheduler(spec.target);
-    if (scheduler != nullptr && scheduler->crashed()) scheduler->restart();
-  });
-
-  // Attestation faults (only meaningful with an attesting cluster; the
-  // plan generator downgrades these kinds for configs without one, but a
-  // hand-written plan against a non-attesting fixture is simply inert).
-  if (verifier_ != nullptr) {
-    injector.on_inject(FaultKind::kAttestationVerifierOutage,
-                       [this](const FaultSpec&) {
-                         verifier_->set_outage(true);
-                       });
-    injector.on_heal(FaultKind::kAttestationVerifierOutage,
-                     [this](const FaultSpec&) {
-                       verifier_->set_outage(false);
-                     });
-    injector.on_inject(FaultKind::kAttestationSlowVerify,
-                       [this](const FaultSpec& spec) {
-                         verifier_->set_extra_latency(spec.delay);
-                       });
-    injector.on_heal(FaultKind::kAttestationSlowVerify,
-                     [this](const FaultSpec&) {
-                       verifier_->set_extra_latency(Duration{});
-                     });
-    // A storm is instantaneous: the mass expiry fires at activation and
-    // the renewal race plays out on its own — there is nothing to heal
-    // (the plan's heal event still balances the injected/healed counters
-    // without a handler).
-    injector.on_inject(FaultKind::kReattestationStorm,
-                       [this](const FaultSpec&) {
-                         if (orch::AttestationGate* gate = api_->attestation();
-                             gate != nullptr) {
-                           gate->force_expire_all();
-                         }
-                       });
+  // A stale-read horizon stays at the instant its window began until the
+  // last overlapping fault heals. Node and scheduler crashes are guarded
+  // on the current state, so a test driving fail_node or crash directly
+  // alongside the injector cannot double-fail.
+  switch (changed.kind) {
+    case FaultKind::kNodeCrash: {
+      cluster::Node* node = find_node(changed.target);
+      if (node == nullptr) break;
+      const bool down = any(same_target);
+      if (down && node->ready()) api_->fail_node(changed.target);
+      if (!down && !node->ready()) api_->recover_node(changed.target);
+      break;
+    }
+    case FaultKind::kProbeDropout:
+      for (const orch::ApiServer::NodeEntry& entry : api_->all_nodes()) {
+        if (!entry.node->has_sgx()) continue;
+        daemonset_->samples(entry.node->name())
+            .set_drop(any(names_probe(entry.node->name())));
+      }
+      break;
+    case FaultKind::kHeapsterDropout:
+      heapster_->samples().set_drop(!active.empty());
+      break;
+    case FaultKind::kSampleDelay:
+      // Only an untargeted delay slows Heapster, the one central scraper.
+      for (const orch::ApiServer::NodeEntry& entry : api_->all_nodes()) {
+        if (!entry.node->has_sgx()) continue;
+        daemonset_->samples(entry.node->name())
+            .set_delay(largest_delay(names_probe(entry.node->name())));
+      }
+      heapster_->samples().set_delay(largest_delay(
+          [](const FaultSpec& spec) { return spec.target.empty(); }));
+      break;
+    case FaultKind::kTsdbWriteError:
+      db_.set_write_fault(!active.empty());
+      break;
+    case FaultKind::kTsdbStaleReads:
+      if (active.empty()) {
+        db_.set_read_horizon(std::nullopt);
+      } else if (!db_.read_horizon().has_value()) {
+        db_.set_read_horizon(sim_.now());
+      }
+      break;
+    case FaultKind::kTsdbShardWriteError:
+      db_.set_shard_write_fault(shard_of(changed), any(same_shard));
+      break;
+    case FaultKind::kTsdbShardStaleReads: {
+      const std::size_t shard = shard_of(changed);
+      if (!any(same_shard)) {
+        db_.set_shard_read_horizon(shard, std::nullopt);
+      } else if (!db_.shard_read_horizon(shard).has_value()) {
+        db_.set_shard_read_horizon(shard, sim_.now());
+      }
+      break;
+    }
+    case FaultKind::kWatchDisconnect:
+      // Each call is a no-op unless it changes the connection.
+      if (restarter == nullptr) break;
+      if (active.empty()) {
+        restarter->resync();
+      } else {
+        restarter->disconnect();
+      }
+      break;
+    case FaultKind::kSchedulerCrash: {
+      // A crashed scheduler stops (crash-stop) and its pending pods wait;
+      // on heal the process restarts with no cached state.
+      orch::Scheduler* scheduler = find_scheduler(changed.target);
+      if (scheduler == nullptr) break;
+      const bool down = any(same_target);
+      if (down && !scheduler->crashed()) scheduler->crash();
+      if (!down && scheduler->crashed()) scheduler->restart();
+      break;
+    }
+    // The attestation kinds act only on an attesting cluster: the plan
+    // generator downgrades them for configs without one, and a
+    // hand-written plan against a non-attesting fixture is inert.
+    case FaultKind::kAttestationVerifierOutage:
+      if (verifier_ != nullptr) verifier_->set_outage(!active.empty());
+      break;
+    case FaultKind::kAttestationSlowVerify:
+      if (verifier_ != nullptr) {
+        verifier_->set_extra_latency(
+            largest_delay([](const FaultSpec&) { return true; }));
+      }
+      break;
+    case FaultKind::kReattestationStorm:
+      // A storm is instantaneous: each activation expires every cached
+      // verdict and the renewal race plays out on its own. Its heal only
+      // balances the injector's counters.
+      if (orch::AttestationGate* gate = api_->attestation();
+          activated && gate != nullptr) {
+        gate->force_expire_all();
+      }
+      break;
   }
 }
 

@@ -82,13 +82,14 @@ class SimulatedCluster {
   /// the node has a provisioned platform.
   [[nodiscard]] sgx::Quote node_quote(const cluster::NodeName& name) const;
 
-  /// Registers the standard effect handlers for every FaultKind on the
-  /// injector: node crash/reboot through the API server, probe/Heapster
-  /// dropouts and delays on the monitoring pipeline, TSDB write errors
-  /// and stale-read windows on the database, crash/restart of the
-  /// scheduler whose name the fault targets, attestation-verifier
-  /// faults when attestation is on, and — when a restarter is given —
-  /// watch-channel disconnect/re-sync on it.
+  /// Registers the standard change handler on the injector. On every
+  /// activation and heal it sets the state of what the fault targets from
+  /// the active faults of its kind: node crash/reboot through the API
+  /// server, probe/Heapster dropouts and delays on their sample paths,
+  /// TSDB write errors and stale-read windows on the database,
+  /// crash/restart of the scheduler whose name the fault targets,
+  /// attestation-verifier faults when attestation is on, and — when a
+  /// restarter is given — watch-channel disconnect/re-sync on it.
   void install_fault_handlers(sim::FaultInjector& injector,
                               orch::PodRestarter* restarter = nullptr);
 
@@ -120,6 +121,13 @@ class SimulatedCluster {
                            Duration deadline = Duration::hours(48));
 
  private:
+  /// install_fault_handlers' handler: a target is faulted while any
+  /// active fault of its kind names it, and a delay is the largest active
+  /// one.
+  void apply_faults(const sim::FaultSpec& changed, bool activated,
+                    const std::vector<sim::FaultSpec>& active,
+                    orch::PodRestarter* restarter);
+
   ClusterConfig config_;
   sim::Simulation sim_;
   tsdb::Database db_;

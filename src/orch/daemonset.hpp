@@ -2,12 +2,14 @@
 // probe instance on every SGX-enabled node. SGX capability is detected the
 // same way the paper does — by the EPC size the device plugin advertised to
 // Kubernetes — and new nodes get a probe automatically at the next
-// reconciliation, as do replacements for crashed probes.
+// reconciliation, as do replacements for crashed probes. The DaemonSet
+// owns one sample path per SGX node, which outlives the node's probes:
+// a fault sits in the network or the node, not the probe process, so a
+// probe redeployed while its node's path drops or lags comes up faulted.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <string>
 
 #include "orch/api_server.hpp"
 #include "orch/sgx_probe.hpp"
@@ -43,31 +45,17 @@ class ProbeDaemonSet {
   [[nodiscard]] SgxProbe* probe(const cluster::NodeName& node);
   /// Simulates a probe crash; the next reconcile redeploys it.
   void crash_probe(const cluster::NodeName& node);
-
-  // ---- fault injection -----------------------------------------------------
-  /// Dropout / delay knobs for the probe on `node` ("" = every probe).
-  /// The state is remembered per node, so a probe redeployed while a
-  /// fault is active comes up faulted too (the fault is in the network /
-  /// node, not the probe process).
-  void set_drop_samples(const cluster::NodeName& node, bool drop);
-  void set_sample_delay(const cluster::NodeName& node, Duration delay);
+  /// The sample path of the probes on `node`, created on first use.
+  [[nodiscard]] PodSampleWriter& samples(const cluster::NodeName& node);
 
  private:
-  struct FaultState {
-    bool drop = false;
-    Duration delay{};
-  };
-  /// The fault state applying to `node` (node-specific merged over "").
-  [[nodiscard]] FaultState fault_state(const cluster::NodeName& node) const;
-  void apply_fault_state(const cluster::NodeName& node, SgxProbe& probe) const;
-
   sim::Simulation* sim_;
   ApiServer* api_;
   tsdb::Database* db_;
   Duration probe_period_;
   sim::EventId timer_;
+  std::map<cluster::NodeName, PodSampleWriter> samples_;
   std::map<cluster::NodeName, std::unique_ptr<SgxProbe>> probes_;
-  std::map<cluster::NodeName, FaultState> faults_;  // "" = all probes
 };
 
 }  // namespace sgxo::orch

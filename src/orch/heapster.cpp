@@ -8,7 +8,7 @@ Heapster::Heapster(sim::Simulation& sim, ApiServer& api, tsdb::Database& db,
       api_(&api),
       db_(&db),
       period_(scrape_period),
-      writer_(db, kMemoryMeasurement, {{"type", "pod"}}) {}
+      writer_(sim, db, kMemoryMeasurement, {{"type", "pod"}}) {}
 
 void Heapster::start() {
   if (timer_.valid()) return;
@@ -30,30 +30,12 @@ void Heapster::scrape_once() {
     entry.kubelet->for_each_active_pod(
         [&](const cluster::PodName& pod,
             const std::vector<cluster::ContainerId>& containers) {
-          if (drop_samples_) {
-            ++dropped_;
-            return;
-          }
           Bytes usage{};
           for (const cluster::ContainerId id : containers) {
             usage += runtime.info(id).memory_usage;
           }
-          const double value = static_cast<double>(usage.count());
-          if (sample_delay_ > Duration{}) {
-            // Delayed delivery keeps the original sample timestamp, so the
-            // point lands out of order — exactly what a congested
-            // collector produces. The sample is in flight, so its write
-            // holds no pointer to Heapster.
-            ++delayed_;
-            sim_->schedule_after(
-                sample_delay_,
-                [db = db_, tags = writer_.tags_of(pod, entry.node->name()),
-                 now, value] {
-                  db->write(kMemoryMeasurement, tags, now, value);
-                });
-            return;
-          }
-          writer_.write(pod, entry.node->name(), now, value);
+          writer_.write(pod, entry.node->name(), now,
+                        static_cast<double>(usage.count()));
         });
   }
   writer_.end_round();

@@ -4,7 +4,7 @@
 // scheme the SGX probe uses, so the scheduler can issue equivalent queries
 // for both resources. Samples go through a PodSampleWriter, which keeps
 // one series ref per pod, so a scrape renders no series key for a pod it
-// already wrote; delayed samples take the tag write.
+// already wrote, and which drops or delays them under an injected fault.
 #pragma once
 
 #include <string>
@@ -36,17 +36,8 @@ class Heapster {
   void scrape_once();
 
   [[nodiscard]] std::uint64_t scrape_count() const { return scrapes_; }
-
-  // ---- fault injection -----------------------------------------------------
-  /// While set, scraped samples are discarded instead of written.
-  void set_drop_samples(bool drop) { drop_samples_ = drop; }
-  [[nodiscard]] bool dropping_samples() const { return drop_samples_; }
-  /// Samples reach the TSDB `delay` late (original timestamps, so they
-  /// arrive out of order). Zero restores immediate delivery.
-  void set_sample_delay(Duration delay) { sample_delay_ = delay; }
-  [[nodiscard]] Duration sample_delay() const { return sample_delay_; }
-  [[nodiscard]] std::uint64_t dropped_samples() const { return dropped_; }
-  [[nodiscard]] std::uint64_t delayed_samples() const { return delayed_; }
+  /// The path every scraped sample takes to the TSDB.
+  [[nodiscard]] PodSampleWriter& samples() { return writer_; }
 
  private:
   sim::Simulation* sim_;
@@ -55,10 +46,6 @@ class Heapster {
   Duration period_;
   sim::EventId timer_;
   std::uint64_t scrapes_ = 0;
-  bool drop_samples_ = false;
-  Duration sample_delay_{};
-  std::uint64_t dropped_ = 0;
-  std::uint64_t delayed_ = 0;
   PodSampleWriter writer_;
 };
 

@@ -4,9 +4,12 @@
 
 namespace sgxo::orch {
 
-PodSampleWriter::PodSampleWriter(tsdb::Database& db, std::string measurement,
-                                 tsdb::Tags tags)
-    : db_(&db), measurement_(std::move(measurement)), tags_(std::move(tags)) {}
+PodSampleWriter::PodSampleWriter(sim::Simulation& sim, tsdb::Database& db,
+                                 std::string measurement, tsdb::Tags tags)
+    : sim_(&sim),
+      db_(&db),
+      measurement_(std::move(measurement)),
+      tags_(std::move(tags)) {}
 
 tsdb::Tags PodSampleWriter::tags_of(const cluster::PodName& pod,
                                     const cluster::NodeName& node) const {
@@ -19,6 +22,10 @@ tsdb::Tags PodSampleWriter::tags_of(const cluster::PodName& pod,
 void PodSampleWriter::write(const cluster::PodName& pod,
                             const cluster::NodeName& node, TimePoint time,
                             double value) {
+  if (drop_ || delay_ > Duration{}) {
+    write_faulted(pod, node, time, value);
+    return;
+  }
   Entry& entry = entries_[pod];
   entry.round = round_;
   if (entry.node == node && db_->live(entry.ref)) {
@@ -33,6 +40,24 @@ void PodSampleWriter::write(const cluster::PodName& pod,
     entry.node = node;
     entry.ref = *ref;
   }
+}
+
+void PodSampleWriter::write_faulted(const cluster::PodName& pod,
+                                    const cluster::NodeName& node,
+                                    TimePoint time, double value) {
+  if (drop_) {
+    ++dropped_;
+    return;
+  }
+  // Delayed delivery keeps the original sample timestamp, so the point
+  // lands out of order — exactly what a congested collector produces. The
+  // sample is in flight and lands even if its scraper or probe is gone
+  // first, so its write holds no pointer to the writer.
+  ++delayed_;
+  sim_->schedule_after(delay_, [db = db_, measurement = measurement_,
+                                tags = tags_of(pod, node), time, value] {
+    db->write(measurement, tags, time, value);
+  });
 }
 
 void PodSampleWriter::end_round() {

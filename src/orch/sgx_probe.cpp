@@ -5,12 +5,8 @@
 namespace sgxo::orch {
 
 SgxProbe::SgxProbe(sim::Simulation& sim, ApiServer::NodeEntry entry,
-                   tsdb::Database& db, Duration period)
-    : sim_(&sim),
-      entry_(entry),
-      db_(&db),
-      period_(period),
-      writer_(db, kEpcMeasurement, {}) {
+                   PodSampleWriter& samples, Duration period)
+    : sim_(&sim), entry_(entry), writer_(&samples), period_(period) {
   SGXO_CHECK_MSG(entry_.node != nullptr && entry_.kubelet != nullptr,
                  "probe needs a complete node entry");
   SGXO_CHECK_MSG(entry_.node->has_sgx(),
@@ -43,26 +39,10 @@ void SgxProbe::probe_once() {
         for (const cluster::ContainerId id : containers) {
           pages += driver.process_pages(runtime.info(id).pid);
         }
-        if (drop_samples_) {
-          ++dropped_;
-          return;
-        }
-        const double value = static_cast<double>(pages.as_bytes().count());
-        if (sample_delay_ > Duration{}) {
-          // Late delivery with the original timestamp: the point lands out
-          // of order, after the scheduler may already have run without it.
-          // The sample is in flight and lands even if the probe crashes
-          // first, so its write holds no pointer to the probe.
-          ++delayed_;
-          sim_->schedule_after(
-              sample_delay_,
-              [db = db_, tags = writer_.tags_of(pod, node_name()), now,
-               value] { db->write(kEpcMeasurement, tags, now, value); });
-          return;
-        }
-        writer_.write(pod, node_name(), now, value);
+        writer_->write(pod, node_name(), now,
+                       static_cast<double>(pages.as_bytes().count()));
       });
-  writer_.end_round();
+  writer_->end_round();
 }
 
 }  // namespace sgxo::orch

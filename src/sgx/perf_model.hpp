@@ -18,28 +18,22 @@
 
 namespace sgxo::sgx {
 
-struct PerfModelConfig {
-  Duration psw_startup = Duration::millis(100);
-  /// Allocation cost per MiB while within the usable EPC.
-  double alloc_ms_per_mib_in_epc = 1.6;
-  /// Allocation cost per MiB for the portion beyond the usable EPC.
-  double alloc_ms_per_mib_paged = 4.5;
-  /// Fixed penalty once the request crosses the usable EPC boundary.
-  Duration paging_knee_penalty = Duration::millis(200);
-  /// Startup of a standard (non-SGX) process ("steadily took less than
-  /// 1 ms" — §VI-D).
-  Duration standard_startup = Duration::micros(500);
-  /// Execution slowdown at 2× over-commitment; grows linearly with the
-  /// over-commit ratio. 1000× at ~2× pressure matches SCONE's worst case.
-  double slowdown_per_overcommit = 1000.0;
-};
-
 class PerfModel {
  public:
-  PerfModel() : PerfModel(PerfModelConfig{}) {}
-  explicit PerfModel(PerfModelConfig config);
-
-  [[nodiscard]] const PerfModelConfig& config() const { return config_; }
+  /// Platform Software (AESM) startup, paid once per container.
+  static constexpr Duration kPswStartup = Duration::millis(100);
+  /// Allocation cost per MiB while within the usable EPC.
+  static constexpr double kAllocMsPerMibInEpc = 1.6;
+  /// Allocation cost per MiB for the portion beyond the usable EPC.
+  static constexpr double kAllocMsPerMibPaged = 4.5;
+  /// Fixed penalty once the request crosses the usable EPC boundary.
+  static constexpr Duration kPagingKneePenalty = Duration::millis(200);
+  /// Startup of a standard (non-SGX) process ("steadily took less than
+  /// 1 ms" — §VI-D).
+  static constexpr Duration kStandardStartup = Duration::micros(500);
+  /// Execution slowdown at 2× over-commitment; grows linearly with the
+  /// over-commit ratio. 1000× at ~2× pressure matches SCONE's worst case.
+  static constexpr double kSlowdownPerOvercommit = 1000.0;
 
   /// Enclave memory allocation latency for a request of `requested` given a
   /// usable EPC of `usable` (piecewise-linear Fig. 6 model).
@@ -53,18 +47,10 @@ class PerfModel {
   /// one by one as the enclave touches them (§VI-G).
   [[nodiscard]] Duration dynamic_alloc_latency(Bytes delta) const;
 
-  /// Startup latency of a standard container.
-  [[nodiscard]] Duration standard_startup() const {
-    return config_.standard_startup;
-  }
-
   /// Multiplicative execution slowdown for an enclave running while the
   /// node's EPC is committed at `pressure` (committed/total). 1.0 when the
   /// EPC is not over-committed.
   [[nodiscard]] double execution_slowdown(double pressure) const;
-
- private:
-  PerfModelConfig config_;
 };
 
 }  // namespace sgxo::sgx

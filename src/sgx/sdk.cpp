@@ -14,7 +14,7 @@ AesmService::AesmService(const PerfModel& model, const Platform& platform)
 Duration AesmService::start() {
   if (running_) return Duration{};
   running_ = true;
-  return model_->config().psw_startup;
+  return PerfModel::kPswStartup;
 }
 
 LaunchEnclave& AesmService::launch_enclave() {

@@ -195,49 +195,49 @@ FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config) {
 
 FaultInjector::FaultInjector(Simulation& sim) : sim_(&sim) {}
 
-void FaultInjector::on_inject(FaultKind kind, Handler handler) {
-  SGXO_CHECK_MSG(static_cast<bool>(handler), "null inject handler");
-  inject_handlers_[kind] = std::move(handler);
-}
-
-void FaultInjector::on_heal(FaultKind kind, Handler handler) {
-  SGXO_CHECK_MSG(static_cast<bool>(handler), "null heal handler");
-  heal_handlers_[kind] = std::move(handler);
+void FaultInjector::on_change(Handler handler) {
+  SGXO_CHECK_MSG(static_cast<bool>(handler), "null change handler");
+  handler_ = std::move(handler);
 }
 
 void FaultInjector::arm(const FaultPlan& plan) {
   for (const FaultSpec& fault : plan.faults) {
-    sim_->schedule_after(fault.at, [this, fault] { inject(fault); });
+    sim_->schedule_after(fault.at, [this, fault] { change(fault, true); });
     if (fault.duration > Duration{}) {
       sim_->schedule_after(fault.at + fault.duration,
-                           [this, fault] { heal(fault); });
+                           [this, fault] { change(fault, false); });
     }
   }
 }
 
-void FaultInjector::inject(const FaultSpec& spec) {
-  ++injected_;
-  const int overlap = active_[Key{spec.kind, spec.target}]++;
-  if (overlap > 0) return;  // already active for this target: no new edge
-  const auto it = inject_handlers_.find(spec.kind);
-  if (it != inject_handlers_.end()) it->second(spec);
-}
-
-void FaultInjector::heal(const FaultSpec& spec) {
-  ++healed_;
-  const Key key{spec.kind, spec.target};
-  const auto count_it = active_.find(key);
-  SGXO_CHECK_MSG(count_it != active_.end() && count_it->second > 0,
-                 "healing a fault that was never injected");
-  if (--count_it->second > 0) return;  // an overlapping fault is still on
-  active_.erase(count_it);
-  const auto it = heal_handlers_.find(spec.kind);
-  if (it != heal_handlers_.end()) it->second(spec);
+void FaultInjector::change(const FaultSpec& spec, bool activated) {
+  std::vector<FaultSpec>& active = active_[spec.kind];
+  if (activated) {
+    ++injected_;
+    active.push_back(spec);
+  } else {
+    // Equal specs are interchangeable: heal the earliest.
+    const auto it = std::find(active.begin(), active.end(), spec);
+    SGXO_CHECK_MSG(it != active.end(),
+                   "healing a fault that was never injected");
+    active.erase(it);
+  }
+  if (handler_) handler_(spec, activated, active);
 }
 
 bool FaultInjector::active(FaultKind kind, const std::string& target) const {
-  const auto it = active_.find(Key{kind, target});
-  return it != active_.end() && it->second > 0;
+  const auto it = active_.find(kind);
+  return it != active_.end() &&
+         std::any_of(it->second.begin(), it->second.end(),
+                     [&](const FaultSpec& spec) {
+                       return spec.target == target;
+                     });
+}
+
+std::uint64_t FaultInjector::healed() const {
+  std::uint64_t active = 0;
+  for (const auto& [kind, specs] : active_) active += specs.size();
+  return injected_ - active;
 }
 
 }  // namespace sgxo::sim

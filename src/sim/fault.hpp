@@ -9,11 +9,12 @@
 // plan is bit-for-bit reproducible — the foundation of the chaos property
 // harness (any failing scenario replays exactly from its logged seed).
 //
-// The injector itself knows nothing about the cluster: concrete effects
-// are registered as per-kind inject/heal handlers (the experiment fixture
-// wires the standard set). Overlapping faults of the same (kind, target)
-// are reference-counted so the heal handler fires only when the *last*
-// overlapping activation ends.
+// The injector itself knows nothing about the cluster. It keeps the
+// active faults of each kind and hands every activation and every heal,
+// with the kind's faults still active, to one change handler (the
+// experiment fixture installs the standard one). The handler sets each
+// component's state from the active faults, so overlapping faults combine
+// by construction: a target stays faulted while any of them names it.
 #pragma once
 
 #include <cstdint>
@@ -82,10 +83,12 @@ struct FaultSpec {
   Duration duration{};
   /// Node name for node-scoped kinds ("" = all / not applicable).
   std::string target;
-  /// kSampleDelay only: how late samples arrive.
+  /// kSampleDelay and kAttestationSlowVerify only: how late samples
+  /// arrive, or how much longer a verification takes.
   Duration delay{};
 
   [[nodiscard]] std::string describe() const;
+  bool operator==(const FaultSpec&) const = default;
 };
 
 struct FaultPlan {
@@ -139,17 +142,19 @@ struct RandomPlanConfig {
 
 class FaultInjector {
  public:
-  using Handler = std::function<void(const FaultSpec&)>;
+  /// Called on every activation and every heal with the fault that
+  /// changed, whether it activated, and the active faults of its kind
+  /// after the change, in activation order.
+  using Handler = std::function<void(const FaultSpec& changed, bool activated,
+                                     const std::vector<FaultSpec>& active)>;
 
   explicit FaultInjector(Simulation& sim);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Registers the handler fired when a fault of `kind` activates /
-  /// heals. At most one handler per kind and edge (later calls replace).
-  void on_inject(FaultKind kind, Handler handler);
-  void on_heal(FaultKind kind, Handler handler);
+  /// Registers the change handler (a later call replaces it).
+  void on_change(Handler handler);
 
   /// Schedules every fault of the plan relative to the current virtual
   /// time. May be called repeatedly (plans accumulate).
@@ -159,21 +164,16 @@ class FaultInjector {
   [[nodiscard]] bool active(FaultKind kind, const std::string& target) const;
   /// Total activations / heals fired so far.
   [[nodiscard]] std::uint64_t injected() const { return injected_; }
-  [[nodiscard]] std::uint64_t healed() const { return healed_; }
+  [[nodiscard]] std::uint64_t healed() const;
 
  private:
-  using Key = std::pair<FaultKind, std::string>;
-
-  void inject(const FaultSpec& spec);
-  void heal(const FaultSpec& spec);
+  void change(const FaultSpec& spec, bool activated);
 
   Simulation* sim_;
-  std::map<FaultKind, Handler> inject_handlers_;
-  std::map<FaultKind, Handler> heal_handlers_;
-  /// Overlap reference counts per (kind, target).
-  std::map<Key, int> active_;
+  Handler handler_;
+  /// The active faults of each kind, in activation order.
+  std::map<FaultKind, std::vector<FaultSpec>> active_;
   std::uint64_t injected_ = 0;
-  std::uint64_t healed_ = 0;
 };
 
 }  // namespace sgxo::sim

@@ -160,7 +160,7 @@ std::vector<StressorReport> StressRunner::run(const StressPlan& plan,
 
       if (spec.kind == StressorKind::kVm) {
         // Plain memory: constant op rate, sub-millisecond startup.
-        report.startup = perf_->standard_startup();
+        report.startup = sgx::PerfModel::kStandardStartup;
         const double per_op_us =
             std::max(1.0, spec.bytes.as_mib() * kMicrosPerMibTouched);
         report.elapsed = plan.timeout;
@@ -174,8 +174,7 @@ std::vector<StressorReport> StressRunner::run(const StressPlan& plan,
       // rounds whose latency scales with the node's paging slowdown.
       sgx::Sdk sdk{*driver_, *perf_};
       auto launch = sdk.launch_enclave(pid, cgroup, spec.bytes);
-      report.startup =
-          perf_->config().psw_startup + launch.latency;
+      report.startup = sgx::PerfModel::kPswStartup + launch.latency;
 
       const Duration budget =
           plan.timeout > report.startup ? plan.timeout - report.startup

@@ -35,11 +35,27 @@ sim::FaultSpec fault(sim::FaultKind kind, Duration at, Duration duration,
   return spec;
 }
 
-/// A cluster with the standard control plane and fault wiring, plus one
-/// long-running SGX pod so every metrics surface has live samples.
+/// Two overlapping untargeted faults of `kind`: a 10 s delay during
+/// [10 s, 70 s] and a 25 s one during [30 s, 5:30].
+sim::FaultPlan overlapping_delays(sim::FaultKind kind) {
+  sim::FaultPlan plan;
+  sim::FaultSpec first =
+      fault(kind, Duration::seconds(10), Duration::minutes(1));
+  first.delay = Duration::seconds(10);
+  plan.faults.push_back(first);
+  sim::FaultSpec second =
+      fault(kind, Duration::seconds(30), Duration::minutes(5));
+  second.delay = Duration::seconds(25);
+  plan.faults.push_back(second);
+  return plan;
+}
+
+/// A cluster with the standard control plane and fault wiring. A test
+/// that needs live samples submits a long-running SGX pod itself.
 class ChaosFixture : public ::testing::Test {
  protected:
-  ChaosFixture() : injector_(cluster_.sim()) {
+  explicit ChaosFixture(ClusterConfig config = {})
+      : cluster_(std::move(config)), injector_(cluster_.sim()) {
     scheduler_ = &cluster_.add_sgx_scheduler(core::PlacementPolicy::kBinpack);
     cluster_.api().set_default_scheduler(scheduler_->name());
     cluster_.start_monitoring();
@@ -124,16 +140,16 @@ TEST_F(ChaosFixture, ProbeDropoutStopsEpcSamplesUntilHeal) {
 
   const orch::SgxProbe* probe = cluster_.daemonset().probe(node);
   ASSERT_NE(probe, nullptr);
-  EXPECT_GT(probe->dropped_samples(), 0u);
-  const std::uint64_t dropped_mid_window = probe->dropped_samples();
+  EXPECT_GT(probe->samples().dropped(), 0u);
+  const std::uint64_t dropped_mid_window = probe->samples().dropped();
 
   // After the heal at 3:10, sampling resumes and the counter stops moving.
   run_to(Duration::minutes(4));
   const std::uint64_t dropped_total =
-      cluster_.daemonset().probe(node)->dropped_samples();
+      cluster_.daemonset().probe(node)->samples().dropped();
   EXPECT_GT(dropped_total, dropped_mid_window);
   run_to(Duration::minutes(6));
-  EXPECT_EQ(cluster_.daemonset().probe(node)->dropped_samples(),
+  EXPECT_EQ(cluster_.daemonset().probe(node)->samples().dropped(),
             dropped_total);
   const auto newest = cluster_.db().newest_time("sgx/epc");
   ASSERT_TRUE(newest.has_value());
@@ -154,8 +170,8 @@ TEST_F(ChaosFixture, HeapsterDropoutAndSampleDelayCountOnTheirSurfaces) {
   injector_.arm(plan);
 
   run_to(Duration::minutes(5));
-  EXPECT_GT(cluster_.heapster().dropped_samples(), 0u);
-  EXPECT_GT(cluster_.heapster().delayed_samples(), 0u);
+  EXPECT_GT(cluster_.heapster().samples().dropped(), 0u);
+  EXPECT_GT(cluster_.heapster().samples().delayed(), 0u);
 }
 
 TEST_F(ChaosFixture,
@@ -177,14 +193,14 @@ TEST_F(ChaosFixture,
   const auto probe_delay = [&](const std::string& node) {
     const orch::SgxProbe* probe = cluster_.daemonset().probe(node);
     EXPECT_NE(probe, nullptr) << node;
-    return probe == nullptr ? Duration{} : probe->sample_delay();
+    return probe == nullptr ? Duration{} : probe->samples().delay();
   };
 
   // The targeted delay slows sgx-1's probe alone.
   run_to(Duration::seconds(20));
   EXPECT_EQ(probe_delay("sgx-1"), Duration::seconds(10));
   EXPECT_EQ(probe_delay("sgx-2"), Duration{});
-  EXPECT_EQ(cluster_.heapster().sample_delay(), Duration{});
+  EXPECT_EQ(cluster_.heapster().samples().delay(), Duration{});
 
   // Healing it leaves the cluster-wide delay on every probe and on
   // Heapster.
@@ -193,12 +209,70 @@ TEST_F(ChaosFixture,
   EXPECT_TRUE(injector_.active(sim::FaultKind::kSampleDelay, ""));
   EXPECT_EQ(probe_delay("sgx-1"), Duration::seconds(20));
   EXPECT_EQ(probe_delay("sgx-2"), Duration::seconds(20));
-  EXPECT_EQ(cluster_.heapster().sample_delay(), Duration::seconds(20));
+  EXPECT_EQ(cluster_.heapster().samples().delay(), Duration::seconds(20));
 
   run_to(Duration::minutes(6));
   EXPECT_EQ(probe_delay("sgx-1"), Duration{});
   EXPECT_EQ(probe_delay("sgx-2"), Duration{});
-  EXPECT_EQ(cluster_.heapster().sample_delay(), Duration{});
+  EXPECT_EQ(cluster_.heapster().samples().delay(), Duration{});
+}
+
+TEST_F(ChaosFixture, OverlappingSampleDelaysTakeTheLargestActiveDelay) {
+  injector_.arm(overlapping_delays(sim::FaultKind::kSampleDelay));
+  const auto expect_delay = [&](Duration want) {
+    EXPECT_EQ(cluster_.heapster().samples().delay(), want);
+    for (const char* node : {"sgx-1", "sgx-2"}) {
+      const orch::SgxProbe* probe = cluster_.daemonset().probe(node);
+      ASSERT_NE(probe, nullptr) << node;
+      EXPECT_EQ(probe->samples().delay(), want) << node;
+    }
+  };
+
+  run_to(Duration::seconds(20));
+  expect_delay(Duration::seconds(10));
+  run_to(Duration::seconds(40));
+  expect_delay(Duration::seconds(25));
+  // The 10 s delay healed at 70 s; the 25 s one is still active.
+  run_to(Duration::minutes(2));
+  expect_delay(Duration::seconds(25));
+  run_to(Duration::minutes(6));
+  expect_delay(Duration{});
+}
+
+/// ChaosFixture over an attesting cluster, for the attestation faults.
+class AttestedChaosFixture : public ChaosFixture {
+ protected:
+  static ClusterConfig attested_config() {
+    ClusterConfig config;
+    config.attestation = true;
+    return config;
+  }
+
+  AttestedChaosFixture() : ChaosFixture(attested_config()) {}
+};
+
+TEST_F(AttestedChaosFixture, OverlappingSlowVerifiesTakeTheLargestDelay) {
+  injector_.arm(overlapping_delays(sim::FaultKind::kAttestationSlowVerify));
+  const sgx::AttestationVerifier& verifier =
+      *cluster_.attestation_verifier();
+  run_to(Duration::seconds(20));
+  EXPECT_EQ(verifier.extra_latency(), Duration::seconds(10));
+  // The 10 s delay healed at 70 s; the 25 s one is still active.
+  run_to(Duration::minutes(2) + Duration::seconds(30));
+  EXPECT_EQ(verifier.extra_latency(), Duration::seconds(25));
+  run_to(Duration::minutes(6));
+  EXPECT_EQ(verifier.extra_latency(), Duration{});
+}
+
+TEST_F(AttestedChaosFixture, EveryOverlappingStormFires) {
+  sim::FaultPlan plan;
+  plan.faults.push_back(fault(sim::FaultKind::kReattestationStorm,
+                              Duration::minutes(1), Duration::minutes(2)));
+  plan.faults.push_back(fault(sim::FaultKind::kReattestationStorm,
+                              Duration::minutes(2), Duration::minutes(1)));
+  injector_.arm(plan);
+  run_to(Duration::minutes(4));
+  EXPECT_EQ(cluster_.attestation_gate()->storms(), 2u);
 }
 
 TEST_F(ChaosFixture, TsdbWriteErrorLosesSamplesThenRecovers) {
@@ -367,6 +441,29 @@ TEST_F(ShardedTsdbChaosFixture, ShardWriteErrorDropsOnlyThatShard) {
   const auto newest = cluster_.db().newest_time("sgx/epc");
   ASSERT_TRUE(newest.has_value());
   EXPECT_GT(*newest, TimePoint::epoch() + Duration::minutes(4));
+}
+
+TEST_F(ShardedTsdbChaosFixture, ShardFaultsThatWrapToOneShardHealTogether) {
+  // On 4 shards, targets "1" and "5" both name shard 1: it is faulted
+  // during [1 min, 3 min] by the first and [2 min, 5 min] by the second.
+  sim::FaultPlan plan;
+  plan.faults.push_back(fault(sim::FaultKind::kTsdbShardWriteError,
+                              Duration::minutes(1), Duration::minutes(2),
+                              "1"));
+  plan.faults.push_back(fault(sim::FaultKind::kTsdbShardWriteError,
+                              Duration::minutes(2), Duration::minutes(3),
+                              "5"));
+  injector_.arm(plan);
+
+  run_to(Duration::minutes(2) + Duration::seconds(30));
+  EXPECT_TRUE(cluster_.db().shard_write_fault(1));
+  run_to(Duration::minutes(4));
+  EXPECT_TRUE(cluster_.db().shard_write_fault(1));
+  run_to(Duration::minutes(6));
+  EXPECT_FALSE(cluster_.db().shard_write_fault(1));
+  for (const std::size_t s : {0u, 2u, 3u}) {
+    EXPECT_FALSE(cluster_.db().shard_write_fault(s));
+  }
 }
 
 TEST_F(ShardedTsdbChaosFixture, ShardStaleReadsFreezeOnlyThatShard) {

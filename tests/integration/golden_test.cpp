@@ -3,7 +3,10 @@
 // default-seed experiments are pinned to exact values. A failure here
 // means a behavioural change somewhere in the stack — if it is
 // intentional (e.g. a recalibration), update the constants *and* rerun
-// the benches so EXPERIMENTS.md stays truthful.
+// the benches so EXPERIMENTS.md stays truthful. The full stdout of every
+// figure, ablation and example binary is pinned as a SHA-256 in
+// bench/output_pins.txt (the `bench_output_pins` ctest); a change that
+// moves one re-pins there with bench/output_pins.cmake's REPIN mode.
 #include <gtest/gtest.h>
 
 #include "exp/replay.hpp"

@@ -67,6 +67,8 @@ class MonitoringFixture : public ::testing::Test {
   cluster::Kubelet std_kubelet_;
   cluster::Kubelet sgx_kubelet_;
   tsdb::Database db_;
+  // The sample path of the probes a test deploys by hand on sgx-1.
+  PodSampleWriter epc_samples_{sim_, db_, SgxProbe::kEpcMeasurement, {}};
 };
 
 TEST_F(MonitoringFixture, HeapsterWritesPerPodMemorySamples) {
@@ -162,10 +164,10 @@ TEST_F(MonitoringFixture, SamplingResumesIntoAFreshSeriesAfterAnOutage) {
   sim_.run_until(TimePoint::epoch() + Duration::minutes(1));
   ASSERT_EQ(points_of(db_, Heapster::kMemoryMeasurement, tags).size(), 6u);
   // A dropout longer than the retention: the live pod's series is erased.
-  heapster.set_drop_samples(true);
+  heapster.samples().set_drop(true);
   sim_.run_until(TimePoint::epoch() + Duration::minutes(17));
   EXPECT_EQ(db_.series_count(Heapster::kMemoryMeasurement), 0u);
-  heapster.set_drop_samples(false);
+  heapster.samples().set_drop(false);
   sim_.run_until(TimePoint::epoch() + Duration::minutes(17) +
                  Duration::seconds(25));
   std::vector<tsdb::Point> points =
@@ -193,7 +195,7 @@ TEST_F(MonitoringFixture, SamplingResumesIntoAFreshSeriesAfterAnOutage) {
 }
 
 TEST_F(MonitoringFixture, SampleWriterKeepsRefsForThePodsOfTheLastRound) {
-  PodSampleWriter writer{db_, "m", {}};
+  PodSampleWriter writer{sim_, db_, "m", {}};
   const auto at = [](std::int64_t s) {
     return TimePoint::epoch() + Duration::seconds(s);
   };
@@ -230,7 +232,8 @@ TEST_F(MonitoringFixture, SgxProbeReportsPodEpcInBytes) {
   ASSERT_TRUE(api_.try_bind("enclave", "sgx-1",
                             api_.pod("enclave").resource_version)
                   .bound());
-  SgxProbe probe{sim_, *api_.find_node("sgx-1"), db_, Duration::seconds(10)};
+  SgxProbe probe{sim_, *api_.find_node("sgx-1"), epc_samples_,
+                 Duration::seconds(10)};
   probe.start();
   sim_.run_until(TimePoint::epoch() + Duration::seconds(25));
   probe.stop();
@@ -245,7 +248,7 @@ TEST_F(MonitoringFixture, SgxProbeReportsPodEpcInBytes) {
 }
 
 TEST_F(MonitoringFixture, ProbeRejectsNonSgxNode) {
-  EXPECT_THROW(SgxProbe(sim_, *api_.find_node("node-1"), db_),
+  EXPECT_THROW(SgxProbe(sim_, *api_.find_node("node-1"), epc_samples_),
                ContractViolation);
 }
 
@@ -254,7 +257,8 @@ TEST_F(MonitoringFixture, ProbeReportsZeroAfterPodEnds) {
   ASSERT_TRUE(api_.try_bind("short", "sgx-1",
                             api_.pod("short").resource_version)
                   .bound());
-  SgxProbe probe{sim_, *api_.find_node("sgx-1"), db_, Duration::seconds(10)};
+  SgxProbe probe{sim_, *api_.find_node("sgx-1"), epc_samples_,
+                 Duration::seconds(10)};
   probe.start();
   sim_.run_until(TimePoint::epoch() + Duration::seconds(60));
   probe.stop();
@@ -307,11 +311,11 @@ TEST_F(MonitoringFixture, DelayedProbeSampleLandsAfterTheProbeCrashed) {
       api_.try_bind("e", "sgx-1", api_.pod("e").resource_version).bound());
   ProbeDaemonSet daemonset{sim_, api_, db_};
   daemonset.start();
-  daemonset.set_sample_delay("", Duration::seconds(5));
+  daemonset.samples("sgx-1").set_delay(Duration::seconds(5));
   // The probe samples at 10 s; the sample is still in flight when the
   // probe process dies at 12 s, and lands at 15 s all the same.
   sim_.run_until(TimePoint::epoch() + Duration::seconds(12));
-  ASSERT_EQ(daemonset.probe("sgx-1")->delayed_samples(), 1u);
+  ASSERT_EQ(daemonset.probe("sgx-1")->samples().delayed(), 1u);
   daemonset.crash_probe("sgx-1");
   sim_.run_until(TimePoint::epoch() + Duration::seconds(16));
   const std::vector<tsdb::Point> points =
@@ -361,7 +365,7 @@ TEST_F(MonitoringFixture, EachSeriesCarriesOnlyItsOwnPodsTagsAndValues) {
   }
 
   Heapster heapster{sim_, api_, db_};
-  SgxProbe probe{sim_, *api_.find_node("sgx-1"), db_};
+  SgxProbe probe{sim_, *api_.find_node("sgx-1"), epc_samples_};
   // Per series key, the points each pod should have produced.
   std::map<std::string, std::vector<tsdb::Point>> want_memory;
   const std::map<std::string, double> epc_bytes = {
@@ -392,13 +396,13 @@ TEST_F(MonitoringFixture, EachSeriesCarriesOnlyItsOwnPodsTagsAndValues) {
     probe.probe_once();
   };
   sample();  // delivered on time
-  heapster.set_sample_delay(Duration::seconds(2));
-  probe.set_sample_delay(Duration::seconds(2));
+  heapster.samples().set_delay(Duration::seconds(2));
+  probe.samples().set_delay(Duration::seconds(2));
   sim_.run_until(sim_.now() + Duration::seconds(5));
   sample();  // delivered 2 s late
   sim_.run_until(sim_.now() + Duration::seconds(5));
-  EXPECT_EQ(heapster.delayed_samples(), 3u);
-  EXPECT_EQ(probe.delayed_samples(), 2u);
+  EXPECT_EQ(heapster.samples().delayed(), 3u);
+  EXPECT_EQ(probe.samples().delayed(), 2u);
 
   const auto stored = [&](const std::string& measurement) {
     std::map<std::string, std::vector<tsdb::Point>> got;

@@ -47,8 +47,26 @@ class RecoveryFixture : public ::testing::Test {
 };
 
 TEST_F(RecoveryFixture, CrashedProbeIsRedeployedWithActiveFaultState) {
+  // A dropout on sgx-1's probe and an untargeted delay, both armed through
+  // the injector and active during [10 s, 2 min].
+  sim::FaultInjector injector{cluster_.sim()};
+  cluster_.install_fault_handlers(injector);
+  sim::FaultPlan plan;
+  sim::FaultSpec dropout;
+  dropout.kind = sim::FaultKind::kProbeDropout;
+  dropout.at = Duration::seconds(10);
+  dropout.duration = Duration::minutes(2) - Duration::seconds(10);
+  dropout.target = "sgx-1";
+  plan.faults.push_back(dropout);
+  sim::FaultSpec delay = dropout;
+  delay.kind = sim::FaultKind::kSampleDelay;
+  delay.target = "";
+  delay.delay = Duration::seconds(5);
+  plan.faults.push_back(delay);
+  injector.arm(plan);
+  run_to(Duration::seconds(15));
+
   ASSERT_TRUE(cluster_.daemonset().has_probe("sgx-1"));
-  cluster_.daemonset().set_drop_samples("sgx-1", true);
   cluster_.daemonset().crash_probe("sgx-1");
   EXPECT_FALSE(cluster_.daemonset().has_probe("sgx-1"));
 
@@ -56,10 +74,14 @@ TEST_F(RecoveryFixture, CrashedProbeIsRedeployedWithActiveFaultState) {
   // node, not the probe process, so the replacement comes up faulted.
   run_to(Duration::minutes(1));
   ASSERT_TRUE(cluster_.daemonset().has_probe("sgx-1"));
-  EXPECT_TRUE(cluster_.daemonset().probe("sgx-1")->dropping_samples());
+  const PodSampleWriter& samples =
+      cluster_.daemonset().probe("sgx-1")->samples();
+  EXPECT_TRUE(samples.dropping());
+  EXPECT_EQ(samples.delay(), Duration::seconds(5));
 
-  cluster_.daemonset().set_drop_samples("sgx-1", false);
-  EXPECT_FALSE(cluster_.daemonset().probe("sgx-1")->dropping_samples());
+  run_to(Duration::minutes(3));
+  EXPECT_FALSE(samples.dropping());
+  EXPECT_EQ(samples.delay(), Duration{});
   cluster_.stop_all();
 }
 
