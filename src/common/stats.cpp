@@ -84,37 +84,4 @@ std::vector<EmpiricalCdf::Point> EmpiricalCdf::curve(std::size_t points) const {
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  SGXO_CHECK(lo < hi);
-  SGXO_CHECK(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::count_in(std::size_t bucket) const {
-  SGXO_CHECK(bucket < counts_.size());
-  return counts_[bucket];
-}
-
-double Histogram::bucket_low(std::size_t bucket) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_high(std::size_t bucket) const {
-  return bucket_low(bucket + 1);
-}
-
-double Histogram::bucket_mid(std::size_t bucket) const {
-  return 0.5 * (bucket_low(bucket) + bucket_high(bucket));
-}
-
 }  // namespace sgxo

@@ -1,6 +1,7 @@
-// Summary statistics used by the experiment harness: online mean/variance,
-// 95 % confidence intervals (Fig. 6 and Fig. 9 error bars), empirical CDFs
-// (Figs. 3, 4, 8, 11) and fixed-width histograms.
+// Summary statistics used by the figure benches and examples: online
+// mean/variance, 95 % confidence intervals (Fig. 6 and Fig. 9 error bars)
+// and empirical CDFs (Figs. 3, 4, 8, 11), plus the population standard
+// deviation the spread placement policy minimises.
 #pragma once
 
 #include <cstddef>
@@ -58,28 +59,6 @@ class EmpiricalCdf {
 
  private:
   std::vector<double> samples_;  // sorted
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count_in(std::size_t bucket) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bucket_low(std::size_t bucket) const;
-  [[nodiscard]] double bucket_high(std::size_t bucket) const;
-  [[nodiscard]] double bucket_mid(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace sgxo

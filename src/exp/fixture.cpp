@@ -130,15 +130,6 @@ orch::DefaultScheduler& SimulatedCluster::add_default_scheduler() {
   return ref;
 }
 
-std::vector<orch::Scheduler*> SimulatedCluster::schedulers() {
-  std::vector<orch::Scheduler*> out;
-  out.reserve(schedulers_.size());
-  for (const auto& scheduler : schedulers_) {
-    out.push_back(scheduler.get());
-  }
-  return out;
-}
-
 orch::Scheduler* SimulatedCluster::find_scheduler(const std::string& name) {
   for (const auto& scheduler : schedulers_) {
     if (scheduler->name() == name) return scheduler.get();
@@ -181,23 +172,32 @@ void SimulatedCluster::apply_faults(const sim::FaultSpec& changed,
       return spec.target.empty() || spec.target == node;
     };
   };
-  // A per-shard fault's target is a decimal shard index, wrapped into
-  // range so a plan generated for a bigger database stays valid.
-  const auto shard_of = [this](const FaultSpec& spec) -> std::size_t {
-    try {
-      return std::stoul(spec.target) % db_.shard_count();
-    } catch (const std::exception&) {
-      return 0;
+  // The shards some active TSDB fault names. A target is a decimal shard
+  // index taken modulo the shard count, so a plan drawn for a bigger
+  // database stays valid; "" names every shard.
+  const auto covered_shards = [&] {
+    std::vector<bool> covered(db_.shard_count(), false);
+    for (const FaultSpec& spec : active) {
+      if (spec.target.empty()) {
+        covered.assign(covered.size(), true);
+        continue;
+      }
+      std::size_t shard = 0;
+      for (const char digit : spec.target) {
+        SGXO_CHECK_MSG(digit >= '0' && digit <= '9',
+                       "TSDB fault target is not a shard index: " +
+                           spec.target);
+        shard = (shard * 10 + static_cast<std::size_t>(digit - '0')) %
+                covered.size();
+      }
+      covered[shard] = true;
     }
-  };
-  const auto same_shard = [&](const FaultSpec& spec) {
-    return shard_of(spec) == shard_of(changed);
+    return covered;
   };
 
-  // A stale-read horizon stays at the instant its window began until the
-  // last overlapping fault heals. Node and scheduler crashes are guarded
-  // on the current state, so a test driving fail_node or crash directly
-  // alongside the injector cannot double-fail.
+  // Node and scheduler crashes are guarded on the current state, so a test
+  // driving fail_node or crash directly alongside the injector cannot
+  // double-fail.
   switch (changed.kind) {
     case FaultKind::kNodeCrash: {
       cluster::Node* node = find_node(changed.target);
@@ -227,25 +227,23 @@ void SimulatedCluster::apply_faults(const sim::FaultSpec& changed,
       heapster_->samples().set_delay(largest_delay(
           [](const FaultSpec& spec) { return spec.target.empty(); }));
       break;
-    case FaultKind::kTsdbWriteError:
-      db_.set_write_fault(!active.empty());
-      break;
-    case FaultKind::kTsdbStaleReads:
-      if (active.empty()) {
-        db_.set_read_horizon(std::nullopt);
-      } else if (!db_.read_horizon().has_value()) {
-        db_.set_read_horizon(sim_.now());
+    case FaultKind::kTsdbWriteError: {
+      const std::vector<bool> covered = covered_shards();
+      for (std::size_t shard = 0; shard < covered.size(); ++shard) {
+        db_.set_shard_write_fault(shard, covered[shard]);
       }
       break;
-    case FaultKind::kTsdbShardWriteError:
-      db_.set_shard_write_fault(shard_of(changed), any(same_shard));
-      break;
-    case FaultKind::kTsdbShardStaleReads: {
-      const std::size_t shard = shard_of(changed);
-      if (!any(same_shard)) {
-        db_.set_shard_read_horizon(shard, std::nullopt);
-      } else if (!db_.shard_read_horizon(shard).has_value()) {
-        db_.set_shard_read_horizon(shard, sim_.now());
+    }
+    case FaultKind::kTsdbStaleReads: {
+      // A shard's read horizon is the instant its current run of coverage
+      // began, and lifts once no active fault covers it.
+      const std::vector<bool> covered = covered_shards();
+      for (std::size_t shard = 0; shard < covered.size(); ++shard) {
+        if (!covered[shard]) {
+          db_.set_shard_read_horizon(shard, std::nullopt);
+        } else if (!db_.shard_read_horizon(shard).has_value()) {
+          db_.set_shard_read_horizon(shard, sim_.now());
+        }
       }
       break;
     }
@@ -269,8 +267,8 @@ void SimulatedCluster::apply_faults(const sim::FaultSpec& changed,
       break;
     }
     // The attestation kinds act only on an attesting cluster: the plan
-    // generator downgrades them for configs without one, and a
-    // hand-written plan against a non-attesting fixture is inert.
+    // generator draws them only for one, and a hand-written plan against
+    // a non-attesting fixture is inert.
     case FaultKind::kAttestationVerifierOutage:
       if (verifier_ != nullptr) verifier_->set_outage(!active.empty());
       break;

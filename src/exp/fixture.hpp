@@ -86,7 +86,7 @@ class SimulatedCluster {
   /// activation and heal it sets the state of what the fault targets from
   /// the active faults of its kind: node crash/reboot through the API
   /// server, probe/Heapster dropouts and delays on their sample paths,
-  /// TSDB write errors and stale-read windows on the database,
+  /// TSDB write errors and stale-read windows on the shards they name,
   /// crash/restart of the scheduler whose name the fault targets,
   /// attestation-verifier faults when attestation is on, and — when a
   /// restarter is given — watch-channel disconnect/re-sync on it.
@@ -102,8 +102,6 @@ class SimulatedCluster {
   /// Creates and starts the Kubernetes default scheduler baseline.
   orch::DefaultScheduler& add_default_scheduler();
 
-  /// All schedulers this fixture owns, in creation order.
-  [[nodiscard]] std::vector<orch::Scheduler*> schedulers();
   /// The first scheduler with the given name, or nullptr.
   [[nodiscard]] orch::Scheduler* find_scheduler(const std::string& name);
 
@@ -123,7 +121,7 @@ class SimulatedCluster {
  private:
   /// install_fault_handlers' handler: a target is faulted while any
   /// active fault of its kind names it, and a delay is the largest active
-  /// one.
+  /// one. CHECKs that a TSDB fault's target is "" or a decimal index.
   void apply_faults(const sim::FaultSpec& changed, bool activated,
                     const std::vector<sim::FaultSpec>& active,
                     orch::PodRestarter* restarter);

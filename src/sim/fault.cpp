@@ -24,10 +24,6 @@ const char* to_string(FaultKind kind) {
       return "watch-disconnect";
     case FaultKind::kSchedulerCrash:
       return "scheduler-crash";
-    case FaultKind::kTsdbShardWriteError:
-      return "tsdb-shard-write-error";
-    case FaultKind::kTsdbShardStaleReads:
-      return "tsdb-shard-stale-reads";
     case FaultKind::kAttestationVerifierOutage:
       return "attestation-verifier-outage";
     case FaultKind::kAttestationSlowVerify:
@@ -79,76 +75,48 @@ const std::string& pick(Rng& rng, const std::vector<std::string>& options) {
       rng.uniform_int(0, static_cast<std::int64_t>(options.size()) - 1))];
 }
 
-}  // namespace
-
-FaultKind downgrade_for_config(FaultKind kind,
-                               const RandomPlanConfig& config) {
-  /// One row per kind with prerequisites: when `available` is false under
-  /// the config, the draw falls back to `fallback` (which may itself have
-  /// a row — resolution chains until a kind is available). Kinds without a
-  /// row are always available. Keeping this a single table means a new
-  /// fault kind cannot silently skip its downgrade: either it has a row
-  /// here or it must work in every config.
-  struct DowngradeRule {
-    FaultKind kind;
-    bool (*available)(const RandomPlanConfig&);
-    FaultKind fallback;
-  };
-  static constexpr DowngradeRule kRules[] = {
-      {FaultKind::kNodeCrash,
-       [](const RandomPlanConfig& c) { return !c.crash_targets.empty(); },
-       FaultKind::kHeapsterDropout},
-      {FaultKind::kSchedulerCrash,
-       [](const RandomPlanConfig& c) { return !c.scheduler_targets.empty(); },
-       FaultKind::kHeapsterDropout},
-      // Without shard targets (a 1-shard database) the equivalent
-      // disruption is the database-wide kind.
-      {FaultKind::kTsdbShardWriteError,
-       [](const RandomPlanConfig& c) { return !c.tsdb_shard_targets.empty(); },
-       FaultKind::kTsdbWriteError},
-      {FaultKind::kTsdbShardStaleReads,
-       [](const RandomPlanConfig& c) { return !c.tsdb_shard_targets.empty(); },
-       FaultKind::kTsdbStaleReads},
-      // Non-attesting clusters have no verifier to break and no verdict
-      // cache to storm.
-      {FaultKind::kAttestationVerifierOutage,
-       [](const RandomPlanConfig& c) { return c.attestation; },
-       FaultKind::kHeapsterDropout},
-      {FaultKind::kReattestationStorm,
-       [](const RandomPlanConfig& c) { return c.attestation; },
-       FaultKind::kHeapsterDropout},
-      {FaultKind::kAttestationSlowVerify,
-       [](const RandomPlanConfig& c) { return c.attestation; },
-       FaultKind::kSampleDelay},
-  };
-  // Chains are short (≤ kind count) and acyclic by construction; the loop
-  // terminates when the kind has no rule or its prerequisites hold.
-  for (bool resolved = false; !resolved;) {
-    resolved = true;
-    for (const DowngradeRule& rule : kRules) {
-      if (rule.kind != kind) continue;
-      if (!rule.available(config)) {
-        kind = rule.fallback;
-        resolved = false;
-      }
-      break;
-    }
+/// Whether `config` gives `kind` what it needs: a crash needs a target
+/// to name, and the attestation kinds an attesting cluster.
+bool supported(FaultKind kind, const RandomPlanConfig& config) {
+  switch (kind) {
+    case FaultKind::kNodeCrash:
+      return !config.crash_targets.empty();
+    case FaultKind::kSchedulerCrash:
+      return !config.scheduler_targets.empty();
+    case FaultKind::kAttestationVerifierOutage:
+    case FaultKind::kAttestationSlowVerify:
+    case FaultKind::kReattestationStorm:
+      return config.attestation;
+    case FaultKind::kProbeDropout:
+    case FaultKind::kHeapsterDropout:
+    case FaultKind::kSampleDelay:
+    case FaultKind::kTsdbWriteError:
+    case FaultKind::kTsdbStaleReads:
+    case FaultKind::kWatchDisconnect:
+      return true;
   }
-  return kind;
+  return false;
 }
+
+}  // namespace
 
 FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config) {
   SGXO_CHECK_MSG(config.min_faults <= config.max_faults,
                  "min_faults must not exceed max_faults");
+  std::vector<FaultKind> kinds;
+  for (int k = 0; k < kFaultKindCount; ++k) {
+    if (supported(static_cast<FaultKind>(k), config)) {
+      kinds.push_back(static_cast<FaultKind>(k));
+    }
+  }
   FaultPlan plan;
   const auto count = static_cast<std::size_t>(rng.uniform_int(
       static_cast<std::int64_t>(config.min_faults),
       static_cast<std::int64_t>(config.max_faults)));
   for (std::size_t i = 0; i < count; ++i) {
     FaultSpec fault;
-    fault.kind = downgrade_for_config(
-        static_cast<FaultKind>(rng.uniform_int(0, kFaultKindCount - 1)),
-        config);
+    fault.kind = kinds[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kinds.size()) - 1))];
     fault.at = Duration::micros(
         rng.uniform_int(0, std::max<std::int64_t>(
                                config.window.micros_count() - 1, 0)));
@@ -157,35 +125,37 @@ FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config) {
     fault.duration = Duration::micros(
         rng.uniform_int(kMinDuration.micros_count(),
                         kMaxDuration.micros_count()));
-    // Target / delay assignment for the *resolved* kind. Downgrading is
-    // done (downgrade_for_config never returns a kind whose list below is
-    // empty), so these draws cannot fail.
+    // A probe or TSDB fault names one listed probe or shard with
+    // probability 3/4, else "" (every one).
+    const auto pick_or_every = [&](const std::vector<std::string>& options) {
+      if (!options.empty() && rng.bernoulli(0.75)) {
+        fault.target = pick(rng, options);
+      }
+    };
     switch (fault.kind) {
+      // A drawn crash is supported, so its list is not empty.
       case FaultKind::kNodeCrash:
         fault.target = pick(rng, config.crash_targets);
         break;
+      case FaultKind::kSchedulerCrash:
+        fault.target = pick(rng, config.scheduler_targets);
+        break;
       case FaultKind::kProbeDropout:
-        // An empty target means every probe; bias towards single nodes
-        // when targets are known.
-        if (!config.probe_targets.empty() && rng.bernoulli(0.75)) {
-          fault.target = pick(rng, config.probe_targets);
-        }
+        pick_or_every(config.probe_targets);
+        break;
+      case FaultKind::kTsdbWriteError:
+      case FaultKind::kTsdbStaleReads:
+        pick_or_every(config.tsdb_shard_targets);
         break;
       case FaultKind::kSampleDelay:
       case FaultKind::kAttestationSlowVerify:
         fault.delay = Duration::micros(
             rng.uniform_int(1, kMaxDelay.micros_count()));
         break;
-      case FaultKind::kSchedulerCrash:
-        fault.target = pick(rng, config.scheduler_targets);
-        break;
-      case FaultKind::kTsdbShardWriteError:
-      case FaultKind::kTsdbShardStaleReads:
-        fault.target = pick(rng, config.tsdb_shard_targets);
-        break;
-      default:
-        // The dropouts, database-wide TSDB kinds, watch disconnects,
-        // verifier outage and storms are untargeted.
+      case FaultKind::kHeapsterDropout:
+      case FaultKind::kWatchDisconnect:
+      case FaultKind::kAttestationVerifierOutage:
+      case FaultKind::kReattestationStorm:
         break;
     }
     plan.faults.push_back(std::move(fault));

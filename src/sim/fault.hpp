@@ -2,8 +2,8 @@
 //
 // A FaultPlan is a declarative schedule of fault activations (node
 // crashes, metrics-pipeline dropouts and delays, TSDB write errors and
-// stale-read windows, watch-channel disconnects, scheduler crashes,
-// attestation-verifier failures). The FaultInjector arms
+// stale-read windows per shard, watch-channel disconnects, scheduler
+// crashes, attestation-verifier failures). The FaultInjector arms
 // a plan on the simulation clock: every activation and every heal is an
 // ordinary simulation event, so a run with the same RNG seed and the same
 // plan is bit-for-bit reproducible — the foundation of the chaos property
@@ -15,6 +15,10 @@
 // experiment fixture installs the standard one). The handler sets each
 // component's state from the active faults, so overlapping faults combine
 // by construction: a target stays faulted while any of them names it.
+//
+// random_plan draws only the kinds its config supports: a kind that needs
+// a target list or an attesting cluster is left out of the draw when the
+// config lacks it.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +46,18 @@ enum class FaultKind {
   /// writes): the SGX probe's on `target`, or with "" every probe's and
   /// Heapster's.
   kSampleDelay,
-  /// Every TSDB write fails (samples are lost, not buffered).
+  /// TSDB writes routed to the shard `target` names fail (samples are
+  /// lost, not buffered); "" names every shard.
   kTsdbWriteError,
-  /// TSDB queries see no data newer than the activation instant.
+  /// TSDB queries see no data on the shard `target` names ("" = every
+  /// shard) newer than the instant the shard's current run of coverage
+  /// began.
   kTsdbStaleReads,
   /// An informer watch channel drops; the client re-lists on heal.
   kWatchDisconnect,
   /// The scheduler named `target` crash-stops and its pending pods wait.
   /// When the fault heals it restarts with no cached state.
   kSchedulerCrash,
-  /// One TSDB shard (target = decimal shard index) drops every write
-  /// routed to it; other shards keep ingesting.
-  kTsdbShardWriteError,
-  /// One TSDB shard (target = decimal shard index) serves reads frozen at
-  /// the activation instant while other shards stay live.
-  kTsdbShardStaleReads,
   /// The attestation verifier is unreachable: every quote verification
   /// comes back Unavailable until heal. Cached verdicts keep serving until
   /// they expire; expired nodes shed their SGX pods.
@@ -70,8 +71,11 @@ enum class FaultKind {
   kReattestationStorm,
 };
 
-/// Number of FaultKind values (random_plan draws uniformly over them).
-inline constexpr int kFaultKindCount = 13;
+/// Number of FaultKind values.
+inline constexpr int kFaultKindCount = 11;
+static_assert(kFaultKindCount ==
+                  static_cast<int>(FaultKind::kReattestationStorm) + 1,
+              "kFaultKindCount must count every FaultKind");
 
 [[nodiscard]] const char* to_string(FaultKind kind);
 
@@ -81,7 +85,10 @@ struct FaultSpec {
   Duration at{};
   /// Active window; zero means the fault never heals.
   Duration duration{};
-  /// Node name for node-scoped kinds ("" = all / not applicable).
+  /// What the fault names: a node for kNodeCrash and the probe kinds, a
+  /// scheduler for kSchedulerCrash, a decimal shard index (taken modulo
+  /// the shard count) for the TSDB kinds. "" names every probe or every
+  /// shard, and is the target of the cluster-wide kinds.
   std::string target;
   /// kSampleDelay and kAttestationSlowVerify only: how late samples
   /// arrive, or how much longer a verification takes.
@@ -107,35 +114,26 @@ struct RandomPlanConfig {
   Duration window = Duration::minutes(10);
   std::size_t min_faults = 1;
   std::size_t max_faults = 6;
-  /// Crash / probe-dropout targets (typically the schedulable nodes; probe
-  /// dropouts only land on the SGX subset a harness passes here).
+  /// Node-crash targets (typically the schedulable nodes); empty leaves
+  /// kNodeCrash out of the draw.
   std::vector<std::string> crash_targets;
+  /// Probe-dropout targets (the SGX nodes).
   std::vector<std::string> probe_targets;
-  /// Scheduler names eligible for kSchedulerCrash. Empty downgrades
-  /// those draws (like crash_targets).
+  /// Scheduler names for kSchedulerCrash; empty leaves it out of the draw.
   std::vector<std::string> scheduler_targets;
-  /// TSDB shard indices (as decimal strings) eligible for the per-shard
-  /// fault kinds. Empty downgrades those draws to the database-wide
-  /// kTsdbWriteError / kTsdbStaleReads, so 1-shard harness configs keep
-  /// their plans.
+  /// TSDB shard indices, as decimal strings, for the two TSDB kinds.
   std::vector<std::string> tsdb_shard_targets;
-  /// True when the cluster under test runs attestation-gated admission.
-  /// False downgrades the attestation fault kinds (outage/storm →
-  /// kHeapsterDropout, slow-verify → kSampleDelay) so non-attesting
-  /// harness configs keep their plans.
+  /// True when the cluster under test runs attestation-gated admission;
+  /// false leaves the three attestation kinds out of the draw.
   bool attestation = false;
 };
 
-/// Resolves the kind a drawn fault downgrades to under `config` — the
-/// single table behind random_plan's per-kind fallbacks (a kind whose
-/// prerequisites the config lacks falls back to an always-available
-/// equivalent, chaining until one is available). Returns `kind` itself
-/// when its prerequisites hold.
-[[nodiscard]] FaultKind downgrade_for_config(FaultKind kind,
-                                             const RandomPlanConfig& config);
-
 /// Draws a randomized, fully-healing fault plan. Every draw comes from
 /// `rng`, so the plan is a pure function of the seed and the config.
+/// Each fault's kind is drawn uniformly among the kinds `config` supports.
+/// Probe dropouts and the TSDB kinds name a listed target with
+/// probability 3/4 and otherwise "" (every probe or every shard); node and
+/// scheduler crashes always name a listed target.
 /// Fault durations are drawn uniformly in [10 s, 2 min]; kSampleDelay and
 /// kAttestationSlowVerify delays uniformly in (0, 30 s].
 [[nodiscard]] FaultPlan random_plan(Rng& rng, const RandomPlanConfig& config);

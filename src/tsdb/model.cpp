@@ -206,7 +206,7 @@ std::optional<SeriesRef> Database::write(const std::string& measurement,
   render_tags_key(tags, key_);
   const std::size_t index = route(measurement, key_);
   Shard& shard = shards_[index];
-  if (write_fault_ || shard.write_fault) {
+  if (shard.write_fault) {
     ++shard.failed_writes;
     return std::nullopt;
   }
@@ -220,7 +220,7 @@ bool Database::write(SeriesRef ref, TimePoint time, double value) {
   const SeriesTable::Slot* slot = table_.find(ref);
   SGXO_CHECK_MSG(slot != nullptr, "write through a stale series ref");
   Shard& shard = shards_[slot->shard];
-  if (write_fault_ || shard.write_fault) {
+  if (shard.write_fault) {
     ++shard.failed_writes;
     return false;
   }
@@ -329,21 +329,11 @@ std::optional<TimePoint> Database::shard_read_horizon(
   return shards_[shard].read_horizon;
 }
 
-std::optional<TimePoint> Database::effective_read_horizon(
-    std::size_t shard) const {
-  SGXO_CHECK(shard < shards_.size());
-  const std::optional<TimePoint>& local = shards_[shard].read_horizon;
-  if (!read_horizon_.has_value()) return local;
-  if (!local.has_value()) return read_horizon_;
-  return std::min(*read_horizon_, *local);
-}
-
 std::optional<TimePoint> Database::newest_time(
     const std::string& measurement) const {
   std::optional<TimePoint> newest;
-  for (std::size_t idx = 0; idx < shards_.size(); ++idx) {
-    const std::optional<TimePoint> horizon = effective_read_horizon(idx);
-    const Shard& shard = shards_[idx];
+  for (const Shard& shard : shards_) {
+    const std::optional<TimePoint>& horizon = shard.read_horizon;
     const auto it = shard.measurements.find(measurement);
     if (it == shard.measurements.end()) continue;
     const auto consider = [&](std::optional<TimePoint> t) {

@@ -7,10 +7,11 @@
 //
 // The store is sharded: series are routed by an FNV-1a hash of
 // (measurement, tag set) onto N shards, each a data layout and a fault
-// domain (per-shard write faults and read horizons). The simulator is
-// single-threaded, so shards take no locks. Each series keeps its points
-// in one time-sorted vector: a window scan starts at one binary search,
-// and retention erases the expired prefix.
+// domain. A shard's write fault and read horizon are the only fault state
+// the database keeps; a fault on the whole database sets every shard's.
+// The simulator is single-threaded, so shards take no locks. Each series
+// keeps its points in one time-sorted vector: a window scan starts at one
+// binary search, and retention erases the expired prefix.
 // Each measurement also keeps a dense summary of its series (newest
 // append, oldest point), so a windowed scan reads only the series with a
 // recent append and retention trims only the series holding an expired
@@ -241,14 +242,13 @@ class Measurement {
 };
 
 /// The database: measurements by name, sharded by series hash (FNV-1a),
-/// plus an optional retention horizon. Each shard has its own write fault
-/// and read horizon.
+/// plus an optional retention horizon.
 ///
-/// Fault-injection surface: writes can be made to fail (samples are lost,
-/// as when the real InfluxDB endpoint is unreachable) and reads can be
-/// frozen at a horizon (queries see no point newer than it — a stale
-/// replica). Both knobs exist database-wide and per shard; the chaos
-/// harness drives them.
+/// Fault-injection surface, per shard: writes routed to a shard can be
+/// made to fail (samples are lost, as when the real InfluxDB endpoint is
+/// unreachable) and a shard's reads can be frozen at a horizon (queries
+/// see no point on it newer than the horizon — a stale replica). The chaos
+/// harness drives both.
 class Database {
  public:
   /// A shard count of 0 reads as 1.
@@ -265,15 +265,14 @@ class Database {
 
   /// Inserts one sample into the series of `tags`, creating it on first
   /// use, and returns the series' ref. Returns nullopt, drops the sample
-  /// and creates no series while a write fault — global or on the routed
-  /// shard — is active.
+  /// and creates no series while the routed shard's write fault is set.
   std::optional<SeriesRef> write(const std::string& measurement,
                                  const Tags& tags, TimePoint time,
                                  double value);
 
   /// Inserts one sample into the series `ref` names, which must be live:
   /// no key render, routing or lookup. Returns false, and drops the sample,
-  /// while a write fault — global or on the series' shard — is active.
+  /// while the series' shard's write fault is set.
   bool write(SeriesRef ref, TimePoint time, double value);
 
   /// True while the series `ref` names exists. Retention erasing it stales
@@ -301,38 +300,23 @@ class Database {
   std::size_t enforce_retention(TimePoint now, Duration retention);
 
   // ---- fault injection -----------------------------------------------------
-  /// While set, every write (any shard) fails and is counted.
-  void set_write_fault(bool faulted) { write_fault_ = faulted; }
-  [[nodiscard]] bool write_fault() const { return write_fault_; }
-  /// Sum of failed writes across shards.
-  [[nodiscard]] std::uint64_t failed_writes() const;
-
-  /// Per-shard write fault: only samples routed to `shard` are dropped.
+  /// While set, every sample routed to `shard` fails and is counted.
   void set_shard_write_fault(std::size_t shard, bool faulted);
   [[nodiscard]] bool shard_write_fault(std::size_t shard) const;
   [[nodiscard]] std::uint64_t shard_failed_writes(std::size_t shard) const;
+  /// Sum of failed writes across shards.
+  [[nodiscard]] std::uint64_t failed_writes() const;
 
-  /// While set, queries (and newest_time) see no point newer than
-  /// `horizon` — a stale-read window. nullopt restores live reads.
-  void set_read_horizon(std::optional<TimePoint> horizon) {
-    read_horizon_ = horizon;
-  }
-  [[nodiscard]] std::optional<TimePoint> read_horizon() const {
-    return read_horizon_;
-  }
-
-  /// Per-shard stale-read window: only series on `shard` are frozen.
+  /// While set, queries (and newest_time) see no point on `shard` newer
+  /// than `horizon` — a stale-read window. nullopt restores live reads.
   void set_shard_read_horizon(std::size_t shard,
                               std::optional<TimePoint> horizon);
   [[nodiscard]] std::optional<TimePoint> shard_read_horizon(
       std::size_t shard) const;
-  /// The horizon a reader of `shard` must respect: the older of the
-  /// global and the shard horizon (nullopt = live).
-  [[nodiscard]] std::optional<TimePoint> effective_read_horizon(
-      std::size_t shard) const;
 
   /// Timestamp of the newest *visible* point of a measurement (respects
-  /// the read horizons); nullopt when the measurement is empty or unknown.
+  /// the shards' read horizons); nullopt when the measurement is empty or
+  /// unknown.
   /// The scheduler uses this to detect a stale metrics pipeline. O(shards)
   /// from each measurement's newest point time; only a shard under a read
   /// horizon walks its series.
@@ -354,8 +338,6 @@ class Database {
   std::vector<Shard> shards_;  // sized once at construction, never resized
   SeriesTable table_;
   std::string key_;  // write's series key, reused so a write allocates none
-  bool write_fault_ = false;
-  std::optional<TimePoint> read_horizon_;
 };
 
 }  // namespace sgxo::tsdb

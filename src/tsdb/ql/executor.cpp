@@ -245,7 +245,7 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
                 GroupTable& table, std::string& key, ExecStats* stats) {
   // A shard under a stale-read horizon shows no point newer than it.
   std::int64_t hi = kInt64Max;
-  const std::optional<TimePoint> horizon = db.effective_read_horizon(shard);
+  const std::optional<TimePoint> horizon = db.shard_read_horizon(shard);
   if (horizon.has_value()) hi = horizon->micros_since_epoch();
   if (spec.lo > hi) return;
 

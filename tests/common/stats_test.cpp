@@ -93,32 +93,5 @@ TEST(EmpiricalCdf, CurveIsMonotone) {
   EXPECT_DOUBLE_EQ(curve.back().cdf_percent, 100.0);
 }
 
-TEST(Histogram, BucketBoundaries) {
-  Histogram h{0.0, 10.0, 5};
-  EXPECT_EQ(h.bucket_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_mid(2), 5.0);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(1.0);    // bucket 0
-  h.add(9.9);    // bucket 4
-  h.add(-5.0);   // clamps to bucket 0
-  h.add(100.0);  // clamps to bucket 4
-  h.add(5.0);    // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count_in(0), 2u);
-  EXPECT_EQ(h.count_in(2), 1u);
-  EXPECT_EQ(h.count_in(4), 2u);
-  EXPECT_EQ(h.count_in(1), 0u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
 }  // namespace
 }  // namespace sgxo

@@ -6,13 +6,17 @@
 // The runner never asserts; it returns the scenario's outcome with every
 // invariant violation as a string, so callers attach the seed and the
 // plan description to their failure messages — a failing seed reproduces
-// the exact run.
+// the exact run. Besides the safety invariants, every probe checks each
+// component's fault state against the faults the plan has active then
+// (the fault-state oracle).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/sgx_scheduler.hpp"
@@ -35,20 +39,36 @@ struct ScenarioConfig {
   std::size_t min_faults = 1;
   std::size_t max_faults = 6;
   Duration deadline = Duration::hours(24);
-  /// TSDB shard count for the cluster's metrics store.
+  /// TSDB shard count for the cluster's metrics store; every shard is a
+  /// target of the TSDB fault kinds.
   std::size_t tsdb_shards = 1;
-  /// Adds the per-shard TSDB fault kinds (shard write-error, shard stale
-  /// reads) to the random plan's draw targets. Only meaningful with
-  /// tsdb_shards > 1 (random_plan downgrades them otherwise).
-  bool tsdb_shard_faults = false;
   /// Attestation-gated admission: the API server verdict cache plus
   /// kubelet-side re-verification at bind delivery.
   bool attestation = false;
   /// Adds the attestation fault kinds (verifier outage, slow verify,
   /// re-attestation storm) to the random plan's draws. Only meaningful
-  /// with attestation (random_plan downgrades them otherwise).
+  /// with attestation (random_plan leaves them out otherwise).
   bool attestation_faults = false;
 };
+
+/// The plan generator's config for a scenario whose one scheduler is
+/// named `scheduler`: every schedulable node can crash, each SGX node's
+/// probe can drop out, and each TSDB shard is a target.
+inline sim::RandomPlanConfig plan_config(const ScenarioConfig& config,
+                                         const std::string& scheduler) {
+  sim::RandomPlanConfig plan_config;
+  plan_config.window = config.fault_window;
+  plan_config.min_faults = config.min_faults;
+  plan_config.max_faults = config.max_faults;
+  plan_config.crash_targets = {"node-1", "node-2", "sgx-1", "sgx-2"};
+  plan_config.probe_targets = {"sgx-1", "sgx-2"};
+  plan_config.scheduler_targets = {scheduler};
+  for (std::size_t s = 0; s < config.tsdb_shards; ++s) {
+    plan_config.tsdb_shard_targets.push_back(std::to_string(s));
+  }
+  plan_config.attestation = config.attestation && config.attestation_faults;
+  return plan_config;
+}
 
 struct ScenarioResult {
   bool converged = false;  // quiescent before the deadline
@@ -77,6 +97,121 @@ struct ScenarioResult {
   /// with the same seed must produce identical logs.
   std::vector<std::string> event_log;
 };
+
+/// The fault-state oracle: recomputes from `plan`, armed at t = 0, which
+/// faults are active now, and checks every SGX node's sample path,
+/// Heapster's, every TSDB shard and the attestation verifier against
+/// them. An instant on a fault's activation or heal is skipped: the probe
+/// may run before or after the fault's own event there.
+inline void check_fault_state(SimulatedCluster& cluster,
+                              const sim::FaultPlan& plan,
+                              std::vector<std::string>& violations) {
+  using sim::FaultKind;
+  using sim::FaultSpec;
+  const Duration now = cluster.sim().now().since_epoch();
+  std::vector<const FaultSpec*> active;
+  for (const FaultSpec& fault : plan.faults) {
+    const Duration heal = fault.at + fault.duration;
+    if (now == fault.at || now == heal) return;
+    if (fault.at < now && now < heal) active.push_back(&fault);
+  }
+
+  const auto render = [](const auto& value) -> std::string {
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      return value ? "on" : "off";
+    } else if constexpr (std::is_same_v<T, Duration>) {
+      return sgxo::to_string(value);
+    } else {
+      return value.has_value() ? sgxo::to_string(value->since_epoch())
+                               : "live";
+    }
+  };
+  const auto expect = [&](const std::string& what, const auto& got,
+                          const auto& want) {
+    if (got == want) return;
+    violations.push_back("fault oracle: " + what + " reads " + render(got) +
+                         ", the plan says " + render(want) + " at " +
+                         sgxo::to_string(now));
+  };
+  // A fault names its target, or with "" every one; a TSDB fault's
+  // target is a shard index taken modulo the shard count.
+  tsdb::Database& db = cluster.db();
+  const auto names = [&](const FaultSpec& fault, const std::string& target) {
+    if (fault.target.empty()) return true;
+    if (fault.kind == FaultKind::kTsdbWriteError ||
+        fault.kind == FaultKind::kTsdbStaleReads) {
+      return std::to_string(std::stoul(fault.target) % db.shard_count()) ==
+             target;
+    }
+    return fault.target == target;
+  };
+  const auto any = [&](FaultKind kind, const std::string& target) {
+    return std::any_of(active.begin(), active.end(), [&](const FaultSpec* f) {
+      return f->kind == kind && names(*f, target);
+    });
+  };
+  const auto largest_delay = [&](FaultKind kind, const std::string& target) {
+    Duration delay{};
+    for (const FaultSpec* fault : active) {
+      if (fault->kind == kind && names(*fault, target)) {
+        delay = std::max(delay, fault->delay);
+      }
+    }
+    return delay;
+  };
+
+  // Heapster and the verifier take untargeted faults only: a delay that
+  // names a node slows that node's probe alone.
+  orch::PodSampleWriter& heapster = cluster.heapster().samples();
+  expect("heapster drop", heapster.dropping(),
+         any(FaultKind::kHeapsterDropout, ""));
+  expect("heapster delay", heapster.delay(),
+         largest_delay(FaultKind::kSampleDelay, ""));
+  for (cluster::Node* node : cluster.nodes()) {
+    if (!node->has_sgx()) continue;
+    orch::PodSampleWriter& path = cluster.daemonset().samples(node->name());
+    expect(node->name() + " probe drop", path.dropping(),
+           any(FaultKind::kProbeDropout, node->name()));
+    expect(node->name() + " probe delay", path.delay(),
+           largest_delay(FaultKind::kSampleDelay, node->name()));
+  }
+
+  for (std::size_t s = 0; s < db.shard_count(); ++s) {
+    const std::string shard = std::to_string(s);
+    expect("shard " + shard + " write fault", db.shard_write_fault(s),
+           any(FaultKind::kTsdbWriteError, shard));
+    // The horizon is where the shard's current run of stale-read
+    // coverage began: walk back through the faults that overlap it.
+    std::optional<TimePoint> horizon;
+    if (any(FaultKind::kTsdbStaleReads, shard)) {
+      Duration start = now;
+      for (bool moved = true; moved;) {
+        moved = false;
+        for (const FaultSpec& fault : plan.faults) {
+          if (fault.kind == FaultKind::kTsdbStaleReads &&
+              names(fault, shard) && fault.at < start &&
+              start <= fault.at + fault.duration) {
+            start = fault.at;
+            moved = true;
+          }
+        }
+      }
+      horizon = TimePoint::epoch() + start;
+    }
+    expect("shard " + shard + " read horizon", db.shard_read_horizon(s),
+           horizon);
+  }
+
+  if (const sgx::AttestationVerifier* verifier =
+          cluster.attestation_verifier();
+      verifier != nullptr) {
+    expect("verifier outage", verifier->outage(),
+           any(FaultKind::kAttestationVerifierOutage, ""));
+    expect("verifier extra latency", verifier->extra_latency(),
+           largest_delay(FaultKind::kAttestationSlowVerify, ""));
+  }
+}
 
 /// Runs one seeded chaos scenario. Everything stochastic — the trace, the
 /// SGX designation, the fault plan — derives from `seed`, so the run is a
@@ -118,22 +253,10 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
       }};
   replayer.schedule(jobs);
 
-  // The fault plan: seeded, always-healing, over every schedulable node.
-  sim::RandomPlanConfig plan_config;
-  plan_config.window = config.fault_window;
-  plan_config.min_faults = config.min_faults;
-  plan_config.max_faults = config.max_faults;
-  plan_config.crash_targets = {"node-1", "node-2", "sgx-1", "sgx-2"};
-  plan_config.probe_targets = {"sgx-1", "sgx-2"};
-  plan_config.scheduler_targets = {scheduler.name()};
-  if (config.tsdb_shard_faults) {
-    for (std::size_t s = 0; s < cluster.db().shard_count(); ++s) {
-      plan_config.tsdb_shard_targets.push_back(std::to_string(s));
-    }
-  }
-  plan_config.attestation = config.attestation && config.attestation_faults;
+  // The fault plan: seeded and always healing, armed at t = 0.
   Rng plan_rng = rng.split();
-  const sim::FaultPlan plan = sim::random_plan(plan_rng, plan_config);
+  const sim::FaultPlan plan =
+      sim::random_plan(plan_rng, plan_config(config, scheduler.name()));
   result.plan = plan.describe();
   injector.arm(plan);
 
@@ -190,6 +313,7 @@ inline ScenarioResult run_scenario(std::uint64_t seed,
             });
           }
         }
+        check_fault_state(cluster, plan, result.violations);
       });
 
   result.converged =

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "chaos_harness.hpp"
+#include "common/error.hpp"
 
 namespace sgxo::exp {
 namespace {
@@ -283,11 +284,11 @@ TEST_F(ChaosFixture, TsdbWriteErrorLosesSamplesThenRecovers) {
   injector_.arm(plan);
 
   run_to(Duration::minutes(2));
-  EXPECT_TRUE(cluster_.db().write_fault());
+  EXPECT_TRUE(cluster_.db().shard_write_fault(0));
   EXPECT_GT(cluster_.db().failed_writes(), 0u);
 
   run_to(Duration::minutes(6));
-  EXPECT_FALSE(cluster_.db().write_fault());
+  EXPECT_FALSE(cluster_.db().shard_write_fault(0));
   const auto newest = cluster_.db().newest_time("sgx/epc");
   ASSERT_TRUE(newest.has_value());
   EXPECT_GT(*newest, TimePoint::epoch() + Duration::minutes(4));
@@ -379,7 +380,8 @@ TEST_F(ChaosFixture, SchedulerCrashParksPodsUntilRestart) {
   EXPECT_GE(*waited, Duration::minutes(4) - Duration::seconds(90));
 }
 
-/// Same wiring over a 4-shard metrics store, for the per-shard faults.
+/// Same wiring over a 4-shard metrics store, for the shard-targeted TSDB
+/// faults.
 class ShardedTsdbChaosFixture : public ::testing::Test {
  protected:
   static ClusterConfig sharded_config() {
@@ -418,7 +420,7 @@ TEST_F(ShardedTsdbChaosFixture, ShardWriteErrorDropsOnlyThatShard) {
       "sgx/epc", {{"pod_name", "enclave"}, {"nodename", node}});
 
   sim::FaultPlan plan;
-  plan.faults.push_back(fault(sim::FaultKind::kTsdbShardWriteError,
+  plan.faults.push_back(fault(sim::FaultKind::kTsdbWriteError,
                               Duration::minutes(1), Duration::minutes(2),
                               std::to_string(victim)));
   injector_.arm(plan);
@@ -447,10 +449,10 @@ TEST_F(ShardedTsdbChaosFixture, ShardFaultsThatWrapToOneShardHealTogether) {
   // On 4 shards, targets "1" and "5" both name shard 1: it is faulted
   // during [1 min, 3 min] by the first and [2 min, 5 min] by the second.
   sim::FaultPlan plan;
-  plan.faults.push_back(fault(sim::FaultKind::kTsdbShardWriteError,
+  plan.faults.push_back(fault(sim::FaultKind::kTsdbWriteError,
                               Duration::minutes(1), Duration::minutes(2),
                               "1"));
-  plan.faults.push_back(fault(sim::FaultKind::kTsdbShardWriteError,
+  plan.faults.push_back(fault(sim::FaultKind::kTsdbWriteError,
                               Duration::minutes(2), Duration::minutes(3),
                               "5"));
   injector_.arm(plan);
@@ -471,7 +473,7 @@ TEST_F(ShardedTsdbChaosFixture, ShardStaleReadsFreezeOnlyThatShard) {
   run_to(Duration::seconds(30));
 
   sim::FaultPlan plan;
-  plan.faults.push_back(fault(sim::FaultKind::kTsdbShardStaleReads,
+  plan.faults.push_back(fault(sim::FaultKind::kTsdbStaleReads,
                               Duration::minutes(1), Duration::minutes(2),
                               "1"));
   injector_.arm(plan);
@@ -479,15 +481,82 @@ TEST_F(ShardedTsdbChaosFixture, ShardStaleReadsFreezeOnlyThatShard) {
   run_to(Duration::minutes(2));
   // Fault times are relative to arming (t=30s): the horizon freezes at
   // the activation instant, 90 s.
-  ASSERT_TRUE(cluster_.db().effective_read_horizon(1).has_value());
-  EXPECT_EQ(*cluster_.db().effective_read_horizon(1),
+  EXPECT_EQ(cluster_.db().shard_read_horizon(1),
             TimePoint::epoch() + Duration::seconds(90));
   for (const std::size_t s : {0u, 2u, 3u}) {
-    EXPECT_FALSE(cluster_.db().effective_read_horizon(s).has_value());
+    EXPECT_FALSE(cluster_.db().shard_read_horizon(s).has_value());
   }
 
   run_to(Duration::minutes(4));
-  EXPECT_FALSE(cluster_.db().effective_read_horizon(1).has_value());
+  EXPECT_FALSE(cluster_.db().shard_read_horizon(1).has_value());
+}
+
+/// An untargeted fault of `kind` during [10 s, 70 s] and one on shard "1"
+/// during [30 s, 100 s].
+sim::FaultPlan untargeted_then_shard_1(sim::FaultKind kind) {
+  sim::FaultPlan plan;
+  plan.faults.push_back(
+      fault(kind, Duration::seconds(10), Duration::minutes(1)));
+  plan.faults.push_back(
+      fault(kind, Duration::seconds(30), Duration::seconds(70), "1"));
+  return plan;
+}
+
+TEST_F(ShardedTsdbChaosFixture, ReadHorizonIsWhereTheShardsCoverageBegan) {
+  injector_.arm(untargeted_then_shard_1(sim::FaultKind::kTsdbStaleReads));
+  const TimePoint began = TimePoint::epoch() + Duration::seconds(10);
+
+  run_to(Duration::seconds(40));
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(cluster_.db().shard_read_horizon(s), began) << s;
+  }
+  // The untargeted fault healed at 70 s, but shard 1 has been covered
+  // without a break since 10 s.
+  run_to(Duration::seconds(80));
+  EXPECT_EQ(cluster_.db().shard_read_horizon(1), began);
+  for (const std::size_t s : {0u, 2u, 3u}) {
+    EXPECT_FALSE(cluster_.db().shard_read_horizon(s).has_value()) << s;
+  }
+  run_to(Duration::minutes(2));
+  EXPECT_FALSE(cluster_.db().shard_read_horizon(1).has_value());
+}
+
+TEST_F(ShardedTsdbChaosFixture, WriteFaultCoversEveryShardAFaultNames) {
+  injector_.arm(untargeted_then_shard_1(sim::FaultKind::kTsdbWriteError));
+
+  run_to(Duration::seconds(40));
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_TRUE(cluster_.db().shard_write_fault(s)) << s;
+  }
+  run_to(Duration::seconds(80));
+  EXPECT_TRUE(cluster_.db().shard_write_fault(1));
+  for (const std::size_t s : {0u, 2u, 3u}) {
+    EXPECT_FALSE(cluster_.db().shard_write_fault(s)) << s;
+  }
+  run_to(Duration::minutes(2));
+  EXPECT_FALSE(cluster_.db().shard_write_fault(1));
+}
+
+TEST(TsdbFaultTarget, NonDecimalTargetIsAContractViolation) {
+  for (const sim::FaultKind kind :
+       {sim::FaultKind::kTsdbWriteError, sim::FaultKind::kTsdbStaleReads}) {
+    for (const char* target : {"one", "1x", "+1", " 1", "-1"}) {
+      SCOPED_TRACE(std::string(sim::to_string(kind)) + " target '" + target +
+                   "'");
+      ClusterConfig config;
+      config.tsdb_shards = 4;
+      SimulatedCluster cluster{config};
+      sim::FaultInjector injector{cluster.sim()};
+      cluster.install_fault_handlers(injector);
+      sim::FaultPlan plan;
+      plan.faults.push_back(
+          fault(kind, Duration::seconds(10), Duration::minutes(1), target));
+      injector.arm(plan);
+      EXPECT_THROW(
+          cluster.sim().run_until(TimePoint::epoch() + Duration::seconds(20)),
+          ContractViolation);
+    }
+  }
 }
 
 TEST_F(ChaosFixture, WatchDisconnectMissesFailuresUntilResync) {
@@ -533,11 +602,11 @@ TEST(ChaosDeterminism, SameSeedProducesBitIdenticalTraces) {
 }
 
 TEST(ChaosDeterminism, SchedulerCrashScenarioWithSameSeedIsBitIdentical) {
-  // Seed 2's plan crashes the scheduler mid-replay: the crash, the
-  // restart with no cached state and every bind after it must replay
-  // exactly under the same seed.
-  const chaos::ScenarioResult a = chaos::run_scenario(2);
-  const chaos::ScenarioResult b = chaos::run_scenario(2);
+  // Seed 4's plan crashes the scheduler mid-replay, twice: the crashes,
+  // the restarts with no cached state and every bind after them must
+  // replay exactly under the same seed.
+  const chaos::ScenarioResult a = chaos::run_scenario(4);
+  const chaos::ScenarioResult b = chaos::run_scenario(4);
   ASSERT_NE(a.plan.find("scheduler-crash"), std::string::npos) << a.plan;
   EXPECT_EQ(a.plan, b.plan);
   EXPECT_EQ(a.succeeded, b.succeeded);
@@ -548,12 +617,11 @@ TEST(ChaosDeterminism, SchedulerCrashScenarioWithSameSeedIsBitIdentical) {
 }
 
 TEST(ChaosDeterminism, ShardedTsdbScenarioWithSameSeedIsBitIdentical) {
-  // A 4-shard metrics store with the per-shard fault kinds in the plan:
+  // A 4-shard metrics store whose shards are the TSDB faults' targets:
   // shard routing, per-shard fault activation, and the scheduler's
   // degraded-metrics behavior must all replay exactly.
   chaos::ScenarioConfig config;
   config.tsdb_shards = 4;
-  config.tsdb_shard_faults = true;
   const chaos::ScenarioResult a = chaos::run_scenario(42, config);
   const chaos::ScenarioResult b = chaos::run_scenario(42, config);
   EXPECT_EQ(a.plan, b.plan);

@@ -1,7 +1,6 @@
-// Chaos sweep over the sharded TSDB (ISSUE 9 satellite): 500 seeded fault
-// scenarios against a 4-shard metrics store with the per-shard fault kinds
-// (shard write-error, shard stale-reads) in the random plan's draw
-// targets. A shard losing writes or freezing reads degrades the
+// Chaos sweep over the sharded TSDB: 500 seeded fault scenarios against a
+// 4-shard metrics store whose shards are the targets of the TSDB fault
+// kinds (write errors and stale reads on one shard or on every shard). A shard losing writes or freezing reads degrades the
 // scheduler's metrics view — it must never break the chaos invariants:
 // the EPC stays uncommitted-bounded on surviving nodes, no pod is lost or
 // double-placed, and the cluster reconverges once every fault heals.
@@ -19,7 +18,6 @@ namespace {
 void run_shard(std::uint64_t first_seed, std::uint64_t last_seed) {
   chaos::ScenarioConfig config;
   config.tsdb_shards = 4;
-  config.tsdb_shard_faults = true;
   for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
     const chaos::ScenarioResult result = chaos::run_scenario(seed, config);
     for (const std::string& violation : result.violations) {

@@ -39,6 +39,13 @@
 namespace sgxo::tsdb {
 namespace {
 
+/// Freezes every shard's reads at `horizon` (nullopt thaws them).
+void set_read_horizons(Database& db, std::optional<TimePoint> horizon) {
+  for (std::size_t s = 0; s < db.shard_count(); ++s) {
+    db.set_shard_read_horizon(s, horizon);
+  }
+}
+
 TimePoint at(std::int64_t seconds) {
   return TimePoint::epoch() + Duration::seconds(seconds);
 }
@@ -470,8 +477,8 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
 // Database::newest_time reads each measurement's kept newest point time
 // and walks series only on a shard frozen under a read horizon. Check it
 // against a brute-force maximum over the points retention has left, each
-// cut by its own shard's effective horizon, while pods churn, late writes
-// land out of order, global and per-shard horizons come and go, and
+// cut by its own shard's horizon, while pods churn, late writes land out
+// of order, horizons on every shard and on single shards come and go, and
 // retention finally drains the store.
 
 TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
@@ -508,7 +515,7 @@ TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
       std::optional<std::int64_t> want;
       for (const Write& w : live) {
         const std::optional<TimePoint> horizon =
-            db.effective_read_horizon(w.shard[i]);
+            db.shard_read_horizon(w.shard[i]);
         if (horizon.has_value() &&
             w.time_us > horizon->micros_since_epoch()) {
           continue;
@@ -552,13 +559,13 @@ TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
           rng.uniform_int(0, static_cast<std::int64_t>(pods.size()) - 1))];
       write(pod.tags, std::max<std::int64_t>(0, now - rng.uniform_int(0, 400)));
     }
-    // Stale reads come and go: database-wide and on single shards.
+    // Stale reads come and go: on every shard and on single shards.
     if (rng.bernoulli(0.05)) {
       const std::optional<TimePoint> horizon =
           rng.bernoulli(0.5) ? std::optional<TimePoint>{at(
                                    now - rng.uniform_int(0, 200))}
                              : std::nullopt;
-      for (auto& db : stores) db->set_read_horizon(horizon);
+      for (auto& db : stores) set_read_horizons(*db, horizon);
     }
     if (rng.bernoulli(0.1)) {
       for (auto& db : stores) {
@@ -575,12 +582,7 @@ TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
   }
 
   // Drain: no more writes, and retention passes every point.
-  for (auto& db : stores) {
-    db->set_read_horizon(std::nullopt);
-    for (std::size_t s = 0; s < db->shard_count(); ++s) {
-      db->set_shard_read_horizon(s, std::nullopt);
-    }
-  }
+  for (auto& db : stores) set_read_horizons(*db, std::nullopt);
   now += kRetentionS;
   retain(now, kRetentionS);
   ASSERT_TRUE(live.empty());
@@ -593,7 +595,7 @@ TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
   // it hides it.
   write(pods.front().tags, now);
   check("rewritten");
-  for (auto& db : stores) db->set_read_horizon(at(now - 1));
+  for (auto& db : stores) set_read_horizons(*db, at(now - 1));
   check("rewritten behind a horizon");
   for (auto& db : stores) {
     EXPECT_FALSE(db->newest_time("sgx/epc").has_value());
@@ -651,8 +653,9 @@ TEST(TsdbDiffTargeted, WideWindows) {
 }
 
 TEST(TsdbDiffTargeted, ShardStaleReadHorizonCutsExactly) {
-  // A shard with a read horizon shows no point newer than it. The
-  // equivalent truncation on the 1-shard reference is the global horizon.
+  // A shard with a read horizon shows no point newer than it: every shard
+  // of the 4-shard store frozen at one instant reads as the 1-shard
+  // reference frozen there.
   Database flat{1};
   Database sharded{4};
   Rng rng{4242};
@@ -664,10 +667,8 @@ TEST(TsdbDiffTargeted, ShardStaleReadHorizonCutsExactly) {
       sharded.write("sgx/epc", tags, at(t), value);
     }
   }
-  flat.set_read_horizon(at(1800));
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    sharded.set_shard_read_horizon(s, at(1800));
-  }
+  set_read_horizons(flat, at(1800));
+  set_read_horizons(sharded, at(1800));
   for (const char* text : {
            "SELECT SUM(value) AS v FROM \"sgx/epc\" "
            "WHERE time >= now() - 2400s",

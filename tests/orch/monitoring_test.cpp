@@ -179,11 +179,11 @@ TEST_F(MonitoringFixture, SamplingResumesIntoAFreshSeriesAfterAnOutage) {
   // writing through the pod's ref, fail, and retention erases the series
   // under the ref. The first scrape after the outage finds the ref stale
   // and starts a fresh series through the tag write.
-  db_.set_write_fault(true);
+  db_.set_shard_write_fault(0, true);
   sim_.run_until(TimePoint::epoch() + Duration::minutes(33));
   EXPECT_EQ(db_.series_count(Heapster::kMemoryMeasurement), 0u);
   EXPECT_EQ(db_.failed_writes(), 94u);  // 17:30 to 33:00, every 10 s
-  db_.set_write_fault(false);
+  db_.set_shard_write_fault(0, false);
   sim_.run_until(TimePoint::epoch() + Duration::minutes(33) +
                  Duration::seconds(25));
   heapster.stop();
