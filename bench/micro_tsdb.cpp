@@ -3,7 +3,8 @@
 //
 // Every number is host wall clock of code that ran: ingest is one write
 // per sample of the whole stream, and a query's latency is the median of
-// `query_runs` executions of the prepared query, without scan stats.
+// `query_runs` executions (or read-outs) of the prepared query, without
+// scan stats.
 // Nothing is modeled.
 //
 // Each shard count ingests the stream twice. The queried store writes
@@ -12,17 +13,24 @@
 // it returned. A second store takes the tag write for every sample, so its
 // ingest row prices the key render, routing and lookups a ref skips.
 //
-// Three query shapes. The first is Listing 1's inner statement over a
-// 25 s window: each pod's MAX, grouped by pod_name and nodename, the one
-// statement the scheduler executes. The other two are the paper's whole
-// Listing-1 nested query, over the same 25 s window and over the whole
-// history (wide: 1 h, or 300 s in the smoke run), which folds every point.
+// Four query shapes. The first is Listing 1's inner statement over a
+// 25 s window: each pod's MAX, grouped by pod_name and nodename, run
+// through execute(), which sorts the groups by key and builds rows. The
+// second, `inner_25s_readout`, is what the scheduler runs: the same
+// statement read through the fold-order read-out
+// (PreparedQuery::for_each_group), copying each group's pod and node
+// names, time and value as core::ClusterMetrics::per_pod does. The other
+// two are the paper's whole Listing-1 nested query, over the same 25 s
+// window and over the whole history (wide: 1 h, or 300 s in the smoke
+// run), which folds every point.
 //
 // Writes BENCH_tsdb.json (or BENCH_tsdb_smoke.json with --smoke). Each
-// query row carries a digest of its result set; the smoke run re-parses
-// the file and fails unless every query returned the identical result set
-// on every shard count, fails on an empty result set, and fails unless
-// each query returned the result set pinned in kSmokeDigests.
+// query row carries a digest of its result set (for the read-out, of its
+// groups put in key order as the rows execute() returns); the smoke run
+// re-parses the file and fails unless every query returned the identical
+// result set on every shard count, fails on an empty result set, and
+// fails unless each query returned the result set pinned in
+// kSmokeDigests: the read-out's groups must be inner_25s's rows.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -50,11 +58,13 @@ using tsdb::Tags;
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
 
 /// Each query's result digest in the smoke run: every pod's maximum over
-/// 25 s, and 32 nodes' sums of their pods' maxima over 25 s and over the
-/// whole history. Agreement across shard counts cannot catch a wrong
-/// answer every shard count shares; these pins can.
+/// 25 s, through execute() and through the read-out, and 32 nodes' sums of
+/// their pods' maxima over 25 s and over the whole history. Agreement
+/// across shard counts cannot catch a wrong answer every shard count
+/// shares; these pins can.
 constexpr std::pair<const char*, const char*> kSmokeDigests[] = {
     {"inner_25s", "420b9d43d0eec9a8"},
+    {"inner_25s_readout", "420b9d43d0eec9a8"},
     {"listing1_25s", "28840870a6cb3385"},
     {"listing1_wide", "e649bf9fd76c29a4"},
 };
@@ -104,7 +114,7 @@ struct QueryResult {
   std::string query;
   std::size_t shards = 0;
   int runs = 0;
-  double wall_us = 0.0;  // median wall time per execute
+  double wall_us = 0.0;  // median wall time per execute or read-out
   std::size_t rows = 0;
   std::uint64_t digest = 0;  // of the result set, bit for bit
 };
@@ -203,6 +213,70 @@ QueryResult run_query(Database& db, const std::string& name,
   return r;
 }
 
+/// One group of the read-out, copied out as the scheduler copies it.
+struct GroupCopy {
+  std::string pod;
+  std::string node;
+  TimePoint time;
+  double value = 0.0;
+};
+
+std::string tag_value(const Tags& tags, const std::string& name) {
+  const auto it = tags.find(name);
+  return it == tags.end() ? std::string{} : it->second;
+}
+
+/// The read-out's groups as the rows execute() returns: tags pod_name and
+/// nodename, field `column`, in key order.
+tsdb::ql::ResultSet in_key_order(const std::vector<GroupCopy>& groups,
+                                 const std::string& column) {
+  tsdb::ql::ResultSet result;
+  for (const GroupCopy& group : groups) {
+    tsdb::ql::Row row;
+    row.tags = {{"nodename", group.node}, {"pod_name", group.pod}};
+    row.time = group.time;
+    row.fields = {{column, group.value}};
+    result.rows.push_back(std::move(row));
+  }
+  std::sort(result.rows.begin(), result.rows.end(),
+            [](const tsdb::ql::Row& a, const tsdb::ql::Row& b) {
+              return tsdb::tags_key(a.tags) < tsdb::tags_key(b.tags);
+            });
+  return result;
+}
+
+/// Times the fold-order read-out of `text`, a statement grouped by
+/// pod_name and nodename, with a visitor that copies each group out as
+/// core::ClusterMetrics::per_pod does: the median of `runs` reads.
+QueryResult run_read_out(Database& db, const std::string& name,
+                         const std::string& text, TimePoint now, int runs) {
+  const tsdb::ql::PreparedQuery prepared =
+      tsdb::ql::PreparedQuery::prepare(text);
+  const std::string pod_name = "pod_name";
+  const std::string nodename = "nodename";
+  QueryResult r;
+  r.query = name;
+  r.shards = db.shard_count();
+  r.runs = runs;
+  std::vector<double> wall;
+  for (int i = 0; i < runs; ++i) {
+    const double start = now_us();
+    std::vector<GroupCopy> groups;
+    prepared.for_each_group(
+        db, now, [&](const Tags& tags, TimePoint time, double value) {
+          groups.push_back({tag_value(tags, pod_name),
+                            tag_value(tags, nodename), time, value});
+        });
+    wall.push_back(now_us() - start);
+    r.rows = groups.size();
+    r.digest =
+        digest(in_key_order(groups, prepared.stmt().projection.alias));
+  }
+  std::sort(wall.begin(), wall.end());
+  r.wall_us = wall[wall.size() / 2];
+  return r;
+}
+
 void write_json(const std::string& path, const BenchConfig& config,
                 const std::vector<IngestResult>& ingests,
                 const std::vector<QueryResult>& queries) {
@@ -276,8 +350,14 @@ int main(int argc, char** argv) {
            ") GROUP BY nodename";
   };
   // Smoke history is 64 * 5 s = 320 s, so its wide window is 300 s.
-  const std::vector<std::pair<std::string, std::string>> shapes = {
+  struct Shape {
+    std::string name;
+    std::string text;
+    bool read_out = false;  // through for_each_group, not execute()
+  };
+  const std::vector<Shape> shapes = {
       {"inner_25s", inner("25s")},
+      {"inner_25s_readout", inner("25s"), true},
       {"listing1_25s", listing1("25s")},
       {"listing1_wide", listing1(config.smoke ? "300s" : "1h")}};
 
@@ -290,8 +370,13 @@ int main(int argc, char** argv) {
     }
     Database db{shards};
     ingests.push_back(ingest(db, stream, WritePath::kRefs));
-    for (const auto& [name, text] : shapes) {
-      queries.push_back(run_query(db, name, text, now, config.query_runs));
+    for (const Shape& shape : shapes) {
+      queries.push_back(
+          shape.read_out
+              ? run_read_out(db, shape.name, shape.text, now,
+                             config.query_runs)
+              : run_query(db, shape.name, shape.text, now,
+                          config.query_runs));
     }
   }
 
@@ -342,7 +427,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    for (const auto& [name, text] : shapes) {
+    for (const Shape& shape : shapes) {
+      const std::string& name = shape.name;
       const std::string one = digest_from_json(path, name, 1);
       for (const std::size_t shards : kShardCounts) {
         const std::string other = digest_from_json(path, name, shards);

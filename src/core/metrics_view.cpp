@@ -37,6 +37,15 @@ const std::string& column_of(const tsdb::ql::PreparedQuery& query) {
   return query.stmt().projection.alias;
 }
 
+/// The value of tag `name` in `tags`, "" when missing.
+std::string tag_value(const tsdb::Tags& tags, const std::string& name) {
+  const auto it = tags.find(name);
+  return it == tags.end() ? std::string{} : it->second;
+}
+
+const std::string kPodNameTag = "pod_name";
+const std::string kNodeNameTag = "nodename";
+
 }  // namespace
 
 ClusterMetrics::ClusterMetrics(const tsdb::Database& db, Duration window)
@@ -61,20 +70,17 @@ tsdb::ql::ResultSet ClusterMetrics::run(const tsdb::ql::PreparedQuery& query,
 
 std::vector<ClusterMetrics::PodUsage> ClusterMetrics::per_pod(
     const tsdb::ql::PreparedQuery& query, TimePoint now) const {
-  tsdb::ql::ResultSet result = run(query, now);
-  const std::string& column = column_of(query);
   std::vector<PodUsage> usages;
-  usages.reserve(result.rows.size());
-  for (tsdb::ql::Row& row : result.rows) {
-    // The rows are this call's own: move the names out of them.
-    PodUsage usage;
-    const auto pod_it = row.tags.find("pod_name");
-    const auto node_it = row.tags.find("nodename");
-    if (pod_it != row.tags.end()) usage.pod = std::move(pod_it->second);
-    if (node_it != row.tags.end()) usage.node = std::move(node_it->second);
-    usage.usage = Bytes{static_cast<std::uint64_t>(row.field(column))};
-    usages.push_back(std::move(usage));
-  }
+  tsdb::ql::ExecStats stats;
+  query.for_each_group(
+      *db_, now,
+      [&usages](const tsdb::Tags& tags, TimePoint, double value) {
+        usages.push_back(PodUsage{tag_value(tags, kPodNameTag),
+                                  tag_value(tags, kNodeNameTag),
+                                  Bytes{static_cast<std::uint64_t>(value)}});
+      },
+      &stats);
+  last_stats_ = QueryDiagnostics{stats.series, stats.points};
   return usages;
 }
 

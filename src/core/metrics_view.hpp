@@ -8,7 +8,11 @@
 // The Listing-1 inner/outer statements are built and *prepared once* per
 // measurement at construction, with the window written into their text,
 // and re-executed every scheduling cycle with only now() bound — no
-// string building, lexing or parsing on the scheduler hot path.
+// string building, lexing or parsing on the scheduler hot path. The
+// per-pod reads go further: they take the inner statement's groups
+// through the fold-order read-out (PreparedQuery::for_each_group) and
+// copy each group's pod and node names into a PodUsage, so no group key
+// is rendered, sorted or turned into a row.
 #pragma once
 
 #include <map>
@@ -40,7 +44,9 @@ class ClusterMetrics {
   };
 
   /// Per-pod EPC usage over the window: the inner query of Listing 1
-  /// (MAX(value) per pod_name, nodename with value <> 0).
+  /// (MAX(value) per pod_name, nodename with value <> 0), one entry per
+  /// row of that statement, in the order its fold created the groups (not
+  /// the rows' key order); a missing tag reads as "".
   [[nodiscard]] std::vector<PodUsage> epc_per_pod(TimePoint now) const;
 
   /// Per-node EPC usage over the window — the paper's Listing 1, run

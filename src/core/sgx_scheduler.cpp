@@ -82,15 +82,13 @@ void fold_measured_usage(std::vector<orch::NodeView>& views,
 
   // Assigned pods not yet visible in the window contribute their declared
   // requests — "combining the two kinds of data" (§IV). Each node's pods
-  // come from the pods-by-node index in name order, so one cursor over the
-  // sorted (view, pod) list tells which of them the window shows there.
+  // are read in place from the pods-by-node index, in name order, so one
+  // cursor over the sorted (view, pod) list tells which of them the window
+  // shows there.
   auto cursor = measured.begin();
   for (std::size_t v = 0; v < views.size(); ++v) {
     orch::NodeView& view = views[v];
-    orch::PodFilter on_node;
-    on_node.node = view.name;
-    for (const orch::PodRecord* record : api.list_pods(on_node)) {
-      const cluster::PodName& name = record->spec.name;
+    for (const auto& [name, record] : api.pods_on(view.name)) {
       while (cursor != measured.end() && cursor->view == v &&
              *cursor->pod < name) {
         ++cursor;

@@ -53,8 +53,11 @@ struct SgxSchedulerConfig {
 /// show yet. epc_requested, the device plugin's accounting, is left as
 /// is. `views` must be sorted by name, as request_based_views returns
 /// them; rows naming a node without a view (the master, a failed or
-/// unknown node) count nowhere. One pass over the rows and one listing of
-/// each node's pods: O(nodes + rows · log rows + assigned pods).
+/// unknown node) count nowhere. The rows may come in any order. One pass
+/// over the rows, one sort of the measured (view, pod) pairs, and one walk
+/// of each node's pods in place in the ApiServer's node index (pods_on),
+/// which allocates nothing per view and re-checks no pod's phase or node:
+/// O(nodes · log nodes + rows · log rows + assigned pods).
 void fold_measured_usage(std::vector<orch::NodeView>& views,
                          const std::vector<ClusterMetrics::PodUsage>& epc,
                          const std::vector<ClusterMetrics::PodUsage>& memory,

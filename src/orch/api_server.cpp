@@ -187,10 +187,9 @@ std::vector<const PodRecord*> ApiServer::list_pods(
 
   // Assigned pods come from the node index (pod-name order).
   if (filter.node.has_value()) {
-    const auto it = pods_by_node_.find(*filter.node);
-    if (it == pods_by_node_.end()) return out;
-    out.reserve(it->second.pods.size());
-    for (const auto& [name, record] : it->second.pods) {
+    const PodsByName& pods = pods_on(*filter.node);
+    out.reserve(pods.size());
+    for (const auto& [name, record] : pods) {
       if (matches(*record)) out.push_back(record);
     }
     return out;
@@ -203,6 +202,13 @@ std::vector<const PodRecord*> ApiServer::list_pods(
     if (matches(record)) out.push_back(&record);
   }
   return out;
+}
+
+const ApiServer::PodsByName& ApiServer::pods_on(
+    const cluster::NodeName& node) const {
+  static const PodsByName kNone;
+  const auto it = pods_by_node_.find(node);
+  return it == pods_by_node_.end() ? kNone : it->second.pods;
 }
 
 ApiServer::BindOutcome ApiServer::try_bind(const cluster::PodName& pod,

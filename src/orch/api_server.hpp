@@ -11,7 +11,9 @@
 // request sum — updated transactionally with every phase transition.
 // list_pods with a pending filter is therefore O(pending pods), with a
 // node filter O(the node's pods), and node_requests O(log nodes), not
-// O(pods): the scheduler hot loop never scans the store.
+// O(pods): the scheduler hot loop never scans the store. pods_on hands
+// out a node's index entry itself, which list_pods' node filter reads
+// too, so a node's pods have one read path.
 //
 // Write path: conditional binds are the only scheduling writes. try_bind
 // validates one (pod, node, version) against live state — version CAS,
@@ -141,6 +143,15 @@ class ApiServer final : public cluster::PodLifecycleListener {
   /// writes and expect the filter to still hold.
   [[nodiscard]] std::vector<const PodRecord*> list_pods(
       const PodFilter& filter) const;
+
+  /// A node's assigned pods, by name.
+  using PodsByName = std::map<cluster::PodName, const PodRecord*>;
+  /// The pods assigned to (bound or running on) `node`, by name: the node
+  /// index's own entry, read by reference in O(log nodes) with no copy and
+  /// no per-pod check. Empty for a node with none. list_pods with a node
+  /// filter reads it too. Valid until the next write to the ApiServer.
+  [[nodiscard]] const PodsByName& pods_on(
+      const cluster::NodeName& node) const;
 
   /// Status of a conditional bind attempt. Everything except kBound
   /// leaves the pod exactly where it was (pending pods stay queued).
@@ -313,7 +324,7 @@ class ApiServer final : public cluster::PodLifecycleListener {
   /// The pods assigned to one node, by name, and the sum of their
   /// requests, kept with every bind, move and release.
   struct NodePods {
-    std::map<cluster::PodName, const PodRecord*> pods;
+    PodsByName pods;
     cluster::ResourceAmounts requests;
   };
   std::map<cluster::NodeName, NodePods> pods_by_node_;

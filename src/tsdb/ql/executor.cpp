@@ -1,7 +1,6 @@
 #include "tsdb/ql/executor.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <string_view>
@@ -15,26 +14,6 @@ double Row::field(const std::string& name) const {
   const auto it = fields.find(name);
   SGXO_CHECK_MSG(it != fields.end(), "missing field '" + name + "'");
   return it->second;
-}
-
-double ResultSet::sum(const std::string& field) const {
-  double total = 0.0;
-  for (const Row& row : rows) {
-    const auto it = row.fields.find(field);
-    if (it != row.fields.end()) total += it->second;
-  }
-  return total;
-}
-
-double ResultSet::value_for(const std::string& tag, const std::string& value,
-                            const std::string& field, double fallback) const {
-  for (const Row& row : rows) {
-    const auto tag_it = row.tags.find(tag);
-    if (tag_it == row.tags.end() || tag_it->second != value) continue;
-    const auto field_it = row.fields.find(field);
-    if (field_it != row.fields.end()) return field_it->second;
-  }
-  return fallback;
 }
 
 /// Per-statement static plan: everything about a node that does not depend
@@ -60,32 +39,29 @@ constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
 
-/// Renders the group key of a series or row with tag set `tags` into
-/// `key`: tags_key of its GROUP BY tags, `group_tags` being sorted and
-/// deduplicated as tags_key renders them, a missing tag reading as "".
-/// Reuses the key's capacity.
-void render_group_key(const Tags& tags,
-                      const std::vector<std::string>& group_tags,
-                      std::string& key) {
-  key.clear();
-  auto tag = tags.begin();
-  for (const std::string& name : group_tags) {
-    while (tag != tags.end() && tag->first < name) ++tag;
-    const bool present = tag != tags.end() && tag->first == name;
-    append_tag(key, name, present ? std::string_view{tag->second} : "");
-  }
+/// The value of GROUP BY tag `name` in `tags`, "" when missing. `tag`
+/// walks `tags` forward across calls for the GROUP BY tags in order, which
+/// is sorted, like `tags`.
+std::string_view next_value(const Tags& tags, Tags::const_iterator& tag,
+                            const std::string& name) {
+  while (tag != tags.end() && tag->first < name) ++tag;
+  const bool present = tag != tags.end() && tag->first == name;
+  return present ? std::string_view{tag->second} : std::string_view{};
 }
 
 /// The GROUP BY state of one statement: every group its fold creates.
 ///
-/// A group is identified by its key, the tags_key of its GROUP BY tags.
-/// tags_key escapes its separators, so two distinct tag tuples never share
-/// a group; render() orders rows by key.
-/// A caller renders each key into a buffer of its own and looks it up by
-/// hash (open addressing over group indices). Key bytes live in one arena
-/// that a group refers to by offset, so growing it moves no group. A
-/// group's tags are built at render from the tag set of the series or row
-/// that created it, which must outlive the table.
+/// A group is the tuple of its GROUP BY tag values, in `group_tags` order
+/// (sorted and deduplicated, as tags_key renders them), read straight from
+/// the tag set of the series or row that folds into it; a missing tag
+/// reads as "", as tags_key renders it. A lookup hashes the values (open
+/// addressing over group indices) and on a hash hit compares them with
+/// those of the tag set that created the group, so two distinct tuples
+/// never share a group and the fold renders no key. Groups stay in the
+/// order the fold created them: for_each visits them so, and render()
+/// renders each group's key once, to order its rows as a map keyed by
+/// that key would. A group refers to the tag set that created it, which
+/// must outlive the table.
 class GroupTable {
  public:
   GroupTable(const Projection& projection,
@@ -94,23 +70,30 @@ class GroupTable {
         alias_(&projection.alias),
         group_tags_(&group_tags) {}
 
-  /// The group with key `key`, created on first sight with `tags` as the
-  /// tag set its row reports. Every caller folds a value into the group
-  /// it gets.
-  std::size_t find_or_insert(std::string_view key, const Tags& tags) {
-    const std::size_t hash = std::hash<std::string_view>{}(key);
+  /// The group of the series or row with tag set `tags`, created on first
+  /// sight with `tags` as the tag set it reports to for_each. Every caller
+  /// folds a value into the group it gets.
+  std::size_t find_or_insert(const Tags& tags) {
+    std::size_t hash = 0;
+    auto tag = tags.begin();
+    for (const std::string& name : *group_tags_) {
+      // boost::hash_combine's mix.
+      hash ^= std::hash<std::string_view>{}(next_value(tags, tag, name)) +
+              0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
+    }
     if (2 * (groups_.size() + 1) > slots_.size()) grow();
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
       if (slots_[i] == 0) {
         slots_[i] = groups_.size() + 1;
-        groups_.push_back(Group{hash, arena_.size(), key.size(), &tags,
-                                TimePoint::from_micros(kInt64Max)});
-        arena_.append(key);
+        groups_.push_back(
+            Group{hash, &tags, TimePoint::from_micros(kInt64Max)});
         return groups_.size() - 1;
       }
       const std::size_t group = slots_[i] - 1;
-      if (groups_[group].hash == hash && key_of(group) == key) return group;
+      if (groups_[group].hash == hash && same_values(tags, group)) {
+        return group;
+      }
     }
   }
 
@@ -130,12 +113,28 @@ class GroupTable {
     g.seen = true;
   }
 
-  /// One row per group, in key order.
+  /// Visits every group in creation order.
+  void for_each(const GroupVisitor& visit) const {
+    for (const Group& group : groups_) {
+      visit(*group.tags, group.time, group.value);
+    }
+  }
+
+  /// One row per group, in key order: each group's key (tags_key of its
+  /// GROUP BY tags) is rendered once, here, and only to sort.
   [[nodiscard]] ResultSet render() const {
+    std::vector<std::string> keys(groups_.size());
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      const Tags& tags = *groups_[g].tags;
+      auto tag = tags.begin();
+      for (const std::string& name : *group_tags_) {
+        append_tag(keys[g], name, next_value(tags, tag, name));
+      }
+    }
     std::vector<std::size_t> order(groups_.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return key_of(a) < key_of(b);
+      return keys[a] < keys[b];
     });
     ResultSet result;
     result.rows.reserve(groups_.size());
@@ -143,10 +142,10 @@ class GroupTable {
       const Group& group = groups_[g];
       Row row;
       row.fields.emplace(*alias_, group.value);
+      auto tag = group.tags->begin();
       for (const std::string& name : *group_tags_) {
-        const auto tag = group.tags->find(name);
         row.tags.emplace_hint(row.tags.end(), name,
-                              tag == group.tags->end() ? "" : tag->second);
+                              next_value(*group.tags, tag, name));
       }
       row.time = group.time;
       result.rows.push_back(std::move(row));
@@ -157,17 +156,23 @@ class GroupTable {
  private:
   struct Group {
     std::size_t hash = 0;
-    std::size_t key_offset = 0;  // into arena_
-    std::size_t key_size = 0;
-    const Tags* tags = nullptr;
+    const Tags* tags = nullptr;  // of the series or row that created it
     TimePoint time;
     bool seen = false;  // a value was folded (MAX's first value)
     double value = 0.0;
   };
 
-  [[nodiscard]] std::string_view key_of(std::size_t group) const {
-    return std::string_view{arena_}.substr(groups_[group].key_offset,
-                                           groups_[group].key_size);
+  /// True if `tags` has `group`'s GROUP BY tag values.
+  [[nodiscard]] bool same_values(const Tags& tags, std::size_t group) const {
+    const Tags& other = *groups_[group].tags;
+    auto tag = tags.begin();
+    auto other_tag = other.begin();
+    for (const std::string& name : *group_tags_) {
+      if (next_value(tags, tag, name) != next_value(other, other_tag, name)) {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// Doubles the slots (16 at first) and re-places every group by its
@@ -189,7 +194,6 @@ class GroupTable {
   const std::vector<std::string>* group_tags_;
   std::vector<Group> groups_;
   std::vector<std::size_t> slots_;  // group index + 1; 0 = empty
-  std::string arena_;               // every group's key, back to back
 };
 
 /// The start of the statement's window: the latest now() + offset among
@@ -239,10 +243,9 @@ std::unique_ptr<QueryAnalysis> analyze_node(const SelectStmt& stmt) {
   return analysis;
 }
 
-/// Folds one shard of a measurement into `table`, rendering each group
-/// key into `key`, a buffer reused across series and shards.
+/// Folds one shard of a measurement into `table`.
 void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
-                GroupTable& table, std::string& key, ExecStats* stats) {
+                GroupTable& table, ExecStats* stats) {
   // A shard under a stale-read horizon shows no point newer than it.
   std::int64_t hi = kInt64Max;
   const std::optional<TimePoint> horizon = db.shard_read_horizon(shard);
@@ -260,10 +263,8 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
   measurement->for_each_series_since(
       spec.lo, [&](const Series& series) {
         if (stats != nullptr) ++stats->series;
-        // The group key is a pure function of the series tags: render it
-        // once per series.
-        const Tags& tags = series.tags();
-        render_group_key(tags, analysis.group_tags, key);
+        // The group is a pure function of the series tags: look it up
+        // once per series, at its first point that passes.
         std::size_t group = kNoGroup;
 
         series.for_each_in_window(spec.lo, hi, [&](const Point& p) {
@@ -271,37 +272,36 @@ void scan_shard(const Database& db, const ScanSpec& spec, std::size_t shard,
             if (p.value == excluded) return;
           }
           if (stats != nullptr) ++stats->points;
-          if (group == kNoGroup) group = table.find_or_insert(key, tags);
+          if (group == kNoGroup) group = table.find_or_insert(series.tags());
           table.add(group, p.time, p.value);
         });
       });
 }
 
-/// Scan path for `FROM "measurement"`.
-ResultSet exec_scan(const SelectStmt& stmt, const std::string& measurement,
-                    const Database& db, TimePoint now, ExecStats* stats,
-                    const QueryAnalysis& analysis) {
-  const ScanSpec spec{&measurement, window_start(stmt, now), &analysis};
-
-  // Every shard folds straight into one table, in shard order. A group's
-  // aggregate does not depend on the order its points arrive in (see
-  // GroupTable::add), so this is the 1-shard fold bit for bit.
+/// Folds `stmt` into one group table and hands the table to `read` while
+/// the tag sets its groups refer to still live: a measurement's series,
+/// or the rows of a subquery source, which only this call holds.
+template <typename Read>
+void fold(const SelectStmt& stmt, const QueryAnalysis& analysis,
+          const Database& db, TimePoint now, ExecStats* stats, Read&& read) {
   GroupTable table{stmt.projection, analysis.group_tags};
-  if (analysis.scan_fields_ok) {
-    std::string key;
-    for (std::size_t s = 0; s < db.shard_count(); ++s) {
-      scan_shard(db, spec, s, table, key, stats);
+  if (const auto* measurement = std::get_if<std::string>(&stmt.source)) {
+    // Every shard folds straight into one table, in shard order. A group's
+    // aggregate does not depend on the order its points arrive in (see
+    // GroupTable::add), so this is the 1-shard fold bit for bit.
+    if (analysis.scan_fields_ok) {
+      const ScanSpec spec{measurement, window_start(stmt, now), &analysis};
+      for (std::size_t s = 0; s < db.shard_count(); ++s) {
+        scan_shard(db, spec, s, table, stats);
+      }
     }
+    read(table);
+    return;
   }
-  return table.render();
-}
 
-/// Row-at-a-time path for subquery sources: execute the inner statement,
-/// then filter and group its output rows into the same kind of table
-/// (inner rows are few, one per group, so scanning them centrally costs
-/// nothing).
-ResultSet exec_rows(const SelectStmt& stmt, const Database& db, TimePoint now,
-                    ExecStats* stats, const QueryAnalysis& analysis) {
+  // A subquery source: execute the inner statement, then filter and group
+  // its output rows (few, one per inner group, so folding them centrally
+  // costs nothing).
   const auto& sub = std::get<std::unique_ptr<SelectStmt>>(stmt.source);
   SGXO_CHECK(analysis.sub != nullptr);
   const std::vector<Row> rows =
@@ -317,18 +317,12 @@ ResultSet exec_rows(const SelectStmt& stmt, const Database& db, TimePoint now,
     }
     return true;
   };
-
-  // The table reads a group's tags from the row that created it, so it
-  // must not outlive `rows`.
-  GroupTable table{stmt.projection, analysis.group_tags};
-  std::string key;
   for (const Row& row : rows) {
     const auto field = row.fields.find(stmt.projection.field);
     if (field == row.fields.end() || !passes(row)) continue;
-    render_group_key(row.tags, analysis.group_tags, key);
-    table.add(table.find_or_insert(key, row.tags), row.time, field->second);
+    table.add(table.find_or_insert(row.tags), row.time, field->second);
   }
-  return table.render();
+  read(table);
 }
 
 }  // namespace
@@ -339,10 +333,17 @@ std::shared_ptr<const QueryAnalysis> analyze(const SelectStmt& stmt) {
 
 ResultSet execute(const SelectStmt& stmt, const QueryAnalysis& analysis,
                   const Database& db, TimePoint now, ExecStats* stats) {
-  if (const auto* name = std::get_if<std::string>(&stmt.source)) {
-    return exec_scan(stmt, *name, db, now, stats, analysis);
-  }
-  return exec_rows(stmt, db, now, stats, analysis);
+  ResultSet result;
+  fold(stmt, analysis, db, now, stats,
+       [&result](const GroupTable& table) { result = table.render(); });
+  return result;
+}
+
+void for_each_group(const SelectStmt& stmt, const QueryAnalysis& analysis,
+                    const Database& db, TimePoint now,
+                    const GroupVisitor& visit, ExecStats* stats) {
+  fold(stmt, analysis, db, now, stats,
+       [&visit](const GroupTable& table) { table.for_each(visit); });
 }
 
 ResultSet query(const std::string& text, const Database& db, TimePoint now) {

@@ -19,4 +19,10 @@ ResultSet PreparedQuery::execute(const Database& db, TimePoint now,
   return ql::execute(stmt_, *analysis_, db, now, stats);
 }
 
+void PreparedQuery::for_each_group(const Database& db, TimePoint now,
+                                   const GroupVisitor& visit,
+                                   ExecStats* stats) const {
+  ql::for_each_group(stmt_, *analysis_, db, now, visit, stats);
+}
+
 }  // namespace sgxo::tsdb::ql

@@ -12,6 +12,13 @@
 // does zero parse or plan work — it resolves the window start from now()
 // and scans.
 //
+// Two reads share one fold. execute() returns the rows in key order; the
+// fold-order read-out, for_each_group, visits the same groups in the
+// order the fold created them, giving each group's creating tag set, time
+// and value, and renders no key and builds no row. The scheduler's
+// per-pod measurement (core::ClusterMetrics) reads the inner Listing-1
+// statement that way.
+//
 // The one-shot ql::query(text, db, now) convenience is a thin wrapper
 // over prepare + execute, so both paths share one executor and produce
 // identical results by construction.
@@ -38,6 +45,15 @@ class PreparedQuery {
   /// `stats`, when not null, counts the series and points scanned.
   [[nodiscard]] ResultSet execute(const Database& db, TimePoint now,
                                   ExecStats* stats = nullptr) const;
+
+  /// Runs the prepared statement's fold and calls `visit` once per group,
+  /// in fold order, with the tag set of the series (or subquery row) that
+  /// created the group, the group's time and its value; the tag set is
+  /// valid for the duration of the call. The groups and their values are
+  /// execute()'s rows; only the order differs. `stats` as for execute().
+  void for_each_group(const Database& db, TimePoint now,
+                      const GroupVisitor& visit,
+                      ExecStats* stats = nullptr) const;
 
   [[nodiscard]] const SelectStmt& stmt() const { return stmt_; }
   [[nodiscard]] const std::string& text() const { return text_; }

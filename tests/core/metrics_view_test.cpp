@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "orch/heapster.hpp"
 #include "orch/sgx_probe.hpp"
+#include "support/result_set.hpp"
 #include "tsdb/ql/executor.hpp"
 
 namespace sgxo::core {
@@ -117,7 +118,7 @@ TEST(ClusterMetrics, Listing1TextIsExecutable) {
   const tsdb::ql::ResultSet result =
       tsdb::ql::query(metrics.listing1_query(), db, at(60));
   ASSERT_EQ(result.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.value_for("nodename", "sgx-1", "epc"),
+  EXPECT_DOUBLE_EQ(value_for(result, "nodename", "sgx-1", "epc"),
                    static_cast<double>((8_MiB).count()));
 }
 

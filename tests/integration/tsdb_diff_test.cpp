@@ -17,6 +17,11 @@
 // recorded writes as well, since cross-shard agreement cannot catch a flaw
 // every store shares, and another checks newest_time against the points
 // left visible.
+// Every statement the suite runs is also read through the fold-order
+// read-out (PreparedQuery::for_each_group), which must give execute()'s
+// groups, and a churn phase on every shard count, under stale-read
+// horizons, checks it and ClusterMetrics' per-pod reads against the rows
+// of the statements they run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,10 +33,13 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/metrics_view.hpp"
 #include "tsdb/model.hpp"
 #include "tsdb/ql/executor.hpp"
 #include "tsdb/ql/prepared.hpp"
@@ -78,6 +86,62 @@ void expect_bit_identical(const ql::ResultSet& want, const ql::ResultSet& got,
           << ita->second << " vs " << itb->second << ")";
     }
   }
+}
+
+/// One group as (GROUP BY tags, time, value bits): the read-out and
+/// execute() are compared as sorted lists of these, since only their
+/// order may differ.
+using GroupEntry = std::tuple<Tags, std::int64_t, std::uint64_t>;
+
+/// execute()'s rows as group entries; every row carries one field.
+std::vector<GroupEntry> entries_of(const ql::ResultSet& result) {
+  std::vector<GroupEntry> entries;
+  for (const ql::Row& row : result.rows) {
+    EXPECT_EQ(row.fields.size(), 1u);
+    entries.emplace_back(row.tags, row.time.micros_since_epoch(),
+                         bits_of(row.fields.begin()->second));
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+/// The fold-order read-out as group entries: each group's creating tag
+/// set cut to the GROUP BY tags, a missing tag reading as "".
+std::vector<GroupEntry> read_out(const ql::PreparedQuery& query,
+                                 const Database& db, TimePoint now,
+                                 ql::ExecStats* stats) {
+  std::vector<GroupEntry> entries;
+  query.for_each_group(
+      db, now,
+      [&](const Tags& tags, TimePoint time, double value) {
+        Tags group;
+        for (const std::string& name : query.stmt().group_by) {
+          const auto it = tags.find(name);
+          group.emplace(name, it == tags.end() ? "" : it->second);
+        }
+        entries.emplace_back(std::move(group), time.micros_since_epoch(),
+                             bits_of(value));
+      },
+      stats);
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+/// The read-out gives the groups execute() gives: the same GROUP BY tags,
+/// times and value bits, as multisets, from the same series and points.
+void expect_read_out_matches(const ql::PreparedQuery& query,
+                             const Database& db, TimePoint now,
+                             const std::string& context) {
+  ql::ExecStats executed;
+  ql::ExecStats read;
+  const std::vector<GroupEntry> want =
+      entries_of(query.execute(db, now, &executed));
+  const std::string where = context + " read-out [" +
+                            std::to_string(db.shard_count()) + " shards] " +
+                            query.text();
+  EXPECT_EQ(want, read_out(query, db, now, &read)) << where;
+  EXPECT_EQ(executed.series, read.series) << where;
+  EXPECT_EQ(executed.points, read.points) << where;
 }
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
@@ -165,6 +229,9 @@ void check_query(StoreSet& set, const std::string& text, TimePoint now,
         want, prepared.execute(db, now),
         context + " [" + std::to_string(db.shard_count()) + " shards] " +
             text);
+  }
+  for (const auto& db : set.stores) {
+    expect_read_out_matches(prepared, *db, now, context);
   }
 }
 
@@ -440,6 +507,7 @@ TEST_P(TsdbDiffTest, ChurnRetentionAndLateWritesMatchBruteForceOracle) {
                 expect_bit_identical(want,
                                      query.execute(*db, at(now - back)),
                                      context + " " + text);
+                expect_read_out_matches(query, *db, at(now - back), context);
               }
             }
           }
@@ -602,6 +670,159 @@ TEST_P(TsdbDiffTest, NewestTimeMatchesBruteForceOverVisiblePoints) {
   }
 }
 
+// --- The fold-order read-out under churn and stale reads ------------------
+//
+// The scheduler reads Listing 1's inner statement through the read-out
+// (ClusterMetrics::epc_per_pod and memory_per_pod), not through execute().
+// On every shard count, while pods come and go, late samples land,
+// retention erases series and stale-read horizons come and go on every
+// shard and on single shards, the read-out of every generated statement
+// must give execute()'s groups, and each per-pod read the rows of its
+// statement.
+
+/// (pod, node, usage): a per-pod read and its statement's rows are
+/// compared as sorted lists of these.
+using PodEntry = std::tuple<std::string, std::string, std::uint64_t>;
+
+std::vector<PodEntry> pod_entries_of(
+    const std::vector<core::ClusterMetrics::PodUsage>& usages) {
+  std::vector<PodEntry> entries;
+  for (const core::ClusterMetrics::PodUsage& usage : usages) {
+    entries.emplace_back(usage.pod, usage.node, usage.usage.count());
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+/// The rows of a per-pod statement, whose GROUP BY names both tags.
+std::vector<PodEntry> pod_entries_of(const ql::ResultSet& result,
+                                     const std::string& column) {
+  std::vector<PodEntry> entries;
+  for (const ql::Row& row : result.rows) {
+    entries.emplace_back(row.tags.at("pod_name"), row.tags.at("nodename"),
+                         static_cast<std::uint64_t>(row.field(column)));
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+TEST_P(TsdbDiffTest, ReadOutMatchesExecuteUnderChurnAndStaleReads) {
+  const std::uint64_t seed = GetParam();
+  std::vector<std::unique_ptr<Database>> stores;
+  for (const std::size_t shards : kShardCounts) {
+    stores.push_back(std::make_unique<Database>(shards));
+  }
+  // Memory series carry Heapster's "type" tag, which no per-pod statement
+  // groups by; some pods have a second memory series that differs from
+  // the first only there, and so folds into the same group.
+  struct Pod {
+    Tags epc;
+    std::vector<Tags> memory;
+    std::int64_t end = 0;
+  };
+  Rng rng{seed * 3571 + 5};
+  const auto write = [&](const Pod& pod, std::int64_t t) {
+    const double epc = static_cast<double>(rng.uniform_int(0, 50));
+    for (auto& db : stores) db->write("sgx/epc", pod.epc, at(t), epc);
+    for (const Tags& tags : pod.memory) {
+      const double memory = static_cast<double>(rng.uniform_int(1, 4096));
+      for (auto& db : stores) db->write("memory/usage", tags, at(t), memory);
+    }
+  };
+
+  std::vector<Pod> pods;
+  constexpr std::int64_t kRetentionS = 575;
+  for (std::int64_t now = 0; now <= 2400; now += 5) {
+    if (rng.bernoulli(0.3)) {
+      Pod pod;
+      pod.epc = {{"pod_name", "p" + std::to_string(pods.size())}};
+      // One pod in eight has no node tag, which its groups read as "".
+      if (!rng.bernoulli(0.125)) {
+        pod.epc.emplace("nodename",
+                        "n" + std::to_string(rng.uniform_int(0, 3)));
+      }
+      Tags memory = pod.epc;
+      memory.emplace("type", "pod");
+      pod.memory.push_back(memory);
+      if (rng.bernoulli(0.25)) {
+        memory["type"] = "container";
+        pod.memory.push_back(memory);
+      }
+      pod.end = now + rng.uniform_int(20, 300);
+      pods.push_back(std::move(pod));
+    }
+    for (const Pod& pod : pods) {
+      if (now <= pod.end) write(pod, now);
+    }
+    // A late sample, out of order and possibly past the retention horizon
+    // or into a series retention already erased.
+    if (!pods.empty() && rng.bernoulli(0.2)) {
+      const Pod& pod = pods[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(pods.size()) - 1))];
+      write(pod, std::max<std::int64_t>(0, now - rng.uniform_int(0, 700)));
+    }
+    // Stale reads come and go: on every shard and on single shards.
+    if (rng.bernoulli(0.05)) {
+      const std::optional<TimePoint> horizon =
+          rng.bernoulli(0.5) ? std::optional<TimePoint>{at(
+                                   now - rng.uniform_int(0, 200))}
+                             : std::nullopt;
+      for (auto& db : stores) set_read_horizons(*db, horizon);
+    }
+    if (rng.bernoulli(0.1)) {
+      for (auto& db : stores) {
+        const auto shard = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(db->shard_count()) - 1));
+        db->set_shard_read_horizon(
+            shard, rng.bernoulli(0.6) ? std::optional<TimePoint>{at(
+                                            now - rng.uniform_int(0, 200))}
+                                      : std::nullopt);
+      }
+    }
+    if (now % 60 != 0) continue;
+
+    for (auto& db : stores) {
+      db->enforce_retention(at(now), Duration::seconds(kRetentionS));
+    }
+    const std::string context = "read-out seed=" + std::to_string(seed) +
+                                " t=" + std::to_string(now);
+    for (int i = 0; i < 4; ++i) {
+      const ql::PreparedQuery query =
+          ql::PreparedQuery::prepare(random_query(rng));
+      for (const auto& db : stores) {
+        expect_read_out_matches(query, *db, at(now), context);
+      }
+    }
+    for (const std::int64_t window : {25, 90}) {
+      for (const auto& db : stores) {
+        const core::ClusterMetrics metrics{*db, Duration::seconds(window)};
+        for (const auto& [measurement, column] :
+             {std::pair{"sgx/epc", "epc"}, std::pair{"memory/usage", "usage"}}) {
+          const std::string text =
+              std::string{"SELECT MAX(value) AS "} + column + " FROM \"" +
+              measurement + "\" WHERE value <> 0 AND time >= now() - " +
+              std::to_string(window) + "s GROUP BY pod_name, nodename";
+          ql::ExecStats stats;
+          const ql::ResultSet rows =
+              ql::PreparedQuery::prepare(text).execute(*db, at(now), &stats);
+          const std::vector<core::ClusterMetrics::PodUsage> usages =
+              column == std::string{"epc"} ? metrics.epc_per_pod(at(now))
+                                           : metrics.memory_per_pod(at(now));
+          const std::string where = context + " [" +
+                                    std::to_string(db->shard_count()) +
+                                    " shards] per-pod " + text;
+          EXPECT_EQ(pod_entries_of(rows, column), pod_entries_of(usages))
+              << where;
+          EXPECT_EQ(metrics.last_query_stats().series_scanned, stats.series)
+              << where;
+          EXPECT_EQ(metrics.last_query_stats().points_scanned, stats.points)
+              << where;
+        }
+      }
+    }
+  }
+}
+
 // 8 ingest realizations × (30 + 12 + 1) queries ≈ 344 generated queries,
 // each checked on three shard counts, plus the oracle phases above.
 INSTANTIATE_TEST_SUITE_P(Seeds, TsdbDiffTest,
@@ -649,6 +870,47 @@ TEST(TsdbDiffTargeted, WideWindows) {
            "WHERE time >= now() - 200s",
        }) {
     check_query(set, text, now, "wide-window");
+  }
+}
+
+TEST(TsdbDiffTargeted, SeriesDifferingOnlyOutsideGroupByFoldIntoOneGroup) {
+  // Heapster's memory series carry a "type" tag the per-pod statement does
+  // not group by: two series of one pod that differ only there are one
+  // group, on every shard count, in execute() and in the read-out.
+  for (const std::size_t shards : kShardCounts) {
+    Database db{shards};
+    db.write("memory/usage",
+             {{"pod_name", "p"}, {"nodename", "n"}, {"type", "pod"}}, at(10),
+             3.0);
+    db.write("memory/usage",
+             {{"pod_name", "p"}, {"nodename", "n"}, {"type", "container"}},
+             at(20), 5.0);
+    db.write("memory/usage",
+             {{"pod_name", "q"}, {"nodename", "n"}, {"type", "pod"}}, at(20),
+             1.0);
+    const std::string context = std::to_string(shards) + " shards";
+    for (const auto& [agg, p_value] : {std::pair{"MAX", 5.0},
+                                       std::pair{"SUM", 8.0}}) {
+      const ql::PreparedQuery query = ql::PreparedQuery::prepare(
+          std::string{"SELECT "} + agg +
+          "(value) AS m FROM \"memory/usage\" GROUP BY pod_name, nodename");
+      const ql::ResultSet result = query.execute(db, at(20));
+      ASSERT_EQ(result.rows.size(), 2u) << context << " " << agg;
+      EXPECT_EQ(result.rows[0].tags, (Tags{{"nodename", "n"}, {"pod_name", "p"}}))
+          << context;
+      EXPECT_EQ(result.rows[0].time, at(10)) << context;
+      EXPECT_EQ(result.rows[0].field("m"), p_value) << context << " " << agg;
+      EXPECT_EQ(result.rows[1].tags, (Tags{{"nodename", "n"}, {"pod_name", "q"}}))
+          << context;
+      EXPECT_EQ(result.rows[1].field("m"), 1.0) << context;
+      std::size_t groups = 0;
+      query.for_each_group(db, at(20),
+                           [&groups](const Tags&, TimePoint, double) {
+                             ++groups;
+                           });
+      EXPECT_EQ(groups, 2u) << context << " " << agg;
+      expect_read_out_matches(query, db, at(20), context);
+    }
   }
 }
 

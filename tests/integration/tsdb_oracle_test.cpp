@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "support/result_set.hpp"
 #include "tsdb/model.hpp"
 #include "tsdb/ql/executor.hpp"
 
@@ -84,7 +85,7 @@ TEST_P(Listing1Oracle, EngineMatchesBruteForce) {
   const ql::ResultSet result = ql::query(kListing1, db, now);
   ASSERT_EQ(result.rows.size(), expected.size()) << "seed " << GetParam();
   for (const auto& [node, sum] : expected) {
-    EXPECT_DOUBLE_EQ(result.value_for("nodename", node, "epc"), sum)
+    EXPECT_DOUBLE_EQ(value_for(result, "nodename", node, "epc"), sum)
         << "node " << node << ", seed " << GetParam();
   }
 }

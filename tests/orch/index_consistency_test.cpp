@@ -1,8 +1,8 @@
 // Property test for the ApiServer's secondary indexes.
 //
-// list_pods (pending and node filters) and node_requests are served from
-// maintained indexes (the pending queue, pods-by-node with per-node
-// request sums).
+// list_pods (pending and node filters), pods_on and node_requests are
+// served from maintained indexes (the pending queue, pods-by-node with
+// per-node request sums).
 // This suite drives randomized submit / bind / evict / migrate / fail-node
 // / recover / advance-time sequences and after every step cross-checks
 // each indexed answer against a reference computed by a full scan of the
@@ -140,6 +140,14 @@ class IndexConsistencyFixture : public ::testing::Test {
     for (const char* node : {"node-a", "node-b", "node-c", "ghost"}) {
       EXPECT_EQ(assigned_names(api_, node), reference_assigned(node))
           << "node " << node;
+      // pods_on hands out the node index entry that list_pods reads: the
+      // same pods, in name order, each under its own name.
+      std::vector<cluster::PodName> in_place;
+      for (const auto& [name, record] : api_.pods_on(node)) {
+        EXPECT_EQ(name, record->spec.name) << "node " << node;
+        in_place.push_back(name);
+      }
+      EXPECT_EQ(in_place, reference_assigned(node)) << "node " << node;
       // The kept request sum equals a recomputation over the node's pods.
       PodFilter on_node;
       on_node.node = node;

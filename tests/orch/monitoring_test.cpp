@@ -11,6 +11,7 @@
 #include "orch/heapster.hpp"
 #include "orch/pod_sample_writer.hpp"
 #include "orch/sgx_probe.hpp"
+#include "support/result_set.hpp"
 #include "tsdb/ql/executor.hpp"
 
 namespace sgxo::orch {
@@ -86,7 +87,7 @@ TEST_F(MonitoringFixture, HeapsterWritesPerPodMemorySamples) {
       "nodename",
       db_, sim_.now());
   ASSERT_EQ(result.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "mem-pod", "mem"),
+  EXPECT_DOUBLE_EQ(value_for(result, "pod_name", "mem-pod", "mem"),
                    static_cast<double>((4_GiB).count()));
   EXPECT_EQ(result.rows[0].tags.at("nodename"), "node-1");
   EXPECT_EQ(heapster.scrape_count(), 3u);
@@ -243,7 +244,7 @@ TEST_F(MonitoringFixture, SgxProbeReportsPodEpcInBytes) {
       "GROUP BY pod_name, nodename",
       db_, sim_.now());
   ASSERT_EQ(result.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "enclave", "epc"),
+  EXPECT_DOUBLE_EQ(value_for(result, "pod_name", "enclave", "epc"),
                    static_cast<double>(Pages{2048}.as_bytes().count()));
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "support/result_set.hpp"
 #include "tsdb/ql/parser.hpp"
 
 namespace sgxo::tsdb::ql {
@@ -48,9 +49,9 @@ TEST_F(ExecutorFixture, MaxPerPodOverWindow) {
       db_, at(60));
   // Window [35, 60]: p1 max = 160, p2 = 50, p3 = 10; dead + idle excluded.
   ASSERT_EQ(result.rows.size(), 3u);
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "p1", "epc"), 160.0);
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "p2", "epc"), 50.0);
-  EXPECT_DOUBLE_EQ(result.value_for("pod_name", "p3", "epc"), 10.0);
+  EXPECT_DOUBLE_EQ(value_for(result, "pod_name", "p1", "epc"), 160.0);
+  EXPECT_DOUBLE_EQ(value_for(result, "pod_name", "p2", "epc"), 50.0);
+  EXPECT_DOUBLE_EQ(value_for(result, "pod_name", "p3", "epc"), 10.0);
 }
 
 TEST_F(ExecutorFixture, Listing1SumsPerNode) {
@@ -62,8 +63,8 @@ TEST_F(ExecutorFixture, Listing1SumsPerNode) {
       "GROUP BY nodename",
       db_, at(60));
   ASSERT_EQ(result.rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(result.value_for("nodename", "n1", "epc"), 210.0);
-  EXPECT_DOUBLE_EQ(result.value_for("nodename", "n2", "epc"), 10.0);
+  EXPECT_DOUBLE_EQ(value_for(result, "nodename", "n1", "epc"), 210.0);
+  EXPECT_DOUBLE_EQ(value_for(result, "nodename", "n2", "epc"), 10.0);
 }
 
 TEST_F(ExecutorFixture, StaleSamplesInsideWindowStillCount) {
@@ -75,7 +76,7 @@ TEST_F(ExecutorFixture, StaleSamplesInsideWindowStillCount) {
       "WHERE value <> 0 AND time >= now() - 60s "
       "GROUP BY pod_name, nodename) GROUP BY nodename",
       db_, at(60));
-  EXPECT_DOUBLE_EQ(result.value_for("nodename", "n2", "epc"), 1009.0);
+  EXPECT_DOUBLE_EQ(value_for(result, "nodename", "n2", "epc"), 1009.0);
 }
 
 TEST_F(ExecutorFixture, UnknownMeasurementIsEmpty) {
@@ -100,8 +101,8 @@ TEST_F(ExecutorFixture, GroupByMissingTagGroupsUnderEmpty) {
   const ResultSet result =
       query("SELECT SUM(value) AS s FROM untagged GROUP BY zone", db_, at(60));
   ASSERT_EQ(result.rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(result.value_for("zone", "", "s"), 5.0);
-  EXPECT_DOUBLE_EQ(result.value_for("zone", "a", "s"), 7.0);
+  EXPECT_DOUBLE_EQ(value_for(result, "zone", "", "s"), 5.0);
+  EXPECT_DOUBLE_EQ(value_for(result, "zone", "a", "s"), 7.0);
 }
 
 TEST_F(ExecutorFixture, AllRowsFilteredYieldsEmpty) {
@@ -167,17 +168,17 @@ TEST(Executor, ResultSetHelpers) {
   r2.tags = {{"nodename", "n2"}};
   r2.fields = {{"epc", 32.0}};
   rs.rows = {r1, r2};
-  EXPECT_DOUBLE_EQ(rs.sum("epc"), 42.0);
-  EXPECT_DOUBLE_EQ(rs.sum("other"), 0.0);
-  EXPECT_DOUBLE_EQ(rs.value_for("nodename", "n2", "epc"), 32.0);
-  EXPECT_DOUBLE_EQ(rs.value_for("nodename", "zz", "epc", -1.0), -1.0);
+  EXPECT_DOUBLE_EQ(sum(rs, "epc"), 42.0);
+  EXPECT_DOUBLE_EQ(sum(rs, "other"), 0.0);
+  EXPECT_DOUBLE_EQ(value_for(rs, "nodename", "n2", "epc"), 32.0);
+  EXPECT_DOUBLE_EQ(value_for(rs, "nodename", "zz", "epc", -1.0), -1.0);
 }
 
 TEST(Executor, RowFieldAccess) {
   Row row;
   row.fields = {{"a", 1.0}};
-  EXPECT_TRUE(row.has_field("a"));
-  EXPECT_FALSE(row.has_field("b"));
+  EXPECT_TRUE(has_field(row, "a"));
+  EXPECT_FALSE(has_field(row, "b"));
   EXPECT_DOUBLE_EQ(row.field("a"), 1.0);
   EXPECT_THROW((void)row.field("b"), ContractViolation);
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "support/result_set.hpp"
 #include "tsdb/ql/executor.hpp"
 #include "tsdb/ql/prepared.hpp"
 
@@ -219,8 +220,8 @@ TEST(Database, TagSetsThatRenderAlikeUnescapedAreTwoSeries) {
     const ql::ResultSet result =
         ql::query("SELECT SUM(value) AS s FROM m GROUP BY b", db, at(0));
     ASSERT_EQ(result.rows.size(), 2u);
-    EXPECT_EQ(result.value_for("b", "", "s", -1.0), 1.0);
-    EXPECT_EQ(result.value_for("b", "2", "s", -1.0), 2.0);
+    EXPECT_EQ(value_for(result, "b", "", "s", -1.0), 1.0);
+    EXPECT_EQ(value_for(result, "b", "2", "s", -1.0), 2.0);
   }
 }
 

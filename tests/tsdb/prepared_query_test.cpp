@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "support/result_set.hpp"
 #include "tsdb/ql/executor.hpp"
 #include "tsdb/ql/lexer.hpp"
 
@@ -32,7 +33,7 @@ void expect_same_results(const ResultSet& expected, const ResultSet& actual,
         << text << " row " << i;
     ASSERT_EQ(want.fields.size(), got.fields.size()) << text << " row " << i;
     for (const auto& [field, value] : want.fields) {
-      ASSERT_TRUE(got.has_field(field)) << text << " row " << i;
+      ASSERT_TRUE(has_field(got, field)) << text << " row " << i;
       EXPECT_DOUBLE_EQ(value, got.field(field))
           << text << " row " << i << " field " << field;
     }
